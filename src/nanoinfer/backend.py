@@ -3,8 +3,10 @@
 A backend owns a buffer namespace (acquire/release, optionally served from
 a pre-planned pool) and creates reusable execution instances per operator.
 A session binds an ExecutionPlan to concrete pools once, then every
-inference runs the same step list with zero tensor allocation; tensors
-crossing backends are moved by explicit transfer steps.
+inference runs the same step list; tensors crossing backends are moved by
+explicit transfer steps.  Activations, transfer copies and Strassen scratch
+are views into the pools; conv and pool kernels, and the layout round trips
+of MatMul, Softmax and Reshape, still allocate their temporaries on the heap.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .errors import (
     UnsupportedOpError,
 )
 from .graph import OpKind, OpNode
-from .kernels import (
-    LANES, MatDims, conv_sliding, matmul_strassen, strassen_scratch_elems,
-)
+from .kernels import LANES, conv_sliding, matmul_strassen
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
     TransferStep, _conv_params, packed_bytes,
@@ -141,15 +141,11 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         bias = None if node.bias is None else node.bias.astype(np.float32)
         in_shape = shapes[node.inputs[0]]
         out_shape = shapes[node.outputs[0]]
-        need = strassen_scratch_elems(
-            MatDims(in_shape.dims[0], weights.shape[0], weights.shape[1]))
 
         def run(inputs, outputs, threads, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
             flat = x.reshape(x.shape[0], -1)
-            sbuf = scratch[:need] if scratch is not None \
-                and scratch.size >= need else None
-            y = matmul_strassen(flat, weights, scratch=sbuf)
+            y = matmul_strassen(flat, weights, scratch=scratch)
             if bias is not None:
                 y = y + bias
             out = _packed_view(outputs[0], out_shape)
@@ -224,18 +220,14 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan, shapes,
     if scheme.kind is SchemeKind.MATMUL_STRASSEN:
         weights = np.ascontiguousarray(
             node.weights.reshape(p.out_c, p.in_c), dtype=np.float32)
-        _, _, ih, iw = in_shape.dims
-        need = strassen_scratch_elems(MatDims(p.out_c, p.in_c, ih * iw))
 
         def run(inputs, outputs, threads, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
             n, c, h, w = x.shape
-            sbuf = scratch[:need] if scratch is not None \
-                and scratch.size >= need else None
             out = np.empty((n, p.out_c, h, w), dtype=np.float32)
             for img in range(n):
                 prod = matmul_strassen(weights, x[img].reshape(c, h * w),
-                                       scratch=sbuf)
+                                       scratch=scratch)
                 out[img] = prod.reshape(p.out_c, h, w)
             if bias is not None:
                 out += bias.reshape(1, p.out_c, 1, 1)

@@ -24,7 +24,8 @@ from .preinference import (
 from .presets import PRESETS, build_preset
 from .tensor import Tensor, from_nchw, pack_nc4hw4, unpack_nc4hw4
 from .winograd import (
-    DEFAULT_SPACING, conv_winograd, generate_transforms, winograd_supported,
+    DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, conv_winograd,
+    generate_transforms, winograd_supported,
 )
 
 log = logging.getLogger("nanoinfer")
@@ -207,9 +208,9 @@ def _conv_scheme_outputs(node, x_packed, spacing):
             return pack_nc4hw4(from_nchw(out))
         timed("matmul", run_matmul)
     if winograd_supported(p):
-        for tile in (2, 4):
-            if tile + p.kh - 1 > 10:
-                continue
+        for tile in TILE_CANDIDATES:
+            if tile == 1 or tile + p.kh - 1 > MAX_ALPHA:
+                continue  # tile 1 is the tile chooser's sliding window
             t = generate_transforms(tile, p.kh, spacing)
             timed(f"winograd{tile}", lambda t=t: conv_winograd(
                 x_packed, node.weights, p, t, bias=node.bias))

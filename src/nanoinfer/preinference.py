@@ -3,7 +3,10 @@
 Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, pre-transformed weights, and byte offsets into
-one pre-sized pool per backend, so the execution loop never allocates.
+one pre-sized pool per backend.  The pool holds what the kernels read and
+write in place: activations, transfer copies and Strassen's scratch.  Conv
+and pool kernels, and the layout round trips of MatMul, Softmax and Reshape,
+still take their temporaries from the heap.
 """
 
 from __future__ import annotations
@@ -271,41 +274,33 @@ def packed_bytes(shape: Shape) -> int:
     return shape.element_count * 4
 
 
+def strassen_dims(node: OpNode, scheme: SchemeChoice | None,
+                  shapes: dict[str, Shape]) -> MatDims | None:
+    """The product a step hands to matmul_strassen, or None if it has none.
+
+    A MatMul multiplies [n, in_features] by [in_features, out_features]; a
+    1x1 conv under the matmul scheme multiplies, per image, its
+    [out_c, in_c] weights by the [in_c, h*w] input.
+    """
+    if node.kind is OpKind.MATMUL:
+        return MatDims(shapes[node.inputs[0]].dims[0],
+                       int(node.attrs["in_features"]),
+                       int(node.attrs["out_features"]))
+    if scheme is not None and scheme.kind is SchemeKind.MATMUL_STRASSEN:
+        _, c, h, w = shapes[node.inputs[0]].dims
+        return MatDims(int(node.attrs["out_c"]), c, h * w)
+    return None
+
+
 def _scratch_elems_for(node: OpNode, scheme: SchemeChoice | None,
                        shapes: dict[str, Shape]) -> int:
-    """Working-memory elements an op needs beyond inputs and outputs."""
-    if node.kind is OpKind.MATMUL:
-        n, c, h, w = shapes[node.inputs[0]].dims
-        in_f = int(node.attrs["in_features"])
-        out_f = int(node.attrs["out_features"])
-        dims = MatDims(n, in_f, out_f)
-        return (n * c * h * w + n * in_f + n * out_f
-                + strassen_scratch_elems(dims))
-    if node.kind is not OpKind.CONV2D or scheme is None:
-        return 0
-    p = _conv_params(node)
-    n, c, h, w = shapes[node.inputs[0]].dims
-    _, out_c, oh, ow = shapes[node.outputs[0]].dims
-    cpad = channel_blocks(c) * LANES
-    opad = channel_blocks(out_c) * LANES
-    if scheme.kind is SchemeKind.MATMUL_STRASSEN:
-        # per-image products over unpacked channels, plus the repack staging
-        dims = MatDims(out_c, c, h * w)
-        return (n * c * h * w + n * out_c * oh * ow + out_c * oh * ow
-                + strassen_scratch_elems(dims))
-    if scheme.kind is SchemeKind.WINOGRAD:
-        nh = scheme.tile
-        alpha = nh + p.kh - 1
-        tiles_h, tiles_w = -(-oh // nh), -(-ow // nh)
-        batch = max((ow * oh) // (nh * nh), 1)
-        padded_in = n * cpad * ((tiles_h - 1) * nh + alpha) * ((tiles_w - 1) * nh + alpha)
-        per_batch = batch * (cpad + cpad + opad + opad) * alpha * alpha
-        ybuf = n * tiles_h * nh * tiles_w * nh * opad
-        return padded_in + per_batch + ybuf
-    # sliding window: padded input, gathered windows, and the accumulators
-    hp, wp = h + 2 * p.pad_h, w + 2 * p.pad_w
-    windows = p.kh * p.kw * n * oh * ow * cpad if p.group == 1 else 0
-    return n * cpad * hp * wp + windows + n * oh * ow * opad
+    """Pool elements an op's kernel works in beyond its inputs and outputs.
+
+    Only Strassen's level stacks live in the pool; every other kernel takes
+    its temporaries from the heap.
+    """
+    dims = strassen_dims(node, scheme, shapes)
+    return 0 if dims is None else strassen_scratch_elems(dims)
 
 
 @dataclass
@@ -406,9 +401,10 @@ def plan_memory(g: Graph, order: list[OpNode] | None = None, *,
     """Pool layout per backend namespace for the given execution order.
 
     Graph inputs live in caller-provided staging buffers and are not pooled;
-    everything produced by a step is, including per-op scratch, which lives
-    only for its own step.  Copies of a tensor on another backend are pooled
-    in that backend's namespace from the transfer step to their last reader.
+    everything produced by a step is, and so is a Strassen step's scratch,
+    which lives only for its own step.  Copies of a tensor on another
+    backend are pooled in that backend's namespace from the transfer step
+    to their last reader.
     """
     nodes = order if order is not None else g.nodes
     if schemes is None:

@@ -269,8 +269,15 @@ class TestPooledVersusFresh:
                 assert np.array_equal(pooled[tid].data, want.data), preset
 
 
+def is_strassen_step(step):
+    return step.node.kind is OpKind.MATMUL or (
+        step.scheme is not None
+        and step.scheme.kind is SchemeKind.MATMUL_STRASSEN)
+
+
 def strassen_calls(preset, weight, monkeypatch):
-    """(need, given) scratch elements of every Strassen call in one run."""
+    """The plan, and (need, given) scratch elements of every Strassen call
+    in one run over it."""
     monkeypatch.setattr(kernels, "ADD_COST", weight)
     calls = []
 
@@ -284,12 +291,10 @@ def strassen_calls(preset, weight, monkeypatch):
     g = fuse(build_preset(preset))
     plan = pre_infer(g, [CpuBackend().spec()])
     run_session(plan, make_input(g))
-    steps = [s for s in plan.steps if isinstance(s, OpStep)
-             and (s.node.kind is OpKind.MATMUL or (
-                 s.scheme is not None
-                 and s.scheme.kind is SchemeKind.MATMUL_STRASSEN))]
+    steps = [s for s in plan.steps
+             if isinstance(s, OpStep) and is_strassen_step(s)]
     assert len(calls) == len(steps)
-    return calls
+    return plan, calls
 
 
 class TestStrassenScratch:
@@ -297,13 +302,22 @@ class TestStrassenScratch:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_planned_scratch_covers_kernel_depth(self, preset, weight,
                                                  monkeypatch):
-        # the backend falls back to heap memory when its pool slice is too
-        # small, so compare what each Strassen call gets with what it needs
-        for need, given in strassen_calls(preset, weight, monkeypatch):
-            assert need == 0 or (given is not None and given >= need), \
-                (need, given)
+        # the backend hands each Strassen call its planned pool slice as
+        # is, so the slice must be exactly what the depth needs, rounded up
+        # to the 64-byte alignment, and no scratch when there is no level
+        plan, calls = strassen_calls(preset, weight, monkeypatch)
+        for need, given in calls:
+            want = -(-need * 4 // 64) * 64 // 4 if need else None
+            assert given == want, (need, given)
+        # nothing but a Strassen step owns pool scratch
+        strassen_ids = {s.node.id for s in plan.steps
+                        if isinstance(s, OpStep) and is_strassen_step(s)}
+        owners = {tid.removesuffix("#scratch")
+                  for mem in plan.memory.values() for tid in mem.offsets
+                  if tid.endswith("#scratch")}
+        assert owners <= strassen_ids, owners - strassen_ids
 
     def test_count_rule_recurses_on_mobilenet(self, monkeypatch):
         # keeps the test above meaningful: under weight 1, pw2 takes a level
-        calls = strassen_calls("mobilenet-mini", 1, monkeypatch)
+        _, calls = strassen_calls("mobilenet-mini", 1, monkeypatch)
         assert max(need for need, _ in calls) > 0

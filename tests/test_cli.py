@@ -151,8 +151,7 @@ class TestCompare:
         assert payload["max_rel_deviation"] <= 1e-3
         for row in payload["layers"]:
             assert "sliding" in row["timings_ms"]
-            assert row["chosen"] in row["timings_ms"] or \
-                row["chosen"].startswith("winograd")
+            assert row["chosen"] in row["timings_ms"]
 
     def test_k1_layers_choose_matmul(self, tmp_path, capsys):
         path = tmp_path / "sq.ninf"

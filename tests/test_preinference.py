@@ -1,5 +1,6 @@
 import pytest
 
+import nanoinfer.kernels as kernels
 from nanoinfer.graph import GraphBuilder, OpKind
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
@@ -280,7 +281,7 @@ class TestPreInfer:
         recomputed = sum(op_cost(plan.muls[n.id], CPU.cost) for n in g.nodes)
         assert plan.total_cost_ms == pytest.approx(recomputed)
 
-    def test_single_op_pool_is_output_plus_scratch(self):
+    def test_single_op_pool_is_output_plus_scratch(self, monkeypatch):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
         b.relu()
         g = b.build()
@@ -288,14 +289,32 @@ class TestPreInfer:
         out_bytes = packed_bytes(g.tensor_shapes[g.outputs[0]])
         assert plan.memory["cpu"].pool_size == out_bytes  # relu has no scratch
 
+        # conv kernels other than Strassen take no scratch from the pool
         b = GraphBuilder((1, 4, 8, 8), seed=0)
         b.conv(kernel=3, pad=1, out_c=4)
         g = b.build()
         plan = pre_infer(g, [CPU])
+        assert set(plan.memory["cpu"].offsets) == {g.outputs[0]}
+        assert plan.memory["cpu"].pool_size == packed_bytes(
+            g.tensor_shapes[g.outputs[0]])
+
+        # a 1x1 conv's Strassen levels do: under the count rule its
+        # 64x64x256 product recurses
+        monkeypatch.setattr(kernels, "ADD_COST", 1)
+        b = GraphBuilder((1, 64, 16, 16), seed=0)
+        b.conv(kernel=1, out_c=64)
+        g = b.build()
+        plan = pre_infer(g, [CPU])
+        node = g.nodes[0]
+        assert plan.schemes[node.id].kind is SchemeKind.MATMUL_STRASSEN
+        need = kernels.strassen_scratch_elems(kernels.MatDims(64, 64, 256))
+        assert need > 0
         mem = plan.memory["cpu"]
-        scratch_id = f"{g.nodes[0].id}#scratch"
+        scratch_id = f"{node.id}#scratch"
         assert set(mem.offsets) == {g.outputs[0], scratch_id}
-        assert mem.pool_size == mem.sizes[g.outputs[0]] + mem.sizes[scratch_id]
+        assert mem.sizes[scratch_id] == -(-need * 4 // 64) * 64
+        assert mem.pool_size == packed_bytes(
+            g.tensor_shapes[g.outputs[0]]) + mem.sizes[scratch_id]
 
     def test_winograd_weights_pretransformed(self):
         b = GraphBuilder((1, 16, 16, 16), seed=0)
