@@ -100,10 +100,9 @@ class Backend(ABC):
 class Execution:
     """Reusable per-operator execution instance bound to one backend."""
 
-    def __init__(self, node: OpNode, runner, meta: dict | None = None):
+    def __init__(self, node: OpNode, runner):
         self.node = node
         self._runner = runner
-        self.meta = meta or {}
 
     def run(self, inputs: list[np.ndarray], outputs: list[np.ndarray],
             threads: int, scratch: np.ndarray | None = None) -> None:
@@ -131,10 +130,9 @@ def _softmax_channels(x: np.ndarray) -> np.ndarray:
 def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution:
     node = step.node
     kind = node.kind
-    meta: dict = {"scheme": step.scheme.label() if step.scheme else None}
 
     if kind is OpKind.CONV2D:
-        return _build_conv_execution(step, plan, shapes, meta)
+        return _build_conv_execution(step, plan, shapes)
 
     if kind is OpKind.MATMUL:
         weights = np.ascontiguousarray(node.weights, dtype=np.float32)
@@ -151,17 +149,17 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
             out = _packed_view(outputs[0], out_shape)
             out[:] = pack_nc4hw4(from_nchw(y.reshape(*out_shape.dims))).data
 
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if kind is OpKind.RELU:
         def run(inputs, outputs, threads, scratch=None):
             np.maximum(inputs[0], 0.0, out=outputs[0][:inputs[0].size])
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if kind is OpKind.ADD:
         def run(inputs, outputs, threads, scratch=None):
             np.add(inputs[0], inputs[1], out=outputs[0][:inputs[0].size])
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if kind is OpKind.SOFTMAX:
         in_shape = shapes[node.inputs[0]]
@@ -172,7 +170,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
             out = _packed_view(outputs[0], in_shape)
             out[:] = pack_nc4hw4(from_nchw(y)).data
 
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if kind is OpKind.RESHAPE:
         in_shape = shapes[node.inputs[0]]
@@ -184,38 +182,36 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
             out = _packed_view(outputs[0], out_shape)
             out[:] = pack_nc4hw4(from_nchw(y)).data
 
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if kind is OpKind.POOL2D:
-        return _build_pool_execution(step, shapes, meta)
+        return _build_pool_execution(step, shapes)
 
     raise UnsupportedOpError(f"no CPU execution for kind {kind}")
 
 
-def _build_conv_execution(step: OpStep, plan: ExecutionPlan, shapes,
-                          meta: dict) -> Execution:
+def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
+                          shapes) -> Execution:
     node = step.node
     p = _conv_params(node)
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.outputs[0]]
     bias = None if node.bias is None else node.bias.astype(np.float32)
     scheme = step.scheme
-    meta["params"] = p
 
     if scheme.kind is SchemeKind.WINOGRAD:
         transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
-        meta["tile"] = scheme.tile
 
         def run(inputs, outputs, threads, scratch=None):
             transformed = plan.weight_cache.get(
-                node.id,
+                (node.id, scheme.tile),
                 compute=lambda: weight_transform(node.weights, transform))
             x = _as_tensor(inputs[0], in_shape)
             y = conv_winograd(x, node.weights, p, transform, threads=threads,
                               bias=bias, transformed=transformed)
             _packed_view(outputs[0], out_shape)[:] = y.data
 
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     if scheme.kind is SchemeKind.MATMUL_STRASSEN:
         weights = np.ascontiguousarray(
@@ -236,17 +232,17 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan, shapes,
             _packed_view(outputs[0], out_shape)[:] = pack_nc4hw4(
                 from_nchw(out)).data
 
-        return Execution(node, run, meta)
+        return Execution(node, run)
 
     def run(inputs, outputs, threads, scratch=None):
         x = _as_tensor(inputs[0], in_shape)
         y = conv_sliding(x, node.weights, p, threads=threads, bias=bias)
         _packed_view(outputs[0], out_shape)[:] = y.data
 
-    return Execution(node, run, meta)
+    return Execution(node, run)
 
 
-def _build_pool_execution(step: OpStep, shapes, meta: dict) -> Execution:
+def _build_pool_execution(step: OpStep, shapes) -> Execution:
     node = step.node
     (kh, kw) = node.attrs["kernel"]
     stride = node.attrs.get("stride", [kh, kw])
@@ -284,7 +280,7 @@ def _build_pool_execution(step: OpStep, shapes, meta: dict) -> Execution:
         out = _packed_view(outputs[0], out_shape)
         out[:] = acc
 
-    return Execution(node, run, meta)
+    return Execution(node, run)
 
 
 class CpuBackend(Backend):

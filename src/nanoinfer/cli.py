@@ -17,16 +17,13 @@ import numpy as np
 from .backend import CpuBackend, Session, _as_tensor, _packed_view, resolve_backend
 from .errors import EngineError
 from .graph import Graph, OpKind, fuse, load_model, save_model
-from .kernels import conv_sliding, matmul_strassen
 from .preinference import (
-    OpStep, load_cost_models, packed_bytes, pre_infer, _conv_params,
+    OpStep, conv_schemes, load_cost_models, packed_bytes, pre_infer,
+    _conv_params,
 )
 from .presets import PRESETS, build_preset
-from .tensor import Tensor, from_nchw, pack_nc4hw4, unpack_nc4hw4
-from .winograd import (
-    DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, conv_winograd,
-    generate_transforms, winograd_supported,
-)
+from .tensor import Tensor, from_nchw, pack_nc4hw4
+from .winograd import DEFAULT_SPACING, generate_transforms
 
 log = logging.getLogger("nanoinfer")
 
@@ -138,6 +135,8 @@ def _session_for(args, g: Graph):
 
 
 def cmd_run(args) -> int:
+    if args.runs < 1:
+        raise EngineError(f"--runs must be at least 1, got {args.runs}")
     g = fuse(_load_graph(args.model))
     session, plan, chosen = _session_for(args, g)
     tensor = (_read_input(args.input, g) if args.input
@@ -179,44 +178,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _conv_scheme_outputs(node, x_packed, spacing):
-    """Run one conv under every applicable scheme; returns label -> (out, ms)."""
-    p = _conv_params(node)
-    results = {}
-
-    def timed(label, fn):
-        start = time.perf_counter()
-        out = fn()
-        results[label] = (out, (time.perf_counter() - start) * 1e3)
-
-    timed("sliding", lambda: conv_sliding(
-        x_packed, node.weights, p, bias=node.bias))
-    if p.kh == 1 and p.kw == 1 and p.stride_h == 1 and p.stride_w == 1 \
-            and p.pad_h == 0 and p.pad_w == 0 and p.group == 1:
-        def run_matmul():
-            x = unpack_nc4hw4(x_packed).data
-            n, c, h, w = x.shape
-            weights = node.weights.reshape(p.out_c, p.in_c)
-            out = np.empty((n, p.out_c, h, w), dtype=np.float32)
-            for img in range(n):
-                out[img] = matmul_strassen(
-                    weights, x[img].reshape(c, h * w)).reshape(p.out_c, h, w)
-            if node.bias is not None:
-                out += node.bias.reshape(1, p.out_c, 1, 1)
-            if p.relu:
-                out = np.maximum(out, 0.0)
-            return pack_nc4hw4(from_nchw(out))
-        timed("matmul", run_matmul)
-    if winograd_supported(p):
-        for tile in TILE_CANDIDATES:
-            if tile == 1 or tile + p.kh - 1 > MAX_ALPHA:
-                continue  # tile 1 is the tile chooser's sliding window
-            t = generate_transforms(tile, p.kh, spacing)
-            timed(f"winograd{tile}", lambda t=t: conv_winograd(
-                x_packed, node.weights, p, t, bias=node.bias))
-    return results
-
-
 def replay_cpu(g: Graph, plan, tensor: Tensor, threads: int = 1) -> dict:
     """Functional CPU replay of a plan; returns tensor id -> packed value."""
     cpu = CpuBackend()
@@ -237,7 +198,8 @@ def replay_cpu(g: Graph, plan, tensor: Tensor, threads: int = 1) -> dict:
 
 def cmd_compare(args) -> int:
     g = fuse(_load_graph(args.model))
-    plan = pre_infer(g, [CpuBackend().spec()], spacing=args.f)
+    cpu = CpuBackend()
+    plan = pre_infer(g, [cpu.spec()], spacing=args.f)
     tensor = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
     values = replay_cpu(g, plan, tensor, args.threads)
@@ -247,9 +209,20 @@ def cmd_compare(args) -> int:
     for node in g.nodes:
         if node.kind is not OpKind.CONV2D:
             continue
-        chosen = plan.schemes[node.id].label()
-        results = _conv_scheme_outputs(node, values[node.inputs[0]], args.f)
-        outs = {label: out.data for label, (out, _) in results.items()}
+        x = values[node.inputs[0]].data.reshape(-1)
+        nbytes = packed_bytes(g.tensor_shapes[node.outputs[0]])
+        outs, timings = {}, {}
+        for scheme in conv_schemes(_conv_params(node)):
+            step = OpStep(node, scheme, cpu.name, None)
+            execution = cpu.create_execution(step, plan, g.tensor_shapes)
+            out = np.zeros(nbytes // 4, dtype=np.float32)
+            # the warm-up run caches the weight transform, as pre_infer does
+            # for the planned tile, so the timed run leaves it out
+            execution.run([x], [out], args.threads)
+            start = time.perf_counter()
+            execution.run([x], [out], args.threads)
+            timings[scheme.label()] = (time.perf_counter() - start) * 1e3
+            outs[scheme.label()] = out
         base = outs["sliding"].astype(np.float64)
         scale = float(np.max(np.abs(base))) + 1e-12
         deviation = max(
@@ -259,9 +232,9 @@ def cmd_compare(args) -> int:
         worst = max(worst, deviation)
         rows.append({
             "layer": node.id,
-            "chosen": chosen,
+            "chosen": plan.schemes[node.id].label(),
             "max_rel_deviation": deviation,
-            "timings_ms": {lbl: ms for lbl, (_, ms) in results.items()},
+            "timings_ms": timings,
         })
     payload = {"layers": rows, "max_rel_deviation": worst}
     if args.format == "json":

@@ -22,8 +22,8 @@ from .kernels import (
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
-    DEFAULT_SPACING, WeightCache, choose_tile, generate_transforms,
-    weight_transform, winograd_supported,
+    DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, WeightCache, choose_tile,
+    generate_transforms, weight_transform, winograd_supported,
 )
 
 CPU_FLOPS = 2e9  # default capability when no frequency table is available
@@ -137,17 +137,35 @@ def _conv_params(node: OpNode) -> ConvParams:
                       node.attrs.get("activation", "none") == "relu")
 
 
+def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
+    """Every scheme the backends can run a conv with, sliding window first.
+
+    A 1x1 conv with stride 1, no padding and one group is a matrix product;
+    a Winograd-eligible conv may run any tile above 1 whose transform fits
+    MAX_ALPHA (tile 1 is the tile chooser's sliding window).
+    """
+    schemes = [SchemeChoice(SchemeKind.SLIDING_WINDOW)]
+    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w, p.group) \
+            == (1, 1, 1, 1, 0, 0, 1):
+        schemes.append(SchemeChoice(SchemeKind.MATMUL_STRASSEN))
+    if winograd_supported(p):
+        schemes += [SchemeChoice(SchemeKind.WINOGRAD, tile=t)
+                    for t in TILE_CANDIDATES
+                    if t > 1 and t + p.kh - 1 <= MAX_ALPHA]
+    return schemes
+
+
 def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
+    """The planned scheme: matmul when it can run, else the tile chooser's
+    pick among sliding window and the Winograd tiles."""
     p = _conv_params(node)
-    out = shapes[node.outputs[0]]
-    _, _, oh, ow = out.dims
-    if p.kh == 1 and p.kw == 1:
-        if p.stride_h == 1 and p.stride_w == 1 and p.pad_h == 0 \
-                and p.pad_w == 0 and p.group == 1:
-            return SchemeChoice(SchemeKind.MATMUL_STRASSEN)
-        return SchemeChoice(SchemeKind.SLIDING_WINDOW)
-    if not winograd_supported(p):
-        return SchemeChoice(SchemeKind.SLIDING_WINDOW)
+    schemes = conv_schemes(p)
+    matmul = SchemeChoice(SchemeKind.MATMUL_STRASSEN)
+    if matmul in schemes:
+        return matmul
+    if len(schemes) == 1:
+        return schemes[0]
+    _, _, oh, ow = shapes[node.outputs[0]].dims
     n_hat = choose_tile(p.kh, p.in_c, p.out_c, ow, oh)
     if n_hat == 1:
         return SchemeChoice(SchemeKind.SLIDING_WINDOW)
@@ -330,9 +348,8 @@ class ExecutionPlan:
     total_cost_ms: float
     muls: dict[str, int]
     memory: dict[str, MemoryPlan]  # backend name -> plan over "tid@backend"
-    weight_cache: WeightCache
+    weight_cache: WeightCache  # (node id, tile) -> transformed weights
     spacing: float
-    tensor_homes: dict[str, str]  # tensor id -> producing backend
 
     @property
     def pool_sizes(self) -> dict[str, int]:
@@ -364,9 +381,8 @@ class ExecutionPlan:
 
 
 def build_steps(g: Graph, assignment: dict[str, str],
-                schemes: dict[str, SchemeChoice], cpu_name: str,
-                order: list[OpNode] | None = None,
-                ) -> tuple[list[TransferStep | OpStep], dict[str, str]]:
+                schemes: dict[str, SchemeChoice],
+                cpu_name: str) -> list[TransferStep | OpStep]:
     """Op sequence with explicit transfers at backend boundaries.
 
     Graph inputs start on CPU; outputs are delivered on CPU at the end.
@@ -374,7 +390,7 @@ def build_steps(g: Graph, assignment: dict[str, str],
     homes = {tid: cpu_name for tid in g.inputs}
     placed: set[tuple[str, str]] = {(tid, cpu_name) for tid in g.inputs}
     steps: list[TransferStep | OpStep] = []
-    for node in (order if order is not None else g.nodes):
+    for node in g.nodes:
         backend = assignment[node.id]
         for tid in node.inputs:
             if (tid, backend) not in placed:
@@ -389,30 +405,27 @@ def build_steps(g: Graph, assignment: dict[str, str],
         if (tid, cpu_name) not in placed:
             steps.append(TransferStep(tid, homes[tid], cpu_name))
             placed.add((tid, cpu_name))
-    return steps, homes
+    return steps
 
 
-def plan_memory(g: Graph, order: list[OpNode] | None = None, *,
+def plan_memory(g: Graph, *,
                 schemes: dict[str, SchemeChoice] | None = None,
                 alignment: int = 64,
-                assignment: dict[str, str] | None = None,
                 steps: list[TransferStep | OpStep] | None = None,
                 cpu_name: str = "cpu") -> dict[str, MemoryPlan]:
-    """Pool layout per backend namespace for the given execution order.
+    """Pool layout per backend namespace for the step sequence.
 
     Graph inputs live in caller-provided staging buffers and are not pooled;
     everything produced by a step is, and so is a Strassen step's scratch,
     which lives only for its own step.  Copies of a tensor on another
     backend are pooled in that backend's namespace from the transfer step
-    to their last reader.
+    to their last reader.  Without steps, every op runs on CPU.
     """
-    nodes = order if order is not None else g.nodes
-    if schemes is None:
-        schemes = select_schemes(g)
     if steps is None:
-        if assignment is None:
-            assignment = {node.id: cpu_name for node in nodes}
-        steps, _ = build_steps(g, assignment, schemes, cpu_name, order=nodes)
+        if schemes is None:
+            schemes = select_schemes(g)
+        steps = build_steps(g, {node.id: cpu_name for node in g.nodes},
+                            schemes, cpu_name)
 
     # last step index reading each (tensor, backend) residency
     last_read: dict[tuple[str, str], int] = {}
@@ -449,7 +462,6 @@ def plan_memory(g: Graph, order: list[OpNode] | None = None, *,
 
 def pre_infer(g: Graph, backends: list[BackendSpec],
               spacing: float = DEFAULT_SPACING,
-              alignment: int = 64,
               force_backend: str | None = None) -> ExecutionPlan:
     """Compose scheme selection, backend selection, weight transforms, and
     the memory plan into one immutable execution plan.
@@ -466,10 +478,8 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         by_name = {b.name: b for b in backends}
         backend_plan = plan_for_candidate(g, by_name[force_backend],
                                           backends[0])
-    steps, homes = build_steps(g, backend_plan.assignment, schemes,
-                               backends[0].name)
-    memory = plan_memory(g, schemes=schemes, steps=steps,
-                         alignment=alignment, cpu_name=backends[0].name)
+    steps = build_steps(g, backend_plan.assignment, schemes, backends[0].name)
+    memory = plan_memory(g, steps=steps, cpu_name=backends[0].name)
     muls = {node.id: mul_count(node, g.tensor_shapes) for node in g.nodes}
 
     cache = WeightCache()
@@ -478,7 +488,8 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         if scheme is not None and scheme.kind is SchemeKind.WINOGRAD:
             t = generate_transforms(scheme.tile, int(node.conv_geometry()[0][0]),
                                     spacing)
-            cache.put(node.id, weight_transform(node.weights, t))
+            cache.put((node.id, scheme.tile),
+                      weight_transform(node.weights, t))
     return ExecutionPlan(
         graph=g,
         steps=steps,
@@ -490,5 +501,4 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         memory=memory,
         weight_cache=cache,
         spacing=spacing,
-        tensor_homes=homes,
     )

@@ -42,7 +42,7 @@ class SimBackend(Backend):
             self.dispatch_count += 1
             inner.run(inputs, outputs, threads, scratch)
 
-        return Execution(step.node, run, dict(inner.meta, sim=True))
+        return Execution(step.node, run)
 
 
 register_backend("sim", SimBackend)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Hashable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,16 +215,16 @@ class WeightCache:
     """Pre-transformed kernel store with hit/recompute instrumentation."""
 
     def __init__(self):
-        self._store: dict[str, np.ndarray] = {}
+        self._store: dict[Hashable, np.ndarray] = {}
         self.hits = 0
         self.recomputes = 0
         self._lock = threading.Lock()
 
-    def put(self, key: str, value: np.ndarray) -> None:
+    def put(self, key: Hashable, value: np.ndarray) -> None:
         with self._lock:
             self._store[key] = value
 
-    def get(self, key: str, compute=None) -> np.ndarray:
+    def get(self, key: Hashable, compute=None) -> np.ndarray:
         with self._lock:
             if key in self._store:
                 self.hits += 1

@@ -10,7 +10,7 @@ from nanoinfer.errors import (
 )
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
-    CostModel, OpStep, SchemeKind, packed_bytes, pre_infer,
+    CostModel, OpStep, SchemeChoice, SchemeKind, packed_bytes, pre_infer,
 )
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
@@ -117,6 +117,33 @@ class TestExecutions:
         execution.run([xin], [buf1], 1)
         execution.run([xin], [buf2], 1)
         assert np.array_equal(buf1, buf2)
+
+    def test_unplanned_winograd_tiles_match_sliding(self):
+        # executions for tiles the planner did not choose read their own
+        # weight transform, not the planned tile's
+        b = GraphBuilder((1, 16, 16, 16), seed=0)
+        b.conv(kernel=3, pad=1, out_c=16)
+        g = b.build()
+        cpu = CpuBackend()
+        plan = pre_infer(g, [cpu.spec()])
+        node = g.nodes[0]
+        assert plan.schemes[node.id] == SchemeChoice(SchemeKind.WINOGRAD, 6)
+        from nanoinfer.tensor import pack_nc4hw4
+        xin = pack_nc4hw4(make_input(g)).data.reshape(-1)
+        size = packed_bytes(g.tensor_shapes[node.outputs[0]]) // 4
+
+        def run(scheme):
+            execution = cpu.create_execution(
+                OpStep(node, scheme, "cpu", None), plan, g.tensor_shapes)
+            out = np.zeros(size, np.float32)
+            execution.run([xin], [out], 1)
+            return out
+
+        want = run(SchemeChoice(SchemeKind.SLIDING_WINDOW))
+        scale = np.max(np.abs(want))
+        for tile in (2, 4):
+            got = run(SchemeChoice(SchemeKind.WINOGRAD, tile))
+            assert np.max(np.abs(got - want)) <= 1e-3 * scale, tile
 
 
 class TestTransfers:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nanoinfer.cli import main
-from nanoinfer.graph import OpKind, load_model
+from nanoinfer.graph import OpKind, fuse, load_model
+from nanoinfer.preinference import _conv_params, conv_schemes
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +105,12 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_zero_runs_rejected(self, model_path, capsys):
+        code = main(["run", "--model", model_path, "--runs", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "--runs" in err
+
     def test_bad_input_length(self, model_path, tmp_path, capsys):
         bad = tmp_path / "short.f32"
         bad.write_bytes(b"\x00" * 16)
@@ -149,8 +156,12 @@ class TestCompare:
         assert code == 0
         payload = json.loads(out)
         assert payload["max_rel_deviation"] <= 1e-3
+        g = fuse(load_model(open(model_path, "rb").read()))
+        runnable = {n.id: {s.label() for s in conv_schemes(_conv_params(n))}
+                    for n in g.nodes if n.kind is OpKind.CONV2D}
+        assert {row["layer"] for row in payload["layers"]} == set(runnable)
         for row in payload["layers"]:
-            assert "sliding" in row["timings_ms"]
+            assert set(row["timings_ms"]) == runnable[row["layer"]]
             assert row["chosen"] in row["timings_ms"]
 
     def test_k1_layers_choose_matmul(self, tmp_path, capsys):

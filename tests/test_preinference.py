@@ -1,13 +1,14 @@
 import pytest
 
 import nanoinfer.kernels as kernels
-from nanoinfer.graph import GraphBuilder, OpKind
+from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
-    T_SCHEDULE_VULKAN_MS, gpu_cost_model, mul_count, op_cost,
-    packed_bytes, plan_for_candidate, plan_intervals, plan_memory, pre_infer,
-    select_backend, select_schemes,
+    T_SCHEDULE_VULKAN_MS, _conv_params, conv_schemes, gpu_cost_model,
+    mul_count, op_cost, packed_bytes, plan_for_candidate, plan_intervals,
+    plan_memory, pre_infer, select_backend, select_scheme_for, select_schemes,
 )
+from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.winograd import choose_tile
 
 CPU = BackendSpec("cpu", CostModel(flops=2e9))
@@ -189,6 +190,27 @@ class TestSelectSchemes:
         schemes = select_schemes(g)
         assert schemes[g.nodes[0].id].kind is SchemeKind.SLIDING_WINDOW
 
+    @pytest.mark.parametrize("params, labels", [
+        (kernels.ConvParams(1, 1), {"sliding", "matmul"}),
+        (kernels.ConvParams(1, 1, 2, 2), {"sliding"}),
+        (kernels.ConvParams(3, 3, 2, 2, 1, 1), {"sliding"}),
+        (kernels.ConvParams(1, 7, pad_w=3), {"sliding"}),
+        (kernels.ConvParams(3, 3, pad_h=1, pad_w=1),
+         {"sliding", "winograd2", "winograd4", "winograd6"}),
+        (kernels.ConvParams(7, 7, pad_h=3, pad_w=3),
+         {"sliding", "winograd2", "winograd4"}),
+    ])
+    def test_conv_schemes_per_geometry(self, params, labels):
+        assert {s.label() for s in conv_schemes(params)} == labels
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_planned_scheme_is_runnable(self, preset):
+        g = fuse(build_preset(preset))
+        for node in g.nodes:
+            if node.kind is OpKind.CONV2D:
+                assert select_scheme_for(node, g.tensor_shapes) \
+                    in conv_schemes(_conv_params(node)), node.id
+
     def test_stride_and_nonsquare_fall_back(self):
         b = GraphBuilder((1, 8, 16, 16), seed=0)
         b.conv(kernel=3, stride=2, pad=1, out_c=8)
@@ -323,18 +345,18 @@ class TestPreInfer:
         plan = pre_infer(g, [CPU])
         node = g.nodes[0]
         assert plan.schemes[node.id].kind is SchemeKind.WINOGRAD
-        cached = plan.weight_cache.get(node.id)
         tile = plan.schemes[node.id].tile
+        cached = plan.weight_cache.get((node.id, tile))
         alpha = tile + 3 - 1
         assert cached.shape == (alpha * alpha, 4, 4, 4, 4)
 
     def test_k1_convs_never_get_transformed_weights(self):
-        from nanoinfer.presets import build_preset
         g = build_preset("squeezenet-mini")
         plan = pre_infer(g, [CPU])
-        winograd_nodes = {nid for nid, s in plan.schemes.items()
-                          if s.kind is SchemeKind.WINOGRAD}
-        assert set(plan.weight_cache._store) == winograd_nodes
+        winograd = {(nid, s.tile) for nid, s in plan.schemes.items()
+                    if s.kind is SchemeKind.WINOGRAD}
+        assert set(plan.weight_cache._store) == winograd
+        winograd_nodes = {nid for nid, _ in winograd}
         k1_nodes = {n.id for n in g.nodes if n.kind is OpKind.CONV2D
                     and tuple(n.attrs["kernel"]) == (1, 1)}
         assert k1_nodes and not (k1_nodes & winograd_nodes)
@@ -354,5 +376,4 @@ class TestPreInfer:
 
 
 def build_preset_graph():
-    from nanoinfer.presets import build_preset
     return build_preset("resnet-mini")
