@@ -257,28 +257,28 @@ def _build_pool_execution(step: OpStep, shapes) -> Execution:
         x = _packed_view(inputs[0], in_shape)
         n, blocks, h, w, _ = x.shape
         oh, ow = out_shape.dims[2], out_shape.dims[3]
-        fill = -np.inf if mode == "max" else 0.0
-        xp = np.full((n, blocks, h + 2 * ph, w + 2 * pw, LANES), fill,
-                     dtype=np.float32)
-        xp[:, :, ph:ph + h, pw:pw + w] = x
-        acc = None
-        for u in range(kh):
-            for v in range(kw):
-                win = xp[:, :, u:u + sh * oh:sh, v:v + sw * ow:sw, :]
-                if acc is None:
-                    acc = win.copy()
-                elif mode == "max":
-                    np.maximum(acc, win, out=acc)
-                else:
-                    acc += win
+        xp = x
+        if ph or pw:
+            xp = np.full((n, blocks, h + 2 * ph, w + 2 * pw, LANES),
+                         -np.inf if mode == "max" else 0.0, dtype=np.float32)
+            xp[:, :, ph:ph + h, pw:pw + w] = x
+        # reduce one window axis at a time, each tap one call over the whole
+        # tensor: kh taps over whole rows first, then kw taps on the fewer
+        # rows left, where a strided window breaks the contiguous run
+        combine = np.maximum if mode == "max" else np.add
+        rows = xp[:, :, 0:sh * oh:sh].copy()
+        for u in range(1, kh):
+            combine(rows, xp[:, :, u:u + sh * oh:sh], out=rows)
+        out = _packed_view(outputs[0], out_shape)
+        out[:] = rows[:, :, :, 0:sw * ow:sw]
+        for v in range(1, kw):
+            combine(out, rows[:, :, :, v:v + sw * ow:sw], out=out)
         if mode == "max":
             # spatial padding is -inf so it never wins; scrub any window
             # that saw padding only, and keep channel pad lanes at zero
-            acc[np.isneginf(acc)] = 0.0
+            out[np.isneginf(out)] = 0.0
         else:
-            acc /= float(kh * kw)  # padding zeros count toward the average
-        out = _packed_view(outputs[0], out_shape)
-        out[:] = acc
+            out /= float(kh * kw)  # padding zeros count toward the average
 
     return Execution(node, run)
 

@@ -323,6 +323,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise EngineError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,11 @@
 """Compute kernels: sliding-window convolution and direct/Strassen matmul.
 
-All kernels are pure functions of their inputs.  Thread parallelism splits
-work into chunks whose per-chunk arithmetic is independent of the chunking,
-so results are bitwise identical for any worker count.
+All kernels are pure functions of their inputs.  Each window tap is one
+NumPy call over all channel blocks of an image: a GEMM against every output
+block for dense convolution, a multiply-add whose inner loop spans a whole
+output row of lanes for depthwise.  Thread parallelism splits work into
+chunks of whole images; a chunk's arithmetic is independent of the
+chunking, so results are bitwise identical for any worker count.
 """
 
 from __future__ import annotations
@@ -314,7 +317,7 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
 
     y[o, i, j] = sum_c sum_{u,v} w[o, c, u, v] * x[c, i*s+u-pad, j*s+v-pad]
     with out-of-bounds input reads as zero, then bias and optional ReLU.
-    Output pixels iterate outermost and 4-channel lanes innermost.
+    Each image is one chunk of work for the thread pool.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_sliding expects NC4HW4 input")
@@ -330,15 +333,6 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     y = zeros((n, p.out_c, oh, ow), Layout.NC4HW4)
     if y.data.size == 0:
         return y
-    if x.data.size == 0:
-        # zero input channels: output is bias (then ReLU) everywhere
-        bias_full = _padded_bias(bias, p.out_c)
-        if bias_full is not None:
-            y.data += bias_full.reshape(1, -1, 1, 1, LANES)[:, : y.data.shape[1]]
-        if p.relu:
-            np.maximum(y.data, 0.0, out=y.data)
-        return y
-
     if p.group == 1:
         _conv_dense(x, w, p, threads, bias, y, oh, ow)
     elif p.group == p.in_c and p.group == p.out_c:
@@ -358,30 +352,33 @@ def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
     xp[:, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = (
         x.data.transpose(0, 2, 3, 1, 4).reshape(n, h, wd, cpad)
     )
-    m = n * oh * ow
-    windows = []
-    for u in range(p.kh):
-        for v in range(p.kw):
-            win = xp[:, u:u + p.stride_h * oh:p.stride_h,
-                     v:v + p.stride_w * ow:p.stride_w, :]
-            windows.append(np.ascontiguousarray(win).reshape(m, cpad))
     wmat = _pack_weight_columns(w, p.out_c, p.in_c)
     bias_full = _padded_bias(bias, p.out_c)
     obm = y.data.shape[1]
 
-    def block_task(ob):
+    def image_task(img):
         def run():
-            acc = windows[0] @ wmat[0, :, ob * LANES:(ob + 1) * LANES]
-            for idx in range(1, len(windows)):
-                acc += windows[idx] @ wmat[idx, :, ob * LANES:(ob + 1) * LANES]
+            # one GEMM per window tap against every output block at once
+            acc = None
+            for u in range(p.kh):
+                for v in range(p.kw):
+                    win = np.ascontiguousarray(
+                        xp[img, u:u + p.stride_h * oh:p.stride_h,
+                           v:v + p.stride_w * ow:p.stride_w]
+                    ).reshape(oh * ow, cpad)
+                    prod = win @ wmat[u * p.kw + v]
+                    if acc is None:
+                        acc = prod
+                    else:
+                        acc += prod
             if bias_full is not None:
-                acc += bias_full[ob * LANES:(ob + 1) * LANES]
+                acc += bias_full
             if p.relu:
                 np.maximum(acc, 0.0, out=acc)
-            y.data[:, ob] = acc.reshape(n, oh, ow, LANES)
+            y.data[img] = acc.reshape(oh, ow, obm, LANES).transpose(2, 0, 1, 3)
         return run
 
-    _run_chunks([block_task(ob) for ob in range(obm)], threads)
+    _run_chunks([image_task(img) for img in range(n)], threads)
 
 
 def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
@@ -392,28 +389,32 @@ def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
     hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
     xp = np.zeros((n, ibm, hp, wp, LANES), dtype=np.float32)
     xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    wlanes = np.zeros((ibm, p.kh, p.kw, LANES), dtype=np.float32)
-    flat = w.astype(np.float32).reshape(c, p.kh, p.kw)
-    for ch in range(c):
-        wlanes[ch // LANES, :, :, ch % LANES] = flat[ch]
+    flat = np.zeros((ibm * LANES, p.kh, p.kw), dtype=np.float32)
+    flat[:c] = w.astype(np.float32).reshape(c, p.kh, p.kw)
+    # [ibm, kh, kw, ow, lanes]: each tap's weights repeated along the output
+    # row, so the multiply-add runs over ow*4 contiguous floats, not 4
+    wrow = np.ascontiguousarray(np.broadcast_to(
+        flat.reshape(ibm, LANES, p.kh, p.kw).transpose(0, 2, 3, 1)[:, :, :, None],
+        (ibm, p.kh, p.kw, ow, LANES)))
     bias_full = _padded_bias(bias, p.out_c)
 
-    def block_task(blk):
+    def image_task(img):
         def run():
-            acc = np.zeros((n, oh, ow, LANES), dtype=np.float32)
+            acc = y.data[img]  # zero-filled [ibm, oh, ow, lanes]
+            prod = np.empty_like(acc)
             for u in range(p.kh):
                 for v in range(p.kw):
-                    win = xp[:, blk, u:u + p.stride_h * oh:p.stride_h,
-                             v:v + p.stride_w * ow:p.stride_w, :]
-                    acc += win * wlanes[blk, u, v]
+                    win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
+                             v:v + p.stride_w * ow:p.stride_w]
+                    np.multiply(win, wrow[:, None, u, v], out=prod)
+                    acc += prod
             if bias_full is not None:
-                acc += bias_full[blk * LANES:(blk + 1) * LANES]
+                acc += bias_full.reshape(ibm, 1, 1, LANES)
             if p.relu:
                 np.maximum(acc, 0.0, out=acc)
-            y.data[:, blk] = acc
         return run
 
-    _run_chunks([block_task(blk) for blk in range(ibm)], threads)
+    _run_chunks([image_task(img) for img in range(n)], threads)
 
 
 def _conv_grouped(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,

@@ -1,7 +1,8 @@
 """Tensor value type, shape arithmetic, and NCHW <-> NC4HW4 layout packing.
 
-NC4HW4 groups channels into blocks of 4 contiguous lanes so the innermost
-kernel loops operate on 4 channels at a time.  Channel counts that are not
+NC4HW4 groups channels into blocks of 4 contiguous lanes, so a row of
+pixels in one block is a contiguous run of width*4 floats: the innermost
+run of the kernels' whole-tensor calls.  Channel counts that are not
 a multiple of 4 are padded with zero-filled lanes; the zero fill is load
 bearing, because convolution and the Hadamard-as-matmul step consume packed
 tensors without masking.

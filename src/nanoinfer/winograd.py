@@ -9,9 +9,10 @@ column of B is scaled integral with the factor folded back into the
 matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
-The convolution pipeline is: tile the output, transform input patches
-(Bt X B), reduce over channels as one batched matrix multiplication in the
-lane-packed layout, transform back (At Y A), and scatter tiles.
+The convolution pipeline is: tile the output, gather all input patches
+into one tile-major array, transform them (Bt X B), reduce over channels as
+one batched matrix multiplication in the lane-packed layout, transform back
+(At Y A), and scatter tiles.
 """
 
 from __future__ import annotations
@@ -200,15 +201,11 @@ def weight_transform(w: np.ndarray, t: WinogradTransform) -> np.ndarray:
     u = np.einsum("ar,ocrs,bs->ocab", g, w.astype(np.float32), g,
                   optimize=True)  # [out_c, in_c, alpha, alpha]
     obm, ibm = channel_blocks(out_c), channel_blocks(in_c)
-    packed = np.zeros((t.alpha * t.alpha, obm, ibm, LANES, LANES),
-                      dtype=np.float32)
-    flat = u.transpose(2, 3, 0, 1).reshape(t.alpha * t.alpha, out_c, in_c)
-    for ob in range(obm):
-        o0, o1 = ob * LANES, min((ob + 1) * LANES, out_c)
-        for ib in range(ibm):
-            i0, i1 = ib * LANES, min((ib + 1) * LANES, in_c)
-            packed[:, ob, ib, :o1 - o0, :i1 - i0] = flat[:, o0:o1, i0:i1]
-    return packed
+    a2 = t.alpha * t.alpha
+    flat = np.zeros((a2, obm * LANES, ibm * LANES), dtype=np.float32)
+    flat[:, :out_c, :in_c] = u.transpose(2, 3, 0, 1).reshape(a2, out_c, in_c)
+    return np.ascontiguousarray(
+        flat.reshape(a2, obm, LANES, ibm, LANES).transpose(0, 1, 3, 2, 4))
 
 
 class WeightCache:
@@ -250,12 +247,14 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     """Blocked Winograd convolution over NC4HW4 input.
 
     ``transformed`` may carry a cached weight_transform result; otherwise the
-    kernel transform runs inline.  Tiles are processed in batches of T from
-    the tile schedule; every tile writes a disjoint output region and the
-    batch partition is fixed by the schedule alone, so results are bitwise
-    independent of thread count.  Changing the partition itself re-blocks
-    the channel reduction inside the BLAS call and may flip last-ulp bits;
-    outputs then agree to float32 tolerance rather than bitwise.
+    kernel transform runs inline.  The input patches of every tile form one
+    tile-major array in schedule order; each batch of T tiles is a slice of
+    it, transformed with whole-batch matrix products and scattered into the
+    output in one indexed store.  Every tile writes a disjoint output region
+    and the batch partition is fixed by the schedule alone, so results are
+    bitwise independent of thread count.  Changing the partition itself
+    re-blocks the channel reduction inside the BLAS call and may flip
+    last-ulp bits; outputs then agree to float32 tolerance, not bitwise.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_winograd expects NC4HW4 input")
@@ -270,14 +269,6 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     y = zeros((n_img, p.out_c, oh, ow), Layout.NC4HW4)
     if y.data.size == 0:
         return y
-    if x.data.size == 0:
-        bias_full = _padded_bias(bias, p.out_c)
-        if bias_full is not None:
-            y.data += bias_full.reshape(1, -1, 1, 1, LANES)
-        if p.relu:
-            np.maximum(y.data, 0.0, out=y.data)
-        return y
-
     nh = t.n
     alpha = t.alpha
     sched = make_tile_schedule(nh, n_img, oh, ow)
@@ -300,26 +291,26 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     wp = (tiles_w - 1) * nh + alpha
     xp = np.zeros((n_img, ibm, hp, wp, LANES), dtype=np.float32)
     xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    # all patches: [n, ibm, tiles_h, tiles_w, lanes, alpha, alpha]
+    # tile-major patches [tiles, C, alpha, alpha], in the schedule's
+    # (image, tile row, tile col) order, channels lane-major within a block
     patches = np.lib.stride_tricks.sliding_window_view(
         xp, (alpha, alpha), axis=(2, 3)
-    )[:, :, ::nh, ::nh]
+    )[:, :, ::nh, ::nh].transpose(0, 2, 3, 1, 4, 5, 6).reshape(
+        len(sched.tiles), ibm * LANES, alpha, alpha)
+    del xp  # the reshape copied it: free the padded input before the batches
 
-    ybuf = np.zeros((n_img, tiles_h * nh, tiles_w * nh, obm * LANES),
+    # output tiles land straight in their pixels: the padded output seen as
+    # [image, tile row, tile col, out block, lane, nh, nh]
+    ypad = np.empty((n_img, obm, tiles_h * nh, tiles_w * nh, LANES),
                     dtype=np.float32)
+    grid = ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES
+                        ).transpose(0, 2, 4, 1, 6, 3, 5)
     batch_sz = max(sched.T, 1)
-    batches = [sched.tiles[i:i + batch_sz]
-               for i in range(0, len(sched.tiles), batch_sz)]
 
-    def batch_task(batch):
+    def batch_task(start):
         def run():
-            bt_n = len(batch)
-            block = np.empty((bt_n, ibm * LANES, alpha, alpha), dtype=np.float32)
-            for idx, (img, th, tw) in enumerate(batch):
-                # axes (block, lane, alpha, alpha): lane-major channel order
-                block[idx] = patches[img, :, th, tw].reshape(
-                    ibm * LANES, alpha, alpha
-                )
+            block = patches[start:start + batch_sz]
+            bt_n = block.shape[0]
             v = bt @ block @ bmat  # [bt_n, C, alpha, alpha]
             v = np.ascontiguousarray(
                 v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, bt_n)
@@ -329,21 +320,20 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
                 m.reshape(alpha, alpha, obm * LANES, bt_n).transpose(3, 2, 0, 1)
             )
             out_tiles = at @ m @ amat  # [bt_n, out lanes, nh, nh]
-            for idx, (img, th, tw) in enumerate(batch):
-                ybuf[img, th * nh:(th + 1) * nh, tw * nh:(tw + 1) * nh, :] = (
-                    out_tiles[idx].transpose(1, 2, 0)
-                )
+            img, th, tw = np.unravel_index(np.arange(start, start + bt_n),
+                                           (n_img, tiles_h, tiles_w))
+            grid[img, th, tw] = out_tiles.reshape(bt_n, obm, LANES, nh, nh)
         return run
 
-    _run_chunks([batch_task(b) for b in batches], threads)
+    _run_chunks([batch_task(s) for s in range(0, len(sched.tiles), batch_sz)],
+                threads)
 
-    cropped = ybuf[:, :oh, :ow, :]
+    y.data[:] = ypad[:, :, :oh, :ow]
     bias_full = _padded_bias(bias, p.out_c)
     if bias_full is not None:
-        cropped = cropped + bias_full
+        y.data += bias_full.reshape(obm, 1, 1, LANES)
     if p.relu:
-        cropped = np.maximum(cropped, 0.0)
-    y.data[:] = cropped.reshape(n_img, oh, ow, obm, LANES).transpose(0, 3, 1, 2, 4)
+        np.maximum(y.data, 0.0, out=y.data)
     # pad output lanes stay zero even after bias
     if p.out_c % LANES:
         y.data[:, -1, :, :, p.out_c % LANES:] = 0.0

@@ -39,6 +39,35 @@ def conv2d_reference(x, w, stride=(1, 1), pad=(0, 0), group=1, bias=None,
     return y
 
 
+def pool2d_reference(x, kernel, stride, pad, mode):
+    """Naive NCHW pooling oracle in float64: explicit loops over windows.
+
+    Max ignores padding and reads 0 where a window sees padding only; avg
+    counts padding as zeros and divides by the full window size.
+    """
+    n, c, h, wd = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = pad
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (wd + 2 * pw - kw) // sw + 1
+    y = np.zeros((n, c, oh, ow), dtype=np.float64)
+    for i in range(oh):
+        for j in range(ow):
+            r0, c0 = i * sh - ph, j * sw - pw
+            rows = range(max(r0, 0), min(r0 + kh, h))
+            cols = range(max(c0, 0), min(c0 + kw, wd))
+            if not rows or not cols:
+                continue  # only padding: max reads 0, avg sums nothing
+            win = x[:, :, rows.start:rows.stop, cols.start:cols.stop]
+            win = win.astype(np.float64)
+            if mode == "max":
+                y[:, :, i, j] = win.max(axis=(2, 3))
+            else:
+                y[:, :, i, j] = win.sum(axis=(2, 3)) / (kh * kw)
+    return y
+
+
 def valid_corr2d(x, w):
     """Direct valid 2-d correlation (no kernel flip), float64."""
     k = w.shape[0]

@@ -3,6 +3,7 @@ import pytest
 
 import nanoinfer.backend as backend_module
 import nanoinfer.kernels as kernels
+from conftest import pool2d_reference, rel_err
 from nanoinfer.backend import CpuBackend, Session, resolve_backend, run_session
 from nanoinfer.errors import (
     GraphValidationError, PoolExhaustedError, ShapeMismatchError,
@@ -144,6 +145,53 @@ class TestExecutions:
         for tile in (2, 4):
             got = run(SchemeChoice(SchemeKind.WINOGRAD, tile))
             assert np.max(np.abs(got - want)) <= 1e-3 * scale, tile
+
+
+# (input shape, kernel, stride, pad)
+POOL_CASES = [
+    ((1, 8, 8, 8), (2, 2), (2, 2), (0, 0)),
+    ((1, 8, 9, 9), (3, 3), (2, 2), (1, 1)),
+    ((2, 4, 7, 6), (3, 3), (1, 1), (1, 1)),
+    ((1, 8, 7, 5), (7, 5), (7, 5), (0, 0)),  # global pool, non-square map
+    ((1, 6, 9, 7), (3, 3), (2, 2), (1, 1)),  # 6 channels: two pad lanes
+    ((1, 5, 4, 4), (2, 2), (2, 2), (2, 2)),  # corner windows see only padding
+]
+
+
+class TestPool2D:
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    @pytest.mark.parametrize("shape,kernel,stride,pad", POOL_CASES)
+    def test_matches_reference(self, shape, kernel, stride, pad, mode):
+        b = GraphBuilder(shape, seed=0)
+        b.pool(kernel=kernel, stride=stride, pad=pad, mode=mode)
+        g = b.build()
+        cpu = CpuBackend()
+        plan = pre_infer(g, [cpu.spec()])
+        session = Session(plan, [cpu], threads=1)
+        mem = plan.memory["cpu"]
+        # poison the whole pool: every output lane, pad lanes included,
+        # must be written by the kernel
+        cpu.acquire_buffer(mem.pool_size, 0, owner="poison")[:] = np.nan
+        x = make_input(g, seed=3)
+        tid = g.outputs[0]
+        got = session.run(x)[tid].data
+        want = pool2d_reference(x.data, kernel, stride, pad, mode)
+        assert got.shape == want.shape
+        if mode == "max":
+            assert np.array_equal(got, want.astype(np.float32))
+        else:
+            assert rel_err(got, want) <= 1e-6
+        n, c, oh, ow = want.shape
+        packed = cpu.acquire_buffer(mem.sizes[tid], mem.offsets[tid],
+                                    owner=tid)
+        packed = packed[:packed_bytes(g.tensor_shapes[tid]) // 4].reshape(
+            n, -1, oh, ow, 4)
+        assert not np.any(np.isnan(packed))
+        real = c - 4 * (packed.shape[1] - 1)  # lanes of the last block in use
+        assert np.all(packed[:, -1, :, :, real:] == 0)
+        if pad[0] >= kernel[0]:
+            assert np.all(got[:, :, 0, :] == 0)  # windows of padding only
+        session.close()
 
 
 class TestTransfers:

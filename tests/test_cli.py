@@ -111,6 +111,17 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and "--runs" in err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "dump-plan"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, model_path, capsys, command,
+                                          threads):
+        code = main([command, "--model", model_path, "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: --threads must be at least 1, got {threads}\n")
+        assert captured.out == ""
+
     def test_bad_input_length(self, model_path, tmp_path, capsys):
         bad = tmp_path / "short.f32"
         bad.write_bytes(b"\x00" * 16)

@@ -194,6 +194,20 @@ class TestConvSliding:
         want = conv2d_reference(x, w, (1, 1), (1, 1), group=6)
         assert rel_err(run_sliding(x, w, p), want) <= 1e-5
 
+    def test_depthwise_strided_bias_relu(self, rng):
+        # 7 channels leave a pad lane; two images run as two chunks
+        x = rng.standard_normal((2, 7, 11, 9)).astype(np.float32)
+        w = (rng.standard_normal((7, 1, 3, 3)) * 0.4).astype(np.float32)
+        bias = rng.standard_normal(7).astype(np.float32)
+        p = ConvParams.square(3, stride=2, pad=1, in_c=7, out_c=7, group=7,
+                              relu=True)
+        want = conv2d_reference(x, w, (2, 2), (1, 1), group=7, bias=bias,
+                                relu=True)
+        y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, threads=2,
+                         bias=bias)
+        assert rel_err(unpack_nc4hw4(y, 7).data, want) <= 1e-5
+        assert np.all(y.data[:, -1, :, :, 3] == 0)  # pad lane stays zero
+
     def test_grouped_general(self, rng):
         x = rng.standard_normal((1, 8, 6, 6)).astype(np.float32)
         w = (rng.standard_normal((4, 4, 3, 3)) * 0.4).astype(np.float32)

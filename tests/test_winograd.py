@@ -193,6 +193,30 @@ class TestConvWinograd:
                 got = run_winograd(x, w, p, n_tile)
                 assert rel_err(got, want) <= 1e-3, (k, n_tile)
 
+    def test_several_images_match_reference(self, rng):
+        # batches of T tiles run across image boundaries of the tile-major
+        # patch array; 13x10 leaves ragged edge tiles for every tile size
+        x = rng.standard_normal((3, 5, 13, 10)).astype(np.float32)
+        w = (rng.standard_normal((6, 5, 3, 3)) * 0.3).astype(np.float32)
+        bias = rng.standard_normal(6).astype(np.float32)
+        p = ConvParams.square(3, pad=1, in_c=5, out_c=6, relu=True)
+        want = conv2d_reference(x, w, (1, 1), (1, 1), bias=bias, relu=True)
+        for n_tile in (2, 4, 6):
+            got = run_winograd(x, w, p, n_tile, bias=bias)
+            assert rel_err(got, want) <= 1e-3, n_tile
+
+    def test_zero_input_channels_yield_bias(self):
+        x = pack_nc4hw4(from_nchw(np.zeros((2, 0, 7, 5), np.float32)))
+        w = np.zeros((2, 0, 3, 3), np.float32)
+        bias = np.array([0.5, -1.0], np.float32)
+        p = ConvParams.square(3, pad=1, in_c=0, out_c=2, relu=True)
+        y = conv_winograd(x, w, p, generate_transforms(4, 3), bias=bias)
+        out = unpack_nc4hw4(y, 2).data
+        assert out.shape == (2, 2, 7, 5)
+        assert np.all(out[:, 0] == 0.5)
+        assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
+        assert np.all(y.data[:, :, :, :, 2:] == 0)
+
     def test_bitwise_stable_under_threads(self, rng):
         x = rng.standard_normal((1, 8, 20, 20)).astype(np.float32)
         w = (rng.standard_normal((8, 8, 3, 3)) * 0.3).astype(np.float32)
