@@ -105,8 +105,8 @@ class Execution:
         self._runner = runner
 
     def run(self, inputs: list[np.ndarray], outputs: list[np.ndarray],
-            threads: int, scratch: np.ndarray | None = None) -> None:
-        self._runner(inputs, outputs, threads, scratch)
+            scratch: np.ndarray | None = None) -> None:
+        self._runner(inputs, outputs, scratch)
 
 
 def _packed_view(buf: np.ndarray, shape) -> np.ndarray:
@@ -140,7 +140,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         in_shape = shapes[node.inputs[0]]
         out_shape = shapes[node.outputs[0]]
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
             flat = x.reshape(x.shape[0], -1)
             y = matmul_strassen(flat, weights, scratch=scratch)
@@ -152,19 +152,19 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         return Execution(node, run)
 
     if kind is OpKind.RELU:
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             np.maximum(inputs[0], 0.0, out=outputs[0][:inputs[0].size])
         return Execution(node, run)
 
     if kind is OpKind.ADD:
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             np.add(inputs[0], inputs[1], out=outputs[0][:inputs[0].size])
         return Execution(node, run)
 
     if kind is OpKind.SOFTMAX:
         in_shape = shapes[node.inputs[0]]
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape))
             y = _softmax_channels(x.data)
             out = _packed_view(outputs[0], in_shape)
@@ -176,7 +176,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         in_shape = shapes[node.inputs[0]]
         out_shape = shapes[node.outputs[0]]
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape))
             y = x.data.reshape(*out_shape.dims)
             out = _packed_view(outputs[0], out_shape)
@@ -202,13 +202,13 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
     if scheme.kind is SchemeKind.WINOGRAD:
         transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             transformed = plan.weight_cache.get(
                 (node.id, scheme.tile),
                 compute=lambda: weight_transform(node.weights, transform))
             x = _as_tensor(inputs[0], in_shape)
-            y = conv_winograd(x, node.weights, p, transform, threads=threads,
-                              bias=bias, transformed=transformed)
+            y = conv_winograd(x, node.weights, p, transform, bias=bias,
+                              transformed=transformed)
             _packed_view(outputs[0], out_shape)[:] = y.data
 
         return Execution(node, run)
@@ -217,7 +217,7 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
         weights = np.ascontiguousarray(
             node.weights.reshape(p.out_c, p.in_c), dtype=np.float32)
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
             n, c, h, w = x.shape
             out = np.empty((n, p.out_c, h, w), dtype=np.float32)
@@ -234,9 +234,9 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
 
         return Execution(node, run)
 
-    def run(inputs, outputs, threads, scratch=None):
+    def run(inputs, outputs, scratch=None):
         x = _as_tensor(inputs[0], in_shape)
-        y = conv_sliding(x, node.weights, p, threads=threads, bias=bias)
+        y = conv_sliding(x, node.weights, p, bias=bias)
         _packed_view(outputs[0], out_shape)[:] = y.data
 
     return Execution(node, run)
@@ -244,16 +244,12 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
 
 def _build_pool_execution(step: OpStep, shapes) -> Execution:
     node = step.node
-    (kh, kw) = node.attrs["kernel"]
-    stride = node.attrs.get("stride", [kh, kw])
-    pad = node.attrs.get("pad", [0, 0])
-    sh, sw = int(stride[0]), int(stride[1])
-    ph, pw = int(pad[0]), int(pad[1])
+    (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
     mode = node.attrs.get("mode", "max")
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.outputs[0]]
 
-    def run(inputs, outputs, threads, scratch=None):
+    def run(inputs, outputs, scratch=None):
         x = _packed_view(inputs[0], in_shape)
         n, blocks, h, w, _ = x.shape
         oh, ow = out_shape.dims[2], out_shape.dims[3]
@@ -324,14 +320,15 @@ def transfer(src_view: np.ndarray, dst_view: np.ndarray,
 class Session:
     """One executable binding of a plan: pools, buffer views, executions.
 
-    A session is used by one thread at a time; several sessions may share
-    the same (immutable) plan concurrently.
+    A session is used by one thread at a time, and its kernels run on that
+    thread; several sessions may share the same (immutable) plan
+    concurrently.  ``threads`` is accepted and ignored: the benchmark in
+    perfbench/ still passes it, and it goes once it stops.
     """
 
     def __init__(self, plan: ExecutionPlan, backends: list[Backend],
-                 threads: int = 4):
+                 threads: int = 1):
         self.plan = plan
-        self.threads = threads
         self.backends = {b.name: b for b in backends}
         shapes = plan.graph.tensor_shapes
         self._shapes = shapes
@@ -398,6 +395,8 @@ class Session:
                 raise ShapeMismatchError("graph expects multiple inputs")
             inputs = {g.inputs[0]: inputs}
         for tid in g.inputs:
+            if tid not in inputs:
+                raise GraphValidationError(f"missing graph input {tid!r}")
             t = inputs[tid]
             want = tuple(self._shapes[tid].dims)
             if tuple(t.shape) != want:
@@ -427,7 +426,7 @@ class Session:
                 ins = [self._view(t, step.backend) for t in step.node.inputs]
                 outs = [self._view(t, step.backend) for t in step.node.outputs]
                 scratch = self._views.get((step.scratch_id, step.backend))
-                execution.run(ins, outs, self.threads, scratch)
+                execution.run(ins, outs, scratch)
                 elapsed = (time.perf_counter() - start) * 1e3
                 backend = self.backends[step.backend]
                 elapsed += getattr(backend, "dispatch_surcharge_ms", 0.0)
@@ -451,12 +450,11 @@ class Session:
 
 
 def run_session(plan: ExecutionPlan, input_tensor: Tensor,
-                backends: list[Backend] | None = None,
-                threads: int = 4) -> dict[str, Tensor]:
+                backends: list[Backend] | None = None) -> dict[str, Tensor]:
     """Build a throwaway session over the plan and run one inference."""
     if backends is None:
         backends = [CpuBackend()]
-    session = Session(plan, backends, threads=threads)
+    session = Session(plan, backends)
     try:
         return session.run(input_tensor)
     finally:

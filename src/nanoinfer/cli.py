@@ -33,7 +33,6 @@ class BenchReport:
     """Latency statistics over measured runs; warm-up is never included."""
 
     latencies_ms: list[float]
-    threads: int
     backend: str
     scheme_breakdown: dict[str, int] = field(default_factory=dict)
     warmup_runs: int = 0
@@ -63,7 +62,6 @@ class BenchReport:
             "max_ms": self.max_ms,
             "p50_ms": self.percentile(50),
             "p90_ms": self.percentile(90),
-            "threads": self.threads,
             "backend": self.backend,
             "scheme_breakdown": self.scheme_breakdown,
         }
@@ -130,7 +128,7 @@ def _session_for(args, g: Graph):
     force = "sim" if desired == "sim" else None
     plan = pre_infer(g, specs, spacing=args.f, force_backend=force)
     chosen = "sim" if "sim" in set(plan.assignment.values()) else "cpu"
-    session = Session(plan, backends, threads=args.threads)
+    session = Session(plan, backends)
     return session, plan, chosen
 
 
@@ -154,8 +152,7 @@ def cmd_run(args) -> int:
     breakdown: dict[str, int] = {}
     for scheme in plan.schemes.values():
         breakdown[scheme.label()] = breakdown.get(scheme.label(), 0) + 1
-    report = BenchReport(latencies, args.threads, chosen, breakdown,
-                         warmup_runs=args.warmup)
+    report = BenchReport(latencies, chosen, breakdown, warmup_runs=args.warmup)
     digest = hashlib.sha256()
     for tid in sorted(outputs):
         digest.update(outputs[tid].data.tobytes())
@@ -167,8 +164,7 @@ def cmd_run(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         r = report.to_dict()
-        print(f"backend={r['backend']} threads={r['threads']} "
-              f"runs={r['runs']} warmup={r['warmup']}")
+        print(f"backend={r['backend']} runs={r['runs']} warmup={r['warmup']}")
         print(f"mean={r['mean_ms']:.3f}ms min={r['min_ms']:.3f}ms "
               f"max={r['max_ms']:.3f}ms p50={r['p50_ms']:.3f}ms "
               f"p90={r['p90_ms']:.3f}ms")
@@ -178,7 +174,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def replay_cpu(g: Graph, plan, tensor: Tensor, threads: int = 1) -> dict:
+def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
     """Functional CPU replay of a plan; returns tensor id -> packed value."""
     cpu = CpuBackend()
     values = {g.inputs[0]: pack_nc4hw4(tensor)}
@@ -189,8 +185,7 @@ def replay_cpu(g: Graph, plan, tensor: Tensor, threads: int = 1) -> dict:
         out_shape = g.tensor_shapes[node.outputs[0]]
         buf = np.zeros(packed_bytes(out_shape) // 4, dtype=np.float32)
         execution = cpu.create_execution(step, plan, g.tensor_shapes)
-        execution.run([values[t].data.reshape(-1) for t in node.inputs],
-                      [buf], threads)
+        execution.run([values[t].data.reshape(-1) for t in node.inputs], [buf])
         values[node.outputs[0]] = _as_tensor(_packed_view(buf, out_shape),
                                              out_shape)
     return values
@@ -202,7 +197,7 @@ def cmd_compare(args) -> int:
     plan = pre_infer(g, [cpu.spec()], spacing=args.f)
     tensor = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
-    values = replay_cpu(g, plan, tensor, args.threads)
+    values = replay_cpu(g, plan, tensor)
 
     rows = []
     worst = 0.0
@@ -218,9 +213,9 @@ def cmd_compare(args) -> int:
             out = np.zeros(nbytes // 4, dtype=np.float32)
             # the warm-up run caches the weight transform, as pre_infer does
             # for the planned tile, so the timed run leaves it out
-            execution.run([x], [out], args.threads)
+            execution.run([x], [out])
             start = time.perf_counter()
-            execution.run([x], [out], args.threads)
+            execution.run([x], [out])
             timings[scheme.label()] = (time.perf_counter() - start) * 1e3
             outs[scheme.label()] = out
         base = outs["sliding"].astype(np.float64)
@@ -279,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", required=True, help="model file path")
             p.add_argument("--input", help="raw little-endian f32 NCHW input")
-        p.add_argument("--threads", type=int, default=4)
         p.add_argument("--backend", choices=("cpu", "sim", "auto"),
                        default="cpu")
         p.add_argument("--cost-model", dest="cost_model",
@@ -323,8 +317,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise EngineError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,36 @@ def _pair(value, name: str) -> tuple[int, int]:
     raise GraphValidationError(f"attr {name}={value!r} is not an int or pair")
 
 
+_REQUIRED_ATTRS = {
+    OpKind.CONV2D: ("kernel", "in_c", "out_c"),
+    OpKind.POOL2D: ("kernel",),
+    OpKind.MATMUL: ("in_features", "out_features"),
+    OpKind.RESHAPE: ("shape",),
+}
+_WINDOW_MINIMUM = {"kernel": 1, "stride": 1, "pad": 0}
+_POOL_MODES = ("max", "avg")
+
+
+def _check_attrs(node_id: str, kind: OpKind, attrs: dict) -> None:
+    """Reject a missing or out-of-range attribute, naming the node."""
+    try:
+        for name in _REQUIRED_ATTRS.get(kind, ()):
+            if name not in attrs:
+                raise GraphValidationError(f"{kind.value} needs attr {name!r}")
+        if kind in (OpKind.CONV2D, OpKind.POOL2D):
+            for name, least in _WINDOW_MINIMUM.items():
+                if name in attrs and min(_pair(attrs[name], name)) < least:
+                    raise GraphValidationError(
+                        f"attr {name}={attrs[name]!r} is below {least}")
+        if kind is OpKind.CONV2D and int(attrs.get("group", 1)) < 1:
+            raise GraphValidationError(f"attr group={attrs['group']!r} is below 1")
+        if kind is OpKind.POOL2D and attrs.get("mode", "max") not in _POOL_MODES:
+            raise GraphValidationError(
+                f"pool mode {attrs['mode']!r} is not one of {_POOL_MODES}")
+    except GraphValidationError as exc:
+        raise GraphValidationError(f"node {node_id!r}: {exc}") from None
+
+
 @dataclass
 class OpNode:
     id: str
@@ -57,6 +87,12 @@ class OpNode:
         """(kh, kw), (sh, sw), (ph, pw) from normalized attrs."""
         return (_pair(self.attrs["kernel"], "kernel"),
                 _pair(self.attrs.get("stride", 1), "stride"),
+                _pair(self.attrs.get("pad", 0), "pad"))
+
+    def pool_geometry(self):
+        """Like conv_geometry, but the stride defaults to the window size."""
+        kernel = _pair(self.attrs["kernel"], "kernel")
+        return (kernel, _pair(self.attrs.get("stride", kernel), "stride"),
                 _pair(self.attrs.get("pad", 0), "pad"))
 
 
@@ -82,6 +118,7 @@ def _validate_structure(g: Graph) -> None:
     produced: set[str] = set(g.inputs)
     seen_ids: set[str] = set()
     for node in g.nodes:
+        _check_attrs(node.id, node.kind, node.attrs)
         if node.id in seen_ids:
             raise GraphValidationError(f"duplicate node id {node.id!r}")
         seen_ids.add(node.id)
@@ -109,7 +146,7 @@ def _validate_structure(g: Graph) -> None:
             in_c = int(node.attrs["in_c"])
             out_c = int(node.attrs["out_c"])
             group = int(node.attrs.get("group", 1))
-            if group < 1 or (group and (in_c % group or out_c % group)):
+            if in_c % group or out_c % group:
                 raise GraphValidationError(
                     f"node {node.id!r}: group {group} does not divide channels"
                 )
@@ -159,9 +196,7 @@ def infer_shapes(g: Graph) -> Graph:
             out = _conv_out_shape(node, ins[0])
         elif node.kind is OpKind.POOL2D:
             n, c, h, w = ins[0].dims
-            kernel = _pair(node.attrs["kernel"], "kernel")
-            stride = _pair(node.attrs.get("stride", kernel), "stride")
-            pad = _pair(node.attrs.get("pad", 0), "pad")
+            kernel, stride, pad = node.pool_geometry()
             oh = (h + 2 * pad[0] - kernel[0]) // stride[0] + 1
             ow = (w + 2 * pad[1] - kernel[1]) // stride[1] + 1
             if oh < 0 or ow < 0:
@@ -286,7 +321,7 @@ def _split_weights(node_kind: OpKind, attrs: dict, raw: np.ndarray,
         (kh, kw) = _pair(attrs["kernel"], "kernel")
         in_c, out_c = int(attrs["in_c"]), int(attrs["out_c"])
         group = int(attrs.get("group", 1))
-        wlen = out_c * (in_c // max(group, 1)) * kh * kw
+        wlen = out_c * (in_c // group) * kh * kw
         blen = out_c if attrs.get("bias") else 0
     elif node_kind is OpKind.MATMUL:
         wlen = int(attrs["in_features"]) * int(attrs["out_features"])
@@ -345,6 +380,7 @@ def load_model(data: bytes) -> Graph:
             )
         raw = np.frombuffer(blob, dtype="<f4", count=ln // 4, offset=off).copy()
         attrs = dict(spec.get("attrs", {}))
+        _check_attrs(spec.get("id"), kind, attrs)
         weights, bias = _split_weights(kind, attrs, raw, spec.get("id"))
         nodes.append(OpNode(
             id=str(spec["id"]),

@@ -3,41 +3,18 @@
 All kernels are pure functions of their inputs.  Each window tap is one
 NumPy call over all channel blocks of an image: a GEMM against every output
 block for dense convolution, a multiply-add whose inner loop spans a whole
-output row of lanes for depthwise.  Thread parallelism splits work into
-chunks of whole images; a chunk's arithmetic is independent of the
-chunking, so results are bitwise identical for any worker count.
+output row of lanes for depthwise.  Kernels run on the calling thread;
+the only parallelism is the BLAS library's own threading inside each GEMM.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .tensor import LANES, Layout, Tensor, channel_blocks, zeros
-
-_pool_lock = threading.Lock()
-_pools: dict[int, concurrent.futures.ThreadPoolExecutor] = {}
-
-
-def _run_chunks(tasks, threads: int) -> None:
-    """Run independent tasks, optionally on a shared worker pool."""
-    if threads <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-        return
-    with _pool_lock:
-        pool = _pools.get(threads)
-        if pool is None:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-            _pools[threads] = pool
-    futures = [pool.submit(task) for task in tasks]
-    for fut in futures:
-        fut.result()
-
 
 @dataclass(frozen=True)
 class MatDims:
@@ -317,7 +294,8 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
 
     y[o, i, j] = sum_c sum_{u,v} w[o, c, u, v] * x[c, i*s+u-pad, j*s+v-pad]
     with out-of-bounds input reads as zero, then bias and optional ReLU.
-    Each image is one chunk of work for the thread pool.
+    Runs on the calling thread.  ``threads`` is accepted and ignored: the
+    benchmark in perfbench/ still passes it, and it goes once it stops.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_sliding expects NC4HW4 input")
@@ -334,15 +312,15 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     if y.data.size == 0:
         return y
     if p.group == 1:
-        _conv_dense(x, w, p, threads, bias, y, oh, ow)
+        _conv_dense(x, w, p, bias, y, oh, ow)
     elif p.group == p.in_c and p.group == p.out_c:
-        _conv_depthwise(x, w, p, threads, bias, y, oh, ow)
+        _conv_depthwise(x, w, p, bias, y, oh, ow)
     else:
-        _conv_grouped(x, w, p, threads, bias, y, oh, ow)
+        _conv_grouped(x, w, p, bias, y, oh, ow)
     return y
 
 
-def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
+def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams,
                 bias: np.ndarray | None, y: Tensor, oh: int, ow: int) -> None:
     n, _, h, wd = x.shape
     ibm = x.data.shape[1]
@@ -355,33 +333,28 @@ def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
     wmat = _pack_weight_columns(w, p.out_c, p.in_c)
     bias_full = _padded_bias(bias, p.out_c)
     obm = y.data.shape[1]
-
-    def image_task(img):
-        def run():
-            # one GEMM per window tap against every output block at once
-            acc = None
-            for u in range(p.kh):
-                for v in range(p.kw):
-                    win = np.ascontiguousarray(
-                        xp[img, u:u + p.stride_h * oh:p.stride_h,
-                           v:v + p.stride_w * ow:p.stride_w]
-                    ).reshape(oh * ow, cpad)
-                    prod = win @ wmat[u * p.kw + v]
-                    if acc is None:
-                        acc = prod
-                    else:
-                        acc += prod
-            if bias_full is not None:
-                acc += bias_full
-            if p.relu:
-                np.maximum(acc, 0.0, out=acc)
-            y.data[img] = acc.reshape(oh, ow, obm, LANES).transpose(2, 0, 1, 3)
-        return run
-
-    _run_chunks([image_task(img) for img in range(n)], threads)
+    for img in range(n):
+        # one GEMM per window tap against every output block at once
+        acc = None
+        for u in range(p.kh):
+            for v in range(p.kw):
+                win = np.ascontiguousarray(
+                    xp[img, u:u + p.stride_h * oh:p.stride_h,
+                       v:v + p.stride_w * ow:p.stride_w]
+                ).reshape(oh * ow, cpad)
+                prod = win @ wmat[u * p.kw + v]
+                if acc is None:
+                    acc = prod
+                else:
+                    acc += prod
+        if bias_full is not None:
+            acc += bias_full
+        if p.relu:
+            np.maximum(acc, 0.0, out=acc)
+        y.data[img] = acc.reshape(oh, ow, obm, LANES).transpose(2, 0, 1, 3)
 
 
-def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
+def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams,
                     bias: np.ndarray | None, y: Tensor, oh: int,
                     ow: int) -> None:
     n, c, h, wd = x.shape
@@ -397,27 +370,22 @@ def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
         flat.reshape(ibm, LANES, p.kh, p.kw).transpose(0, 2, 3, 1)[:, :, :, None],
         (ibm, p.kh, p.kw, ow, LANES)))
     bias_full = _padded_bias(bias, p.out_c)
-
-    def image_task(img):
-        def run():
-            acc = y.data[img]  # zero-filled [ibm, oh, ow, lanes]
-            prod = np.empty_like(acc)
-            for u in range(p.kh):
-                for v in range(p.kw):
-                    win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
-                             v:v + p.stride_w * ow:p.stride_w]
-                    np.multiply(win, wrow[:, None, u, v], out=prod)
-                    acc += prod
-            if bias_full is not None:
-                acc += bias_full.reshape(ibm, 1, 1, LANES)
-            if p.relu:
-                np.maximum(acc, 0.0, out=acc)
-        return run
-
-    _run_chunks([image_task(img) for img in range(n)], threads)
+    for img in range(n):
+        acc = y.data[img]  # zero-filled [ibm, oh, ow, lanes]
+        prod = np.empty_like(acc)
+        for u in range(p.kh):
+            for v in range(p.kw):
+                win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
+                         v:v + p.stride_w * ow:p.stride_w]
+                np.multiply(win, wrow[:, None, u, v], out=prod)
+                acc += prod
+        if bias_full is not None:
+            acc += bias_full.reshape(ibm, 1, 1, LANES)
+        if p.relu:
+            np.maximum(acc, 0.0, out=acc)
 
 
-def _conv_grouped(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
+def _conv_grouped(x: Tensor, w: np.ndarray, p: ConvParams,
                   bias: np.ndarray | None, y: Tensor, oh: int,
                   ow: int) -> None:
     # uncommon path: run each group densely over NCHW channel slices
@@ -431,7 +399,7 @@ def _conv_grouped(x: Tensor, w: np.ndarray, p: ConvParams, threads: int,
                        icg, ocg, 1, False)
     for g in range(p.group):
         xg = pack_nc4hw4(from_nchw(x_nchw.data[:, g * icg:(g + 1) * icg]))
-        yg = conv_sliding(xg, w[g * ocg:(g + 1) * ocg], sub_p, threads)
+        yg = conv_sliding(xg, w[g * ocg:(g + 1) * ocg], sub_p)
         out[:, g * ocg:(g + 1) * ocg] = unpack_nc4hw4(yg).data
     if bias is not None:
         out += bias.astype(np.float32).reshape(1, p.out_c, 1, 1)

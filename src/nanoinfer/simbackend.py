@@ -38,9 +38,9 @@ class SimBackend(Backend):
             )
         inner = _build_cpu_execution(step, plan, shapes)
 
-        def run(inputs, outputs, threads, scratch=None):
+        def run(inputs, outputs, scratch=None):
             self.dispatch_count += 1
-            inner.run(inputs, outputs, threads, scratch)
+            inner.run(inputs, outputs, scratch)
 
         return Execution(step.node, run)
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
-from .kernels import LANES, ConvParams, _padded_bias, _run_chunks
+from .kernels import LANES, ConvParams, _padded_bias
 from .tensor import Layout, Tensor, channel_blocks, zeros
 
 MAX_ALPHA = 10  # accuracy guard: larger transforms are routed to sliding window
@@ -77,19 +77,28 @@ def _interpolation_points(count: int, f: Fraction) -> list[Fraction]:
 
 
 def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination on
+    integer-scaled rows: every entry stays a minor, so each division by the
+    previous pivot is exact, and every row ends with the last pivot."""
     n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    aug = []
+    for i, row in enumerate(m):
+        s = math.lcm(*(v.denominator for v in row))
+        aug.append([v.numerator * (s // v.denominator) for v in row]
+                   + [s * (i == j) for j in range(n)])
+    prev = 1
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
-        scale = Fraction(1) / aug[col][col]
-        aug[col] = [v * scale for v in aug[col]]
+        pivot_row = aug[col]
+        pivot = pivot_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [(pivot * a - factor * b) // prev
+                          for a, b in zip(aug[r], pivot_row)]
+        prev = pivot
+    return [[Fraction(v, prev) for v in row[n:]] for row in aug]
 
 
 def generate_transforms(n: int, k: int, f: float = DEFAULT_SPACING) -> WinogradTransform:
@@ -193,7 +202,11 @@ def winograd_supported(p: ConvParams) -> bool:
 
 
 def weight_transform(w: np.ndarray, t: WinogradTransform) -> np.ndarray:
-    """G w Gt per channel pair, packed as [alpha^2, o_c blocks, i_c blocks, 4, 4]."""
+    """G w Gt per channel pair, as the operand of conv_winograd's GEMM.
+
+    The layout is [alpha^2, out_c, in_c] with both channel axes zero-padded
+    to whole 4-lane blocks.
+    """
     out_c, in_c = w.shape[0], w.shape[1]
     if w.shape[2] != t.k or w.shape[3] != t.k:
         raise ShapeMismatchError(f"weight spatial {w.shape[2:]} != kernel {t.k}")
@@ -204,8 +217,7 @@ def weight_transform(w: np.ndarray, t: WinogradTransform) -> np.ndarray:
     a2 = t.alpha * t.alpha
     flat = np.zeros((a2, obm * LANES, ibm * LANES), dtype=np.float32)
     flat[:, :out_c, :in_c] = u.transpose(2, 3, 0, 1).reshape(a2, out_c, in_c)
-    return np.ascontiguousarray(
-        flat.reshape(a2, obm, LANES, ibm, LANES).transpose(0, 1, 3, 2, 4))
+    return flat
 
 
 class WeightCache:
@@ -250,11 +262,12 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     kernel transform runs inline.  The input patches of every tile form one
     tile-major array in schedule order; each batch of T tiles is a slice of
     it, transformed with whole-batch matrix products and scattered into the
-    output in one indexed store.  Every tile writes a disjoint output region
-    and the batch partition is fixed by the schedule alone, so results are
-    bitwise independent of thread count.  Changing the partition itself
-    re-blocks the channel reduction inside the BLAS call and may flip
-    last-ulp bits; outputs then agree to float32 tolerance, not bitwise.
+    output in one indexed store.  Batches run in turn on the calling thread.
+    The partition is fixed by the schedule alone, so repeated runs are
+    bitwise equal; changing it re-blocks the channel reduction inside the
+    BLAS call and may flip last-ulp bits, so outputs then agree to float32
+    tolerance, not bitwise.  ``threads`` is accepted and ignored: the
+    benchmark in perfbench/ still passes it, and it goes once it stops.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_winograd expects NC4HW4 input")
@@ -274,13 +287,8 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     sched = make_tile_schedule(nh, n_img, oh, ow)
     tiles_h = -(-oh // nh)
     tiles_w = -(-ow // nh)
-    if transformed is None:
-        transformed = weight_transform(w, t)
-    obm, ibm = transformed.shape[1], transformed.shape[2]
-    umat = np.ascontiguousarray(
-        transformed.transpose(0, 1, 3, 2, 4).reshape(alpha * alpha,
-                                                     obm * LANES, ibm * LANES)
-    )
+    umat = weight_transform(w, t) if transformed is None else transformed
+    obm, ibm = channel_blocks(p.out_c), channel_blocks(c)
     bt = np.ascontiguousarray(t.B.T.astype(np.float32))
     bmat = t.B.astype(np.float32)
     at = np.ascontiguousarray(t.A.T.astype(np.float32))
@@ -306,27 +314,21 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     grid = ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES
                         ).transpose(0, 2, 4, 1, 6, 3, 5)
     batch_sz = max(sched.T, 1)
-
-    def batch_task(start):
-        def run():
-            block = patches[start:start + batch_sz]
-            bt_n = block.shape[0]
-            v = bt @ block @ bmat  # [bt_n, C, alpha, alpha]
-            v = np.ascontiguousarray(
-                v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, bt_n)
-            )
-            m = np.matmul(umat, v)  # [alpha^2, out lanes, bt_n]
-            m = np.ascontiguousarray(
-                m.reshape(alpha, alpha, obm * LANES, bt_n).transpose(3, 2, 0, 1)
-            )
-            out_tiles = at @ m @ amat  # [bt_n, out lanes, nh, nh]
-            img, th, tw = np.unravel_index(np.arange(start, start + bt_n),
-                                           (n_img, tiles_h, tiles_w))
-            grid[img, th, tw] = out_tiles.reshape(bt_n, obm, LANES, nh, nh)
-        return run
-
-    _run_chunks([batch_task(s) for s in range(0, len(sched.tiles), batch_sz)],
-                threads)
+    for start in range(0, len(sched.tiles), batch_sz):
+        block = patches[start:start + batch_sz]
+        bt_n = block.shape[0]
+        v = bt @ block @ bmat  # [bt_n, C, alpha, alpha]
+        v = np.ascontiguousarray(
+            v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, bt_n)
+        )
+        m = np.matmul(umat, v)  # [alpha^2, out lanes, bt_n]
+        m = np.ascontiguousarray(
+            m.reshape(alpha, alpha, obm * LANES, bt_n).transpose(3, 2, 0, 1)
+        )
+        out_tiles = at @ m @ amat  # [bt_n, out lanes, nh, nh]
+        img, th, tw = np.unravel_index(np.arange(start, start + bt_n),
+                                       (n_img, tiles_h, tiles_w))
+        grid[img, th, tw] = out_tiles.reshape(bt_n, obm, LANES, nh, nh)
 
     y.data[:] = ypad[:, :, :oh, :ow]
     bias_full = _padded_bias(bias, p.out_c)

@@ -276,8 +276,8 @@ def test_criterion_6_planner_correctness():
 
         shape = tuple(g.tensor_shapes[g.inputs[0]].dims)
         x = from_nchw(rng.uniform(-1, 1, size=shape).astype(np.float32))
-        pooled = run_session(plan, x, threads=1)
-        fresh = replay_cpu(g, plan, x, threads=1)
+        pooled = run_session(plan, x)
+        fresh = replay_cpu(g, plan, x)
         for tid in g.outputs:
             want = unpack_nc4hw4(fresh[tid], g.tensor_shapes[tid].dims[1])
             assert np.array_equal(pooled[tid].data, want.data), trial
@@ -292,7 +292,7 @@ def test_criterion_7_decoupling():
     g = fuse(build_preset("mobilenet-mini"))
     cpu = CpuBackend()
     plan = pre_infer(g, [cpu.spec()])
-    session = Session(plan, [cpu], threads=1)
+    session = Session(plan, [cpu])
     rng = np.random.default_rng(77)
     x = from_nchw(rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32))
     session.run(x)
@@ -357,7 +357,7 @@ def test_criterion_9_no_bottleneck_coverage():
     plan = pre_infer(g, [BackendSpec("cpu", CostModel(flops=2e9))])
     rng = np.random.default_rng(99)
     x = from_nchw(rng.uniform(-1, 1, size=(1, 3, 33, 33)).astype(np.float32))
-    values = replay_cpu(g, plan, x, threads=1)
+    values = replay_cpu(g, plan, x)
 
     kernels_seen = set()
     worst = 0.0

@@ -37,7 +37,7 @@ class TestBuffers:
         g = fuse(build_preset("mobilenet-mini"))
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
-        session = Session(plan, [cpu], threads=1)
+        session = Session(plan, [cpu])
         session.run(make_input(g))
         session.run(make_input(g, seed=1))
         assert cpu.live_buffers > 0
@@ -62,7 +62,7 @@ class TestBuffers:
         g = fuse(build_preset("squeezenet-mini"))
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
-        session = Session(plan, [cpu], threads=1)
+        session = Session(plan, [cpu])
         x = make_input(g)
         session.run(x)
         allocs_after_first = cpu.alloc_count
@@ -80,7 +80,7 @@ class TestExecutions:
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
         plan.weight_cache.reset_counters()
-        session = Session(plan, [cpu], threads=1)
+        session = Session(plan, [cpu])
         x = make_input(g)
         session.run(x)
         session.run(x)
@@ -115,8 +115,8 @@ class TestExecutions:
         out_shape = g.tensor_shapes[g.nodes[0].outputs[0]]
         buf1 = np.zeros(packed_bytes(out_shape) // 4, np.float32)
         buf2 = np.zeros_like(buf1)
-        execution.run([xin], [buf1], 1)
-        execution.run([xin], [buf2], 1)
+        execution.run([xin], [buf1])
+        execution.run([xin], [buf2])
         assert np.array_equal(buf1, buf2)
 
     def test_unplanned_winograd_tiles_match_sliding(self):
@@ -137,7 +137,7 @@ class TestExecutions:
             execution = cpu.create_execution(
                 OpStep(node, scheme, "cpu", None), plan, g.tensor_shapes)
             out = np.zeros(size, np.float32)
-            execution.run([xin], [out], 1)
+            execution.run([xin], [out])
             return out
 
         want = run(SchemeChoice(SchemeKind.SLIDING_WINDOW))
@@ -167,7 +167,7 @@ class TestPool2D:
         g = b.build()
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
-        session = Session(plan, [cpu], threads=1)
+        session = Session(plan, [cpu])
         mem = plan.memory["cpu"]
         # poison the whole pool: every output lane, pad lanes included,
         # must be written by the kernel
@@ -193,6 +193,18 @@ class TestPool2D:
             assert np.all(got[:, :, 0, :] == 0)  # windows of padding only
         session.close()
 
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_int_window_attrs(self, mode):
+        # a model file may give kernel, stride and pad as plain ints
+        b = GraphBuilder((1, 5, 7, 7), seed=0)
+        b.pool(kernel=3, stride=2, pad=1, mode=mode)
+        g = b.build()
+        g.nodes[0].attrs = {"kernel": 3, "stride": 2, "pad": 1, "mode": mode}
+        x = make_input(g, seed=3)
+        got = run_session(pre_infer(g, [CpuBackend().spec()]), x)
+        want = pool2d_reference(x.data, (3, 3), (2, 2), (1, 1), mode)
+        assert rel_err(got[g.outputs[0]].data, want) <= 1e-6
+
 
 class TestTransfers:
     def test_roundtrip_bitwise(self):
@@ -202,7 +214,7 @@ class TestTransfers:
         cpu = CpuBackend()
         sim = SimBackend()
         plan = pre_infer(g, [cpu.spec(), sim.spec()], force_backend="sim")
-        session = Session(plan, [cpu, sim], threads=1)
+        session = Session(plan, [cpu, sim])
         x = make_input(g)
         out = session.run(x)
         want = np.maximum(x.data, 0.0)
@@ -236,16 +248,38 @@ class TestSession:
         out = run_session(plan, x)
         assert np.array_equal(out[g.outputs[0]].data, x.data)
 
-    def test_thread_counts_agree(self):
-        g = fuse(build_preset("mobilenet-mini"))
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_kernels_run_on_calling_thread(self, preset, monkeypatch):
+        # the threads keyword is accepted for old callers and ignored:
+        # no kernel may hand work to another thread
+        import concurrent.futures
+        import threading
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel started a thread")
+
+        g = fuse(build_preset(preset))
         plan = pre_infer(g, [CpuBackend().spec()])
         x = make_input(g)
-        results = []
-        for threads in (1, 2, 4):
-            results.append(run_session(plan, x, [CpuBackend()], threads))
-        for later in results[1:]:
-            for tid in results[0]:
-                assert np.array_equal(results[0][tid].data, later[tid].data)
+        want = run_session(plan, x)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit",
+                            refuse)
+        session = Session(plan, [CpuBackend()], threads=4)
+        try:
+            got = session.run(x)
+        finally:
+            session.close()
+        for tid in want:
+            assert np.array_equal(got[tid].data, want[tid].data)
+
+    def test_missing_input_named(self):
+        g = fuse(build_preset("resnet-mini"))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        session = Session(plan, [CpuBackend()])
+        with pytest.raises(GraphValidationError, match="missing graph input 'input'"):
+            session.run({})
+        session.close()
 
     def test_hybrid_equals_pure_cpu(self):
         g = fuse(build_preset("inception-mini"))
@@ -296,7 +330,7 @@ class TestSession:
         cpu = CpuBackend()
         sim = SimBackend(cost=CostModel(flops=4e9, t_schedule_ms=5.0))
         plan = pre_infer(g, [cpu.spec(), sim.spec()], force_backend="sim")
-        session = Session(plan, [cpu, sim], threads=1)
+        session = Session(plan, [cpu, sim])
         x = make_input(g)
         _, times = session.run_timed(x)
         op_times = dict(times)
@@ -336,7 +370,7 @@ class TestPooledVersusFresh:
             plan = pre_infer(g, [CpuBackend().spec()])
             x = make_input(g, seed=11)
             pooled = run_session(plan, x)
-            fresh = replay_cpu(g, plan, x, threads=1)
+            fresh = replay_cpu(g, plan, x)
             for tid in g.outputs:
                 from nanoinfer.tensor import unpack_nc4hw4
                 want = unpack_nc4hw4(fresh[tid],

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,67 @@ class TestLoadSave:
         g.nodes[0].weights = g.nodes[0].weights[:, :, :, :2]
         with pytest.raises(GraphValidationError):
             load_model(save_model(g))
+
+
+def edit_attrs(data: bytes, node_id: str, **changes) -> bytes:
+    """The model bytes with one node's attrs changed; None drops an attr."""
+    (length,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16:16 + length])
+    node = next(n for n in header["nodes"] if n["id"] == node_id)
+    for name, value in changes.items():
+        if value is None:
+            node["attrs"].pop(name)
+        else:
+            node["attrs"][name] = value
+    payload = json.dumps(header).encode()
+    return MAGIC + struct.pack("<Q", len(payload)) + payload + data[16 + length:]
+
+
+def layered_model() -> bytes:
+    b = GraphBuilder((1, 4, 8, 8), seed=0)
+    b.conv(kernel=3, pad=1, out_c=4, name="conv")
+    b.pool(kernel=2, name="pool")
+    b.reshape((1, 64, 1, 1), name="flat")
+    b.matmul(3, name="fc")
+    return save_model(b.build())
+
+
+class TestAttrValidation:
+    @pytest.mark.parametrize("node,changes,message", [
+        ("conv", {"kernel": None}, "needs attr 'kernel'"),
+        ("conv", {"in_c": None}, "needs attr 'in_c'"),
+        ("conv", {"out_c": None}, "needs attr 'out_c'"),
+        ("conv", {"kernel": [0, 3]}, "kernel=[0, 3] is below 1"),
+        ("conv", {"stride": [0, 1]}, "stride=[0, 1] is below 1"),
+        ("conv", {"stride": 0}, "stride=0 is below 1"),
+        ("conv", {"pad": [1, -1]}, "pad=[1, -1] is below 0"),
+        ("conv", {"group": 0}, "group=0 is below 1"),
+        ("conv", {"stride": [1, 1, 1]}, "is not an int or pair"),
+        ("pool", {"kernel": None}, "needs attr 'kernel'"),
+        ("pool", {"kernel": 0}, "kernel=0 is below 1"),
+        ("pool", {"stride": [2, 0]}, "stride=[2, 0] is below 1"),
+        ("pool", {"pad": -1}, "pad=-1 is below 0"),
+        ("pool", {"mode": "median"}, "pool mode 'median'"),
+        ("flat", {"shape": None}, "needs attr 'shape'"),
+        ("fc", {"in_features": None}, "needs attr 'in_features'"),
+        ("fc", {"out_features": None}, "needs attr 'out_features'"),
+    ])
+    def test_malformed_attr_names_node(self, node, changes, message):
+        data = edit_attrs(layered_model(), node, **changes)
+        with pytest.raises(GraphValidationError) as err:
+            load_model(data)
+        assert str(err.value).startswith(f"node {node!r}: ")
+        assert message in str(err.value)
+
+    def test_well_formed_model_loads(self):
+        g = load_model(edit_attrs(layered_model(), "pool", mode="avg"))
+        assert g.nodes[1].attrs["mode"] == "avg"
+
+    def test_builder_rejects_unknown_pool_mode(self):
+        b = GraphBuilder((1, 4, 8, 8), seed=0)
+        b.pool(kernel=2, mode="median", name="p")
+        with pytest.raises(GraphValidationError, match="node 'p': pool mode"):
+            b.build()
 
 
 class TestShapeInference:
@@ -153,7 +217,7 @@ class TestFuse:
         outs = []
         for graph in (g, fused):
             plan = pre_infer(graph, [CpuBackend().spec()])
-            session = Session(plan, [CpuBackend()], threads=1)
+            session = Session(plan, [CpuBackend()])
             outs.append(session.run(x))
             session.close()
         for tid in outs[0]:

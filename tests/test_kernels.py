@@ -142,8 +142,8 @@ class TestMatmulStrassen:
             matmul_strassen(np.zeros((4, 4), np.float32), np.zeros((5, 4), np.float32))
 
 
-def run_sliding(x, w, p, threads=1, bias=None):
-    y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, threads=threads, bias=bias)
+def run_sliding(x, w, p, bias=None):
+    y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, bias=bias)
     return unpack_nc4hw4(y, p.out_c).data
 
 
@@ -195,7 +195,7 @@ class TestConvSliding:
         assert rel_err(run_sliding(x, w, p), want) <= 1e-5
 
     def test_depthwise_strided_bias_relu(self, rng):
-        # 7 channels leave a pad lane; two images run as two chunks
+        # 7 channels leave a pad lane; two images run one after the other
         x = rng.standard_normal((2, 7, 11, 9)).astype(np.float32)
         w = (rng.standard_normal((7, 1, 3, 3)) * 0.4).astype(np.float32)
         bias = rng.standard_normal(7).astype(np.float32)
@@ -203,8 +203,7 @@ class TestConvSliding:
                               relu=True)
         want = conv2d_reference(x, w, (2, 2), (1, 1), group=7, bias=bias,
                                 relu=True)
-        y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, threads=2,
-                         bias=bias)
+        y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, bias=bias)
         assert rel_err(unpack_nc4hw4(y, 7).data, want) <= 1e-5
         assert np.all(y.data[:, -1, :, :, 3] == 0)  # pad lane stays zero
 
@@ -214,14 +213,6 @@ class TestConvSliding:
         p = ConvParams.square(3, pad=1, in_c=8, out_c=4, group=2)
         want = conv2d_reference(x, w, (1, 1), (1, 1), group=2)
         assert rel_err(run_sliding(x, w, p), want) <= 1e-5
-
-    def test_thread_count_bitwise_invariance(self, rng):
-        x = rng.standard_normal((2, 13, 12, 12)).astype(np.float32)
-        w = (rng.standard_normal((9, 13, 3, 3)) * 0.3).astype(np.float32)
-        p = ConvParams.square(3, pad=1, in_c=13, out_c=9)
-        base = run_sliding(x, w, p, threads=1)
-        for threads in (2, 3, 8):
-            assert np.array_equal(run_sliding(x, w, p, threads=threads), base)
 
     def test_shape_mismatch(self, rng):
         x = pack_nc4hw4(from_nchw(np.zeros((1, 4, 5, 5), np.float32)))

@@ -348,7 +348,7 @@ class TestPreInfer:
         tile = plan.schemes[node.id].tile
         cached = plan.weight_cache.get((node.id, tile))
         alpha = tile + 3 - 1
-        assert cached.shape == (alpha * alpha, 4, 4, 4, 4)
+        assert cached.shape == (alpha * alpha, 16, 16)
 
     def test_k1_convs_never_get_transformed_weights(self):
         g = build_preset("squeezenet-mini")

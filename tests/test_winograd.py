@@ -26,6 +26,35 @@ def identity_error(t, rng, trials=100, dtype=np.float64):
 
 
 class TestGenerator:
+    def test_rational_inverse_is_exact(self, rng):
+        # integer elimination must divide exactly; a leading zero forces
+        # the row swap, the power rows are what the generator inverts
+        from fractions import Fraction
+
+        from nanoinfer.winograd import _interpolation_points, _invert_rational
+
+        def frac(rows):
+            return [[Fraction(v) for v in row] for row in rows]
+
+        cases = [frac([[0, 1], [1, 0]]), frac([[0, 2, 1], [3, 0, 0], [1, 1, 5]])]
+        for alpha in range(2, 11):
+            for f in ("0.5", "0.3"):
+                pts = _interpolation_points(alpha - 1, Fraction(f))
+                rows = [[p ** j for j in range(alpha)] for p in pts]
+                cases.append(rows + [frac([[0] * (alpha - 1) + [1]])[0]])
+        while len(cases) < 60:
+            n = int(rng.integers(1, 7))
+            m = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+                  for _ in range(n)] for _ in range(n)]
+            if np.linalg.matrix_rank(np.array(m, dtype=float)) == n:
+                cases.append(m)
+        for m in cases:
+            inv = _invert_rational(m)
+            n = len(m)
+            for i in range(n):
+                for j in range(n):
+                    assert sum(m[i][t] * inv[t][j] for t in range(n)) == (i == j)
+
     def test_degenerate_1x1(self):
         t = generate_transforms(1, 1, 0.5)
         for m in (t.A, t.B, t.G):
@@ -130,7 +159,7 @@ class TestWeightTransform:
         t = generate_transforms(2, 3, 0.5)
         w = rng.standard_normal((6, 9, 3, 3)).astype(np.float32)
         u = weight_transform(w, t)
-        assert u.shape == (16, channel_blocks(6), channel_blocks(9), 4, 4)
+        assert u.shape == (16, channel_blocks(6) * 4, channel_blocks(9) * 4)
 
     def test_values_match_direct_gwgt(self, rng):
         t = generate_transforms(2, 3, 0.5)
@@ -138,7 +167,7 @@ class TestWeightTransform:
         u = weight_transform(w, t)
         g = t.G.astype(np.float32)
         direct = g @ w[1, 0] @ g.T
-        assert np.allclose(u[:, 0, 0, 1, 0].reshape(4, 4), direct, atol=1e-6)
+        assert np.allclose(u[:, 1, 0].reshape(4, 4), direct, atol=1e-6)
 
     def test_cache_counters(self):
         cache = WeightCache()
@@ -154,10 +183,9 @@ class TestWeightTransform:
         assert (cache.hits, cache.recomputes) == (0, 0)
 
 
-def run_winograd(x, w, p, n_tile, threads=1, bias=None, f=0.5):
+def run_winograd(x, w, p, n_tile, bias=None, f=0.5):
     t = generate_transforms(n_tile, p.kh, f)
-    y = conv_winograd(pack_nc4hw4(from_nchw(x)), w, p, t, threads=threads,
-                      bias=bias)
+    y = conv_winograd(pack_nc4hw4(from_nchw(x)), w, p, t, bias=bias)
     return unpack_nc4hw4(y, p.out_c).data
 
 
@@ -217,33 +245,32 @@ class TestConvWinograd:
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
         assert np.all(y.data[:, :, :, :, 2:] == 0)
 
-    def test_bitwise_stable_under_threads(self, rng):
-        x = rng.standard_normal((1, 8, 20, 20)).astype(np.float32)
-        w = (rng.standard_normal((8, 8, 3, 3)) * 0.3).astype(np.float32)
-        p = ConvParams.square(3, pad=1, in_c=8, out_c=8)
-        base = run_winograd(x, w, p, 2, threads=1)
-        for threads in (2, 4):
-            assert np.array_equal(run_winograd(x, w, p, 2, threads=threads), base)
-        # repeatability: the batch partition is fixed by the schedule
-        assert np.array_equal(run_winograd(x, w, p, 2, threads=1), base)
-
     def test_rebatching_agrees_to_tolerance(self, rng, monkeypatch):
         # a different tile partition re-blocks the BLAS reduction, which may
-        # flip last-ulp bits; values must still agree tightly
-        x = rng.standard_normal((1, 8, 20, 20)).astype(np.float32)
+        # flip last-ulp bits; values must still agree tightly.  Two images,
+        # so batches also straddle the image boundary of the tile array
+        x = rng.standard_normal((2, 8, 20, 20)).astype(np.float32)
         w = (rng.standard_normal((8, 8, 3, 3)) * 0.3).astype(np.float32)
         p = ConvParams.square(3, pad=1, in_c=8, out_c=8)
-        base = run_winograd(x, w, p, 2, threads=1)
+        base = run_winograd(x, w, p, 2)
+        # repeatability: the schedule alone fixes the partition
+        assert np.array_equal(run_winograd(x, w, p, 2), base)
+        want = conv2d_reference(x, w, (1, 1), (1, 1))
+        assert rel_err(base, want) <= 1e-3
         import nanoinfer.winograd as wmod
         original = wmod.make_tile_schedule
+        n_tiles = len(original(2, 2, 20, 20).tiles)
+        assert original(2, 2, 20, 20).T not in (1, 3, n_tiles)
 
-        def tiny_batches(n_hat, batch, out_h, out_w):
-            sched = original(n_hat, batch, out_h, out_w)
-            return wmod.TileSchedule(n_hat=sched.n_hat, T=1, tiles=sched.tiles)
+        for batch_t in (1, 3, n_tiles):
+            def rebatched_schedule(n_hat, batch, out_h, out_w, batch_t=batch_t):
+                sched = original(n_hat, batch, out_h, out_w)
+                return wmod.TileSchedule(n_hat=sched.n_hat, T=batch_t,
+                                         tiles=sched.tiles)
 
-        monkeypatch.setattr(wmod, "make_tile_schedule", tiny_batches)
-        rebatched = run_winograd(x, w, p, 2, threads=1)
-        assert rel_err(rebatched, base) <= 1e-5
+            monkeypatch.setattr(wmod, "make_tile_schedule", rebatched_schedule)
+            rebatched = run_winograd(x, w, p, 2)
+            assert rel_err(rebatched, base) <= 1e-5, batch_t
 
     def test_transform_kernel_mismatch(self, rng):
         x = pack_nc4hw4(from_nchw(rng.standard_normal((1, 4, 8, 8)).astype(np.float32)))
