@@ -19,7 +19,7 @@ from .preinference import (
 )
 from .tensor import Layout, Shape, Tensor, from_nchw, pack_nc4hw4, unpack_nc4hw4
 from .winograd import (
-    WinogradTransform, choose_tile, conv_winograd, generate_transforms,
+    WinogradTransform, conv_winograd, generate_transforms,
 )
 
 __version__ = "0.1.0"

@@ -228,16 +228,21 @@ def cmd_compare(args) -> int:
         rows.append({
             "layer": node.id,
             "chosen": plan.schemes[node.id].label(),
+            "fastest": min(timings, key=timings.get),
             "max_rel_deviation": deviation,
             "timings_ms": timings,
+            "estimates_ms": plan.candidates[node.id],
         })
     payload = {"layers": rows, "max_rel_deviation": worst}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for row in rows:
-            times = " ".join(f"{k}={v:.2f}ms"
-                             for k, v in row["timings_ms"].items())
+            # the fastest measured candidate is marked with a star
+            times = " ".join(
+                f"{k}={v:.2f}ms{'*' if k == row['fastest'] else ''}"
+                f"(est={row['estimates_ms'][k]:.2f}ms)"
+                for k, v in row["timings_ms"].items())
             print(f"{row['layer']}: chosen={row['chosen']} "
                   f"dev={row['max_rel_deviation']:.2e} {times}")
         print(f"max relative deviation: {worst:.3e}")

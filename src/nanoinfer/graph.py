@@ -51,6 +51,7 @@ _REQUIRED_ATTRS = {
 }
 _WINDOW_MINIMUM = {"kernel": 1, "stride": 1, "pad": 0}
 _POOL_MODES = ("max", "avg")
+_CONV_ACTIVATIONS = ("none", "relu")
 
 
 def _check_attrs(node_id: str, kind: OpKind, attrs: dict) -> None:
@@ -66,6 +67,11 @@ def _check_attrs(node_id: str, kind: OpKind, attrs: dict) -> None:
                         f"attr {name}={attrs[name]!r} is below {least}")
         if kind is OpKind.CONV2D and int(attrs.get("group", 1)) < 1:
             raise GraphValidationError(f"attr group={attrs['group']!r} is below 1")
+        if kind is OpKind.CONV2D and \
+                attrs.get("activation", "none") not in _CONV_ACTIVATIONS:
+            raise GraphValidationError(
+                f"conv activation {attrs['activation']!r} is not one of "
+                f"{_CONV_ACTIVATIONS}")
         if kind is OpKind.POOL2D and attrs.get("mode", "max") not in _POOL_MODES:
             raise GraphValidationError(
                 f"pool mode {attrs['mode']!r} is not one of {_POOL_MODES}")

@@ -82,7 +82,7 @@ ADD_COST = 95
 The count rule weighs an addition like a multiply (weight 1). Under a BLAS
 GEMM it is far dearer: an addition is a memory-bound NumPy pass over a
 quadrant, a multiply one FMA inside a cache-blocked kernel. Measured on
-this module's own level by tools/measure_add_cost.py: time of a one-level
+this module's own level by `tools/calibrate.py add-cost`: time of a one-level
 matmul_strassen less its seven batched half-size products, per counted
 addition, over the time of matmul_direct per multiply; OpenBLAS 0.3.31
 (Haswell kernels), 2-core x86-64 VM, one BLAS thread, median of 5-200
@@ -94,6 +94,67 @@ up to 2048^3 takes a level; one level ran 1.14-1.44x slower than direct at
 1024^3 and 1.04-1.31x at 2048^3. Recalibrate on other hardware with that
 script.
 """
+
+SMALL_PRODUCT_COST = 4500
+MOVE_COST = 19
+SHUFFLE_COST = 170
+CALL_COST = 82000
+"""Weights of the conv cost model, KernelWork.cost, in BLAS multiplies.
+
+preinference.scheme_work counts, from each conv kernel's code, its GEMM
+multiplies (channels padded to whole 4-lane blocks), Winograd's small
+transform products, the elements its streaming passes write (fills, copies,
+element-wise ops), the elements it re-lays out in runs of one 4-lane block
+or one tile, and its NumPy calls. `tools/calibrate.py weights` times every
+scheme of 58 convs as a step of a running session (the four presets' convs
+and 31 synthetic ones of 3-64 channels on 8-64 pixel maps) and fits the
+five per-unit times by least squares on the relative error. Three fits,
+2-vCPU x86-64 VM, OpenBLAS 0.3.31 on one thread, 21 runs per scheme: a
+GEMM multiply took 6-22 ps, and relative to it a small product
+3,200-8,000, a streamed element 9-52, a re-laid one 104-501 and a call
+71,000-176,000. The fits trade the GEMM's weight against the others', but
+every fit picked the same scheme for every conv. The constants are the
+middle fit, rounded: at its 15 ps per multiply a small product takes 68
+ns, a streamed element 0.29 ns, a re-laid one 2.6 ns and a call 1.2 us.
+Four kinds are too few: with re-laid elements counted as streamed ones,
+fits to the same timings planned winograd6 for a 64-channel conv on a
+64x64 map, which sliding window runs faster, and missed inception-mini's
+branch_a. Under these constants the
+cheapest scheme is within 10% or 0.02 ms of the fastest on 42 of the 44
+convs that have a choice, and no Winograd tile is ever cheapest. The two
+misses are mobilenet-mini's pw1 and pw2, planned matmul at 0.19 and 0.50
+ms against 0.14 and 0.31 ms for sliding window. Their matmul route makes
+four heap temporaries of 128-256 KiB, and in that network glibc hands the
+memory back to the OS and faults it in again on each call: with its mmap
+and trim thresholds raised for the process (MALLOC_MMAP_THRESHOLD_,
+MALLOC_TRIM_THRESHOLD_), both routes ran pw1 in 0.20-0.23 ms and pw2 in
+0.38-0.44 ms. Run alone, the same convs favour the matmul route. No
+per-conv count sees the heap's state. Recalibrate on other hardware with
+that script.
+"""
+
+
+@dataclass(frozen=True)
+class KernelWork:
+    """The work one convolution kernel does, by kind."""
+
+    gemm: int = 0  # multiplies inside BLAS products
+    small: int = 0  # Winograd transform products of one small matrix each
+    moved: int = 0  # elements written by fills, copies and element-wise passes
+    shuffled: int = 0  # elements re-laid in runs of one 4-lane block or tile
+    calls: int = 0  # NumPy calls, each with the Python around it
+
+    def __add__(self, other: "KernelWork") -> "KernelWork":
+        return KernelWork(self.gemm + other.gemm, self.small + other.small,
+                          self.moved + other.moved,
+                          self.shuffled + other.shuffled,
+                          self.calls + other.calls)
+
+    def cost(self) -> float:
+        """The work in BLAS multiplies, under the calibrated weights."""
+        return (self.gemm + SMALL_PRODUCT_COST * self.small
+                + MOVE_COST * self.moved + SHUFFLE_COST * self.shuffled
+                + CALL_COST * self.calls)
 
 
 def strassen_should_recurse(d: MatDims, add_cost: float = 1) -> bool:
@@ -109,8 +170,12 @@ def strassen_should_recurse(d: MatDims, add_cost: float = 1) -> bool:
         return False
     n2, k2, m2 = (d.n + 1) // 2, (d.k + 1) // 2, (d.m + 1) // 2
     saved = (2 * n2) * (2 * k2) * (2 * m2) - 7 * n2 * k2 * m2
-    added = 4 * m2 * k2 + 4 * n2 * k2 + 7 * m2 * n2
-    return saved > add_cost * added
+    return saved > add_cost * _split_additions(n2, k2, m2)
+
+
+def _split_additions(n2: int, k2: int, m2: int) -> int:
+    """Counted additions of one Strassen split into n2 x k2 x m2 halves."""
+    return 4 * m2 * k2 + 4 * n2 * k2 + 7 * m2 * n2
 
 
 def strassen_recursion_depth(d: MatDims, add_cost: float = 1) -> int:
@@ -129,6 +194,17 @@ def _strassen_level_dims(d: MatDims) -> list[tuple[int, int, int]]:
         n, k, m = dims[-1]
         dims.append(((n + 1) // 2, (k + 1) // 2, (m + 1) // 2))
     return dims
+
+
+def strassen_work(d: MatDims) -> int:
+    """Work of matmul_strassen on d in BLAS multiplies: the leaf products'
+    multiplies plus every level's counted additions, each weighed ADD_COST."""
+    dims = _strassen_level_dims(d)
+    work = 0
+    for lvl, (n, k, m) in enumerate(dims[1:]):
+        work += 7 ** lvl * ADD_COST * _split_additions(n, k, m)
+    n, k, m = dims[-1]
+    return work + 7 ** (len(dims) - 1) * n * k * m
 
 
 def strassen_scratch_elems(d: MatDims) -> int:
@@ -318,6 +394,49 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     else:
         _conv_grouped(x, w, p, bias, y, oh, ow)
     return y
+
+
+def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
+    """The work conv_sliding does on n images of h x w, counted from its code."""
+    oh, ow = p.out_size(h, w)
+    pix, taps = oh * ow, p.kh * p.kw
+    cpad = channel_blocks(p.in_c) * LANES
+    opad = channel_blocks(p.out_c) * LANES
+    out = n * opad * pix
+    if out == 0:
+        return KernelWork(calls=3)
+    padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
+    # zero-filled output and padded input, the input copied in, the
+    # output's bias and ReLU passes
+    common = out * (2 + p.relu) + padded + n * cpad * h * w
+    if p.group == 1:
+        # a 1x1 window over the unpadded image is the image itself: no copy
+        whole = (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) \
+            == (1, 1, 1, 1, 0, 0)
+        window = 0 if whole else pix * cpad
+        # per tap a window copy, a GEMM product and (after the first) its
+        # sum; the input's NHWC re-layout, packed weights, the NC4HW4 store
+        return KernelWork(
+            gemm=n * taps * pix * cpad * opad,
+            moved=(common + n * taps * window + n * (2 * taps - 1) * pix * opad
+                   + 2 * taps * cpad * opad),
+            shuffled=n * cpad * h * w + out,
+            calls=12 + n * (4 + 4 * taps))
+    if p.group == p.in_c == p.out_c:
+        # per tap a multiply into the product buffer, then its sum
+        return KernelWork(
+            moved=common + cpad * taps * (ow + 1) + 2 * n * taps * pix * cpad,
+            calls=12 + n * (4 + 2 * taps))
+    # grouped: each group runs densely between NCHW round trips
+    icg, ocg = p.in_c // p.group, p.out_c // p.group
+    sub = ConvParams(p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w,
+                     icg, ocg)
+    work = KernelWork(moved=n * p.in_c * h * w + out * (5 + p.relu), calls=8)
+    for _ in range(p.group):
+        work += sliding_work(sub, n, h, w) + KernelWork(
+            moved=2 * n * channel_blocks(icg) * LANES * h * w + 2 * n * ocg * pix,
+            calls=6)
+    return work
 
 
 def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams,

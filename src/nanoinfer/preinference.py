@@ -7,24 +7,34 @@ one pre-sized pool per backend.  The pool holds what the kernels read and
 write in place: activations, transfer copies and Strassen's scratch.  Conv
 and pool kernels, and the layout round trips of MatMul, Softmax and Reshape,
 still take their temporaries from the heap.
+
+Each conv runs the scheme of least scheme_cost among conv_schemes: the work
+its kernel does, counted by scheme_work and weighed in BLAS multiplies by
+the constants next to kernels.ADD_COST.  Backend selection bills a conv at
+that cost and any other op at its multiply count, through op_cost.  The
+plan keeps every candidate's estimate, for dump-plan and the debug log.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import GraphValidationError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
-    ConvParams, MatDims, strassen_scratch_elems,
+    ConvParams, KernelWork, MatDims, sliding_work, strassen_scratch_elems,
+    strassen_work,
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
-    DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, WeightCache, choose_tile,
-    generate_transforms, weight_transform, winograd_supported,
+    DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, WeightCache,
+    generate_transforms, weight_transform, winograd_supported, winograd_work,
 )
+
+log = logging.getLogger("nanoinfer")
 
 CPU_FLOPS = 2e9  # default capability when no frequency table is available
 UNKNOWN_GPU_FLOPS = 4e9  # unlisted GPUs are assumed faster than CPU
@@ -141,8 +151,7 @@ def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
     """Every scheme the backends can run a conv with, sliding window first.
 
     A 1x1 conv with stride 1, no padding and one group is a matrix product;
-    a Winograd-eligible conv may run any tile above 1 whose transform fits
-    MAX_ALPHA (tile 1 is the tile chooser's sliding window).
+    a Winograd-eligible conv may run any tile whose transform fits MAX_ALPHA.
     """
     schemes = [SchemeChoice(SchemeKind.SLIDING_WINDOW)]
     if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w, p.group) \
@@ -150,33 +159,74 @@ def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
         schemes.append(SchemeChoice(SchemeKind.MATMUL_STRASSEN))
     if winograd_supported(p):
         schemes += [SchemeChoice(SchemeKind.WINOGRAD, tile=t)
-                    for t in TILE_CANDIDATES
-                    if t > 1 and t + p.kh - 1 <= MAX_ALPHA]
+                    for t in TILE_CANDIDATES if t + p.kh - 1 <= MAX_ALPHA]
     return schemes
 
 
-def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
-    """The planned scheme: matmul when it can run, else the tile chooser's
-    pick among sliding window and the Winograd tiles."""
+def _matmul_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
+    """The work of the 1x1 matmul route: the NCHW unpack, one product per
+    image copied out, bias and ReLU, then pack_nc4hw4's zero-filled padded
+    copy and its NC4HW4 re-layout."""
+    pix = h * w
+    cpad = channel_blocks(p.in_c) * LANES
+    opad = channel_blocks(p.out_c) * LANES
+    unpacked = n * cpad * pix + (n * p.in_c * pix if p.in_c % LANES else 0)
+    return KernelWork(
+        gemm=n * strassen_work(MatDims(p.out_c, p.in_c, pix)),
+        moved=unpacked + n * p.out_c * pix * (4 + p.relu) + n * opad * pix,
+        shuffled=n * opad * pix,
+        calls=14 + 7 * n)
+
+
+def scheme_work(p: ConvParams, scheme: SchemeChoice,
+                in_dims: tuple[int, ...]) -> KernelWork:
+    """The work of the kernel running `scheme` on an input of in_dims,
+    including the execution's copy of the result into its pool view."""
+    n, _, h, w = in_dims
+    if scheme.kind is SchemeKind.WINOGRAD:
+        work = winograd_work(p, scheme.tile, n, h, w)
+    elif scheme.kind is SchemeKind.MATMUL_STRASSEN:
+        work = _matmul_work(p, n, h, w)
+    else:
+        work = sliding_work(p, n, h, w)
+    oh, ow = p.out_size(h, w)
+    return work + KernelWork(
+        moved=n * channel_blocks(p.out_c) * LANES * oh * ow, calls=2)
+
+
+def scheme_cost(p: ConvParams, scheme: SchemeChoice,
+                in_dims: tuple[int, ...]) -> float:
+    """Work of one conv under one scheme, in BLAS multiplies."""
+    return scheme_work(p, scheme, in_dims).cost()
+
+
+def scheme_costs(node: OpNode,
+                 shapes: dict[str, Shape]) -> dict[SchemeChoice, float]:
+    """scheme_cost of every runnable scheme of a conv, in conv_schemes order."""
     p = _conv_params(node)
-    schemes = conv_schemes(p)
-    matmul = SchemeChoice(SchemeKind.MATMUL_STRASSEN)
-    if matmul in schemes:
-        return matmul
-    if len(schemes) == 1:
-        return schemes[0]
-    _, _, oh, ow = shapes[node.outputs[0]].dims
-    n_hat = choose_tile(p.kh, p.in_c, p.out_c, ow, oh)
-    if n_hat == 1:
-        return SchemeChoice(SchemeKind.SLIDING_WINDOW)
-    return SchemeChoice(SchemeKind.WINOGRAD, tile=n_hat)
+    dims = shapes[node.inputs[0]].dims
+    return {s: scheme_cost(p, s, dims) for s in conv_schemes(p)}
+
+
+def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
+    """The planned scheme: the cheapest by scheme_cost; ties go to the
+    earlier scheme in conv_schemes, so to sliding window first."""
+    costs = scheme_costs(node, shapes)
+    return min(costs, key=costs.get)
 
 
 def select_schemes(g: Graph) -> dict[str, SchemeChoice]:
-    """Scheme per Conv2D node: k = 1 goes to Strassen matmul, otherwise the
-    tile chooser decides between sliding window and Winograd."""
+    """Scheme per Conv2D node, each the argmin of its scheme costs."""
     return {node.id: select_scheme_for(node, g.tensor_shapes)
             for node in g.nodes if node.kind is OpKind.CONV2D}
+
+
+def op_work(node: OpNode, shapes: dict[str, Shape],
+            scheme: SchemeChoice | None) -> float:
+    """Work one op is billed at: a conv's planned scheme cost, else mul_count."""
+    if scheme is None:
+        return mul_count(node, shapes)
+    return scheme_cost(_conv_params(node), scheme, shapes[node.inputs[0]].dims)
 
 
 @dataclass(frozen=True)
@@ -199,22 +249,29 @@ class BackendPlan:
     total_cost_ms: float
 
 
-def plan_for_candidate(g: Graph, candidate: BackendSpec,
-                       cpu: BackendSpec) -> BackendPlan:
+def plan_for_candidate(g: Graph, candidate: BackendSpec, cpu: BackendSpec,
+                       schemes: dict[str, SchemeChoice] | None = None
+                       ) -> BackendPlan:
+    """Every op on the candidate, or on CPU where the candidate lacks it,
+    each billed at op_work under the planned schemes."""
+    if schemes is None:
+        schemes = select_schemes(g)
     assignment = {}
     costs = {}
     total = 0.0
     for node in g.nodes:
         target = candidate if candidate.supports(node.kind) else cpu
-        mul = mul_count(node, g.tensor_shapes)
-        cost = op_cost(mul, target.cost)
+        work = op_work(node, g.tensor_shapes, schemes.get(node.id))
+        cost = op_cost(work, target.cost)
         assignment[node.id] = target.name
         costs[node.id] = cost
         total += cost
     return BackendPlan(candidate.name, assignment, costs, total)
 
 
-def select_backend(g: Graph, backends: list[BackendSpec]) -> BackendPlan:
+def select_backend(g: Graph, backends: list[BackendSpec],
+                   schemes: dict[str, SchemeChoice] | None = None
+                   ) -> BackendPlan:
     """Minimal-total-cost plan over candidate backends with CPU fallback.
 
     Each candidate plan sums per-op cost, billing ops it cannot run at CPU
@@ -223,9 +280,11 @@ def select_backend(g: Graph, backends: list[BackendSpec]) -> BackendPlan:
     cpu = backends[0]
     if cpu.supported is not None:
         raise GraphValidationError("first backend must be CPU supporting all ops")
-    best = plan_for_candidate(g, cpu, cpu)
+    if schemes is None:
+        schemes = select_schemes(g)
+    best = plan_for_candidate(g, cpu, cpu, schemes)
     for candidate in backends[1:]:
-        plan = plan_for_candidate(g, candidate, cpu)
+        plan = plan_for_candidate(g, candidate, cpu, schemes)
         if plan.total_cost_ms < best.total_cost_ms:
             best = plan
     return best
@@ -347,6 +406,7 @@ class ExecutionPlan:
     op_costs: dict[str, float]
     total_cost_ms: float
     muls: dict[str, int]
+    candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
     memory: dict[str, MemoryPlan]  # backend name -> plan over "tid@backend"
     weight_cache: WeightCache  # (node id, tile) -> transformed weights
     spacing: float
@@ -370,6 +430,7 @@ class ExecutionPlan:
                     "backend": step.backend,
                     "mul": self.muls[node.id],
                     "cost_ms": self.op_costs[node.id],
+                    "candidates": self.candidates.get(node.id),
                 })
         return {
             "ops": ops,
@@ -472,15 +533,29 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     if not g.tensor_shapes:
         g = infer_shapes(g)
     schemes = select_schemes(g)
+    by_name = {b.name: b for b in backends}
     if force_backend is None:
-        backend_plan = select_backend(g, backends)
+        backend_plan = select_backend(g, backends, schemes)
     else:
-        by_name = {b.name: b for b in backends}
         backend_plan = plan_for_candidate(g, by_name[force_backend],
-                                          backends[0])
+                                          backends[0], schemes)
     steps = build_steps(g, backend_plan.assignment, schemes, backends[0].name)
     memory = plan_memory(g, steps=steps, cpu_name=backends[0].name)
     muls = {node.id: mul_count(node, g.tensor_shapes) for node in g.nodes}
+
+    # every candidate's estimate on the backend the conv runs on
+    candidates = {}
+    for node in g.nodes:
+        if node.id not in schemes:
+            continue
+        model = by_name[backend_plan.assignment[node.id]].cost
+        est = {s.label(): op_cost(cost, model)
+               for s, cost in scheme_costs(node, g.tensor_shapes).items()}
+        candidates[node.id] = est
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("plan %s: %s (%s)", node.id, schemes[node.id].label(),
+                      ", ".join(f"{label} {ms:.4f} ms"
+                                for label, ms in est.items()))
 
     cache = WeightCache()
     for node in g.nodes:
@@ -498,6 +573,7 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         op_costs=backend_plan.op_costs,
         total_cost_ms=backend_plan.total_cost_ms,
         muls=muls,
+        candidates=candidates,
         memory=memory,
         weight_cache=cache,
         spacing=spacing,

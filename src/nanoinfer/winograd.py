@@ -26,11 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
-from .kernels import LANES, ConvParams, _padded_bias
+from .kernels import LANES, ConvParams, KernelWork, _padded_bias
 from .tensor import Layout, Tensor, channel_blocks, zeros
 
 MAX_ALPHA = 10  # accuracy guard: larger transforms are routed to sliding window
-TILE_CANDIDATES = (1, 2, 4, 6)
+TILE_CANDIDATES = (2, 4, 6)
 DEFAULT_SPACING = 0.5
 
 
@@ -154,31 +154,41 @@ def generate_transforms(n: int, k: int, f: float = DEFAULT_SPACING) -> WinogradT
     return t
 
 
-def tile_arithmetic_cost(n: int, k: int, in_c: int, out_c: int) -> int:
-    """Multiply count of one n x n output tile at the given channel widths."""
-    alpha = n + k - 1
-    return (2 * in_c * alpha ** 3
-            + in_c * out_c * alpha ** 2
-            + n * alpha * (2 * n + k - 1))
+def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
+                  w: int) -> KernelWork:
+    """The work conv_winograd does at output tile n_tile on n images of h x w.
 
-
-def choose_tile(k: int, in_c: int, out_c: int, out_w: int, out_h: int) -> int:
-    """Output tile size minimizing per-pixel cost; ties go to the smaller tile.
-
-    The raw tile cost grows with n, so candidates are compared per output
-    element (cost / n^2); minimizing the raw cost would always pick n = 1
-    and disable the fast path entirely.
+    Counted from its code, over every padded tile: ceil(oh/n)*ceil(ow/n)
+    tiles per image, not oh*ow/n^2.  Each tile and input channel lane takes
+    two alpha x alpha transform products, each output lane two more.
     """
-    if k <= 1:
-        raise ShapeMismatchError("choose_tile applies to kernels with k > 1")
-    best_n, best_cost = 1, None
-    for n in TILE_CANDIDATES:
-        if n + k - 1 > MAX_ALPHA:
-            continue
-        per_pixel = Fraction(tile_arithmetic_cost(n, k, in_c, out_c), n * n)
-        if best_cost is None or per_pixel < best_cost:
-            best_n, best_cost = n, per_pixel
-    return best_n
+    alpha = n_tile + p.kh - 1
+    oh, ow = p.out_size(h, w)
+    tiles_h, tiles_w = -(-oh // n_tile), -(-ow // n_tile)
+    tiles = n * tiles_h * tiles_w
+    cpad = channel_blocks(p.in_c) * LANES
+    opad = channel_blocks(p.out_c) * LANES
+    out = n * opad * oh * ow
+    if out == 0:
+        return KernelWork(calls=3)
+    a2 = alpha * alpha
+    padded = n * cpad * ((tiles_h - 1) * n_tile + alpha) \
+        * ((tiles_w - 1) * n_tile + alpha)
+    batches = -(-tiles // max(oh * ow // (n_tile * n_tile), 1))
+    return KernelWork(
+        gemm=a2 * cpad * opad * tiles,
+        small=2 * tiles * (cpad + opad),
+        # zero-filled output and padded input, the input copied in; both
+        # input transform products; the GEMM's product and both output
+        # transform products; the crop of the tiled output, bias and ReLU
+        moved=(padded + n * cpad * h * w + 2 * tiles * cpad * a2
+               + tiles * opad * (a2 + n_tile * alpha + n_tile * n_tile)
+               + out * (3 + p.relu)),
+        # the patches, the re-layouts of the transformed input and of the
+        # GEMM's product, and the scatter of output tiles
+        shuffled=tiles * (2 * cpad * a2 + opad * a2 + opad * n_tile * n_tile),
+        # sliding_window_view alone takes as long as about 15 calls
+        calls=50 + 14 * batches)
 
 
 def make_tile_schedule(n_hat: int, batch: int, out_h: int, out_w: int) -> TileSchedule:

@@ -7,6 +7,24 @@ def rng():
     return np.random.default_rng(20240117)
 
 
+@pytest.fixture
+def winograd_planned(monkeypatch):
+    """Make pre_infer plan every conv that can run Winograd at tile 6,
+    whatever its cost, to exercise the planned Winograd pipeline."""
+    import nanoinfer.preinference as pre
+
+    tile6 = pre.SchemeChoice(pre.SchemeKind.WINOGRAD, 6)
+    cheapest = pre.select_scheme_for
+
+    def select(node, shapes):
+        if tile6 in pre.conv_schemes(pre._conv_params(node)):
+            return tile6
+        return cheapest(node, shapes)
+
+    monkeypatch.setattr(pre, "select_scheme_for", select)
+    return tile6
+
+
 def conv2d_reference(x, w, stride=(1, 1), pad=(0, 0), group=1, bias=None,
                      relu=False):
     """Naive NCHW convolution oracle: explicit loops over output pixels.

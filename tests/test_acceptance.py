@@ -19,15 +19,14 @@ from nanoinfer.kernels import (
     strassen_should_recurse,
 )
 from nanoinfer.preinference import (
-    BackendSpec, CostModel, gpu_cost_model, op_cost, plan_for_candidate,
-    pre_infer, select_backend, select_schemes, SchemeKind,
+    BackendSpec, CostModel, _conv_params, conv_schemes, gpu_cost_model,
+    op_cost, plan_for_candidate, pre_infer, scheme_cost, select_backend,
+    select_schemes,
 )
 from nanoinfer.presets import build_preset
 from nanoinfer.simbackend import SimBackend
 from nanoinfer.tensor import from_nchw, pack_nc4hw4, unpack_nc4hw4
-from nanoinfer.winograd import (
-    choose_tile, conv_winograd, generate_transforms, tile_arithmetic_cost,
-)
+from nanoinfer.winograd import conv_winograd, generate_transforms
 
 
 def report(num, ok, detail):
@@ -365,7 +364,6 @@ def test_criterion_9_no_bottleneck_coverage():
         if node.kind is not OpKind.CONV2D:
             continue
         kernels_seen.add(tuple(node.attrs["kernel"]))
-        from nanoinfer.preinference import _conv_params
         p = _conv_params(node)
         x_in = values[node.inputs[0]]
         want = unpack_nc4hw4(
@@ -391,24 +389,21 @@ def test_criterion_10_argmin_consistency():
         oc = int(rng.integers(1, 65))
         ow = int(rng.integers(1, 65))
         oh = int(rng.integers(1, 65))
-        got = choose_tile(k, ic, oc, ow, oh)
-        cands = [n for n in (1, 2, 4, 6) if n + k - 1 <= 10]
-        best = min(cands, key=lambda n: (tile_arithmetic_cost(n, k, ic, oc) / n ** 2, n))
-        ok &= got == best
-
-        # scheme routing consistent with the selection rule
         b = GraphBuilder((1, max(ic, 0), oh + k - 1, ow + k - 1), seed=1)
         if ic >= 1:
             b.conv(kernel=k, out_c=oc, bias=False)
             g = b.build()
-            scheme = select_schemes(g)[g.nodes[0].id]
-            n_hat = choose_tile(k, ic, oc,
-                                *g.tensor_shapes[g.outputs[0]].dims[2:][::-1])
-            if n_hat == 1:
-                ok &= scheme.kind is SchemeKind.SLIDING_WINDOW
-            else:
-                ok &= scheme.kind is SchemeKind.WINOGRAD and scheme.tile == n_hat
+            node = g.nodes[0]
+            p = _conv_params(node)
+            dims = g.tensor_shapes[node.inputs[0]].dims
+            # brute force: the first scheme of least cost over the list
+            best, best_cost = None, None
+            for scheme in conv_schemes(p):
+                cost = scheme_cost(p, scheme, dims)
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = scheme, cost
+            ok &= select_schemes(g)[node.id] == best
         checked += 1
     report(10, ok and checked == 500,
-           f"choose_tile and select_schemes equal brute-force argmin on "
-           f"{checked} grid points")
+           f"select_schemes equals the brute-force argmin of scheme_cost "
+           f"over conv_schemes on {checked} grid points")

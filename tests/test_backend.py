@@ -73,7 +73,7 @@ class TestBuffers:
 
 
 class TestExecutions:
-    def test_winograd_instance_holds_cached_weights(self):
+    def test_winograd_instance_holds_cached_weights(self, winograd_planned):
         b = GraphBuilder((1, 16, 16, 16), seed=0)
         b.conv(kernel=3, pad=1, out_c=16)
         g = b.build()
@@ -119,7 +119,7 @@ class TestExecutions:
         execution.run([xin], [buf2])
         assert np.array_equal(buf1, buf2)
 
-    def test_unplanned_winograd_tiles_match_sliding(self):
+    def test_unplanned_winograd_tiles_match_sliding(self, winograd_planned):
         # executions for tiles the planner did not choose read their own
         # weight transform, not the planned tile's
         b = GraphBuilder((1, 16, 16, 16), seed=0)

@@ -161,6 +161,34 @@ class TestRun:
                           "--format", "json")
         assert code == 0
 
+    def test_debug_log_shows_each_decision(self, model_path, capsys, caplog):
+        # one line per conv: the chosen scheme, then every candidate
+        with caplog.at_level("DEBUG", logger="nanoinfer"):
+            code, out = run_cli(capsys, "dump-plan", "--model", model_path)
+        assert code == 0
+        plan = json.loads(out)
+        convs = [op for op in plan["ops"] if op["kind"] == "Conv2D"]
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("plan ")]
+        assert len(lines) == len(convs)
+        for op, line in zip(convs, lines):
+            assert line.startswith(f"plan {op['id']}: {op['scheme']} (")
+            for label in op["candidates"]:
+                assert f"{label} " in line
+
+    def test_unknown_activation_reported(self, model_path, tmp_path, capsys):
+        data = open(model_path, "rb").read()
+        # same length, so the header's byte count still holds
+        bad = tmp_path / "tanh.ninf"
+        bad.write_bytes(data.replace(b'"activation":"none"',
+                                     b'"activation":"tanh"', 1))
+        code = main(["run", "--model", str(bad), "--runs", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: node ")
+        assert "activation 'tanh'" in captured.err
+        assert captured.out == ""
+
 
 class TestCompare:
     def test_deviation_within_tolerance(self, model_path, capsys):
@@ -178,6 +206,8 @@ class TestCompare:
             assert row["chosen"] in row["timings_ms"]
 
     def test_k1_layers_choose_matmul(self, tmp_path, capsys):
+        # where its estimate is the lowest, and every candidate is timed
+        # and estimated
         path = tmp_path / "sq.ninf"
         main(["gen", "squeezenet-mini", str(path)])
         capsys.readouterr()
@@ -188,10 +218,17 @@ class TestCompare:
         g = load_model(path.read_bytes())
         k1_layers = {n.id for n in g.nodes if n.kind is OpKind.CONV2D
                      and tuple(n.attrs["kernel"]) == (1, 1)}
+        chosen = set()
         for row in payload["layers"]:
+            est = row["estimates_ms"]
+            assert set(est) == set(row["timings_ms"])
+            assert row["chosen"] == min(est, key=est.get)
+            assert row["fastest"] == min(row["timings_ms"],
+                                         key=row["timings_ms"].get)
             if row["layer"] in k1_layers:
-                assert row["chosen"] == "matmul"
                 assert "matmul" in row["timings_ms"]
+                chosen.add(row["chosen"])
+        assert "matmul" in chosen
 
 
 class TestWinogradDump:
@@ -215,8 +252,15 @@ class TestDumpPlan:
         assert set(plan) == {"ops", "transfers", "pool_size", "total_cost_ms"}
         for op in plan["ops"]:
             assert set(op) == {"id", "kind", "scheme", "backend", "mul",
-                               "cost_ms"}
+                               "cost_ms", "candidates"}
             assert op["mul"] >= 0 and op["cost_ms"] >= 0
+            if op["kind"] == "Conv2D":
+                # the planned scheme is the cheapest candidate, billed as such
+                est = op["candidates"]
+                assert op["scheme"] == min(est, key=est.get)
+                assert op["cost_ms"] == pytest.approx(est[op["scheme"]])
+            else:
+                assert op["candidates"] is None
         assert plan["pool_size"] > 0
 
     def test_schema_stable_across_runs(self, model_path, capsys):

@@ -120,6 +120,7 @@ class TestAttrValidation:
         ("flat", {"shape": None}, "needs attr 'shape'"),
         ("fc", {"in_features": None}, "needs attr 'in_features'"),
         ("fc", {"out_features": None}, "needs attr 'out_features'"),
+        ("conv", {"activation": "sigmoid"}, "conv activation 'sigmoid'"),
     ])
     def test_malformed_attr_names_node(self, node, changes, message):
         data = edit_attrs(layered_model(), node, **changes)
@@ -131,6 +132,8 @@ class TestAttrValidation:
     def test_well_formed_model_loads(self):
         g = load_model(edit_attrs(layered_model(), "pool", mode="avg"))
         assert g.nodes[1].attrs["mode"] == "avg"
+        g = load_model(edit_attrs(layered_model(), "conv", activation="relu"))
+        assert g.nodes[0].attrs["activation"] == "relu"
 
     def test_builder_rejects_unknown_pool_mode(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)

@@ -5,11 +5,11 @@ from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
     T_SCHEDULE_VULKAN_MS, _conv_params, conv_schemes, gpu_cost_model,
-    mul_count, op_cost, packed_bytes, plan_for_candidate, plan_intervals,
-    plan_memory, pre_infer, select_backend, select_scheme_for, select_schemes,
+    SchemeChoice, mul_count, op_cost, op_work, packed_bytes,
+    plan_for_candidate, plan_intervals, plan_memory, pre_infer, scheme_cost,
+    scheme_costs, select_backend, select_scheme_for, select_schemes,
 )
 from nanoinfer.presets import PRESETS, build_preset
-from nanoinfer.winograd import choose_tile
 
 CPU = BackendSpec("cpu", CostModel(flops=2e9))
 
@@ -95,9 +95,11 @@ class TestSelectBackend:
         gpu = BackendSpec("gpu", gpu_cost_model("Adreno (TM) 540", "vulkan"))
         plan = select_backend(g, [CPU, gpu])
         assert plan.candidate == "gpu"
-        mul = mul_count(g.nodes[0], g.tensor_shapes)
-        assert plan.total_cost_ms == pytest.approx(op_cost(mul, gpu.cost))
-        assert op_cost(mul, gpu.cost) < op_cost(mul, CPU.cost)
+        node = g.nodes[0]
+        work = op_work(node, g.tensor_shapes,
+                       select_scheme_for(node, g.tensor_shapes))
+        assert plan.total_cost_ms == pytest.approx(op_cost(work, gpu.cost))
+        assert op_cost(work, gpu.cost) < op_cost(work, CPU.cost)
 
     def test_unsupporting_gpu_equals_cpu_plan(self):
         g = tiny_chain(5)
@@ -123,13 +125,18 @@ class TestSelectBackend:
                     supported=support,
                 ))
             got = select_backend(g, backends)
-            # independent enumeration of every candidate plan
+            # independent enumeration of every candidate plan; a conv is
+            # billed at its cheapest scheme's cost, any other op at its
+            # multiply count
             totals = {}
             for cand in backends:
                 total = 0.0
                 for node in g.nodes:
                     spec = cand if cand.supports(node.kind) else CPU
-                    total += op_cost(mul_count(node, g.tensor_shapes), spec.cost)
+                    work = (min(scheme_costs(node, g.tensor_shapes).values())
+                            if node.kind is OpKind.CONV2D
+                            else mul_count(node, g.tensor_shapes))
+                    total += op_cost(work, spec.cost)
                 totals[cand.name] = total
             best = min(totals.values())
             assert got.total_cost_ms == pytest.approx(best)
@@ -168,20 +175,32 @@ def build_random_graph(rng, max_nodes=12, seed=None):
 
 class TestSelectSchemes:
     def test_k1_routes_to_matmul(self):
-        b = GraphBuilder((1, 8, 8, 8), seed=0)
-        b.conv(kernel=1, out_c=4)
-        g = b.build()
-        schemes = select_schemes(g)
-        assert schemes[g.nodes[0].id].kind is SchemeKind.MATMUL_STRASSEN
+        # at 32x32 the matmul route costs less than sliding window; on a
+        # tiny map its extra calls cost more
+        for size, want in ((32, SchemeKind.MATMUL_STRASSEN),
+                           (4, SchemeKind.SLIDING_WINDOW)):
+            b = GraphBuilder((1, 16, size, size), seed=0)
+            b.conv(kernel=1, out_c=16)
+            g = b.build()
+            node = g.nodes[0]
+            costs = scheme_costs(node, g.tensor_shapes)
+            assert SchemeChoice(SchemeKind.MATMUL_STRASSEN) in costs
+            assert select_schemes(g)[node.id].kind is want, size
 
     def test_k3_wide_uses_winograd_tile(self):
+        # every Winograd tile is a candidate; the planned scheme is the
+        # cost argmin, which need not be one of them
         b = GraphBuilder((1, 64, 32, 32), seed=0)
         b.conv(kernel=3, pad=1, out_c=64)
         g = b.build()
-        schemes = select_schemes(g)
-        choice = schemes[g.nodes[0].id]
-        assert choice.kind is SchemeKind.WINOGRAD
-        assert choice.tile == choose_tile(3, 64, 64, 32, 32)
+        node = g.nodes[0]
+        costs = scheme_costs(node, g.tensor_shapes)
+        assert {s.tile for s in costs if s.kind is SchemeKind.WINOGRAD} \
+            == {2, 4, 6}
+        choice = select_schemes(g)[node.id]
+        assert choice == min(costs, key=costs.get)
+        assert costs[choice] == scheme_cost(
+            _conv_params(node), choice, g.tensor_shapes[node.inputs[0]].dims)
 
     def test_zero_channels_k2_falls_back_to_sliding(self):
         b = GraphBuilder((1, 0, 8, 8), seed=0)
@@ -210,6 +229,17 @@ class TestSelectSchemes:
             if node.kind is OpKind.CONV2D:
                 assert select_scheme_for(node, g.tensor_shapes) \
                     in conv_schemes(_conv_params(node)), node.id
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_cpu_flops_leave_schemes_unchanged(self, preset):
+        # the flops constant scales every scheme's cost alike
+        g = fuse(build_preset(preset))
+        slow = pre_infer(g, [CPU])
+        fast = pre_infer(g, [BackendSpec("cpu", CostModel(flops=2e10))])
+        assert fast.schemes == slow.schemes
+        for nid, est in slow.candidates.items():
+            assert fast.candidates[nid] == pytest.approx(
+                {label: ms / 10 for label, ms in est.items()})
 
     def test_stride_and_nonsquare_fall_back(self):
         b = GraphBuilder((1, 8, 16, 16), seed=0)
@@ -300,8 +330,25 @@ class TestPreInfer:
         g = build_preset_graph()
         plan = pre_infer(g, [CPU])
         assert plan.total_cost_ms == pytest.approx(sum(plan.op_costs.values()))
-        recomputed = sum(op_cost(plan.muls[n.id], CPU.cost) for n in g.nodes)
+        recomputed = sum(op_cost(op_work(n, g.tensor_shapes,
+                                         plan.schemes.get(n.id)), CPU.cost)
+                         for n in g.nodes)
         assert plan.total_cost_ms == pytest.approx(recomputed)
+
+    def test_winograd_conv_billed_at_its_scheme_cost(self, winograd_planned):
+        b = GraphBuilder((1, 16, 16, 16), seed=0)
+        b.conv(kernel=3, pad=1, out_c=16)
+        g = b.build()
+        plan = pre_infer(g, [CPU])
+        node = g.nodes[0]
+        assert plan.schemes[node.id] == winograd_planned
+        work = scheme_cost(_conv_params(node), winograd_planned,
+                           g.tensor_shapes[node.inputs[0]].dims)
+        assert plan.op_costs[node.id] == pytest.approx(op_cost(work, CPU.cost))
+        assert plan.op_costs[node.id] != pytest.approx(
+            op_cost(plan.muls[node.id], CPU.cost))
+        assert plan.muls[node.id] == mul_count(node, g.tensor_shapes)
+        assert plan.candidates[node.id]["winograd6"] == plan.op_costs[node.id]
 
     def test_single_op_pool_is_output_plus_scratch(self, monkeypatch):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
@@ -338,7 +385,7 @@ class TestPreInfer:
         assert mem.pool_size == packed_bytes(
             g.tensor_shapes[g.outputs[0]]) + mem.sizes[scratch_id]
 
-    def test_winograd_weights_pretransformed(self):
+    def test_winograd_weights_pretransformed(self, winograd_planned):
         b = GraphBuilder((1, 16, 16, 16), seed=0)
         b.conv(kernel=3, pad=1, out_c=16)
         g = b.build()

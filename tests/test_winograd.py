@@ -6,8 +6,8 @@ from nanoinfer.errors import ShapeMismatchError, UnsupportedSizeError
 from nanoinfer.kernels import ConvParams, conv_sliding
 from nanoinfer.tensor import channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4
 from nanoinfer.winograd import (
-    WeightCache, choose_tile, conv_winograd, generate_transforms,
-    make_tile_schedule, tile_arithmetic_cost, weight_transform,
+    WeightCache, conv_winograd, generate_transforms, make_tile_schedule,
+    weight_transform, winograd_work,
 )
 
 
@@ -110,36 +110,61 @@ class TestGenerator:
         assert generate_transforms(2, 3, 0.5) is generate_transforms(2, 3, 0.5)
 
 
+def planned_scheme(c, o, size, k):
+    from nanoinfer.graph import GraphBuilder
+    from nanoinfer.preinference import scheme_costs, select_schemes
+
+    b = GraphBuilder((1, c, size, size), seed=0)
+    b.conv(kernel=k, pad=k // 2, out_c=o, bias=False)
+    g = b.build()
+    return (select_schemes(g)[g.nodes[0].id],
+            scheme_costs(g.nodes[0], g.tensor_shapes))
+
+
 class TestChooseTile:
+    """A tile is chosen like any scheme: as the argmin of scheme_cost."""
+
     def test_k3_wide_channels(self):
-        # per-pixel costs at k=3, c=64: C(2)/4 = 18444, C(4)/16, C(6)/36
-        assert tile_arithmetic_cost(2, 3, 64, 64) == 73_776
-        n_hat = choose_tile(3, 64, 64, 112, 112)
-        assert n_hat in (4, 6)
-        per_pixel = {n: tile_arithmetic_cost(n, 3, 64, 64) / n ** 2
-                     for n in (1, 2, 4, 6)}
-        assert per_pixel[n_hat] == min(per_pixel.values())
+        # 112 = 18 * 6 + 4: tile 6 computes 19 x 19 tiles, with the
+        # padding waste counted; tile 4 fits exactly 28 x 28
+        p = ConvParams.square(3, pad=1, in_c=64, out_c=64)
+        w6, w4 = winograd_work(p, 6, 1, 112, 112), winograd_work(p, 4, 1, 112, 112)
+        assert w6.gemm == 8 * 8 * 64 * 64 * 19 * 19
+        assert w4.gemm == 6 * 6 * 64 * 64 * 28 * 28
+        assert w6.small == 2 * 19 * 19 * (64 + 64)
+        assert w6.gemm < w4.gemm and w6.small < w4.small
+        choice, costs = planned_scheme(64, 64, 112, 3)
+        assert choice == min(costs, key=costs.get)
+        assert {s.label() for s in costs} >= {"winograd4", "winograd6"}
 
     def test_k2_tiny_channels(self):
-        # C(1) = 26 vs C(2) = 93: per-pixel 26 vs 23.25
-        assert tile_arithmetic_cost(1, 2, 1, 1) == 26
-        assert tile_arithmetic_cost(2, 2, 1, 1) == 93
-        assert choose_tile(2, 1, 1, 8, 8) == 2
+        # one channel pads to a 4-lane block on both sides
+        p = ConvParams.square(2, in_c=1, out_c=1)
+        work = winograd_work(p, 2, 1, 8, 8)
+        assert work.gemm == 3 * 3 * 4 * 4 * 4 * 4
+        assert work.small == 2 * 16 * (4 + 4)
+        choice, costs = planned_scheme(1, 1, 8, 2)
+        assert choice == min(costs, key=costs.get)
 
     def test_zero_input_channels_still_defined(self):
-        n_hat = choose_tile(2, 0, 1, 8, 8)
-        assert n_hat == 1  # only the output-transform term remains
+        choice, costs = planned_scheme(0, 1, 8, 2)
+        assert all(cost >= 0 for cost in costs.values())
+        assert winograd_work(ConvParams.square(2, in_c=0), 2, 1, 8, 8).gemm == 0
+        assert choice == min(costs, key=costs.get)
 
     def test_brute_force_argmin(self, rng):
+        from nanoinfer.preinference import conv_schemes, scheme_cost
+
         for _ in range(100):
             k = int(rng.integers(2, 8))
-            ic = int(rng.integers(0, 65))
+            ic = int(rng.integers(1, 65))
             oc = int(rng.integers(1, 65))
-            n_hat = choose_tile(k, ic, oc, 32, 32)
-            cands = [n for n in (1, 2, 4, 6) if n + k - 1 <= 10]
-            best = min(cands,
-                       key=lambda n: (tile_arithmetic_cost(n, k, ic, oc) / n ** 2, n))
-            assert n_hat == best
+            size = int(rng.integers(k, 40))
+            choice, _ = planned_scheme(ic, oc, size, k)
+            p = ConvParams.square(k, pad=k // 2, in_c=ic, out_c=oc)
+            best = min(conv_schemes(p),
+                       key=lambda s: scheme_cost(p, s, (1, ic, size, size)))
+            assert choice == best
 
 
 class TestTileSchedule:
