@@ -1,10 +1,10 @@
 """nanoinfer: a desk-scale CNN inference engine.
 
-Pre-inference planning picks a convolution algorithm (sliding window,
-runtime-generated Winograd, or Strassen matmul) and a backend per operator
-from an explicit cost model, transforms weights once, and lays out every
-intermediate tensor in a pre-sized memory pool; the execution loop then
-just runs kernels.
+Pre-inference planning picks a convolution algorithm (sliding window or
+runtime-generated Winograd) and a backend per operator from an explicit
+cost model, transforms weights once, and lays out every intermediate
+tensor in a pre-sized memory pool; the execution loop then just runs
+kernels.  MatMul runs Strassen wherever its weighted cutoff pays.
 """
 
 from .backend import CpuBackend, Session, resolve_backend, run_session

@@ -4,9 +4,10 @@ A backend owns a buffer namespace (acquire/release, optionally served from
 a pre-planned pool) and creates reusable execution instances per operator.
 A session binds an ExecutionPlan to concrete pools once, then every
 inference runs the same step list; tensors crossing backends are moved by
-explicit transfer steps.  Activations, transfer copies and Strassen scratch
-are views into the pools; conv and pool kernels, and the layout round trips
-of MatMul, Softmax and Reshape, still allocate their temporaries on the heap.
+explicit transfer steps.  Activations, transfer copies and MatMul's Strassen
+scratch are views into the pools; conv and pool kernels, and the layout round
+trips of MatMul, Softmax and Reshape, still allocate their temporaries on the
+heap.  A conv runs Winograd at its planned tile or sliding window.
 """
 
 from __future__ import annotations
@@ -210,27 +211,6 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
             y = conv_winograd(x, node.weights, p, transform, bias=bias,
                               transformed=transformed)
             _packed_view(outputs[0], out_shape)[:] = y.data
-
-        return Execution(node, run)
-
-    if scheme.kind is SchemeKind.MATMUL_STRASSEN:
-        weights = np.ascontiguousarray(
-            node.weights.reshape(p.out_c, p.in_c), dtype=np.float32)
-
-        def run(inputs, outputs, scratch=None):
-            x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
-            n, c, h, w = x.shape
-            out = np.empty((n, p.out_c, h, w), dtype=np.float32)
-            for img in range(n):
-                prod = matmul_strassen(weights, x[img].reshape(c, h * w),
-                                       scratch=scratch)
-                out[img] = prod.reshape(p.out_c, h, w)
-            if bias is not None:
-                out += bias.reshape(1, p.out_c, 1, 1)
-            if p.relu:
-                np.maximum(out, 0.0, out=out)
-            _packed_view(outputs[0], out_shape)[:] = pack_nc4hw4(
-                from_nchw(out)).data
 
         return Execution(node, run)
 

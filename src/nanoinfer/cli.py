@@ -27,6 +27,10 @@ from .winograd import DEFAULT_SPACING, generate_transforms
 
 log = logging.getLogger("nanoinfer")
 
+# timed runs of each scheme per layer in compare; the median is reported,
+# since one run can catch a BLAS thread stall many times the GEMM's length
+COMPARE_ROUNDS = 7
+
 
 @dataclass
 class BenchReport:
@@ -206,18 +210,25 @@ def cmd_compare(args) -> int:
             continue
         x = values[node.inputs[0]].data.reshape(-1)
         nbytes = packed_bytes(g.tensor_shapes[node.outputs[0]])
-        outs, timings = {}, {}
+        executions, outs = {}, {}
         for scheme in conv_schemes(_conv_params(node)):
             step = OpStep(node, scheme, cpu.name, None)
             execution = cpu.create_execution(step, plan, g.tensor_shapes)
             out = np.zeros(nbytes // 4, dtype=np.float32)
             # the warm-up run caches the weight transform, as pre_infer does
-            # for the planned tile, so the timed run leaves it out
+            # for the planned tile, so the timed runs leave it out
             execution.run([x], [out])
-            start = time.perf_counter()
-            execution.run([x], [out])
-            timings[scheme.label()] = (time.perf_counter() - start) * 1e3
+            executions[scheme.label()] = execution
             outs[scheme.label()] = out
+        labels = list(executions)
+        times = {label: [] for label in labels}
+        for r in range(COMPARE_ROUNDS):
+            # rotate the order so that no scheme always runs first
+            for label in labels[r % len(labels):] + labels[:r % len(labels)]:
+                start = time.perf_counter()
+                executions[label].run([x], [outs[label]])
+                times[label].append((time.perf_counter() - start) * 1e3)
+        timings = {label: statistics.median(t) for label, t in times.items()}
         base = outs["sliding"].astype(np.float64)
         scale = float(np.max(np.abs(base))) + 1e-12
         deviation = max(

@@ -110,12 +110,6 @@ class Graph:
     input_shapes: dict[str, Shape]
     tensor_shapes: dict[str, Shape] = field(default_factory=dict)
 
-    def node_by_output(self, tensor_id: str) -> OpNode | None:
-        for node in self.nodes:
-            if tensor_id in node.outputs:
-                return node
-        return None
-
     def consumers(self, tensor_id: str) -> list[OpNode]:
         return [n for n in self.nodes if tensor_id in n.inputs]
 

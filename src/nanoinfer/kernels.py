@@ -117,20 +117,13 @@ every fit picked the same scheme for every conv. The constants are the
 middle fit, rounded: at its 15 ps per multiply a small product takes 68
 ns, a streamed element 0.29 ns, a re-laid one 2.6 ns and a call 1.2 us.
 Four kinds are too few: with re-laid elements counted as streamed ones,
-fits to the same timings planned winograd6 for a 64-channel conv on a
-64x64 map, which sliding window runs faster, and missed inception-mini's
-branch_a. Under these constants the
-cheapest scheme is within 10% or 0.02 ms of the fastest on 42 of the 44
-convs that have a choice, and no Winograd tile is ever cheapest. The two
-misses are mobilenet-mini's pw1 and pw2, planned matmul at 0.19 and 0.50
-ms against 0.14 and 0.31 ms for sliding window. Their matmul route makes
-four heap temporaries of 128-256 KiB, and in that network glibc hands the
-memory back to the OS and faults it in again on each call: with its mmap
-and trim thresholds raised for the process (MALLOC_MMAP_THRESHOLD_,
-MALLOC_TRIM_THRESHOLD_), both routes ran pw1 in 0.20-0.23 ms and pw2 in
-0.38-0.44 ms. Run alone, the same convs favour the matmul route. No
-per-conv count sees the heap's state. Recalibrate on other hardware with
-that script.
+fits to the same timings planned winograd6 for a 64-channel conv on a 64x64
+map, which sliding window runs faster, and missed inception-mini's
+branch_a. Only Winograd-eligible convs have a choice of scheme. On all 28
+such convs of the 58 the cheapest scheme under these constants, sliding
+window, is within 10% or 0.02 ms of the fastest (7 runs per scheme), and
+`tools/calibrate.py rank --rounds 7` finds all 27 preset convs planned
+within that margin. Recalibrate on other hardware with that script.
 """
 
 
@@ -194,17 +187,6 @@ def _strassen_level_dims(d: MatDims) -> list[tuple[int, int, int]]:
         n, k, m = dims[-1]
         dims.append(((n + 1) // 2, (k + 1) // 2, (m + 1) // 2))
     return dims
-
-
-def strassen_work(d: MatDims) -> int:
-    """Work of matmul_strassen on d in BLAS multiplies: the leaf products'
-    multiplies plus every level's counted additions, each weighed ADD_COST."""
-    dims = _strassen_level_dims(d)
-    work = 0
-    for lvl, (n, k, m) in enumerate(dims[1:]):
-        work += 7 ** lvl * ADD_COST * _split_additions(n, k, m)
-    n, k, m = dims[-1]
-    return work + 7 ** (len(dims) - 1) * n * k * m
 
 
 def strassen_scratch_elems(d: MatDims) -> int:

@@ -4,15 +4,16 @@ Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, pre-transformed weights, and byte offsets into
 one pre-sized pool per backend.  The pool holds what the kernels read and
-write in place: activations, transfer copies and Strassen's scratch.  Conv
-and pool kernels, and the layout round trips of MatMul, Softmax and Reshape,
-still take their temporaries from the heap.
+write in place: activations, transfer copies and the Strassen scratch of
+MatMul steps.  Conv and pool kernels, and the layout round trips of MatMul,
+Softmax and Reshape, still take their temporaries from the heap.
 
-Each conv runs the scheme of least scheme_cost among conv_schemes: the work
-its kernel does, counted by scheme_work and weighed in BLAS multiplies by
-the constants next to kernels.ADD_COST.  Backend selection bills a conv at
-that cost and any other op at its multiply count, through op_cost.  The
-plan keeps every candidate's estimate, for dump-plan and the debug log.
+Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
+window or a Winograd tile: the work its kernel does, counted by scheme_work
+and weighed in BLAS multiplies by the constants next to kernels.ADD_COST.
+Backend selection bills a conv at that cost and any other op at its
+multiply count, through op_cost.  The plan keeps every candidate's
+estimate, for dump-plan and the debug log.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import GraphValidationError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
     ConvParams, KernelWork, MatDims, sliding_work, strassen_scratch_elems,
-    strassen_work,
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
@@ -124,7 +124,7 @@ def mul_count(node: OpNode, shapes: dict[str, Shape]) -> int:
 
 
 class SchemeKind(Enum):
-    MATMUL_STRASSEN = "matmul"
+    MATMUL_STRASSEN = "matmul"  # no conv runs it; only perfbench/ names it
     SLIDING_WINDOW = "sliding"
     WINOGRAD = "winograd"
 
@@ -150,32 +150,15 @@ def _conv_params(node: OpNode) -> ConvParams:
 def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
     """Every scheme the backends can run a conv with, sliding window first.
 
-    A 1x1 conv with stride 1, no padding and one group is a matrix product;
-    a Winograd-eligible conv may run any tile whose transform fits MAX_ALPHA.
+    Sliding window runs every conv; a 1x1 conv is one GEMM per image on the
+    packed layout there.  A Winograd-eligible conv may also run any tile
+    whose transform fits MAX_ALPHA.
     """
     schemes = [SchemeChoice(SchemeKind.SLIDING_WINDOW)]
-    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w, p.group) \
-            == (1, 1, 1, 1, 0, 0, 1):
-        schemes.append(SchemeChoice(SchemeKind.MATMUL_STRASSEN))
     if winograd_supported(p):
         schemes += [SchemeChoice(SchemeKind.WINOGRAD, tile=t)
                     for t in TILE_CANDIDATES if t + p.kh - 1 <= MAX_ALPHA]
     return schemes
-
-
-def _matmul_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
-    """The work of the 1x1 matmul route: the NCHW unpack, one product per
-    image copied out, bias and ReLU, then pack_nc4hw4's zero-filled padded
-    copy and its NC4HW4 re-layout."""
-    pix = h * w
-    cpad = channel_blocks(p.in_c) * LANES
-    opad = channel_blocks(p.out_c) * LANES
-    unpacked = n * cpad * pix + (n * p.in_c * pix if p.in_c % LANES else 0)
-    return KernelWork(
-        gemm=n * strassen_work(MatDims(p.out_c, p.in_c, pix)),
-        moved=unpacked + n * p.out_c * pix * (4 + p.relu) + n * opad * pix,
-        shuffled=n * opad * pix,
-        calls=14 + 7 * n)
 
 
 def scheme_work(p: ConvParams, scheme: SchemeChoice,
@@ -185,8 +168,6 @@ def scheme_work(p: ConvParams, scheme: SchemeChoice,
     n, _, h, w = in_dims
     if scheme.kind is SchemeKind.WINOGRAD:
         work = winograd_work(p, scheme.tile, n, h, w)
-    elif scheme.kind is SchemeKind.MATMUL_STRASSEN:
-        work = _matmul_work(p, n, h, w)
     else:
         work = sliding_work(p, n, h, w)
     oh, ow = p.out_size(h, w)
@@ -351,32 +332,25 @@ def packed_bytes(shape: Shape) -> int:
     return shape.element_count * 4
 
 
-def strassen_dims(node: OpNode, scheme: SchemeChoice | None,
-                  shapes: dict[str, Shape]) -> MatDims | None:
+def strassen_dims(node: OpNode, shapes: dict[str, Shape]) -> MatDims | None:
     """The product a step hands to matmul_strassen, or None if it has none.
 
-    A MatMul multiplies [n, in_features] by [in_features, out_features]; a
-    1x1 conv under the matmul scheme multiplies, per image, its
-    [out_c, in_c] weights by the [in_c, h*w] input.
+    Only a MatMul has one: [n, in_features] by [in_features, out_features].
     """
-    if node.kind is OpKind.MATMUL:
-        return MatDims(shapes[node.inputs[0]].dims[0],
-                       int(node.attrs["in_features"]),
-                       int(node.attrs["out_features"]))
-    if scheme is not None and scheme.kind is SchemeKind.MATMUL_STRASSEN:
-        _, c, h, w = shapes[node.inputs[0]].dims
-        return MatDims(int(node.attrs["out_c"]), c, h * w)
-    return None
+    if node.kind is not OpKind.MATMUL:
+        return None
+    return MatDims(shapes[node.inputs[0]].dims[0],
+                   int(node.attrs["in_features"]),
+                   int(node.attrs["out_features"]))
 
 
-def _scratch_elems_for(node: OpNode, scheme: SchemeChoice | None,
-                       shapes: dict[str, Shape]) -> int:
+def _scratch_elems_for(node: OpNode, shapes: dict[str, Shape]) -> int:
     """Pool elements an op's kernel works in beyond its inputs and outputs.
 
     Only Strassen's level stacks live in the pool; every other kernel takes
     its temporaries from the heap.
     """
-    dims = strassen_dims(node, scheme, shapes)
+    dims = strassen_dims(node, shapes)
     return 0 if dims is None else strassen_scratch_elems(dims)
 
 
@@ -477,10 +451,10 @@ def plan_memory(g: Graph, *,
     """Pool layout per backend namespace for the step sequence.
 
     Graph inputs live in caller-provided staging buffers and are not pooled;
-    everything produced by a step is, and so is a Strassen step's scratch,
-    which lives only for its own step.  Copies of a tensor on another
-    backend are pooled in that backend's namespace from the transfer step
-    to their last reader.  Without steps, every op runs on CPU.
+    everything produced by a step is, and so is a MatMul step's Strassen
+    scratch, which lives only for its own step.  Copies of a tensor on
+    another backend are pooled in that backend's namespace from the
+    transfer step to their last reader.  Without steps, every op runs on CPU.
     """
     if steps is None:
         if schemes is None:
@@ -513,7 +487,7 @@ def plan_memory(g: Graph, *,
         items_by_backend.setdefault(backend, []).append((tid, size, start, last))
     for idx, step in enumerate(steps):
         if isinstance(step, OpStep):
-            scratch = _scratch_elems_for(step.node, step.scheme, g.tensor_shapes)
+            scratch = _scratch_elems_for(step.node, g.tensor_shapes)
             if scratch:
                 items_by_backend.setdefault(step.backend, []).append(
                     (step.scratch_id, scratch * 4, idx, idx))

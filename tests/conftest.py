@@ -25,6 +25,17 @@ def winograd_planned(monkeypatch):
     return tile6
 
 
+def batched_matmul_graph():
+    """64 images of 4x4x4 through one MatMul: a 64x64 by 64 product, which
+    the count rule (ADD_COST 1) splits twice.  A batch-1 MatMul never
+    splits, even at weight 1, and no conv runs Strassen."""
+    from nanoinfer.graph import GraphBuilder
+
+    b = GraphBuilder((64, 4, 4, 4), seed=0)
+    b.matmul(64)
+    return b.build()
+
+
 def conv2d_reference(x, w, stride=(1, 1), pad=(0, 0), group=1, bias=None,
                      relu=False):
     """Naive NCHW convolution oracle: explicit loops over output pixels.

@@ -3,7 +3,7 @@ import pytest
 
 import nanoinfer.backend as backend_module
 import nanoinfer.kernels as kernels
-from conftest import pool2d_reference, rel_err
+from conftest import batched_matmul_graph, pool2d_reference, rel_err
 from nanoinfer.backend import CpuBackend, Session, resolve_backend, run_session
 from nanoinfer.errors import (
     GraphValidationError, PoolExhaustedError, ShapeMismatchError,
@@ -379,12 +379,14 @@ class TestPooledVersusFresh:
 
 
 def is_strassen_step(step):
-    return step.node.kind is OpKind.MATMUL or (
-        step.scheme is not None
-        and step.scheme.kind is SchemeKind.MATMUL_STRASSEN)
+    return step.node.kind is OpKind.MATMUL
 
 
-def strassen_calls(preset, weight, monkeypatch):
+# every preset, and one graph whose MatMul splits under the count rule
+STRASSEN_GRAPHS = sorted(PRESETS) + ["batched-matmul"]
+
+
+def strassen_calls(name, weight, monkeypatch):
     """The plan, and (need, given) scratch elements of every Strassen call
     in one run over it."""
     monkeypatch.setattr(kernels, "ADD_COST", weight)
@@ -397,7 +399,8 @@ def strassen_calls(preset, weight, monkeypatch):
         return kernels.matmul_strassen(a, b, scratch)
 
     monkeypatch.setattr(backend_module, "matmul_strassen", spy)
-    g = fuse(build_preset(preset))
+    g = (batched_matmul_graph() if name == "batched-matmul"
+         else fuse(build_preset(name)))
     plan = pre_infer(g, [CpuBackend().spec()])
     run_session(plan, make_input(g))
     steps = [s for s in plan.steps
@@ -408,7 +411,7 @@ def strassen_calls(preset, weight, monkeypatch):
 
 class TestStrassenScratch:
     @pytest.mark.parametrize("weight", [1, kernels.ADD_COST])
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", STRASSEN_GRAPHS)
     def test_planned_scratch_covers_kernel_depth(self, preset, weight,
                                                  monkeypatch):
         # the backend hands each Strassen call its planned pool slice as
@@ -426,7 +429,10 @@ class TestStrassenScratch:
                   if tid.endswith("#scratch")}
         assert owners <= strassen_ids, owners - strassen_ids
 
-    def test_count_rule_recurses_on_mobilenet(self, monkeypatch):
-        # keeps the test above meaningful: under weight 1, pw2 takes a level
-        _, calls = strassen_calls("mobilenet-mini", 1, monkeypatch)
-        assert max(need for need, _ in calls) > 0
+    def test_count_rule_recurses_on_batched_matmul(self, monkeypatch):
+        # keeps the test above meaningful: under weight 1 the batched
+        # MatMul takes two levels, so its pooled scratch is exercised
+        _, calls = strassen_calls("batched-matmul", 1, monkeypatch)
+        d = kernels.MatDims(64, 64, 64)
+        assert kernels.strassen_recursion_depth(d, 1) == 2
+        assert [need for need, _ in calls] == [kernels.strassen_scratch_elems(d)]

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nanoinfer.cli import main
+from nanoinfer.backend import CpuBackend, Execution
+from nanoinfer.cli import COMPARE_ROUNDS, main
 from nanoinfer.graph import OpKind, fuse, load_model
 from nanoinfer.preinference import _conv_params, conv_schemes
 
@@ -205,9 +206,10 @@ class TestCompare:
             assert set(row["timings_ms"]) == runnable[row["layer"]]
             assert row["chosen"] in row["timings_ms"]
 
-    def test_k1_layers_choose_matmul(self, tmp_path, capsys):
-        # where its estimate is the lowest, and every candidate is timed
-        # and estimated
+    def test_k1_layers_run_sliding(self, tmp_path, capsys):
+        # a 1x1 conv has one scheme, sliding window; every candidate of
+        # every layer is timed and estimated, and the estimate's argmin is
+        # the planned scheme
         path = tmp_path / "sq.ninf"
         main(["gen", "squeezenet-mini", str(path)])
         capsys.readouterr()
@@ -218,7 +220,7 @@ class TestCompare:
         g = load_model(path.read_bytes())
         k1_layers = {n.id for n in g.nodes if n.kind is OpKind.CONV2D
                      and tuple(n.attrs["kernel"]) == (1, 1)}
-        chosen = set()
+        assert k1_layers
         for row in payload["layers"]:
             est = row["estimates_ms"]
             assert set(est) == set(row["timings_ms"])
@@ -226,9 +228,49 @@ class TestCompare:
             assert row["fastest"] == min(row["timings_ms"],
                                          key=row["timings_ms"].get)
             if row["layer"] in k1_layers:
-                assert "matmul" in row["timings_ms"]
-                chosen.add(row["chosen"])
-        assert "matmul" in chosen
+                assert set(row["timings_ms"]) == {"sliding"}
+                assert row["chosen"] == "sliding"
+
+    def test_each_scheme_timed_over_rotated_rounds(self, model_path, capsys,
+                                                   monkeypatch):
+        # each scheme's execution runs once to warm up, then COMPARE_ROUNDS
+        # timed rounds, round r starting r schemes further along the list
+        labels, runs = {}, []
+        create, run = CpuBackend.create_execution, Execution.run
+
+        def counting_create(self, step, plan, shapes):
+            execution = create(self, step, plan, shapes)
+            labels[execution] = (step.node.id,
+                                 step.scheme.label() if step.scheme else None)
+            return execution
+
+        def counting_run(self, *args):
+            runs.append(self)
+            run(self, *args)
+
+        monkeypatch.setattr(CpuBackend, "create_execution", counting_create)
+        monkeypatch.setattr(Execution, "run", counting_run)
+        code, out = run_cli(capsys, "compare", "--model", model_path,
+                            "--format", "json")
+        assert code == 0
+        timed = 1 + COMPARE_ROUNDS
+        for row in json.loads(out)["layers"]:
+            schemes = list(row["timings_ms"])
+            mine = [e for e in runs if labels[e][0] == row["layer"]]
+            counts = {}
+            for e in set(mine):
+                counts.setdefault(labels[e][1], []).append(mine.count(e))
+            # the planned scheme also ran once in the plan's replay
+            assert {label: sorted(c) for label, c in counts.items()} == {
+                label: [1, timed] if label == row["chosen"] else [timed]
+                for label in schemes}
+            order = [labels[e][1] for e in mine if mine.count(e) == timed]
+            m = len(schemes)
+            assert order[:m] == schemes  # the warm-up runs
+            for r in range(COMPARE_ROUNDS):
+                start = m * (r + 1)
+                assert order[start:start + m] \
+                    == schemes[r % m:] + schemes[:r % m], r
 
 
 class TestWinogradDump:

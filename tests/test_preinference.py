@@ -1,6 +1,7 @@
 import pytest
 
 import nanoinfer.kernels as kernels
+from conftest import batched_matmul_graph
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
@@ -174,18 +175,18 @@ def build_random_graph(rng, max_nodes=12, seed=None):
 
 
 class TestSelectSchemes:
-    def test_k1_routes_to_matmul(self):
-        # at 32x32 the matmul route costs less than sliding window; on a
-        # tiny map its extra calls cost more
-        for size, want in ((32, SchemeKind.MATMUL_STRASSEN),
-                           (4, SchemeKind.SLIDING_WINDOW)):
+    def test_k1_routes_to_sliding(self):
+        # sliding window runs a 1x1 conv as one GEMM per image; it is the
+        # only scheme listed, on a large map and on a tiny one
+        for size in (32, 4):
             b = GraphBuilder((1, 16, size, size), seed=0)
             b.conv(kernel=1, out_c=16)
             g = b.build()
             node = g.nodes[0]
             costs = scheme_costs(node, g.tensor_shapes)
-            assert SchemeChoice(SchemeKind.MATMUL_STRASSEN) in costs
-            assert select_schemes(g)[node.id].kind is want, size
+            assert list(costs) == [SchemeChoice(SchemeKind.SLIDING_WINDOW)]
+            assert select_schemes(g)[node.id].kind \
+                is SchemeKind.SLIDING_WINDOW, size
 
     def test_k3_wide_uses_winograd_tile(self):
         # every Winograd tile is a candidate; the planned scheme is the
@@ -210,7 +211,7 @@ class TestSelectSchemes:
         assert schemes[g.nodes[0].id].kind is SchemeKind.SLIDING_WINDOW
 
     @pytest.mark.parametrize("params, labels", [
-        (kernels.ConvParams(1, 1), {"sliding", "matmul"}),
+        (kernels.ConvParams(1, 1), {"sliding"}),
         (kernels.ConvParams(1, 1, 2, 2), {"sliding"}),
         (kernels.ConvParams(3, 3, 2, 2, 1, 1), {"sliding"}),
         (kernels.ConvParams(1, 7, pad_w=3), {"sliding"}),
@@ -358,25 +359,24 @@ class TestPreInfer:
         out_bytes = packed_bytes(g.tensor_shapes[g.outputs[0]])
         assert plan.memory["cpu"].pool_size == out_bytes  # relu has no scratch
 
-        # conv kernels other than Strassen take no scratch from the pool
-        b = GraphBuilder((1, 4, 8, 8), seed=0)
-        b.conv(kernel=3, pad=1, out_c=4)
-        g = b.build()
-        plan = pre_infer(g, [CPU])
-        assert set(plan.memory["cpu"].offsets) == {g.outputs[0]}
-        assert plan.memory["cpu"].pool_size == packed_bytes(
-            g.tensor_shapes[g.outputs[0]])
-
-        # a 1x1 conv's Strassen levels do: under the count rule its
-        # 64x64x256 product recurses
+        # conv kernels take no scratch from the pool, not even a 1x1 conv
+        # whose 64x64x256 product the count rule would split
         monkeypatch.setattr(kernels, "ADD_COST", 1)
-        b = GraphBuilder((1, 64, 16, 16), seed=0)
-        b.conv(kernel=1, out_c=64)
-        g = b.build()
+        for kernel, pad, c, size in ((3, 1, 4, 8), (1, 0, 64, 16)):
+            b = GraphBuilder((1, c, size, size), seed=0)
+            b.conv(kernel=kernel, pad=pad, out_c=c)
+            g = b.build()
+            plan = pre_infer(g, [CPU])
+            assert set(plan.memory["cpu"].offsets) == {g.outputs[0]}
+            assert plan.memory["cpu"].pool_size == packed_bytes(
+                g.tensor_shapes[g.outputs[0]])
+
+        # a MatMul's Strassen levels do: under the count rule its batched
+        # 64x64x64 product recurses
+        g = batched_matmul_graph()
         plan = pre_infer(g, [CPU])
         node = g.nodes[0]
-        assert plan.schemes[node.id].kind is SchemeKind.MATMUL_STRASSEN
-        need = kernels.strassen_scratch_elems(kernels.MatDims(64, 64, 256))
+        need = kernels.strassen_scratch_elems(kernels.MatDims(64, 64, 64))
         assert need > 0
         mem = plan.memory["cpu"]
         scratch_id = f"{node.id}#scratch"
