@@ -5,9 +5,12 @@ a pre-planned pool) and creates reusable execution instances per operator.
 A session binds an ExecutionPlan to concrete pools once, then every
 inference runs the same step list; tensors crossing backends are moved by
 explicit transfer steps.  Activations, transfer copies and MatMul's Strassen
-scratch are views into the pools; conv and pool kernels, and the layout round
-trips of MatMul, Softmax and Reshape, still allocate their temporaries on the
-heap.  A conv runs Winograd at its planned tile or sliding window.
+scratch are views into the pools.  A conv runs Winograd at its planned tile
+or sliding window, with the weights pre-inference packed for that scheme;
+sliding window writes straight into the step's pool view.  Its padded input
+and accumulators, Winograd's and the pool kernels' temporaries, and the
+layout round trips of MatMul, Softmax and Reshape are still heap
+allocations on every run.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from .graph import OpKind, OpNode
 from .kernels import LANES, conv_sliding, matmul_strassen
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
-    TransferStep, _conv_params, packed_bytes,
+    TransferStep, _conv_params, pack_weights, packed_bytes,
 )
 from .tensor import (
     Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4,
 )
-from .winograd import conv_winograd, generate_transforms, weight_transform
+from .winograd import conv_winograd, generate_transforms
 
 
 class Backend(ABC):
@@ -197,27 +200,32 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
     p = _conv_params(node)
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.outputs[0]]
-    bias = None if node.bias is None else node.bias.astype(np.float32)
     scheme = step.scheme
+
+    def packed():
+        # pre_infer packs the planned scheme's operand; another scheme's
+        # (compare and calibration run every one) is packed on first use
+        return plan.weight_cache.get(
+            (node.id, scheme.label()),
+            compute=lambda: pack_weights(node, scheme, shapes, plan.spacing))
 
     if scheme.kind is SchemeKind.WINOGRAD:
         transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
+        bias = None if node.bias is None else node.bias.astype(np.float32)
 
         def run(inputs, outputs, scratch=None):
-            transformed = plan.weight_cache.get(
-                (node.id, scheme.tile),
-                compute=lambda: weight_transform(node.weights, transform))
             x = _as_tensor(inputs[0], in_shape)
             y = conv_winograd(x, node.weights, p, transform, bias=bias,
-                              transformed=transformed)
+                              transformed=packed())
             _packed_view(outputs[0], out_shape)[:] = y.data
 
         return Execution(node, run)
 
+    weights = packed()
+
     def run(inputs, outputs, scratch=None):
-        x = _as_tensor(inputs[0], in_shape)
-        y = conv_sliding(x, node.weights, p, bias=bias)
-        _packed_view(outputs[0], out_shape)[:] = y.data
+        conv_sliding(_as_tensor(inputs[0], in_shape), node.weights, p,
+                     out=_packed_view(outputs[0], out_shape), packed=weights)
 
     return Execution(node, run)
 
@@ -364,6 +372,8 @@ class Session:
     def run_timed(self, inputs: dict[str, Tensor] | Tensor):
         """Execute the plan; returns (outputs, per-step millisecond times).
 
+        Each input must match its graph shape, in data as in metadata, with
+        zero NC4HW4 pad lanes (LayoutError otherwise); any dtype is cast.
         Sim-style backends account their per-op dispatch latency into the
         reported times; numerical results are unaffected.
         """
@@ -383,9 +393,11 @@ class Session:
                 raise ShapeMismatchError(
                     f"input {tid!r} shape {t.shape} != expected {want}"
                 )
+            # data of another extent would leave part of the staging buffer
+            # stale, and non-zero pad lanes leak into every conv's sums
+            t.validate_layout()
             packed = t if t.layout is Layout.NC4HW4 else pack_nc4hw4(t)
-            staged = self._views[(tid, self._cpu_name)]
-            staged.reshape(-1)[:packed.data.size] = packed.data.reshape(-1)
+            self._views[(tid, self._cpu_name)][:] = packed.data.reshape(-1)
 
         times: list[tuple[str, float]] = []
         exec_iter = iter(self._executions)

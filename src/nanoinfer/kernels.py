@@ -1,10 +1,15 @@
 """Compute kernels: sliding-window convolution and direct/Strassen matmul.
 
-All kernels are pure functions of their inputs.  Each window tap is one
+Each kernel's result depends on its inputs alone.  Each window tap is one
 NumPy call over all channel blocks of an image: a GEMM against every output
 block for dense convolution, a multiply-add whose inner loop spans a whole
-output row of lanes for depthwise.  Kernels run on the calling thread;
-the only parallelism is the BLAS library's own threading inside each GEMM.
+output row of lanes for depthwise.  conv_sliding writes into the caller's
+output array (a session passes the step's pool view) and reads weights
+packed once by pack_sliding.  The dense kernel moves each 4-lane run as one
+16-byte item when it re-lays the input to NHWC and the output back, and at
+stride 1 each tap's GEMM reads the padded input in place, without a window
+copy.  Kernels run on the calling thread; the only parallelism is the BLAS
+library's own threading inside each GEMM.
 """
 
 from __future__ import annotations
@@ -104,9 +109,11 @@ CALL_COST = 82000
 preinference.scheme_work counts, from each conv kernel's code, its GEMM
 multiplies (channels padded to whole 4-lane blocks), Winograd's small
 transform products, the elements its streaming passes write (fills, copies,
-element-wise ops), the elements it re-lays out in runs of one 4-lane block
-or one tile, and its NumPy calls. `tools/calibrate.py weights` times every
-scheme of 58 convs as a step of a running session (the four presets' convs
+element-wise ops), the elements it re-lays out in runs of a few floats
+(Winograd's patches, tiles and 4-lane blocks), and its NumPy calls.
+Sliding window's dense kernel moves its 4-lane re-layouts as 16-byte items,
+about 0.4 ns per float when timed alone, so they count as streamed.
+`tools/calibrate.py weights` times every scheme of 58 convs as a step of a running session (the four presets' convs
 and 31 synthetic ones of 3-64 channels on 8-64 pixel maps) and fits the
 five per-unit times by least squares on the relative error. Three fits,
 2-vCPU x86-64 VM, OpenBLAS 0.3.31 on one thread, 21 runs per scheme: a
@@ -123,7 +130,10 @@ branch_a. Only Winograd-eligible convs have a choice of scheme. On all 28
 such convs of the 58 the cheapest scheme under these constants, sliding
 window, is within 10% or 0.02 ms of the fastest (7 runs per scheme), and
 `tools/calibrate.py rank --rounds 7` finds all 27 preset convs planned
-within that margin. Recalibrate on other hardware with that script.
+within that margin. The weights were fitted before the dense kernel moved
+16-byte items and dropped its stride-1 window copies; with those counted as
+above, rank still finds 27 of 27 planned within the margin, so they were
+not refitted. Recalibrate on other hardware with that script.
 """
 
 
@@ -134,7 +144,7 @@ class KernelWork:
     gemm: int = 0  # multiplies inside BLAS products
     small: int = 0  # Winograd transform products of one small matrix each
     moved: int = 0  # elements written by fills, copies and element-wise passes
-    shuffled: int = 0  # elements re-laid in runs of one 4-lane block or tile
+    shuffled: int = 0  # floats re-laid one by one in 4-lane or tile runs
     calls: int = 0  # NumPy calls, each with the Python around it
 
     def __add__(self, other: "KernelWork") -> "KernelWork":
@@ -327,6 +337,16 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray,
     return np.ascontiguousarray(parent[0])
 
 
+_LANE_ITEM = np.dtype((np.void, LANES * 4))
+
+
+def _lanes(a: np.ndarray) -> np.ndarray:
+    """A float32 array whose last axis holds whole 4-lane runs, seen with
+    one 16-byte item per run.  NumPy moves a re-layout between such views
+    as 4x fewer items than between the float views, byte for byte."""
+    return a.view(_LANE_ITEM)
+
+
 def _pack_weight_columns(w: np.ndarray, out_c: int, in_c: int) -> np.ndarray:
     """[out_c, in_c, kh, kw] -> [kh*kw, ceil(in_c/4)*4, ceil(out_c/4)*4]."""
     kh, kw = w.shape[2], w.shape[3]
@@ -338,6 +358,18 @@ def _pack_weight_columns(w: np.ndarray, out_c: int, in_c: int) -> np.ndarray:
     return packed
 
 
+def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, ow: int) -> np.ndarray:
+    """[c, 1, kh, kw] -> [ceil(c/4), kh, kw, ow, 4]: each tap's weights
+    repeated along the output row, so the depthwise multiply runs over ow*4
+    contiguous floats, not 4."""
+    c, ibm = p.in_c, channel_blocks(p.in_c)
+    flat = np.zeros((ibm * LANES, p.kh, p.kw), dtype=np.float32)
+    flat[:c] = w.astype(np.float32).reshape(c, p.kh, p.kw)
+    taps = flat.reshape(ibm, LANES, p.kh, p.kw).transpose(0, 2, 3, 1)
+    return np.ascontiguousarray(np.broadcast_to(
+        taps[:, :, :, None], (ibm, p.kh, p.kw, ow, LANES)))
+
+
 def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
     if bias is None:
         return None
@@ -346,12 +378,46 @@ def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
     return full
 
 
+@dataclass(frozen=True)
+class SlidingWeights:
+    """The weight operands conv_sliding's kernels read, packed once.
+
+    ``mats`` is [kh*kw, in lanes, out lanes] for a dense conv (one GEMM
+    operand per tap), [in blocks, kh, kw, ow, 4] for a depthwise one, and
+    one dense operand per group, stacked, for a grouped one.  ``bias`` is
+    padded to whole 4-lane blocks.
+    """
+
+    mats: np.ndarray
+    bias: np.ndarray | None
+
+
+def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
+                 ow: int) -> SlidingWeights:
+    """conv_sliding's operands for weights w and bias at output width ow."""
+    if p.group == 1:
+        mats = _pack_weight_columns(w, p.out_c, p.in_c)
+    elif p.group == p.in_c == p.out_c:
+        mats = _pack_depthwise_rows(w, p, ow)
+    else:
+        icg, ocg = p.in_c // p.group, p.out_c // p.group
+        mats = np.stack([
+            _pack_weight_columns(w[g * ocg:(g + 1) * ocg], ocg, icg)
+            for g in range(p.group)])
+    return SlidingWeights(mats, _padded_bias(bias, p.out_c))
+
+
 def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
-                 bias: np.ndarray | None = None) -> Tensor:
+                 bias: np.ndarray | None = None, out: np.ndarray | None = None,
+                 packed: SlidingWeights | None = None) -> Tensor:
     """Sliding-window convolution over NC4HW4 input.
 
     y[o, i, j] = sum_c sum_{u,v} w[o, c, u, v] * x[c, i*s+u-pad, j*s+v-pad]
     with out-of-bounds input reads as zero, then bias and optional ReLU.
+    The result is written into ``out``, an NC4HW4 float32 array of the
+    output's packed shape, when given (every element, pad lanes included),
+    else into a new one.  ``packed`` carries pack_sliding's operands of w
+    and bias, made once for repeated runs; without it they are packed here.
     Runs on the calling thread.  ``threads`` is accepted and ignored: the
     benchmark in perfbench/ still passes it, and it goes once it stops.
     """
@@ -366,15 +432,24 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
             f"{(p.out_c, p.in_c // p.group, p.kh, p.kw)}"
         )
     oh, ow = p.out_size(h, wd)
-    y = zeros((n, p.out_c, oh, ow), Layout.NC4HW4)
-    if y.data.size == 0:
+    shape = (n, channel_blocks(p.out_c), oh, ow, LANES)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32:
+        raise ShapeMismatchError(
+            f"output {out.dtype} {out.shape} != float32 {shape}")
+    y = Tensor(shape=(n, p.out_c, oh, ow), layout=Layout.NC4HW4, data=out)
+    if out.size == 0:
         return y
+    if packed is None:
+        packed = pack_sliding(w, p, bias, ow)
+    xd = np.ascontiguousarray(x.data, dtype=np.float32)
     if p.group == 1:
-        _conv_dense(x, w, p, bias, y, oh, ow)
-    elif p.group == p.in_c and p.group == p.out_c:
-        _conv_depthwise(x, w, p, bias, y, oh, ow)
+        _conv_dense(xd, packed.mats, packed.bias, p, out)
+    elif p.group == p.in_c == p.out_c:
+        _conv_depthwise(xd, packed.mats, packed.bias, p, out)
     else:
-        _conv_grouped(x, w, p, bias, y, oh, ow)
+        _conv_grouped(x, packed.mats, packed.bias, p, out)
     return y
 
 
@@ -388,32 +463,33 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     if out == 0:
         return KernelWork(calls=3)
     padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
-    # zero-filled output and padded input, the input copied in, the
-    # output's bias and ReLU passes
-    common = out * (2 + p.relu) + padded + n * cpad * h * w
+    # the zero-filled padded input and the input copied in
+    common = padded + n * cpad * h * w
     if p.group == 1:
-        # a 1x1 window over the unpadded image is the image itself: no copy
-        whole = (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) \
-            == (1, 1, 1, 1, 0, 0)
-        window = 0 if whole else pix * cpad
-        # per tap a window copy, a GEMM product and (after the first) its
-        # sum; the input's NHWC re-layout, packed weights, the NC4HW4 store
+        # at stride 1 each tap's GEMM reads the flattened padded input in
+        # place, over rows of pitch wp; a strided tap copies its window
+        strided = p.stride_h > 1 or p.stride_w > 1
+        pitch = ow if strided else w + 2 * p.pad_w
+        rows = (oh - 1) * pitch + ow
+        window = n * taps * pix * cpad if strided else 0
+        # per tap a GEMM product and (after the first) its sum; the bias and
+        # ReLU passes; the NC4HW4 store.  Both re-layouts move 16-byte items.
         return KernelWork(
-            gemm=n * taps * pix * cpad * opad,
-            moved=(common + n * taps * window + n * (2 * taps - 1) * pix * opad
-                   + 2 * taps * cpad * opad),
-            shuffled=n * cpad * h * w + out,
-            calls=12 + n * (4 + 4 * taps))
+            gemm=n * taps * rows * cpad * opad,
+            moved=(common + window + out
+                   + n * (2 * taps + p.relu) * rows * opad),
+            calls=14 + n * (6 + (3 + strided) * taps))
     if p.group == p.in_c == p.out_c:
-        # per tap a multiply into the product buffer, then its sum
+        # per tap a multiply into the output or the product buffer, then
+        # (after the first) its sum; the bias and ReLU passes
         return KernelWork(
-            moved=common + cpad * taps * (ow + 1) + 2 * n * taps * pix * cpad,
-            calls=12 + n * (4 + 2 * taps))
+            moved=common + n * (2 * taps + p.relu) * pix * cpad,
+            calls=12 + n * (3 + 2 * taps))
     # grouped: each group runs densely between NCHW round trips
     icg, ocg = p.in_c // p.group, p.out_c // p.group
     sub = ConvParams(p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w,
                      icg, ocg)
-    work = KernelWork(moved=n * p.in_c * h * w + out * (5 + p.relu), calls=8)
+    work = KernelWork(moved=n * p.in_c * h * w + out * (4 + p.relu), calls=8)
     for _ in range(p.group):
         work += sliding_work(sub, n, h, w) + KernelWork(
             moved=2 * n * channel_blocks(icg) * LANES * h * w + 2 * n * ocg * pix,
@@ -421,89 +497,97 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     return work
 
 
-def _conv_dense(x: Tensor, w: np.ndarray, p: ConvParams,
-                bias: np.ndarray | None, y: Tensor, oh: int, ow: int) -> None:
-    n, _, h, wd = x.shape
-    ibm = x.data.shape[1]
+def _conv_dense(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray | None,
+                p: ConvParams, out: np.ndarray) -> None:
+    """Dense conv of NC4HW4 data x into out: one GEMM per window tap
+    against every output block at once, over an NHWC padded input."""
+    n, ibm, h, wd, _ = x.shape
+    _, obm, oh, ow, _ = out.shape
     cpad = ibm * LANES
     hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
     xp = np.zeros((n, hp, wp, cpad), dtype=np.float32)
-    xp[:, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = (
-        x.data.transpose(0, 2, 3, 1, 4).reshape(n, h, wd, cpad)
-    )
-    wmat = _pack_weight_columns(w, p.out_c, p.in_c)
-    bias_full = _padded_bias(bias, p.out_c)
-    obm = y.data.shape[1]
+    _lanes(xp)[:, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = (
+        _lanes(x)[..., 0].transpose(0, 2, 3, 1))
+    # At stride 1, output pixel (i, j) of tap (u, v) reads padded pixel
+    # (i + u, j + v), flat index i*wp + j + (u*wp + v): each tap's GEMM
+    # input is one contiguous run of the flattened image, with output rows
+    # of pitch wp whose last wp - ow columns the store drops.  A strided
+    # tap copies its window into one buffer reused across taps.
+    strided = p.stride_h > 1 or p.stride_w > 1
+    pitch = ow if strided else wp
+    rows = (oh - 1) * pitch + ow
+    flat = xp.reshape(n, hp * wp, cpad)
+    win = np.empty((oh, ow, cpad), dtype=np.float32) if strided else None
+    acc = np.empty((oh * pitch, obm * LANES), dtype=np.float32)
+    prod = np.empty_like(acc) if p.kh * p.kw > 1 else None
     for img in range(n):
-        # one GEMM per window tap against every output block at once
-        acc = None
-        for u in range(p.kh):
-            for v in range(p.kw):
-                win = np.ascontiguousarray(
-                    xp[img, u:u + p.stride_h * oh:p.stride_h,
-                       v:v + p.stride_w * ow:p.stride_w]
-                ).reshape(oh * ow, cpad)
-                prod = win @ wmat[u * p.kw + v]
-                if acc is None:
-                    acc = prod
-                else:
-                    acc += prod
-        if bias_full is not None:
-            acc += bias_full
+        for tap in range(p.kh * p.kw):
+            u, v = divmod(tap, p.kw)
+            if strided:
+                np.copyto(win, xp[img, u:u + p.stride_h * oh:p.stride_h,
+                                  v:v + p.stride_w * ow:p.stride_w])
+                a = win.reshape(oh * ow, cpad)
+            else:
+                a = flat[img, u * wp + v:u * wp + v + rows]
+            if tap == 0:
+                np.matmul(a, wmat[tap], out=acc[:rows])
+            else:
+                np.matmul(a, wmat[tap], out=prod[:rows])
+                acc[:rows] += prod[:rows]
+        if bias is not None:
+            acc[:rows] += bias
         if p.relu:
-            np.maximum(acc, 0.0, out=acc)
-        y.data[img] = acc.reshape(oh, ow, obm, LANES).transpose(2, 0, 1, 3)
+            np.maximum(acc[:rows], 0.0, out=acc[:rows])
+        _lanes(out[img])[..., 0] = (
+            _lanes(acc).reshape(oh, pitch, obm)[:, :ow].transpose(2, 0, 1))
 
 
-def _conv_depthwise(x: Tensor, w: np.ndarray, p: ConvParams,
-                    bias: np.ndarray | None, y: Tensor, oh: int,
-                    ow: int) -> None:
-    n, c, h, wd = x.shape
-    ibm = x.data.shape[1]
+def _conv_depthwise(x: np.ndarray, wrow: np.ndarray, bias: np.ndarray | None,
+                    p: ConvParams, out: np.ndarray) -> None:
+    """Depthwise conv of NC4HW4 data x into out, one multiply per tap over
+    whole output rows of lanes; the first tap writes out directly."""
+    n, ibm, h, wd, _ = x.shape
+    _, _, oh, ow, _ = out.shape
     hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
     xp = np.zeros((n, ibm, hp, wp, LANES), dtype=np.float32)
-    xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    flat = np.zeros((ibm * LANES, p.kh, p.kw), dtype=np.float32)
-    flat[:c] = w.astype(np.float32).reshape(c, p.kh, p.kw)
-    # [ibm, kh, kw, ow, lanes]: each tap's weights repeated along the output
-    # row, so the multiply-add runs over ow*4 contiguous floats, not 4
-    wrow = np.ascontiguousarray(np.broadcast_to(
-        flat.reshape(ibm, LANES, p.kh, p.kw).transpose(0, 2, 3, 1)[:, :, :, None],
-        (ibm, p.kh, p.kw, ow, LANES)))
-    bias_full = _padded_bias(bias, p.out_c)
+    xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x
+    prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
     for img in range(n):
-        acc = y.data[img]  # zero-filled [ibm, oh, ow, lanes]
-        prod = np.empty_like(acc)
-        for u in range(p.kh):
-            for v in range(p.kw):
-                win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
-                         v:v + p.stride_w * ow:p.stride_w]
+        acc = out[img]  # [ibm, oh, ow, lanes]
+        for tap in range(p.kh * p.kw):
+            u, v = divmod(tap, p.kw)
+            win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
+                     v:v + p.stride_w * ow:p.stride_w]
+            if tap == 0:
+                np.multiply(win, wrow[:, None, u, v], out=acc)
+            else:
                 np.multiply(win, wrow[:, None, u, v], out=prod)
                 acc += prod
-        if bias_full is not None:
-            acc += bias_full.reshape(ibm, 1, 1, LANES)
+        if bias is not None:
+            acc += bias.reshape(ibm, 1, 1, LANES)
         if p.relu:
             np.maximum(acc, 0.0, out=acc)
 
 
-def _conv_grouped(x: Tensor, w: np.ndarray, p: ConvParams,
-                  bias: np.ndarray | None, y: Tensor, oh: int,
-                  ow: int) -> None:
+def _conv_grouped(x: Tensor, mats: np.ndarray, bias: np.ndarray | None,
+                  p: ConvParams, out: np.ndarray) -> None:
     # uncommon path: run each group densely over NCHW channel slices
     from .tensor import pack_nc4hw4, unpack_nc4hw4, from_nchw
 
-    n, c, h, wd = x.shape
+    n = x.shape[0]
+    _, _, oh, ow, _ = out.shape
     icg, ocg = p.in_c // p.group, p.out_c // p.group
-    x_nchw = unpack_nc4hw4(x)
-    out = np.zeros((n, p.out_c, oh, ow), dtype=np.float32)
+    x_nchw = unpack_nc4hw4(x).data
+    y = np.empty((n, p.out_c, oh, ow), dtype=np.float32)
     sub_p = ConvParams(p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w,
                        icg, ocg, 1, False)
+    yg = zeros((n, ocg, oh, ow), Layout.NC4HW4)
     for g in range(p.group):
-        xg = pack_nc4hw4(from_nchw(x_nchw.data[:, g * icg:(g + 1) * icg]))
-        yg = conv_sliding(xg, w[g * ocg:(g + 1) * ocg], sub_p)
-        out[:, g * ocg:(g + 1) * ocg] = unpack_nc4hw4(yg).data
+        xg = pack_nc4hw4(from_nchw(x_nchw[:, g * icg:(g + 1) * icg]))
+        _conv_dense(xg.data, mats[g], None, sub_p, yg.data)
+        y[:, g * ocg:(g + 1) * ocg] = unpack_nc4hw4(yg).data
     if bias is not None:
-        out += bias.astype(np.float32).reshape(1, p.out_c, 1, 1)
+        y += bias[:p.out_c].reshape(1, p.out_c, 1, 1)
     if p.relu:
-        np.maximum(out, 0.0, out=out)
-    y.data[:] = pack_nc4hw4(from_nchw(out)).data
+        np.maximum(y, 0.0, out=y)
+    out[:] = pack_nc4hw4(from_nchw(y)).data

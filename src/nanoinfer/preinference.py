@@ -2,11 +2,12 @@
 
 Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
-steps at backend boundaries, pre-transformed weights, and byte offsets into
-one pre-sized pool per backend.  The pool holds what the kernels read and
-write in place: activations, transfer copies and the Strassen scratch of
-MatMul steps.  Conv and pool kernels, and the layout round trips of MatMul,
-Softmax and Reshape, still take their temporaries from the heap.
+steps at backend boundaries, each conv's weights packed once for its planned
+scheme (pack_weights), and byte offsets into one pre-sized pool per backend.
+The pool holds what the kernels read and write in place: activations,
+transfer copies and the Strassen scratch of MatMul steps.  Conv and pool
+kernels' temporaries, and the layout round trips of MatMul, Softmax and
+Reshape, still come from the heap.
 
 Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
 window or a Winograd tile: the work its kernel does, counted by scheme_work
@@ -26,7 +27,8 @@ from enum import Enum
 from .errors import GraphValidationError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
-    ConvParams, KernelWork, MatDims, sliding_work, strassen_scratch_elems,
+    ConvParams, KernelWork, MatDims, pack_sliding, sliding_work,
+    strassen_scratch_elems,
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
@@ -163,15 +165,16 @@ def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
 
 def scheme_work(p: ConvParams, scheme: SchemeChoice,
                 in_dims: tuple[int, ...]) -> KernelWork:
-    """The work of the kernel running `scheme` on an input of in_dims,
-    including the execution's copy of the result into its pool view."""
+    """The work of the kernel running `scheme` on an input of in_dims.
+
+    Sliding window writes into the step's pool view; a Winograd execution
+    also copies its result there.
+    """
     n, _, h, w = in_dims
-    if scheme.kind is SchemeKind.WINOGRAD:
-        work = winograd_work(p, scheme.tile, n, h, w)
-    else:
-        work = sliding_work(p, n, h, w)
+    if scheme.kind is not SchemeKind.WINOGRAD:
+        return sliding_work(p, n, h, w)
     oh, ow = p.out_size(h, w)
-    return work + KernelWork(
+    return winograd_work(p, scheme.tile, n, h, w) + KernelWork(
         moved=n * channel_blocks(p.out_c) * LANES * oh * ow, calls=2)
 
 
@@ -187,6 +190,19 @@ def scheme_costs(node: OpNode,
     p = _conv_params(node)
     dims = shapes[node.inputs[0]].dims
     return {s: scheme_cost(p, s, dims) for s in conv_schemes(p)}
+
+
+def pack_weights(node: OpNode, scheme: SchemeChoice, shapes: dict[str, Shape],
+                 spacing: float):
+    """A conv's weights as the kernel running `scheme` reads them:
+    Winograd's transformed weights at the tile, or sliding window's packed
+    weights and bias (kernels.pack_sliding)."""
+    p = _conv_params(node)
+    if scheme.kind is SchemeKind.WINOGRAD:
+        return weight_transform(
+            node.weights, generate_transforms(scheme.tile, p.kh, spacing))
+    return pack_sliding(node.weights, p, node.bias,
+                        shapes[node.outputs[0]].dims[3])
 
 
 def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
@@ -382,7 +398,7 @@ class ExecutionPlan:
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
     memory: dict[str, MemoryPlan]  # backend name -> plan over "tid@backend"
-    weight_cache: WeightCache  # (node id, tile) -> transformed weights
+    weight_cache: WeightCache  # (node id, scheme label) -> packed weights
     spacing: float
 
     @property
@@ -534,11 +550,9 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     cache = WeightCache()
     for node in g.nodes:
         scheme = schemes.get(node.id)
-        if scheme is not None and scheme.kind is SchemeKind.WINOGRAD:
-            t = generate_transforms(scheme.tile, int(node.conv_geometry()[0][0]),
-                                    spacing)
-            cache.put((node.id, scheme.tile),
-                      weight_transform(node.weights, t))
+        if scheme is not None:
+            cache.put((node.id, scheme.label()),
+                      pack_weights(node, scheme, g.tensor_shapes, spacing))
     return ExecutionPlan(
         graph=g,
         steps=steps,

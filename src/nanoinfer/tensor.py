@@ -67,9 +67,14 @@ class Tensor:
     data: np.ndarray
 
     def validate(self) -> None:
-        n, c, h, w = self.shape
         if self.data.dtype != np.float32:
             raise LayoutError(f"dtype {self.data.dtype} is not float32")
+        self.validate_layout()
+
+    def validate_layout(self) -> None:
+        """Check data against shape and layout, whatever its dtype: the
+        layout's extents, and zero-filled NC4HW4 pad lanes."""
+        n, c, h, w = self.shape
         if self.layout is Layout.NCHW:
             expect = (n, c, h, w)
         else:

@@ -231,19 +231,20 @@ def weight_transform(w: np.ndarray, t: WinogradTransform) -> np.ndarray:
 
 
 class WeightCache:
-    """Pre-transformed kernel store with hit/recompute instrumentation."""
+    """Store of conv weights packed for a kernel (the plan keys them by
+    node id and scheme label), with hit/recompute instrumentation."""
 
     def __init__(self):
-        self._store: dict[Hashable, np.ndarray] = {}
+        self._store: dict[Hashable, object] = {}
         self.hits = 0
         self.recomputes = 0
         self._lock = threading.Lock()
 
-    def put(self, key: Hashable, value: np.ndarray) -> None:
+    def put(self, key: Hashable, value) -> None:
         with self._lock:
             self._store[key] = value
 
-    def get(self, key: Hashable, compute=None) -> np.ndarray:
+    def get(self, key: Hashable, compute=None):
         with self._lock:
             if key in self._store:
                 self.hits += 1

@@ -1,21 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nanoinfer.backend as backend_module
 import nanoinfer.kernels as kernels
+import nanoinfer.preinference as preinference
+import nanoinfer.winograd as winograd_module
 from conftest import batched_matmul_graph, pool2d_reference, rel_err
 from nanoinfer.backend import CpuBackend, Session, resolve_backend, run_session
 from nanoinfer.errors import (
-    GraphValidationError, PoolExhaustedError, ShapeMismatchError,
+    GraphValidationError, LayoutError, PoolExhaustedError, ShapeMismatchError,
     UnsupportedOpError,
 )
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
-    CostModel, OpStep, SchemeChoice, SchemeKind, packed_bytes, pre_infer,
+    CostModel, OpStep, SchemeChoice, SchemeKind, _conv_params, packed_bytes,
+    pre_infer,
 )
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
-from nanoinfer.tensor import from_nchw
+from nanoinfer.tensor import (
+    LANES, Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4,
+)
 
 
 def make_input(g, seed=0):
@@ -71,6 +78,62 @@ class TestBuffers:
         assert cpu.alloc_count == allocs_after_first
         session.close()
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_sliding_steps_heap_peak_bounded(self, preset, monkeypatch):
+        # each sliding-window conv writes its output in place and reads
+        # packed weights: its heap peak is its padded input plus its
+        # working buffers, within a fixed slack
+        g = fuse(build_preset(preset))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        session = Session(plan, [CpuBackend()])
+        x = make_input(g)
+        session.run(x)
+        peaks = {}
+        run = backend_module.Execution.run
+
+        def traced(execution, inputs, outputs, scratch=None):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(execution, inputs, outputs, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[execution.node.id] = peak - base
+
+        monkeypatch.setattr(backend_module.Execution, "run", traced)
+        tracemalloc.start()
+        try:
+            session.run(x)
+        finally:
+            tracemalloc.stop()
+            session.close()
+        convs = [n for n in g.nodes if n.kind is OpKind.CONV2D
+                 and plan.schemes[n.id].kind is SchemeKind.SLIDING_WINDOW]
+        assert convs
+        over = {n.id: (peaks[n.id], sliding_heap_bound(n, g.tensor_shapes))
+                for n in convs
+                if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
+        assert not over
+
+
+def sliding_heap_bound(node, shapes):
+    """Heap bytes a sliding-window conv step may take: the padded input,
+    then two [oh * pitch, out lanes] accumulators and a window if strided
+    (dense) or one product buffer (depthwise), plus 96 KiB of slack."""
+    p = _conv_params(node)
+    n, _, h, w = shapes[node.inputs[0]].dims
+    oh, ow = p.out_size(h, w)
+    cpad = channel_blocks(p.in_c) * LANES
+    opad = channel_blocks(p.out_c) * LANES
+    wp = w + 2 * p.pad_w
+    padded = n * cpad * (h + 2 * p.pad_h) * wp
+    if p.group == 1:
+        strided = p.stride_h > 1 or p.stride_w > 1
+        pitch = ow if strided else wp
+        work = 2 * oh * pitch * opad + (oh * ow * cpad if strided else 0)
+    else:
+        assert p.group == p.in_c == p.out_c, "a grouped conv has no bound"
+        work = cpad * oh * ow
+    return 4 * (padded + work) + 96 * 1024
+
 
 class TestExecutions:
     def test_winograd_instance_holds_cached_weights(self, winograd_planned):
@@ -88,6 +151,36 @@ class TestExecutions:
         assert plan.weight_cache.hits == 2
         assert plan.weight_cache.recomputes == 0
         session.close()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("winograd", [False, True])
+    def test_no_weights_packed_after_session_built(self, preset, winograd,
+                                                   request, monkeypatch):
+        # pre-inference packs every planned conv's weights once; a run
+        # reads only the packed operands
+        if winograd:
+            request.getfixturevalue("winograd_planned")
+        g = fuse(build_preset(preset))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        x = make_input(g)
+        want = run_session(plan, x)
+        session = Session(plan, [CpuBackend()])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("raw weights packed after Session()")
+
+        for module, name in ((kernels, "_pack_weight_columns"),
+                             (kernels, "_pack_depthwise_rows"),
+                             (winograd_module, "weight_transform"),
+                             (preinference, "weight_transform")):
+            monkeypatch.setattr(module, name, refuse)
+        try:
+            for _ in range(2):
+                got = session.run(x)
+        finally:
+            session.close()
+        for tid in want:
+            assert np.array_equal(got[tid].data, want[tid].data)
 
     def test_sim_without_support_raises(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
@@ -314,6 +407,47 @@ class TestSession:
         with pytest.raises(ShapeMismatchError):
             session.run(bad)
         session.close()
+
+    def test_input_data_of_another_extent_rejected(self):
+        g = fuse(build_preset("resnet-mini"))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        x = pack_nc4hw4(make_input(g))
+        h = x.shape[2]
+        half = Tensor(x.shape, Layout.NC4HW4,
+                      np.ascontiguousarray(x.data[:, :, :h // 2]))
+        nchw = make_input(g)
+        short = Tensor(nchw.shape, Layout.NCHW,
+                       np.ascontiguousarray(nchw.data[:, :1]))
+        session = Session(plan, [CpuBackend()])
+        session.run(x)
+        for bad in (half, short):
+            with pytest.raises(LayoutError):
+                session.run(bad)
+        session.close()
+
+    def test_input_pad_lanes_must_be_zero(self):
+        g = fuse(build_preset("resnet-mini"))  # 3 channels: one pad lane
+        plan = pre_infer(g, [CpuBackend().spec()])
+        x = pack_nc4hw4(make_input(g))
+        x.data[:, -1, :, :, 3] = np.nan
+        session = Session(plan, [CpuBackend()])
+        with pytest.raises(LayoutError, match="pad lanes"):
+            session.run(x)
+        session.close()
+
+    def test_input_of_other_dtype_accepted(self):
+        g = fuse(build_preset("resnet-mini"))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        x = make_input(g)
+        packed = pack_nc4hw4(x)
+        wide = Tensor(packed.shape, Layout.NC4HW4,
+                      packed.data.astype(np.float64))
+        session = Session(plan, [CpuBackend()])
+        want = session.run(x)
+        got = session.run(wide)
+        session.close()
+        for tid in want:
+            assert np.array_equal(got[tid].data, want[tid].data)
 
     def test_closed_session_rejected(self):
         g = fuse(build_preset("resnet-mini"))

@@ -393,16 +393,17 @@ class TestPreInfer:
         node = g.nodes[0]
         assert plan.schemes[node.id].kind is SchemeKind.WINOGRAD
         tile = plan.schemes[node.id].tile
-        cached = plan.weight_cache.get((node.id, tile))
+        cached = plan.weight_cache.get((node.id, f"winograd{tile}"))
         alpha = tile + 3 - 1
         assert cached.shape == (alpha * alpha, 16, 16)
 
     def test_k1_convs_never_get_transformed_weights(self):
         g = build_preset("squeezenet-mini")
         plan = pre_infer(g, [CPU])
-        winograd = {(nid, s.tile) for nid, s in plan.schemes.items()
+        winograd = {(nid, s.label()) for nid, s in plan.schemes.items()
                     if s.kind is SchemeKind.WINOGRAD}
-        assert set(plan.weight_cache._store) == winograd
+        assert {key for key in plan.weight_cache._store
+                if key[1].startswith("winograd")} == winograd
         winograd_nodes = {nid for nid, _ in winograd}
         k1_nodes = {n.id for n in g.nodes if n.kind is OpKind.CONV2D
                     and tuple(n.attrs["kernel"]) == (1, 1)}
