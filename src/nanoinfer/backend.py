@@ -6,11 +6,12 @@ A session binds an ExecutionPlan to concrete pools once, then every
 inference runs the same step list; tensors crossing backends are moved by
 explicit transfer steps.  Activations, transfer copies and MatMul's Strassen
 scratch are views into the pools.  A conv runs Winograd at its planned tile
-or sliding window, with the weights pre-inference packed for that scheme;
-sliding window writes straight into the step's pool view.  Its padded input
-and accumulators, Winograd's and the pool kernels' temporaries, and the
-layout round trips of MatMul, Softmax and Reshape are still heap
-allocations on every run.
+or sliding window, with the weights pre-inference packed for that scheme and
+fetched once, when the session is built; either scheme writes straight into
+the step's pool view.  The conv and pool kernels' temporaries (padded
+inputs, accumulators, Winograd's patches and tiles) and the layout round
+trips of MatMul, Softmax and Reshape are still heap allocations on every
+run.
 """
 
 from __future__ import annotations
@@ -202,26 +203,22 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
     out_shape = shapes[node.outputs[0]]
     scheme = step.scheme
 
-    def packed():
-        # pre_infer packs the planned scheme's operand; another scheme's
-        # (compare and calibration run every one) is packed on first use
-        return plan.weight_cache.get(
-            (node.id, scheme.label()),
-            compute=lambda: pack_weights(node, scheme, shapes, plan.spacing))
+    # pre_infer packs the planned scheme's operand; another scheme's
+    # (compare and calibration run every one) is packed on first use
+    weights = plan.weight_cache.get(
+        (node.id, scheme.label()),
+        compute=lambda: pack_weights(node, scheme, shapes, plan.spacing))
 
     if scheme.kind is SchemeKind.WINOGRAD:
         transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
         bias = None if node.bias is None else node.bias.astype(np.float32)
 
         def run(inputs, outputs, scratch=None):
-            x = _as_tensor(inputs[0], in_shape)
-            y = conv_winograd(x, node.weights, p, transform, bias=bias,
-                              transformed=packed())
-            _packed_view(outputs[0], out_shape)[:] = y.data
+            conv_winograd(_as_tensor(inputs[0], in_shape), node.weights, p,
+                          transform, bias=bias, transformed=weights,
+                          out=_packed_view(outputs[0], out_shape))
 
         return Execution(node, run)
-
-    weights = packed()
 
     def run(inputs, outputs, scratch=None):
         conv_sliding(_as_tensor(inputs[0], in_shape), node.weights, p,

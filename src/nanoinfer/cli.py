@@ -139,6 +139,8 @@ def _session_for(args, g: Graph):
 def cmd_run(args) -> int:
     if args.runs < 1:
         raise EngineError(f"--runs must be at least 1, got {args.runs}")
+    if args.warmup < 0:
+        raise EngineError(f"--warmup must be at least 0, got {args.warmup}")
     g = fuse(_load_graph(args.model))
     session, plan, chosen = _session_for(args, g)
     tensor = (_read_input(args.input, g) if args.input

@@ -219,7 +219,12 @@ def infer_shapes(g: Graph) -> Graph:
                 )
             out = Shape((n, int(node.attrs["out_features"]), 1, 1))
         elif node.kind is OpKind.RESHAPE:
-            target = Shape(tuple(int(d) for d in node.attrs["shape"]))
+            dims = tuple(int(d) for d in node.attrs["shape"])
+            if len(dims) != 4:
+                # every activation is stored NC4HW4, which needs four dims
+                raise ShapeInferenceError(
+                    f"node {node.id!r}: reshape target {dims} is not 4-d")
+            target = Shape(dims)
             if target.element_count != ins[0].element_count:
                 raise ShapeInferenceError(
                     f"node {node.id!r}: reshape {ins[0].dims} -> {target.dims} "

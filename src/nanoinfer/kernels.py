@@ -3,13 +3,14 @@
 Each kernel's result depends on its inputs alone.  Each window tap is one
 NumPy call over all channel blocks of an image: a GEMM against every output
 block for dense convolution, a multiply-add whose inner loop spans a whole
-output row of lanes for depthwise.  conv_sliding writes into the caller's
-output array (a session passes the step's pool view) and reads weights
-packed once by pack_sliding.  The dense kernel moves each 4-lane run as one
-16-byte item when it re-lays the input to NHWC and the output back, and at
-stride 1 each tap's GEMM reads the padded input in place, without a window
-copy.  Kernels run on the calling thread; the only parallelism is the BLAS
-library's own threading inside each GEMM.
+output row of lanes for depthwise.  A grouped conv is a dense one whose
+per-tap operand is block diagonal, one block per group.  conv_sliding
+writes into the caller's output array (a session passes the step's pool
+view) and reads weights packed once by pack_sliding.  The dense kernel
+moves each 4-lane run as one 16-byte item when it re-lays the input to NHWC
+and the output back, and at stride 1 each tap's GEMM reads the padded input
+in place, without a window copy.  Kernels run on the calling thread; the
+only parallelism is the BLAS library's own threading inside each GEMM.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .tensor import LANES, Layout, Tensor, channel_blocks, zeros
+from .tensor import LANES, Layout, Tensor, channel_blocks
 
 @dataclass(frozen=True)
 class MatDims:
@@ -66,6 +67,11 @@ class ConvParams:
     def square(cls, k: int, stride: int = 1, pad: int = 0, in_c: int = 1,
                out_c: int = 1, group: int = 1, relu: bool = False) -> "ConvParams":
         return cls(k, k, stride, stride, pad, pad, in_c, out_c, group, relu)
+
+    @property
+    def depthwise(self) -> bool:
+        """One input and one output channel per group, more than one group."""
+        return 1 < self.group == self.in_c == self.out_c
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.pad_h - self.kh) // self.stride_h + 1
@@ -131,9 +137,10 @@ such convs of the 58 the cheapest scheme under these constants, sliding
 window, is within 10% or 0.02 ms of the fastest (7 runs per scheme), and
 `tools/calibrate.py rank --rounds 7` finds all 27 preset convs planned
 within that margin. The weights were fitted before the dense kernel moved
-16-byte items and dropped its stride-1 window copies; with those counted as
-above, rank still finds 27 of 27 planned within the margin, so they were
-not refitted. Recalibrate on other hardware with that script.
+16-byte items and dropped its stride-1 window copies, and before Winograd ran
+one batch straight into the pool view; with those counted as they run, rank
+still finds 27 of 27 planned within the margin, so they were not refitted.
+Recalibrate on other hardware with that script.
 """
 
 
@@ -146,12 +153,6 @@ class KernelWork:
     moved: int = 0  # elements written by fills, copies and element-wise passes
     shuffled: int = 0  # floats re-laid one by one in 4-lane or tile runs
     calls: int = 0  # NumPy calls, each with the Python around it
-
-    def __add__(self, other: "KernelWork") -> "KernelWork":
-        return KernelWork(self.gemm + other.gemm, self.small + other.small,
-                          self.moved + other.moved,
-                          self.shuffled + other.shuffled,
-                          self.calls + other.calls)
 
     def cost(self) -> float:
         """The work in BLAS multiplies, under the calibrated weights."""
@@ -347,14 +348,19 @@ def _lanes(a: np.ndarray) -> np.ndarray:
     return a.view(_LANE_ITEM)
 
 
-def _pack_weight_columns(w: np.ndarray, out_c: int, in_c: int) -> np.ndarray:
-    """[out_c, in_c, kh, kw] -> [kh*kw, ceil(in_c/4)*4, ceil(out_c/4)*4]."""
-    kh, kw = w.shape[2], w.shape[3]
-    ibm, obm = channel_blocks(in_c), channel_blocks(out_c)
-    packed = np.zeros((kh * kw, ibm * LANES, obm * LANES), dtype=np.float32)
-    packed[:, :in_c, :out_c] = (
-        w.astype(np.float32).transpose(2, 3, 1, 0).reshape(kh * kw, in_c, out_c)
-    )
+def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
+    """[out_c, in_c/group, kh, kw] -> [kh*kw, in lanes, out lanes], block
+    diagonal: group g's weights fill its own rows and columns, the rest is
+    zero, so a grouped conv is one dense GEMM per tap (one block if dense)."""
+    icg, ocg = p.in_c // p.group, p.out_c // p.group
+    taps = p.kh * p.kw
+    packed = np.zeros((taps, channel_blocks(p.in_c) * LANES,
+                       channel_blocks(p.out_c) * LANES), dtype=np.float32)
+    cols = w.astype(np.float32).transpose(2, 3, 1, 0).reshape(
+        taps, icg, p.out_c)
+    for g in range(p.group):
+        packed[:, g * icg:(g + 1) * icg, g * ocg:(g + 1) * ocg] = (
+            cols[:, :, g * ocg:(g + 1) * ocg])
     return packed
 
 
@@ -382,10 +388,10 @@ def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
 class SlidingWeights:
     """The weight operands conv_sliding's kernels read, packed once.
 
-    ``mats`` is [kh*kw, in lanes, out lanes] for a dense conv (one GEMM
-    operand per tap), [in blocks, kh, kw, ow, 4] for a depthwise one, and
-    one dense operand per group, stacked, for a grouped one.  ``bias`` is
-    padded to whole 4-lane blocks.
+    ``mats`` is [in blocks, kh, kw, ow, 4] for a depthwise conv, else
+    [kh*kw, in lanes, out lanes], one GEMM operand per tap, block diagonal
+    over the groups of a grouped conv.  ``bias`` is padded to whole 4-lane
+    blocks.
     """
 
     mats: np.ndarray
@@ -395,15 +401,10 @@ class SlidingWeights:
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  ow: int) -> SlidingWeights:
     """conv_sliding's operands for weights w and bias at output width ow."""
-    if p.group == 1:
-        mats = _pack_weight_columns(w, p.out_c, p.in_c)
-    elif p.group == p.in_c == p.out_c:
+    if p.depthwise:
         mats = _pack_depthwise_rows(w, p, ow)
     else:
-        icg, ocg = p.in_c // p.group, p.out_c // p.group
-        mats = np.stack([
-            _pack_weight_columns(w[g * ocg:(g + 1) * ocg], ocg, icg)
-            for g in range(p.group)])
+        mats = _pack_weight_columns(w, p)
     return SlidingWeights(mats, _padded_bias(bias, p.out_c))
 
 
@@ -444,12 +445,10 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     if packed is None:
         packed = pack_sliding(w, p, bias, ow)
     xd = np.ascontiguousarray(x.data, dtype=np.float32)
-    if p.group == 1:
-        _conv_dense(xd, packed.mats, packed.bias, p, out)
-    elif p.group == p.in_c == p.out_c:
+    if p.depthwise:
         _conv_depthwise(xd, packed.mats, packed.bias, p, out)
     else:
-        _conv_grouped(x, packed.mats, packed.bias, p, out)
+        _conv_dense(xd, packed.mats, packed.bias, p, out)
     return y
 
 
@@ -465,42 +464,32 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
     # the zero-filled padded input and the input copied in
     common = padded + n * cpad * h * w
-    if p.group == 1:
-        # at stride 1 each tap's GEMM reads the flattened padded input in
-        # place, over rows of pitch wp; a strided tap copies its window
-        strided = p.stride_h > 1 or p.stride_w > 1
-        pitch = ow if strided else w + 2 * p.pad_w
-        rows = (oh - 1) * pitch + ow
-        window = n * taps * pix * cpad if strided else 0
-        # per tap a GEMM product and (after the first) its sum; the bias and
-        # ReLU passes; the NC4HW4 store.  Both re-layouts move 16-byte items.
-        return KernelWork(
-            gemm=n * taps * rows * cpad * opad,
-            moved=(common + window + out
-                   + n * (2 * taps + p.relu) * rows * opad),
-            calls=14 + n * (6 + (3 + strided) * taps))
-    if p.group == p.in_c == p.out_c:
+    if p.depthwise:
         # per tap a multiply into the output or the product buffer, then
         # (after the first) its sum; the bias and ReLU passes
         return KernelWork(
             moved=common + n * (2 * taps + p.relu) * pix * cpad,
             calls=12 + n * (3 + 2 * taps))
-    # grouped: each group runs densely between NCHW round trips
-    icg, ocg = p.in_c // p.group, p.out_c // p.group
-    sub = ConvParams(p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w,
-                     icg, ocg)
-    work = KernelWork(moved=n * p.in_c * h * w + out * (4 + p.relu), calls=8)
-    for _ in range(p.group):
-        work += sliding_work(sub, n, h, w) + KernelWork(
-            moved=2 * n * channel_blocks(icg) * LANES * h * w + 2 * n * ocg * pix,
-            calls=6)
-    return work
+    # at stride 1 each tap's GEMM reads the flattened padded input in place,
+    # over rows of pitch wp; a strided tap copies its window.  A grouped
+    # conv's GEMM runs over every lane of its block-diagonal operand.
+    strided = p.stride_h > 1 or p.stride_w > 1
+    pitch = ow if strided else w + 2 * p.pad_w
+    rows = (oh - 1) * pitch + ow
+    window = n * taps * pix * cpad if strided else 0
+    # per tap a GEMM product and (after the first) its sum; the bias and
+    # ReLU passes; the NC4HW4 store.  Both re-layouts move 16-byte items.
+    return KernelWork(
+        gemm=n * taps * rows * cpad * opad,
+        moved=(common + window + out
+               + n * (2 * taps + p.relu) * rows * opad),
+        calls=14 + n * (6 + (3 + strided) * taps))
 
 
 def _conv_dense(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray | None,
                 p: ConvParams, out: np.ndarray) -> None:
-    """Dense conv of NC4HW4 data x into out: one GEMM per window tap
-    against every output block at once, over an NHWC padded input."""
+    """Dense or grouped conv of NC4HW4 data x into out: one GEMM per window
+    tap against every output block at once, over an NHWC padded input."""
     n, ibm, h, wd, _ = x.shape
     _, obm, oh, ow, _ = out.shape
     cpad = ibm * LANES
@@ -568,26 +557,3 @@ def _conv_depthwise(x: np.ndarray, wrow: np.ndarray, bias: np.ndarray | None,
         if p.relu:
             np.maximum(acc, 0.0, out=acc)
 
-
-def _conv_grouped(x: Tensor, mats: np.ndarray, bias: np.ndarray | None,
-                  p: ConvParams, out: np.ndarray) -> None:
-    # uncommon path: run each group densely over NCHW channel slices
-    from .tensor import pack_nc4hw4, unpack_nc4hw4, from_nchw
-
-    n = x.shape[0]
-    _, _, oh, ow, _ = out.shape
-    icg, ocg = p.in_c // p.group, p.out_c // p.group
-    x_nchw = unpack_nc4hw4(x).data
-    y = np.empty((n, p.out_c, oh, ow), dtype=np.float32)
-    sub_p = ConvParams(p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w,
-                       icg, ocg, 1, False)
-    yg = zeros((n, ocg, oh, ow), Layout.NC4HW4)
-    for g in range(p.group):
-        xg = pack_nc4hw4(from_nchw(x_nchw[:, g * icg:(g + 1) * icg]))
-        _conv_dense(xg.data, mats[g], None, sub_p, yg.data)
-        y[:, g * ocg:(g + 1) * ocg] = unpack_nc4hw4(yg).data
-    if bias is not None:
-        y += bias[:p.out_c].reshape(1, p.out_c, 1, 1)
-    if p.relu:
-        np.maximum(y, 0.0, out=y)
-    out[:] = pack_nc4hw4(from_nchw(y)).data

@@ -4,17 +4,18 @@ Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, each conv's weights packed once for its planned
 scheme (pack_weights), and byte offsets into one pre-sized pool per backend.
-The pool holds what the kernels read and write in place: activations,
-transfer copies and the Strassen scratch of MatMul steps.  Conv and pool
-kernels' temporaries, and the layout round trips of MatMul, Softmax and
-Reshape, still come from the heap.
+The pool holds what the kernels read and write in place: activations (each
+conv kernel writes its output there), transfer copies and the Strassen
+scratch of MatMul steps.  Conv and pool kernels' temporaries, and the layout
+round trips of MatMul, Softmax and Reshape, still come from the heap.
 
 Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
-window or a Winograd tile: the work its kernel does, counted by scheme_work
-and weighed in BLAS multiplies by the constants next to kernels.ADD_COST.
-Backend selection bills a conv at that cost and any other op at its
-multiply count, through op_cost.  The plan keeps every candidate's
-estimate, for dump-plan and the debug log.
+window or a Winograd tile: the work its kernel does from its packed weights
+to the step's pool view, counted by scheme_work and weighed in BLAS
+multiplies by the constants next to kernels.ADD_COST.  Backend selection
+bills a conv at that cost and any other op at its multiply count, through
+op_cost.  The plan keeps every candidate's estimate, for dump-plan and the
+debug log.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GraphValidationError
+from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
     ConvParams, KernelWork, MatDims, pack_sliding, sliding_work,
@@ -165,17 +166,12 @@ def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
 
 def scheme_work(p: ConvParams, scheme: SchemeChoice,
                 in_dims: tuple[int, ...]) -> KernelWork:
-    """The work of the kernel running `scheme` on an input of in_dims.
-
-    Sliding window writes into the step's pool view; a Winograd execution
-    also copies its result there.
-    """
+    """The work of the kernel running `scheme` on an input of in_dims,
+    written into the step's pool view."""
     n, _, h, w = in_dims
-    if scheme.kind is not SchemeKind.WINOGRAD:
-        return sliding_work(p, n, h, w)
-    oh, ow = p.out_size(h, w)
-    return winograd_work(p, scheme.tile, n, h, w) + KernelWork(
-        moved=n * channel_blocks(p.out_c) * LANES * oh * ow, calls=2)
+    if scheme.kind is SchemeKind.WINOGRAD:
+        return winograd_work(p, scheme.tile, n, h, w)
+    return sliding_work(p, n, h, w)
 
 
 def scheme_cost(p: ConvParams, scheme: SchemeChoice,
@@ -518,8 +514,12 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     the memory plan into one immutable execution plan.
 
     ``force_backend`` skips the cost comparison and plans for that candidate
-    (unsupported ops still fall back to CPU).
+    (unsupported ops still fall back to CPU).  A Winograd point
+    ``spacing`` must be positive, whether or not any conv plans a tile.
     """
+    if not spacing > 0:
+        raise UnsupportedSizeError(
+            f"point spacing f={spacing} must be positive")
     if not g.tensor_shapes:
         g = infer_shapes(g)
     schemes = select_schemes(g)

@@ -9,10 +9,11 @@ column of B is scaled integral with the factor folded back into the
 matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
-The convolution pipeline is: tile the output, gather all input patches
-into one tile-major array, transform them (Bt X B), reduce over channels as
-one batched matrix multiplication in the lane-packed layout, transform back
-(At Y A), and scatter tiles.
+The convolution runs every tile of every image as one batch: tile the
+output, gather all input patches into one tile-major array, transform them
+(Bt X B), reduce over channels as one batched matrix multiplication in the
+lane-packed layout, transform back (At Y A), scatter the tiles and crop them
+into the caller's output array (a session passes the step's pool view).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
 from .kernels import LANES, ConvParams, KernelWork, _padded_bias
-from .tensor import Layout, Tensor, channel_blocks, zeros
+from .tensor import Layout, Tensor, channel_blocks
 
 MAX_ALPHA = 10  # accuracy guard: larger transforms are routed to sliding window
 TILE_CANDIDATES = (2, 4, 6)
@@ -50,15 +51,6 @@ class WinogradTransform:
     A: np.ndarray
     B: np.ndarray
     G: np.ndarray
-
-
-@dataclass(frozen=True)
-class TileSchedule:
-    """Output tiling of one convolution: T tiles are batched per step."""
-
-    n_hat: int
-    T: int
-    tiles: tuple[tuple[int, int, int], ...]  # (image, tile row, tile col)
 
 
 _cache_lock = threading.Lock()
@@ -174,35 +166,20 @@ def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
     a2 = alpha * alpha
     padded = n * cpad * ((tiles_h - 1) * n_tile + alpha) \
         * ((tiles_w - 1) * n_tile + alpha)
-    batches = -(-tiles // max(oh * ow // (n_tile * n_tile), 1))
     return KernelWork(
         gemm=a2 * cpad * opad * tiles,
         small=2 * tiles * (cpad + opad),
-        # zero-filled output and padded input, the input copied in; both
-        # input transform products; the GEMM's product and both output
-        # transform products; the crop of the tiled output, bias and ReLU
+        # zero-filled padded input, the input copied in; both input
+        # transform products; the GEMM's product and both output transform
+        # products; the crop of the tiled output into out, bias and ReLU
         moved=(padded + n * cpad * h * w + 2 * tiles * cpad * a2
                + tiles * opad * (a2 + n_tile * alpha + n_tile * n_tile)
-               + out * (3 + p.relu)),
+               + out * (2 + p.relu)),
         # the patches, the re-layouts of the transformed input and of the
         # GEMM's product, and the scatter of output tiles
         shuffled=tiles * (2 * cpad * a2 + opad * a2 + opad * n_tile * n_tile),
         # sliding_window_view alone takes as long as about 15 calls
-        calls=50 + 14 * batches)
-
-
-def make_tile_schedule(n_hat: int, batch: int, out_h: int, out_w: int) -> TileSchedule:
-    """Enumerate output tiles; T = floor(out_w*out_h / n_hat^2) per batch."""
-    tiles_h = -(-out_h // n_hat)
-    tiles_w = -(-out_w // n_hat)
-    coords = tuple(
-        (img, th, tw)
-        for img in range(batch)
-        for th in range(tiles_h)
-        for tw in range(tiles_w)
-    )
-    return TileSchedule(n_hat=n_hat, T=(out_w * out_h) // (n_hat * n_hat),
-                        tiles=coords)
+        calls=60)
 
 
 def winograd_supported(p: ConvParams) -> bool:
@@ -266,19 +243,19 @@ class WeightCache:
 def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
                   t: WinogradTransform, threads: int = 1,
                   bias: np.ndarray | None = None,
-                  transformed: np.ndarray | None = None) -> Tensor:
-    """Blocked Winograd convolution over NC4HW4 input.
+                  transformed: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> Tensor:
+    """Winograd convolution over NC4HW4 input, every tile in one batch.
 
     ``transformed`` may carry a cached weight_transform result; otherwise the
     kernel transform runs inline.  The input patches of every tile form one
-    tile-major array in schedule order; each batch of T tiles is a slice of
-    it, transformed with whole-batch matrix products and scattered into the
-    output in one indexed store.  Batches run in turn on the calling thread.
-    The partition is fixed by the schedule alone, so repeated runs are
-    bitwise equal; changing it re-blocks the channel reduction inside the
-    BLAS call and may flip last-ulp bits, so outputs then agree to float32
-    tolerance, not bitwise.  ``threads`` is accepted and ignored: the
-    benchmark in perfbench/ still passes it, and it goes once it stops.
+    tile-major array, transformed with whole-array matrix products; one GEMM
+    per point of the alpha x alpha tile reduces over channels, and the output
+    tiles are cropped into the result.  The result is written into ``out``,
+    an NC4HW4 float32 array of the output's packed shape, when given (every
+    element, pad lanes included), else into a new one.  Runs on the calling
+    thread.  ``threads`` is accepted and ignored: the benchmark in
+    perfbench/ still passes it, and it goes once it stops.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_winograd expects NC4HW4 input")
@@ -290,16 +267,22 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     if c != p.in_c:
         raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
     oh, ow = p.out_size(h, wd)
-    y = zeros((n_img, p.out_c, oh, ow), Layout.NC4HW4)
-    if y.data.size == 0:
+    obm, ibm = channel_blocks(p.out_c), channel_blocks(c)
+    shape = (n_img, obm, oh, ow, LANES)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32:
+        raise ShapeMismatchError(
+            f"output {out.dtype} {out.shape} != float32 {shape}")
+    y = Tensor(shape=(n_img, p.out_c, oh, ow), layout=Layout.NC4HW4, data=out)
+    if out.size == 0:
         return y
     nh = t.n
     alpha = t.alpha
-    sched = make_tile_schedule(nh, n_img, oh, ow)
     tiles_h = -(-oh // nh)
     tiles_w = -(-ow // nh)
+    tiles = n_img * tiles_h * tiles_w
     umat = weight_transform(w, t) if transformed is None else transformed
-    obm, ibm = channel_blocks(p.out_c), channel_blocks(c)
     bt = np.ascontiguousarray(t.B.T.astype(np.float32))
     bmat = t.B.astype(np.float32)
     at = np.ascontiguousarray(t.A.T.astype(np.float32))
@@ -310,44 +293,36 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     wp = (tiles_w - 1) * nh + alpha
     xp = np.zeros((n_img, ibm, hp, wp, LANES), dtype=np.float32)
     xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    # tile-major patches [tiles, C, alpha, alpha], in the schedule's
-    # (image, tile row, tile col) order, channels lane-major within a block
+    # tile-major patches [tiles, C, alpha, alpha] in (image, tile row, tile
+    # col) order, channels lane-major within a block
     patches = np.lib.stride_tricks.sliding_window_view(
         xp, (alpha, alpha), axis=(2, 3)
     )[:, :, ::nh, ::nh].transpose(0, 2, 3, 1, 4, 5, 6).reshape(
-        len(sched.tiles), ibm * LANES, alpha, alpha)
-    del xp  # the reshape copied it: free the padded input before the batches
+        tiles, ibm * LANES, alpha, alpha)
+    del xp  # the reshape copied it
 
-    # output tiles land straight in their pixels: the padded output seen as
-    # [image, tile row, tile col, out block, lane, nh, nh]
+    v = bt @ patches @ bmat  # [tiles, C, alpha, alpha]
+    v = np.ascontiguousarray(
+        v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, tiles))
+    m = np.matmul(umat, v)  # [alpha^2, out lanes, tiles]
+    m = np.ascontiguousarray(
+        m.reshape(alpha, alpha, obm * LANES, tiles).transpose(3, 2, 0, 1))
+    out_tiles = at @ m @ amat  # [tiles, out lanes, nh, nh]
+
+    # the tiles land in their pixels of a padded output, seen as [image,
+    # tile row, tile col, out block, lane, nh, nh]; the crop fills out
     ypad = np.empty((n_img, obm, tiles_h * nh, tiles_w * nh, LANES),
                     dtype=np.float32)
-    grid = ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES
-                        ).transpose(0, 2, 4, 1, 6, 3, 5)
-    batch_sz = max(sched.T, 1)
-    for start in range(0, len(sched.tiles), batch_sz):
-        block = patches[start:start + batch_sz]
-        bt_n = block.shape[0]
-        v = bt @ block @ bmat  # [bt_n, C, alpha, alpha]
-        v = np.ascontiguousarray(
-            v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, bt_n)
-        )
-        m = np.matmul(umat, v)  # [alpha^2, out lanes, bt_n]
-        m = np.ascontiguousarray(
-            m.reshape(alpha, alpha, obm * LANES, bt_n).transpose(3, 2, 0, 1)
-        )
-        out_tiles = at @ m @ amat  # [bt_n, out lanes, nh, nh]
-        img, th, tw = np.unravel_index(np.arange(start, start + bt_n),
-                                       (n_img, tiles_h, tiles_w))
-        grid[img, th, tw] = out_tiles.reshape(bt_n, obm, LANES, nh, nh)
-
-    y.data[:] = ypad[:, :, :oh, :ow]
+    ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES).transpose(
+        0, 2, 4, 1, 6, 3, 5)[:] = out_tiles.reshape(
+            n_img, tiles_h, tiles_w, obm, LANES, nh, nh)
+    out[:] = ypad[:, :, :oh, :ow]
     bias_full = _padded_bias(bias, p.out_c)
     if bias_full is not None:
-        y.data += bias_full.reshape(obm, 1, 1, LANES)
+        out += bias_full.reshape(obm, 1, 1, LANES)
     if p.relu:
-        np.maximum(y.data, 0.0, out=y.data)
+        np.maximum(out, 0.0, out=out)
     # pad output lanes stay zero even after bias
     if p.out_c % LANES:
-        y.data[:, -1, :, :, p.out_c % LANES:] = 0.0
+        out[:, -1, :, :, p.out_c % LANES:] = 0.0
     return y

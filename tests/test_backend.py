@@ -78,12 +78,13 @@ class TestBuffers:
         assert cpu.alloc_count == allocs_after_first
         session.close()
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", sorted(PRESETS) + ["grouped"])
     def test_sliding_steps_heap_peak_bounded(self, preset, monkeypatch):
         # each sliding-window conv writes its output in place and reads
         # packed weights: its heap peak is its padded input plus its
         # working buffers, within a fixed slack
-        g = fuse(build_preset(preset))
+        g = fuse(build_preset(preset) if preset in PRESETS
+                 else grouped_conv_graph())
         plan = pre_infer(g, [CpuBackend().spec()])
         session = Session(plan, [CpuBackend()])
         x = make_input(g)
@@ -114,10 +115,21 @@ class TestBuffers:
         assert not over
 
 
+def grouped_conv_graph():
+    """Grouped convs no preset has: 12 -> 24 channels in 3 groups on a
+    16-pixel map, at stride 1 and at stride 2."""
+    b = GraphBuilder((1, 12, 16, 16), seed=0)
+    wide = b.conv(b.input_id, kernel=3, pad=1, out_c=24, group=3,
+                  activation="relu")
+    strided = b.conv(b.input_id, kernel=3, stride=2, pad=1, out_c=24, group=3)
+    return b.build(outputs=[wide, strided])
+
+
 def sliding_heap_bound(node, shapes):
     """Heap bytes a sliding-window conv step may take: the padded input,
     then two [oh * pitch, out lanes] accumulators and a window if strided
-    (dense) or one product buffer (depthwise), plus 96 KiB of slack."""
+    (dense or grouped) or one product buffer (depthwise), plus 96 KiB of
+    slack."""
     p = _conv_params(node)
     n, _, h, w = shapes[node.inputs[0]].dims
     oh, ow = p.out_size(h, w)
@@ -125,13 +137,12 @@ def sliding_heap_bound(node, shapes):
     opad = channel_blocks(p.out_c) * LANES
     wp = w + 2 * p.pad_w
     padded = n * cpad * (h + 2 * p.pad_h) * wp
-    if p.group == 1:
+    if p.depthwise:
+        work = cpad * oh * ow
+    else:
         strided = p.stride_h > 1 or p.stride_w > 1
         pitch = ow if strided else wp
         work = 2 * oh * pitch * opad + (oh * ow * cpad if strided else 0)
-    else:
-        assert p.group == p.in_c == p.out_c, "a grouped conv has no bound"
-        work = cpad * oh * ow
     return 4 * (padded + work) + 96 * 1024
 
 
@@ -142,14 +153,16 @@ class TestExecutions:
         g = b.build()
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
+        assert plan.schemes[g.nodes[0].id].kind is SchemeKind.WINOGRAD
         plan.weight_cache.reset_counters()
         session = Session(plan, [cpu])
+        # one cache hit per winograd op when the session is built
+        assert (plan.weight_cache.hits, plan.weight_cache.recomputes) == (1, 0)
         x = make_input(g)
         session.run(x)
         session.run(x)
-        # one cache hit per winograd op per run, zero recomputes
-        assert plan.weight_cache.hits == 2
-        assert plan.weight_cache.recomputes == 0
+        # and none per run
+        assert (plan.weight_cache.hits, plan.weight_cache.recomputes) == (1, 0)
         session.close()
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))

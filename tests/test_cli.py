@@ -102,6 +102,25 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and "--runs" in err
 
+    def test_negative_warmup_rejected(self, model_path, capsys):
+        code = main(["run", "--model", model_path, "--warmup", "-3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "--warmup" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "compare", "dump-plan"])
+    @pytest.mark.parametrize("spacing", ["-2", "0", "nan"])
+    def test_nonpositive_spacing_rejected(self, model_path, capsys, command,
+                                          spacing):
+        # no preset conv plans a Winograd tile, so the spacing is checked
+        # before planning, not when a transform is generated
+        code = main([command, "--model", model_path, "--f", spacing])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: point spacing f=")
+        assert captured.out == ""
+
     def test_no_thread_count(self, model_path, capsys):
         # kernels run on the calling thread: no option, no report field
         for command in ("run", "compare", "dump-plan"):

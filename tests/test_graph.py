@@ -170,6 +170,20 @@ class TestShapeInference:
         with pytest.raises(ShapeInferenceError):
             infer_shapes(g)
 
+    @pytest.mark.parametrize("target", [(1, 16), (1, 4, 4), (16,)])
+    def test_reshape_target_must_be_4d(self, target):
+        b = GraphBuilder((1, 4, 2, 2), seed=0)
+        b.reshape(target, name="flat")
+        with pytest.raises(ShapeInferenceError,
+                           match="node 'flat': .* not 4-d"):
+            b.build()
+
+    def test_loaded_reshape_target_must_be_4d(self):
+        data = edit_attrs(layered_model(), "flat", shape=[1, 64])
+        with pytest.raises(ShapeInferenceError,
+                           match="node 'flat': .* not 4-d"):
+            load_model(data)
+
     def test_matmul_feature_check(self):
         b = GraphBuilder((1, 4, 2, 2), seed=0)
         b.matmul(5)

@@ -8,7 +8,8 @@ from nanoinfer.kernels import (
     ConvParams, MatDims, conv_sliding, matmul_direct, matmul_strassen,
     strassen_recursion_depth, strassen_scratch_elems, strassen_should_recurse,
 )
-from nanoinfer.tensor import from_nchw, pack_nc4hw4, unpack_nc4hw4
+from nanoinfer.tensor import LANES, from_nchw, pack_nc4hw4, unpack_nc4hw4
+from nanoinfer.winograd import conv_winograd, generate_transforms
 
 
 def triple_loop_matmul(a, b):
@@ -228,3 +229,49 @@ class TestConvSliding:
         out = unpack_nc4hw4(conv_sliding(x, w, p, bias=bias), 2).data
         assert np.all(out[:, 0] == 0.5)
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
+
+
+# (in_c, out_c, group, stride, Winograd tile or None for sliding window);
+# every out_c leaves pad lanes, and the 11x9 map ragged edge tiles
+OUT_CASES = {
+    "dense": (5, 7, 1, 2, None),
+    "depthwise": (6, 6, 6, 1, None),
+    "grouped": (6, 9, 3, 1, None),
+    "winograd2": (5, 7, 1, 1, 2),
+    "winograd4": (5, 7, 1, 1, 4),
+    "winograd6": (5, 7, 1, 1, 6),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_CASES))
+def test_conv_out_contract(case, rng):
+    # out= is filled in full, pad lanes included, and is the result's data
+    in_c, out_c, group, stride, tile = OUT_CASES[case]
+    x = pack_nc4hw4(from_nchw(
+        rng.standard_normal((2, in_c, 11, 9)).astype(np.float32)))
+    w = (rng.standard_normal((out_c, in_c // group, 3, 3)) * 0.3
+         ).astype(np.float32)
+    bias = rng.standard_normal(out_c).astype(np.float32)
+    p = ConvParams.square(3, stride=stride, pad=1, in_c=in_c, out_c=out_c,
+                          group=group, relu=True)
+    if tile is None:
+        def conv(out=None):
+            return conv_sliding(x, w, p, bias=bias, out=out)
+    else:
+        t = generate_transforms(tile, 3)
+
+        def conv(out=None):
+            return conv_winograd(x, w, p, t, bias=bias, out=out)
+
+    want = conv().data
+    out = np.full_like(want, np.nan)
+    y = conv(out=out)
+    assert y.data is out
+    assert not np.isnan(out).any()
+    assert np.all(out[:, -1, :, :, out_c % LANES:] == 0)
+    assert out.tobytes() == want.tobytes()
+    taller = np.empty(want.shape[:2] + (want.shape[2] + 1,) + want.shape[3:],
+                      np.float32)
+    for bad in (taller, want.astype(np.float64)):
+        with pytest.raises(ShapeMismatchError):
+            conv(out=bad)

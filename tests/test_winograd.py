@@ -6,8 +6,8 @@ from nanoinfer.errors import ShapeMismatchError, UnsupportedSizeError
 from nanoinfer.kernels import ConvParams, conv_sliding
 from nanoinfer.tensor import channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4
 from nanoinfer.winograd import (
-    WeightCache, conv_winograd, generate_transforms, make_tile_schedule,
-    weight_transform, winograd_work,
+    WeightCache, conv_winograd, generate_transforms, weight_transform,
+    winograd_work,
 )
 
 
@@ -167,18 +167,6 @@ class TestChooseTile:
             assert choice == best
 
 
-class TestTileSchedule:
-    def test_multiplier(self):
-        s = make_tile_schedule(2, 1, 14, 14)
-        assert s.T == (14 * 14) // 4
-        assert len(s.tiles) == 49
-
-    def test_ragged_edges_enumerated(self):
-        s = make_tile_schedule(4, 2, 9, 6)
-        assert len(s.tiles) == 2 * 3 * 2
-        assert s.T == (9 * 6) // 16
-
-
 class TestWeightTransform:
     def test_packed_shape(self, rng):
         t = generate_transforms(2, 3, 0.5)
@@ -247,8 +235,8 @@ class TestConvWinograd:
                 assert rel_err(got, want) <= 1e-3, (k, n_tile)
 
     def test_several_images_match_reference(self, rng):
-        # batches of T tiles run across image boundaries of the tile-major
-        # patch array; 13x10 leaves ragged edge tiles for every tile size
+        # the tile-major patch array spans image boundaries; 13x10 leaves
+        # ragged edge tiles for every tile size
         x = rng.standard_normal((3, 5, 13, 10)).astype(np.float32)
         w = (rng.standard_normal((6, 5, 3, 3)) * 0.3).astype(np.float32)
         bias = rng.standard_normal(6).astype(np.float32)
@@ -270,33 +258,6 @@ class TestConvWinograd:
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
         assert np.all(y.data[:, :, :, :, 2:] == 0)
 
-    def test_rebatching_agrees_to_tolerance(self, rng, monkeypatch):
-        # a different tile partition re-blocks the BLAS reduction, which may
-        # flip last-ulp bits; values must still agree tightly.  Two images,
-        # so batches also straddle the image boundary of the tile array
-        x = rng.standard_normal((2, 8, 20, 20)).astype(np.float32)
-        w = (rng.standard_normal((8, 8, 3, 3)) * 0.3).astype(np.float32)
-        p = ConvParams.square(3, pad=1, in_c=8, out_c=8)
-        base = run_winograd(x, w, p, 2)
-        # repeatability: the schedule alone fixes the partition
-        assert np.array_equal(run_winograd(x, w, p, 2), base)
-        want = conv2d_reference(x, w, (1, 1), (1, 1))
-        assert rel_err(base, want) <= 1e-3
-        import nanoinfer.winograd as wmod
-        original = wmod.make_tile_schedule
-        n_tiles = len(original(2, 2, 20, 20).tiles)
-        assert original(2, 2, 20, 20).T not in (1, 3, n_tiles)
-
-        for batch_t in (1, 3, n_tiles):
-            def rebatched_schedule(n_hat, batch, out_h, out_w, batch_t=batch_t):
-                sched = original(n_hat, batch, out_h, out_w)
-                return wmod.TileSchedule(n_hat=sched.n_hat, T=batch_t,
-                                         tiles=sched.tiles)
-
-            monkeypatch.setattr(wmod, "make_tile_schedule", rebatched_schedule)
-            rebatched = run_winograd(x, w, p, 2)
-            assert rel_err(rebatched, base) <= 1e-5, batch_t
-
     def test_transform_kernel_mismatch(self, rng):
         x = pack_nc4hw4(from_nchw(rng.standard_normal((1, 4, 8, 8)).astype(np.float32)))
         w = np.zeros((4, 4, 3, 3), np.float32)
@@ -305,9 +266,7 @@ class TestConvWinograd:
             conv_winograd(x, w, ConvParams.square(3, in_c=4, out_c=4), t5)
 
     def test_output_smaller_than_tile(self, rng):
-        # 3x3 output with a 4-tile: T floors to zero, batch clamps to one
-        s = make_tile_schedule(4, 1, 3, 3)
-        assert s.T == 0 and len(s.tiles) == 1
+        # a 3x3 output with a 4-tile: one tile, cropped to the output
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         w = (rng.standard_normal((2, 4, 3, 3)) * 0.3).astype(np.float32)
         p = ConvParams.square(3, in_c=4, out_c=2)
