@@ -2,16 +2,21 @@
 
 A backend owns a buffer namespace (acquire/release, optionally served from
 a pre-planned pool) and creates reusable execution instances per operator.
-A session binds an ExecutionPlan to concrete pools once, then every
-inference runs the same step list; tensors crossing backends are moved by
-explicit transfer steps.  Activations, transfer copies and MatMul's Strassen
-scratch are views into the pools.  A conv runs Winograd at its planned tile
-or sliding window, with the weights pre-inference packed for that scheme and
-fetched once, when the session is built; either scheme writes straight into
-the step's pool view.  The conv and pool kernels' temporaries (padded
-inputs, accumulators, Winograd's patches and tiles) and the layout round
-trips of MatMul, Softmax and Reshape are still heap allocations on every
-run.
+A session binds an ExecutionPlan to concrete pools once: it builds every
+step's execution and slices its input, output and scratch views when it is
+made, so each inference only runs the bound steps in order; tensors crossing
+backends are moved by explicit transfer steps.  Activations, transfer copies
+and MatMul's Strassen scratch are views into the pools.  A conv runs
+Winograd at its planned tile or sliding window, with the weights
+pre-inference packed for that scheme and fetched once, when the session is
+built; either scheme writes straight into the step's pool view.  MatMul
+multiplies the packed input lanes by weights permuted once into packed row
+order, and Softmax works on the packed tensor's channel-last view, which for
+an [n, C, 1, 1] tensor is the pool view itself.  The kernels' temporaries
+(padded inputs, accumulators, Winograd's patches and tiles, MatMul's
+product) are still heap allocations on every run, and so is the NCHW round
+trip of a Reshape that changes the shape (graph.fuse drops the identity
+ones).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .graph import OpKind, OpNode
 from .kernels import LANES, conv_sliding, matmul_strassen
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
-    TransferStep, _conv_params, pack_weights, packed_bytes,
+    TransferStep, _conv_params, pack_weights, packed_bytes, weight_key,
 )
 from .tensor import (
     Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4,
@@ -126,10 +131,14 @@ def _as_tensor(view: np.ndarray, shape) -> Tensor:
     return Tensor(shape=tuple(shape.dims), layout=Layout.NC4HW4, data=data)
 
 
-def _softmax_channels(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
+def _packed_weights(step: OpStep, plan: ExecutionPlan, shapes):
+    """The step's weights as its kernel reads them, fetched from the plan's
+    weight cache; pre_infer packs the planned scheme's, another scheme's
+    (compare and calibration run every one) is packed on first use."""
+    node = step.node
+    return plan.weight_cache.get(
+        weight_key(node, step.scheme),
+        compute=lambda: pack_weights(node, step.scheme, shapes, plan.spacing))
 
 
 def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution:
@@ -140,21 +149,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         return _build_conv_execution(step, plan, shapes)
 
     if kind is OpKind.MATMUL:
-        weights = np.ascontiguousarray(node.weights, dtype=np.float32)
-        bias = None if node.bias is None else node.bias.astype(np.float32)
-        in_shape = shapes[node.inputs[0]]
-        out_shape = shapes[node.outputs[0]]
-
-        def run(inputs, outputs, scratch=None):
-            x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape)).data
-            flat = x.reshape(x.shape[0], -1)
-            y = matmul_strassen(flat, weights, scratch=scratch)
-            if bias is not None:
-                y = y + bias
-            out = _packed_view(outputs[0], out_shape)
-            out[:] = pack_nc4hw4(from_nchw(y.reshape(*out_shape.dims))).data
-
-        return Execution(node, run)
+        return _build_matmul_execution(step, plan, shapes)
 
     if kind is OpKind.RELU:
         def run(inputs, outputs, scratch=None):
@@ -167,15 +162,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         return Execution(node, run)
 
     if kind is OpKind.SOFTMAX:
-        in_shape = shapes[node.inputs[0]]
-
-        def run(inputs, outputs, scratch=None):
-            x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape))
-            y = _softmax_channels(x.data)
-            out = _packed_view(outputs[0], in_shape)
-            out[:] = pack_nc4hw4(from_nchw(y)).data
-
-        return Execution(node, run)
+        return _build_softmax_execution(step, shapes)
 
     if kind is OpKind.RESHAPE:
         in_shape = shapes[node.inputs[0]]
@@ -195,6 +182,65 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
     raise UnsupportedOpError(f"no CPU execution for kind {kind}")
 
 
+def _build_matmul_execution(step: OpStep, plan: ExecutionPlan,
+                            shapes) -> Execution:
+    """A MatMul on the packed input rows [n, blocks*h*w*4], whose weights
+    pre-inference permuted into that row order with zero pad rows; the
+    product fills the output's first out_features lanes, pad lanes zero."""
+    node = step.node
+    weights = _packed_weights(step, plan, shapes)
+    bias = None if node.bias is None else node.bias.astype(np.float32)
+    n = shapes[node.inputs[0]].dims[0]
+    rows, features = weights.shape
+    lanes = channel_blocks(features) * LANES
+
+    def run(inputs, outputs, scratch=None):
+        x = inputs[0][:n * rows].reshape(n, rows)
+        out = outputs[0][:n * lanes].reshape(n, lanes)
+        # the product keeps out_features columns: padding it to whole
+        # lanes changes the GEMM, and with it the last bits
+        y = matmul_strassen(x, weights, scratch=scratch)
+        if bias is None:
+            out[:, :features] = y
+        else:
+            np.add(y, bias, out=out[:, :features])
+        if features < lanes:
+            out[:, features:] = 0.0
+
+    return Execution(node, run)
+
+
+def _build_softmax_execution(step: OpStep, shapes) -> Execution:
+    """Softmax over the channels of the packed tensor's channel-last view,
+    [n*h*w, blocks*4]: for [n, C, 1, 1] that is the pool view itself, a
+    larger map takes one re-layout each way.  The first C lanes are written,
+    the pad lanes zeroed."""
+    node = step.node
+    shape = shapes[node.inputs[0]]
+    n, c, h, w = shape.dims
+    lanes = channel_blocks(c) * LANES
+
+    def run(inputs, outputs, scratch=None):
+        if h * w == 1:
+            x = inputs[0][:n * lanes].reshape(n, lanes)
+            y = outputs[0][:n * lanes].reshape(n, lanes)
+        else:
+            x = _packed_view(inputs[0], shape).transpose(0, 2, 3, 1, 4) \
+                .copy().reshape(n * h * w, lanes)
+            y = x
+        xs, ys = x[:, :c], y[:, :c]
+        np.subtract(xs, np.maximum.reduce(xs, axis=1, keepdims=True), out=ys)
+        np.exp(ys, out=ys)
+        ys /= np.add.reduce(ys, axis=1, keepdims=True)
+        if c < lanes:
+            y[:, c:] = 0.0
+        if h * w > 1:
+            _packed_view(outputs[0], shape)[:] = y.reshape(
+                n, h, w, -1, LANES).transpose(0, 3, 1, 2, 4)
+
+    return Execution(node, run)
+
+
 def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
                           shapes) -> Execution:
     node = step.node
@@ -202,12 +248,7 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.outputs[0]]
     scheme = step.scheme
-
-    # pre_infer packs the planned scheme's operand; another scheme's
-    # (compare and calibration run every one) is packed on first use
-    weights = plan.weight_cache.get(
-        (node.id, scheme.label()),
-        compute=lambda: pack_weights(node, scheme, shapes, plan.spacing))
+    weights = _packed_weights(step, plan, shapes)
 
     if scheme.kind is SchemeKind.WINOGRAD:
         transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
@@ -234,10 +275,12 @@ def _build_pool_execution(step: OpStep, shapes) -> Execution:
     in_shape = shapes[node.inputs[0]]
     out_shape = shapes[node.outputs[0]]
 
+    oh, ow = out_shape.dims[2], out_shape.dims[3]
+    combine = np.maximum if mode == "max" else np.add
+
     def run(inputs, outputs, scratch=None):
         x = _packed_view(inputs[0], in_shape)
         n, blocks, h, w, _ = x.shape
-        oh, ow = out_shape.dims[2], out_shape.dims[3]
         xp = x
         if ph or pw:
             xp = np.full((n, blocks, h + 2 * ph, w + 2 * pw, LANES),
@@ -245,15 +288,22 @@ def _build_pool_execution(step: OpStep, shapes) -> Execution:
             xp[:, :, ph:ph + h, pw:pw + w] = x
         # reduce one window axis at a time, each tap one call over the whole
         # tensor: kh taps over whole rows first, then kw taps on the fewer
-        # rows left, where a strided window breaks the contiguous run
-        combine = np.maximum if mode == "max" else np.add
-        rows = xp[:, :, 0:sh * oh:sh].copy()
-        for u in range(1, kh):
-            combine(rows, xp[:, :, u:u + sh * oh:sh], out=rows)
+        # rows left, where a strided window breaks the contiguous run.  An
+        # axis with one output window is one reduce over its taps; on an
+        # axis that is not innermost it combines them in the loop's order.
+        if oh == 1:
+            rows = combine.reduce(xp[:, :, 0:kh], axis=2, keepdims=True)
+        else:
+            rows = xp[:, :, 0:sh * oh:sh].copy()
+            for u in range(1, kh):
+                combine(rows, xp[:, :, u:u + sh * oh:sh], out=rows)
         out = _packed_view(outputs[0], out_shape)
-        out[:] = rows[:, :, :, 0:sw * ow:sw]
-        for v in range(1, kw):
-            combine(out, rows[:, :, :, v:v + sw * ow:sw], out=out)
+        if ow == 1:
+            combine.reduce(rows[:, :, :, 0:kw], axis=3, keepdims=True, out=out)
+        else:
+            out[:] = rows[:, :, :, 0:sw * ow:sw]
+            for v in range(1, kw):
+                combine(out, rows[:, :, :, v:v + sw * ow:sw], out=out)
         if mode == "max":
             # spatial padding is -inf so it never wins; scrub any window
             # that saw padding only, and keep channel pad lanes at zero
@@ -331,7 +381,6 @@ class Session:
 
         # staging buffers for graph inputs (outside the pools)
         cpu = backends[0]
-        self._cpu_name = cpu.name
         self._input_views: dict[str, np.ndarray] = {}
         for tid in plan.graph.inputs:
             nbytes = packed_bytes(shapes[tid])
@@ -340,27 +389,43 @@ class Session:
             self._acquired.append((cpu, view))
 
         # pool-backed views for every planned (tensor, backend) residency
-        self._views: dict[tuple[str, str], np.ndarray] = {}
+        views: dict[tuple[str, str], np.ndarray] = {}
         for name, mem in plan.memory.items():
             backend = self.backends[name]
             for tid, offset in mem.offsets.items():
                 view = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
-                self._views[(tid, name)] = view
+                views[(tid, name)] = view
                 self._acquired.append((backend, view))
         for tid, view in self._input_views.items():
-            self._views[(tid, cpu.name)] = view
+            views[(tid, cpu.name)] = view
 
-        self._executions: list[tuple[OpStep, Execution]] = []
+        def view(tid: str, backend: str) -> np.ndarray:
+            return views[(tid, backend)][:packed_bytes(shapes[tid]) // 4]
+
+        # one record per step, bound once: (name, execution, input views,
+        # output views, scratch view, dispatch surcharge in ms).  A transfer
+        # has no execution; its views are its source and destination, both
+        # None when it moves nothing.
+        self._bound: list[tuple] = []
         for step in plan.steps:
-            if isinstance(step, OpStep):
-                backend = self.backends[step.backend]
-                self._executions.append(
-                    (step, backend.create_execution(step, plan, shapes)))
+            if isinstance(step, TransferStep):
+                moves = step.src != step.dst
+                self._bound.append((
+                    f"transfer:{step.tensor}", None,
+                    view(step.tensor, step.src) if moves else None,
+                    view(step.tensor, step.dst) if moves else None,
+                    None, 0.0))
+                continue
+            backend = self.backends[step.backend]
+            self._bound.append((
+                step.node.id, backend.create_execution(step, plan, shapes),
+                [view(t, step.backend) for t in step.node.inputs],
+                [view(t, step.backend) for t in step.node.outputs],
+                views.get((step.scratch_id, step.backend)),
+                getattr(backend, "dispatch_surcharge_ms", 0.0)))
+        self._outputs = [(tid, _packed_view(view(tid, cpu.name), shapes[tid]),
+                          shapes[tid]) for tid in plan.graph.outputs]
         self._closed = False
-
-    def _view(self, tid: str, backend: str) -> np.ndarray:
-        size = packed_bytes(self._shapes[tid]) // 4
-        return self._views[(tid, backend)][:size]
 
     def run(self, inputs: dict[str, Tensor] | Tensor) -> dict[str, Tensor]:
         outputs, _ = self.run_timed(inputs)
@@ -394,38 +459,23 @@ class Session:
             # stale, and non-zero pad lanes leak into every conv's sums
             t.validate_layout()
             packed = t if t.layout is Layout.NC4HW4 else pack_nc4hw4(t)
-            self._views[(tid, self._cpu_name)][:] = packed.data.reshape(-1)
+            self._input_views[tid][:] = packed.data.reshape(-1)
 
         times: list[tuple[str, float]] = []
-        exec_iter = iter(self._executions)
-        for step in self.plan.steps:
+        for name, execution, ins, outs, scratch, surcharge in self._bound:
             start = time.perf_counter()
-            if isinstance(step, TransferStep):
-                if step.src == step.dst:
-                    self.transfer_counters["noop"] += 1
-                else:
-                    transfer(self._view(step.tensor, step.src),
-                             self._view(step.tensor, step.dst),
-                             self.transfer_counters)
-                times.append((f"transfer:{step.tensor}",
-                              (time.perf_counter() - start) * 1e3))
-            else:
-                op_step, execution = next(exec_iter)
-                assert op_step is step
-                ins = [self._view(t, step.backend) for t in step.node.inputs]
-                outs = [self._view(t, step.backend) for t in step.node.outputs]
-                scratch = self._views.get((step.scratch_id, step.backend))
+            if execution is not None:
                 execution.run(ins, outs, scratch)
-                elapsed = (time.perf_counter() - start) * 1e3
-                backend = self.backends[step.backend]
-                elapsed += getattr(backend, "dispatch_surcharge_ms", 0.0)
-                times.append((step.node.id, elapsed))
+            elif ins is None:
+                self.transfer_counters["noop"] += 1
+            else:
+                transfer(ins, outs, self.transfer_counters)
+            times.append((name, (time.perf_counter() - start) * 1e3
+                          + surcharge))
 
         outputs = {}
-        for tid in g.outputs:
-            view = self._view(tid, self._cpu_name)
-            shape = self._shapes[tid]
-            packed = _as_tensor(_packed_view(view, shape).copy(), shape)
+        for tid, view, shape in self._outputs:
+            packed = _as_tensor(view.copy(), shape)
             outputs[tid] = unpack_nc4hw4(packed, shape.dims[1])
         return outputs, times
 

@@ -71,6 +71,16 @@ class BenchReport:
         }
 
 
+def blas_threads() -> str:
+    """The BLAS thread setting of this process, as run and compare report it
+    beside their times: at OpenBLAS's default of one thread per CPU, every
+    GEMM early in a process can stall for milliseconds."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var):
+            return f"{var}={os.environ[var]}"
+    return f"default ({os.cpu_count()} cpus)"
+
+
 def _setup_logging() -> None:
     level = os.environ.get("NANO_INFER_LOG", "error").lower()
     logging.basicConfig(
@@ -163,7 +173,8 @@ def cmd_run(args) -> int:
     for tid in sorted(outputs):
         digest.update(outputs[tid].data.tobytes())
     payload = {"report": report.to_dict(),
-               "output_sha256": digest.hexdigest()}
+               "output_sha256": digest.hexdigest(),
+               "blas_threads": blas_threads()}
     if args.dump_plan:
         payload["plan"] = plan.dump()
     if args.format == "json":
@@ -171,6 +182,7 @@ def cmd_run(args) -> int:
     else:
         r = report.to_dict()
         print(f"backend={r['backend']} runs={r['runs']} warmup={r['warmup']}")
+        print(f"blas threads: {payload['blas_threads']}")
         print(f"mean={r['mean_ms']:.3f}ms min={r['min_ms']:.3f}ms "
               f"max={r['max_ms']:.3f}ms p50={r['p50_ms']:.3f}ms "
               f"p90={r['p90_ms']:.3f}ms")
@@ -246,7 +258,8 @@ def cmd_compare(args) -> int:
             "timings_ms": timings,
             "estimates_ms": plan.candidates[node.id],
         })
-    payload = {"layers": rows, "max_rel_deviation": worst}
+    payload = {"layers": rows, "max_rel_deviation": worst,
+               "blas_threads": blas_threads()}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
@@ -259,6 +272,7 @@ def cmd_compare(args) -> int:
             print(f"{row['layer']}: chosen={row['chosen']} "
                   f"dev={row['max_rel_deviation']:.2e} {times}")
         print(f"max relative deviation: {worst:.3e}")
+        print(f"blas threads: {payload['blas_threads']}")
     return 0 if worst <= 1e-3 else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -239,12 +239,38 @@ def infer_shapes(g: Graph) -> Graph:
     return g
 
 
-def fuse(g: Graph) -> Graph:
-    """Merge each Conv2D whose sole consumer is a ReLU into the convolution.
+def _drop_identity_reshapes(g: Graph) -> list[OpNode]:
+    """g's nodes without each Reshape whose target is its input's shape,
+    with that Reshape's consumers reading its input instead.  A Reshape
+    whose output is a graph output stays, so every output keeps its id."""
+    if not g.tensor_shapes:
+        g = infer_shapes(g)
+    shapes = g.tensor_shapes
+    source: dict[str, str] = {}  # dropped Reshape output -> tensor it aliases
+    nodes: list[OpNode] = []
+    for node in g.nodes:
+        inputs = [source.get(tid, tid) for tid in node.inputs]
+        if (node.kind is OpKind.RESHAPE
+                and node.outputs[0] not in g.outputs
+                and shapes[node.outputs[0]].dims == shapes[inputs[0]].dims):
+            source[node.outputs[0]] = inputs[0]
+            continue
+        nodes.append(node if inputs == node.inputs
+                     else replace(node, inputs=inputs))
+    return nodes
 
-    ReLU runs after bias accumulation in both the separate and the fused
-    form, so outputs are unchanged bit for bit.
+
+def fuse(g: Graph) -> Graph:
+    """Drop identity Reshapes, then merge each Conv2D whose sole consumer is
+    a ReLU into the convolution.
+
+    A Reshape whose target equals its input's shape moves no data, since
+    both tensors have the same NC4HW4 bytes, so its consumers read its input
+    directly.  ReLU runs after bias accumulation in both the separate and
+    the fused form.  Outputs are unchanged bit for bit.
     """
+    g = Graph(nodes=_drop_identity_reshapes(g), inputs=list(g.inputs),
+              outputs=list(g.outputs), input_shapes=dict(g.input_shapes))
     removed: set[str] = set()
     nodes: list[OpNode] = []
     for node in g.nodes:

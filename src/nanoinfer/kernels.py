@@ -170,9 +170,14 @@ def strassen_should_recurse(d: MatDims, add_cost: float = 1) -> bool:
     Each addition weighs `add_cost` multiplies; the default of 1 is the
     plain count rule, the engine itself uses ADD_COST.
     """
-    if min(d.n, d.k, d.m) == 0:
+    return _split_pays(d.n, d.k, d.m, add_cost)
+
+
+def _split_pays(n: int, k: int, m: int, add_cost: float) -> bool:
+    """strassen_should_recurse on plain extents."""
+    if min(n, k, m) == 0:
         return False
-    n2, k2, m2 = (d.n + 1) // 2, (d.k + 1) // 2, (d.m + 1) // 2
+    n2, k2, m2 = (n + 1) // 2, (k + 1) // 2, (m + 1) // 2
     saved = (2 * n2) * (2 * k2) * (2 * m2) - 7 * n2 * k2 * m2
     return saved > add_cost * _split_additions(n2, k2, m2)
 
@@ -186,7 +191,7 @@ def strassen_recursion_depth(d: MatDims, add_cost: float = 1) -> int:
     """Number of split levels the cutoff rule allows, iterated on halves."""
     depth = 0
     n, k, m = d.n, d.k, d.m
-    while strassen_should_recurse(MatDims(n, k, m), add_cost):
+    while _split_pays(n, k, m, add_cost):
         n, k, m = (n + 1) // 2, (k + 1) // 2, (m + 1) // 2
         depth += 1
     return depth
@@ -257,10 +262,10 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray,
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"cannot multiply {a.shape} by {b.shape}")
+    if not _split_pays(a.shape[0], a.shape[1], b.shape[1], ADD_COST):
+        return matmul_direct(a, b)
     dims = _strassen_level_dims(MatDims(a.shape[0], a.shape[1], b.shape[1]))
     depth = len(dims) - 1
-    if depth == 0:
-        return matmul_direct(a, b)
 
     a = a.astype(np.float32, copy=False)
     b = b.astype(np.float32, copy=False)
@@ -336,6 +341,18 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray,
         parent[:, n1:, :m1] = bl[:, :n0 - n1, :]
         parent[:, n1:, m1:] = br[:, :n0 - n1, :m0 - m1]
     return np.ascontiguousarray(parent[0])
+
+
+def pack_matmul_rows(w: np.ndarray, c: int, h: int, wd: int) -> np.ndarray:
+    """MatMul weights [c*h*wd, out] -> [blocks*h*wd*4, out] in the row order
+    of a flattened NC4HW4 image of c x h x wd, with zero rows at its pad
+    lanes, so the product reads the packed input as it is."""
+    blocks = channel_blocks(c)
+    rows = np.zeros((blocks * LANES, h, wd, w.shape[1]), dtype=np.float32)
+    rows[:c] = w.astype(np.float32).reshape(c, h, wd, -1)
+    return np.ascontiguousarray(
+        rows.reshape(blocks, LANES, h, wd, -1).transpose(0, 2, 3, 1, 4)
+    ).reshape(blocks * h * wd * LANES, -1)
 
 
 _LANE_ITEM = np.dtype((np.void, LANES * 4))

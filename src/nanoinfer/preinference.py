@@ -3,11 +3,12 @@
 Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, each conv's weights packed once for its planned
-scheme (pack_weights), and byte offsets into one pre-sized pool per backend.
-The pool holds what the kernels read and write in place: activations (each
-conv kernel writes its output there), transfer copies and the Strassen
-scratch of MatMul steps.  Conv and pool kernels' temporaries, and the layout
-round trips of MatMul, Softmax and Reshape, still come from the heap.
+scheme and each MatMul's permuted into packed row order (pack_weights), and
+byte offsets into one pre-sized pool per backend.  The pool holds what the
+kernels read and write in place: activations (each conv kernel writes its
+output there), transfer copies and the Strassen scratch of MatMul steps.
+Kernels' temporaries (conv and pool working buffers, MatMul's product)
+still come from the heap.
 
 Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
 window or a Winograd tile: the work its kernel does from its packed weights
@@ -28,8 +29,8 @@ from enum import Enum
 from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
-    ConvParams, KernelWork, MatDims, pack_sliding, sliding_work,
-    strassen_scratch_elems,
+    ConvParams, KernelWork, MatDims, pack_matmul_rows, pack_sliding,
+    sliding_work, strassen_scratch_elems,
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
@@ -188,11 +189,21 @@ def scheme_costs(node: OpNode,
     return {s: scheme_cost(p, s, dims) for s in conv_schemes(p)}
 
 
-def pack_weights(node: OpNode, scheme: SchemeChoice, shapes: dict[str, Shape],
-                 spacing: float):
-    """A conv's weights as the kernel running `scheme` reads them:
-    Winograd's transformed weights at the tile, or sliding window's packed
-    weights and bias (kernels.pack_sliding)."""
+def weight_key(node: OpNode, scheme: SchemeChoice | None) -> tuple[str, str]:
+    """The weight cache's key of a node's weights packed for `scheme`; a
+    MatMul, which has no scheme, is keyed by its kind."""
+    return (node.id, scheme.label() if scheme else node.kind.value)
+
+
+def pack_weights(node: OpNode, scheme: SchemeChoice | None,
+                 shapes: dict[str, Shape], spacing: float):
+    """A node's weights as the kernel running `scheme` reads them: a
+    MatMul's in packed row order (kernels.pack_matmul_rows), Winograd's
+    transformed weights at the tile, or sliding window's packed weights and
+    bias (kernels.pack_sliding)."""
+    if node.kind is OpKind.MATMUL:
+        _, c, h, wd = shapes[node.inputs[0]].dims
+        return pack_matmul_rows(node.weights, c, h, wd)
     p = _conv_params(node)
     if scheme.kind is SchemeKind.WINOGRAD:
         return weight_transform(
@@ -347,12 +358,13 @@ def packed_bytes(shape: Shape) -> int:
 def strassen_dims(node: OpNode, shapes: dict[str, Shape]) -> MatDims | None:
     """The product a step hands to matmul_strassen, or None if it has none.
 
-    Only a MatMul has one: [n, in_features] by [in_features, out_features].
+    Only a MatMul has one: its packed input rows, [n, blocks*h*w*4], by its
+    weights in packed row order, [blocks*h*w*4, out_features].
     """
     if node.kind is not OpKind.MATMUL:
         return None
-    return MatDims(shapes[node.inputs[0]].dims[0],
-                   int(node.attrs["in_features"]),
+    n, c, h, w = shapes[node.inputs[0]].dims
+    return MatDims(n, channel_blocks(c) * h * w * LANES,
                    int(node.attrs["out_features"]))
 
 
@@ -394,7 +406,7 @@ class ExecutionPlan:
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
     memory: dict[str, MemoryPlan]  # backend name -> plan over "tid@backend"
-    weight_cache: WeightCache  # (node id, scheme label) -> packed weights
+    weight_cache: WeightCache  # weight_key(node, scheme) -> packed weights
     spacing: float
 
     @property
@@ -550,8 +562,8 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     cache = WeightCache()
     for node in g.nodes:
         scheme = schemes.get(node.id)
-        if scheme is not None:
-            cache.put((node.id, scheme.label()),
+        if scheme is not None or node.kind is OpKind.MATMUL:
+            cache.put(weight_key(node, scheme),
                       pack_weights(node, scheme, g.tensor_shapes, spacing))
     return ExecutionPlan(
         graph=g,

@@ -208,8 +208,8 @@ def weight_transform(w: np.ndarray, t: WinogradTransform) -> np.ndarray:
 
 
 class WeightCache:
-    """Store of conv weights packed for a kernel (the plan keys them by
-    node id and scheme label), with hit/recompute instrumentation."""
+    """Store of conv and MatMul weights packed for a kernel (the plan keys
+    them by preinference.weight_key), with hit/recompute instrumentation."""
 
     def __init__(self):
         self._store: dict[Hashable, object] = {}

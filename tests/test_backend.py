@@ -114,6 +114,40 @@ class TestBuffers:
                 if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
         assert not over
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_head_steps_heap_peak_bounded(self, preset, monkeypatch):
+        # the global pool, MatMul and Softmax read and write the pool views
+        # in place: a steady-state run of each takes at most 8 KiB of heap
+        g = fuse(build_preset(preset))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        session = Session(plan, [CpuBackend()])
+        x = make_input(g)
+        session.run(x)
+        peaks = {}
+        run = backend_module.Execution.run
+
+        def traced(execution, inputs, outputs, scratch=None):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(execution, inputs, outputs, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[execution.node.id] = peak - base
+
+        monkeypatch.setattr(backend_module.Execution, "run", traced)
+        tracemalloc.start()
+        try:
+            session.run(x)
+        finally:
+            tracemalloc.stop()
+            session.close()
+        head = [n.id for n in g.nodes
+                if n.kind in (OpKind.MATMUL, OpKind.SOFTMAX)
+                or (n.kind is OpKind.POOL2D
+                    and g.tensor_shapes[n.outputs[0]].dims[2:] == (1, 1))]
+        assert len(head) >= 2
+        assert {nid: peaks[nid] for nid in head
+                if peaks[nid] > 8 * 1024} == {}
+
 
 def grouped_conv_graph():
     """Grouped convs no preset has: 12 -> 24 channels in 3 groups on a
@@ -261,6 +295,8 @@ POOL_CASES = [
     ((1, 8, 7, 5), (7, 5), (7, 5), (0, 0)),  # global pool, non-square map
     ((1, 6, 9, 7), (3, 3), (2, 2), (1, 1)),  # 6 channels: two pad lanes
     ((1, 5, 4, 4), (2, 2), (2, 2), (2, 2)),  # corner windows see only padding
+    ((1, 5, 6, 4), (6, 1), (6, 1), (0, 0)),  # one window down, four across
+    ((1, 5, 6, 4), (5, 3), (5, 3), (0, 0)),  # one window, short of the map
 ]
 
 
@@ -310,6 +346,84 @@ class TestPool2D:
         got = run_session(pre_infer(g, [CpuBackend().spec()]), x)
         want = pool2d_reference(x.data, (3, 3), (2, 2), (1, 1), mode)
         assert rel_err(got[g.outputs[0]].data, want) <= 1e-6
+
+
+def run_poisoned(g, seed=3):
+    """One session run of g with its whole pool filled with NaN first; the
+    output and its packed pool view."""
+    cpu = CpuBackend()
+    plan = pre_infer(g, [cpu.spec()])
+    session = Session(plan, [cpu])
+    mem = plan.memory["cpu"]
+    cpu.acquire_buffer(mem.pool_size, 0, owner="poison")[:] = np.nan
+    x = make_input(g, seed=seed)
+    tid = g.outputs[0]
+    n, c, h, w = g.tensor_shapes[tid].dims
+    try:
+        got = session.run(x)[tid].data
+        packed = cpu.acquire_buffer(mem.sizes[tid], mem.offsets[tid],
+                                    owner=tid)
+        packed = packed[:packed_bytes(g.tensor_shapes[tid]) // 4].reshape(
+            n, channel_blocks(c), h, w, LANES).copy()
+    finally:
+        session.close()
+    return x.data.astype(np.float64), got, packed
+
+
+def assert_lanes_written(packed, c):
+    """Every lane of a packed output written, its pad lanes zero."""
+    assert not np.any(np.isnan(packed))
+    assert np.all(packed[:, -1, :, :, c - LANES * (packed.shape[1] - 1):] == 0)
+
+
+def softmax_reference(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestHeadKernels:
+    """MatMul, Softmax and a shape-changing Reshape on shapes no preset has,
+    against float64 references, with the pool poisoned first."""
+
+    @pytest.mark.parametrize("shape,features,bias", [
+        ((2, 6, 3, 3), 7, True),
+        ((3, 4, 1, 1), 3, False),
+        ((1, 5, 1, 1), 1, True),
+    ])
+    def test_matmul(self, shape, features, bias):
+        b = GraphBuilder(shape, seed=0)
+        b.matmul(features, bias=bias)
+        g = b.build()
+        node = g.nodes[0]
+        x, got, packed = run_poisoned(g)
+        want = x.reshape(shape[0], -1) @ node.weights.astype(np.float64)
+        if bias:
+            want += node.bias
+        assert got.shape == (shape[0], features, 1, 1)
+        assert rel_err(got.reshape(shape[0], features), want) <= 1e-6
+        assert_lanes_written(packed, features)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1, 1, 1), (1, 4, 1, 1), (2, 6, 1, 1), (2, 6, 3, 2)])
+    def test_softmax(self, shape):
+        b = GraphBuilder(shape, seed=0)
+        b.softmax()
+        g = b.build()
+        x, got, packed = run_poisoned(g)
+        assert rel_err(got, softmax_reference(x)) <= 1e-6
+        assert_lanes_written(packed, shape[1])
+
+    def test_reshape_then_matmul(self):
+        b = GraphBuilder((1, 16, 2, 2), seed=0)
+        b.reshape((1, 64, 1, 1))
+        b.matmul(5)
+        g = fuse(b.build())
+        assert [n.kind for n in g.nodes] == [OpKind.RESHAPE, OpKind.MATMUL]
+        node = g.nodes[1]
+        x, got, packed = run_poisoned(g)
+        want = x.reshape(1, 64) @ node.weights.astype(np.float64) + node.bias
+        assert rel_err(got.reshape(1, 5), want) <= 1e-6
+        assert_lanes_written(packed, 5)
 
 
 class TestTransfers:
@@ -469,6 +583,44 @@ class TestSession:
         session.close()
         with pytest.raises(GraphValidationError):
             session.run(make_input(g))
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_views_bound_once(self, preset, hybrid, monkeypatch):
+        # a run only executes the bound steps: every execution gets the
+        # very same input, output and scratch arrays on every run
+        g = fuse(build_preset(preset))
+        backends = [CpuBackend()]
+        if hybrid:
+            backends.append(SimBackend(supported=frozenset(
+                {OpKind.RELU, OpKind.ADD, OpKind.POOL2D, OpKind.SOFTMAX})))
+        plan = pre_infer(g, [b.spec() for b in backends],
+                         force_backend="sim" if hybrid else None)
+        if hybrid:
+            assert plan.transfers()
+        session = Session(plan, backends)
+        seen = {}
+        run = backend_module.Execution.run
+
+        def spy(execution, inputs, outputs, scratch=None):
+            seen.setdefault(execution, []).append(
+                (list(inputs), list(outputs), scratch))
+            run(execution, inputs, outputs, scratch)
+
+        monkeypatch.setattr(backend_module.Execution, "run", spy)
+        x = make_input(g)
+        try:
+            session.run(x)
+            session.run(x)
+        finally:
+            session.close()
+        assert seen
+        for execution, runs in seen.items():
+            assert len(runs) == 2, execution.node.id
+            (ins, outs, scratch), (ins2, outs2, scratch2) = runs
+            assert len(ins) == len(ins2) and len(outs) == len(outs2)
+            for a, b in zip(ins + outs + [scratch], ins2 + outs2 + [scratch2]):
+                assert a is b, execution.node.id
 
     def test_sim_surcharge_in_timings_only(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)

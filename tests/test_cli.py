@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -290,6 +291,33 @@ class TestCompare:
                 start = m * (r + 1)
                 assert order[start:start + m] \
                     == schemes[r % m:] + schemes[:r % m], r
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("env,want", [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},
+         "OPENBLAS_NUM_THREADS=1"),
+        ({"OMP_NUM_THREADS": "3"}, "OMP_NUM_THREADS=3"),
+        ({}, f"default ({os.cpu_count()} cpus)"),
+    ])
+    def test_run_and_compare_show_setting(self, model_path, capsys,
+                                          monkeypatch, env, want):
+        # OpenBLAS stalls GEMMs early in a process at its default thread
+        # count, so both commands print the setting beside their times
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        for command in ("run", "compare"):
+            argv = [command, "--model", model_path]
+            if command == "run":
+                argv += ["--runs", "1"]
+            code, out = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["blas_threads"] == want
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            assert f"blas threads: {want}" in out.splitlines()
 
 
 class TestWinogradDump:

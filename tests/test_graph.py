@@ -11,7 +11,7 @@ from nanoinfer.graph import (
     MAGIC, Graph, GraphBuilder, OpKind, OpNode, fuse, infer_shapes,
     load_model, save_model,
 )
-from nanoinfer.presets import build_preset
+from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.tensor import Shape
 
 
@@ -263,6 +263,73 @@ class TestFuse:
             out_b = run_session(pre_infer(fused, [CpuBackend().spec()]), x)
             for tid in out_a:
                 assert np.array_equal(out_a[tid].data, out_b[tid].data)
+
+    def test_identity_reshape_dropped(self):
+        # a Reshape to its input's own shape moves no data: fuse drops it,
+        # a chain of them too, and their consumers read the input
+        b = GraphBuilder((1, 8, 4, 4), seed=1)
+        pooled = b.pool(kernel=4, mode="avg")
+        b.reshape((1, 8, 1, 1))
+        same = b.reshape((1, 8, 1, 1))
+        fc = b.matmul(3, src=same)
+        relu = b.relu(same)
+        g = b.build(outputs=[fc, relu])
+        fused = fuse(g)
+        assert [n.kind for n in fused.nodes] == [
+            OpKind.POOL2D, OpKind.MATMUL, OpKind.RELU]
+        assert [n.inputs for n in fused.nodes[1:]] == [[pooled], [pooled]]
+        assert fused.outputs == [fc, relu]
+
+    def test_reshape_kept_if_it_changes_shape_or_is_an_output(self):
+        b = GraphBuilder((1, 8, 2, 2), seed=1)
+        flat = b.reshape((1, 32, 1, 1))
+        fc = b.matmul(3, src=flat)
+        same = b.reshape((1, 8, 2, 2), src=b.input_id)
+        g = b.build(outputs=[fc, same])
+        fused = fuse(g)
+        assert [n.kind for n in fused.nodes] == [
+            OpKind.RESHAPE, OpKind.MATMUL, OpKind.RESHAPE]
+        assert fused.nodes[1].inputs == [flat]
+
+    def test_identity_graph_output_unchanged(self):
+        from nanoinfer.backend import CpuBackend, run_session
+        from nanoinfer.preinference import pre_infer
+        from nanoinfer.tensor import from_nchw
+
+        # the test_identity_graph of test_backend, fused: its one Reshape
+        # makes the graph output, so it stays
+        b = GraphBuilder((1, 3, 4, 4), seed=0)
+        b.reshape((1, 3, 4, 4))
+        g = fuse(b.build())
+        assert [n.kind for n in g.nodes] == [OpKind.RESHAPE]
+        rng = np.random.default_rng(0)
+        x = from_nchw(rng.uniform(-1, 1, size=(1, 3, 4, 4)).astype(np.float32))
+        out = run_session(pre_infer(g, [CpuBackend().spec()]), x)
+        assert np.array_equal(out[g.outputs[0]].data, x.data)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_dropped_reshapes_keep_outputs_and_pool(self, preset, monkeypatch):
+        import nanoinfer.graph as graph_module
+        from nanoinfer.backend import CpuBackend, run_session
+        from nanoinfer.preinference import pre_infer
+        from nanoinfer.tensor import from_nchw
+
+        g = build_preset(preset)
+        fused = fuse(g)
+        assert OpKind.RESHAPE not in {n.kind for n in fused.nodes}
+        # the same fusion with every Reshape kept
+        monkeypatch.setattr(graph_module, "_drop_identity_reshapes",
+                            lambda graph: list(graph.nodes))
+        kept = fuse(g)
+        shape = tuple(g.tensor_shapes[g.inputs[0]].dims)
+        x = from_nchw(np.random.default_rng(0).uniform(
+            -1, 1, size=shape).astype(np.float32))
+        plans = [pre_infer(graph, [CpuBackend().spec()])
+                 for graph in (fused, kept)]
+        assert plans[0].dump()["pool_size"] <= plans[1].dump()["pool_size"]
+        outs = [run_session(plan, x) for plan in plans]
+        for tid in g.outputs:
+            assert np.array_equal(outs[0][tid].data, outs[1][tid].data)
 
 
 class TestTopology:
