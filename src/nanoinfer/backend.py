@@ -367,7 +367,7 @@ class Session:
         self.backends = {b.name: b for b in backends}
         shapes = plan.graph.tensor_shapes
         self._shapes = shapes
-        self.transfer_counters: dict = {"copies": 0, "noop": 0}
+        self.transfer_counters: dict = {"copies": 0}
         self._acquired: list[tuple[Backend, np.ndarray]] = []
 
         needed = {step.backend for step in plan.steps
@@ -404,16 +404,14 @@ class Session:
 
         # one record per step, bound once: (name, execution, input views,
         # output views, scratch view, dispatch surcharge in ms).  A transfer
-        # has no execution; its views are its source and destination, both
-        # None when it moves nothing.
+        # has no execution; its views are its source and destination, which
+        # build_steps puts on different backends.
         self._bound: list[tuple] = []
         for step in plan.steps:
             if isinstance(step, TransferStep):
-                moves = step.src != step.dst
                 self._bound.append((
                     f"transfer:{step.tensor}", None,
-                    view(step.tensor, step.src) if moves else None,
-                    view(step.tensor, step.dst) if moves else None,
+                    view(step.tensor, step.src), view(step.tensor, step.dst),
                     None, 0.0))
                 continue
             backend = self.backends[step.backend]
@@ -466,8 +464,6 @@ class Session:
             start = time.perf_counter()
             if execution is not None:
                 execution.run(ins, outs, scratch)
-            elif ins is None:
-                self.transfer_counters["noop"] += 1
             else:
                 transfer(ins, outs, self.transfer_counters)
             times.append((name, (time.perf_counter() - start) * 1e3

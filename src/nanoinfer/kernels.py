@@ -119,27 +119,28 @@ element-wise ops), the elements it re-lays out in runs of a few floats
 (Winograd's patches, tiles and 4-lane blocks), and its NumPy calls.
 Sliding window's dense kernel moves its 4-lane re-layouts as 16-byte items,
 about 0.4 ns per float when timed alone, so they count as streamed.
-`tools/calibrate.py weights` times every scheme of 58 convs as a step of a running session (the four presets' convs
-and 31 synthetic ones of 3-64 channels on 8-64 pixel maps) and fits the
-five per-unit times by least squares on the relative error. Three fits,
-2-vCPU x86-64 VM, OpenBLAS 0.3.31 on one thread, 21 runs per scheme: a
-GEMM multiply took 6-22 ps, and relative to it a small product
-3,200-8,000, a streamed element 9-52, a re-laid one 104-501 and a call
-71,000-176,000. The fits trade the GEMM's weight against the others', but
-every fit picked the same scheme for every conv. The constants are the
-middle fit, rounded: at its 15 ps per multiply a small product takes 68
-ns, a streamed element 0.29 ns, a re-laid one 2.6 ns and a call 1.2 us.
-Four kinds are too few: with re-laid elements counted as streamed ones,
-fits to the same timings planned winograd6 for a 64-channel conv on a 64x64
-map, which sliding window runs faster, and missed inception-mini's
-branch_a. Only Winograd-eligible convs have a choice of scheme. On all 28
-such convs of the 58 the cheapest scheme under these constants, sliding
-window, is within 10% or 0.02 ms of the fastest (7 runs per scheme), and
-`tools/calibrate.py rank --rounds 7` finds all 27 preset convs planned
-within that margin. The weights were fitted before the dense kernel moved
-16-byte items and dropped its stride-1 window copies, and before Winograd ran
-one batch straight into the pool view; with those counted as they run, rank
-still finds 27 of 27 planned within the margin, so they were not refitted.
+`tools/calibrate.py weights` times every scheme of a set of convs as a step
+of a running session and fits the five per-unit times by least squares on
+the relative error. On 58 convs (the presets' and 31 synthetic ones of 3-64
+channels on 8-64 px maps), three fits (2-vCPU x86-64 VM, OpenBLAS 0.3.31,
+one thread, 21 runs per scheme) gave a GEMM multiply 6-22 ps, and relative
+to it a small product 3,200-8,000, a streamed element 9-52, a re-laid one
+104-501 and a call 71,000-176,000. The fits trade the GEMM's weight against
+the others', but every fit picked the same scheme for every conv. The
+constants are the middle fit, rounded: at its 15 ps per multiply a small
+product takes 68 ns, a streamed element 0.29 ns, a re-laid one 2.6 ns and a
+call 1.2 us. Four kinds are too few: with re-laid elements counted as
+streamed ones, fits to the same timings planned winograd6 for a 64-channel
+conv on a 64x64 map, which sliding window runs faster, and missed
+inception-mini's branch_a. Refitted after Winograd's transforms became
+GEMMs with K=alpha, adding 3x3 convs of 64->128 and 128->128 channels at 16
+and 32 px (62 convs, three fits): a GEMM multiply took 24-30 ps, and
+relative to it a small product 0, a streamed element 12-15, a re-laid one
+168-194 and a call 52,000-64,000. Each refit plans winograd4 for
+squeezenet-mini's expand3x3_1, which sliding window runs 1.56x faster, so
+the constants stay. Under them rank finds 27 of 27 preset convs within the
+margin; tile 4, fastest on 64->64 at 32 px, 64->128 at 16 and 32 px and
+128->128 at 16 px (2.36 against 3.10 ms at 64->128, 32 px), is not planned.
 Recalibrate on other hardware with that script.
 """
 
@@ -149,7 +150,7 @@ class KernelWork:
     """The work one convolution kernel does, by kind."""
 
     gemm: int = 0  # multiplies inside BLAS products
-    small: int = 0  # Winograd transform products of one small matrix each
+    small: int = 0  # Winograd alpha x alpha products, in GEMMs with K = alpha
     moved: int = 0  # elements written by fills, copies and element-wise passes
     shuffled: int = 0  # floats re-laid one by one in 4-lane or tile runs
     calls: int = 0  # NumPy calls, each with the Python around it

@@ -9,11 +9,11 @@ column of B is scaled integral with the factor folded back into the
 matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
-The convolution runs every tile of every image as one batch: tile the
-output, gather all input patches into one tile-major array, transform them
-(Bt X B), reduce over channels as one batched matrix multiplication in the
-lane-packed layout, transform back (At Y A), scatter the tiles and crop them
-into the caller's output array (a session passes the step's pool view).
+The convolution runs every tile of every image as one batch in one layout:
+gather the input patches into [alpha, alpha * C * T], run Bt X B and then
+At M A as two GEMMs with K = alpha each, one per patch axis, around one
+batched GEMM over channels on [alpha^2, C, T], scatter the output tiles and
+crop them into the caller's output array (a session passes the pool view).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +41,8 @@ class WinogradTransform:
 
     A: (alpha, n) output transform, B: (alpha, alpha) input transform,
     G: (alpha, k) kernel transform, with alpha = n + k - 1.  Satisfies
-    At [(G w Gt) o (Bt x B)] A == valid convolution of x by w.
+    At [(G w Gt) o (Bt x B)] A == valid convolution of x by w.  bt and at
+    are Bt and At cast to float32 once, as conv_winograd multiplies by them.
     """
 
     n: int
@@ -51,6 +52,12 @@ class WinogradTransform:
     A: np.ndarray
     B: np.ndarray
     G: np.ndarray
+    bt: np.ndarray = field(init=False, repr=False, compare=False)
+    at: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bt", self.B.T.astype(np.float32, order="C"))
+        object.__setattr__(self, "at", self.A.T.astype(np.float32, order="C"))
 
 
 _cache_lock = threading.Lock()
@@ -175,11 +182,10 @@ def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
         moved=(padded + n * cpad * h * w + 2 * tiles * cpad * a2
                + tiles * opad * (a2 + n_tile * alpha + n_tile * n_tile)
                + out * (2 + p.relu)),
-        # the patches, the re-layouts of the transformed input and of the
-        # GEMM's product, and the scatter of output tiles
-        shuffled=tiles * (2 * cpad * a2 + opad * a2 + opad * n_tile * n_tile),
+        # the patch gather and the scatter of output tiles
+        shuffled=tiles * (cpad * a2 + opad * n_tile * n_tile),
         # sliding_window_view alone takes as long as about 15 calls
-        calls=60)
+        calls=50)
 
 
 def winograd_supported(p: ConvParams) -> bool:
@@ -247,15 +253,15 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
                   out: np.ndarray | None = None) -> Tensor:
     """Winograd convolution over NC4HW4 input, every tile in one batch.
 
-    ``transformed`` may carry a cached weight_transform result; otherwise the
-    kernel transform runs inline.  The input patches of every tile form one
-    tile-major array, transformed with whole-array matrix products; one GEMM
-    per point of the alpha x alpha tile reduces over channels, and the output
-    tiles are cropped into the result.  The result is written into ``out``,
-    an NC4HW4 float32 array of the output's packed shape, when given (every
-    element, pad lanes included), else into a new one.  Runs on the calling
-    thread.  ``threads`` is accepted and ignored: the benchmark in
-    perfbench/ still passes it, and it goes once it stops.
+    ``transformed`` may carry a cached weight_transform result, [alpha^2,
+    out lanes, in lanes]; otherwise the kernel transform runs inline.  Each
+    GEMM reads the one before as it lies, so nothing is copied between the
+    patch gather and the tile scatter, and each sums in the order of per-tile
+    alpha x alpha products, to their bits (tests hold it to that).  The result
+    is written into ``out``, an NC4HW4 float32 array of the output's packed
+    shape, when given (every element, pad lanes included), else into a new
+    one.  Runs on the calling thread.  ``threads`` is accepted and ignored:
+    the benchmark in perfbench/ still passes it, and it goes once it stops.
     """
     if x.layout is not Layout.NC4HW4:
         raise ShapeMismatchError("conv_winograd expects NC4HW4 input")
@@ -277,45 +283,39 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     y = Tensor(shape=(n_img, p.out_c, oh, ow), layout=Layout.NC4HW4, data=out)
     if out.size == 0:
         return y
-    nh = t.n
-    alpha = t.alpha
-    tiles_h = -(-oh // nh)
-    tiles_w = -(-ow // nh)
-    tiles = n_img * tiles_h * tiles_w
+    nh, alpha = t.n, t.alpha
+    tiles_h, tiles_w = -(-oh // nh), -(-ow // nh)
+    tiles, a2 = n_img * tiles_h * tiles_w, alpha * alpha
     umat = weight_transform(w, t) if transformed is None else transformed
-    bt = np.ascontiguousarray(t.B.T.astype(np.float32))
-    bmat = t.B.astype(np.float32)
-    at = np.ascontiguousarray(t.A.T.astype(np.float32))
-    amat = t.A.astype(np.float32)
+    if umat.shape != (a2, obm * LANES, ibm * LANES):
+        raise ShapeMismatchError(f"transformed weights {umat.shape} != "
+                                 f"{(a2, obm * LANES, ibm * LANES)}")
 
     # pad input so every alpha x alpha patch is in bounds
-    hp = (tiles_h - 1) * nh + alpha
-    wp = (tiles_w - 1) * nh + alpha
-    xp = np.zeros((n_img, ibm, hp, wp, LANES), dtype=np.float32)
+    xp = np.zeros((n_img, ibm, (tiles_h - 1) * nh + alpha,
+                   (tiles_w - 1) * nh + alpha, LANES), dtype=np.float32)
     xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    # tile-major patches [tiles, C, alpha, alpha] in (image, tile row, tile
-    # col) order, channels lane-major within a block
+    # the patches [alpha, alpha * C * T]: patch row by (patch column,
+    # channel lane, tile), tiles in (image, tile row, tile col) order
     patches = np.lib.stride_tricks.sliding_window_view(
         xp, (alpha, alpha), axis=(2, 3)
-    )[:, :, ::nh, ::nh].transpose(0, 2, 3, 1, 4, 5, 6).reshape(
-        tiles, ibm * LANES, alpha, alpha)
+    )[:, :, ::nh, ::nh].transpose(5, 6, 1, 4, 0, 2, 3).reshape(alpha, -1)
     del xp  # the reshape copied it
 
-    v = bt @ patches @ bmat  # [tiles, C, alpha, alpha]
-    v = np.ascontiguousarray(
-        v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, tiles))
-    m = np.matmul(umat, v)  # [alpha^2, out lanes, tiles]
-    m = np.ascontiguousarray(
-        m.reshape(alpha, alpha, obm * LANES, tiles).transpose(3, 2, 0, 1))
-    out_tiles = at @ m @ amat  # [tiles, out lanes, nh, nh]
+    # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;
+    # At M A like Bt X B.  Each GEMM reads the one before as it lies.
+    v = np.matmul(t.bt, np.matmul(t.bt, patches).reshape(alpha, alpha, -1))
+    m = np.matmul(umat, v.reshape(a2, ibm * LANES, tiles))  # [a2, O, T]
+    out_tiles = np.matmul(t.at, np.matmul(t.at, m.reshape(alpha, -1))
+                          .reshape(nh, alpha, -1))  # [nh, nh, O * T]
 
-    # the tiles land in their pixels of a padded output, seen as [image,
-    # tile row, tile col, out block, lane, nh, nh]; the crop fills out
+    # the tiles land in their pixels of a padded output, seen as [nh, nh,
+    # out block, lane, image, tile row, tile col]; the crop fills out
     ypad = np.empty((n_img, obm, tiles_h * nh, tiles_w * nh, LANES),
                     dtype=np.float32)
     ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES).transpose(
-        0, 2, 4, 1, 6, 3, 5)[:] = out_tiles.reshape(
-            n_img, tiles_h, tiles_w, obm, LANES, nh, nh)
+        3, 5, 1, 6, 0, 2, 4)[:] = out_tiles.reshape(
+            nh, nh, obm, LANES, n_img, tiles_h, tiles_w)
     out[:] = ypad[:, :, :oh, :ow]
     bias_full = _padded_bias(bias, p.out_c)
     if bias_full is not None:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import conv2d_reference, rel_err, valid_corr2d
 from nanoinfer.errors import ShapeMismatchError, UnsupportedSizeError
-from nanoinfer.kernels import ConvParams, conv_sliding
+from nanoinfer.kernels import LANES, ConvParams, conv_sliding
 from nanoinfer.tensor import channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4
 from nanoinfer.winograd import (
     WeightCache, conv_winograd, generate_transforms, weight_transform,
@@ -265,6 +265,23 @@ class TestConvWinograd:
         with pytest.raises(ShapeMismatchError):
             conv_winograd(x, w, ConvParams.square(3, in_c=4, out_c=4), t5)
 
+    def test_transformed_operand_mismatch(self, rng):
+        # a tile-4 operand with a tile-6 transform, and operands for other
+        # channel counts, are refused before any work, naming both shapes
+        x = pack_nc4hw4(from_nchw(
+            rng.standard_normal((1, 4, 8, 8)).astype(np.float32)))
+        w = rng.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        p = ConvParams.square(3, pad=1, in_c=4, out_c=4)
+        t6 = generate_transforms(6, 3, 0.5)
+        wrong = [weight_transform(w, generate_transforms(4, 3, 0.5)),
+                 weight_transform(np.zeros((8, 4, 3, 3), np.float32), t6),
+                 weight_transform(np.zeros((4, 8, 3, 3), np.float32), t6)]
+        for u in wrong:
+            with pytest.raises(ShapeMismatchError) as err:
+                conv_winograd(x, w, p, t6, transformed=u)
+            assert str(u.shape) in str(err.value)
+            assert str((64, 4, 4)) in str(err.value)
+
     def test_output_smaller_than_tile(self, rng):
         # a 3x3 output with a 4-tile: one tile, cropped to the output
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
@@ -284,3 +301,77 @@ class TestConvWinograd:
         direct = conv_winograd(xt, w, p, t)
         cached = conv_winograd(xt, w, p, t, transformed=u)
         assert np.array_equal(direct.data, cached.data)
+
+
+def stacked_winograd(x, u, p, t, bias=None):
+    """conv_winograd as it ran before its transforms became GEMMs: Bt X B
+    and At M A as stacks of alpha x alpha products on [tiles, C, alpha,
+    alpha] patches, with the tensor re-laid around the channel GEMM.  The
+    GEMM form must reproduce its bits."""
+    n_img, _, h, wd = x.shape
+    oh, ow = p.out_size(h, wd)
+    obm, ibm = channel_blocks(p.out_c), channel_blocks(p.in_c)
+    nh, alpha = t.n, t.alpha
+    tiles_h, tiles_w = -(-oh // nh), -(-ow // nh)
+    tiles = n_img * tiles_h * tiles_w
+    bt = np.ascontiguousarray(t.B.T.astype(np.float32))
+    bmat = t.B.astype(np.float32)
+    at = np.ascontiguousarray(t.A.T.astype(np.float32))
+    amat = t.A.astype(np.float32)
+    xp = np.zeros((n_img, ibm, (tiles_h - 1) * nh + alpha,
+                   (tiles_w - 1) * nh + alpha, LANES), dtype=np.float32)
+    xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
+    patches = np.lib.stride_tricks.sliding_window_view(
+        xp, (alpha, alpha), axis=(2, 3)
+    )[:, :, ::nh, ::nh].transpose(0, 2, 3, 1, 4, 5, 6).reshape(
+        tiles, ibm * LANES, alpha, alpha)
+    v = bt @ patches @ bmat
+    v = np.ascontiguousarray(
+        v.transpose(2, 3, 1, 0).reshape(alpha * alpha, ibm * LANES, tiles))
+    m = np.matmul(u, v)
+    m = np.ascontiguousarray(
+        m.reshape(alpha, alpha, obm * LANES, tiles).transpose(3, 2, 0, 1))
+    out_tiles = at @ m @ amat
+    ypad = np.empty((n_img, obm, tiles_h * nh, tiles_w * nh, LANES),
+                    dtype=np.float32)
+    ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES).transpose(
+        0, 2, 4, 1, 6, 3, 5)[:] = out_tiles.reshape(
+            n_img, tiles_h, tiles_w, obm, LANES, nh, nh)
+    out = ypad[:, :, :oh, :ow].copy()
+    if bias is not None:
+        lanes = np.zeros(obm * LANES, dtype=np.float32)
+        lanes[:p.out_c] = bias
+        out += lanes.reshape(obm, 1, 1, LANES)
+    if p.relu:
+        np.maximum(out, 0.0, out=out)
+    if p.out_c % LANES:
+        out[:, -1, :, :, p.out_c % LANES:] = 0.0
+    return out
+
+
+def test_gemm_form_bitwise_equals_stacked_products():
+    # every (k, tile) pair with alpha <= 10, both spacings, 12 convs each:
+    # 1-3 images, ragged maps, any padding, with and without bias and ReLU
+    rng = np.random.default_rng(7)
+    combos = [(k, n, f) for k in (2, 3, 4, 5, 7) for n in (2, 4, 6)
+              for f in (0.5, 1.0) if n + k - 1 <= 10]
+    checked = 0
+    for k, n_tile, f in combos * 12:
+        t = generate_transforms(n_tile, k, f)
+        in_c, out_c = (int(v) for v in rng.integers(1, 10, size=2))
+        n_img = int(rng.integers(1, 4))
+        h, wd = (int(v) for v in rng.integers(k, k + 12, size=2))
+        p = ConvParams.square(k, pad=int(rng.integers(0, k // 2 + 1)),
+                              in_c=in_c, out_c=out_c,
+                              relu=bool(rng.integers(2)))
+        x = pack_nc4hw4(from_nchw(
+            rng.standard_normal((n_img, in_c, h, wd)).astype(np.float32)))
+        w = rng.standard_normal((out_c, in_c, k, k)).astype(np.float32)
+        bias = (rng.standard_normal(out_c).astype(np.float32)
+                if rng.integers(2) else None)
+        u = weight_transform(w, t)
+        got = conv_winograd(x, w, p, t, bias=bias, transformed=u)
+        want = stacked_winograd(x, u, p, t, bias=bias)
+        assert np.array_equal(got.data, want), (k, n_tile, f, p, x.shape)
+        checked += 1
+    assert checked >= 300

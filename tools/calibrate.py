@@ -57,6 +57,7 @@ ADD_COST_SHAPES = [(1024, 1024, 1024), (2048, 2048, 2048), (24, 24, 1089),
 # group), 3x3 ones padded to keep their size
 SYNTHETIC = ([(c, max(c, 16), s, 3, 1, 1) for c in (3, 8, 16, 32, 64)
               for s in (8, 16, 32, 64)]
+             + [(c, 128, s, 3, 1, 1) for c in (64, 128) for s in (16, 32)]
              + [(c, o, s, 1, 1, 1) for c, o, s in
                 ((8, 32, 16), (32, 8, 16), (16, 32, 32), (32, 64, 16),
                  (64, 64, 8), (64, 64, 32))]
