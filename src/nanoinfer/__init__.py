@@ -17,7 +17,9 @@ from .preinference import (
     BackendSpec, CostModel, ExecutionPlan, SchemeChoice, SchemeKind,
     op_cost, plan_memory, pre_infer, select_backend, select_schemes,
 )
-from .tensor import Layout, Shape, Tensor, from_nchw, pack_nc4hw4, unpack_nc4hw4
+from .tensor import (
+    Layout, Shape, Tensor, from_nchw, pack_nc4hw4, relayout, unpack_nc4hw4,
+)
 from .winograd import (
     WinogradTransform, conv_winograd, generate_transforms,
 )

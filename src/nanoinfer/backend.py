@@ -6,17 +6,18 @@ A session binds an ExecutionPlan to concrete pools once: it builds every
 step's execution and slices its input, output and scratch views when it is
 made, so each inference only runs the bound steps in order; tensors crossing
 backends are moved by explicit transfer steps.  Activations, transfer copies
-and MatMul's Strassen scratch are views into the pools.  A conv runs
-Winograd at its planned tile or sliding window, with the weights
-pre-inference packed for that scheme and fetched once, when the session is
-built; either scheme writes straight into the step's pool view.  MatMul
-multiplies the packed input lanes by weights permuted once into packed row
-order, and Softmax works on the packed tensor's channel-last view, which for
-an [n, C, 1, 1] tensor is the pool view itself.  The kernels' temporaries
-(padded inputs, accumulators, Winograd's patches and tiles, MatMul's
-product) are still heap allocations on every run, and so is the NCHW round
-trip of a Reshape that changes the shape (graph.fuse drops the identity
-ones).
+and MatMul's Strassen scratch are views into the pools, and every
+activation is stored as lane-padded NHWC (tensor.Layout.NHWC4): a run packs
+its NCHW or NC4HW4 input into the staging view and unpacks its outputs, and
+no step between re-lays a tensor.  A conv runs Winograd at its planned tile
+or sliding window, with the weights pre-inference packed for that scheme
+and fetched once, when the session is built; either scheme writes straight
+into the step's pool view.  MatMul multiplies the packed input rows by
+weights permuted once into that row order, and Softmax works on the pool
+views as [pixels, lanes] matrices.  The kernels' temporaries (padded
+inputs, accumulators, Winograd's patches and tiles, MatMul's product) are
+still heap allocations on every run, and so is the NCHW round trip of a
+Reshape that changes the shape (graph.fuse drops the identity ones).
 """
 
 from __future__ import annotations
@@ -32,14 +33,12 @@ from .errors import (
     UnsupportedOpError,
 )
 from .graph import OpKind, OpNode
-from .kernels import LANES, conv_sliding, matmul_strassen
+from .kernels import LANES, matmul_strassen, sliding_nhwc4
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
     TransferStep, _conv_params, pack_weights, packed_bytes, weight_key,
 )
-from .tensor import (
-    Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4, unpack_nc4hw4,
-)
+from .tensor import Layout, Tensor, channel_blocks, from_nchw, relayout
 from .winograd import conv_winograd, generate_transforms
 
 
@@ -120,15 +119,16 @@ class Execution:
 
 
 def _packed_view(buf: np.ndarray, shape) -> np.ndarray:
+    """The NHWC4 data [n, h, w, lanes] of a tensor of `shape` at the start
+    of a flat float32 buffer."""
     n, c, h, w = shape.dims
-    return buf[:n * channel_blocks(c) * h * w * LANES].reshape(
-        n, channel_blocks(c), h, w, LANES
-    )
+    return buf[:n * h * w * channel_blocks(c) * LANES].reshape(
+        n, h, w, channel_blocks(c) * LANES)
 
 
 def _as_tensor(view: np.ndarray, shape) -> Tensor:
-    data = view if view.ndim == 5 else _packed_view(view, shape)
-    return Tensor(shape=tuple(shape.dims), layout=Layout.NC4HW4, data=data)
+    data = view if view.ndim == 4 else _packed_view(view, shape)
+    return Tensor(shape=tuple(shape.dims), layout=Layout.NHWC4, data=data)
 
 
 def _packed_weights(step: OpStep, plan: ExecutionPlan, shapes):
@@ -169,10 +169,9 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
         out_shape = shapes[node.outputs[0]]
 
         def run(inputs, outputs, scratch=None):
-            x = unpack_nc4hw4(_as_tensor(inputs[0], in_shape))
-            y = x.data.reshape(*out_shape.dims)
-            out = _packed_view(outputs[0], out_shape)
-            out[:] = pack_nc4hw4(from_nchw(y)).data
+            x = relayout(_as_tensor(inputs[0], in_shape), Layout.NCHW)
+            relayout(from_nchw(x.data.reshape(out_shape.dims)), Layout.NHWC4,
+                     out=_packed_view(outputs[0], out_shape))
 
         return Execution(node, run)
 
@@ -184,7 +183,7 @@ def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution
 
 def _build_matmul_execution(step: OpStep, plan: ExecutionPlan,
                             shapes) -> Execution:
-    """A MatMul on the packed input rows [n, blocks*h*w*4], whose weights
+    """A MatMul on the packed input rows [n, h*w*lanes], whose weights
     pre-inference permuted into that row order with zero pad rows; the
     product fills the output's first out_features lanes, pad lanes zero."""
     node = step.node
@@ -211,32 +210,22 @@ def _build_matmul_execution(step: OpStep, plan: ExecutionPlan,
 
 
 def _build_softmax_execution(step: OpStep, shapes) -> Execution:
-    """Softmax over the channels of the packed tensor's channel-last view,
-    [n*h*w, blocks*4]: for [n, C, 1, 1] that is the pool view itself, a
-    larger map takes one re-layout each way.  The first C lanes are written,
-    the pad lanes zeroed."""
+    """Softmax over the channels of each pixel, on the pool views seen as
+    [n*h*w, lanes] matrices.  The first C lanes are written, the pad lanes
+    zeroed."""
     node = step.node
-    shape = shapes[node.inputs[0]]
-    n, c, h, w = shape.dims
-    lanes = channel_blocks(c) * LANES
+    n, c, h, w = shapes[node.inputs[0]].dims
+    pixels, lanes = n * h * w, channel_blocks(c) * LANES
 
     def run(inputs, outputs, scratch=None):
-        if h * w == 1:
-            x = inputs[0][:n * lanes].reshape(n, lanes)
-            y = outputs[0][:n * lanes].reshape(n, lanes)
-        else:
-            x = _packed_view(inputs[0], shape).transpose(0, 2, 3, 1, 4) \
-                .copy().reshape(n * h * w, lanes)
-            y = x
+        x = inputs[0][:pixels * lanes].reshape(pixels, lanes)
+        y = outputs[0][:pixels * lanes].reshape(pixels, lanes)
         xs, ys = x[:, :c], y[:, :c]
         np.subtract(xs, np.maximum.reduce(xs, axis=1, keepdims=True), out=ys)
         np.exp(ys, out=ys)
         ys /= np.add.reduce(ys, axis=1, keepdims=True)
         if c < lanes:
             y[:, c:] = 0.0
-        if h * w > 1:
-            _packed_view(outputs[0], shape)[:] = y.reshape(
-                n, h, w, -1, LANES).transpose(0, 3, 1, 2, 4)
 
     return Execution(node, run)
 
@@ -262,8 +251,8 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
         return Execution(node, run)
 
     def run(inputs, outputs, scratch=None):
-        conv_sliding(_as_tensor(inputs[0], in_shape), node.weights, p,
-                     out=_packed_view(outputs[0], out_shape), packed=weights)
+        sliding_nhwc4(_packed_view(inputs[0], in_shape), weights, p,
+                      _packed_view(outputs[0], out_shape))
 
     return Execution(node, run)
 
@@ -280,36 +269,42 @@ def _build_pool_execution(step: OpStep, shapes) -> Execution:
 
     def run(inputs, outputs, scratch=None):
         x = _packed_view(inputs[0], in_shape)
-        n, blocks, h, w, _ = x.shape
+        n, h, w, lanes = x.shape
         xp = x
         if ph or pw:
-            xp = np.full((n, blocks, h + 2 * ph, w + 2 * pw, LANES),
+            xp = np.full((n, h + 2 * ph, w + 2 * pw, lanes),
                          -np.inf if mode == "max" else 0.0, dtype=np.float32)
-            xp[:, :, ph:ph + h, pw:pw + w] = x
+            xp[:, ph:ph + h, pw:pw + w] = x
         # reduce one window axis at a time, each tap one call over the whole
-        # tensor: kh taps over whole rows first, then kw taps on the fewer
-        # rows left, where a strided window breaks the contiguous run.  An
-        # axis with one output window is one reduce over its taps; on an
-        # axis that is not innermost it combines them in the loop's order.
+        # tensor: kh taps over whole pixel rows first, then kw taps on the
+        # fewer rows left.  The first two taps of an axis combine straight
+        # into its buffer.  An axis with one output window is one reduce
+        # over its taps; it is not the innermost axis, so the reduce
+        # combines them in the loop's order.
         if oh == 1:
-            rows = combine.reduce(xp[:, :, 0:kh], axis=2, keepdims=True)
+            rows = combine.reduce(xp[:, 0:kh], axis=1, keepdims=True)
+        elif kh == 1:
+            rows = xp[:, 0:sh * oh:sh]
         else:
-            rows = xp[:, :, 0:sh * oh:sh].copy()
-            for u in range(1, kh):
-                combine(rows, xp[:, :, u:u + sh * oh:sh], out=rows)
+            rows = combine(xp[:, 0:sh * oh:sh], xp[:, 1:1 + sh * oh:sh])
+            for u in range(2, kh):
+                combine(rows, xp[:, u:u + sh * oh:sh], out=rows)
         out = _packed_view(outputs[0], out_shape)
         if ow == 1:
-            combine.reduce(rows[:, :, :, 0:kw], axis=3, keepdims=True, out=out)
+            combine.reduce(rows[:, :, 0:kw], axis=2, keepdims=True, out=out)
+        elif kw == 1:
+            out[:] = rows[:, :, 0:sw * ow:sw]
         else:
-            out[:] = rows[:, :, :, 0:sw * ow:sw]
-            for v in range(1, kw):
-                combine(out, rows[:, :, :, v:v + sw * ow:sw], out=out)
-        if mode == "max":
+            combine(rows[:, :, 0:sw * ow:sw], rows[:, :, 1:1 + sw * ow:sw],
+                    out=out)
+            for v in range(2, kw):
+                combine(out, rows[:, :, v:v + sw * ow:sw], out=out)
+        if mode == "avg":
+            out /= float(kh * kw)  # padding zeros count toward the average
+        elif ph or pw:
             # spatial padding is -inf so it never wins; scrub any window
             # that saw padding only, and keep channel pad lanes at zero
             out[np.isneginf(out)] = 0.0
-        else:
-            out /= float(kh * kw)  # padding zeros count toward the average
 
     return Execution(node, run)
 
@@ -379,25 +374,25 @@ class Session:
         for name, mem in plan.memory.items():
             self.backends[name].set_pool(mem.pool_size)
 
-        # staging buffers for graph inputs (outside the pools)
+        # staging buffers for graph inputs (outside the pools), each with
+        # its NHWC4 view, which a run packs its input into
         cpu = backends[0]
-        self._input_views: dict[str, np.ndarray] = {}
+        views: dict[tuple[str, str], np.ndarray] = {}
+        self._staging: dict[str, np.ndarray] = {}
         for tid in plan.graph.inputs:
-            nbytes = packed_bytes(shapes[tid])
-            view = cpu.acquire_buffer(nbytes, owner=f"input:{tid}")
-            self._input_views[tid] = view
-            self._acquired.append((cpu, view))
+            buf = cpu.acquire_buffer(packed_bytes(shapes[tid]),
+                                     owner=f"input:{tid}")
+            views[(tid, cpu.name)] = buf
+            self._staging[tid] = _packed_view(buf, shapes[tid])
+            self._acquired.append((cpu, buf))
 
         # pool-backed views for every planned (tensor, backend) residency
-        views: dict[tuple[str, str], np.ndarray] = {}
         for name, mem in plan.memory.items():
             backend = self.backends[name]
             for tid, offset in mem.offsets.items():
-                view = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
-                views[(tid, name)] = view
-                self._acquired.append((backend, view))
-        for tid, view in self._input_views.items():
-            views[(tid, cpu.name)] = view
+                buf = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
+                views.setdefault((tid, name), buf)
+                self._acquired.append((backend, buf))
 
         def view(tid: str, backend: str) -> np.ndarray:
             return views[(tid, backend)][:packed_bytes(shapes[tid]) // 4]
@@ -421,8 +416,8 @@ class Session:
                 [view(t, step.backend) for t in step.node.outputs],
                 views.get((step.scratch_id, step.backend)),
                 getattr(backend, "dispatch_surcharge_ms", 0.0)))
-        self._outputs = [(tid, _packed_view(view(tid, cpu.name), shapes[tid]),
-                          shapes[tid]) for tid in plan.graph.outputs]
+        self._outputs = [(tid, _as_tensor(view(tid, cpu.name), shapes[tid]))
+                         for tid in plan.graph.outputs]
         self._closed = False
 
     def run(self, inputs: dict[str, Tensor] | Tensor) -> dict[str, Tensor]:
@@ -432,8 +427,10 @@ class Session:
     def run_timed(self, inputs: dict[str, Tensor] | Tensor):
         """Execute the plan; returns (outputs, per-step millisecond times).
 
-        Each input must match its graph shape, in data as in metadata, with
-        zero NC4HW4 pad lanes (LayoutError otherwise); any dtype is cast.
+        Each input, NCHW or packed, must match its graph shape, in data as
+        in metadata, with zero pad lanes (LayoutError otherwise); any dtype
+        is cast.  It is packed straight into the NHWC4 staging view, and the
+        outputs come back NCHW.
         Sim-style backends account their per-op dispatch latency into the
         reported times; numerical results are unaffected.
         """
@@ -456,8 +453,7 @@ class Session:
             # data of another extent would leave part of the staging buffer
             # stale, and non-zero pad lanes leak into every conv's sums
             t.validate_layout()
-            packed = t if t.layout is Layout.NC4HW4 else pack_nc4hw4(t)
-            self._input_views[tid][:] = packed.data.reshape(-1)
+            relayout(t, Layout.NHWC4, out=self._staging[tid])
 
         times: list[tuple[str, float]] = []
         for name, execution, ins, outs, scratch, surcharge in self._bound:
@@ -469,10 +465,8 @@ class Session:
             times.append((name, (time.perf_counter() - start) * 1e3
                           + surcharge))
 
-        outputs = {}
-        for tid, view, shape in self._outputs:
-            packed = _as_tensor(view.copy(), shape)
-            outputs[tid] = unpack_nc4hw4(packed, shape.dims[1])
+        outputs = {tid: relayout(view, Layout.NCHW)
+                   for tid, view in self._outputs}
         return outputs, times
 
     def close(self) -> None:

@@ -22,7 +22,7 @@ from .preinference import (
     _conv_params,
 )
 from .presets import PRESETS, build_preset
-from .tensor import Tensor, from_nchw, pack_nc4hw4
+from .tensor import Layout, Tensor, from_nchw, relayout
 from .winograd import DEFAULT_SPACING, generate_transforms
 
 log = logging.getLogger("nanoinfer")
@@ -193,9 +193,10 @@ def cmd_run(args) -> int:
 
 
 def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
-    """Functional CPU replay of a plan; returns tensor id -> packed value."""
+    """Functional CPU replay of a plan, each step into a fresh buffer;
+    returns tensor id -> NHWC4 value, as a session's pool holds it."""
     cpu = CpuBackend()
-    values = {g.inputs[0]: pack_nc4hw4(tensor)}
+    values = {g.inputs[0]: relayout(tensor, Layout.NHWC4)}
     for step in plan.steps:
         if not isinstance(step, OpStep):
             continue

@@ -221,7 +221,7 @@ def infer_shapes(g: Graph) -> Graph:
         elif node.kind is OpKind.RESHAPE:
             dims = tuple(int(d) for d in node.attrs["shape"])
             if len(dims) != 4:
-                # every activation is stored NC4HW4, which needs four dims
+                # every activation is stored NHWC4, which needs four dims
                 raise ShapeInferenceError(
                     f"node {node.id!r}: reshape target {dims} is not 4-d")
             target = Shape(dims)
@@ -265,7 +265,7 @@ def fuse(g: Graph) -> Graph:
     a ReLU into the convolution.
 
     A Reshape whose target equals its input's shape moves no data, since
-    both tensors have the same NC4HW4 bytes, so its consumers read its input
+    both tensors have the same NHWC4 bytes, so its consumers read its input
     directly.  ReLU runs after bias accumulation in both the separate and
     the fused form.  Outputs are unchanged bit for bit.
     """

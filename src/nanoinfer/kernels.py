@@ -1,16 +1,18 @@
 """Compute kernels: sliding-window convolution and direct/Strassen matmul.
 
-Each kernel's result depends on its inputs alone.  Each window tap is one
-NumPy call over all channel blocks of an image: a GEMM against every output
-block for dense convolution, a multiply-add whose inner loop spans a whole
-output row of lanes for depthwise.  A grouped conv is a dense one whose
-per-tap operand is block diagonal, one block per group.  conv_sliding
-writes into the caller's output array (a session passes the step's pool
-view) and reads weights packed once by pack_sliding.  The dense kernel
-moves each 4-lane run as one 16-byte item when it re-lays the input to NHWC
-and the output back, and at stride 1 each tap's GEMM reads the padded input
-in place, without a window copy.  Kernels run on the calling thread; the
-only parallelism is the BLAS library's own threading inside each GEMM.
+Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
+a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
+is one contiguous run of w*lanes floats.  Each window tap is one NumPy call
+over a whole image: a GEMM against every output lane for dense convolution,
+a multiply-add over whole output rows for depthwise.  A grouped conv is a
+dense one whose per-tap operand is block diagonal, one block per group.
+At stride 1 each tap's GEMM reads the padded input in place, and at pad 0
+the input itself; when the GEMM's rows have the output's pitch (a 1x1 conv
+at pad 0, or any strided conv) the first tap's GEMM writes the output
+itself.  conv_sliding and conv_winograd also take and return the paper's
+NC4HW4, re-laid around the same kernel (run_nhwc4).  Weights are packed
+once by pack_sliding.  Kernels run on the calling thread; the only
+parallelism is the BLAS library's own threading inside each GEMM.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .tensor import LANES, Layout, Tensor, channel_blocks
+from .tensor import LANES, Layout, Tensor, channel_blocks, data_shape, relayout
 
 @dataclass(frozen=True)
 class MatDims:
@@ -116,9 +118,7 @@ preinference.scheme_work counts, from each conv kernel's code, its GEMM
 multiplies (channels padded to whole 4-lane blocks), Winograd's small
 transform products, the elements its streaming passes write (fills, copies,
 element-wise ops), the elements it re-lays out in runs of a few floats
-(Winograd's patches, tiles and 4-lane blocks), and its NumPy calls.
-Sliding window's dense kernel moves its 4-lane re-layouts as 16-byte items,
-about 0.4 ns per float when timed alone, so they count as streamed.
+(Winograd's patches and tiles), and its NumPy calls.
 `tools/calibrate.py weights` times every scheme of a set of convs as a step
 of a running session and fits the five per-unit times by least squares on
 the relative error. On 58 convs (the presets' and 31 synthetic ones of 3-64
@@ -141,7 +141,12 @@ squeezenet-mini's expand3x3_1, which sliding window runs 1.56x faster, so
 the constants stay. Under them rank finds 27 of 27 preset convs within the
 margin; tile 4, fastest on 64->64 at 32 px, 64->128 at 16 and 32 px and
 128->128 at 16 px (2.36 against 3.10 ms at 64->128, 32 px), is not planned.
-Recalibrate on other hardware with that script.
+Recounted when activations moved to NHWC4 (sliding window lost its
+re-layouts, its padded copy at pad 0 and its accumulator and store where the
+GEMM rows have the output's pitch; Winograd its crop where the tiles cover
+the output): rank (one thread, 15 rounds) still finds 27 of 27 preset convs
+within the margin, every one planned and fastest on sliding window, so the
+constants stay.  Recalibrate on other hardware with that script.
 """
 
 
@@ -152,7 +157,7 @@ class KernelWork:
     gemm: int = 0  # multiplies inside BLAS products
     small: int = 0  # Winograd alpha x alpha products, in GEMMs with K = alpha
     moved: int = 0  # elements written by fills, copies and element-wise passes
-    shuffled: int = 0  # floats re-laid one by one in 4-lane or tile runs
+    shuffled: int = 0  # floats re-laid in runs of a few (Winograd's tiles)
     calls: int = 0  # NumPy calls, each with the Python around it
 
     def cost(self) -> float:
@@ -345,25 +350,14 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray,
 
 
 def pack_matmul_rows(w: np.ndarray, c: int, h: int, wd: int) -> np.ndarray:
-    """MatMul weights [c*h*wd, out] -> [blocks*h*wd*4, out] in the row order
-    of a flattened NC4HW4 image of c x h x wd, with zero rows at its pad
+    """MatMul weights [c*h*wd, out] -> [h*wd*blocks*4, out] in the row order
+    of a flattened NHWC4 image of c x h x wd, with zero rows at its pad
     lanes, so the product reads the packed input as it is."""
-    blocks = channel_blocks(c)
-    rows = np.zeros((blocks * LANES, h, wd, w.shape[1]), dtype=np.float32)
-    rows[:c] = w.astype(np.float32).reshape(c, h, wd, -1)
-    return np.ascontiguousarray(
-        rows.reshape(blocks, LANES, h, wd, -1).transpose(0, 2, 3, 1, 4)
-    ).reshape(blocks * h * wd * LANES, -1)
-
-
-_LANE_ITEM = np.dtype((np.void, LANES * 4))
-
-
-def _lanes(a: np.ndarray) -> np.ndarray:
-    """A float32 array whose last axis holds whole 4-lane runs, seen with
-    one 16-byte item per run.  NumPy moves a re-layout between such views
-    as 4x fewer items than between the float views, byte for byte."""
-    return a.view(_LANE_ITEM)
+    lanes = channel_blocks(c) * LANES
+    rows = np.zeros((h, wd, lanes, w.shape[1]), dtype=np.float32)
+    rows[:, :, :c] = w.astype(np.float32).reshape(c, h, wd, -1).transpose(
+        1, 2, 0, 3)
+    return rows.reshape(h * wd * lanes, -1)
 
 
 def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -383,15 +377,15 @@ def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, ow: int) -> np.ndarray:
-    """[c, 1, kh, kw] -> [ceil(c/4), kh, kw, ow, 4]: each tap's weights
-    repeated along the output row, so the depthwise multiply runs over ow*4
-    contiguous floats, not 4."""
-    c, ibm = p.in_c, channel_blocks(p.in_c)
-    flat = np.zeros((ibm * LANES, p.kh, p.kw), dtype=np.float32)
-    flat[:c] = w.astype(np.float32).reshape(c, p.kh, p.kw)
-    taps = flat.reshape(ibm, LANES, p.kh, p.kw).transpose(0, 2, 3, 1)
+    """[c, 1, kh, kw] -> [kh, kw, ow, lanes]: each tap's weights repeated
+    along the output row, so the depthwise multiply runs over ow*lanes
+    contiguous floats, not lanes."""
+    c = p.in_c
+    taps = np.zeros((p.kh, p.kw, channel_blocks(c) * LANES), dtype=np.float32)
+    taps[:, :, :c] = w.astype(np.float32).reshape(c, p.kh, p.kw).transpose(
+        1, 2, 0)
     return np.ascontiguousarray(np.broadcast_to(
-        taps[:, :, :, None], (ibm, p.kh, p.kw, ow, LANES)))
+        taps[:, :, None], (p.kh, p.kw, ow, taps.shape[2])))
 
 
 def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
@@ -404,44 +398,95 @@ def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class SlidingWeights:
-    """The weight operands conv_sliding's kernels read, packed once.
+    """The operands conv_sliding's kernels read, packed once.
 
-    ``mats`` is [in blocks, kh, kw, ow, 4] for a depthwise conv, else
-    [kh*kw, in lanes, out lanes], one GEMM operand per tap, block diagonal
-    over the groups of a grouped conv.  ``bias`` is padded to whole 4-lane
-    blocks.
+    ``mats`` is [kh, kw, ow, in lanes] for a depthwise conv, else [kh*kw,
+    in lanes, out lanes], one GEMM operand per tap, block diagonal over the
+    groups of a grouped conv.  ``bias`` is the bias padded to whole 4-lane
+    blocks at every pixel of one output image, [oh, ow, out lanes], and
+    ``zero`` a zero map of that shape if the conv applies ReLU.  NumPy adds
+    or compares two arrays of one shape in one contiguous pass, 2-3x as fast
+    as against a broadcast row or scalar, and without the 32 KiB iterator
+    buffer a broadcast operand allocates.
     """
 
     mats: np.ndarray
     bias: np.ndarray | None
+    zero: np.ndarray | None
 
 
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
-                 ow: int) -> SlidingWeights:
-    """conv_sliding's operands for weights w and bias at output width ow."""
+                 oh: int, ow: int) -> SlidingWeights:
+    """conv_sliding's operands for weights w and bias at output size oh x
+    ow."""
     if p.depthwise:
         mats = _pack_depthwise_rows(w, p, ow)
     else:
         mats = _pack_weight_columns(w, p)
-    return SlidingWeights(mats, _padded_bias(bias, p.out_c))
+    opad = channel_blocks(p.out_c) * LANES
+    lanes = _padded_bias(bias, p.out_c)
+    return SlidingWeights(
+        mats,
+        None if lanes is None else np.ascontiguousarray(
+            np.broadcast_to(lanes, (oh, ow, opad))),
+        np.zeros((oh, ow, opad), dtype=np.float32) if p.relu else None)
+
+
+def _bias_relu(out: np.ndarray, packed: SlidingWeights) -> None:
+    """Bias, then ReLU, on one output image [oh, ow, lanes] in place."""
+    if packed.bias is not None:
+        np.add(out, packed.bias, out=out)
+    if packed.zero is not None:
+        np.maximum(out, packed.zero, out=out)
+
+
+def run_nhwc4(x: Tensor, shape: tuple[int, int, int, int],
+              out: np.ndarray | None, kernel) -> Tensor:
+    """The (n, c, h, w) ``shape`` result of ``kernel(x data, out data)``,
+    which reads and writes NHWC4 arrays, in x's layout.
+
+    An NHWC4 x is handed over as it lies.  An NC4HW4 x is re-laid to NHWC4
+    and the result re-laid back: the paper's layout stays a tested boundary
+    format without a second kernel.  The result is written into ``out``, a
+    contiguous float32 array of its data shape, when given (every element,
+    pad lanes included), else into a new one.
+    """
+    if x.layout is Layout.NCHW:
+        raise ShapeMismatchError("conv kernels expect NHWC4 or NC4HW4 input")
+    want = data_shape(shape, x.layout)
+    if out is None:
+        out = np.empty(want, dtype=np.float32)
+    elif (out.shape != want or out.dtype != np.float32
+          or not out.flags.c_contiguous):
+        raise ShapeMismatchError(
+            f"output {out.dtype} {out.shape} != contiguous float32 {want}")
+    y = Tensor(shape=shape, layout=x.layout, data=out)
+    if out.size == 0:
+        return y
+    if x.layout is Layout.NHWC4:
+        kernel(np.ascontiguousarray(x.data, dtype=np.float32), out)
+    else:
+        nhwc = Tensor(shape, Layout.NHWC4,
+                      np.empty(data_shape(shape, Layout.NHWC4), np.float32))
+        kernel(relayout(x, Layout.NHWC4).data, nhwc.data)
+        relayout(nhwc, Layout.NC4HW4, out=out)
+    return y
 
 
 def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
                  bias: np.ndarray | None = None, out: np.ndarray | None = None,
                  packed: SlidingWeights | None = None) -> Tensor:
-    """Sliding-window convolution over NC4HW4 input.
+    """Sliding-window convolution over NHWC4 or NC4HW4 input.
 
     y[o, i, j] = sum_c sum_{u,v} w[o, c, u, v] * x[c, i*s+u-pad, j*s+v-pad]
     with out-of-bounds input reads as zero, then bias and optional ReLU.
-    The result is written into ``out``, an NC4HW4 float32 array of the
-    output's packed shape, when given (every element, pad lanes included),
-    else into a new one.  ``packed`` carries pack_sliding's operands of w
-    and bias, made once for repeated runs; without it they are packed here.
-    Runs on the calling thread.  ``threads`` is accepted and ignored: the
-    benchmark in perfbench/ still passes it, and it goes once it stops.
+    The result has x's layout and is written as run_nhwc4 says (a session
+    runs sliding_nhwc4 on its pool views instead).  ``packed`` carries
+    pack_sliding's operands of w and bias, made once for repeated runs;
+    without it they are packed here.  Runs on the calling thread.
+    ``threads`` is accepted and ignored: the benchmark in perfbench/ still
+    passes it, and it goes once it stops.
     """
-    if x.layout is not Layout.NC4HW4:
-        raise ShapeMismatchError("conv_sliding expects NC4HW4 input")
     n, c, h, wd = x.shape
     if c != p.in_c:
         raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
@@ -451,23 +496,22 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
             f"{(p.out_c, p.in_c // p.group, p.kh, p.kw)}"
         )
     oh, ow = p.out_size(h, wd)
-    shape = (n, channel_blocks(p.out_c), oh, ow, LANES)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif out.shape != shape or out.dtype != np.float32:
-        raise ShapeMismatchError(
-            f"output {out.dtype} {out.shape} != float32 {shape}")
-    y = Tensor(shape=(n, p.out_c, oh, ow), layout=Layout.NC4HW4, data=out)
-    if out.size == 0:
-        return y
-    if packed is None:
-        packed = pack_sliding(w, p, bias, ow)
-    xd = np.ascontiguousarray(x.data, dtype=np.float32)
-    if p.depthwise:
-        _conv_depthwise(xd, packed.mats, packed.bias, p, out)
-    else:
-        _conv_dense(xd, packed.mats, packed.bias, p, out)
-    return y
+
+    def kernel(xd: np.ndarray, yd: np.ndarray) -> None:
+        sliding_nhwc4(xd, pack_sliding(w, p, bias, oh, ow) if packed is None
+                      else packed, p, yd)
+
+    return run_nhwc4(x, (n, p.out_c, oh, ow), out, kernel)
+
+
+def sliding_nhwc4(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+                  out: np.ndarray) -> None:
+    """conv_sliding on NHWC4 arrays, as a session runs it: x [n, h, w, in
+    lanes] into out [n, oh, ow, out lanes], contiguous float32, every
+    element of which is written."""
+    if out.size:
+        conv = _conv_depthwise if p.depthwise else _conv_dense
+        conv(x, packed, p, out)
 
 
 def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
@@ -479,15 +523,15 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     out = n * opad * pix
     if out == 0:
         return KernelWork(calls=3)
-    padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
-    # the zero-filled padded input and the input copied in
-    common = padded + n * cpad * h * w
+    # the padded input, every element written once; pad 0 reads x in place
+    padded = (n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
+              if p.pad_h or p.pad_w else 0)
     if p.depthwise:
         # per tap a multiply into the output or the product buffer, then
         # (after the first) its sum; the bias and ReLU passes
         return KernelWork(
-            moved=common + n * (2 * taps + p.relu) * pix * cpad,
-            calls=12 + n * (3 + 2 * taps))
+            moved=padded + n * (2 * taps + p.relu) * pix * cpad,
+            calls=10 + n * 2 * taps)
     # at stride 1 each tap's GEMM reads the flattened padded input in place,
     # over rows of pitch wp; a strided tap copies its window.  A grouped
     # conv's GEMM runs over every lane of its block-diagonal operand.
@@ -496,38 +540,57 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     rows = (oh - 1) * pitch + ow
     window = n * taps * pix * cpad if strided else 0
     # per tap a GEMM product and (after the first) its sum; the bias and
-    # ReLU passes; the NC4HW4 store.  Both re-layouts move 16-byte items.
+    # ReLU passes; the row copy into the output unless the GEMM rows have
+    # its pitch, when the first tap's GEMM writes the output itself
+    store = 0 if pitch == ow else out
     return KernelWork(
         gemm=n * taps * rows * cpad * opad,
-        moved=(common + window + out
-               + n * (2 * taps + p.relu) * rows * opad),
-        calls=14 + n * (6 + (3 + strided) * taps))
+        moved=(padded + window + store + n * (2 * taps - 1) * rows * opad
+               + (1 + p.relu) * out),
+        calls=10 + n * ((2 + strided) * taps + (pitch != ow)))
 
 
-def _conv_dense(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray | None,
-                p: ConvParams, out: np.ndarray) -> None:
-    """Dense or grouped conv of NC4HW4 data x into out: one GEMM per window
-    tap against every output block at once, over an NHWC padded input."""
-    n, ibm, h, wd, _ = x.shape
-    _, obm, oh, ow, _ = out.shape
-    cpad = ibm * LANES
+def zero_border(x: np.ndarray, top: int, left: int, hp: int,
+                wp: int) -> np.ndarray:
+    """NHWC data x at rows top.. and columns left.. of a zero-filled hp x wp
+    map; x itself when that map is x.  Only the border is zeroed."""
+    n, h, w, c = x.shape
+    if (top, left, hp, wp) == (0, 0, h, w):
+        return x
+    xp = np.empty((n, hp, wp, c), dtype=np.float32)
+    xp[:, :top] = 0.0
+    xp[:, top + h:] = 0.0
+    xp[:, top:top + h, :left] = 0.0
+    xp[:, top:top + h, left + w:] = 0.0
+    xp[:, top:top + h, left:left + w] = x
+    return xp
+
+
+def _conv_dense(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+                out: np.ndarray) -> None:
+    """Dense or grouped conv of NHWC4 data x into out: one GEMM per window
+    tap against every output lane at once."""
+    n, h, wd, cpad = x.shape
+    _, oh, ow, opad = out.shape
+    wmat = packed.mats
     hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
-    xp = np.zeros((n, hp, wp, cpad), dtype=np.float32)
-    _lanes(xp)[:, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = (
-        _lanes(x)[..., 0].transpose(0, 2, 3, 1))
+    xp = zero_border(x, p.pad_h, p.pad_w, hp, wp)
     # At stride 1, output pixel (i, j) of tap (u, v) reads padded pixel
     # (i + u, j + v), flat index i*wp + j + (u*wp + v): each tap's GEMM
     # input is one contiguous run of the flattened image, with output rows
     # of pitch wp whose last wp - ow columns the store drops.  A strided
-    # tap copies its window into one buffer reused across taps.
+    # tap copies its window into one buffer reused across taps.  When the
+    # pitch is ow (1x1 at pad 0, or strided) the rows are the output's own
+    # and the first tap's GEMM writes them in place.
     strided = p.stride_h > 1 or p.stride_w > 1
     pitch = ow if strided else wp
     rows = (oh - 1) * pitch + ow
     flat = xp.reshape(n, hp * wp, cpad)
     win = np.empty((oh, ow, cpad), dtype=np.float32) if strided else None
-    acc = np.empty((oh * pitch, obm * LANES), dtype=np.float32)
-    prod = np.empty_like(acc) if p.kh * p.kw > 1 else None
+    acc = None if pitch == ow else np.empty((oh * pitch, opad), np.float32)
+    prod = np.empty((rows, opad), np.float32) if p.kh * p.kw > 1 else None
     for img in range(n):
+        dst = out[img].reshape(rows, opad) if acc is None else acc[:rows]
         for tap in range(p.kh * p.kw):
             u, v = divmod(tap, p.kw)
             if strided:
@@ -537,41 +600,33 @@ def _conv_dense(x: np.ndarray, wmat: np.ndarray, bias: np.ndarray | None,
             else:
                 a = flat[img, u * wp + v:u * wp + v + rows]
             if tap == 0:
-                np.matmul(a, wmat[tap], out=acc[:rows])
+                np.matmul(a, wmat[tap], out=dst)
             else:
-                np.matmul(a, wmat[tap], out=prod[:rows])
-                acc[:rows] += prod[:rows]
-        if bias is not None:
-            acc[:rows] += bias
-        if p.relu:
-            np.maximum(acc[:rows], 0.0, out=acc[:rows])
-        _lanes(out[img])[..., 0] = (
-            _lanes(acc).reshape(oh, pitch, obm)[:, :ow].transpose(2, 0, 1))
+                np.matmul(a, wmat[tap], out=prod)
+                dst += prod
+        if acc is not None:
+            out[img] = acc.reshape(oh, pitch, opad)[:, :ow]
+        _bias_relu(out[img], packed)
 
 
-def _conv_depthwise(x: np.ndarray, wrow: np.ndarray, bias: np.ndarray | None,
-                    p: ConvParams, out: np.ndarray) -> None:
-    """Depthwise conv of NC4HW4 data x into out, one multiply per tap over
-    whole output rows of lanes; the first tap writes out directly."""
-    n, ibm, h, wd, _ = x.shape
-    _, _, oh, ow, _ = out.shape
-    hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
-    xp = np.zeros((n, ibm, hp, wp, LANES), dtype=np.float32)
-    xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x
+def _conv_depthwise(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+                    out: np.ndarray) -> None:
+    """Depthwise conv of NHWC4 data x into out, one multiply per tap over
+    whole output rows of ow*lanes floats; the first tap writes out."""
+    n, h, wd, _ = x.shape
+    _, oh, ow, _ = out.shape
+    wrow = packed.mats
+    xp = zero_border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
     prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
     for img in range(n):
-        acc = out[img]  # [ibm, oh, ow, lanes]
+        acc = out[img]  # [oh, ow, lanes]
         for tap in range(p.kh * p.kw):
             u, v = divmod(tap, p.kw)
-            win = xp[img, :, u:u + p.stride_h * oh:p.stride_h,
+            win = xp[img, u:u + p.stride_h * oh:p.stride_h,
                      v:v + p.stride_w * ow:p.stride_w]
             if tap == 0:
-                np.multiply(win, wrow[:, None, u, v], out=acc)
+                np.multiply(win, wrow[u, v], out=acc)
             else:
-                np.multiply(win, wrow[:, None, u, v], out=prod)
+                np.multiply(win, wrow[u, v], out=prod)
                 acc += prod
-        if bias is not None:
-            acc += bias.reshape(ibm, 1, 1, LANES)
-        if p.relu:
-            np.maximum(acc, 0.0, out=acc)
-
+        _bias_relu(acc, packed)

@@ -208,8 +208,8 @@ def pack_weights(node: OpNode, scheme: SchemeChoice | None,
     if scheme.kind is SchemeKind.WINOGRAD:
         return weight_transform(
             node.weights, generate_transforms(scheme.tile, p.kh, spacing))
-    return pack_sliding(node.weights, p, node.bias,
-                        shapes[node.outputs[0]].dims[3])
+    _, _, oh, ow = shapes[node.outputs[0]].dims
+    return pack_sliding(node.weights, p, node.bias, oh, ow)
 
 
 def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
@@ -347,7 +347,8 @@ def plan_intervals(items: list[tuple[str, int, int, int]],
 
 
 def packed_bytes(shape: Shape) -> int:
-    """Bytes of a shape stored as packed float32 (NC4HW4 for rank 4)."""
+    """Bytes of a shape stored as packed float32 (NHWC4 for rank 4, the same
+    bytes as NC4HW4)."""
     dims = shape.dims
     if len(dims) == 4:
         n, c, h, w = dims

@@ -10,10 +10,12 @@ matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
 The convolution runs every tile of every image as one batch in one layout:
-gather the input patches into [alpha, alpha * C * T], run Bt X B and then
-At M A as two GEMMs with K = alpha each, one per patch axis, around one
-batched GEMM over channels on [alpha^2, C, T], scatter the output tiles and
-crop them into the caller's output array (a session passes the pool view).
+gather the input patches from lane-padded NHWC data into [alpha, alpha * C
+* T], run Bt X B and then At M A as two GEMMs with K = alpha each, one per
+patch axis, around one batched GEMM over channels on [alpha^2, C, T], and
+scatter the output tiles into the caller's NHWC4 output array (a session
+passes the pool view), through a cropped padded map unless the tiles cover
+the output exactly.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
-from .kernels import LANES, ConvParams, KernelWork, _padded_bias
-from .tensor import Layout, Tensor, channel_blocks
+from .kernels import (
+    LANES, ConvParams, KernelWork, _padded_bias, run_nhwc4, zero_border,
+)
+from .tensor import Tensor, channel_blocks
 
 MAX_ALPHA = 10  # accuracy guard: larger transforms are routed to sliding window
 TILE_CANDIDATES = (2, 4, 6)
@@ -171,17 +175,20 @@ def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
     if out == 0:
         return KernelWork(calls=3)
     a2 = alpha * alpha
-    padded = n * cpad * ((tiles_h - 1) * n_tile + alpha) \
-        * ((tiles_w - 1) * n_tile + alpha)
+    hp, wp = (tiles_h - 1) * n_tile + alpha, (tiles_w - 1) * n_tile + alpha
+    # the padded input, every element written once (none if x is it)
+    padded = 0 if (hp, wp) == (h, w) else n * cpad * hp * wp
+    # the crop into out, unless the tiles cover it exactly
+    crop = tiles_h * n_tile != oh or tiles_w * n_tile != ow
     return KernelWork(
         gemm=a2 * cpad * opad * tiles,
         small=2 * tiles * (cpad + opad),
-        # zero-filled padded input, the input copied in; both input
-        # transform products; the GEMM's product and both output transform
-        # products; the crop of the tiled output into out, bias and ReLU
-        moved=(padded + n * cpad * h * w + 2 * tiles * cpad * a2
+        # the padded input; both input transform products; the GEMM's
+        # product and both output transform products; the crop, bias and
+        # ReLU passes over out
+        moved=(padded + 2 * tiles * cpad * a2
                + tiles * opad * (a2 + n_tile * alpha + n_tile * n_tile)
-               + out * (2 + p.relu)),
+               + out * (1 + crop + p.relu)),
         # the patch gather and the scatter of output tiles
         shuffled=tiles * (cpad * a2 + opad * n_tile * n_tile),
         # sliding_window_view alone takes as long as about 15 calls
@@ -251,20 +258,19 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
                   bias: np.ndarray | None = None,
                   transformed: np.ndarray | None = None,
                   out: np.ndarray | None = None) -> Tensor:
-    """Winograd convolution over NC4HW4 input, every tile in one batch.
+    """Winograd convolution over NHWC4 or NC4HW4 input, every tile in one
+    batch.
 
     ``transformed`` may carry a cached weight_transform result, [alpha^2,
     out lanes, in lanes]; otherwise the kernel transform runs inline.  Each
     GEMM reads the one before as it lies, so nothing is copied between the
     patch gather and the tile scatter, and each sums in the order of per-tile
-    alpha x alpha products, to their bits (tests hold it to that).  The result
-    is written into ``out``, an NC4HW4 float32 array of the output's packed
-    shape, when given (every element, pad lanes included), else into a new
-    one.  Runs on the calling thread.  ``threads`` is accepted and ignored:
-    the benchmark in perfbench/ still passes it, and it goes once it stops.
+    alpha x alpha products, to their bits (tests hold it to that).  The
+    result has x's layout and is written as kernels.run_nhwc4 says: a
+    session passes NHWC4 and the step's pool view as ``out``.  Runs on the
+    calling thread.  ``threads`` is accepted and ignored: the benchmark in
+    perfbench/ still passes it, and it goes once it stops.
     """
-    if x.layout is not Layout.NC4HW4:
-        raise ShapeMismatchError("conv_winograd expects NC4HW4 input")
     if p.kh != t.k or p.kw != t.k:
         raise ShapeMismatchError(f"params kernel {(p.kh, p.kw)} != transform k {t.k}")
     if not winograd_supported(p):
@@ -273,56 +279,52 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     if c != p.in_c:
         raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
     oh, ow = p.out_size(h, wd)
-    obm, ibm = channel_blocks(p.out_c), channel_blocks(c)
-    shape = (n_img, obm, oh, ow, LANES)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif out.shape != shape or out.dtype != np.float32:
-        raise ShapeMismatchError(
-            f"output {out.dtype} {out.shape} != float32 {shape}")
-    y = Tensor(shape=(n_img, p.out_c, oh, ow), layout=Layout.NC4HW4, data=out)
-    if out.size == 0:
-        return y
+    cpad, opad = channel_blocks(c) * LANES, channel_blocks(p.out_c) * LANES
     nh, alpha = t.n, t.alpha
     tiles_h, tiles_w = -(-oh // nh), -(-ow // nh)
     tiles, a2 = n_img * tiles_h * tiles_w, alpha * alpha
-    umat = weight_transform(w, t) if transformed is None else transformed
-    if umat.shape != (a2, obm * LANES, ibm * LANES):
-        raise ShapeMismatchError(f"transformed weights {umat.shape} != "
-                                 f"{(a2, obm * LANES, ibm * LANES)}")
 
-    # pad input so every alpha x alpha patch is in bounds
-    xp = np.zeros((n_img, ibm, (tiles_h - 1) * nh + alpha,
-                   (tiles_w - 1) * nh + alpha, LANES), dtype=np.float32)
-    xp[:, :, p.pad_h:p.pad_h + h, p.pad_w:p.pad_w + wd] = x.data
-    # the patches [alpha, alpha * C * T]: patch row by (patch column,
-    # channel lane, tile), tiles in (image, tile row, tile col) order
-    patches = np.lib.stride_tricks.sliding_window_view(
-        xp, (alpha, alpha), axis=(2, 3)
-    )[:, :, ::nh, ::nh].transpose(5, 6, 1, 4, 0, 2, 3).reshape(alpha, -1)
-    del xp  # the reshape copied it
+    def kernel(xd: np.ndarray, yd: np.ndarray) -> None:
+        umat = weight_transform(w, t) if transformed is None else transformed
+        if umat.shape != (a2, opad, cpad):
+            raise ShapeMismatchError(f"transformed weights {umat.shape} != "
+                                     f"{(a2, opad, cpad)}")
+        # pad the input so every alpha x alpha patch is in bounds, then
+        # gather the patches [alpha, alpha * C * T]: patch row by (patch
+        # column, channel lane, tile), tiles in (image, tile row, tile col)
+        # order
+        xp = zero_border(xd, p.pad_h, p.pad_w, (tiles_h - 1) * nh + alpha,
+                         (tiles_w - 1) * nh + alpha)
+        patches = np.lib.stride_tricks.sliding_window_view(
+            xp, (alpha, alpha), axis=(1, 2)
+        )[:, ::nh, ::nh].transpose(4, 5, 3, 0, 1, 2).reshape(alpha, -1)
+        del xp  # the reshape copied it
 
-    # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;
-    # At M A like Bt X B.  Each GEMM reads the one before as it lies.
-    v = np.matmul(t.bt, np.matmul(t.bt, patches).reshape(alpha, alpha, -1))
-    m = np.matmul(umat, v.reshape(a2, ibm * LANES, tiles))  # [a2, O, T]
-    out_tiles = np.matmul(t.at, np.matmul(t.at, m.reshape(alpha, -1))
-                          .reshape(nh, alpha, -1))  # [nh, nh, O * T]
+        # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;
+        # At M A like Bt X B.  Each GEMM reads the one before as it lies.
+        v = np.matmul(t.bt, np.matmul(t.bt, patches).reshape(alpha, alpha, -1))
+        m = np.matmul(umat, v.reshape(a2, cpad, tiles))  # [a2, O, T]
+        out_tiles = np.matmul(t.at, np.matmul(t.at, m.reshape(alpha, -1))
+                              .reshape(nh, alpha, -1))  # [nh, nh, O * T]
 
-    # the tiles land in their pixels of a padded output, seen as [nh, nh,
-    # out block, lane, image, tile row, tile col]; the crop fills out
-    ypad = np.empty((n_img, obm, tiles_h * nh, tiles_w * nh, LANES),
-                    dtype=np.float32)
-    ypad.reshape(n_img, obm, tiles_h, nh, tiles_w, nh, LANES).transpose(
-        3, 5, 1, 6, 0, 2, 4)[:] = out_tiles.reshape(
-            nh, nh, obm, LANES, n_img, tiles_h, tiles_w)
-    out[:] = ypad[:, :, :oh, :ow]
-    bias_full = _padded_bias(bias, p.out_c)
-    if bias_full is not None:
-        out += bias_full.reshape(obm, 1, 1, LANES)
-    if p.relu:
-        np.maximum(out, 0.0, out=out)
-    # pad output lanes stay zero even after bias
-    if p.out_c % LANES:
-        out[:, -1, :, :, p.out_c % LANES:] = 0.0
-    return y
+        # the tiles land in their pixels, seen as [nh, nh, out lane, image,
+        # tile row, tile col]: in yd itself when they tile it exactly, else
+        # in a padded map whose crop fills yd
+        exact = tiles_h * nh == oh and tiles_w * nh == ow
+        ypad = yd if exact else np.empty(
+            (n_img, tiles_h * nh, tiles_w * nh, opad), dtype=np.float32)
+        ypad.reshape(n_img, tiles_h, nh, tiles_w, nh, opad).transpose(
+            2, 4, 5, 0, 1, 3)[:] = out_tiles.reshape(
+                nh, nh, opad, n_img, tiles_h, tiles_w)
+        if not exact:
+            yd[:] = ypad[:, :oh, :ow]
+        bias_full = _padded_bias(bias, p.out_c)
+        if bias_full is not None:
+            yd += bias_full
+        if p.relu:
+            np.maximum(yd, 0.0, out=yd)
+        # pad output lanes stay zero even after bias
+        if p.out_c % LANES:
+            yd[..., p.out_c:] = 0.0
+
+    return run_nhwc4(x, (n_img, p.out_c, oh, ow), out, kernel)

@@ -25,7 +25,9 @@ from nanoinfer.preinference import (
 )
 from nanoinfer.presets import build_preset
 from nanoinfer.simbackend import SimBackend
-from nanoinfer.tensor import from_nchw, pack_nc4hw4, unpack_nc4hw4
+from nanoinfer.tensor import (
+    Layout, from_nchw, pack_nc4hw4, relayout, unpack_nc4hw4,
+)
 from nanoinfer.winograd import conv_winograd, generate_transforms
 
 
@@ -278,7 +280,7 @@ def test_criterion_6_planner_correctness():
         pooled = run_session(plan, x)
         fresh = replay_cpu(g, plan, x)
         for tid in g.outputs:
-            want = unpack_nc4hw4(fresh[tid], g.tensor_shapes[tid].dims[1])
+            want = relayout(fresh[tid], Layout.NCHW)
             assert np.array_equal(pooled[tid].data, want.data), trial
         checked += 1
     elapsed = time.perf_counter() - start
@@ -366,9 +368,9 @@ def test_criterion_9_no_bottleneck_coverage():
         kernels_seen.add(tuple(node.attrs["kernel"]))
         p = _conv_params(node)
         x_in = values[node.inputs[0]]
-        want = unpack_nc4hw4(
-            conv_sliding(x_in, node.weights, p, bias=node.bias), p.out_c)
-        got = unpack_nc4hw4(values[node.outputs[0]], p.out_c)
+        want = relayout(conv_sliding(x_in, node.weights, p, bias=node.bias),
+                        Layout.NCHW)
+        got = relayout(values[node.outputs[0]], Layout.NCHW)
         worst = max(worst, rel_err(got.data, want.data))
     # every op kind executed through a real kernel; end-to-end run works
     out = run_session(plan, x)

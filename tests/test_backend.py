@@ -21,7 +21,8 @@ from nanoinfer.preinference import (
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
 from nanoinfer.tensor import (
-    LANES, Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4,
+    LANES, Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4, relayout,
+    unpack_nc4hw4,
 )
 
 
@@ -85,27 +86,7 @@ class TestBuffers:
         # working buffers, within a fixed slack
         g = fuse(build_preset(preset) if preset in PRESETS
                  else grouped_conv_graph())
-        plan = pre_infer(g, [CpuBackend().spec()])
-        session = Session(plan, [CpuBackend()])
-        x = make_input(g)
-        session.run(x)
-        peaks = {}
-        run = backend_module.Execution.run
-
-        def traced(execution, inputs, outputs, scratch=None):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run(execution, inputs, outputs, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-            peaks[execution.node.id] = peak - base
-
-        monkeypatch.setattr(backend_module.Execution, "run", traced)
-        tracemalloc.start()
-        try:
-            session.run(x)
-        finally:
-            tracemalloc.stop()
-            session.close()
+        plan, peaks = step_heap_peaks(g, monkeypatch)
         convs = [n for n in g.nodes if n.kind is OpKind.CONV2D
                  and plan.schemes[n.id].kind is SchemeKind.SLIDING_WINDOW]
         assert convs
@@ -114,39 +95,81 @@ class TestBuffers:
                 if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
         assert not over
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("preset", sorted(PRESETS) + ["pointwise"])
+    def test_pointwise_conv_steps_take_no_heap(self, preset, monkeypatch):
+        # a stride-1, pad-0, 1x1 conv is one GEMM from its input view
+        # straight into its output view per image: no padded input and no
+        # accumulator, so a steady-state run takes at most 8 KiB of heap
+        g = fuse(build_preset(preset) if preset in PRESETS
+                 else pointwise_conv_graph())
+        plan, peaks = step_heap_peaks(g, monkeypatch)
+        pointwise = [n.id for n in g.nodes if n.kind is OpKind.CONV2D
+                     and is_pointwise(_conv_params(n))]
+        if preset in ("mobilenet-mini", "squeezenet-mini", "pointwise"):
+            assert pointwise
+        assert {nid: peaks[nid] for nid in pointwise
+                if peaks[nid] > 8 * 1024} == {}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS) + ["softmax-map"])
     def test_head_steps_heap_peak_bounded(self, preset, monkeypatch):
         # the global pool, MatMul and Softmax read and write the pool views
-        # in place: a steady-state run of each takes at most 8 KiB of heap
-        g = fuse(build_preset(preset))
-        plan = pre_infer(g, [CpuBackend().spec()])
-        session = Session(plan, [CpuBackend()])
-        x = make_input(g)
-        session.run(x)
-        peaks = {}
-        run = backend_module.Execution.run
-
-        def traced(execution, inputs, outputs, scratch=None):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run(execution, inputs, outputs, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-            peaks[execution.node.id] = peak - base
-
-        monkeypatch.setattr(backend_module.Execution, "run", traced)
-        tracemalloc.start()
-        try:
-            session.run(x)
-        finally:
-            tracemalloc.stop()
-            session.close()
+        # in place: a steady-state run of each takes at most 8 KiB of heap.
+        # Softmax on a map larger than 1x1 works on the views as they lie.
+        if preset in PRESETS:
+            g = fuse(build_preset(preset))
+        else:
+            b = GraphBuilder((1, 10, 2, 3), seed=0)
+            b.softmax()
+            g = b.build()
+        _, peaks = step_heap_peaks(g, monkeypatch)
         head = [n.id for n in g.nodes
                 if n.kind in (OpKind.MATMUL, OpKind.SOFTMAX)
                 or (n.kind is OpKind.POOL2D
                     and g.tensor_shapes[n.outputs[0]].dims[2:] == (1, 1))]
-        assert len(head) >= 2
+        assert len(head) >= (1 if preset == "softmax-map" else 2)
         assert {nid: peaks[nid] for nid in head
                 if peaks[nid] > 8 * 1024} == {}
+
+
+def step_heap_peaks(g, monkeypatch):
+    """The plan of g, and the heap peak in bytes of each step of a second
+    session run, after one warm-up run."""
+    plan = pre_infer(g, [CpuBackend().spec()])
+    session = Session(plan, [CpuBackend()])
+    x = make_input(g)
+    session.run(x)
+    peaks = {}
+    run = backend_module.Execution.run
+
+    def traced(execution, inputs, outputs, scratch=None):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run(execution, inputs, outputs, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+        peaks[execution.node.id] = peak - base
+
+    monkeypatch.setattr(backend_module.Execution, "run", traced)
+    tracemalloc.start()
+    try:
+        session.run(x)
+    finally:
+        tracemalloc.stop()
+        session.close()
+    return plan, peaks
+
+
+def is_pointwise(p):
+    return ((p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w)
+            == (1, 1, 1, 1, 0, 0))
+
+
+def pointwise_conv_graph():
+    """1x1 convs no preset has: two images, channel counts off the lane
+    width, with and without bias and ReLU."""
+    b = GraphBuilder((2, 6, 12, 12), seed=0)
+    b.conv(kernel=1, out_c=10, activation="relu")
+    b.conv(kernel=1, out_c=3, bias=False)
+    return b.build()
 
 
 def grouped_conv_graph():
@@ -250,14 +273,50 @@ class TestExecutions:
         step = next(s for s in plan.steps if isinstance(s, OpStep))
         execution = cpu.create_execution(step, plan, g.tensor_shapes)
         x = make_input(g)
-        from nanoinfer.tensor import pack_nc4hw4
-        xin = pack_nc4hw4(x).data.reshape(-1)
+        xin = relayout(x, Layout.NHWC4).data.reshape(-1)
         out_shape = g.tensor_shapes[g.nodes[0].outputs[0]]
         buf1 = np.zeros(packed_bytes(out_shape) // 4, np.float32)
         buf2 = np.zeros_like(buf1)
         execution.run([xin], [buf1])
         execution.run([xin], [buf2])
         assert np.array_equal(buf1, buf2)
+
+    @pytest.mark.parametrize("conv", [
+        dict(kernel=3, pad=1, out_c=6),
+        dict(kernel=1, out_c=7),
+        dict(kernel=3, stride=2, pad=1, out_c=8),
+        dict(kernel=3, pad=1, out_c=5, group=5),
+        dict(kernel=3, pad=1, out_c=10, group=5),
+    ])
+    def test_nc4hw4_round_trip_matches_session(self, conv, monkeypatch):
+        # conv_sliding and conv_winograd on the paper's NC4HW4 layout re-lay
+        # around the kernel a session runs on NHWC4, so every scheme gives
+        # the session's bits
+        b = GraphBuilder((2, 5, 9, 7), seed=0)
+        b.conv(activation="relu", **conv)
+        g = b.build()
+        node = g.nodes[0]
+        p = _conv_params(node)
+        x = make_input(g)
+        packed = pack_nc4hw4(x)
+        for scheme in preinference.conv_schemes(p):
+            monkeypatch.setattr(preinference, "select_scheme_for",
+                                lambda node, shapes, s=scheme: s)
+            plan = pre_infer(g, [CpuBackend().spec()])
+            want = run_session(plan, x)[g.outputs[0]].data
+            if scheme.kind is SchemeKind.WINOGRAD:
+                t = winograd_module.generate_transforms(
+                    scheme.tile, p.kh, plan.spacing)
+                y = winograd_module.conv_winograd(packed, node.weights, p, t,
+                                                  bias=node.bias)
+            else:
+                y = kernels.conv_sliding(packed, node.weights, p,
+                                         bias=node.bias)
+            assert y.layout is Layout.NC4HW4
+            y.validate()
+            got = unpack_nc4hw4(y).data
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), \
+                scheme.label()
 
     def test_unplanned_winograd_tiles_match_sliding(self, winograd_planned):
         # executions for tiles the planner did not choose read their own
@@ -269,8 +328,7 @@ class TestExecutions:
         plan = pre_infer(g, [cpu.spec()])
         node = g.nodes[0]
         assert plan.schemes[node.id] == SchemeChoice(SchemeKind.WINOGRAD, 6)
-        from nanoinfer.tensor import pack_nc4hw4
-        xin = pack_nc4hw4(make_input(g)).data.reshape(-1)
+        xin = relayout(make_input(g), Layout.NHWC4).data.reshape(-1)
         size = packed_bytes(g.tensor_shapes[node.outputs[0]]) // 4
 
         def run(scheme):
@@ -327,13 +385,26 @@ class TestPool2D:
         packed = cpu.acquire_buffer(mem.sizes[tid], mem.offsets[tid],
                                     owner=tid)
         packed = packed[:packed_bytes(g.tensor_shapes[tid]) // 4].reshape(
-            n, -1, oh, ow, 4)
-        assert not np.any(np.isnan(packed))
-        real = c - 4 * (packed.shape[1] - 1)  # lanes of the last block in use
-        assert np.all(packed[:, -1, :, :, real:] == 0)
+            n, oh, ow, -1)
+        assert_lanes_written(packed, c)
         if pad[0] >= kernel[0]:
             assert np.all(got[:, :, 0, :] == 0)  # windows of padding only
         session.close()
+
+    def test_unpadded_max_keeps_genuine_neg_inf(self):
+        # only windows of spatial padding are scrubbed to 0: without
+        # padding a window of -inf inputs pools to -inf, as in float64
+        b = GraphBuilder((1, 5, 4, 6), seed=0)
+        b.pool(kernel=2, mode="max")
+        g = b.build()
+        x = make_input(g, seed=3)
+        x.data[0, 1, 0:2, 2:4] = -np.inf  # one whole window
+        x.data[0, 4, 3, 5] = -np.inf  # one tap of a finite window
+        got = run_session(pre_infer(g, [CpuBackend().spec()]), x)
+        got = got[g.outputs[0]].data
+        want = pool2d_reference(x.data, (2, 2), (2, 2), (0, 0), "max")
+        assert got[0, 1, 0, 1] == -np.inf
+        assert np.array_equal(got, want.astype(np.float32))
 
     @pytest.mark.parametrize("mode", ["max", "avg"])
     def test_int_window_attrs(self, mode):
@@ -364,16 +435,16 @@ def run_poisoned(g, seed=3):
         packed = cpu.acquire_buffer(mem.sizes[tid], mem.offsets[tid],
                                     owner=tid)
         packed = packed[:packed_bytes(g.tensor_shapes[tid]) // 4].reshape(
-            n, channel_blocks(c), h, w, LANES).copy()
+            n, h, w, channel_blocks(c) * LANES).copy()
     finally:
         session.close()
     return x.data.astype(np.float64), got, packed
 
 
 def assert_lanes_written(packed, c):
-    """Every lane of a packed output written, its pad lanes zero."""
+    """Every lane of an NHWC4 output written, its pad lanes zero."""
     assert not np.any(np.isnan(packed))
-    assert np.all(packed[:, -1, :, :, c - LANES * (packed.shape[1] - 1):] == 0)
+    assert np.all(packed[..., c:] == 0)
 
 
 def softmax_reference(x):
@@ -675,9 +746,7 @@ class TestPooledVersusFresh:
             pooled = run_session(plan, x)
             fresh = replay_cpu(g, plan, x)
             for tid in g.outputs:
-                from nanoinfer.tensor import unpack_nc4hw4
-                want = unpack_nc4hw4(fresh[tid],
-                                     g.tensor_shapes[tid].dims[1])
+                want = relayout(fresh[tid], Layout.NCHW)
                 assert np.array_equal(pooled[tid].data, want.data), preset
 
 

@@ -10,7 +10,7 @@ from nanoinfer.graph import GraphBuilder
 from nanoinfer.preinference import (
     OpStep, SchemeKind, _conv_params, conv_schemes, packed_bytes, pre_infer,
 )
-from nanoinfer.tensor import from_nchw, pack_nc4hw4, unpack_nc4hw4
+from nanoinfer.tensor import Layout, from_nchw, relayout
 
 # largest deviation from the reference, relative to its largest magnitude
 # before ReLU; Winograd's transforms round more than a direct sum
@@ -59,7 +59,7 @@ def test_every_scheme_matches_reference(case):
     cpu = CpuBackend()
     plan = pre_infer(g, [cpu.spec()])
     x = np.random.default_rng(seed).uniform(-1, 1, shape).astype(np.float32)
-    packed = pack_nc4hw4(from_nchw(x)).data.reshape(-1)
+    packed = relayout(from_nchw(x), Layout.NHWC4).data.reshape(-1)
 
     w = node.weights.astype(np.float64)
     bias = None if node.bias is None else node.bias.astype(np.float64)
@@ -76,7 +76,7 @@ def test_every_scheme_matches_reference(case):
             OpStep(node, scheme, cpu.name, None), plan, g.tensor_shapes)
         out = np.full(packed_bytes(out_shape) // 4, np.nan, np.float32)
         execution.run([packed], [out])
-        got = unpack_nc4hw4(_as_tensor(out, out_shape)).data
+        got = relayout(_as_tensor(out, out_shape), Layout.NCHW).data
         assert got.shape == want.shape
         err = float(np.max(np.abs(got - want))) / scale
         assert err <= TOLERANCE[scheme.kind], (scheme.label(), err)
