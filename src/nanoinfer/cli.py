@@ -10,7 +10,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,43 +32,22 @@ log = logging.getLogger("nanoinfer")
 COMPARE_ROUNDS = 7
 
 
-@dataclass
-class BenchReport:
-    """Latency statistics over measured runs; warm-up is never included."""
-
-    latencies_ms: list[float]
-    backend: str
-    scheme_breakdown: dict[str, int] = field(default_factory=dict)
-    warmup_runs: int = 0
-
-    @property
-    def mean_ms(self) -> float:
-        return statistics.fmean(self.latencies_ms)
-
-    @property
-    def min_ms(self) -> float:
-        return min(self.latencies_ms)
-
-    @property
-    def max_ms(self) -> float:
-        return max(self.latencies_ms)
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(np.asarray(self.latencies_ms), q))
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": len(self.latencies_ms),
-            "warmup": self.warmup_runs,
-            "latencies_ms": self.latencies_ms,
-            "mean_ms": self.mean_ms,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-            "p50_ms": self.percentile(50),
-            "p90_ms": self.percentile(90),
-            "backend": self.backend,
-            "scheme_breakdown": self.scheme_breakdown,
-        }
+def bench_report(latencies_ms: list[float], backend: str,
+                 scheme_breakdown: dict[str, int], warmup_runs: int) -> dict:
+    """run's report: latency statistics over the measured runs; warm-up is
+    never included."""
+    return {
+        "runs": len(latencies_ms),
+        "warmup": warmup_runs,
+        "latencies_ms": latencies_ms,
+        "mean_ms": statistics.fmean(latencies_ms),
+        "min_ms": min(latencies_ms),
+        "max_ms": max(latencies_ms),
+        "p50_ms": float(np.percentile(np.asarray(latencies_ms), 50)),
+        "p90_ms": float(np.percentile(np.asarray(latencies_ms), 90)),
+        "backend": backend,
+        "scheme_breakdown": scheme_breakdown,
+    }
 
 
 def blas_threads() -> str:
@@ -113,15 +92,17 @@ def _read_input(path: str, g: Graph) -> Tensor:
     return from_nchw(raw.reshape(shape))
 
 
-def _make_backends(which: str, cost_path: str | None):
+def plan_on(g: Graph, backend: str, cost_path: str | None, spacing: float):
+    """The backends that ``backend`` names, with the cost overrides read
+    from ``cost_path``, and pre_infer's plan of g on them: cpu alone, or
+    cpu and sim, with sim forced or, for auto, chosen by cost."""
     overrides = load_cost_models(cost_path) if cost_path else {}
-    cpu_kwargs = {"cost": overrides["cpu"]} if "cpu" in overrides else {}
-    cpu = CpuBackend(**cpu_kwargs)
-    if which == "cpu":
-        return [cpu]
-    sim_kwargs = {"cost": overrides["sim"]} if "sim" in overrides else {}
-    sim = resolve_backend("sim", **sim_kwargs)
-    return [cpu, sim]
+    backends = [resolve_backend(name, **({"cost": overrides[name]}
+                                         if name in overrides else {}))
+                for name in (("cpu",) if backend == "cpu" else ("cpu", "sim"))]
+    plan = pre_infer(g, [b.spec() for b in backends], spacing=spacing,
+                     force_backend="sim" if backend == "sim" else None)
+    return plan, backends
 
 
 def cmd_gen(args) -> int:
@@ -134,25 +115,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _session_for(args, g: Graph):
-    desired = getattr(args, "backend", "cpu")
-    backends = _make_backends("cpu" if desired == "cpu" else "all",
-                              getattr(args, "cost_model", None))
-    specs = [b.spec() for b in backends]
-    force = "sim" if desired == "sim" else None
-    plan = pre_infer(g, specs, spacing=args.f, force_backend=force)
-    chosen = "sim" if "sim" in set(plan.assignment.values()) else "cpu"
-    session = Session(plan, backends)
-    return session, plan, chosen
-
-
 def cmd_run(args) -> int:
     if args.runs < 1:
         raise EngineError(f"--runs must be at least 1, got {args.runs}")
     if args.warmup < 0:
         raise EngineError(f"--warmup must be at least 0, got {args.warmup}")
     g = fuse(_load_graph(args.model))
-    session, plan, chosen = _session_for(args, g)
+    plan, backends = plan_on(g, args.backend, args.cost_model, args.f)
+    session = Session(plan, backends)
     tensor = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
     for _ in range(args.warmup):
@@ -168,11 +138,12 @@ def cmd_run(args) -> int:
     breakdown: dict[str, int] = {}
     for scheme in plan.schemes.values():
         breakdown[scheme.label()] = breakdown.get(scheme.label(), 0) + 1
-    report = BenchReport(latencies, chosen, breakdown, warmup_runs=args.warmup)
+    chosen = "sim" if "sim" in set(plan.assignment.values()) else "cpu"
+    report = bench_report(latencies, chosen, breakdown, args.warmup)
     digest = hashlib.sha256()
     for tid in sorted(outputs):
         digest.update(outputs[tid].data.tobytes())
-    payload = {"report": report.to_dict(),
+    payload = {"report": report,
                "output_sha256": digest.hexdigest(),
                "blas_threads": blas_threads()}
     if args.dump_plan:
@@ -180,13 +151,13 @@ def cmd_run(args) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        r = report.to_dict()
-        print(f"backend={r['backend']} runs={r['runs']} warmup={r['warmup']}")
+        print(f"backend={report['backend']} runs={report['runs']} "
+              f"warmup={report['warmup']}")
         print(f"blas threads: {payload['blas_threads']}")
-        print(f"mean={r['mean_ms']:.3f}ms min={r['min_ms']:.3f}ms "
-              f"max={r['max_ms']:.3f}ms p50={r['p50_ms']:.3f}ms "
-              f"p90={r['p90_ms']:.3f}ms")
-        print(f"schemes={r['scheme_breakdown']}")
+        print(f"mean={report['mean_ms']:.3f}ms min={report['min_ms']:.3f}ms "
+              f"max={report['max_ms']:.3f}ms p50={report['p50_ms']:.3f}ms "
+              f"p90={report['p90_ms']:.3f}ms")
+        print(f"schemes={report['scheme_breakdown']}")
         print(f"output sha256={payload['output_sha256'][:16]}...")
     session.close()
     return 0
@@ -210,10 +181,37 @@ def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
     return values
 
 
+def with_scheme(plan, node, scheme):
+    """The plan with one conv's step switched to another scheme."""
+    steps = [OpStep(s.node, scheme, s.backend, s.scratch_id)
+             if isinstance(s, OpStep) and s.node is node else s
+             for s in plan.steps]
+    return replace(plan, steps=steps, schemes={**plan.schemes, node.id: scheme})
+
+
+def time_schemes(plan, node, x, rounds):
+    """Median ms of the conv's step under each of its schemes, each timed
+    in a running session of the whole graph, as the benchmark times it."""
+    sessions = {}
+    for scheme in conv_schemes(_conv_params(node)):
+        session = Session(with_scheme(plan, node, scheme), [CpuBackend()])
+        # the warm-up caches an unplanned weight transform
+        session.run(x)
+        sessions[scheme] = session
+    order = list(sessions)
+    times = {scheme: [] for scheme in order}
+    for r in range(rounds):
+        for scheme in order[r % len(order):] + order[:r % len(order)]:
+            _, steps = sessions[scheme].run_timed(x)
+            times[scheme].append(dict(steps)[node.id])
+    for session in sessions.values():
+        session.close()
+    return {scheme: statistics.median(t) for scheme, t in times.items()}
+
+
 def cmd_compare(args) -> int:
     g = fuse(_load_graph(args.model))
-    cpu = CpuBackend()
-    plan = pre_infer(g, [cpu.spec()], spacing=args.f)
+    plan, (cpu,) = plan_on(g, "cpu", None, args.f)
     tensor = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
     values = replay_cpu(g, plan, tensor)
@@ -223,27 +221,17 @@ def cmd_compare(args) -> int:
     for node in g.nodes:
         if node.kind is not OpKind.CONV2D:
             continue
+        # each scheme's isolated output on the replayed input, to compare
         x = values[node.inputs[0]].data.reshape(-1)
         nbytes = packed_bytes(g.tensor_shapes[node.outputs[0]])
-        executions, outs = {}, {}
+        outs = {}
         for scheme in conv_schemes(_conv_params(node)):
             step = OpStep(node, scheme, cpu.name, None)
-            execution = cpu.create_execution(step, plan, g.tensor_shapes)
             out = np.zeros(nbytes // 4, dtype=np.float32)
-            # the warm-up run caches the weight transform, as pre_infer does
-            # for the planned tile, so the timed runs leave it out
-            execution.run([x], [out])
-            executions[scheme.label()] = execution
+            cpu.create_execution(step, plan, g.tensor_shapes).run([x], [out])
             outs[scheme.label()] = out
-        labels = list(executions)
-        times = {label: [] for label in labels}
-        for r in range(COMPARE_ROUNDS):
-            # rotate the order so that no scheme always runs first
-            for label in labels[r % len(labels):] + labels[:r % len(labels)]:
-                start = time.perf_counter()
-                executions[label].run([x], [outs[label]])
-                times[label].append((time.perf_counter() - start) * 1e3)
-        timings = {label: statistics.median(t) for label, t in times.items()}
+        timings = {scheme.label(): ms for scheme, ms in
+                   time_schemes(plan, node, tensor, COMPARE_ROUNDS).items()}
         base = outs["sliding"].astype(np.float64)
         scale = float(np.max(np.abs(base))) + 1e-12
         deviation = max(
@@ -289,9 +277,7 @@ def cmd_winograd_dump(args) -> int:
 
 def cmd_dump_plan(args) -> int:
     g = fuse(_load_graph(args.model))
-    backends = _make_backends("all" if args.backend != "cpu" else "cpu",
-                              args.cost_model)
-    plan = pre_infer(g, [b.spec() for b in backends], spacing=args.f)
+    plan, _ = plan_on(g, args.backend, args.cost_model, args.f)
     print(json.dumps(plan.dump(), sort_keys=True, indent=2))
     return 0
 
@@ -303,17 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model file path")
-            p.add_argument("--input", help="raw little-endian f32 NCHW input")
+    def common(p):
+        p.add_argument("--model", required=True, help="model file path")
+        p.add_argument("--f", type=float, default=DEFAULT_SPACING,
+                       help="winograd interpolation point spacing")
+
+    def planning(p):
         p.add_argument("--backend", choices=("cpu", "sim", "auto"),
                        default="cpu")
         p.add_argument("--cost-model", dest="cost_model",
                        help="JSON cost-constant overrides")
+
+    def measuring(p):
+        p.add_argument("--input", help="raw little-endian f32 NCHW input")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--f", type=float, default=DEFAULT_SPACING,
-                       help="winograd interpolation point spacing")
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     p_gen = sub.add_parser("gen", help="emit a synthetic model")
@@ -324,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="benchmark a model")
     common(p_run)
+    planning(p_run)
+    measuring(p_run)
     p_run.add_argument("--runs", type=int, default=10)
     p_run.add_argument("--warmup", type=int, default=1)
     p_run.add_argument("--dump-plan", action="store_true")
@@ -331,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="cross-check conv schemes per layer")
     common(p_cmp)
+    measuring(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_wd = sub.add_parser("winograd-dump", help="print A, B, G as JSON")
@@ -341,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dp = sub.add_parser("dump-plan", help="print the execution plan as JSON")
     common(p_dp)
+    planning(p_dp)
     p_dp.set_defaults(func=cmd_dump_plan)
     return parser
 

@@ -167,18 +167,56 @@ def _validate_structure(g: Graph) -> None:
                 )
 
 
-def _conv_out_shape(node: OpNode, in_shape: Shape) -> Shape:
-    n, c, h, w = in_shape.dims
-    (kh, kw), (sh, sw), (ph, pw) = node.conv_geometry()
-    if c != int(node.attrs["in_c"]):
-        raise ShapeInferenceError(
-            f"node {node.id!r}: input channels {c} != attr in_c {node.attrs['in_c']}"
-        )
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh < 0 or ow < 0:
-        raise ShapeInferenceError(f"node {node.id!r}: kernel exceeds padded input")
-    return Shape((n, int(node.attrs["out_c"]), oh, ow))
+def _output_shape(node: OpNode, ins: list[Shape]) -> Shape:
+    """The shape of node's outputs, given its inputs' shapes."""
+    if node.kind in (OpKind.CONV2D, OpKind.POOL2D):
+        n, c, h, w = ins[0].dims
+        if node.kind is OpKind.CONV2D:
+            if c != int(node.attrs["in_c"]):
+                raise ShapeInferenceError(
+                    f"node {node.id!r}: input channels {c} != attr in_c "
+                    f"{node.attrs['in_c']}")
+            (kh, kw), (sh, sw), (ph, pw) = node.conv_geometry()
+            c = int(node.attrs["out_c"])
+        else:
+            (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            raise ShapeInferenceError(
+                f"node {node.id!r}: {kh}x{kw} window exceeds its padded "
+                f"{h + 2 * ph}x{w + 2 * pw} input")
+        return Shape((n, c, (h + 2 * ph - kh) // sh + 1,
+                      (w + 2 * pw - kw) // sw + 1))
+    if node.kind in (OpKind.RELU, OpKind.SOFTMAX):
+        return ins[0]
+    if node.kind is OpKind.ADD:
+        if ins[0].dims != ins[1].dims:
+            raise ShapeInferenceError(
+                f"node {node.id!r}: operand shapes {ins[0].dims} != {ins[1].dims}"
+            )
+        return ins[0]
+    if node.kind is OpKind.MATMUL:
+        n, c, h, w = ins[0].dims
+        if c * h * w != int(node.attrs["in_features"]):
+            raise ShapeInferenceError(
+                f"node {node.id!r}: flattened input {c * h * w} != "
+                f"in_features {node.attrs['in_features']}"
+            )
+        return Shape((n, int(node.attrs["out_features"]), 1, 1))
+    if node.kind is OpKind.RESHAPE:
+        dims = tuple(int(d) for d in node.attrs["shape"])
+        if len(dims) != 4:
+            # every activation is stored NHWC4, which needs four dims
+            raise ShapeInferenceError(
+                f"node {node.id!r}: reshape target {dims} is not 4-d")
+        target = Shape(dims)
+        if target.element_count != ins[0].element_count:
+            raise ShapeInferenceError(
+                f"node {node.id!r}: reshape {ins[0].dims} -> {target.dims} "
+                "changes element count"
+            )
+        return target
+    raise ShapeInferenceError(  # pragma: no cover - enum is closed
+        f"node {node.id!r}: kind {node.kind}")
 
 
 def infer_shapes(g: Graph) -> Graph:
@@ -191,48 +229,7 @@ def infer_shapes(g: Graph) -> Graph:
         return shapes[tid]
 
     for node in g.nodes:
-        ins = [get(node, t) for t in node.inputs]
-        if node.kind is OpKind.CONV2D:
-            out = _conv_out_shape(node, ins[0])
-        elif node.kind is OpKind.POOL2D:
-            n, c, h, w = ins[0].dims
-            kernel, stride, pad = node.pool_geometry()
-            oh = (h + 2 * pad[0] - kernel[0]) // stride[0] + 1
-            ow = (w + 2 * pad[1] - kernel[1]) // stride[1] + 1
-            if oh < 0 or ow < 0:
-                raise ShapeInferenceError(f"node {node.id!r}: window exceeds input")
-            out = Shape((n, c, oh, ow))
-        elif node.kind in (OpKind.RELU, OpKind.SOFTMAX):
-            out = ins[0]
-        elif node.kind is OpKind.ADD:
-            if ins[0].dims != ins[1].dims:
-                raise ShapeInferenceError(
-                    f"node {node.id!r}: operand shapes {ins[0].dims} != {ins[1].dims}"
-                )
-            out = ins[0]
-        elif node.kind is OpKind.MATMUL:
-            n, c, h, w = ins[0].dims
-            if c * h * w != int(node.attrs["in_features"]):
-                raise ShapeInferenceError(
-                    f"node {node.id!r}: flattened input {c * h * w} != "
-                    f"in_features {node.attrs['in_features']}"
-                )
-            out = Shape((n, int(node.attrs["out_features"]), 1, 1))
-        elif node.kind is OpKind.RESHAPE:
-            dims = tuple(int(d) for d in node.attrs["shape"])
-            if len(dims) != 4:
-                # every activation is stored NHWC4, which needs four dims
-                raise ShapeInferenceError(
-                    f"node {node.id!r}: reshape target {dims} is not 4-d")
-            target = Shape(dims)
-            if target.element_count != ins[0].element_count:
-                raise ShapeInferenceError(
-                    f"node {node.id!r}: reshape {ins[0].dims} -> {target.dims} "
-                    "changes element count"
-                )
-            out = target
-        else:  # pragma: no cover - enum is closed
-            raise ShapeInferenceError(f"node {node.id!r}: kind {node.kind}")
+        out = _output_shape(node, [get(node, t) for t in node.inputs])
         for tid in node.outputs:
             shapes[tid] = out
     g.tensor_shapes = shapes
@@ -466,16 +463,26 @@ class GraphBuilder:
     def shape_of(self, tid: str) -> tuple[int, int, int, int]:
         return self._shapes[tid]
 
+    def _append(self, node: OpNode) -> str:
+        """Add node, its output shaped as shape inference shapes it (so a
+        bad node fails here, by name); returns that output."""
+        out = node.outputs[0]
+        self._shapes[out] = _output_shape(
+            node, [Shape(self._shapes[t]) for t in node.inputs]).dims
+        self.nodes.append(node)
+        self.last = out
+        return out
+
     def conv(self, src: str | None = None, *, kernel=3, stride=1, pad=0,
              out_c: int, group: int = 1, bias: bool = True,
              activation: str = "none", name: str | None = None) -> str:
         src = src or self.last
-        n, c, h, w = self._shapes[src]
+        c = self._shapes[src][1]
         kh, kw = _pair(kernel, "kernel")
         sh, sw = _pair(stride, "stride")
         ph, pw = _pair(pad, "pad")
         out = self._tid("t")
-        node = OpNode(
+        return self._append(OpNode(
             id=name or self._tid("conv"),
             kind=OpKind.CONV2D,
             inputs=[src],
@@ -486,49 +493,32 @@ class GraphBuilder:
             weights=self._init_weights((out_c, c // group, kh, kw),
                                        (c // group) * kh * kw),
             bias=self._init_weights((out_c,), out_c) if bias else None,
-        )
-        self.nodes.append(node)
-        oh = (h + 2 * ph - kh) // sh + 1
-        ow = (w + 2 * pw - kw) // sw + 1
-        self._shapes[out] = (n, out_c, oh, ow)
-        self.last = out
-        return out
+        ))
 
     def relu(self, src: str | None = None, name: str | None = None) -> str:
-        src = src or self.last
         out = self._tid("t")
-        self.nodes.append(OpNode(id=name or self._tid("relu"), kind=OpKind.RELU,
-                                 inputs=[src], outputs=[out]))
-        self._shapes[out] = self._shapes[src]
-        self.last = out
-        return out
+        return self._append(OpNode(
+            id=name or self._tid("relu"), kind=OpKind.RELU,
+            inputs=[src or self.last], outputs=[out]))
 
     def add(self, a: str, b: str, name: str | None = None) -> str:
         out = self._tid("t")
-        self.nodes.append(OpNode(id=name or self._tid("add"), kind=OpKind.ADD,
-                                 inputs=[a, b], outputs=[out]))
-        self._shapes[out] = self._shapes[a]
-        self.last = out
-        return out
+        return self._append(OpNode(
+            id=name or self._tid("add"), kind=OpKind.ADD,
+            inputs=[a, b], outputs=[out]))
 
     def pool(self, src: str | None = None, *, kernel, stride=None, pad=0,
              mode: str = "max", name: str | None = None) -> str:
-        src = src or self.last
-        n, c, h, w = self._shapes[src]
         kh, kw = _pair(kernel, "kernel")
         sh, sw = _pair(stride if stride is not None else kernel, "stride")
         ph, pw = _pair(pad, "pad")
         out = self._tid("t")
-        self.nodes.append(OpNode(
+        return self._append(OpNode(
             id=name or self._tid("pool"), kind=OpKind.POOL2D,
-            inputs=[src], outputs=[out],
+            inputs=[src or self.last], outputs=[out],
             attrs={"kernel": [kh, kw], "stride": [sh, sw], "pad": [ph, pw],
                    "mode": mode},
         ))
-        self._shapes[out] = (n, c, (h + 2 * ph - kh) // sh + 1,
-                             (w + 2 * pw - kw) // sw + 1)
-        self.last = out
-        return out
 
     def reshape(self, shape: tuple[int, int, int, int],
                 src: str | None = None, name: str | None = None) -> str:
@@ -545,10 +535,10 @@ class GraphBuilder:
     def matmul(self, out_features: int, src: str | None = None,
                bias: bool = True, name: str | None = None) -> str:
         src = src or self.last
-        n, c, h, w = self._shapes[src]
+        _, c, h, w = self._shapes[src]
         in_features = c * h * w
         out = self._tid("t")
-        self.nodes.append(OpNode(
+        return self._append(OpNode(
             id=name or self._tid("matmul"), kind=OpKind.MATMUL,
             inputs=[src], outputs=[out],
             attrs={"in_features": in_features, "out_features": out_features,
@@ -556,19 +546,12 @@ class GraphBuilder:
             weights=self._init_weights((in_features, out_features), in_features),
             bias=self._init_weights((out_features,), out_features) if bias else None,
         ))
-        self._shapes[out] = (n, out_features, 1, 1)
-        self.last = out
-        return out
 
     def softmax(self, src: str | None = None, name: str | None = None) -> str:
-        src = src or self.last
         out = self._tid("t")
-        self.nodes.append(OpNode(id=name or self._tid("softmax"),
-                                 kind=OpKind.SOFTMAX, inputs=[src],
-                                 outputs=[out]))
-        self._shapes[out] = self._shapes[src]
-        self.last = out
-        return out
+        return self._append(OpNode(
+            id=name or self._tid("softmax"), kind=OpKind.SOFTMAX,
+            inputs=[src or self.last], outputs=[out]))
 
     def build(self, outputs: list[str] | None = None) -> Graph:
         g = Graph(

@@ -474,18 +474,16 @@ def run_nhwc4(x: Tensor, shape: tuple[int, int, int, int],
 
 
 def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
-                 bias: np.ndarray | None = None, out: np.ndarray | None = None,
-                 packed: SlidingWeights | None = None) -> Tensor:
+                 bias: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> Tensor:
     """Sliding-window convolution over NHWC4 or NC4HW4 input.
 
     y[o, i, j] = sum_c sum_{u,v} w[o, c, u, v] * x[c, i*s+u-pad, j*s+v-pad]
     with out-of-bounds input reads as zero, then bias and optional ReLU.
     The result has x's layout and is written as run_nhwc4 says (a session
-    runs sliding_nhwc4 on its pool views instead).  ``packed`` carries
-    pack_sliding's operands of w and bias, made once for repeated runs;
-    without it they are packed here.  Runs on the calling thread.
-    ``threads`` is accepted and ignored: the benchmark in perfbench/ still
-    passes it, and it goes once it stops.
+    runs sliding_nhwc4 on its pool views instead).  Runs on the calling
+    thread; ``threads`` is accepted and ignored: the benchmark in perfbench/
+    still passes it, and it goes once it stops.
     """
     n, c, h, wd = x.shape
     if c != p.in_c:
@@ -498,8 +496,7 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     oh, ow = p.out_size(h, wd)
 
     def kernel(xd: np.ndarray, yd: np.ndarray) -> None:
-        sliding_nhwc4(xd, pack_sliding(w, p, bias, oh, ow) if packed is None
-                      else packed, p, yd)
+        sliding_nhwc4(xd, pack_sliding(w, p, bias, oh, ow), p, yd)
 
     return run_nhwc4(x, (n, p.out_c, oh, ow), out, kernel)
 

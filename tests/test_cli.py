@@ -1,10 +1,12 @@
 import json
 import os
+import statistics
 
 import numpy as np
 import pytest
 
-from nanoinfer.backend import CpuBackend, Execution
+from nanoinfer import cli
+from nanoinfer.backend import Session
 from nanoinfer.cli import COMPARE_ROUNDS, main
 from nanoinfer.graph import OpKind, fuse, load_model
 from nanoinfer.preinference import _conv_params, conv_schemes
@@ -253,44 +255,76 @@ class TestCompare:
 
     def test_each_scheme_timed_over_rotated_rounds(self, model_path, capsys,
                                                    monkeypatch):
-        # each scheme's execution runs once to warm up, then COMPARE_ROUNDS
-        # timed rounds, round r starting r schemes further along the list
-        labels, runs = {}, []
-        create, run = CpuBackend.create_execution, Execution.run
+        # each scheme gets a session of the whole graph, which runs once to
+        # warm up, then COMPARE_ROUNDS timed rounds, round r starting r
+        # schemes further along the list; a timing is the median of its
+        # scheme's step times in those rounds
+        plans, inits, calls, step_ms = {}, [], [], {}
+        with_scheme, init = cli.with_scheme, Session.__init__
+        run_timed = Session.run_timed
 
-        def counting_create(self, step, plan, shapes):
-            execution = create(self, step, plan, shapes)
-            labels[execution] = (step.node.id,
-                                 step.scheme.label() if step.scheme else None)
-            return execution
+        def labelled(plan, node, scheme):
+            switched = with_scheme(plan, node, scheme)
+            plans[id(switched)] = (switched, (node.id, scheme.label()))
+            return switched
 
-        def counting_run(self, *args):
-            runs.append(self)
-            run(self, *args)
+        def counting_init(self, plan, backends, *args):
+            init(self, plan, backends, *args)
+            self.label = plans[id(plan)][1]
+            inits.append(self.label)
 
-        monkeypatch.setattr(CpuBackend, "create_execution", counting_create)
-        monkeypatch.setattr(Execution, "run", counting_run)
+        def counting_run(self, x):
+            calls.append(("run", self.label))
+            return run_timed(self, x)[0]
+
+        def counting_run_timed(self, x):
+            calls.append(("run_timed", self.label))
+            outputs, times = run_timed(self, x)
+            step_ms.setdefault(self.label, []).append(
+                dict(times)[self.label[0]])
+            return outputs, times
+
+        monkeypatch.setattr(cli, "with_scheme", labelled)
+        monkeypatch.setattr(Session, "__init__", counting_init)
+        monkeypatch.setattr(Session, "run", counting_run)
+        monkeypatch.setattr(Session, "run_timed", counting_run_timed)
         code, out = run_cli(capsys, "compare", "--model", model_path,
                             "--format", "json")
         assert code == 0
-        timed = 1 + COMPARE_ROUNDS
+        g = fuse(load_model(open(model_path, "rb").read()))
+        nodes = {n.id: n for n in g.nodes}
         for row in json.loads(out)["layers"]:
-            schemes = list(row["timings_ms"])
-            mine = [e for e in runs if labels[e][0] == row["layer"]]
-            counts = {}
-            for e in set(mine):
-                counts.setdefault(labels[e][1], []).append(mine.count(e))
-            # the planned scheme also ran once in the plan's replay
-            assert {label: sorted(c) for label, c in counts.items()} == {
-                label: [1, timed] if label == row["chosen"] else [timed]
-                for label in schemes}
-            order = [labels[e][1] for e in mine if mine.count(e) == timed]
+            layer = row["layer"]
+            schemes = [s.label()
+                       for s in conv_schemes(_conv_params(nodes[layer]))]
             m = len(schemes)
-            assert order[:m] == schemes  # the warm-up runs
+            assert [label for lay, label in inits if lay == layer] == schemes
+            mine = [(kind, label) for kind, (lay, label) in calls
+                    if lay == layer]
+            assert len(mine) == m * (1 + COMPARE_ROUNDS)
+            assert mine[:m] == [("run", label) for label in schemes]
             for r in range(COMPARE_ROUNDS):
                 start = m * (r + 1)
-                assert order[start:start + m] \
-                    == schemes[r % m:] + schemes[:r % m], r
+                assert mine[start:start + m] == [
+                    ("run_timed", label)
+                    for label in schemes[r % m:] + schemes[:r % m]], r
+            assert row["timings_ms"] == {
+                label: statistics.median(step_ms[(layer, label)])
+                for label in schemes}
+
+
+    @pytest.mark.parametrize("option", [["--backend", "sim"],
+                                        ["--cost-model", "/nonexistent.json"]])
+    def test_planning_options_rejected(self, model_path, capsys, option):
+        # compare always plans on the CPU with its own cost model
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--model", model_path, *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" \
+            in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        assert option[0] not in capsys.readouterr().out
 
 
 class TestBlasThreads:
@@ -356,3 +390,33 @@ class TestDumpPlan:
         _, first = run_cli(capsys, "dump-plan", "--model", model_path)
         _, second = run_cli(capsys, "dump-plan", "--model", model_path)
         assert first == second
+
+    @pytest.mark.parametrize("option", [["--input", "x.f32"], ["--seed", "3"],
+                                        ["--format", "table"]])
+    def test_run_options_rejected(self, model_path, capsys, option):
+        # dump-plan runs nothing and always prints the plan as JSON
+        with pytest.raises(SystemExit) as exc:
+            main(["dump-plan", "--model", model_path, *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" \
+            in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["dump-plan", "--help"])
+        assert option[0] not in capsys.readouterr().out
+
+    def test_forced_sim_plans_what_run_runs(self, model_path, tmp_path,
+                                            capsys):
+        # sim is too slow to win on cost, so only --backend sim puts the
+        # ops there, in dump-plan as in run
+        cost = tmp_path / "cost.json"
+        cost.write_text(json.dumps({"sim": {"flops": 1e3}}))
+        options = ["--model", model_path, "--backend", "sim",
+                   "--cost-model", str(cost)]
+        code, out = run_cli(capsys, "dump-plan", *options)
+        assert code == 0
+        plan = json.loads(out)
+        assert {op["backend"] for op in plan["ops"]} == {"sim"}
+        code, out = run_cli(capsys, "run", *options, "--runs", "1",
+                            "--dump-plan", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["plan"] == plan

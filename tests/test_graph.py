@@ -153,6 +153,23 @@ class TestShapeInference:
         g = single_conv_graph(kernel=7, stride=2, pad=3, in_c=3, out_c=8)
         assert g.tensor_shapes[g.outputs[0]].dims == (1, 8, 112, 112)
 
+    @pytest.mark.parametrize("op,window", [
+        ("conv", dict(kernel=4)), ("conv", dict(kernel=(1, 6), pad=1)),
+        ("pool", dict(kernel=4)), ("pool", dict(kernel=(6, 1), pad=(1, 0))),
+    ])
+    def test_window_beyond_padded_input_fails_at_builder(self, op, window):
+        # (h + 2p - k) // s + 1 is 0, not negative, for a window up to s
+        # rows too tall, so the size formula alone does not catch these
+        b = GraphBuilder((1, 4, 3, 3), seed=0)
+        add = b.conv if op == "conv" else b.pool
+        extra = dict(out_c=4) if op == "conv" else {}
+        with pytest.raises(ShapeInferenceError,
+                           match="node 'big': .* window exceeds its padded"):
+            add(**window, **extra, name="big")
+        assert not b.nodes
+        add(kernel=3, **extra, name="fits")
+        assert b.shape_of(b.last)[2:] == (1, 1)
+
     def test_add_mismatch(self):
         n1 = OpNode("c1", OpKind.CONV2D, ["input"], ["a"],
                     attrs={"kernel": [1, 1], "stride": [1, 1], "pad": [0, 0],

@@ -1,10 +1,13 @@
-"""Smoke test: tools/calibrate.py's ranking report runs on a preset.
+"""Smoke tests: tools/calibrate.py's rank and weights reports run on a preset.
 
-It times every scheme of every conv, so it asserts the report's shape, not
-any timing: one line per conv naming the planned and the fastest scheme.
+They time every scheme of every conv, so they assert each report's shape,
+not any timing: rank gives one line per conv naming the planned and the
+fastest scheme; weights gives the GEMM rate, each fitted weight beside the
+engine's, and how often each set of weights picks a scheme near the fastest.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +35,28 @@ def test_calibrate_rank_lists_every_conv():
         assert ", fastest " in row[0]
     assert lines[-1].endswith(f"of {len(convs)} convs planned within 10% "
                               "or 0.02 ms of the fastest scheme")
+
+
+def test_calibrate_weights_reports_every_fit():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "calibrate.py"), "weights",
+         "--preset", "resnet-mini", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"one GEMM multiply: \S+ ps", lines[0])
+    for line, name in zip(lines[1:5], ("SMALL_PRODUCT_COST", "MOVE_COST",
+                                       "SHUFFLE_COST", "CALL_COST")):
+        assert re.fullmatch(rf"{name}: fitted \S+ \(engine \S+\)", line)
+    totals = set()
+    for line, label in zip(lines[5:7], ("fitted", "engine")):
+        match = re.fullmatch(rf"{label} weights: cheapest scheme near the "
+                             r"fastest on (\d+) of (\d+) convs; missed: .+",
+                             line)
+        assert match, line
+        assert int(match[1]) <= int(match[2])
+        totals.add(int(match[2]))
+    assert len(totals) == 1 and totals.pop() > 0
+    assert lines[7].startswith("fitted time / measured time: median miss x")
+    assert len(lines) == 8

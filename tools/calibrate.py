@@ -2,9 +2,10 @@
 
 Each conv scheme is timed as the backend execution of its step in a running
 session of the whole graph, as the benchmark times it: the same conv can rank
-differently alone than inside its network.  One session per scheme, one
-warm-up run, then rounds that visit the schemes in rotated order; the median
-per scheme.  Three reports:
+differently alone than inside its network.  nanoinfer.cli.time_schemes, which
+`nanoinfer compare` also uses, builds one session per scheme, runs it once to
+warm up, then runs rounds that visit the schemes in rotated order, and takes
+the median per scheme.  Three reports:
 
   add-cost  kernels.ADD_COST, one counted Strassen addition in BLAS
             multiplies: a one-level matmul_strassen less its seven
@@ -30,7 +31,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -38,14 +39,15 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import nanoinfer.kernels as kernels  # noqa: E402
-from nanoinfer.backend import CpuBackend, Session  # noqa: E402
+from nanoinfer.backend import CpuBackend  # noqa: E402
+from nanoinfer.cli import time_schemes  # noqa: E402
 from nanoinfer.graph import GraphBuilder, OpKind, fuse  # noqa: E402
 from nanoinfer.kernels import (  # noqa: E402
     MatDims, matmul_direct, matmul_strassen, strassen_recursion_depth,
     strassen_scratch_elems,
 )
 from nanoinfer.preinference import (  # noqa: E402
-    OpStep, _conv_params, conv_schemes, pre_infer, scheme_work,
+    _conv_params, pre_infer, scheme_work,
 )
 from nanoinfer.presets import PRESETS, build_preset  # noqa: E402
 from nanoinfer.tensor import from_nchw  # noqa: E402
@@ -131,34 +133,6 @@ def report_add_cost(shapes):
 
 
 # --- conv timing -----------------------------------------------------------
-
-def with_scheme(plan, node, scheme):
-    """The plan with one conv's step switched to another scheme."""
-    steps = [OpStep(s.node, scheme, s.backend, s.scratch_id)
-             if isinstance(s, OpStep) and s.node is node else s
-             for s in plan.steps]
-    return replace(plan, steps=steps, schemes={**plan.schemes, node.id: scheme})
-
-
-def time_schemes(plan, node, x, rounds):
-    """Median ms of the conv's step under each of its schemes, each timed
-    in a running session of the whole graph, as the benchmark times it."""
-    sessions = {}
-    for scheme in conv_schemes(_conv_params(node)):
-        session = Session(with_scheme(plan, node, scheme), [CpuBackend()])
-        # the warm-up caches an unplanned weight transform
-        session.run(x)
-        sessions[scheme] = session
-    order = list(sessions)
-    times = {scheme: [] for scheme in order}
-    for r in range(rounds):
-        for scheme in order[r % len(order):] + order[:r % len(order)]:
-            _, steps = sessions[scheme].run_timed(x)
-            times[scheme].append(dict(steps)[node.id])
-    for session in sessions.values():
-        session.close()
-    return {scheme: statistics.median(t) for scheme, t in times.items()}
-
 
 def measured_convs(graphs, rounds):
     """(name, plan, node, {scheme: ms}) for every conv of every graph."""
