@@ -3,18 +3,18 @@
 A backend owns a buffer namespace (acquire/release, optionally served from
 a pre-planned pool) and creates reusable execution instances per operator.
 A session binds an ExecutionPlan to concrete pools once: it builds every
-step's execution and slices its input, output and scratch views when it is
-made, so each inference only runs the bound steps in order; tensors crossing
-backends are moved by explicit transfer steps.  Activations, transfer copies
-and MatMul's Strassen scratch are views into the pools, and every
-activation is stored as lane-padded NHWC (tensor.Layout.NHWC4): a run packs
-its NCHW or NC4HW4 input into the staging view and unpacks its outputs, and
-no step between re-lays a tensor.  A conv runs Winograd at its planned tile
-or sliding window, with the weights pre-inference packed for that scheme
-and fetched once, when the session is built; either scheme writes straight
-into the step's pool view.  MatMul multiplies the packed input rows by
+step's execution and turns each pool slice and staging buffer into its
+tensor's NHWC4 array (tensor.Layout.NHWC4, lane-padded NHWC) when it is
+made, so each inference only runs the bound steps on those arrays in order;
+tensors crossing backends are moved by explicit transfer steps.  A run
+packs its NCHW or NC4HW4 input into the staging array and unpacks its
+outputs, and no step between re-lays a tensor.  A conv step calls its
+scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
+with the one operand (kernels.ConvWeights) pre-inference packed for that
+scheme and fetched once, when the session is built; either writes straight
+into the step's pool array.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, and Softmax works on the pool
-views as [pixels, lanes] matrices.  The kernels' temporaries (padded
+arrays as [pixels, lanes] matrices.  The kernels' temporaries (padded
 inputs, accumulators, Winograd's patches and tiles, MatMul's product) are
 still heap allocations on every run, and so is the NCHW round trip of a
 Reshape that changes the shape (graph.fuse drops the identity ones).
@@ -38,8 +38,10 @@ from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
     TransferStep, _conv_params, pack_weights, packed_bytes, weight_key,
 )
-from .tensor import Layout, Tensor, channel_blocks, from_nchw, relayout
-from .winograd import conv_winograd, generate_transforms
+from .tensor import (
+    Layout, Tensor, channel_blocks, data_shape, from_nchw, relayout,
+)
+from .winograd import winograd_nhwc4
 
 
 class Backend(ABC):
@@ -101,13 +103,15 @@ class Backend(ABC):
             handle[:] = np.nan  # poison to surface use-after-release
 
     @abstractmethod
-    def create_execution(self, step: OpStep, plan: ExecutionPlan,
-                         shapes) -> "Execution":
+    def create_execution(self, step: OpStep,
+                         plan: ExecutionPlan) -> "Execution":
         ...
 
 
 class Execution:
-    """Reusable per-operator execution instance bound to one backend."""
+    """Reusable per-operator execution instance bound to one backend; it
+    runs on the tensors' NHWC4 data arrays, which give it their geometry,
+    and a flat float32 scratch buffer."""
 
     def __init__(self, node: OpNode, runner):
         self.node = node
@@ -118,84 +122,69 @@ class Execution:
         self._runner(inputs, outputs, scratch)
 
 
-def _packed_view(buf: np.ndarray, shape) -> np.ndarray:
-    """The NHWC4 data [n, h, w, lanes] of a tensor of `shape` at the start
-    of a flat float32 buffer."""
-    n, c, h, w = shape.dims
-    return buf[:n * h * w * channel_blocks(c) * LANES].reshape(
-        n, h, w, channel_blocks(c) * LANES)
-
-
-def _as_tensor(view: np.ndarray, shape) -> Tensor:
-    data = view if view.ndim == 4 else _packed_view(view, shape)
-    return Tensor(shape=tuple(shape.dims), layout=Layout.NHWC4, data=data)
-
-
-def _packed_weights(step: OpStep, plan: ExecutionPlan, shapes):
+def _packed_weights(step: OpStep, plan: ExecutionPlan):
     """The step's weights as its kernel reads them, fetched from the plan's
     weight cache; pre_infer packs the planned scheme's, another scheme's
     (compare and calibration run every one) is packed on first use."""
     node = step.node
     return plan.weight_cache.get(
         weight_key(node, step.scheme),
-        compute=lambda: pack_weights(node, step.scheme, shapes, plan.spacing))
+        compute=lambda: pack_weights(node, step.scheme,
+                                     plan.graph.tensor_shapes, plan.spacing))
 
 
-def _build_cpu_execution(step: OpStep, plan: ExecutionPlan, shapes) -> Execution:
+def _build_cpu_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
     node = step.node
     kind = node.kind
 
     if kind is OpKind.CONV2D:
-        return _build_conv_execution(step, plan, shapes)
+        return _build_conv_execution(step, plan)
 
     if kind is OpKind.MATMUL:
-        return _build_matmul_execution(step, plan, shapes)
+        return _build_matmul_execution(step, plan)
 
     if kind is OpKind.RELU:
         def run(inputs, outputs, scratch=None):
-            np.maximum(inputs[0], 0.0, out=outputs[0][:inputs[0].size])
+            np.maximum(inputs[0], 0.0, out=outputs[0])
         return Execution(node, run)
 
     if kind is OpKind.ADD:
         def run(inputs, outputs, scratch=None):
-            np.add(inputs[0], inputs[1], out=outputs[0][:inputs[0].size])
+            np.add(inputs[0], inputs[1], out=outputs[0])
         return Execution(node, run)
 
     if kind is OpKind.SOFTMAX:
-        return _build_softmax_execution(step, shapes)
+        return _build_softmax_execution(step, plan)
 
     if kind is OpKind.RESHAPE:
-        in_shape = shapes[node.inputs[0]]
-        out_shape = shapes[node.outputs[0]]
+        in_dims = plan.graph.tensor_shapes[node.inputs[0]].dims
+        out_dims = plan.graph.tensor_shapes[node.outputs[0]].dims
 
         def run(inputs, outputs, scratch=None):
-            x = relayout(_as_tensor(inputs[0], in_shape), Layout.NCHW)
-            relayout(from_nchw(x.data.reshape(out_shape.dims)), Layout.NHWC4,
-                     out=_packed_view(outputs[0], out_shape))
+            x = relayout(Tensor(in_dims, Layout.NHWC4, inputs[0]), Layout.NCHW)
+            relayout(from_nchw(x.data.reshape(out_dims)), Layout.NHWC4,
+                     out=outputs[0])
 
         return Execution(node, run)
 
     if kind is OpKind.POOL2D:
-        return _build_pool_execution(step, shapes)
+        return _build_pool_execution(step)
 
     raise UnsupportedOpError(f"no CPU execution for kind {kind}")
 
 
-def _build_matmul_execution(step: OpStep, plan: ExecutionPlan,
-                            shapes) -> Execution:
+def _build_matmul_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
     """A MatMul on the packed input rows [n, h*w*lanes], whose weights
     pre-inference permuted into that row order with zero pad rows; the
     product fills the output's first out_features lanes, pad lanes zero."""
     node = step.node
-    weights = _packed_weights(step, plan, shapes)
+    weights = _packed_weights(step, plan)
     bias = None if node.bias is None else node.bias.astype(np.float32)
-    n = shapes[node.inputs[0]].dims[0]
-    rows, features = weights.shape
-    lanes = channel_blocks(features) * LANES
+    features = weights.shape[1]
 
     def run(inputs, outputs, scratch=None):
-        x = inputs[0][:n * rows].reshape(n, rows)
-        out = outputs[0][:n * lanes].reshape(n, lanes)
+        x = inputs[0].reshape(len(inputs[0]), -1)
+        out = outputs[0].reshape(len(outputs[0]), -1)
         # the product keeps out_features columns: padding it to whole
         # lanes changes the GEMM, and with it the last bits
         y = matmul_strassen(x, weights, scratch=scratch)
@@ -203,23 +192,23 @@ def _build_matmul_execution(step: OpStep, plan: ExecutionPlan,
             out[:, :features] = y
         else:
             np.add(y, bias, out=out[:, :features])
-        if features < lanes:
+        if features < out.shape[1]:
             out[:, features:] = 0.0
 
     return Execution(node, run)
 
 
-def _build_softmax_execution(step: OpStep, shapes) -> Execution:
+def _build_softmax_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
     """Softmax over the channels of each pixel, on the pool views seen as
     [n*h*w, lanes] matrices.  The first C lanes are written, the pad lanes
     zeroed."""
     node = step.node
-    n, c, h, w = shapes[node.inputs[0]].dims
-    pixels, lanes = n * h * w, channel_blocks(c) * LANES
+    c = plan.graph.tensor_shapes[node.inputs[0]].dims[1]
+    lanes = channel_blocks(c) * LANES
 
     def run(inputs, outputs, scratch=None):
-        x = inputs[0][:pixels * lanes].reshape(pixels, lanes)
-        y = outputs[0][:pixels * lanes].reshape(pixels, lanes)
+        x = inputs[0].reshape(-1, lanes)
+        y = outputs[0].reshape(-1, lanes)
         xs, ys = x[:, :c], y[:, :c]
         np.subtract(xs, np.maximum.reduce(xs, axis=1, keepdims=True), out=ys)
         np.exp(ys, out=ys)
@@ -230,46 +219,30 @@ def _build_softmax_execution(step: OpStep, shapes) -> Execution:
     return Execution(node, run)
 
 
-def _build_conv_execution(step: OpStep, plan: ExecutionPlan,
-                          shapes) -> Execution:
-    node = step.node
-    p = _conv_params(node)
-    in_shape = shapes[node.inputs[0]]
-    out_shape = shapes[node.outputs[0]]
-    scheme = step.scheme
-    weights = _packed_weights(step, plan, shapes)
-
-    if scheme.kind is SchemeKind.WINOGRAD:
-        transform = generate_transforms(scheme.tile, p.kh, plan.spacing)
-        bias = None if node.bias is None else node.bias.astype(np.float32)
-
-        def run(inputs, outputs, scratch=None):
-            conv_winograd(_as_tensor(inputs[0], in_shape), node.weights, p,
-                          transform, bias=bias, transformed=weights,
-                          out=_packed_view(outputs[0], out_shape))
-
-        return Execution(node, run)
+def _build_conv_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
+    """The planned scheme's NHWC4 kernel on the step's arrays, with the
+    conv's one packed operand (kernels.ConvWeights)."""
+    p = _conv_params(step.node)
+    packed = _packed_weights(step, plan)
+    kernel = (winograd_nhwc4 if step.scheme.kind is SchemeKind.WINOGRAD
+              else sliding_nhwc4)
 
     def run(inputs, outputs, scratch=None):
-        sliding_nhwc4(_packed_view(inputs[0], in_shape), weights, p,
-                      _packed_view(outputs[0], out_shape))
+        kernel(inputs[0], packed, p, outputs[0])
 
-    return Execution(node, run)
+    return Execution(step.node, run)
 
 
-def _build_pool_execution(step: OpStep, shapes) -> Execution:
+def _build_pool_execution(step: OpStep) -> Execution:
     node = step.node
     (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
     mode = node.attrs.get("mode", "max")
-    in_shape = shapes[node.inputs[0]]
-    out_shape = shapes[node.outputs[0]]
-
-    oh, ow = out_shape.dims[2], out_shape.dims[3]
     combine = np.maximum if mode == "max" else np.add
 
     def run(inputs, outputs, scratch=None):
-        x = _packed_view(inputs[0], in_shape)
+        x, out = inputs[0], outputs[0]
         n, h, w, lanes = x.shape
+        _, oh, ow, _ = out.shape
         xp = x
         if ph or pw:
             xp = np.full((n, h + 2 * ph, w + 2 * pw, lanes),
@@ -289,7 +262,6 @@ def _build_pool_execution(step: OpStep, shapes) -> Execution:
             rows = combine(xp[:, 0:sh * oh:sh], xp[:, 1:1 + sh * oh:sh])
             for u in range(2, kh):
                 combine(rows, xp[:, u:u + sh * oh:sh], out=rows)
-        out = _packed_view(outputs[0], out_shape)
         if ow == 1:
             combine.reduce(rows[:, :, 0:kw], axis=2, keepdims=True, out=out)
         elif kw == 1:
@@ -313,9 +285,9 @@ class CpuBackend(Backend):
     def __init__(self, cost: CostModel = CPU_COST, debug: bool = False):
         super().__init__("cpu", cost, supported=None, debug=debug)
 
-    def create_execution(self, step: OpStep, plan: ExecutionPlan,
-                         shapes) -> Execution:
-        return _build_cpu_execution(step, plan, shapes)
+    def create_execution(self, step: OpStep,
+                         plan: ExecutionPlan) -> Execution:
+        return _build_cpu_execution(step, plan)
 
 
 _BACKEND_FACTORIES = {"cpu": CpuBackend}
@@ -361,7 +333,6 @@ class Session:
         self.plan = plan
         self.backends = {b.name: b for b in backends}
         shapes = plan.graph.tensor_shapes
-        self._shapes = shapes
         self.transfer_counters: dict = {"copies": 0}
         self._acquired: list[tuple[Backend, np.ndarray]] = []
 
@@ -374,49 +345,51 @@ class Session:
         for name, mem in plan.memory.items():
             self.backends[name].set_pool(mem.pool_size)
 
-        # staging buffers for graph inputs (outside the pools), each with
-        # its NHWC4 view, which a run packs its input into
+        def nhwc4(buf: np.ndarray, tid: str) -> np.ndarray:
+            dims = data_shape(shapes[tid].dims, Layout.NHWC4)
+            return buf[:packed_bytes(shapes[tid]) // 4].reshape(dims)
+
+        # every (tensor, backend) residency as its NHWC4 array, bound once:
+        # a staging buffer (outside the pools) for each graph input, which
+        # a run packs its input into, then the planned pool slices.  A
+        # Strassen scratch slice stays a flat buffer.
         cpu = backends[0]
-        views: dict[tuple[str, str], np.ndarray] = {}
+        arrays: dict[tuple[str, str], np.ndarray] = {}
         self._staging: dict[str, np.ndarray] = {}
         for tid in plan.graph.inputs:
             buf = cpu.acquire_buffer(packed_bytes(shapes[tid]),
                                      owner=f"input:{tid}")
-            views[(tid, cpu.name)] = buf
-            self._staging[tid] = _packed_view(buf, shapes[tid])
+            self._staging[tid] = arrays[(tid, cpu.name)] = nhwc4(buf, tid)
             self._acquired.append((cpu, buf))
-
-        # pool-backed views for every planned (tensor, backend) residency
         for name, mem in plan.memory.items():
             backend = self.backends[name]
             for tid, offset in mem.offsets.items():
                 buf = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
-                views.setdefault((tid, name), buf)
+                arrays.setdefault(
+                    (tid, name), nhwc4(buf, tid) if tid in shapes else buf)
                 self._acquired.append((backend, buf))
 
-        def view(tid: str, backend: str) -> np.ndarray:
-            return views[(tid, backend)][:packed_bytes(shapes[tid]) // 4]
-
-        # one record per step, bound once: (name, execution, input views,
-        # output views, scratch view, dispatch surcharge in ms).  A transfer
-        # has no execution; its views are its source and destination, which
-        # build_steps puts on different backends.
+        # one record per step, bound once: (name, execution, input arrays,
+        # output arrays, scratch buffer, dispatch surcharge in ms).  A
+        # transfer has no execution; its arrays are its source and
+        # destination, which build_steps puts on different backends.
         self._bound: list[tuple] = []
         for step in plan.steps:
             if isinstance(step, TransferStep):
                 self._bound.append((
                     f"transfer:{step.tensor}", None,
-                    view(step.tensor, step.src), view(step.tensor, step.dst),
-                    None, 0.0))
+                    arrays[(step.tensor, step.src)],
+                    arrays[(step.tensor, step.dst)], None, 0.0))
                 continue
             backend = self.backends[step.backend]
             self._bound.append((
-                step.node.id, backend.create_execution(step, plan, shapes),
-                [view(t, step.backend) for t in step.node.inputs],
-                [view(t, step.backend) for t in step.node.outputs],
-                views.get((step.scratch_id, step.backend)),
+                step.node.id, backend.create_execution(step, plan),
+                [arrays[(t, step.backend)] for t in step.node.inputs],
+                [arrays[(t, step.backend)] for t in step.node.outputs],
+                arrays.get((step.scratch_id, step.backend)),
                 getattr(backend, "dispatch_surcharge_ms", 0.0)))
-        self._outputs = [(tid, _as_tensor(view(tid, cpu.name), shapes[tid]))
+        self._outputs = [(tid, Tensor(shapes[tid].dims, Layout.NHWC4,
+                                      arrays[(tid, cpu.name)]))
                          for tid in plan.graph.outputs]
         self._closed = False
 
@@ -445,7 +418,7 @@ class Session:
             if tid not in inputs:
                 raise GraphValidationError(f"missing graph input {tid!r}")
             t = inputs[tid]
-            want = tuple(self._shapes[tid].dims)
+            want = g.tensor_shapes[tid].dims
             if tuple(t.shape) != want:
                 raise ShapeMismatchError(
                     f"input {tid!r} shape {t.shape} != expected {want}"

@@ -14,15 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .backend import CpuBackend, Session, _as_tensor, _packed_view, resolve_backend
+from .backend import CpuBackend, Session, resolve_backend
 from .errors import EngineError
 from .graph import Graph, OpKind, fuse, load_model, save_model
 from .preinference import (
-    OpStep, conv_schemes, load_cost_models, packed_bytes, pre_infer,
-    _conv_params,
+    OpStep, conv_schemes, load_cost_models, pre_infer, _conv_params,
 )
 from .presets import PRESETS, build_preset
-from .tensor import Layout, Tensor, from_nchw, relayout
+from .tensor import Layout, Tensor, from_nchw, relayout, zeros
 from .winograd import DEFAULT_SPACING, generate_transforms
 
 log = logging.getLogger("nanoinfer")
@@ -127,14 +126,16 @@ def cmd_run(args) -> int:
               else _default_input(g, args.seed))
     for _ in range(args.warmup):
         session.run(tensor)
+    # each sim step's dispatch charge is added to the run's wall time
+    charges = sum(getattr(session.backends[s.backend],
+                          "dispatch_surcharge_ms", 0.0)
+                  for s in plan.steps if isinstance(s, OpStep))
     latencies = []
     outputs = None
     for _ in range(args.runs):
         start = time.perf_counter()
-        outputs, step_times = session.run_timed(tensor)
-        wall = (time.perf_counter() - start) * 1e3
-        surcharge = sum(ms for _, ms in step_times) - wall
-        latencies.append(wall + max(surcharge, 0.0))
+        outputs, _ = session.run_timed(tensor)
+        latencies.append((time.perf_counter() - start) * 1e3 + charges)
     breakdown: dict[str, int] = {}
     for scheme in plan.schemes.values():
         breakdown[scheme.label()] = breakdown.get(scheme.label(), 0) + 1
@@ -172,12 +173,10 @@ def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
         if not isinstance(step, OpStep):
             continue
         node = step.node
-        out_shape = g.tensor_shapes[node.outputs[0]]
-        buf = np.zeros(packed_bytes(out_shape) // 4, dtype=np.float32)
-        execution = cpu.create_execution(step, plan, g.tensor_shapes)
-        execution.run([values[t].data.reshape(-1) for t in node.inputs], [buf])
-        values[node.outputs[0]] = _as_tensor(_packed_view(buf, out_shape),
-                                             out_shape)
+        out = zeros(g.tensor_shapes[node.outputs[0]].dims, Layout.NHWC4)
+        cpu.create_execution(step, plan).run(
+            [values[t].data for t in node.inputs], [out.data])
+        values[node.outputs[0]] = out
     return values
 
 
@@ -222,13 +221,13 @@ def cmd_compare(args) -> int:
         if node.kind is not OpKind.CONV2D:
             continue
         # each scheme's isolated output on the replayed input, to compare
-        x = values[node.inputs[0]].data.reshape(-1)
-        nbytes = packed_bytes(g.tensor_shapes[node.outputs[0]])
+        x = values[node.inputs[0]].data
+        out_dims = g.tensor_shapes[node.outputs[0]].dims
         outs = {}
         for scheme in conv_schemes(_conv_params(node)):
             step = OpStep(node, scheme, cpu.name, None)
-            out = np.zeros(nbytes // 4, dtype=np.float32)
-            cpu.create_execution(step, plan, g.tensor_shapes).run([x], [out])
+            out = zeros(out_dims, Layout.NHWC4).data
+            cpu.create_execution(step, plan).run([x], [out])
             outs[scheme.label()] = out
         timings = {scheme.label(): ms for scheme, ms in
                    time_schemes(plan, node, tensor, COMPARE_ROUNDS).items()}

@@ -9,20 +9,26 @@ dense one whose per-tap operand is block diagonal, one block per group.
 At stride 1 each tap's GEMM reads the padded input in place, and at pad 0
 the input itself; when the GEMM's rows have the output's pitch (a 1x1 conv
 at pad 0, or any strided conv) the first tap's GEMM writes the output
-itself.  conv_sliding and conv_winograd also take and return the paper's
-NC4HW4, re-laid around the same kernel (run_nhwc4).  Weights are packed
-once by pack_sliding.  Kernels run on the calling thread; the only
-parallelism is the BLAS library's own threading inside each GEMM.
+itself.  Both conv schemes read one operand packed once (ConvWeights: the
+GEMM operand, the bias and ReLU maps, Winograd's transform) and end in one
+epilogue, bias_relu, per image.  conv_sliding and conv_winograd also take
+and return the paper's NC4HW4, re-laid around the same kernel (run_nhwc4).
+Kernels run on the calling thread; the only parallelism is the BLAS
+library's own threading inside each GEMM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .tensor import LANES, Layout, Tensor, channel_blocks, data_shape, relayout
+
+if TYPE_CHECKING:
+    from .winograd import WinogradTransform
 
 @dataclass(frozen=True)
 class MatDims:
@@ -76,9 +82,13 @@ class ConvParams:
         return 1 < self.group == self.in_c == self.out_c
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
-        oh = (h + 2 * self.pad_h - self.kh) // self.stride_h + 1
-        ow = (w + 2 * self.pad_w - self.kw) // self.stride_w + 1
-        return max(oh, 0), max(ow, 0)
+        """Output extents; a window beyond the padded input is an error."""
+        if h + 2 * self.pad_h < self.kh or w + 2 * self.pad_w < self.kw:
+            raise ShapeMismatchError(
+                f"{self.kh}x{self.kw} window exceeds its padded "
+                f"{h + 2 * self.pad_h}x{w + 2 * self.pad_w} input")
+        return ((h + 2 * self.pad_h - self.kh) // self.stride_h + 1,
+                (w + 2 * self.pad_w - self.kw) // self.stride_w + 1)
 
 
 def matmul_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -397,53 +407,64 @@ def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
 
 
 @dataclass(frozen=True)
-class SlidingWeights:
-    """The operands conv_sliding's kernels read, packed once.
+class ConvWeights:
+    """The operand a conv kernel reads, packed once, for either scheme.
 
-    ``mats`` is [kh, kw, ow, in lanes] for a depthwise conv, else [kh*kw,
-    in lanes, out lanes], one GEMM operand per tap, block diagonal over the
-    groups of a grouped conv.  ``bias`` is the bias padded to whole 4-lane
-    blocks at every pixel of one output image, [oh, ow, out lanes], and
-    ``zero`` a zero map of that shape if the conv applies ReLU.  NumPy adds
-    or compares two arrays of one shape in one contiguous pass, 2-3x as fast
-    as against a broadcast row or scalar, and without the 32 KiB iterator
-    buffer a broadcast operand allocates.
+    ``mats`` is the GEMM operand: sliding window's [kh, kw, ow, in lanes]
+    for a depthwise conv, else [kh*kw, in lanes, out lanes], one per tap,
+    block diagonal over a grouped conv's groups; Winograd's [alpha^2, out
+    lanes, in lanes] in the domain of ``transform`` (None for sliding
+    window).  ``bias`` is the bias padded to whole 4-lane blocks at every
+    pixel of one output image, [oh, ow, out lanes], and ``zero`` a zero map
+    of that shape if the conv applies ReLU.  NumPy adds or compares two
+    arrays of one shape in one contiguous pass, 2-3x as fast as against a
+    broadcast row or scalar, and without the 32 KiB iterator buffer a
+    broadcast operand allocates.
     """
 
     mats: np.ndarray
     bias: np.ndarray | None
     zero: np.ndarray | None
+    transform: WinogradTransform | None = None
 
 
-def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
-                 oh: int, ow: int) -> SlidingWeights:
-    """conv_sliding's operands for weights w and bias at output size oh x
-    ow."""
-    if p.depthwise:
-        mats = _pack_depthwise_rows(w, p, ow)
-    else:
-        mats = _pack_weight_columns(w, p)
+def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
+              oh: int, ow: int,
+              transform: WinogradTransform | None = None) -> ConvWeights:
+    """The operand of a conv with GEMM operand mats and this bias, at
+    output size oh x ow."""
     opad = channel_blocks(p.out_c) * LANES
     lanes = _padded_bias(bias, p.out_c)
-    return SlidingWeights(
+    return ConvWeights(
         mats,
         None if lanes is None else np.ascontiguousarray(
             np.broadcast_to(lanes, (oh, ow, opad))),
-        np.zeros((oh, ow, opad), dtype=np.float32) if p.relu else None)
+        np.zeros((oh, ow, opad), dtype=np.float32) if p.relu else None,
+        transform)
 
 
-def _bias_relu(out: np.ndarray, packed: SlidingWeights) -> None:
-    """Bias, then ReLU, on one output image [oh, ow, lanes] in place."""
+def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
+                 oh: int, ow: int) -> ConvWeights:
+    """Sliding window's operand for weights w and bias at output size oh x
+    ow."""
+    mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
+            else _pack_weight_columns(w, p))
+    return pack_conv(mats, p, bias, oh, ow)
+
+
+def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
+    """Bias, then ReLU, on one output image [oh, ow, lanes] in place: the
+    epilogue of both conv schemes."""
     if packed.bias is not None:
         np.add(out, packed.bias, out=out)
     if packed.zero is not None:
         np.maximum(out, packed.zero, out=out)
 
 
-def run_nhwc4(x: Tensor, shape: tuple[int, int, int, int],
-              out: np.ndarray | None, kernel) -> Tensor:
-    """The (n, c, h, w) ``shape`` result of ``kernel(x data, out data)``,
-    which reads and writes NHWC4 arrays, in x's layout.
+def run_nhwc4(kernel, x: Tensor, packed: ConvWeights, p: ConvParams,
+              out: np.ndarray | None) -> Tensor:
+    """``kernel(x data, packed, p, out data)``, a conv kernel on NHWC4
+    arrays as a session runs it, applied to x; the result in x's layout.
 
     An NHWC4 x is handed over as it lies.  An NC4HW4 x is re-laid to NHWC4
     and the result re-laid back: the paper's layout stays a tested boundary
@@ -453,6 +474,10 @@ def run_nhwc4(x: Tensor, shape: tuple[int, int, int, int],
     """
     if x.layout is Layout.NCHW:
         raise ShapeMismatchError("conv kernels expect NHWC4 or NC4HW4 input")
+    n, c, h, w = x.shape
+    if c != p.in_c:
+        raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
+    shape = (n, p.out_c, *p.out_size(h, w))
     want = data_shape(shape, x.layout)
     if out is None:
         out = np.empty(want, dtype=np.float32)
@@ -464,11 +489,11 @@ def run_nhwc4(x: Tensor, shape: tuple[int, int, int, int],
     if out.size == 0:
         return y
     if x.layout is Layout.NHWC4:
-        kernel(np.ascontiguousarray(x.data, dtype=np.float32), out)
+        kernel(np.ascontiguousarray(x.data, dtype=np.float32), packed, p, out)
     else:
         nhwc = Tensor(shape, Layout.NHWC4,
                       np.empty(data_shape(shape, Layout.NHWC4), np.float32))
-        kernel(relayout(x, Layout.NHWC4).data, nhwc.data)
+        kernel(relayout(x, Layout.NHWC4).data, packed, p, nhwc.data)
         relayout(nhwc, Layout.NC4HW4, out=out)
     return y
 
@@ -485,23 +510,16 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
     thread; ``threads`` is accepted and ignored: the benchmark in perfbench/
     still passes it, and it goes once it stops.
     """
-    n, c, h, wd = x.shape
-    if c != p.in_c:
-        raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
     if w.shape != (p.out_c, p.in_c // p.group, p.kh, p.kw):
         raise ShapeMismatchError(
             f"weight shape {w.shape} != "
             f"{(p.out_c, p.in_c // p.group, p.kh, p.kw)}"
         )
-    oh, ow = p.out_size(h, wd)
-
-    def kernel(xd: np.ndarray, yd: np.ndarray) -> None:
-        sliding_nhwc4(xd, pack_sliding(w, p, bias, oh, ow), p, yd)
-
-    return run_nhwc4(x, (n, p.out_c, oh, ow), out, kernel)
+    packed = pack_sliding(w, p, bias, *p.out_size(*x.shape[2:]))
+    return run_nhwc4(sliding_nhwc4, x, packed, p, out)
 
 
-def sliding_nhwc4(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                   out: np.ndarray) -> None:
     """conv_sliding on NHWC4 arrays, as a session runs it: x [n, h, w, in
     lanes] into out [n, oh, ow, out lanes], contiguous float32, every
@@ -563,7 +581,7 @@ def zero_border(x: np.ndarray, top: int, left: int, hp: int,
     return xp
 
 
-def _conv_dense(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 out: np.ndarray) -> None:
     """Dense or grouped conv of NHWC4 data x into out: one GEMM per window
     tap against every output lane at once."""
@@ -603,10 +621,10 @@ def _conv_dense(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
                 dst += prod
         if acc is not None:
             out[img] = acc.reshape(oh, pitch, opad)[:, :ow]
-        _bias_relu(out[img], packed)
+        bias_relu(out[img], packed)
 
 
-def _conv_depthwise(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
+def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                     out: np.ndarray) -> None:
     """Depthwise conv of NHWC4 data x into out, one multiply per tap over
     whole output rows of ow*lanes floats; the first tap writes out."""
@@ -626,4 +644,4 @@ def _conv_depthwise(x: np.ndarray, packed: SlidingWeights, p: ConvParams,
             else:
                 np.multiply(win, wrow[u, v], out=prod)
                 acc += prod
-        _bias_relu(acc, packed)
+        bias_relu(acc, packed)

@@ -29,8 +29,8 @@ from enum import Enum
 from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
-    ConvParams, KernelWork, MatDims, pack_matmul_rows, pack_sliding,
-    sliding_work, strassen_scratch_elems,
+    ConvParams, KernelWork, MatDims, pack_conv, pack_matmul_rows,
+    pack_sliding, sliding_work, strassen_scratch_elems,
 )
 from .tensor import LANES, Shape, channel_blocks
 from .winograd import (
@@ -198,17 +198,19 @@ def weight_key(node: OpNode, scheme: SchemeChoice | None) -> tuple[str, str]:
 def pack_weights(node: OpNode, scheme: SchemeChoice | None,
                  shapes: dict[str, Shape], spacing: float):
     """A node's weights as the kernel running `scheme` reads them: a
-    MatMul's in packed row order (kernels.pack_matmul_rows), Winograd's
-    transformed weights at the tile, or sliding window's packed weights and
-    bias (kernels.pack_sliding)."""
+    MatMul's in packed row order (kernels.pack_matmul_rows), a conv's as
+    one kernels.ConvWeights operand with its bias and ReLU maps, holding
+    sliding window's packed weights (kernels.pack_sliding) or Winograd's
+    transformed weights and transform at the tile."""
     if node.kind is OpKind.MATMUL:
         _, c, h, wd = shapes[node.inputs[0]].dims
         return pack_matmul_rows(node.weights, c, h, wd)
     p = _conv_params(node)
-    if scheme.kind is SchemeKind.WINOGRAD:
-        return weight_transform(
-            node.weights, generate_transforms(scheme.tile, p.kh, spacing))
     _, _, oh, ow = shapes[node.outputs[0]].dims
+    if scheme.kind is SchemeKind.WINOGRAD:
+        t = generate_transforms(scheme.tile, p.kh, spacing)
+        return pack_conv(weight_transform(node.weights, t), p, node.bias,
+                         oh, ow, t)
     return pack_sliding(node.weights, p, node.bias, oh, ow)
 
 

@@ -30,13 +30,13 @@ class SimBackend(Backend):
         self.dispatch_surcharge_ms = cost.t_schedule_ms
         self.dispatch_count = 0
 
-    def create_execution(self, step: OpStep, plan: ExecutionPlan,
-                         shapes) -> Execution:
+    def create_execution(self, step: OpStep,
+                         plan: ExecutionPlan) -> Execution:
         if not self.supports(step.node.kind):
             raise UnsupportedOpError(
                 f"sim backend does not support {step.node.kind.value}"
             )
-        inner = _build_cpu_execution(step, plan, shapes)
+        inner = _build_cpu_execution(step, plan)
 
         def run(inputs, outputs, scratch=None):
             self.dispatch_count += 1

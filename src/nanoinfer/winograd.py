@@ -9,13 +9,15 @@ column of B is scaled integral with the factor folded back into the
 matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
-The convolution runs every tile of every image as one batch in one layout:
-gather the input patches from lane-padded NHWC data into [alpha, alpha * C
-* T], run Bt X B and then At M A as two GEMMs with K = alpha each, one per
-patch axis, around one batched GEMM over channels on [alpha^2, C, T], and
-scatter the output tiles into the caller's NHWC4 output array (a session
-passes the pool view), through a cropped padded map unless the tiles cover
-the output exactly.
+The convolution (winograd_nhwc4) runs every tile of every image as one
+batch in one layout: gather the input patches from lane-padded NHWC data
+into [alpha, alpha * C * T], run Bt X B and then At M A as two GEMMs with
+K = alpha each, one per patch axis, around one batched GEMM over channels
+on [alpha^2, C, T], and scatter the output tiles into the caller's NHWC4
+output array (a session passes the pool array), through a cropped padded
+map unless the tiles cover the output exactly.  It reads sliding window's
+operand type (kernels.ConvWeights, with the transformed weights and the
+transform) and ends in its epilogue, kernels.bias_relu.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
 from .kernels import (
-    LANES, ConvParams, KernelWork, _padded_bias, run_nhwc4, zero_border,
+    LANES, ConvParams, ConvWeights, KernelWork, bias_relu, pack_conv,
+    run_nhwc4, zero_border,
 )
 from .tensor import Tensor, channel_blocks
 
@@ -262,12 +265,9 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
     batch.
 
     ``transformed`` may carry a cached weight_transform result, [alpha^2,
-    out lanes, in lanes]; otherwise the kernel transform runs inline.  Each
-    GEMM reads the one before as it lies, so nothing is copied between the
-    patch gather and the tile scatter, and each sums in the order of per-tile
-    alpha x alpha products, to their bits (tests hold it to that).  The
-    result has x's layout and is written as kernels.run_nhwc4 says: a
-    session passes NHWC4 and the step's pool view as ``out``.  Runs on the
+    out lanes, in lanes]; otherwise the kernel transform runs here.  The
+    result has x's layout and is written as kernels.run_nhwc4 says (a
+    session runs winograd_nhwc4 on its pool arrays instead).  Runs on the
     calling thread.  ``threads`` is accepted and ignored: the benchmark in
     perfbench/ still passes it, and it goes once it stops.
     """
@@ -275,56 +275,60 @@ def conv_winograd(x: Tensor, w: np.ndarray, p: ConvParams,
         raise ShapeMismatchError(f"params kernel {(p.kh, p.kw)} != transform k {t.k}")
     if not winograd_supported(p):
         raise ShapeMismatchError("convolution not eligible for the winograd path")
-    n_img, c, h, wd = x.shape
-    if c != p.in_c:
-        raise ShapeMismatchError(f"input channels {c} != params in_c {p.in_c}")
-    oh, ow = p.out_size(h, wd)
-    cpad, opad = channel_blocks(c) * LANES, channel_blocks(p.out_c) * LANES
+    umat = weight_transform(w, t) if transformed is None else transformed
+    want = (t.alpha * t.alpha, channel_blocks(p.out_c) * LANES,
+            channel_blocks(p.in_c) * LANES)
+    if umat.shape != want:
+        raise ShapeMismatchError(
+            f"transformed weights {umat.shape} != {want}")
+    packed = pack_conv(umat, p, bias, *p.out_size(*x.shape[2:]), t)
+    return run_nhwc4(winograd_nhwc4, x, packed, p, out)
+
+
+def winograd_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
+                   out: np.ndarray) -> None:
+    """conv_winograd on NHWC4 arrays, as a session runs it: x [n, h, w, in
+    lanes] into out [n, oh, ow, out lanes], contiguous float32, every
+    element of which is written, at packed.transform's tile.
+
+    Each GEMM reads the one before as it lies, so nothing is copied between
+    the patch gather and the tile scatter, and each sums in the order of
+    per-tile alpha x alpha products, to their bits (tests hold it to that).
+    Zero weights at the pad lanes keep those lanes zero.
+    """
+    t = packed.transform
+    n_img, _, _, cpad = x.shape
+    _, oh, ow, opad = out.shape
     nh, alpha = t.n, t.alpha
     tiles_h, tiles_w = -(-oh // nh), -(-ow // nh)
     tiles, a2 = n_img * tiles_h * tiles_w, alpha * alpha
+    # pad the input so every alpha x alpha patch is in bounds, then gather
+    # the patches [alpha, alpha * C * T]: patch row by (patch column,
+    # channel lane, tile), tiles in (image, tile row, tile col) order
+    xp = zero_border(x, p.pad_h, p.pad_w, (tiles_h - 1) * nh + alpha,
+                     (tiles_w - 1) * nh + alpha)
+    patches = np.lib.stride_tricks.sliding_window_view(
+        xp, (alpha, alpha), axis=(1, 2)
+    )[:, ::nh, ::nh].transpose(4, 5, 3, 0, 1, 2).reshape(alpha, -1)
+    del xp  # the reshape copied it
 
-    def kernel(xd: np.ndarray, yd: np.ndarray) -> None:
-        umat = weight_transform(w, t) if transformed is None else transformed
-        if umat.shape != (a2, opad, cpad):
-            raise ShapeMismatchError(f"transformed weights {umat.shape} != "
-                                     f"{(a2, opad, cpad)}")
-        # pad the input so every alpha x alpha patch is in bounds, then
-        # gather the patches [alpha, alpha * C * T]: patch row by (patch
-        # column, channel lane, tile), tiles in (image, tile row, tile col)
-        # order
-        xp = zero_border(xd, p.pad_h, p.pad_w, (tiles_h - 1) * nh + alpha,
-                         (tiles_w - 1) * nh + alpha)
-        patches = np.lib.stride_tricks.sliding_window_view(
-            xp, (alpha, alpha), axis=(1, 2)
-        )[:, ::nh, ::nh].transpose(4, 5, 3, 0, 1, 2).reshape(alpha, -1)
-        del xp  # the reshape copied it
+    # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;
+    # At M A like Bt X B.  Each GEMM reads the one before as it lies.
+    v = np.matmul(t.bt, np.matmul(t.bt, patches).reshape(alpha, alpha, -1))
+    m = np.matmul(packed.mats, v.reshape(a2, cpad, tiles))  # [a2, O, T]
+    out_tiles = np.matmul(t.at, np.matmul(t.at, m.reshape(alpha, -1))
+                          .reshape(nh, alpha, -1))  # [nh, nh, O * T]
 
-        # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;
-        # At M A like Bt X B.  Each GEMM reads the one before as it lies.
-        v = np.matmul(t.bt, np.matmul(t.bt, patches).reshape(alpha, alpha, -1))
-        m = np.matmul(umat, v.reshape(a2, cpad, tiles))  # [a2, O, T]
-        out_tiles = np.matmul(t.at, np.matmul(t.at, m.reshape(alpha, -1))
-                              .reshape(nh, alpha, -1))  # [nh, nh, O * T]
-
-        # the tiles land in their pixels, seen as [nh, nh, out lane, image,
-        # tile row, tile col]: in yd itself when they tile it exactly, else
-        # in a padded map whose crop fills yd
-        exact = tiles_h * nh == oh and tiles_w * nh == ow
-        ypad = yd if exact else np.empty(
-            (n_img, tiles_h * nh, tiles_w * nh, opad), dtype=np.float32)
-        ypad.reshape(n_img, tiles_h, nh, tiles_w, nh, opad).transpose(
-            2, 4, 5, 0, 1, 3)[:] = out_tiles.reshape(
-                nh, nh, opad, n_img, tiles_h, tiles_w)
-        if not exact:
-            yd[:] = ypad[:, :oh, :ow]
-        bias_full = _padded_bias(bias, p.out_c)
-        if bias_full is not None:
-            yd += bias_full
-        if p.relu:
-            np.maximum(yd, 0.0, out=yd)
-        # pad output lanes stay zero even after bias
-        if p.out_c % LANES:
-            yd[..., p.out_c:] = 0.0
-
-    return run_nhwc4(x, (n_img, p.out_c, oh, ow), out, kernel)
+    # the tiles land in their pixels, seen as [nh, nh, out lane, image,
+    # tile row, tile col]: in out itself when they tile it exactly, else in
+    # a padded map whose crop fills out
+    exact = tiles_h * nh == oh and tiles_w * nh == ow
+    ypad = out if exact else np.empty(
+        (n_img, tiles_h * nh, tiles_w * nh, opad), dtype=np.float32)
+    ypad.reshape(n_img, tiles_h, nh, tiles_w, nh, opad).transpose(
+        2, 4, 5, 0, 1, 3)[:] = out_tiles.reshape(
+            nh, nh, opad, n_img, tiles_h, tiles_w)
+    if not exact:
+        out[:] = ypad[:, :oh, :ow]
+    for img in range(n_img):
+        bias_relu(out[img], packed)

@@ -21,8 +21,8 @@ from nanoinfer.preinference import (
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
 from nanoinfer.tensor import (
-    LANES, Layout, Tensor, channel_blocks, from_nchw, pack_nc4hw4, relayout,
-    unpack_nc4hw4,
+    LANES, Layout, Tensor, channel_blocks, data_shape, from_nchw, pack_nc4hw4,
+    relayout, unpack_nc4hw4, zeros,
 )
 
 
@@ -239,10 +239,17 @@ class TestExecutions:
         def refuse(*args, **kwargs):
             raise AssertionError("raw weights packed after Session()")
 
-        for module, name in ((kernels, "_pack_weight_columns"),
-                             (kernels, "_pack_depthwise_rows"),
-                             (winograd_module, "weight_transform"),
-                             (preinference, "weight_transform")):
+        # the bias packer too, wherever it is imported
+        packers = [(kernels, "_pack_weight_columns"),
+                   (kernels, "_pack_depthwise_rows"),
+                   (winograd_module, "weight_transform"),
+                   (preinference, "weight_transform")]
+        packers += [(module, "_padded_bias")
+                    for module in (kernels, winograd_module, preinference,
+                                   backend_module)
+                    if hasattr(module, "_padded_bias")]
+        assert (kernels, "_padded_bias") in packers
+        for module, name in packers:
             monkeypatch.setattr(module, name, refuse)
         try:
             for _ in range(2):
@@ -260,7 +267,7 @@ class TestExecutions:
         plan = pre_infer(g, [CpuBackend().spec(), sim.spec()])
         step = next(s for s in plan.steps if isinstance(s, OpStep))
         with pytest.raises(UnsupportedOpError):
-            sim.create_execution(step, plan, g.tensor_shapes)
+            sim.create_execution(step, plan)
         # and the planner routed it to CPU instead
         assert plan.assignment[g.nodes[0].id] == "cpu"
 
@@ -271,11 +278,11 @@ class TestExecutions:
         cpu = CpuBackend()
         plan = pre_infer(g, [cpu.spec()])
         step = next(s for s in plan.steps if isinstance(s, OpStep))
-        execution = cpu.create_execution(step, plan, g.tensor_shapes)
+        execution = cpu.create_execution(step, plan)
         x = make_input(g)
-        xin = relayout(x, Layout.NHWC4).data.reshape(-1)
+        xin = relayout(x, Layout.NHWC4).data
         out_shape = g.tensor_shapes[g.nodes[0].outputs[0]]
-        buf1 = np.zeros(packed_bytes(out_shape) // 4, np.float32)
+        buf1 = zeros(out_shape.dims, Layout.NHWC4).data
         buf2 = np.zeros_like(buf1)
         execution.run([xin], [buf1])
         execution.run([xin], [buf2])
@@ -328,13 +335,13 @@ class TestExecutions:
         plan = pre_infer(g, [cpu.spec()])
         node = g.nodes[0]
         assert plan.schemes[node.id] == SchemeChoice(SchemeKind.WINOGRAD, 6)
-        xin = relayout(make_input(g), Layout.NHWC4).data.reshape(-1)
-        size = packed_bytes(g.tensor_shapes[node.outputs[0]]) // 4
+        xin = relayout(make_input(g), Layout.NHWC4).data
+        out_dims = g.tensor_shapes[node.outputs[0]].dims
 
         def run(scheme):
             execution = cpu.create_execution(
-                OpStep(node, scheme, "cpu", None), plan, g.tensor_shapes)
-            out = np.zeros(size, np.float32)
+                OpStep(node, scheme, "cpu", None), plan)
+            out = zeros(out_dims, Layout.NHWC4).data
             execution.run([xin], [out])
             return out
 
@@ -661,7 +668,8 @@ class TestSession:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_views_bound_once(self, preset, hybrid, monkeypatch):
         # a run only executes the bound steps: every execution gets the
-        # very same input, output and scratch arrays on every run
+        # very same input, output and scratch arrays on every run, each
+        # tensor as its NHWC4 data array
         g = fuse(build_preset(preset))
         backends = [CpuBackend()]
         if hybrid:
@@ -696,6 +704,10 @@ class TestSession:
             assert len(ins) == len(ins2) and len(outs) == len(outs2)
             for a, b in zip(ins + outs + [scratch], ins2 + outs2 + [scratch2]):
                 assert a is b, execution.node.id
+            node = execution.node
+            for tid, array in zip(node.inputs + node.outputs, ins + outs):
+                want = data_shape(g.tensor_shapes[tid].dims, Layout.NHWC4)
+                assert array.shape == want, (node.id, tid)
 
     def test_sim_surcharge_in_timings_only(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)

@@ -1,6 +1,7 @@
 import json
 import os
 import statistics
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,33 @@ class TestRun:
                             "--cost-model", str(cost), "--format", "json")
         assert code == 0
         assert json.loads(out)["report"]["backend"] == "sim"
+
+    def test_sim_latency_is_wall_time_plus_dispatch_charges(
+            self, tmp_path, capsys, monkeypatch):
+        # a run's time outside its steps (here a 20 ms sleep) and sim's
+        # 5 ms dispatch charge both count toward its latency
+        from nanoinfer.graph import GraphBuilder, save_model
+
+        b = GraphBuilder((1, 4, 8, 8), seed=0)
+        b.relu()
+        model = tmp_path / "relu.ninf"
+        model.write_bytes(save_model(b.build()))
+        cost = tmp_path / "cost.json"
+        cost.write_text(json.dumps({"sim": {"flops": 4e9,
+                                            "t_schedule_ms": 5.0}}))
+        run_timed = Session.run_timed
+
+        def slow(self, inputs):
+            time.sleep(0.02)
+            return run_timed(self, inputs)
+
+        monkeypatch.setattr(Session, "run_timed", slow)
+        code, out = run_cli(capsys, "run", "--model", str(model),
+                            "--backend", "sim", "--cost-model", str(cost),
+                            "--runs", "2", "--warmup", "0",
+                            "--format", "json")
+        assert code == 0
+        assert min(json.loads(out)["report"]["latencies_ms"]) >= 25.0
 
     def test_log_env_accepted(self, model_path, capsys, monkeypatch):
         monkeypatch.setenv("NANO_INFER_LOG", "debug")

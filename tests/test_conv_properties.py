@@ -5,12 +5,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import conv2d_reference
-from nanoinfer.backend import CpuBackend, _as_tensor
+from nanoinfer.backend import CpuBackend
 from nanoinfer.graph import GraphBuilder
 from nanoinfer.preinference import (
-    OpStep, SchemeKind, _conv_params, conv_schemes, packed_bytes, pre_infer,
+    OpStep, SchemeKind, _conv_params, conv_schemes, pre_infer,
 )
-from nanoinfer.tensor import Layout, from_nchw, relayout
+from nanoinfer.tensor import Layout, Tensor, data_shape, from_nchw, relayout
 
 # largest deviation from the reference, relative to its largest magnitude
 # before ReLU; Winograd's transforms round more than a direct sum
@@ -59,7 +59,7 @@ def test_every_scheme_matches_reference(case):
     cpu = CpuBackend()
     plan = pre_infer(g, [cpu.spec()])
     x = np.random.default_rng(seed).uniform(-1, 1, shape).astype(np.float32)
-    packed = relayout(from_nchw(x), Layout.NHWC4).data.reshape(-1)
+    packed = relayout(from_nchw(x), Layout.NHWC4).data
 
     w = node.weights.astype(np.float64)
     bias = None if node.bias is None else node.bias.astype(np.float64)
@@ -73,10 +73,16 @@ def test_every_scheme_matches_reference(case):
     assert plan.schemes[node.id] in schemes
     for scheme in schemes:
         execution = cpu.create_execution(
-            OpStep(node, scheme, cpu.name, None), plan, g.tensor_shapes)
-        out = np.full(packed_bytes(out_shape) // 4, np.nan, np.float32)
+            OpStep(node, scheme, cpu.name, None), plan)
+        out = np.full(data_shape(out_shape.dims, Layout.NHWC4), np.nan,
+                      np.float32)
         execution.run([packed], [out])
-        got = relayout(_as_tensor(out, out_shape), Layout.NCHW).data
+        # every lane written, the pad lanes zero: the NCHW view below
+        # drops them
+        assert not np.any(np.isnan(out)), scheme.label()
+        assert np.all(out[..., conv["out_c"]:] == 0), scheme.label()
+        got = relayout(Tensor(out_shape.dims, Layout.NHWC4, out),
+                       Layout.NCHW).data
         assert got.shape == want.shape
         err = float(np.max(np.abs(got - want))) / scale
         assert err <= TOLERANCE[scheme.kind], (scheme.label(), err)

@@ -221,6 +221,19 @@ class TestConvSliding:
         with pytest.raises(ShapeMismatchError):
             conv_sliding(x, w, ConvParams.square(3, in_c=4, out_c=2))
 
+    @pytest.mark.parametrize("scheme", ["sliding", "winograd"])
+    def test_window_beyond_padded_input_rejected(self, scheme):
+        # a 4x4 window on a 3x3 map has no output pixel; it is an error,
+        # as in graph shape inference, not an empty output
+        x = pack_nc4hw4(from_nchw(np.ones((1, 4, 3, 3), np.float32)))
+        w = np.ones((4, 4, 4, 4), np.float32)
+        p = ConvParams.square(4, in_c=4, out_c=4)
+        with pytest.raises(ShapeMismatchError, match="4x4 window exceeds"):
+            if scheme == "sliding":
+                conv_sliding(x, w, p)
+            else:
+                conv_winograd(x, w, p, generate_transforms(2, 4))
+
     def test_zero_input_channels_yield_bias(self):
         x = pack_nc4hw4(from_nchw(np.zeros((1, 0, 5, 5), np.float32)))
         w = np.zeros((2, 0, 3, 3), np.float32)

@@ -395,7 +395,7 @@ class TestPreInfer:
         tile = plan.schemes[node.id].tile
         cached = plan.weight_cache.get((node.id, f"winograd{tile}"))
         alpha = tile + 3 - 1
-        assert cached.shape == (alpha * alpha, 16, 16)
+        assert cached.mats.shape == (alpha * alpha, 16, 16)
 
     def test_k1_convs_never_get_transformed_weights(self):
         g = build_preset("squeezenet-mini")

@@ -1,7 +1,8 @@
-"""Smoke tests: tools/calibrate.py's rank and weights reports run on a preset.
+"""Smoke tests: tools/calibrate.py's add-cost, rank and weights reports.
 
-They time every scheme of every conv, so they assert each report's shape,
-not any timing: rank gives one line per conv naming the planned and the
+They time kernels, so they assert each report's shape, not any timing:
+add-cost gives one line per product shape and the median addition cost
+beside ADD_COST; rank gives one line per conv naming the planned and the
 fastest scheme; weights gives the GEMM rate, each fitted weight beside the
 engine's, and how often each set of weights picks a scheme near the fastest.
 """
@@ -12,10 +13,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+from nanoinfer import kernels
 from nanoinfer.graph import OpKind, fuse
 from nanoinfer.presets import build_preset
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_calibrate_add_cost_reports_each_shape():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "calibrate.py"), "add-cost",
+         "--shapes", "128x64x256"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    num = r"-?[0-9.]+"
+    assert re.fullmatch(
+        rf"128x64x256: direct {num} ms, one level {num} ms \({num}x\), its "
+        rf"products {num} ms; addition cost {num} multiplies; a level saves "
+        rf"{num} per addition", lines[0]), lines[0]
+    assert re.fullmatch(rf"median addition cost {num} \(ADD_COST is "
+                        rf"{kernels.ADD_COST}\)", lines[1]), lines[1]
 
 
 def test_calibrate_rank_lists_every_conv():
