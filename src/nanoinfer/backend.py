@@ -1,14 +1,15 @@
 """Uniform backend interface, the CPU backend, and plan-driven sessions.
 
 A backend owns a buffer namespace (acquire/release, optionally served from
-a pre-planned pool) and creates reusable execution instances per operator.
-A session binds an ExecutionPlan to concrete pools once: it builds every
-step's execution and turns each pool slice and staging buffer into its
-tensor's NHWC4 array (tensor.Layout.NHWC4, lane-padded NHWC) when it is
-made, so each inference only runs the bound steps on those arrays in order;
-tensors crossing backends are moved by explicit transfer steps.  A run
-packs its NCHW or NC4HW4 input into the staging array and unpacks its
-outputs, and no step between re-lays a tensor.  A conv step calls its
+a pre-planned pool) and builds each operator's execution: a plain runner,
+run(inputs, outputs, scratch=None), on the tensors' NHWC4 data arrays
+(tensor.Layout.NHWC4, lane-padded NHWC).  A session binds an ExecutionPlan
+to concrete pools once: it turns each pool slice and staging buffer into
+its tensor's NHWC4 array, and binds every step to one call, its runner on
+those arrays or, for a transfer between backends, a copy between its
+source and destination arrays.  Each inference only makes those calls in
+order.  A run packs its NCHW or NC4HW4 input into the staging array and
+unpacks its outputs, and no step between re-lays a tensor.  A conv step calls its
 scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
@@ -22,9 +23,8 @@ Reshape that changes the shape (graph.fuse drops the identity ones).
 
 from __future__ import annotations
 
-import importlib
 import time
-from abc import ABC, abstractmethod
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
     GraphValidationError, PoolExhaustedError, ShapeMismatchError,
     UnsupportedOpError,
 )
-from .graph import OpKind, OpNode
+from .graph import OpKind
 from .kernels import LANES, matmul_strassen, sliding_nhwc4
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
@@ -44,8 +44,11 @@ from .tensor import (
 from .winograd import winograd_nhwc4
 
 
-class Backend(ABC):
+class Backend:
     """Resource management and execution creation for one device."""
+
+    # ms charged to timing reports per op step, on top of its wall time
+    dispatch_surcharge_ms = 0.0
 
     def __init__(self, name: str, cost: CostModel,
                  supported: frozenset[OpKind] | None = None,
@@ -102,24 +105,49 @@ class Backend(ABC):
         if self.debug and handle.size:
             handle[:] = np.nan  # poison to surface use-after-release
 
-    @abstractmethod
-    def create_execution(self, step: OpStep,
-                         plan: ExecutionPlan) -> "Execution":
-        ...
+    def create_execution(self, step: OpStep, plan: ExecutionPlan):
+        """The step's runner, run(inputs, outputs, scratch=None): it runs
+        on the tensors' NHWC4 data arrays, which give it their geometry,
+        and a flat float32 scratch buffer, and can be run any number of
+        times."""
+        node = step.node
+        kind = node.kind
 
+        if kind is OpKind.CONV2D:
+            return _build_conv_execution(step, plan)
 
-class Execution:
-    """Reusable per-operator execution instance bound to one backend; it
-    runs on the tensors' NHWC4 data arrays, which give it their geometry,
-    and a flat float32 scratch buffer."""
+        if kind is OpKind.MATMUL:
+            return _build_matmul_execution(step, plan)
 
-    def __init__(self, node: OpNode, runner):
-        self.node = node
-        self._runner = runner
+        if kind is OpKind.RELU:
+            def run(inputs, outputs, scratch=None):
+                np.maximum(inputs[0], 0.0, out=outputs[0])
+            return run
 
-    def run(self, inputs: list[np.ndarray], outputs: list[np.ndarray],
-            scratch: np.ndarray | None = None) -> None:
-        self._runner(inputs, outputs, scratch)
+        if kind is OpKind.ADD:
+            def run(inputs, outputs, scratch=None):
+                np.add(inputs[0], inputs[1], out=outputs[0])
+            return run
+
+        if kind is OpKind.SOFTMAX:
+            return _build_softmax_execution(step, plan)
+
+        if kind is OpKind.RESHAPE:
+            in_dims = plan.graph.tensor_shapes[node.inputs[0]].dims
+            out_dims = plan.graph.tensor_shapes[node.outputs[0]].dims
+
+            def run(inputs, outputs, scratch=None):
+                x = relayout(Tensor(in_dims, Layout.NHWC4, inputs[0]),
+                             Layout.NCHW)
+                relayout(from_nchw(x.data.reshape(out_dims)), Layout.NHWC4,
+                         out=outputs[0])
+
+            return run
+
+        if kind is OpKind.POOL2D:
+            return _build_pool_execution(step)
+
+        raise UnsupportedOpError(f"no CPU execution for kind {kind}")
 
 
 def _packed_weights(step: OpStep, plan: ExecutionPlan):
@@ -133,47 +161,7 @@ def _packed_weights(step: OpStep, plan: ExecutionPlan):
                                      plan.graph.tensor_shapes, plan.spacing))
 
 
-def _build_cpu_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
-    node = step.node
-    kind = node.kind
-
-    if kind is OpKind.CONV2D:
-        return _build_conv_execution(step, plan)
-
-    if kind is OpKind.MATMUL:
-        return _build_matmul_execution(step, plan)
-
-    if kind is OpKind.RELU:
-        def run(inputs, outputs, scratch=None):
-            np.maximum(inputs[0], 0.0, out=outputs[0])
-        return Execution(node, run)
-
-    if kind is OpKind.ADD:
-        def run(inputs, outputs, scratch=None):
-            np.add(inputs[0], inputs[1], out=outputs[0])
-        return Execution(node, run)
-
-    if kind is OpKind.SOFTMAX:
-        return _build_softmax_execution(step, plan)
-
-    if kind is OpKind.RESHAPE:
-        in_dims = plan.graph.tensor_shapes[node.inputs[0]].dims
-        out_dims = plan.graph.tensor_shapes[node.outputs[0]].dims
-
-        def run(inputs, outputs, scratch=None):
-            x = relayout(Tensor(in_dims, Layout.NHWC4, inputs[0]), Layout.NCHW)
-            relayout(from_nchw(x.data.reshape(out_dims)), Layout.NHWC4,
-                     out=outputs[0])
-
-        return Execution(node, run)
-
-    if kind is OpKind.POOL2D:
-        return _build_pool_execution(step)
-
-    raise UnsupportedOpError(f"no CPU execution for kind {kind}")
-
-
-def _build_matmul_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
+def _build_matmul_execution(step: OpStep, plan: ExecutionPlan):
     """A MatMul on the packed input rows [n, h*w*lanes], whose weights
     pre-inference permuted into that row order with zero pad rows; the
     product fills the output's first out_features lanes, pad lanes zero."""
@@ -195,10 +183,10 @@ def _build_matmul_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
         if features < out.shape[1]:
             out[:, features:] = 0.0
 
-    return Execution(node, run)
+    return run
 
 
-def _build_softmax_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
+def _build_softmax_execution(step: OpStep, plan: ExecutionPlan):
     """Softmax over the channels of each pixel, on the pool views seen as
     [n*h*w, lanes] matrices.  The first C lanes are written, the pad lanes
     zeroed."""
@@ -216,10 +204,10 @@ def _build_softmax_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
         if c < lanes:
             y[:, c:] = 0.0
 
-    return Execution(node, run)
+    return run
 
 
-def _build_conv_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
+def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
     """The planned scheme's NHWC4 kernel on the step's arrays, with the
     conv's one packed operand (kernels.ConvWeights)."""
     p = _conv_params(step.node)
@@ -230,10 +218,10 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan) -> Execution:
     def run(inputs, outputs, scratch=None):
         kernel(inputs[0], packed, p, outputs[0])
 
-    return Execution(step.node, run)
+    return run
 
 
-def _build_pool_execution(step: OpStep) -> Execution:
+def _build_pool_execution(step: OpStep):
     node = step.node
     (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
     mode = node.attrs.get("mode", "max")
@@ -278,49 +266,27 @@ def _build_pool_execution(step: OpStep) -> Execution:
             # that saw padding only, and keep channel pad lanes at zero
             out[np.isneginf(out)] = 0.0
 
-    return Execution(node, run)
+    return run
 
 
 class CpuBackend(Backend):
     def __init__(self, cost: CostModel = CPU_COST, debug: bool = False):
         super().__init__("cpu", cost, supported=None, debug=debug)
 
-    def create_execution(self, step: OpStep,
-                         plan: ExecutionPlan) -> Execution:
-        return _build_cpu_execution(step, plan)
-
-
-_BACKEND_FACTORIES = {"cpu": CpuBackend}
-
-
-def register_backend(name: str, factory) -> None:
-    _BACKEND_FACTORIES[name] = factory
-
 
 def resolve_backend(name: str, **kwargs) -> Backend:
-    """Instantiate a backend by name; the sim backend loads lazily so the
-    engine works with that module removed entirely."""
-    if name not in _BACKEND_FACTORIES and name == "sim":
-        importlib.import_module("nanoinfer.simbackend")
-    if name not in _BACKEND_FACTORIES:
-        raise GraphValidationError(f"unknown backend {name!r}")
-    return _BACKEND_FACTORIES[name](**kwargs)
-
-
-def transfer(src_view: np.ndarray, dst_view: np.ndarray,
-             counters: dict | None = None) -> None:
-    """Copy a tensor between backend namespaces (value-equal, bitwise)."""
-    if src_view.size != dst_view.size:
-        raise ShapeMismatchError(
-            f"transfer size mismatch {src_view.size} != {dst_view.size}"
-        )
-    np.copyto(dst_view, src_view)
-    if counters is not None:
-        counters["copies"] = counters.get("copies", 0) + 1
+    """Instantiate a backend by name; the sim backend is imported only when
+    named, so the engine works with that module removed entirely."""
+    if name == "cpu":
+        return CpuBackend(**kwargs)
+    if name == "sim":
+        from .simbackend import SimBackend
+        return SimBackend(**kwargs)
+    raise GraphValidationError(f"unknown backend {name!r}")
 
 
 class Session:
-    """One executable binding of a plan: pools, buffer views, executions.
+    """One executable binding of a plan: pools, arrays, one call per step.
 
     A session is used by one thread at a time, and its kernels run on that
     thread; several sessions may share the same (immutable) plan
@@ -333,7 +299,6 @@ class Session:
         self.plan = plan
         self.backends = {b.name: b for b in backends}
         shapes = plan.graph.tensor_shapes
-        self.transfer_counters: dict = {"copies": 0}
         self._acquired: list[tuple[Backend, np.ndarray]] = []
 
         needed = {step.backend for step in plan.steps
@@ -369,25 +334,26 @@ class Session:
                     (tid, name), nhwc4(buf, tid) if tid in shapes else buf)
                 self._acquired.append((backend, buf))
 
-        # one record per step, bound once: (name, execution, input arrays,
-        # output arrays, scratch buffer, dispatch surcharge in ms).  A
-        # transfer has no execution; its arrays are its source and
-        # destination, which build_steps puts on different backends.
-        self._bound: list[tuple] = []
+        # one call per step, bound once, as (name, call, dispatch surcharge
+        # in ms): an op step's runner on its arrays, or a transfer's copy
+        # between the arrays of its source and destination, which
+        # build_steps puts on different backends
+        self._bound: list[tuple[str, partial, float]] = []
         for step in plan.steps:
             if isinstance(step, TransferStep):
                 self._bound.append((
-                    f"transfer:{step.tensor}", None,
-                    arrays[(step.tensor, step.src)],
-                    arrays[(step.tensor, step.dst)], None, 0.0))
+                    f"transfer:{step.tensor}",
+                    partial(np.copyto, arrays[(step.tensor, step.dst)],
+                            arrays[(step.tensor, step.src)]), 0.0))
                 continue
             backend = self.backends[step.backend]
             self._bound.append((
-                step.node.id, backend.create_execution(step, plan),
-                [arrays[(t, step.backend)] for t in step.node.inputs],
-                [arrays[(t, step.backend)] for t in step.node.outputs],
-                arrays.get((step.scratch_id, step.backend)),
-                getattr(backend, "dispatch_surcharge_ms", 0.0)))
+                step.node.id,
+                partial(backend.create_execution(step, plan),
+                        [arrays[(t, step.backend)] for t in step.node.inputs],
+                        [arrays[(t, step.backend)] for t in step.node.outputs],
+                        arrays.get((step.scratch_id, step.backend))),
+                backend.dispatch_surcharge_ms))
         self._outputs = [(tid, Tensor(shapes[tid].dims, Layout.NHWC4,
                                       arrays[(tid, cpu.name)]))
                          for tid in plan.graph.outputs]
@@ -429,12 +395,9 @@ class Session:
             relayout(t, Layout.NHWC4, out=self._staging[tid])
 
         times: list[tuple[str, float]] = []
-        for name, execution, ins, outs, scratch, surcharge in self._bound:
+        for name, call, surcharge in self._bound:
             start = time.perf_counter()
-            if execution is not None:
-                execution.run(ins, outs, scratch)
-            else:
-                transfer(ins, outs, self.transfer_counters)
+            call()
             times.append((name, (time.perf_counter() - start) * 1e3
                           + surcharge))
 

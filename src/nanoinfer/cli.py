@@ -68,6 +68,12 @@ def _setup_logging() -> None:
     )
 
 
+def _check_seed(seed: int) -> None:
+    # NumPy's generators take only non-negative seeds
+    if seed < 0:
+        raise EngineError(f"--seed must be at least 0, got {seed}")
+
+
 def _load_graph(path: str) -> Graph:
     with open(path, "rb") as fh:
         return load_model(fh.read())
@@ -105,6 +111,7 @@ def plan_on(g: Graph, backend: str, cost_path: str | None, spacing: float):
 
 
 def cmd_gen(args) -> int:
+    _check_seed(args.seed)
     g = build_preset(args.preset, seed=args.seed)
     data = save_model(g)
     with open(args.out, "wb") as fh:
@@ -119,6 +126,7 @@ def cmd_run(args) -> int:
         raise EngineError(f"--runs must be at least 1, got {args.runs}")
     if args.warmup < 0:
         raise EngineError(f"--warmup must be at least 0, got {args.warmup}")
+    _check_seed(args.seed)
     g = fuse(_load_graph(args.model))
     plan, backends = plan_on(g, args.backend, args.cost_model, args.f)
     session = Session(plan, backends)
@@ -127,8 +135,7 @@ def cmd_run(args) -> int:
     for _ in range(args.warmup):
         session.run(tensor)
     # each sim step's dispatch charge is added to the run's wall time
-    charges = sum(getattr(session.backends[s.backend],
-                          "dispatch_surcharge_ms", 0.0)
+    charges = sum(session.backends[s.backend].dispatch_surcharge_ms
                   for s in plan.steps if isinstance(s, OpStep))
     latencies = []
     outputs = None
@@ -174,7 +181,7 @@ def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
             continue
         node = step.node
         out = zeros(g.tensor_shapes[node.outputs[0]].dims, Layout.NHWC4)
-        cpu.create_execution(step, plan).run(
+        cpu.create_execution(step, plan)(
             [values[t].data for t in node.inputs], [out.data])
         values[node.outputs[0]] = out
     return values
@@ -209,6 +216,7 @@ def time_schemes(plan, node, x, rounds):
 
 
 def cmd_compare(args) -> int:
+    _check_seed(args.seed)
     g = fuse(_load_graph(args.model))
     plan, (cpu,) = plan_on(g, "cpu", None, args.f)
     tensor = (_read_input(args.input, g) if args.input
@@ -227,7 +235,7 @@ def cmd_compare(args) -> int:
         for scheme in conv_schemes(_conv_params(node)):
             step = OpStep(node, scheme, cpu.name, None)
             out = zeros(out_dims, Layout.NHWC4).data
-            cpu.create_execution(step, plan).run([x], [out])
+            cpu.create_execution(step, plan)([x], [out])
             outs[scheme.label()] = out
         timings = {scheme.label(): ms for scheme, ms in
                    time_schemes(plan, node, tensor, COMPARE_ROUNDS).items()}

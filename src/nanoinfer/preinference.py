@@ -91,14 +91,31 @@ def gpu_cost_model(name: str, api: str = "opencl") -> CostModel:
 
 
 def load_cost_models(path) -> dict[str, CostModel]:
-    """Read {backend_name: {flops, t_schedule_ms}} overrides from JSON."""
+    """Read {backend_name: {flops, t_schedule_ms}} overrides from JSON;
+    content of another form raises GraphValidationError naming the file
+    and the entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {
-        name: CostModel(flops=float(entry["flops"]),
-                        t_schedule_ms=float(entry.get("t_schedule_ms", 0.0)))
-        for name, entry in raw.items()
-    }
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise GraphValidationError(
+                f"cost model {path}: not JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise GraphValidationError(
+            f"cost model {path}: want an object of backend entries, "
+            f"got {raw!r}")
+    models = {}
+    for name, entry in raw.items():
+        try:
+            models[name] = CostModel(
+                flops=float(entry["flops"]),
+                t_schedule_ms=float(entry.get("t_schedule_ms", 0.0)))
+        except (KeyError, TypeError, ValueError, GraphValidationError):
+            raise GraphValidationError(
+                f"cost model {path}: entry {name!r} must be "
+                f"{{\"flops\": number > 0, \"t_schedule_ms\": number >= 0}}"
+                f", got {entry!r}") from None
+    return models
 
 
 def op_cost(mul: int, model: CostModel) -> float:
@@ -408,7 +425,8 @@ class ExecutionPlan:
     total_cost_ms: float
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
-    memory: dict[str, MemoryPlan]  # backend name -> plan over "tid@backend"
+    # backend name -> pool plan over tensor ids and "<node>#scratch"
+    memory: dict[str, MemoryPlan]
     weight_cache: WeightCache  # weight_key(node, scheme) -> packed weights
     spacing: float
 
@@ -541,6 +559,10 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     by_name = {b.name: b for b in backends}
     if force_backend is None:
         backend_plan = select_backend(g, backends, schemes)
+    elif force_backend not in by_name:
+        raise GraphValidationError(
+            f"force_backend {force_backend!r} is not a planned backend "
+            f"({', '.join(by_name)})")
     else:
         backend_plan = plan_for_candidate(g, by_name[force_backend],
                                           backends[0], schemes)

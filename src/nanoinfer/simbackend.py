@@ -6,13 +6,14 @@ op set for hybrid-fallback planning, and a per-op dispatch latency that is
 charged to timing reports only.  Results are bitwise identical to the CPU
 backend because the very same kernels run underneath.
 
-The module is self-registering and nothing in the engine imports it
-directly, so it can be deleted wholesale without touching the CPU paths.
+Nothing in the engine imports this module except backend.resolve_backend,
+and only when the sim backend is named, so it can be deleted wholesale
+without touching the CPU paths.
 """
 
 from __future__ import annotations
 
-from .backend import Backend, Execution, _build_cpu_execution, register_backend
+from .backend import Backend
 from .errors import UnsupportedOpError
 from .graph import OpKind
 from .preinference import (
@@ -28,21 +29,10 @@ class SimBackend(Backend):
                  debug: bool = False):
         super().__init__("sim", cost, supported=supported, debug=debug)
         self.dispatch_surcharge_ms = cost.t_schedule_ms
-        self.dispatch_count = 0
 
-    def create_execution(self, step: OpStep,
-                         plan: ExecutionPlan) -> Execution:
+    def create_execution(self, step: OpStep, plan: ExecutionPlan):
         if not self.supports(step.node.kind):
             raise UnsupportedOpError(
                 f"sim backend does not support {step.node.kind.value}"
             )
-        inner = _build_cpu_execution(step, plan)
-
-        def run(inputs, outputs, scratch=None):
-            self.dispatch_count += 1
-            inner.run(inputs, outputs, scratch)
-
-        return Execution(step.node, run)
-
-
-register_backend("sim", SimBackend)
+        return super().create_execution(step, plan)

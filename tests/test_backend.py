@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -139,16 +140,19 @@ def step_heap_peaks(g, monkeypatch):
     x = make_input(g)
     session.run(x)
     peaks = {}
-    run = backend_module.Execution.run
 
-    def traced(execution, inputs, outputs, scratch=None):
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        run(execution, inputs, outputs, scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-        peaks[execution.node.id] = peak - base
+    def traced(name, call):
+        def run():
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[name] = peak - base
+        return run
 
-    monkeypatch.setattr(backend_module.Execution, "run", traced)
+    monkeypatch.setattr(session, "_bound", [
+        (name, traced(name, call), surcharge)
+        for name, call, surcharge in session._bound])
     tracemalloc.start()
     try:
         session.run(x)
@@ -284,8 +288,8 @@ class TestExecutions:
         out_shape = g.tensor_shapes[g.nodes[0].outputs[0]]
         buf1 = zeros(out_shape.dims, Layout.NHWC4).data
         buf2 = np.zeros_like(buf1)
-        execution.run([xin], [buf1])
-        execution.run([xin], [buf2])
+        execution([xin], [buf1])
+        execution([xin], [buf2])
         assert np.array_equal(buf1, buf2)
 
     @pytest.mark.parametrize("conv", [
@@ -342,7 +346,7 @@ class TestExecutions:
             execution = cpu.create_execution(
                 OpStep(node, scheme, "cpu", None), plan)
             out = zeros(out_dims, Layout.NHWC4).data
-            execution.run([xin], [out])
+            execution([xin], [out])
             return out
 
         want = run(SchemeChoice(SchemeKind.SLIDING_WINDOW))
@@ -518,7 +522,12 @@ class TestTransfers:
         out = session.run(x)
         want = np.maximum(x.data, 0.0)
         assert np.array_equal(out[g.outputs[0]].data, want)
-        assert session.transfer_counters == {"copies": 2}
+        # one copy per run for each of the plan's transfers
+        _, times = session.run_timed(x)
+        names = [name for name, _ in times]
+        transfers = [f"transfer:{t.tensor}" for t in plan.transfers()]
+        assert len(transfers) == 2
+        assert [n for n in names if n.startswith("transfer:")] == transfers
         session.close()
 
     def test_hybrid_conv_relu_two_transfers(self):
@@ -681,16 +690,23 @@ class TestSession:
             # build_steps only moves a tensor that is not yet on its target
             assert plan.transfers()
             assert all(t.src != t.dst for t in plan.transfers())
-        session = Session(plan, backends)
         seen = {}
-        run = backend_module.Execution.run
+        nodes = {}
+        create = backend_module.Backend.create_execution
 
-        def spy(execution, inputs, outputs, scratch=None):
-            seen.setdefault(execution, []).append(
-                (list(inputs), list(outputs), scratch))
-            run(execution, inputs, outputs, scratch)
+        def spy(backend, step, plan):
+            run = create(backend, step, plan)
+            node = nodes[step.node.id] = step.node
 
-        monkeypatch.setattr(backend_module.Execution, "run", spy)
+            def spied(inputs, outputs, scratch=None):
+                seen.setdefault(node.id, []).append(
+                    (list(inputs), list(outputs), scratch))
+                run(inputs, outputs, scratch)
+
+            return spied
+
+        monkeypatch.setattr(backend_module.Backend, "create_execution", spy)
+        session = Session(plan, backends)
         x = make_input(g)
         try:
             session.run(x)
@@ -698,16 +714,40 @@ class TestSession:
         finally:
             session.close()
         assert seen
-        for execution, runs in seen.items():
-            assert len(runs) == 2, execution.node.id
+        for nid, runs in seen.items():
+            assert len(runs) == 2, nid
             (ins, outs, scratch), (ins2, outs2, scratch2) = runs
             assert len(ins) == len(ins2) and len(outs) == len(outs2)
             for a, b in zip(ins + outs + [scratch], ins2 + outs2 + [scratch2]):
-                assert a is b, execution.node.id
-            node = execution.node
+                assert a is b, nid
+            node = nodes[nid]
             for tid, array in zip(node.inputs + node.outputs, ins + outs):
                 want = data_shape(g.tensor_shapes[tid].dims, Layout.NHWC4)
                 assert array.shape == want, (node.id, tid)
+
+    @pytest.mark.parametrize("hybrid", [False, True])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_run_timed_names_each_step_once_in_order(self, preset, hybrid):
+        # each step is bound to one call: run_timed reports every step of
+        # the plan once, in plan order, an op by its node id and a
+        # transfer by its tensor
+        g = fuse(build_preset(preset))
+        backends = [CpuBackend()]
+        if hybrid:
+            backends.append(SimBackend(supported=frozenset(
+                {OpKind.RELU, OpKind.ADD, OpKind.POOL2D, OpKind.SOFTMAX})))
+        plan = pre_infer(g, [b.spec() for b in backends],
+                         force_backend="sim" if hybrid else None)
+        want = [s.node.id if isinstance(s, OpStep) else f"transfer:{s.tensor}"
+                for s in plan.steps]
+        assert len(set(want)) == len(want)
+        assert bool(plan.transfers()) == hybrid
+        session = Session(plan, backends)
+        try:
+            _, times = session.run_timed(make_input(g))
+        finally:
+            session.close()
+        assert [name for name, _ in times] == want
 
     def test_sim_surcharge_in_timings_only(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
@@ -729,18 +769,16 @@ class TestModularity:
         backend = resolve_backend("sim")
         assert backend.name == "sim"
 
-    def test_engine_runs_without_sim_registered(self):
-        import nanoinfer.backend as backend_mod
-        saved = dict(backend_mod._BACKEND_FACTORIES)
-        try:
-            backend_mod._BACKEND_FACTORIES.pop("sim", None)
-            g = fuse(build_preset("resnet-mini"))
-            plan = pre_infer(g, [CpuBackend().spec()])
-            out = run_session(plan, make_input(g))
-            assert g.outputs[0] in out
-        finally:
-            backend_mod._BACKEND_FACTORIES.clear()
-            backend_mod._BACKEND_FACTORIES.update(saved)
+    def test_engine_runs_without_sim_registered(self, monkeypatch):
+        # with the sim module gone, a CPU run still works and only the sim
+        # backend fails to resolve
+        monkeypatch.setitem(sys.modules, "nanoinfer.simbackend", None)
+        g = fuse(build_preset("resnet-mini"))
+        plan = pre_infer(g, [resolve_backend("cpu").spec()])
+        out = run_session(plan, make_input(g))
+        assert g.outputs[0] in out
+        with pytest.raises(ImportError):
+            resolve_backend("sim")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(GraphValidationError):

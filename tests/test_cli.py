@@ -113,6 +113,41 @@ class TestRun:
         assert captured.err.startswith("error:") and "--warmup" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["gen", "run", "compare"])
+    def test_negative_seed_rejected(self, model_path, tmp_path, capsys,
+                                    command):
+        # NumPy's generators refuse a negative seed; the CLI says so first
+        argv = ([command, "resnet-mini", str(tmp_path / "m.ninf")]
+                if command == "gen" else [command, "--model", model_path])
+        code = main([*argv, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "--seed" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["run", "dump-plan"])
+    @pytest.mark.parametrize("content,entry", [
+        ("not json", None),
+        ('["cpu"]', None),
+        ('{"cpu": {"t_schedule_ms": 1}}', "'cpu'"),
+        ('{"cpu": 5}', "'cpu'"),
+        ('{"sim": {"flops": "fast"}}', "'sim'"),
+        ('{"sim": {"flops": 1e9, "t_schedule_ms": -1}}', "'sim'"),
+    ])
+    def test_malformed_cost_model_reported(self, model_path, tmp_path,
+                                           capsys, command, content, entry):
+        # a bad cost file is a one-line error naming it, not a traceback
+        cost = tmp_path / "cost.json"
+        cost.write_text(content)
+        code = main([command, "--model", model_path, "--backend", "auto",
+                     "--cost-model", str(cost)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cost model {cost}")
+        if entry:
+            assert f"entry {entry}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "compare", "dump-plan"])
     @pytest.mark.parametrize("spacing", ["-2", "0", "nan"])
     def test_nonpositive_spacing_rejected(self, model_path, capsys, command,

@@ -76,7 +76,7 @@ def test_every_scheme_matches_reference(case):
             OpStep(node, scheme, cpu.name, None), plan)
         out = np.full(data_shape(out_shape.dims, Layout.NHWC4), np.nan,
                       np.float32)
-        execution.run([packed], [out])
+        execution([packed], [out])
         # every lane written, the pad lanes zero: the NCHW view below
         # drops them
         assert not np.any(np.isnan(out)), scheme.label()

@@ -2,6 +2,7 @@ import pytest
 
 import nanoinfer.kernels as kernels
 from conftest import batched_matmul_graph
+from nanoinfer.errors import GraphValidationError
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
@@ -421,6 +422,13 @@ class TestPreInfer:
         assert plan.assignment[g.nodes[1].id] == "sim"
         moves = [(t.src, t.dst) for t in plan.transfers()]
         assert moves == [("cpu", "sim"), ("sim", "cpu")]
+
+    def test_unknown_forced_backend_named(self):
+        g = build_preset_graph()
+        sim = BackendSpec("sim", CostModel(flops=1e12))
+        with pytest.raises(GraphValidationError,
+                           match=r"'gpu' is not a planned backend \(cpu, sim\)"):
+            pre_infer(g, [CPU, sim], force_backend="gpu")
 
 
 def build_preset_graph():
