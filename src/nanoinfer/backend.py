@@ -280,7 +280,12 @@ def resolve_backend(name: str, **kwargs) -> Backend:
     if name == "cpu":
         return CpuBackend(**kwargs)
     if name == "sim":
-        from .simbackend import SimBackend
+        try:
+            from .simbackend import SimBackend
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__package__}.simbackend":
+                raise
+            raise GraphValidationError("sim backend not available") from None
         return SimBackend(**kwargs)
     raise GraphValidationError(f"unknown backend {name!r}")
 

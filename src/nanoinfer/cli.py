@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .backend import CpuBackend, Session, resolve_backend
-from .errors import EngineError
+from .errors import EngineError, GraphValidationError
 from .graph import Graph, OpKind, fuse, load_model, save_model
 from .preinference import (
     OpStep, conv_schemes, load_cost_models, pre_infer, _conv_params,
@@ -100,8 +100,15 @@ def _read_input(path: str, g: Graph) -> Tensor:
 def plan_on(g: Graph, backend: str, cost_path: str | None, spacing: float):
     """The backends that ``backend`` names, with the cost overrides read
     from ``cost_path``, and pre_infer's plan of g on them: cpu alone, or
-    cpu and sim, with sim forced or, for auto, chosen by cost."""
+    cpu and sim, with sim forced or, for auto, chosen by cost.  An override
+    for a name other than cpu or sim is an error; one for sim is allowed
+    when only cpu is planned."""
     overrides = load_cost_models(cost_path) if cost_path else {}
+    for name in overrides:
+        if name not in ("cpu", "sim"):
+            raise GraphValidationError(
+                f"cost model {cost_path}: entry {name!r} names no backend "
+                "(known: cpu, sim)")
     backends = [resolve_backend(name, **({"cost": overrides[name]}
                                          if name in overrides else {}))
                 for name in (("cpu",) if backend == "cpu" else ("cpu", "sim"))]

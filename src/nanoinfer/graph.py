@@ -4,12 +4,18 @@ Model container layout: 8-byte magic "NINF0001", 8-byte little-endian JSON
 length, the UTF-8 JSON header, then a blob of little-endian float32 weights
 addressed by byte offset/length from the header.  The JSON header is written
 canonically (sorted keys, fixed separators) so generation and round trips
-are byte-reproducible.
+are byte-reproducible.  A header of another version, or with a field of
+the wrong JSON type, is a ModelFormatError.
+
+load_model, GraphBuilder.build and fuse each end in infer_shapes, the one
+walk that checks each node and then shapes its output, in node order, so a
+graph with several faults reports the first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -36,10 +42,11 @@ class OpKind(Enum):
 
 
 def _pair(value, name: str) -> tuple[int, int]:
-    if isinstance(value, int):
-        return (value, value)
+    a = b = value
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (int(value[0]), int(value[1]))
+        a, b = value
+    if type(a) is int and type(b) is int:  # so not a bool either
+        return (a, b)
     raise GraphValidationError(f"attr {name}={value!r} is not an int or pair")
 
 
@@ -49,6 +56,8 @@ _REQUIRED_ATTRS = {
     OpKind.MATMUL: ("in_features", "out_features"),
     OpKind.RESHAPE: ("shape",),
 }
+_COUNT_MINIMUM = {"in_c": 0, "out_c": 0, "group": 1, "in_features": 0,
+                  "out_features": 0}
 _WINDOW_MINIMUM = {"kernel": 1, "stride": 1, "pad": 0}
 _POOL_MODES = ("max", "avg")
 _CONV_ACTIVATIONS = ("none", "relu")
@@ -65,8 +74,21 @@ def _check_attrs(node_id: str, kind: OpKind, attrs: dict) -> None:
                 if name in attrs and min(_pair(attrs[name], name)) < least:
                     raise GraphValidationError(
                         f"attr {name}={attrs[name]!r} is below {least}")
-        if kind is OpKind.CONV2D and int(attrs.get("group", 1)) < 1:
-            raise GraphValidationError(f"attr group={attrs['group']!r} is below 1")
+        for name, least in _COUNT_MINIMUM.items():
+            if name not in attrs:
+                continue
+            value = attrs[name]
+            if type(value) is not int:
+                raise GraphValidationError(
+                    f"attr {name}={value!r} is not an integer")
+            if value < least:
+                raise GraphValidationError(
+                    f"attr {name}={value!r} is below {least}")
+        if kind is OpKind.RESHAPE and not (
+                isinstance(attrs["shape"], (list, tuple))
+                and all(type(d) is int for d in attrs["shape"])):
+            raise GraphValidationError(
+                f"attr shape={attrs['shape']!r} is not a list of integers")
         if kind is OpKind.CONV2D and \
                 attrs.get("activation", "none") not in _CONV_ACTIVATIONS:
             raise GraphValidationError(
@@ -114,57 +136,21 @@ class Graph:
         return [n for n in self.nodes if tensor_id in n.inputs]
 
 
-def _validate_structure(g: Graph) -> None:
-    produced: set[str] = set(g.inputs)
-    seen_ids: set[str] = set()
-    for node in g.nodes:
-        _check_attrs(node.id, node.kind, node.attrs)
-        if node.id in seen_ids:
-            raise GraphValidationError(f"duplicate node id {node.id!r}")
-        seen_ids.add(node.id)
-        for tid in node.inputs:
-            if tid not in produced:
-                raise GraphValidationError(
-                    f"dangling input {tid!r} consumed by node {node.id!r}"
-                )
-        for tid in node.outputs:
-            if tid in produced:
-                raise GraphValidationError(
-                    f"tensor {tid!r} produced more than once (node {node.id!r})"
-                )
-            produced.add(tid)
-    for tid in g.outputs:
-        if tid not in produced:
-            raise GraphValidationError(f"graph output {tid!r} is never produced")
-    for tid in g.inputs:
-        if tid not in g.input_shapes:
-            raise GraphValidationError(f"graph input {tid!r} has no shape")
-
-    for node in g.nodes:
-        if node.kind is OpKind.CONV2D:
-            (kh, kw), _, _ = node.conv_geometry()
-            in_c = int(node.attrs["in_c"])
-            out_c = int(node.attrs["out_c"])
-            group = int(node.attrs.get("group", 1))
-            if in_c % group or out_c % group:
-                raise GraphValidationError(
-                    f"node {node.id!r}: group {group} does not divide channels"
-                )
-            want = out_c * (in_c // group) * kh * kw
-            got = 0 if node.weights is None else node.weights.size
-            if got != want:
-                raise GraphValidationError(
-                    f"node {node.id!r}: weight length {got} != "
-                    f"out_c*(in_c/group)*kh*kw = {want}"
-                )
-        if node.kind is OpKind.MATMUL:
-            want = int(node.attrs["in_features"]) * int(node.attrs["out_features"])
-            got = 0 if node.weights is None else node.weights.size
-            if got != want:
-                raise GraphValidationError(
-                    f"node {node.id!r}: weight length {got} != "
-                    f"in_features*out_features = {want}"
-                )
+def _weight_shape(node_id: str, kind: OpKind,
+                  attrs: dict) -> tuple[int, ...] | None:
+    """The weight array shape of a Conv2D, (out_c, in_c/group, kh, kw), or
+    of a MatMul, (in_features, out_features); None for a kind without
+    weights.  A group that does not divide the channels is rejected here."""
+    if kind is OpKind.CONV2D:
+        in_c, out_c = int(attrs["in_c"]), int(attrs["out_c"])
+        group = int(attrs.get("group", 1))
+        if in_c % group or out_c % group:
+            raise GraphValidationError(
+                f"node {node_id!r}: group {group} does not divide channels")
+        return (out_c, in_c // group, *_pair(attrs["kernel"], "kernel"))
+    if kind is OpKind.MATMUL:
+        return (int(attrs["in_features"]), int(attrs["out_features"]))
+    return None
 
 
 def _output_shape(node: OpNode, ins: list[Shape]) -> Shape:
@@ -220,18 +206,50 @@ def _output_shape(node: OpNode, ins: list[Shape]) -> Shape:
 
 
 def infer_shapes(g: Graph) -> Graph:
-    """Propagate concrete shapes from graph inputs through every node."""
-    shapes: dict[str, Shape] = dict(g.input_shapes)
+    """Check g and shape every tensor in one walk over its nodes, in order.
 
-    def get(node: OpNode, tid: str) -> Shape:
-        if tid not in shapes:
-            raise ShapeInferenceError(f"node {node.id!r}: shape of {tid!r} unknown")
-        return shapes[tid]
-
+    Every graph input needs a shape.  Then, per node: its attributes, its
+    id (not seen before), its count of inputs and outputs, its inputs (each
+    a graph input or an earlier node's output), its output (not produced
+    before), its weight shape (the group divides the channels) and length,
+    and last its output shape.  Then every graph output must have been
+    produced.  So a graph with several faults reports the first in node
+    order, and within a node the first in that list.
+    """
+    shapes: dict[str, Shape] = {}
+    for tid in g.inputs:
+        if tid not in g.input_shapes:
+            raise GraphValidationError(f"graph input {tid!r} has no shape")
+        shapes[tid] = g.input_shapes[tid]
+    seen_ids: set[str] = set()
     for node in g.nodes:
-        out = _output_shape(node, [get(node, t) for t in node.inputs])
-        for tid in node.outputs:
-            shapes[tid] = out
+        _check_attrs(node.id, node.kind, node.attrs)
+        if node.id in seen_ids:
+            raise GraphValidationError(f"duplicate node id {node.id!r}")
+        seen_ids.add(node.id)
+        arity = 2 if node.kind is OpKind.ADD else 1
+        if len(node.inputs) != arity or len(node.outputs) != 1:
+            raise GraphValidationError(
+                f"node {node.id!r}: {node.kind.value} takes {arity} input(s) "
+                f"and 1 output, got {len(node.inputs)} and {len(node.outputs)}")
+        for tid in node.inputs:
+            if tid not in shapes:
+                raise GraphValidationError(
+                    f"dangling input {tid!r} consumed by node {node.id!r}")
+        out = node.outputs[0]
+        if out in shapes:
+            raise GraphValidationError(
+                f"tensor {out!r} produced more than once (node {node.id!r})")
+        want = _weight_shape(node.id, node.kind, node.attrs)
+        got = 0 if node.weights is None else node.weights.size
+        if want is not None and got != math.prod(want):
+            raise GraphValidationError(
+                f"node {node.id!r}: weight length {got} != {math.prod(want)}, "
+                f"the size of weight shape {want}")
+        shapes[out] = _output_shape(node, [shapes[tid] for tid in node.inputs])
+    for tid in g.outputs:
+        if tid not in shapes:
+            raise GraphValidationError(f"graph output {tid!r} is never produced")
     g.tensor_shapes = shapes
     return g
 
@@ -294,10 +312,9 @@ def fuse(g: Graph) -> Graph:
                 nodes.append(fused)
                 continue
         nodes.append(node)
-    out = Graph(nodes=nodes, inputs=list(g.inputs), outputs=list(g.outputs),
-                input_shapes=dict(g.input_shapes))
-    _validate_structure(out)
-    return infer_shapes(out)
+    return infer_shapes(Graph(nodes=nodes, inputs=list(g.inputs),
+                              outputs=list(g.outputs),
+                              input_shapes=dict(g.input_shapes)))
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in OpKind}
@@ -345,36 +362,38 @@ def save_model(g: Graph) -> bytes:
 
 def _split_weights(node_kind: OpKind, attrs: dict, raw: np.ndarray,
                    node_id: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    if node_kind is OpKind.CONV2D:
-        (kh, kw) = _pair(attrs["kernel"], "kernel")
-        in_c, out_c = int(attrs["in_c"]), int(attrs["out_c"])
-        group = int(attrs.get("group", 1))
-        wlen = out_c * (in_c // group) * kh * kw
-        blen = out_c if attrs.get("bias") else 0
-    elif node_kind is OpKind.MATMUL:
-        wlen = int(attrs["in_features"]) * int(attrs["out_features"])
-        blen = int(attrs["out_features"]) if attrs.get("bias") else 0
-    else:
+    shape = _weight_shape(node_id, node_kind, attrs)
+    if shape is None:
         if raw.size:
             raise GraphValidationError(
-                f"node {node_id!r}: kind {node_kind.value} carries weights"
-            )
+                f"node {node_id!r}: kind {node_kind.value} carries weights")
         return None, None
+    wlen = math.prod(shape)
+    # one bias value per output channel: out_c or out_features
+    out_axis = 0 if node_kind is OpKind.CONV2D else 1
+    blen = shape[out_axis] if attrs.get("bias") else 0
     if raw.size != wlen + blen:
         raise GraphValidationError(
             f"node {node_id!r}: weight span holds {raw.size} floats, "
-            f"expected {wlen + blen}"
-        )
-    weights = raw[:wlen].copy()
-    bias = raw[wlen:].copy() if blen else None
-    if node_kind is OpKind.CONV2D:
-        weights = weights.reshape(int(attrs["out_c"]),
-                                  int(attrs["in_c"]) // int(attrs.get("group", 1)),
-                                  *_pair(attrs["kernel"], "kernel"))
-    else:
-        weights = weights.reshape(int(attrs["in_features"]),
-                                  int(attrs["out_features"]))
-    return weights, bias
+            f"expected {wlen + blen}")
+    return raw[:wlen].reshape(shape).copy(), raw[wlen:].copy() if blen else None
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default=None,
+           each: type | None = None):
+    """obj[key] (default if absent) when it is a kind and, for an array,
+    when each entry is an `each`; otherwise a ModelFormatError naming
+    where and key.  Types are JSON's, so a bool is no integer."""
+    value = obj.get(key, default)
+    if type(value) is kind and (
+            each is None or all(type(v) is each for v in value)):
+        return value
+    want = (f"a JSON {_JSON_TYPES[kind]}" if each is None
+            else f"an array of {_JSON_TYPES[each]}s")
+    raise ModelFormatError(f"{where} field {key!r} is not {want}: {value!r}")
 
 
 def load_model(data: bytes) -> Graph:
@@ -392,42 +411,50 @@ def load_model(data: bytes) -> Graph:
     if len(blob) % 4:
         raise ModelFormatError("weight section length is not a float32 multiple")
 
+    if not isinstance(header, dict):
+        raise ModelFormatError("header is not a JSON object")
     for key in ("version", "inputs", "nodes", "outputs"):
         if key not in header:
             raise ModelFormatError(f"header missing {key!r}")
+    if header["version"] != FORMAT_VERSION:
+        raise ModelFormatError(f"header version {header['version']!r} is not "
+                               f"the supported version {FORMAT_VERSION}")
     nodes = []
-    for spec in header["nodes"]:
-        kind = _KIND_BY_NAME.get(spec.get("kind"))
+    for i, spec in enumerate(_field(header, "nodes", list, "header",
+                                    each=dict)):
+        node_id = _field(spec, "id", str, f"node #{i}")
+        where = f"node {node_id!r}"
+        kind = _KIND_BY_NAME.get(_field(spec, "kind", str, where))
         if kind is None:
-            raise UnknownOpError(f"unknown op kind {spec.get('kind')!r}")
-        off, ln = int(spec.get("weight_offset", 0)), int(spec.get("weight_len", 0))
+            raise UnknownOpError(f"unknown op kind {spec['kind']!r}")
+        off = _field(spec, "weight_offset", int, where, 0)
+        ln = _field(spec, "weight_len", int, where, 0)
         if off < 0 or ln < 0 or off + ln > len(blob) or ln % 4:
             raise ModelFormatError(
-                f"node {spec.get('id')!r}: weight span [{off}, {off + ln}) "
-                "outside blob"
-            )
-        raw = np.frombuffer(blob, dtype="<f4", count=ln // 4, offset=off).copy()
-        attrs = dict(spec.get("attrs", {}))
-        _check_attrs(spec.get("id"), kind, attrs)
-        weights, bias = _split_weights(kind, attrs, raw, spec.get("id"))
+                f"{where}: weight span [{off}, {off + ln}) outside blob")
+        raw = np.frombuffer(blob, dtype="<f4", count=ln // 4, offset=off)
+        attrs = _field(spec, "attrs", dict, where, {})
+        _check_attrs(node_id, kind, attrs)
+        weights, bias = _split_weights(kind, attrs, raw, node_id)
         nodes.append(OpNode(
-            id=str(spec["id"]),
+            id=node_id,
             kind=kind,
-            inputs=[str(t) for t in spec.get("inputs", [])],
-            outputs=[str(t) for t in spec.get("outputs", [])],
+            inputs=_field(spec, "inputs", list, where, [], each=str),
+            outputs=_field(spec, "outputs", list, where, [], each=str),
             attrs=attrs,
             weights=weights,
             bias=bias,
         ))
-    try:
-        input_shapes = {str(item["id"]): Shape(tuple(int(d) for d in item["shape"]))
-                        for item in header["inputs"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed inputs section: {exc}") from exc
+    input_shapes = {}
+    for i, item in enumerate(_field(header, "inputs", list, "header",
+                                    each=dict)):
+        tid = _field(item, "id", str, f"graph input #{i}")
+        dims = _field(item, "shape", list, f"graph input {tid!r}", each=int)
+        input_shapes[tid] = Shape(tuple(dims))
     g = Graph(
         nodes=nodes,
-        inputs=[str(item["id"]) for item in header["inputs"]],
-        outputs=[str(t) for t in header["outputs"]],
+        inputs=list(input_shapes),
+        outputs=_field(header, "outputs", list, "header", each=str),
         input_shapes=input_shapes,
     )
     for shape in g.input_shapes.values():
@@ -435,7 +462,6 @@ def load_model(data: bytes) -> Graph:
             raise GraphValidationError(
                 f"graph inputs must have concrete 4-d shapes, got {shape.dims}"
             )
-    _validate_structure(g)
     return infer_shapes(g)
 
 
@@ -560,5 +586,4 @@ class GraphBuilder:
             outputs=outputs or [self.last],
             input_shapes={self.input_id: self.input_shape},
         )
-        _validate_structure(g)
         return infer_shapes(g)

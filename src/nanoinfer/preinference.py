@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,11 +134,11 @@ def mul_count(node: OpNode, shapes: dict[str, Shape]) -> int:
     """Multiply count of one operator; the complexity input of op_cost."""
     out = shapes[node.outputs[0]]
     if node.kind is OpKind.CONV2D:
-        _, out_c, oh, ow = out.dims
+        n, out_c, oh, ow = out.dims
         (kh, kw), _, _ = node.conv_geometry()
         in_c = int(node.attrs["in_c"])
         group = int(node.attrs.get("group", 1))
-        return oh * ow * out_c * (in_c // group) * kh * kw
+        return n * oh * ow * out_c * (in_c // group) * kh * kw
     if node.kind is OpKind.MATMUL:
         n = out.dims[0]
         return n * int(node.attrs["in_features"]) * int(node.attrs["out_features"])
@@ -548,11 +549,12 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
 
     ``force_backend`` skips the cost comparison and plans for that candidate
     (unsupported ops still fall back to CPU).  A Winograd point
-    ``spacing`` must be positive, whether or not any conv plans a tile.
+    ``spacing`` must be positive and finite, whether or not any conv plans
+    a tile.
     """
-    if not spacing > 0:
+    if not (spacing > 0 and math.isfinite(spacing)):
         raise UnsupportedSizeError(
-            f"point spacing f={spacing} must be positive")
+            f"point spacing f={spacing} must be positive and finite")
     if not g.tensor_shapes:
         g = infer_shapes(g)
     schemes = select_schemes(g)

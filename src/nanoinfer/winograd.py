@@ -108,11 +108,16 @@ def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def generate_transforms(n: int, k: int, f: float = DEFAULT_SPACING) -> WinogradTransform:
-    """Build (A, B, G) for an n-tile, k-kernel convolution, memoized on (n, k, f)."""
+    """Build (A, B, G) for an n-tile, k-kernel convolution, memoized on (n, k, f).
+
+    A spacing whose triple has an entry beyond float64, or a Bt or At entry
+    beyond float32, raises UnsupportedSizeError, as a non-finite one does.
+    """
     if n < 1 or k < 1:
         raise UnsupportedSizeError(f"tile {n} and kernel {k} must be >= 1")
-    if not f > 0:
-        raise UnsupportedSizeError(f"point spacing f={f} must be positive")
+    if not (f > 0 and math.isfinite(f)):
+        raise UnsupportedSizeError(
+            f"point spacing f={f} must be positive and finite")
     alpha = n + k - 1
     if alpha > MAX_ALPHA:
         raise UnsupportedSizeError(
@@ -153,8 +158,17 @@ def generate_transforms(n: int, k: int, f: float = DEFAULT_SPACING) -> WinogradT
             return np.array([[float(v) for v in row] for row in rows],
                             dtype=np.float64)
 
-        t = WinogradTransform(n, k, alpha, float(f), to_float(a_rows),
-                              to_float(b_cols), to_float(g_rows))
+        try:
+            with np.errstate(over="ignore"):  # checked below
+                t = WinogradTransform(n, k, alpha, float(f), to_float(a_rows),
+                                      to_float(b_cols), to_float(g_rows))
+        except OverflowError:  # float() of a Fraction beyond float64
+            t = None
+        if t is None or not (np.isfinite(t.bt).all()
+                             and np.isfinite(t.at).all()):
+            raise UnsupportedSizeError(
+                f"point spacing f={f}: the tile {n}, kernel {k} transform "
+                "has entries beyond float32")
     with _cache_lock:
         _transform_cache.setdefault(key, t)
     return t

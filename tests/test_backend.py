@@ -777,7 +777,8 @@ class TestModularity:
         plan = pre_infer(g, [resolve_backend("cpu").spec()])
         out = run_session(plan, make_input(g))
         assert g.outputs[0] in out
-        with pytest.raises(ImportError):
+        with pytest.raises(GraphValidationError,
+                           match="sim backend not available"):
             resolve_backend("sim")
 
     def test_unknown_backend_rejected(self):

@@ -149,7 +149,7 @@ class TestRun:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["run", "compare", "dump-plan"])
-    @pytest.mark.parametrize("spacing", ["-2", "0", "nan"])
+    @pytest.mark.parametrize("spacing", ["-2", "0", "nan", "inf"])
     def test_nonpositive_spacing_rejected(self, model_path, capsys, command,
                                           spacing):
         # no preset conv plans a Winograd tile, so the spacing is checked
@@ -159,6 +159,41 @@ class TestRun:
         assert code == 1
         assert captured.err.startswith("error: point spacing f=")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--backend", "sim"],
+        ["dump-plan", "--backend", "auto"],
+    ])
+    def test_missing_sim_module_reported(self, model_path, capsys,
+                                         monkeypatch, argv):
+        # the engine runs without simbackend.py; naming sim is then an
+        # engine error, not a traceback
+        import sys
+        monkeypatch.setitem(sys.modules, "nanoinfer.simbackend", None)
+        code = main([*argv, "--model", model_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: sim backend not available\n"
+        assert captured.out == ""
+
+    def test_unknown_cost_model_backend_rejected(self, model_path, tmp_path,
+                                                 capsys):
+        # a misspelt backend name is an error, not an entry left unread
+        cost = tmp_path / "cost.json"
+        cost.write_text(json.dumps({"gpu": {"flops": 1}, "CPU": {"flops": 1}}))
+        code = main(["dump-plan", "--model", model_path,
+                     "--cost-model", str(cost)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: cost model {cost}: entry "
+                                       "'gpu' names no backend")
+        assert "cpu, sim" in captured.err
+        # a sim entry stays valid when only the CPU is planned
+        cost.write_text(json.dumps({"sim": {"flops": 1}}))
+        code, out = run_cli(capsys, "dump-plan", "--model", model_path,
+                            "--cost-model", str(cost))
+        assert code == 0
+        assert {op["backend"] for op in json.loads(out)["ops"]} == {"cpu"}
 
     def test_no_thread_count(self, model_path, capsys):
         # kernels run on the calling thread: no option, no report field
@@ -428,6 +463,15 @@ class TestWinogradDump:
 
     def test_unsupported_size_fails(self, capsys):
         assert main(["winograd-dump", "--n", "8", "--k", "7"]) == 1
+
+    @pytest.mark.parametrize("spacing", ["inf", "1e100", "1e-100", "1e20",
+                                         "1e-20"])
+    def test_unrepresentable_spacing_fails(self, capsys, spacing):
+        code = main(["winograd-dump", "--n", "4", "--k", "3", "--f", spacing])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: point spacing f=")
+        assert captured.out == ""
 
 
 class TestDumpPlan:

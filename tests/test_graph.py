@@ -78,18 +78,25 @@ class TestLoadSave:
             load_model(save_model(g))
 
 
-def edit_attrs(data: bytes, node_id: str, **changes) -> bytes:
-    """The model bytes with one node's attrs changed; None drops an attr."""
+def edit_header(data: bytes, change) -> bytes:
+    """The model bytes with change(header) applied to the parsed header."""
     (length,) = struct.unpack("<Q", data[8:16])
     header = json.loads(data[16:16 + length])
-    node = next(n for n in header["nodes"] if n["id"] == node_id)
-    for name, value in changes.items():
-        if value is None:
-            node["attrs"].pop(name)
-        else:
-            node["attrs"][name] = value
+    change(header)
     payload = json.dumps(header).encode()
     return MAGIC + struct.pack("<Q", len(payload)) + payload + data[16 + length:]
+
+
+def edit_attrs(data: bytes, node_id: str, **changes) -> bytes:
+    """The model bytes with one node's attrs changed; None drops an attr."""
+    def change(header):
+        node = next(n for n in header["nodes"] if n["id"] == node_id)
+        for name, value in changes.items():
+            if value is None:
+                node["attrs"].pop(name)
+            else:
+                node["attrs"][name] = value
+    return edit_header(data, change)
 
 
 def layered_model() -> bytes:
@@ -121,6 +128,13 @@ class TestAttrValidation:
         ("fc", {"in_features": None}, "needs attr 'in_features'"),
         ("fc", {"out_features": None}, "needs attr 'out_features'"),
         ("conv", {"activation": "sigmoid"}, "conv activation 'sigmoid'"),
+        ("conv", {"in_c": "x"}, "attr in_c='x' is not an integer"),
+        ("conv", {"group": "a"}, "attr group='a' is not an integer"),
+        ("conv", {"out_c": 2.5}, "attr out_c=2.5 is not an integer"),
+        ("fc", {"in_features": True}, "in_features=True is not an integer"),
+        ("conv", {"kernel": ["a", 3]}, "kernel=['a', 3] is not an int or"),
+        ("flat", {"shape": "abcd"}, "shape='abcd' is not a list of integers"),
+        ("conv", {"group": 3}, "group 3 does not divide channels"),
     ])
     def test_malformed_attr_names_node(self, node, changes, message):
         data = edit_attrs(layered_model(), node, **changes)
@@ -140,6 +154,71 @@ class TestAttrValidation:
         b.pool(kernel=2, mode="median", name="p")
         with pytest.raises(GraphValidationError, match="node 'p': pool mode"):
             b.build()
+
+
+def conv_node(header) -> dict:
+    return header["nodes"][0]
+
+
+class TestMalformedHeader:
+    # each fault once ended in a Python exception other than an engine
+    # error, or (the version) loaded silently
+    @pytest.mark.parametrize("change,error,message", [
+        (lambda h: conv_node(h).pop("id"), ModelFormatError,
+         "node #0 field 'id' is not a JSON string: None"),
+        (lambda h: conv_node(h).update(attrs=[1]), ModelFormatError,
+         "node 'conv' field 'attrs' is not a JSON object: [1]"),
+        (lambda h: h.update(nodes=5), ModelFormatError,
+         "header field 'nodes' is not an array of objects: 5"),
+        (lambda h: conv_node(h).update(inputs=5), ModelFormatError,
+         "node 'conv' field 'inputs' is not an array of strings: 5"),
+        (lambda h: h.update(outputs=5), ModelFormatError,
+         "header field 'outputs' is not an array of strings: 5"),
+        (lambda h: conv_node(h).update(kind=["Conv2D"]), ModelFormatError,
+         "node 'conv' field 'kind' is not a JSON string"),
+        (lambda h: conv_node(h).update(weight_offset="z"), ModelFormatError,
+         "node 'conv' field 'weight_offset' is not a JSON integer: 'z'"),
+        (lambda h: h.update(version=99), ModelFormatError,
+         "header version 99 is not the supported version 1"),
+        (lambda h: conv_node(h).update(inputs=[]), GraphValidationError,
+         "node 'conv': Conv2D takes 1 input(s) and 1 output, got 0 and 1"),
+        (lambda h: conv_node(h).update(outputs=["a", "b"]),
+         GraphValidationError, "got 1 and 2"),
+    ], ids=["no-id", "attrs", "nodes", "node-inputs", "outputs", "kind",
+            "weight_offset", "version", "no-input", "two-outputs"])
+    def test_fault_is_an_engine_error(self, change, error, message):
+        with pytest.raises(error) as err:
+            load_model(edit_header(layered_model(), change))
+        assert type(err.value) is error
+        assert message in str(err.value)
+
+
+class TestOneWalk:
+    def test_first_fault_in_node_order_is_reported(self):
+        # node 'b' has a dangling input and node 'c' a short weight; the
+        # walk reports b's fault, the first in node order
+        b = GraphBuilder((1, 4, 8, 8), seed=0)
+        b.relu(name="a")
+        b.relu(name="b")
+        b.conv(kernel=3, pad=1, out_c=4, name="c")
+        g = b.build()
+        g.nodes[1].inputs = ["ghost"]
+        g.nodes[2].weights = g.nodes[2].weights[:1]
+        with pytest.raises(GraphValidationError,
+                           match="dangling input 'ghost' consumed by node 'b'"):
+            infer_shapes(g)
+
+    def test_dangling_input_is_a_validation_error_without_load(self):
+        from nanoinfer.backend import CpuBackend
+        from nanoinfer.preinference import pre_infer
+
+        g = single_conv_graph(spatial=(8, 8))
+        g.nodes[0].inputs = ["ghost"]
+        g.tensor_shapes = {}
+        with pytest.raises(GraphValidationError, match="dangling"):
+            infer_shapes(g)
+        with pytest.raises(GraphValidationError, match="dangling"):
+            pre_infer(g, [CpuBackend().spec()])
 
 
 class TestShapeInference:

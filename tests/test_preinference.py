@@ -57,6 +57,20 @@ class TestMulCount:
         # o_w * o_h * o_c * i_c * k^2
         assert mul_count(g.nodes[0], g.tensor_shapes) == 16 * 16 * 4 * 8 * 9
 
+    def test_conv_scales_with_batch(self):
+        # like every other op, a conv's count covers all n images
+        counts = {}
+        for n in (1, 2):
+            b = GraphBuilder((n, 2, 4, 4), seed=0)
+            b.conv(kernel=3, pad=1, out_c=4)
+            b.reshape((n, 64, 1, 1))
+            b.matmul(5)
+            b.pool(kernel=1, src=b.input_id)
+            g = b.build(outputs=[b.last])
+            counts[n] = [mul_count(node, g.tensor_shapes) for node in g.nodes]
+        assert counts[1] == [4 * 4 * 4 * 2 * 9, 64, 64 * 5, 32]
+        assert counts[2] == [2 * c for c in counts[1]]
+
     def test_matmul(self):
         b = GraphBuilder((2, 8, 2, 2), seed=0)
         b.matmul(10)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,15 @@ class TestGenerator:
             generate_transforms(6, 7, 0.5)
         with pytest.raises(UnsupportedSizeError):
             generate_transforms(2, 3, 0.0)
+
+    @pytest.mark.parametrize("f", [np.inf, 1e100, 1e-100, 1e20, 1e-20])
+    def test_unrepresentable_spacing_rejected(self, f):
+        # at 1e20 and 1e-20 the float64 triple is finite, but Bt or At
+        # cast to float32 is not; further out float64 itself overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(UnsupportedSizeError, match="point spacing"):
+                generate_transforms(4, 3, f)
 
     def test_memoized(self):
         assert generate_transforms(2, 3, 0.5) is generate_transforms(2, 3, 0.5)
