@@ -16,9 +16,10 @@ scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The kernels' temporaries (padded
-inputs, accumulators, Winograd's patches and tiles, MatMul's product) are
-still heap allocations on every run, and so is the NCHW round trip of a
-Reshape that changes the shape (graph.fuse drops the identity ones).
+inputs, a dense conv's window matrix, depthwise's product buffer, Winograd's
+patches and tiles, MatMul's product) are still heap allocations on every
+run, and so is the NCHW round trip of a Reshape that changes the shape
+(graph.fuse drops the identity ones).
 """
 
 from __future__ import annotations

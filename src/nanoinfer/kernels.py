@@ -2,17 +2,18 @@
 
 Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
 a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
-is one contiguous run of w*lanes floats.  Each window tap is one NumPy call
-over a whole image: a GEMM against every output lane for dense convolution,
-a multiply-add over whole output rows for depthwise.  A grouped conv is a
-dense one whose per-tap operand is block diagonal, one block per group.
-At stride 1 each tap's GEMM reads the padded input in place, and at pad 0
-the input itself; when the GEMM's rows have the output's pitch (a 1x1 conv
-at pad 0, or any strided conv) the first tap's GEMM writes the output
-itself.  Both conv schemes read one operand packed once (ConvWeights: the
-GEMM operand, the bias and ReLU maps, Winograd's transform) and end in one
-epilogue, bias_relu, per image.  conv_sliding and conv_winograd also take
-and return the paper's NC4HW4, re-laid around the same kernel (run_nhwc4).
+is one contiguous run of w*lanes floats.  A dense convolution is one GEMM
+per band of output rows, of the band's windows [pixels, kh*kw*in lanes],
+copied from one strided view of the zero-bordered input into a window
+matrix of at most BAND_FLOATS floats, against every output lane at once; it
+writes the band's output rows itself.  A 1x1 conv at stride 1 and pad 0 is
+one GEMM on the input as it lies.  A grouped conv is a dense one whose
+operand is block diagonal, one block per group.  Depthwise convolution is
+one multiply-add per window tap over whole output rows.  Both conv schemes
+read one operand packed once (ConvWeights: the GEMM operand, the bias and
+ReLU maps, Winograd's transform) and end in one epilogue, bias_relu, per
+image.  conv_sliding and conv_winograd also take and return the paper's
+NC4HW4, re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
 library's own threading inside each GEMM.
 """
@@ -156,7 +157,31 @@ re-layouts, its padded copy at pad 0 and its accumulator and store where the
 GEMM rows have the output's pitch; Winograd its crop where the tiles cover
 the output): rank (one thread, 15 rounds) still finds 27 of 27 preset convs
 within the margin, every one planned and fastest on sliding window, so the
-constants stay.  Recalibrate on other hardware with that script.
+constants stay.  Recounted when a dense conv became one GEMM per band of
+output rows (a padded copy, one window copy and one GEMM with K = taps x
+input lanes per band, two calls per band, no per-tap sums and no store):
+rank (one thread, 7 rounds) still finds 27 of 27 preset convs within the
+margin, every one planned and fastest on sliding window, so the constants
+stay.  Recalibrate on other hardware with that script.
+"""
+
+BAND_FLOATS = 32768
+"""Most floats in the window matrix of one band of a dense conv (128 KiB).
+
+A band is the most output rows whose windows fit, at least one, so the band
+depends on the conv's geometry only, and a step gives the same bits however
+it is called.  Measured as medians of each dense step of the resnet-mini
+topology in one running session, the band sizes alternating in one process
+(2-vCPU x86-64 VM, 48 KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one
+thread, 16-40 rounds of 10 runs).  The dense steps summed, at 16,384,
+32,768, 65,536 floats and a whole map per band: 2.40, 1.93, 2.08 and 2.10 ms
+at 64x64 input, 0.61, 0.57, 0.57 and 0.56 ms at 32x32; one GEMM per window
+tap, with output-sized accumulators, took 2.39 and 0.61 ms.  At 8,192 the
+32x32 sum was 0.83 ms.  A smaller band pays more calls, a larger one leaves
+the cache, and a whole map per band would hold 2.25 MiB at 64x64.  At 32x32
+res0a, res0b and res1b still ran 5-9% slower than per tap (0.14 against
+0.13 ms at res0a): copying the windows costs about as much as the per-tap
+sums it replaces.  Re-measure on other hardware.
 """
 
 
@@ -373,7 +398,8 @@ def pack_matmul_rows(w: np.ndarray, c: int, h: int, wd: int) -> np.ndarray:
 def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
     """[out_c, in_c/group, kh, kw] -> [kh*kw, in lanes, out lanes], block
     diagonal: group g's weights fill its own rows and columns, the rest is
-    zero, so a grouped conv is one dense GEMM per tap (one block if dense)."""
+    zero, so a grouped conv runs the dense kernel (one block if dense).
+    Read as [kh*kw*in lanes, out lanes], it is the dense GEMM's operand."""
     icg, ocg = p.in_c // p.group, p.out_c // p.group
     taps = p.kh * p.kw
     packed = np.zeros((taps, channel_blocks(p.in_c) * LANES,
@@ -411,15 +437,15 @@ class ConvWeights:
     """The operand a conv kernel reads, packed once, for either scheme.
 
     ``mats`` is the GEMM operand: sliding window's [kh, kw, ow, in lanes]
-    for a depthwise conv, else [kh*kw, in lanes, out lanes], one per tap,
-    block diagonal over a grouped conv's groups; Winograd's [alpha^2, out
-    lanes, in lanes] in the domain of ``transform`` (None for sliding
-    window).  ``bias`` is the bias padded to whole 4-lane blocks at every
-    pixel of one output image, [oh, ow, out lanes], and ``zero`` a zero map
-    of that shape if the conv applies ReLU.  NumPy adds or compares two
-    arrays of one shape in one contiguous pass, 2-3x as fast as against a
-    broadcast row or scalar, and without the 32 KiB iterator buffer a
-    broadcast operand allocates.
+    for a depthwise conv, else [kh*kw, in lanes, out lanes], block diagonal
+    over a grouped conv's groups and multiplied as one [kh*kw*in lanes, out
+    lanes] matrix; Winograd's [alpha^2, out lanes, in lanes] in the domain
+    of ``transform`` (None for sliding window).  ``bias`` is the bias padded
+    to whole 4-lane blocks at every pixel of one output image, [oh, ow, out
+    lanes], and ``zero`` a zero map of that shape if the conv applies ReLU.
+    NumPy adds or compares two arrays of one shape in one contiguous pass,
+    2-3x as fast as against a broadcast row or scalar, and without the 32 KiB
+    iterator buffer a broadcast operand allocates.
     """
 
     mats: np.ndarray
@@ -547,22 +573,26 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
         return KernelWork(
             moved=padded + n * (2 * taps + p.relu) * pix * cpad,
             calls=10 + n * 2 * taps)
-    # at stride 1 each tap's GEMM reads the flattened padded input in place,
-    # over rows of pitch wp; a strided tap copies its window.  A grouped
-    # conv's GEMM runs over every lane of its block-diagonal operand.
-    strided = p.stride_h > 1 or p.stride_w > 1
-    pitch = ow if strided else w + 2 * p.pad_w
-    rows = (oh - 1) * pitch + ow
-    window = n * taps * pix * cpad if strided else 0
-    # per tap a GEMM product and (after the first) its sum; the bias and
-    # ReLU passes; the row copy into the output unless the GEMM rows have
-    # its pitch, when the first tap's GEMM writes the output itself
-    store = 0 if pitch == ow else out
-    return KernelWork(
-        gemm=n * taps * rows * cpad * opad,
-        moved=(padded + window + store + n * (2 * taps - 1) * rows * opad
-               + (1 + p.relu) * out),
-        calls=10 + n * ((2 + strided) * taps + (pitch != ow)))
+    # one GEMM over every output pixel with K = taps x input lanes, into the
+    # output itself; a grouped conv's runs over every lane of its
+    # block-diagonal operand.  Bias and ReLU passes over the output.
+    k = taps * cpad
+    gemm, epilogue = n * pix * k * opad, (1 + p.relu) * out
+    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
+            1, 1, 1, 1, 0, 0):
+        # the input as it lies: one GEMM per image
+        return KernelWork(gemm=gemm, moved=epilogue,
+                          calls=10 + n * (2 + p.relu))
+    # each band copies its windows into the window matrix, then one GEMM
+    bands = -(-oh // _band_rows(oh, ow * k))
+    return KernelWork(gemm=gemm, moved=padded + n * pix * k + epilogue,
+                      calls=10 + n * (2 * bands + 1 + p.relu))
+
+
+def _band_rows(oh: int, row_floats: int) -> int:
+    """Output rows per band: the most whose windows, row_floats floats per
+    output row, fit BAND_FLOATS; at least one, at most oh."""
+    return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
 
 
 def zero_border(x: np.ndarray, top: int, left: int, hp: int,
@@ -583,44 +613,35 @@ def zero_border(x: np.ndarray, top: int, left: int, hp: int,
 
 def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 out: np.ndarray) -> None:
-    """Dense or grouped conv of NHWC4 data x into out: one GEMM per window
-    tap against every output lane at once."""
+    """Dense or grouped conv of NHWC4 data x into out: per band of output
+    rows, one copy of its windows into a window matrix [pixels, kh*kw*in
+    lanes] and one GEMM of it against every output lane into those rows."""
     n, h, wd, cpad = x.shape
     _, oh, ow, opad = out.shape
-    wmat = packed.mats
+    k = p.kh * p.kw * cpad
+    wmat = packed.mats.reshape(k, opad)
+    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
+            1, 1, 1, 1, 0, 0):  # the input as it lies is the window matrix
+        for img in range(n):
+            np.matmul(x[img].reshape(h * wd, cpad), wmat,
+                      out=out[img].reshape(oh * ow, opad))
+            bias_relu(out[img], packed)
+        return
     hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
     xp = zero_border(x, p.pad_h, p.pad_w, hp, wp)
-    # At stride 1, output pixel (i, j) of tap (u, v) reads padded pixel
-    # (i + u, j + v), flat index i*wp + j + (u*wp + v): each tap's GEMM
-    # input is one contiguous run of the flattened image, with output rows
-    # of pitch wp whose last wp - ow columns the store drops.  A strided
-    # tap copies its window into one buffer reused across taps.  When the
-    # pitch is ow (1x1 at pad 0, or strided) the rows are the output's own
-    # and the first tap's GEMM writes them in place.
-    strided = p.stride_h > 1 or p.stride_w > 1
-    pitch = ow if strided else wp
-    rows = (oh - 1) * pitch + ow
-    flat = xp.reshape(n, hp * wp, cpad)
-    win = np.empty((oh, ow, cpad), dtype=np.float32) if strided else None
-    acc = None if pitch == ow else np.empty((oh * pitch, opad), np.float32)
-    prod = np.empty((rows, opad), np.float32) if p.kh * p.kw > 1 else None
+    # xp's byte strides from its shape: an empty pool view's overrun its buffer
+    row, col = 4 * cpad * wp, 4 * cpad
+    strides = (row * p.stride_h, col * p.stride_w, row, col, 4)
+    band = _band_rows(oh, ow * k)
+    win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     for img in range(n):
-        dst = out[img].reshape(rows, opad) if acc is None else acc[:rows]
-        for tap in range(p.kh * p.kw):
-            u, v = divmod(tap, p.kw)
-            if strided:
-                np.copyto(win, xp[img, u:u + p.stride_h * oh:p.stride_h,
-                                  v:v + p.stride_w * ow:p.stride_w])
-                a = win.reshape(oh * ow, cpad)
-            else:
-                a = flat[img, u * wp + v:u * wp + v + rows]
-            if tap == 0:
-                np.matmul(a, wmat[tap], out=dst)
-            else:
-                np.matmul(a, wmat[tap], out=prod)
-                dst += prod
-        if acc is not None:
-            out[img] = acc.reshape(oh, pitch, opad)[:, :ow]
+        windows = np.ndarray((oh, ow, p.kh, p.kw, cpad), np.float32, xp,
+                             img * row * hp, strides)
+        for r in range(0, oh, band):
+            b = min(band, oh - r)
+            np.copyto(win[:b], windows[r:r + b])
+            np.matmul(win[:b].reshape(b * ow, k), wmat,
+                      out=out[img, r:r + b].reshape(b * ow, opad))
         bias_relu(out[img], packed)
 
 

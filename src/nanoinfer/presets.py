@@ -50,8 +50,9 @@ def squeezenet_mini(seed: int = 0) -> Graph:
     return b.build()
 
 
-def resnet_mini(seed: int = 0) -> Graph:
-    b = GraphBuilder((1, 3, 32, 32), seed=seed)
+def resnet_mini(seed: int = 0, size: int = 32) -> Graph:
+    """The resnet-mini preset, on a size x size input (32 as shipped)."""
+    b = GraphBuilder((1, 3, size, size), seed=seed)
     b.conv(kernel=3, pad=1, out_c=16)
     b.relu()
     for i, c in enumerate((16, 32)):

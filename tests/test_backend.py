@@ -19,7 +19,7 @@ from nanoinfer.preinference import (
     CostModel, OpStep, SchemeChoice, SchemeKind, _conv_params, packed_bytes,
     pre_infer,
 )
-from nanoinfer.presets import PRESETS, build_preset
+from nanoinfer.presets import PRESETS, build_preset, resnet_mini
 from nanoinfer.simbackend import SimBackend
 from nanoinfer.tensor import (
     LANES, Layout, Tensor, channel_blocks, data_shape, from_nchw, pack_nc4hw4,
@@ -95,6 +95,41 @@ class TestBuffers:
                 for n in convs
                 if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
         assert not over
+
+    def test_dense_step_heap_is_input_and_one_window_matrix(
+            self, monkeypatch):
+        # resnet-64's res0a: a 3x3, pad-1, 16->16 conv on a 64x64 map takes
+        # its zero-bordered input and one band's window matrix, not maps the
+        # size of its output
+        b = GraphBuilder((1, 16, 64, 64), seed=0)
+        b.conv(kernel=3, pad=1, out_c=16, activation="relu")
+        g = b.build()
+        node = g.nodes[0]
+        plan, peaks = step_heap_peaks(g, monkeypatch)
+        assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
+        p = _conv_params(node)
+        padded = 4 * 66 * 66 * 16
+        window = 4 * window_matrix_floats(p, 64, 64)
+        assert window <= 4 * kernels.BAND_FLOATS
+        assert peaks[node.id] <= padded + window + 40 * 1024
+
+    def test_steady_state_run_heap_bounded(self):
+        # a whole run of the resnet-mini topology at 64x64 (the benchmark's
+        # resnet-64) after a warm-up run, outputs included
+        g = fuse(resnet_mini(size=64))
+        session = Session(pre_infer(g, [CpuBackend().spec()]), [CpuBackend()])
+        x = make_input(g)
+        session.run(x)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            outputs = session.run(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            session.close()
+        assert outputs and peak <= 450_000
 
     @pytest.mark.parametrize("preset", sorted(PRESETS) + ["pointwise"])
     def test_pointwise_conv_steps_take_no_heap(self, preset, monkeypatch):
@@ -188,23 +223,22 @@ def grouped_conv_graph():
 
 def sliding_heap_bound(node, shapes):
     """Heap bytes a sliding-window conv step may take: the padded input,
-    then two [oh * pitch, out lanes] accumulators and a window if strided
-    (dense or grouped) or one product buffer (depthwise), plus 96 KiB of
-    slack."""
+    then one window matrix (dense or grouped) or one product buffer
+    (depthwise), plus 96 KiB of slack."""
     p = _conv_params(node)
     n, _, h, w = shapes[node.inputs[0]].dims
-    oh, ow = p.out_size(h, w)
     cpad = channel_blocks(p.in_c) * LANES
-    opad = channel_blocks(p.out_c) * LANES
-    wp = w + 2 * p.pad_w
-    padded = n * cpad * (h + 2 * p.pad_h) * wp
-    if p.depthwise:
-        work = cpad * oh * ow
-    else:
-        strided = p.stride_h > 1 or p.stride_w > 1
-        pitch = ow if strided else wp
-        work = 2 * oh * pitch * opad + (oh * ow * cpad if strided else 0)
+    padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
+    oh, ow = p.out_size(h, w)
+    work = cpad * oh * ow if p.depthwise else window_matrix_floats(p, h, w)
     return 4 * (padded + work) + 96 * 1024
+
+
+def window_matrix_floats(p, h, w):
+    """Floats in the window matrix of one band of a dense conv."""
+    oh, ow = p.out_size(h, w)
+    row = ow * p.kh * p.kw * channel_blocks(p.in_c) * LANES
+    return kernels._band_rows(oh, row) * row
 
 
 class TestExecutions:

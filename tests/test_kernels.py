@@ -8,7 +8,13 @@ from nanoinfer.kernels import (
     ConvParams, MatDims, conv_sliding, matmul_direct, matmul_strassen,
     strassen_recursion_depth, strassen_scratch_elems, strassen_should_recurse,
 )
-from nanoinfer.tensor import LANES, from_nchw, pack_nc4hw4, unpack_nc4hw4
+from nanoinfer.backend import CpuBackend, Session
+from nanoinfer.graph import GraphBuilder
+from nanoinfer.preinference import SchemeKind, _conv_params, pre_infer
+from nanoinfer.tensor import (
+    LANES, Layout, channel_blocks, from_nchw, pack_nc4hw4, relayout,
+    unpack_nc4hw4,
+)
 from nanoinfer.winograd import conv_winograd, generate_transforms
 
 
@@ -242,6 +248,76 @@ class TestConvSliding:
         out = unpack_nc4hw4(conv_sliding(x, w, p, bias=bias), 2).data
         assert np.all(out[:, 0] == 0.5)
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
+
+    @pytest.mark.parametrize("kernel,stride,pad", [
+        (1, 1, 0), (1, 2, 0), (3, 2, 1), ((1, 7), 1, (0, 3))])
+    def test_zero_input_channels_banded(self, kernel, stride, pad):
+        # no input lanes: the window matrix has no columns, and the output
+        # is the bias, through the session step as through conv_sliding
+        b = GraphBuilder((2, 0, 9, 9), seed=0)
+        b.conv(kernel=kernel, stride=stride, pad=pad, out_c=3,
+               activation="relu")
+        g = b.build()
+        node = g.nodes[0]
+        node.bias[:] = [0.5, -1.0, 2.0]
+        step, got = dense_results(g, np.zeros((2, 0, 9, 9), np.float32))
+        for y in (step, *got):
+            assert np.all(y[:, 0] == 0.5) and np.all(y[:, 1] == 0.0)
+            assert np.all(y[:, 2] == 2.0)
+
+
+# (kernel, stride, pad, in_c, out_c, group, input h, w): on two images,
+# each conv's output rows split into several bands of kernels.BAND_FLOATS
+# floats, the last one partial
+BAND_CASES = {
+    "dense": ((3, 3), (1, 1), (1, 1), 16, 8, 1, 13, 40),
+    "grouped": ((3, 3), (1, 1), (1, 1), 16, 12, 4, 13, 40),
+    "strided": ((3, 3), (2, 2), (1, 1), 16, 8, 1, 27, 80),
+    "1x7": ((1, 7), (1, 1), (0, 3), 24, 8, 1, 10, 40),
+    "7x1": ((7, 1), (1, 1), (3, 0), 24, 8, 1, 10, 40),
+    "1x1_strided": ((1, 1), (2, 2), (0, 0), 32, 8, 1, 60, 80),
+}
+
+
+def dense_results(g, x):
+    """The output of g's one conv on NCHW x as a session step runs it, then
+    as conv_sliding does on NHWC4 and on NC4HW4 input, all NCHW."""
+    node = g.nodes[0]
+    p = _conv_params(node)
+    cpu = CpuBackend()
+    plan = pre_infer(g, [cpu.spec()])
+    assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
+    session = Session(plan, [cpu])
+    step = session.run(from_nchw(x))[node.outputs[0]].data
+    session.close()
+    nhwc = conv_sliding(relayout(from_nchw(x), Layout.NHWC4), node.weights,
+                        p, bias=node.bias)
+    nc4 = conv_sliding(pack_nc4hw4(from_nchw(x)), node.weights, p,
+                       bias=node.bias)
+    return step, (relayout(nhwc, Layout.NCHW).data,
+                  unpack_nc4hw4(nc4, p.out_c).data)
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_dense_bands_match_direct_conv(case, rng):
+    kernel, stride, pad, in_c, out_c, group, h, w = BAND_CASES[case]
+    b = GraphBuilder((2, in_c, h, w), seed=7)
+    b.conv(kernel=kernel, stride=stride, pad=pad, out_c=out_c, group=group,
+           activation="relu")
+    g = b.build()
+    node = g.nodes[0]
+    p = _conv_params(node)
+    oh, ow = p.out_size(h, w)
+    band = kernels._band_rows(oh, ow * p.kh * p.kw * channel_blocks(in_c)
+                              * LANES)
+    assert 1 < band < oh and oh % band
+    x = rng.standard_normal((2, in_c, h, w)).astype(np.float32)
+    step, got = dense_results(g, x)
+    # one kernel on one geometry: the same bits by every route
+    assert all(y.tobytes() == step.tobytes() for y in got)
+    pre = conv2d_reference(x.astype(np.float64), node.weights.astype(np.float64),
+                           stride, pad, group, node.bias.astype(np.float64))
+    assert rel_err(step, np.maximum(pre, 0.0)) <= 1e-3
 
 
 # (in_c, out_c, group, stride, Winograd tile or None for sliding window);
