@@ -15,11 +15,11 @@ with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, and Softmax works on the pool
-arrays as [pixels, lanes] matrices.  The kernels' temporaries (padded
-inputs, a dense conv's window matrix, depthwise's product buffer, Winograd's
-patches and tiles, MatMul's product) are still heap allocations on every
-run, and so is the NCHW round trip of a Reshape that changes the shape
-(graph.fuse drops the identity ones).
+arrays as [pixels, lanes] matrices.  The kernels' temporaries (inputs
+padded by kernels.border, pools' included, a dense conv's window matrix,
+depthwise's product buffer, Winograd's patches and tiles, MatMul's product)
+are still heap allocations on every run, and so is the NCHW round trip of a
+Reshape that changes the shape (graph.fuse drops the identity ones).
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .errors import (
     UnsupportedOpError,
 )
 from .graph import OpKind
-from .kernels import LANES, matmul_strassen, sliding_nhwc4
+from .kernels import LANES, border, matmul_strassen, sliding_nhwc4
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
-    TransferStep, _conv_params, pack_weights, packed_bytes, weight_key,
+    TransferStep, pack_weights, packed_bytes, weight_key,
 )
 from .tensor import (
     Layout, Tensor, channel_blocks, data_shape, from_nchw, relayout,
@@ -211,7 +211,7 @@ def _build_softmax_execution(step: OpStep, plan: ExecutionPlan):
 def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
     """The planned scheme's NHWC4 kernel on the step's arrays, with the
     conv's one packed operand (kernels.ConvWeights)."""
-    p = _conv_params(step.node)
+    p = step.node.params()
     packed = _packed_weights(step, plan)
     kernel = (winograd_nhwc4 if step.scheme.kind is SchemeKind.WINOGRAD
               else sliding_nhwc4)
@@ -224,19 +224,18 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
 
 def _build_pool_execution(step: OpStep):
     node = step.node
-    (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
+    p = node.params()
+    kh, kw, sh, sw, ph, pw = (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h,
+                              p.pad_w)
     mode = node.attrs.get("mode", "max")
-    combine = np.maximum if mode == "max" else np.add
+    combine, fill = ((np.maximum, -np.inf) if mode == "max"
+                     else (np.add, 0.0))
 
     def run(inputs, outputs, scratch=None):
         x, out = inputs[0], outputs[0]
-        n, h, w, lanes = x.shape
+        _, h, w, _ = x.shape
         _, oh, ow, _ = out.shape
-        xp = x
-        if ph or pw:
-            xp = np.full((n, h + 2 * ph, w + 2 * pw, lanes),
-                         -np.inf if mode == "max" else 0.0, dtype=np.float32)
-            xp[:, ph:ph + h, pw:pw + w] = x
+        xp = border(x, ph, pw, h + 2 * ph, w + 2 * pw, fill)
         # reduce one window axis at a time, each tap one call over the whole
         # tensor: kh taps over whole pixel rows first, then kw taps on the
         # fewer rows left.  The first two taps of an axis combine straight

@@ -17,9 +17,7 @@ import numpy as np
 from .backend import CpuBackend, Session, resolve_backend
 from .errors import EngineError, GraphValidationError
 from .graph import Graph, OpKind, fuse, load_model, save_model
-from .preinference import (
-    OpStep, conv_schemes, load_cost_models, pre_infer, _conv_params,
-)
+from .preinference import OpStep, conv_schemes, load_cost_models, pre_infer
 from .presets import PRESETS, build_preset
 from .tensor import Layout, Tensor, from_nchw, relayout, zeros
 from .winograd import DEFAULT_SPACING, generate_transforms
@@ -206,7 +204,7 @@ def time_schemes(plan, node, x, rounds):
     """Median ms of the conv's step under each of its schemes, each timed
     in a running session of the whole graph, as the benchmark times it."""
     sessions = {}
-    for scheme in conv_schemes(_conv_params(node)):
+    for scheme in conv_schemes(node.params()):
         session = Session(with_scheme(plan, node, scheme), [CpuBackend()])
         # the warm-up caches an unplanned weight transform
         session.run(x)
@@ -239,7 +237,7 @@ def cmd_compare(args) -> int:
         x = values[node.inputs[0]].data
         out_dims = g.tensor_shapes[node.outputs[0]].dims
         outs = {}
-        for scheme in conv_schemes(_conv_params(node)):
+        for scheme in conv_schemes(node.params()):
             step = OpStep(node, scheme, cpu.name, None)
             out = zeros(out_dims, Layout.NHWC4).data
             cpu.create_execution(step, plan)([x], [out])

@@ -7,9 +7,10 @@ canonically (sorted keys, fixed separators) so generation and round trips
 are byte-reproducible.  A header of another version, or with a field of
 the wrong JSON type, is a ModelFormatError.
 
-load_model, GraphBuilder.build and fuse each end in infer_shapes, the one
-walk that checks each node and then shapes its output, in node order, so a
-graph with several faults reports the first.
+load_model and GraphBuilder.build end in infer_shapes, the one walk that
+checks each node and then shapes its output, in node order, so a graph with
+several faults reports the first; fuse keeps the shapes it is given.
+OpNode.params gives a Conv2D's or Pool2D's window as one kernels.ConvParams.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    GraphValidationError, ModelFormatError, ShapeInferenceError, UnknownOpError,
+    GraphValidationError, ModelFormatError, ShapeInferenceError,
+    ShapeMismatchError, UnknownOpError,
 )
+from .kernels import ConvParams
 from .tensor import Shape
 
 MAGIC = b"NINF0001"
@@ -117,11 +120,19 @@ class OpNode:
                 _pair(self.attrs.get("stride", 1), "stride"),
                 _pair(self.attrs.get("pad", 0), "pad"))
 
-    def pool_geometry(self):
-        """Like conv_geometry, but the stride defaults to the window size."""
-        kernel = _pair(self.attrs["kernel"], "kernel")
-        return (kernel, _pair(self.attrs.get("stride", kernel), "stride"),
-                _pair(self.attrs.get("pad", 0), "pad"))
+    def params(self) -> ConvParams:
+        """The window geometry of a Conv2D or a Pool2D; a pool's stride
+        defaults to its window, and its channels and group are 1."""
+        a = self.attrs
+        if self.kind is OpKind.POOL2D:
+            kernel = _pair(a["kernel"], "kernel")
+            return ConvParams(*kernel,
+                              *_pair(a.get("stride", kernel), "stride"),
+                              *_pair(a.get("pad", 0), "pad"))
+        (kh, kw), (sh, sw), (ph, pw) = self.conv_geometry()
+        return ConvParams(kh, kw, sh, sw, ph, pw, int(a["in_c"]),
+                          int(a["out_c"]), int(a.get("group", 1)),
+                          a.get("activation", "none") == "relu")
 
 
 @dataclass
@@ -131,9 +142,6 @@ class Graph:
     outputs: list[str]
     input_shapes: dict[str, Shape]
     tensor_shapes: dict[str, Shape] = field(default_factory=dict)
-
-    def consumers(self, tensor_id: str) -> list[OpNode]:
-        return [n for n in self.nodes if tensor_id in n.inputs]
 
 
 def _weight_shape(node_id: str, kind: OpKind,
@@ -157,21 +165,17 @@ def _output_shape(node: OpNode, ins: list[Shape]) -> Shape:
     """The shape of node's outputs, given its inputs' shapes."""
     if node.kind in (OpKind.CONV2D, OpKind.POOL2D):
         n, c, h, w = ins[0].dims
+        p = node.params()
         if node.kind is OpKind.CONV2D:
-            if c != int(node.attrs["in_c"]):
+            if c != p.in_c:
                 raise ShapeInferenceError(
                     f"node {node.id!r}: input channels {c} != attr in_c "
-                    f"{node.attrs['in_c']}")
-            (kh, kw), (sh, sw), (ph, pw) = node.conv_geometry()
-            c = int(node.attrs["out_c"])
-        else:
-            (kh, kw), (sh, sw), (ph, pw) = node.pool_geometry()
-        if h + 2 * ph < kh or w + 2 * pw < kw:
-            raise ShapeInferenceError(
-                f"node {node.id!r}: {kh}x{kw} window exceeds its padded "
-                f"{h + 2 * ph}x{w + 2 * pw} input")
-        return Shape((n, c, (h + 2 * ph - kh) // sh + 1,
-                      (w + 2 * pw - kw) // sw + 1))
+                    f"{p.in_c}")
+            c = p.out_c
+        try:
+            return Shape((n, c, *p.out_size(h, w)))
+        except ShapeMismatchError as exc:
+            raise ShapeInferenceError(f"node {node.id!r}: {exc}") from None
     if node.kind in (OpKind.RELU, OpKind.SOFTMAX):
         return ins[0]
     if node.kind is OpKind.ADD:
@@ -258,8 +262,6 @@ def _drop_identity_reshapes(g: Graph) -> list[OpNode]:
     """g's nodes without each Reshape whose target is its input's shape,
     with that Reshape's consumers reading its input instead.  A Reshape
     whose output is a graph output stays, so every output keeps its id."""
-    if not g.tensor_shapes:
-        g = infer_shapes(g)
     shapes = g.tensor_shapes
     source: dict[str, str] = {}  # dropped Reshape output -> tensor it aliases
     nodes: list[OpNode] = []
@@ -282,39 +284,36 @@ def fuse(g: Graph) -> Graph:
     A Reshape whose target equals its input's shape moves no data, since
     both tensors have the same NHWC4 bytes, so its consumers read its input
     directly.  ReLU runs after bias accumulation in both the separate and
-    the fused form.  Outputs are unchanged bit for bit.
+    the fused form.  Outputs are unchanged bit for bit.  Neither rewrite
+    changes a surviving tensor's shape, so the result keeps g's shapes (g is
+    walked first if it has none), without the tensors that are gone.
     """
-    g = Graph(nodes=_drop_identity_reshapes(g), inputs=list(g.inputs),
-              outputs=list(g.outputs), input_shapes=dict(g.input_shapes))
+    if not g.tensor_shapes:
+        g = infer_shapes(g)
+    kept = _drop_identity_reshapes(g)
+    readers: dict[str, list[OpNode]] = {}
+    for node in kept:
+        for tid in node.inputs:
+            readers.setdefault(tid, []).append(node)
     removed: set[str] = set()
     nodes: list[OpNode] = []
-    for node in g.nodes:
+    for node in kept:
         if node.id in removed:
             continue
+        consumers = readers.get(node.outputs[0], [])
         if (node.kind is OpKind.CONV2D
                 and node.attrs.get("activation", "none") == "none"
-                and len(node.outputs) == 1
-                and node.outputs[0] not in g.outputs):
-            tid = node.outputs[0]
-            consumers = g.consumers(tid)
-            if len(consumers) == 1 and consumers[0].kind is OpKind.RELU:
-                relu = consumers[0]
-                fused = OpNode(
-                    id=node.id,
-                    kind=OpKind.CONV2D,
-                    inputs=list(node.inputs),
-                    outputs=list(relu.outputs),
-                    attrs={**node.attrs, "activation": "relu"},
-                    weights=node.weights,
-                    bias=node.bias,
-                )
-                removed.add(relu.id)
-                nodes.append(fused)
-                continue
+                and node.outputs[0] not in g.outputs
+                and len(consumers) == 1 and consumers[0].kind is OpKind.RELU):
+            relu = consumers[0]
+            removed.add(relu.id)
+            node = replace(node, outputs=list(relu.outputs),
+                           attrs={**node.attrs, "activation": "relu"})
         nodes.append(node)
-    return infer_shapes(Graph(nodes=nodes, inputs=list(g.inputs),
-                              outputs=list(g.outputs),
-                              input_shapes=dict(g.input_shapes)))
+    live = [*g.inputs, *(node.outputs[0] for node in nodes)]
+    return Graph(nodes=nodes, inputs=list(g.inputs), outputs=list(g.outputs),
+                 input_shapes=dict(g.input_shapes),
+                 tensor_shapes={tid: g.tensor_shapes[tid] for tid in live})
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in OpKind}
@@ -450,6 +449,8 @@ def load_model(data: bytes) -> Graph:
                                     each=dict)):
         tid = _field(item, "id", str, f"graph input #{i}")
         dims = _field(item, "shape", list, f"graph input {tid!r}", each=int)
+        if tid in input_shapes:
+            raise ModelFormatError(f"graph input {tid!r} is listed twice")
         input_shapes[tid] = Shape(tuple(dims))
     g = Graph(
         nodes=nodes,

@@ -2,18 +2,20 @@
 
 Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
 a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
-is one contiguous run of w*lanes floats.  A dense convolution is one GEMM
-per band of output rows, of the band's windows [pixels, kh*kw*in lanes],
-copied from one strided view of the zero-bordered input into a window
-matrix of at most BAND_FLOATS floats, against every output lane at once; it
-writes the band's output rows itself.  A 1x1 conv at stride 1 and pad 0 is
-one GEMM on the input as it lies.  A grouped conv is a dense one whose
-operand is block diagonal, one block per group.  Depthwise convolution is
-one multiply-add per window tap over whole output rows.  Both conv schemes
-read one operand packed once (ConvWeights: the GEMM operand, the bias and
-ReLU maps, Winograd's transform) and end in one epilogue, bias_relu, per
-image.  conv_sliding and conv_winograd also take and return the paper's
-NC4HW4, re-laid around the same kernel (run_nhwc4).
+is one contiguous run of w*lanes floats.  Every windowed kernel pads its
+input through one function, border (a pool with its own fill), and the
+conv kernels read their windows through one strided view of it, windows.
+A dense convolution is one GEMM per band of output rows, of the band's
+windows [pixels, kh*kw*in lanes], copied into a window matrix of at most
+BAND_FLOATS floats, against every output lane at once; it writes the band's
+output rows itself.  A 1x1 conv at stride 1 and pad 0 is one GEMM on the
+input as it lies.  A grouped conv is a dense one whose operand is block
+diagonal, one block per group.  Depthwise convolution is one multiply-add
+per window tap over whole output rows.  Both conv schemes read one operand
+packed once (ConvWeights: the GEMM operand, the bias and ReLU maps,
+Winograd's transform) and end in one epilogue, bias_relu, per image.
+conv_sliding and conv_winograd also take and return the paper's NC4HW4,
+re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
 library's own threading inside each GEMM.
 """
@@ -46,7 +48,8 @@ class MatDims:
 
 @dataclass(frozen=True)
 class ConvParams:
-    """Convolution geometry; kernel/stride/pad are (height, width) pairs."""
+    """A conv's or a pool's window (graph.OpNode.params); kernel/stride/pad
+    are (height, width) pairs."""
 
     kh: int
     kw: int
@@ -595,20 +598,33 @@ def _band_rows(oh: int, row_floats: int) -> int:
     return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
 
 
-def zero_border(x: np.ndarray, top: int, left: int, hp: int,
-                wp: int) -> np.ndarray:
-    """NHWC data x at rows top.. and columns left.. of a zero-filled hp x wp
-    map; x itself when that map is x.  Only the border is zeroed."""
+def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
+           fill: float = 0.0) -> np.ndarray:
+    """NHWC data x at rows top.. and columns left.. of an hp x wp map whose
+    border is fill; x itself when that map is x.  Only the border is
+    filled."""
     n, h, w, c = x.shape
     if (top, left, hp, wp) == (0, 0, h, w):
         return x
     xp = np.empty((n, hp, wp, c), dtype=np.float32)
-    xp[:, :top] = 0.0
-    xp[:, top + h:] = 0.0
-    xp[:, top:top + h, :left] = 0.0
-    xp[:, top:top + h, left + w:] = 0.0
+    xp[:, :top] = fill
+    xp[:, top + h:] = fill
+    xp[:, top:top + h, :left] = fill
+    xp[:, top:top + h, left + w:] = fill
     xp[:, top:top + h, left:left + w] = x
     return xp
+
+
+def windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
+            ow: int) -> np.ndarray:
+    """The kh x kw windows of NHWC data xp at strides sh, sw as one view
+    [n, oh, ow, kh, kw, lanes]: [i, r, c, u, v] is xp[i, r*sh+u, c*sw+v].
+    Strides come from xp's shape: an empty pool view's own would overrun
+    its zero-byte buffer."""
+    n, hp, wp, c = xp.shape
+    row, col = 4 * c * wp, 4 * c
+    return np.ndarray((n, oh, ow, kh, kw, c), np.float32, xp, 0,
+                      (row * hp, row * sh, col * sw, row, col, 4))
 
 
 def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
@@ -627,19 +643,14 @@ def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                       out=out[img].reshape(oh * ow, opad))
             bias_relu(out[img], packed)
         return
-    hp, wp = h + 2 * p.pad_h, wd + 2 * p.pad_w
-    xp = zero_border(x, p.pad_h, p.pad_w, hp, wp)
-    # xp's byte strides from its shape: an empty pool view's overrun its buffer
-    row, col = 4 * cpad * wp, 4 * cpad
-    strides = (row * p.stride_h, col * p.stride_w, row, col, 4)
+    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
+    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
     band = _band_rows(oh, ow * k)
     win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     for img in range(n):
-        windows = np.ndarray((oh, ow, p.kh, p.kw, cpad), np.float32, xp,
-                             img * row * hp, strides)
         for r in range(0, oh, band):
             b = min(band, oh - r)
-            np.copyto(win[:b], windows[r:r + b])
+            np.copyto(win[:b], views[img, r:r + b])
             np.matmul(win[:b].reshape(b * ow, k), wmat,
                       out=out[img, r:r + b].reshape(b * ow, opad))
         bias_relu(out[img], packed)
@@ -652,14 +663,14 @@ def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     n, h, wd, _ = x.shape
     _, oh, ow, _ = out.shape
     wrow = packed.mats
-    xp = zero_border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
+    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
+    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
     prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
     for img in range(n):
         acc = out[img]  # [oh, ow, lanes]
         for tap in range(p.kh * p.kw):
             u, v = divmod(tap, p.kw)
-            win = xp[img, u:u + p.stride_h * oh:p.stride_h,
-                     v:v + p.stride_w * ow:p.stride_w]
+            win = views[img, :, :, u, v]
             if tap == 0:
                 np.multiply(win, wrow[u, v], out=acc)
             else:

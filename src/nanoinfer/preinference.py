@@ -33,7 +33,7 @@ from .kernels import (
     ConvParams, KernelWork, MatDims, pack_conv, pack_matmul_rows,
     pack_sliding, sliding_work, strassen_scratch_elems,
 )
-from .tensor import LANES, Shape, channel_blocks
+from .tensor import LANES, Layout, Shape, channel_blocks, data_shape
 from .winograd import (
     DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, WeightCache,
     generate_transforms, weight_transform, winograd_supported, winograd_work,
@@ -134,11 +134,9 @@ def mul_count(node: OpNode, shapes: dict[str, Shape]) -> int:
     """Multiply count of one operator; the complexity input of op_cost."""
     out = shapes[node.outputs[0]]
     if node.kind is OpKind.CONV2D:
-        n, out_c, oh, ow = out.dims
-        (kh, kw), _, _ = node.conv_geometry()
-        in_c = int(node.attrs["in_c"])
-        group = int(node.attrs.get("group", 1))
-        return n * oh * ow * out_c * (in_c // group) * kh * kw
+        n, _, oh, ow = out.dims
+        p = node.params()
+        return n * oh * ow * p.out_c * (p.in_c // p.group) * p.kh * p.kw
     if node.kind is OpKind.MATMUL:
         n = out.dims[0]
         return n * int(node.attrs["in_features"]) * int(node.attrs["out_features"])
@@ -160,13 +158,6 @@ class SchemeChoice:
         if self.kind is SchemeKind.WINOGRAD:
             return f"winograd{self.tile}"
         return self.kind.value
-
-
-def _conv_params(node: OpNode) -> ConvParams:
-    (kh, kw), (sh, sw), (ph, pw) = node.conv_geometry()
-    return ConvParams(kh, kw, sh, sw, ph, pw, int(node.attrs["in_c"]),
-                      int(node.attrs["out_c"]), int(node.attrs.get("group", 1)),
-                      node.attrs.get("activation", "none") == "relu")
 
 
 def conv_schemes(p: ConvParams) -> list[SchemeChoice]:
@@ -202,7 +193,7 @@ def scheme_cost(p: ConvParams, scheme: SchemeChoice,
 def scheme_costs(node: OpNode,
                  shapes: dict[str, Shape]) -> dict[SchemeChoice, float]:
     """scheme_cost of every runnable scheme of a conv, in conv_schemes order."""
-    p = _conv_params(node)
+    p = node.params()
     dims = shapes[node.inputs[0]].dims
     return {s: scheme_cost(p, s, dims) for s in conv_schemes(p)}
 
@@ -223,7 +214,7 @@ def pack_weights(node: OpNode, scheme: SchemeChoice | None,
     if node.kind is OpKind.MATMUL:
         _, c, h, wd = shapes[node.inputs[0]].dims
         return pack_matmul_rows(node.weights, c, h, wd)
-    p = _conv_params(node)
+    p = node.params()
     _, _, oh, ow = shapes[node.outputs[0]].dims
     if scheme.kind is SchemeKind.WINOGRAD:
         t = generate_transforms(scheme.tile, p.kh, spacing)
@@ -250,7 +241,7 @@ def op_work(node: OpNode, shapes: dict[str, Shape],
     """Work one op is billed at: a conv's planned scheme cost, else mul_count."""
     if scheme is None:
         return mul_count(node, shapes)
-    return scheme_cost(_conv_params(node), scheme, shapes[node.inputs[0]].dims)
+    return scheme_cost(node.params(), scheme, shapes[node.inputs[0]].dims)
 
 
 @dataclass(frozen=True)
@@ -367,13 +358,9 @@ def plan_intervals(items: list[tuple[str, int, int, int]],
 
 
 def packed_bytes(shape: Shape) -> int:
-    """Bytes of a shape stored as packed float32 (NHWC4 for rank 4, the same
-    bytes as NC4HW4)."""
-    dims = shape.dims
-    if len(dims) == 4:
-        n, c, h, w = dims
-        return n * channel_blocks(c) * h * w * LANES * 4
-    return shape.element_count * 4
+    """Bytes of a 4-d shape stored as NHWC4 float32 (the same bytes as
+    NC4HW4): the array a session shapes for it."""
+    return 4 * math.prod(data_shape(shape.dims, Layout.NHWC4))
 
 
 def strassen_dims(node: OpNode, shapes: dict[str, Shape]) -> MatDims | None:

@@ -10,8 +10,9 @@ matching row of G.  For (n=2, k=3, f=1) this reproduces the classical
 matrices up to per-row sign.
 
 The convolution (winograd_nhwc4) runs every tile of every image as one
-batch in one layout: gather the input patches from lane-padded NHWC data
-into [alpha, alpha * C * T], run Bt X B and then At M A as two GEMMs with
+batch in one layout: gather the input patches, the alpha x alpha windows at
+stride n of kernels.border's padded input, through kernels.windows into
+[alpha, alpha * C * T], run Bt X B and then At M A as two GEMMs with
 K = alpha each, one per patch axis, around one batched GEMM over channels
 on [alpha^2, C, T], and scatter the output tiles into the caller's NHWC4
 output array (a session passes the pool array), through a cropped padded
@@ -32,8 +33,8 @@ import numpy as np
 
 from .errors import ShapeMismatchError, UnsupportedSizeError
 from .kernels import (
-    LANES, ConvParams, ConvWeights, KernelWork, bias_relu, pack_conv,
-    run_nhwc4, zero_border,
+    LANES, ConvParams, ConvWeights, KernelWork, bias_relu, border, pack_conv,
+    run_nhwc4, windows,
 )
 from .tensor import Tensor, channel_blocks
 
@@ -208,7 +209,8 @@ def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
                + out * (1 + crop + p.relu)),
         # the patch gather and the scatter of output tiles
         shuffled=tiles * (cpad * a2 + opad * n_tile * n_tile),
-        # sliding_window_view alone takes as long as about 15 calls
+        # counted when the patch gather's view was NumPy's generic window
+        # view, about 15 calls' time; kept until the gather is re-measured
         calls=50)
 
 
@@ -319,11 +321,10 @@ def winograd_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     # pad the input so every alpha x alpha patch is in bounds, then gather
     # the patches [alpha, alpha * C * T]: patch row by (patch column,
     # channel lane, tile), tiles in (image, tile row, tile col) order
-    xp = zero_border(x, p.pad_h, p.pad_w, (tiles_h - 1) * nh + alpha,
-                     (tiles_w - 1) * nh + alpha)
-    patches = np.lib.stride_tricks.sliding_window_view(
-        xp, (alpha, alpha), axis=(1, 2)
-    )[:, ::nh, ::nh].transpose(4, 5, 3, 0, 1, 2).reshape(alpha, -1)
+    xp = border(x, p.pad_h, p.pad_w, (tiles_h - 1) * nh + alpha,
+                (tiles_w - 1) * nh + alpha)
+    patches = windows(xp, alpha, alpha, nh, nh, tiles_h, tiles_w).transpose(
+        3, 4, 5, 0, 1, 2).reshape(alpha, -1)
     del xp  # the reshape copied it
 
     # Bt X B, one GEMM per patch axis; the channel GEMM per tile point;

@@ -17,7 +17,7 @@ def winograd_planned(monkeypatch):
     cheapest = pre.select_scheme_for
 
     def select(node, shapes):
-        if tile6 in pre.conv_schemes(pre._conv_params(node)):
+        if tile6 in pre.conv_schemes(node.params()):
             return tile6
         return cheapest(node, shapes)
 

@@ -19,7 +19,7 @@ from nanoinfer.kernels import (
     strassen_should_recurse,
 )
 from nanoinfer.preinference import (
-    BackendSpec, CostModel, _conv_params, conv_schemes, gpu_cost_model,
+    BackendSpec, CostModel, conv_schemes, gpu_cost_model,
     op_cost, plan_for_candidate, pre_infer, scheme_cost, select_backend,
     select_schemes,
 )
@@ -366,7 +366,7 @@ def test_criterion_9_no_bottleneck_coverage():
         if node.kind is not OpKind.CONV2D:
             continue
         kernels_seen.add(tuple(node.attrs["kernel"]))
-        p = _conv_params(node)
+        p = node.params()
         x_in = values[node.inputs[0]]
         want = relayout(conv_sliding(x_in, node.weights, p, bias=node.bias),
                         Layout.NCHW)
@@ -396,7 +396,7 @@ def test_criterion_10_argmin_consistency():
             b.conv(kernel=k, out_c=oc, bias=False)
             g = b.build()
             node = g.nodes[0]
-            p = _conv_params(node)
+            p = node.params()
             dims = g.tensor_shapes[node.inputs[0]].dims
             # brute force: the first scheme of least cost over the list
             best, best_cost = None, None

@@ -16,7 +16,7 @@ from nanoinfer.errors import (
 )
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
-    CostModel, OpStep, SchemeChoice, SchemeKind, _conv_params, packed_bytes,
+    CostModel, OpStep, SchemeChoice, SchemeKind, packed_bytes,
     pre_infer,
 )
 from nanoinfer.presets import PRESETS, build_preset, resnet_mini
@@ -107,7 +107,7 @@ class TestBuffers:
         node = g.nodes[0]
         plan, peaks = step_heap_peaks(g, monkeypatch)
         assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
-        p = _conv_params(node)
+        p = node.params()
         padded = 4 * 66 * 66 * 16
         window = 4 * window_matrix_floats(p, 64, 64)
         assert window <= 4 * kernels.BAND_FLOATS
@@ -140,7 +140,7 @@ class TestBuffers:
                  else pointwise_conv_graph())
         plan, peaks = step_heap_peaks(g, monkeypatch)
         pointwise = [n.id for n in g.nodes if n.kind is OpKind.CONV2D
-                     and is_pointwise(_conv_params(n))]
+                     and is_pointwise(n.params())]
         if preset in ("mobilenet-mini", "squeezenet-mini", "pointwise"):
             assert pointwise
         assert {nid: peaks[nid] for nid in pointwise
@@ -225,7 +225,7 @@ def sliding_heap_bound(node, shapes):
     """Heap bytes a sliding-window conv step may take: the padded input,
     then one window matrix (dense or grouped) or one product buffer
     (depthwise), plus 96 KiB of slack."""
-    p = _conv_params(node)
+    p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
     cpad = channel_blocks(p.in_c) * LANES
     padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
@@ -341,7 +341,7 @@ class TestExecutions:
         b.conv(activation="relu", **conv)
         g = b.build()
         node = g.nodes[0]
-        p = _conv_params(node)
+        p = node.params()
         x = make_input(g)
         packed = pack_nc4hw4(x)
         for scheme in preinference.conv_schemes(p):

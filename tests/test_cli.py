@@ -10,7 +10,7 @@ from nanoinfer import cli
 from nanoinfer.backend import Session
 from nanoinfer.cli import COMPARE_ROUNDS, main
 from nanoinfer.graph import OpKind, fuse, load_model
-from nanoinfer.preinference import _conv_params, conv_schemes
+from nanoinfer.preinference import conv_schemes
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +319,7 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["max_rel_deviation"] <= 1e-3
         g = fuse(load_model(open(model_path, "rb").read()))
-        runnable = {n.id: {s.label() for s in conv_schemes(_conv_params(n))}
+        runnable = {n.id: {s.label() for s in conv_schemes(n.params())}
                     for n in g.nodes if n.kind is OpKind.CONV2D}
         assert {row["layer"] for row in payload["layers"]} == set(runnable)
         for row in payload["layers"]:
@@ -394,7 +394,7 @@ class TestCompare:
         for row in json.loads(out)["layers"]:
             layer = row["layer"]
             schemes = [s.label()
-                       for s in conv_schemes(_conv_params(nodes[layer]))]
+                       for s in conv_schemes(nodes[layer].params())]
             m = len(schemes)
             assert [label for lay, label in inits if lay == layer] == schemes
             mine = [(kind, label) for kind, (lay, label) in calls

@@ -8,7 +8,7 @@ from conftest import conv2d_reference
 from nanoinfer.backend import CpuBackend
 from nanoinfer.graph import GraphBuilder
 from nanoinfer.preinference import (
-    OpStep, SchemeKind, _conv_params, conv_schemes, pre_infer,
+    OpStep, SchemeKind, conv_schemes, pre_infer,
 )
 from nanoinfer.tensor import Layout, Tensor, data_shape, from_nchw, relayout
 
@@ -69,7 +69,7 @@ def test_every_scheme_matches_reference(case):
     scale = float(np.max(np.abs(pre))) + 1e-12
 
     out_shape = g.tensor_shapes[node.outputs[0]]
-    schemes = conv_schemes(_conv_params(node))
+    schemes = conv_schemes(node.params())
     assert plan.schemes[node.id] in schemes
     for scheme in schemes:
         execution = cpu.create_execution(

@@ -77,6 +77,16 @@ class TestLoadSave:
         with pytest.raises(GraphValidationError):
             load_model(save_model(g))
 
+    def test_graph_input_named_twice(self):
+        # the second entry once replaced the first without a word
+        b = GraphBuilder((1, 3, 4, 4), input_id="x", seed=0)
+        b.relu()
+        data = edit_header(save_model(b.build()), lambda h: h.update(inputs=[
+            {"id": "x", "shape": [1, 3, 4, 4]},
+            {"id": "x", "shape": [1, 5, 4, 4]}]))
+        with pytest.raises(ModelFormatError, match="graph input 'x'"):
+            load_model(data)
+
 
 def edit_header(data: bytes, change) -> bytes:
     """The model bytes with change(header) applied to the parsed header."""
@@ -248,6 +258,17 @@ class TestShapeInference:
         assert not b.nodes
         add(kernel=3, **extra, name="fits")
         assert b.shape_of(b.last)[2:] == (1, 1)
+
+    @pytest.mark.parametrize("stride,want", [
+        (None, (2, 3)), (1, (1, 1)), ([2, 1], (2, 1))])
+    def test_pool_params(self, stride, want):
+        attrs = {"kernel": [2, 3], "pad": 1, "mode": "avg"}
+        if stride is not None:
+            attrs["stride"] = stride
+        p = OpNode("p", OpKind.POOL2D, ["x"], ["y"], attrs).params()
+        assert (p.kh, p.kw, p.pad_h, p.pad_w) == (2, 3, 1, 1)
+        assert (p.stride_h, p.stride_w) == want
+        assert (p.in_c, p.out_c, p.group, p.relu) == (1, 1, 1, False)
 
     def test_add_mismatch(self):
         n1 = OpNode("c1", OpKind.CONV2D, ["input"], ["a"],
@@ -426,6 +447,26 @@ class TestFuse:
         outs = [run_session(plan, x) for plan in plans]
         for tid in g.outputs:
             assert np.array_equal(outs[0][tid].data, outs[1][tid].data)
+
+    def test_shaped_graph_is_not_walked_again(self, monkeypatch):
+        import nanoinfer.graph as graph_module
+
+        g = build_preset("resnet-mini")
+
+        def walk(graph):
+            raise AssertionError("fuse walked a shaped graph")
+        monkeypatch.setattr(graph_module, "infer_shapes", walk)
+        assert len(fuse(g).nodes) < len(g.nodes)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_shapes_equal_a_fresh_walk(self, preset):
+        fused = fuse(build_preset(preset))
+        fresh = infer_shapes(Graph(
+            nodes=fused.nodes, inputs=list(fused.inputs),
+            outputs=list(fused.outputs),
+            input_shapes=dict(fused.input_shapes)))
+        assert list(fused.tensor_shapes.items()) == list(
+            fresh.tensor_shapes.items())
 
 
 class TestTopology:

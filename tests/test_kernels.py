@@ -10,7 +10,7 @@ from nanoinfer.kernels import (
 )
 from nanoinfer.backend import CpuBackend, Session
 from nanoinfer.graph import GraphBuilder
-from nanoinfer.preinference import SchemeKind, _conv_params, pre_infer
+from nanoinfer.preinference import SchemeKind, pre_infer
 from nanoinfer.tensor import (
     LANES, Layout, channel_blocks, from_nchw, pack_nc4hw4, relayout,
     unpack_nc4hw4,
@@ -266,6 +266,31 @@ class TestConvSliding:
             assert np.all(y[:, 2] == 2.0)
 
 
+class TestWindows:
+    def test_view_is_the_window_at_each_stride(self, rng):
+        for _ in range(30):
+            kh, kw = (int(k) for k in rng.integers(1, 6, size=2))
+            sh, sw = (int(s) for s in rng.integers(1, 4, size=2))
+            oh, ow = (int(o) for o in rng.integers(1, 5, size=2))
+            n, lanes = int(rng.integers(1, 3)), LANES * int(rng.integers(1, 3))
+            # rows and columns past the last window, as Winograd's map has
+            hp, wp = ((oh - 1) * sh + kh + int(rng.integers(0, 3)),
+                      (ow - 1) * sw + kw + int(rng.integers(0, 3)))
+            xp = rng.standard_normal((n, hp, wp, lanes)).astype(np.float32)
+            views = kernels.windows(xp, kh, kw, sh, sw, oh, ow)
+            assert views.shape == (n, oh, ow, kh, kw, lanes)
+            for i, r, c, u, v in np.ndindex(n, oh, ow, kh, kw):
+                assert np.array_equal(views[i, r, c, u, v],
+                                      xp[i, r * sh + u, c * sw + v])
+
+    def test_empty_pool_view_of_no_lanes(self):
+        # a session's pool view of a 0-lane tensor: no bytes, yet strides
+        # as if it had lanes
+        x = np.zeros(0, np.uint8).view(np.float32).reshape(2, 9, 9, 0)
+        views = kernels.windows(x, 3, 2, 2, 3, 4, 3)
+        assert views.shape == (2, 4, 3, 3, 2, 0)
+
+
 # (kernel, stride, pad, in_c, out_c, group, input h, w): on two images,
 # each conv's output rows split into several bands of kernels.BAND_FLOATS
 # floats, the last one partial
@@ -283,7 +308,7 @@ def dense_results(g, x):
     """The output of g's one conv on NCHW x as a session step runs it, then
     as conv_sliding does on NHWC4 and on NC4HW4 input, all NCHW."""
     node = g.nodes[0]
-    p = _conv_params(node)
+    p = node.params()
     cpu = CpuBackend()
     plan = pre_infer(g, [cpu.spec()])
     assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
@@ -306,7 +331,7 @@ def test_dense_bands_match_direct_conv(case, rng):
            activation="relu")
     g = b.build()
     node = g.nodes[0]
-    p = _conv_params(node)
+    p = node.params()
     oh, ow = p.out_size(h, w)
     band = kernels._band_rows(oh, ow * p.kh * p.kw * channel_blocks(in_c)
                               * LANES)

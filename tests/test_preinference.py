@@ -6,7 +6,7 @@ from nanoinfer.errors import GraphValidationError
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
-    T_SCHEDULE_VULKAN_MS, _conv_params, conv_schemes, gpu_cost_model,
+    T_SCHEDULE_VULKAN_MS, conv_schemes, gpu_cost_model,
     SchemeChoice, mul_count, op_cost, op_work, packed_bytes,
     plan_for_candidate, plan_intervals, plan_memory, pre_infer, scheme_cost,
     scheme_costs, select_backend, select_scheme_for, select_schemes,
@@ -216,7 +216,7 @@ class TestSelectSchemes:
         choice = select_schemes(g)[node.id]
         assert choice == min(costs, key=costs.get)
         assert costs[choice] == scheme_cost(
-            _conv_params(node), choice, g.tensor_shapes[node.inputs[0]].dims)
+            node.params(), choice, g.tensor_shapes[node.inputs[0]].dims)
 
     def test_zero_channels_k2_falls_back_to_sliding(self):
         b = GraphBuilder((1, 0, 8, 8), seed=0)
@@ -244,7 +244,7 @@ class TestSelectSchemes:
         for node in g.nodes:
             if node.kind is OpKind.CONV2D:
                 assert select_scheme_for(node, g.tensor_shapes) \
-                    in conv_schemes(_conv_params(node)), node.id
+                    in conv_schemes(node.params()), node.id
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_cpu_flops_leave_schemes_unchanged(self, preset):
@@ -358,7 +358,7 @@ class TestPreInfer:
         plan = pre_infer(g, [CPU])
         node = g.nodes[0]
         assert plan.schemes[node.id] == winograd_planned
-        work = scheme_cost(_conv_params(node), winograd_planned,
+        work = scheme_cost(node.params(), winograd_planned,
                            g.tensor_shapes[node.inputs[0]].dims)
         assert plan.op_costs[node.id] == pytest.approx(op_cost(work, CPU.cost))
         assert plan.op_costs[node.id] != pytest.approx(

@@ -46,9 +46,7 @@ from nanoinfer.kernels import (  # noqa: E402
     MatDims, matmul_direct, matmul_strassen, strassen_recursion_depth,
     strassen_scratch_elems,
 )
-from nanoinfer.preinference import (  # noqa: E402
-    _conv_params, pre_infer, scheme_work,
-)
+from nanoinfer.preinference import pre_infer, scheme_work  # noqa: E402
 from nanoinfer.presets import PRESETS, build_preset  # noqa: E402
 from nanoinfer.tensor import from_nchw  # noqa: E402
 
@@ -171,7 +169,7 @@ WEIGHTS = ("SMALL_PRODUCT_COST", "MOVE_COST", "SHUFFLE_COST", "CALL_COST")
 
 def features(plan, node, scheme):
     dims = plan.graph.tensor_shapes[node.inputs[0]].dims
-    return astuple(scheme_work(_conv_params(node), scheme, dims))
+    return astuple(scheme_work(node.params(), scheme, dims))
 
 
 def engine_weights():
