@@ -15,11 +15,14 @@ with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, and Softmax works on the pool
-arrays as [pixels, lanes] matrices.  The kernels' temporaries (inputs
-padded by kernels.border, pools' included, a dense conv's window matrix,
-depthwise's product buffer, Winograd's patches and tiles, MatMul's product)
-are still heap allocations on every run, and so is the NCHW round trip of a
-Reshape that changes the shape (graph.fuse drops the identity ones).
+arrays as [pixels, lanes] matrices.  The pools and the staging buffers
+start on a 64 B cache line (aligned_zeros), as every pool offset does.  The
+kernels' temporaries (a sliding-window conv's slab of bordered input rows
+and its window matrix or depthwise's flat-pitch row buffers, the bordered
+inputs of pools and of Winograd, Winograd's patches and tiles, MatMul's
+product) are still heap allocations on every run, and so is the NCHW round
+trip of a Reshape that changes the shape (graph.fuse drops the identity
+ones).
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ from .tensor import (
     Layout, Tensor, channel_blocks, data_shape, from_nchw, relayout,
 )
 from .winograd import winograd_nhwc4
+
+
+ALIGNMENT = 64  # bytes: a cache line, as plan_memory aligns pool offsets
+
+
+def aligned_zeros(nbytes: int) -> np.ndarray:
+    """nbytes zeroed bytes that start on an ALIGNMENT boundary."""
+    raw = np.zeros(nbytes + ALIGNMENT, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGNMENT
+    return raw[start:start + nbytes]
 
 
 class Backend:
@@ -75,8 +88,9 @@ class Backend:
         return self.acquire_count - self.release_count
 
     def set_pool(self, nbytes: int) -> None:
-        """Allocate the backing pool once; planned acquires slice into it."""
-        self._pool = np.zeros(max(nbytes, 0), dtype=np.uint8)
+        """Allocate the backing pool once, cache-line aligned; planned
+        acquires slice into it."""
+        self._pool = aligned_zeros(max(nbytes, 0))
         self._pool_size = nbytes
         self.alloc_count += 1
 
@@ -86,14 +100,15 @@ class Backend:
 
         With an offset the view comes from the pre-planned pool; pool
         overruns are a planner bug and fail loudly, naming the owner op.
-        Without an offset a fresh buffer is allocated (and counted).
+        Without an offset a fresh, cache-line aligned buffer is allocated
+        (and counted).
         """
         if nbytes < 0:
             raise PoolExhaustedError(f"negative buffer size for {owner!r}")
         self.acquire_count += 1
         if offset is None:
             self.alloc_count += 1
-            return np.zeros(nbytes // 4, dtype=np.float32)
+            return aligned_zeros(nbytes // 4 * 4).view(np.float32)
         if self._pool is None or offset + nbytes > self._pool_size:
             raise PoolExhaustedError(
                 f"op {owner!r} needs [{offset}, {offset + nbytes}) beyond the "
@@ -159,7 +174,8 @@ def _packed_weights(step: OpStep, plan: ExecutionPlan):
     return plan.weight_cache.get(
         weight_key(node, step.scheme),
         compute=lambda: pack_weights(node, step.scheme,
-                                     plan.graph.tensor_shapes, plan.spacing))
+                                     plan.graph.tensor_shapes, plan.spacing,
+                                     plan.zeros))
 
 
 def _build_matmul_execution(step: OpStep, plan: ExecutionPlan):

@@ -3,17 +3,24 @@
 Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
 a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
 is one contiguous run of w*lanes floats.  Every windowed kernel pads its
-input through one function, border (a pool with its own fill), and the
-conv kernels read their windows through one strided view of it, windows.
-A dense convolution is one GEMM per band of output rows, of the band's
-windows [pixels, kh*kw*in lanes], copied into a window matrix of at most
-BAND_FLOATS floats, against every output lane at once; it writes the band's
-output rows itself.  A 1x1 conv at stride 1 and pad 0 is one GEMM on the
-input as it lies.  A grouped conv is a dense one whose operand is block
-diagonal, one block per group.  Depthwise convolution is one multiply-add
-per window tap over whole output rows.  Both conv schemes read one operand
-packed once (ConvWeights: the GEMM operand, the bias and ReLU maps,
-Winograd's transform) and end in one epilogue, bias_relu, per image.
+input through one function, border (a pool with its own fill), which also
+fills one range of the bordered map's rows into a buffer the caller
+supplies, and the conv kernels read their windows through one strided view
+of it, windows.  A sliding-window conv walks its output in slabs of rows
+(slab_rows): each slab's bordered input rows go into one buffer of at most
+BAND_FLOATS floats, reused slab after slab, or the whole bordered map when
+it fits.  A dense convolution is one GEMM per band of output rows, of the
+band's windows [pixels, kh*kw*in lanes], copied out of the slab into a
+window matrix of at most BAND_FLOATS floats, against every output lane at
+once; it writes the band's output rows itself, and a slab holds whole
+bands.  A 1x1 conv at stride 1 and pad 0 is one GEMM on the input as it
+lies.  A grouped conv is a dense one whose operand is block diagonal, one
+block per group.  Depthwise convolution at stride 1 is one multiply-add per
+window tap over a flat-pitch run of the slab, its sums cropped into the
+output once per slab; at other strides one per tap over whole output rows
+of the windows' view.  Both conv schemes read one operand packed once
+(ConvWeights: the GEMM operand, the bias and ReLU maps, Winograd's
+transform) and end in one epilogue, bias_relu, per image.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -165,26 +172,39 @@ output rows (a padded copy, one window copy and one GEMM with K = taps x
 input lanes per band, two calls per band, no per-tap sums and no store):
 rank (one thread, 7 rounds) still finds 27 of 27 preset convs within the
 margin, every one planned and fastest on sliding window, so the constants
-stay.  Recalibrate on other hardware with that script.
+stay.  Recounted when sliding window went slab by slab (per extra slab a
+border's calls and the rows it copies again; depthwise at stride 1 its
+multiplies and sums over whole bordered rows and one crop): rank (one
+thread, 3 rounds) still finds 27 of 27 preset convs within the margin, so
+the constants stay.  Recalibrate on other hardware with that script.
 """
 
 BAND_FLOATS = 32768
-"""Most floats in the window matrix of one band of a dense conv (128 KiB).
+"""Most floats in one slab of a sliding-window conv's bordered input rows,
+and in the window matrix of one band of a dense conv (128 KiB each).
 
-A band is the most output rows whose windows fit, at least one, so the band
-depends on the conv's geometry only, and a step gives the same bits however
-it is called.  Measured as medians of each dense step of the resnet-mini
-topology in one running session, the band sizes alternating in one process
-(2-vCPU x86-64 VM, 48 KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one
-thread, 16-40 rounds of 10 runs).  The dense steps summed, at 16,384,
-32,768, 65,536 floats and a whole map per band: 2.40, 1.93, 2.08 and 2.10 ms
-at 64x64 input, 0.61, 0.57, 0.57 and 0.56 ms at 32x32; one GEMM per window
-tap, with output-sized accumulators, took 2.39 and 0.61 ms.  At 8,192 the
-32x32 sum was 0.83 ms.  A smaller band pays more calls, a larger one leaves
-the cache, and a whole map per band would hold 2.25 MiB at 64x64.  At 32x32
+A band is the most output rows whose window matrix fits, at least one; a
+conv takes the fewest slabs whose rows fit (a whole number of bands each,
+at least one), spread evenly.  Both depend on the conv's geometry only, so
+a step gives the same bits however it is called, and a depthwise conv's
+bits do not depend on its slabs at all.  The band size was measured as
+medians of each dense step of the resnet-mini topology in one running
+session, the band sizes alternating in one process (2-vCPU x86-64 VM, 48
+KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one thread, 16-40 rounds of
+10 runs).  The dense steps summed, at 16,384, 32,768, 65,536 floats and a
+whole map per band: 2.40, 1.93, 2.08 and 2.10 ms at 64x64 input, 0.61,
+0.57, 0.57 and 0.56 ms at 32x32; one GEMM per window tap, with
+output-sized accumulators, took 2.39 and 0.61 ms.  At 8,192 the 32x32 sum
+was 0.83 ms.  A smaller band pays more calls, a larger one leaves the
+cache, and a whole map per band would hold 2.25 MiB at 64x64.  At 32x32
 res0a, res0b and res1b still ran 5-9% slower than per tap (0.14 against
 0.13 ms at res0a): copying the windows costs about as much as the per-tap
-sums it replaces.  Re-measure on other hardware.
+sums it replaces.  Slabs of the same size, against the whole bordered map
+in one (same session, 20 alternating rounds of 10 runs): the 64x64
+resnet-mini run 2.93 against 3.23 ms (res1a 0.33 against 0.42 ms), while
+mobilenet-mini's dw2, in two slabs, took 257 against 222 us in one; every
+32x32 dense conv and dw0 and dw1 fit one slab.  Re-measure on other
+hardware.
 """
 
 
@@ -415,16 +435,17 @@ def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
     return packed
 
 
-def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, ow: int) -> np.ndarray:
-    """[c, 1, kh, kw] -> [kh, kw, ow, lanes]: each tap's weights repeated
-    along the output row, so the depthwise multiply runs over ow*lanes
-    contiguous floats, not lanes."""
+def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, wp: int) -> np.ndarray:
+    """[c, 1, kh, kw] -> [kh, kw, wp, lanes]: each tap's weights repeated
+    along one bordered input row of wp pixels, so the depthwise multiply
+    runs over whole rows of wp*lanes contiguous floats, not lanes (the first
+    ow pixels at strides other than 1)."""
     c = p.in_c
     taps = np.zeros((p.kh, p.kw, channel_blocks(c) * LANES), dtype=np.float32)
     taps[:, :, :c] = w.astype(np.float32).reshape(c, p.kh, p.kw).transpose(
         1, 2, 0)
     return np.ascontiguousarray(np.broadcast_to(
-        taps[:, :, None], (p.kh, p.kw, ow, taps.shape[2])))
+        taps[:, :, None], (p.kh, p.kw, wp, taps.shape[2])))
 
 
 def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
@@ -435,50 +456,72 @@ def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
     return full
 
 
+def zero_map(floats: int) -> np.ndarray:
+    """A read-only buffer of `floats` zeros: ReLU convs read prefix views
+    of one such buffer (pack_conv)."""
+    zeros = np.zeros(floats, dtype=np.float32)
+    zeros.flags.writeable = False
+    return zeros
+
+
 @dataclass(frozen=True)
 class ConvWeights:
     """The operand a conv kernel reads, packed once, for either scheme.
 
-    ``mats`` is the GEMM operand: sliding window's [kh, kw, ow, in lanes]
-    for a depthwise conv, else [kh*kw, in lanes, out lanes], block diagonal
-    over a grouped conv's groups and multiplied as one [kh*kw*in lanes, out
-    lanes] matrix; Winograd's [alpha^2, out lanes, in lanes] in the domain
-    of ``transform`` (None for sliding window).  ``bias`` is the bias padded
-    to whole 4-lane blocks at every pixel of one output image, [oh, ow, out
-    lanes], and ``zero`` a zero map of that shape if the conv applies ReLU.
-    NumPy adds or compares two arrays of one shape in one contiguous pass,
-    2-3x as fast as against a broadcast row or scalar, and without the 32 KiB
-    iterator buffer a broadcast operand allocates.
+    ``mats`` is the GEMM operand: sliding window's [kh, kw, wp, in lanes]
+    for a depthwise conv (each tap's weights repeated over one bordered
+    input row of wp pixels), else [kh*kw, in lanes, out lanes], block
+    diagonal over a grouped conv's groups and multiplied as one [kh*kw*in
+    lanes, out lanes] matrix; Winograd's [alpha^2, out lanes, in lanes] in
+    the domain of ``transform`` (None for sliding window).  ``bias`` is the
+    bias padded to whole 4-lane blocks at every pixel of one output image,
+    [oh, ow, out lanes], and ``zero`` a read-only zero map of that shape if
+    the conv applies ReLU: a prefix view of a zero buffer that every ReLU
+    conv of a plan shares.  NumPy adds or compares two arrays of one shape
+    in one contiguous pass, 2-3x as fast as against a broadcast row or
+    scalar, and without the 32 KiB iterator buffer a broadcast operand
+    allocates.  ``slab_rows`` is sliding window's output rows per slab
+    (slab_rows), fixed with the conv's geometry.
     """
 
     mats: np.ndarray
     bias: np.ndarray | None
     zero: np.ndarray | None
     transform: WinogradTransform | None = None
+    slab_rows: int = 0
 
 
 def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
               oh: int, ow: int,
-              transform: WinogradTransform | None = None) -> ConvWeights:
+              transform: WinogradTransform | None = None,
+              zeros: np.ndarray | None = None,
+              slab_rows: int = 0) -> ConvWeights:
     """The operand of a conv with GEMM operand mats and this bias, at
-    output size oh x ow."""
+    output size oh x ow.  A ReLU conv's zero map is a prefix of ``zeros``,
+    a zero_map of at least one output image, else of its own."""
     opad = channel_blocks(p.out_c) * LANES
     lanes = _padded_bias(bias, p.out_c)
+    zero = None
+    if p.relu:
+        floats = oh * ow * opad
+        zero = (zero_map(floats) if zeros is None
+                else zeros[:floats]).reshape(oh, ow, opad)
     return ConvWeights(
         mats,
         None if lanes is None else np.ascontiguousarray(
             np.broadcast_to(lanes, (oh, ow, opad))),
-        np.zeros((oh, ow, opad), dtype=np.float32) if p.relu else None,
-        transform)
+        zero, transform, slab_rows)
 
 
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
-                 oh: int, ow: int) -> ConvWeights:
-    """Sliding window's operand for weights w and bias at output size oh x
-    ow."""
-    mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
+                 n: int, h: int, wd: int,
+                 zeros: np.ndarray | None = None) -> ConvWeights:
+    """Sliding window's operand for weights w and bias on n images of h x
+    wd."""
+    mats = (_pack_depthwise_rows(w, p, wd + 2 * p.pad_w) if p.depthwise
             else _pack_weight_columns(w, p))
-    return pack_conv(mats, p, bias, oh, ow)
+    return pack_conv(mats, p, bias, *p.out_size(h, wd), zeros=zeros,
+                     slab_rows=slab_rows(p, n, h, wd))
 
 
 def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
@@ -544,7 +587,8 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
             f"weight shape {w.shape} != "
             f"{(p.out_c, p.in_c // p.group, p.kh, p.kw)}"
         )
-    packed = pack_sliding(w, p, bias, *p.out_size(*x.shape[2:]))
+    n, _, h, wd = x.shape
+    packed = pack_sliding(w, p, bias, n, h, wd)
     return run_nhwc4(sliding_nhwc4, x, packed, p, out)
 
 
@@ -567,20 +611,36 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     out = n * opad * pix
     if out == 0:
         return KernelWork(calls=3)
-    # the padded input, every element written once; pad 0 reads x in place
-    padded = (n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
-              if p.pad_h or p.pad_w else 0)
+    rows, hp, wp = slab_rows(p, n, h, w), h + 2 * p.pad_h, w + 2 * p.pad_w
+    slabs = -(-oh // rows)
+    # the bordered input rows, every element written once: one slab is the
+    # whole map (none for a conv at pad 0 that reads x as it lies), and
+    # more slabs each copy the rows their output rows read, the rows two
+    # slabs share twice, into one buffer, with a border's calls each
+    flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
+    copied = 0
+    if flat or p.pad_h or p.pad_w:
+        copied = n * wp * cpad * (
+            hp if slabs == 1 else (oh - slabs) * p.stride_h + slabs * p.kh)
+    epilogue = (1 + p.relu) * out
     if p.depthwise:
-        # per tap a multiply into the output or the product buffer, then
-        # (after the first) its sum; the bias and ReLU passes
-        return KernelWork(
-            moved=padded + n * (2 * taps + p.relu) * pix * cpad,
-            calls=10 + n * 2 * taps)
+        if flat:
+            # per tap a multiply over whole bordered rows of wp pixels into
+            # a row buffer, then (after the first) its sum; one crop of the
+            # sums into the output
+            moved = (2 * taps - 1) * n * oh * wp * cpad + n * pix * cpad
+        else:
+            # per tap a multiply into the output or the product buffer,
+            # then (after the first) its sum
+            moved = (2 * taps - 1) * n * pix * cpad
+        return KernelWork(moved=copied + moved + epilogue,
+                          calls=10 + flat + 7 * (slabs - 1) + n * (
+                              (2 * taps - 1 + flat) * slabs + 1 + p.relu))
     # one GEMM over every output pixel with K = taps x input lanes, into the
     # output itself; a grouped conv's runs over every lane of its
     # block-diagonal operand.  Bias and ReLU passes over the output.
     k = taps * cpad
-    gemm, epilogue = n * pix * k * opad, (1 + p.relu) * out
+    gemm = n * pix * k * opad
     if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
             1, 1, 1, 1, 0, 0):
         # the input as it lies: one GEMM per image
@@ -588,8 +648,8 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
                           calls=10 + n * (2 + p.relu))
     # each band copies its windows into the window matrix, then one GEMM
     bands = -(-oh // _band_rows(oh, ow * k))
-    return KernelWork(gemm=gemm, moved=padded + n * pix * k + epilogue,
-                      calls=10 + n * (2 * bands + 1 + p.relu))
+    return KernelWork(gemm=gemm, moved=copied + n * pix * k + epilogue,
+                      calls=10 + 7 * (slabs - 1) + n * (2 * bands + 1 + p.relu))
 
 
 def _band_rows(oh: int, row_floats: int) -> int:
@@ -598,20 +658,58 @@ def _band_rows(oh: int, row_floats: int) -> int:
     return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
 
 
+def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
+    """Output rows per slab of a sliding-window conv on n images of h x w.
+
+    A slab is the bordered input rows that some output rows of every image
+    read, copied into one buffer the kernel reuses.  A conv takes the
+    fewest slabs that fit BAND_FLOATS (at least one band of a dense conv,
+    or one row, per slab), then spreads its output rows evenly over them in
+    whole bands, so the buffers are no larger than that count needs.  At
+    stride 1 a depthwise slab holds (kw-1)*lanes floats more, which its
+    last tap's run reads past the rows.  Any other conv at pad 0 reads its
+    input as it lies, in one slab.
+    """
+    oh, ow = p.out_size(h, w)
+    flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
+    if not (flat or p.pad_h or p.pad_w):
+        return oh
+    lanes = channel_blocks(p.in_c) * LANES
+    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
+    row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
+    room = BAND_FLOATS - ((p.kw - 1) * lanes if flat else 0)
+    units = -(-oh // unit)
+    most = max(1, min(units, ((room // max(1, row) - p.kh) // p.stride_h + 1)
+                      // unit))
+    return min(oh, unit * -(-units // -(-units // most)))
+
+
 def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
-           fill: float = 0.0) -> np.ndarray:
-    """NHWC data x at rows top.. and columns left.. of an hp x wp map whose
-    border is fill; x itself when that map is x.  Only the border is
-    filled."""
+           fill: float = 0.0, rows: tuple[int, int] | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Rows a..b (``rows``; all hp by default) of an hp x wp map whose border
+    is fill and which holds NHWC data x at rows top.. and columns left..,
+    as [n, b-a, wp, lanes].  They are written to the start of ``out``, a
+    flat float32 buffer, when given, else to a new array, or are x itself
+    when the map is x.  Only the border is filled."""
     n, h, w, c = x.shape
-    if (top, left, hp, wp) == (0, 0, h, w):
-        return x
-    xp = np.empty((n, hp, wp, c), dtype=np.float32)
-    xp[:, :top] = fill
-    xp[:, top + h:] = fill
-    xp[:, top:top + h, :left] = fill
-    xp[:, top:top + h, left + w:] = fill
-    xp[:, top:top + h, left:left + w] = x
+    if rows is None:  # the whole map: x is its rows top..top+h
+        if out is None and (top, left, hp, wp) == (0, 0, h, w):
+            return x
+        a, b, lo, hi, inner = 0, hp, top, top + h, x
+    else:  # the map's rows a..b that hold x are xp's rows lo..hi
+        a, b = rows
+        lo, hi = min(max(top - a, 0), b - a), min(max(top + h - a, 0), b - a)
+        inner = x[:, a + lo - top:a + hi - top]
+    if out is None:
+        xp = np.empty((n, b - a, wp, c), dtype=np.float32)
+    else:
+        xp = out[:n * (b - a) * wp * c].reshape(n, b - a, wp, c)
+    xp[:, :lo] = fill
+    xp[:, hi:] = fill
+    xp[:, lo:hi, :left] = fill
+    xp[:, lo:hi, left + w:] = fill
+    xp[:, lo:hi, left:left + w] = inner
     return xp
 
 
@@ -627,11 +725,22 @@ def windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
                       (row * hp, row * sh, col * sw, row, col, 4))
 
 
+def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray,
+                 slack: int = 0) -> np.ndarray:
+    """An empty buffer for one slab of `rows` output rows of x's images,
+    bordered, and `slack` floats more."""
+    n, _, wd, c = x.shape
+    return np.empty(n * ((rows - 1) * p.stride_h + p.kh)
+                    * (wd + 2 * p.pad_w) * c + slack, dtype=np.float32)
+
+
 def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 out: np.ndarray) -> None:
-    """Dense or grouped conv of NHWC4 data x into out: per band of output
-    rows, one copy of its windows into a window matrix [pixels, kh*kw*in
-    lanes] and one GEMM of it against every output lane into those rows."""
+    """Dense or grouped conv of NHWC4 data x into out, slab by slab (its
+    bordered input rows in one reused buffer, or the whole map in one):
+    per band of output rows, one copy of its windows into a window matrix
+    [pixels, kh*kw*in lanes] and one GEMM of it against every output lane
+    into those rows."""
     n, h, wd, cpad = x.shape
     _, oh, ow, opad = out.shape
     k = p.kh * p.kw * cpad
@@ -643,37 +752,129 @@ def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                       out=out[img].reshape(oh * ow, opad))
             bias_relu(out[img], packed)
         return
-    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
-    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
     band = _band_rows(oh, ow * k)
+    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
+    if rows >= oh:  # one slab: the whole bordered map
+        views = windows(border(x, p.pad_h, p.pad_w, hp, wp), p.kh, p.kw,
+                        p.stride_h, p.stride_w, oh, ow)
+        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
+        for img in range(n):
+            _dense_bands(views, img, 0, win, wmat, out)
+            bias_relu(out[img], packed)
+        return
+    buf = _slab_buffer(p, rows, x)
     win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
+    for r0 in range(0, oh, rows):
+        b = min(rows, oh - r0)
+        xs = border(x, p.pad_h, p.pad_w, hp, wp, rows=(
+            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh), out=buf)
+        views = windows(xs, p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        for img in range(n):
+            _dense_bands(views, img, r0, win, wmat, out)
     for img in range(n):
-        for r in range(0, oh, band):
-            b = min(band, oh - r)
-            np.copyto(win[:b], views[img, r:r + b])
-            np.matmul(win[:b].reshape(b * ow, k), wmat,
-                      out=out[img, r:r + b].reshape(b * ow, opad))
         bias_relu(out[img], packed)
+
+
+def _dense_bands(views: np.ndarray, img: int, r0: int, win: np.ndarray,
+                 wmat: np.ndarray, out: np.ndarray) -> None:
+    """Output rows r0.. of image img from their windows, views [n, b, ow,
+    kh, kw, lanes]: per band of win's rows, one copy of its windows into win
+    and one GEMM against wmat into those rows of out."""
+    b, ow = views.shape[1:3]
+    band, k, opad = len(win), len(wmat), out.shape[3]
+    for r in range(0, b, band):
+        bb = min(band, b - r)
+        np.copyto(win[:bb], views[img, r:r + bb])
+        np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                  out=out[img, r0 + r:r0 + r + bb].reshape(bb * ow, opad))
 
 
 def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                     out: np.ndarray) -> None:
-    """Depthwise conv of NHWC4 data x into out, one multiply per tap over
-    whole output rows of ow*lanes floats; the first tap writes out."""
+    """Depthwise conv of NHWC4 data x into out, slab by slab, one multiply
+    per window tap; at stride 1 on flat-pitch runs (_depthwise_flat), else
+    on the windows' view, where the first tap writes out."""
+    if (p.stride_h, p.stride_w) == (1, 1):
+        _depthwise_flat(x, packed, p, out)
+        return
     n, h, wd, _ = x.shape
     _, oh, ow, _ = out.shape
-    wrow = packed.mats
-    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
-    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
-    prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
+    wrow = packed.mats[:, :, :ow]
+    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
+    prod = np.empty_like(out[0, :rows]) if p.kh * p.kw > 1 else None
+    if rows >= oh:
+        _depthwise_taps(windows(border(x, p.pad_h, p.pad_w, hp, wp), p.kh,
+                                p.kw, p.stride_h, p.stride_w, oh, ow),
+                        0, wrow, prod, out)
+    else:
+        buf = _slab_buffer(p, rows, x)
+        for r0 in range(0, oh, rows):
+            b = min(rows, oh - r0)
+            xs = border(x, p.pad_h, p.pad_w, hp, wp, rows=(
+                r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh), out=buf)
+            _depthwise_taps(windows(xs, p.kh, p.kw, p.stride_h, p.stride_w,
+                                    b, ow), r0, wrow, prod, out)
     for img in range(n):
-        acc = out[img]  # [oh, ow, lanes]
-        for tap in range(p.kh * p.kw):
-            u, v = divmod(tap, p.kw)
+        bias_relu(out[img], packed)
+
+
+def _depthwise_taps(views: np.ndarray, r0: int, wrow: np.ndarray,
+                    prod: np.ndarray | None, out: np.ndarray) -> None:
+    """Output rows r0.. of every image from their windows, views [n, b,
+    ow, kh, kw, lanes]: per tap one multiply by its weights wrow [kh, kw,
+    ow, lanes], into out or prod, then prod's sum into out."""
+    n, b, _, kh, kw = views.shape[:5]
+    for img in range(n):
+        acc = out[img, r0:r0 + b]  # [b, ow, lanes]
+        for tap in range(kh * kw):
+            u, v = divmod(tap, kw)
             win = views[img, :, :, u, v]
             if tap == 0:
                 np.multiply(win, wrow[u, v], out=acc)
             else:
-                np.multiply(win, wrow[u, v], out=prod)
-                acc += prod
-        bias_relu(acc, packed)
+                np.multiply(win, wrow[u, v], out=prod[:b])
+                acc += prod[:b]
+
+
+def _depthwise_flat(x: np.ndarray, packed: ConvWeights, p: ConvParams,
+                    out: np.ndarray) -> None:
+    """A depthwise conv at stride 1 on flat-pitch runs of its slabs.
+
+    Output pixel (r, j) of a slab sits at r*pitch + j*lanes of a row buffer
+    [rows, pitch] of whole bordered rows, pitch = wp*lanes, and tap (u, v)
+    adds the slab's run starting u*pitch + v*lanes further on, times the
+    tap's weights repeated over one bordered row: one contiguous run per
+    tap.  Columns past ow are junk, and each slab's sums are cropped into
+    out once.
+    """
+    n, h, wd, lanes = x.shape
+    _, oh, ow, _ = out.shape
+    kh, taps = p.kh, p.kh * p.kw
+    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
+    pitch, owl = wp * lanes, ow * lanes
+    wrow = packed.mats.reshape(taps, pitch)
+    runs = [u * pitch + v * lanes for u in range(kh) for v in range(p.kw)]
+    buf = _slab_buffer(p, rows, x, (p.kw - 1) * lanes)
+    # the last image's last run reads past its rows, into columns past ow
+    # only: zeros there, or rows of an earlier slab
+    buf[n * (rows + kh - 1) * pitch:] = 0.0
+    acc = np.empty((rows, pitch), dtype=np.float32)
+    prod = np.empty_like(acc) if taps > 1 else acc  # no products of 1 tap
+    for r0 in range(0, oh, rows):
+        b = min(rows, oh - r0)
+        span = (b + kh - 1) * pitch
+        border(x, p.pad_h, p.pad_w, hp, wp, rows=(r0, r0 + b + kh - 1),
+               out=buf)
+        sums, prods = acc[:b], prod[:b]
+        for img in range(n):
+            for tap, at in enumerate(runs):
+                at += img * span
+                run = buf[at:at + b * pitch].reshape(b, pitch)
+                if tap == 0:
+                    np.multiply(run, wrow[0], out=sums)
+                else:
+                    np.multiply(run, wrow[tap], out=prods)
+                    np.add(sums, prods, out=sums)
+            np.copyto(out[img, r0:r0 + b].reshape(b, owl), sums[:, :owl])
+    for img in range(n):
+        bias_relu(out[img], packed)

@@ -27,11 +27,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
     ConvParams, KernelWork, MatDims, pack_conv, pack_matmul_rows,
-    pack_sliding, sliding_work, strassen_scratch_elems,
+    pack_sliding, sliding_work, strassen_scratch_elems, zero_map,
 )
 from .tensor import LANES, Layout, Shape, channel_blocks, data_shape
 from .winograd import (
@@ -205,22 +207,34 @@ def weight_key(node: OpNode, scheme: SchemeChoice | None) -> tuple[str, str]:
 
 
 def pack_weights(node: OpNode, scheme: SchemeChoice | None,
-                 shapes: dict[str, Shape], spacing: float):
+                 shapes: dict[str, Shape], spacing: float,
+                 zeros: np.ndarray | None = None):
     """A node's weights as the kernel running `scheme` reads them: a
     MatMul's in packed row order (kernels.pack_matmul_rows), a conv's as
     one kernels.ConvWeights operand with its bias and ReLU maps, holding
     sliding window's packed weights (kernels.pack_sliding) or Winograd's
-    transformed weights and transform at the tile."""
+    transformed weights and transform at the tile.  A ReLU conv's zero map
+    is a view of ``zeros`` (relu_zeros) when given."""
     if node.kind is OpKind.MATMUL:
         _, c, h, wd = shapes[node.inputs[0]].dims
         return pack_matmul_rows(node.weights, c, h, wd)
     p = node.params()
-    _, _, oh, ow = shapes[node.outputs[0]].dims
     if scheme.kind is SchemeKind.WINOGRAD:
+        _, _, oh, ow = shapes[node.outputs[0]].dims
         t = generate_transforms(scheme.tile, p.kh, spacing)
         return pack_conv(weight_transform(node.weights, t), p, node.bias,
-                         oh, ow, t)
-    return pack_sliding(node.weights, p, node.bias, oh, ow)
+                         oh, ow, t, zeros)
+    n, _, h, wd = shapes[node.inputs[0]].dims
+    return pack_sliding(node.weights, p, node.bias, n, h, wd, zeros)
+
+
+def relu_zeros(g: Graph) -> np.ndarray:
+    """The zero map every ReLU conv of g reads a prefix of: read-only, the
+    size of g's largest conv output image."""
+    return zero_map(max(
+        (math.prod(data_shape(g.tensor_shapes[node.outputs[0]].dims,
+                              Layout.NHWC4)[1:])
+         for node in g.nodes if node.kind is OpKind.CONV2D), default=0))
 
 
 def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
@@ -417,6 +431,7 @@ class ExecutionPlan:
     memory: dict[str, MemoryPlan]
     weight_cache: WeightCache  # weight_key(node, scheme) -> packed weights
     spacing: float
+    zeros: np.ndarray | None = None  # relu_zeros, shared by every ReLU conv
 
     @property
     def pool_sizes(self) -> dict[str, int]:
@@ -574,11 +589,13 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
                                 for label, ms in est.items()))
 
     cache = WeightCache()
+    zeros = relu_zeros(g)
     for node in g.nodes:
         scheme = schemes.get(node.id)
         if scheme is not None or node.kind is OpKind.MATMUL:
             cache.put(weight_key(node, scheme),
-                      pack_weights(node, scheme, g.tensor_shapes, spacing))
+                      pack_weights(node, scheme, g.tensor_shapes, spacing,
+                                   zeros))
     return ExecutionPlan(
         graph=g,
         steps=steps,
@@ -591,4 +608,5 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         memory=memory,
         weight_cache=cache,
         spacing=spacing,
+        zeros=zeros,
     )

@@ -96,11 +96,11 @@ class TestBuffers:
                 if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
         assert not over
 
-    def test_dense_step_heap_is_input_and_one_window_matrix(
+    def test_dense_step_heap_is_one_slab_and_one_window_matrix(
             self, monkeypatch):
         # resnet-64's res0a: a 3x3, pad-1, 16->16 conv on a 64x64 map takes
-        # its zero-bordered input and one band's window matrix, not maps the
-        # size of its output
+        # one slab of its zero-bordered input rows and one band's window
+        # matrix, not maps the size of its input or output
         b = GraphBuilder((1, 16, 64, 64), seed=0)
         b.conv(kernel=3, pad=1, out_c=16, activation="relu")
         g = b.build()
@@ -108,28 +108,60 @@ class TestBuffers:
         plan, peaks = step_heap_peaks(g, monkeypatch)
         assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
         p = node.params()
-        padded = 4 * 66 * 66 * 16
+        rows = kernels.slab_rows(p, 1, 64, 64)
+        assert rows < 64
+        slab = 4 * (rows + 2) * 66 * 16
         window = 4 * window_matrix_floats(p, 64, 64)
+        assert slab <= 4 * kernels.BAND_FLOATS
         assert window <= 4 * kernels.BAND_FLOATS
-        assert peaks[node.id] <= padded + window + 40 * 1024
+        assert peaks[node.id] <= slab + window + 40 * 1024
 
     def test_steady_state_run_heap_bounded(self):
         # a whole run of the resnet-mini topology at 64x64 (the benchmark's
         # resnet-64) after a warm-up run, outputs included
-        g = fuse(resnet_mini(size=64))
-        session = Session(pre_infer(g, [CpuBackend().spec()]), [CpuBackend()])
-        x = make_input(g)
-        session.run(x)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            outputs = session.run(x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-            session.close()
-        assert outputs and peak <= 450_000
+        assert 0 < run_heap_peak(fuse(resnet_mini(size=64))) <= 260_000
+
+    def test_steady_state_mobilenet_run_heap_bounded(self):
+        # the same for mobilenet-mini (the benchmark's mobilenet-32), whose
+        # peak is the two-slab depthwise step dw2
+        assert 0 < run_heap_peak(fuse(build_preset("mobilenet-mini"))) <= (
+            265_000)
+
+    @pytest.mark.parametrize("backends", [["cpu"], ["cpu", "sim"]])
+    def test_bound_arrays_start_on_a_cache_line(self, backends):
+        # the pools and the staging buffers are 64 B aligned and every pool
+        # offset is a multiple of 64, so every array a session binds (pool
+        # views, staging, outputs, scratch) starts on a cache line
+        g = fuse(build_preset("squeezenet-mini"))
+        bs = [resolve_backend(name) for name in backends]
+        plan = pre_infer(g, [b.spec() for b in bs], force_backend=backends[-1])
+        session = Session(plan, bs)
+        arrays = list(session._staging.values())
+        arrays += [view.data for _, view in session._outputs]
+        for _, call, _ in session._bound:
+            for arg in call.args:
+                arrays += arg if isinstance(arg, list) else [arg]
+        arrays = [a for a in arrays if a is not None]
+        assert len(arrays) > 2 * len(g.nodes)
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
+        session.run(make_input(g))
+        session.close()
+
+    def test_relu_convs_share_one_read_only_zero_map(self):
+        g = fuse(build_preset("mobilenet-mini"))
+        plan = pre_infer(g, [CpuBackend().spec()])
+        zeros = [plan.weight_cache.get(preinference.weight_key(
+                     n, plan.schemes[n.id])).zero
+                 for n in g.nodes
+                 if n.kind is OpKind.CONV2D and n.params().relu]
+        assert len(zeros) >= 2
+        largest = max(z.size for z in zeros)
+        assert plan.zeros.size >= largest and not plan.zeros.any()
+        for z in zeros:
+            assert np.shares_memory(z, plan.zeros)
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("preset", sorted(PRESETS) + ["pointwise"])
     def test_pointwise_conv_steps_take_no_heap(self, preset, monkeypatch):
@@ -165,6 +197,24 @@ class TestBuffers:
         assert len(head) >= (1 if preset == "softmax-map" else 2)
         assert {nid: peaks[nid] for nid in head
                 if peaks[nid] > 8 * 1024} == {}
+
+
+def run_heap_peak(g):
+    """The heap peak in bytes of a second session run of g, outputs
+    included (0 if it returned no outputs)."""
+    session = Session(pre_infer(g, [CpuBackend().spec()]), [CpuBackend()])
+    x = make_input(g)
+    session.run(x)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        outputs = session.run(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        session.close()
+    return peak if outputs else 0
 
 
 def step_heap_peaks(g, monkeypatch):
@@ -222,16 +272,31 @@ def grouped_conv_graph():
 
 
 def sliding_heap_bound(node, shapes):
-    """Heap bytes a sliding-window conv step may take: the padded input,
-    then one window matrix (dense or grouped) or one product buffer
-    (depthwise), plus 96 KiB of slack."""
+    """Heap bytes a sliding-window conv step may take: its slab of bordered
+    input rows (the whole bordered map if one slab holds it; nothing for a
+    conv that reads its input as it lies), then one window matrix (dense
+    or grouped), the two flat-pitch row buffers (depthwise at stride 1) or
+    one product buffer (depthwise), plus 96 KiB of slack."""
     p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
     cpad = channel_blocks(p.in_c) * LANES
-    padded = n * cpad * (h + 2 * p.pad_h) * (w + 2 * p.pad_w)
     oh, ow = p.out_size(h, w)
-    work = cpad * oh * ow if p.depthwise else window_matrix_floats(p, h, w)
-    return 4 * (padded + work) + 96 * 1024
+    hp, wp = h + 2 * p.pad_h, w + 2 * p.pad_w
+    rows = kernels.slab_rows(p, n, h, w)
+    flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
+    slab = 0
+    if flat:
+        slab = n * (rows + p.kh - 1) * wp * cpad + (p.kw - 1) * cpad
+    elif p.pad_h or p.pad_w:
+        slab = n * wp * cpad * (
+            hp if rows == oh else (rows - 1) * p.stride_h + p.kh)
+    if flat:
+        work = 2 * rows * wp * cpad
+    elif p.depthwise:
+        work = rows * ow * cpad
+    else:
+        work = window_matrix_floats(p, h, w)
+    return 4 * (slab + work) + 96 * 1024
 
 
 def window_matrix_floats(p, h, w):

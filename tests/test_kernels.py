@@ -389,3 +389,75 @@ def test_conv_out_contract(case, rng):
     for bad in (taller, want.astype(np.float64)):
         with pytest.raises(ShapeMismatchError):
             conv(out=bad)
+
+
+# (kernel, stride, pad, in_c, out_c, group, images, input h, w, BAND_FLOATS):
+# under that BAND_FLOATS each conv splits into several slabs, the last
+# one partial; at the default every one is a single slab
+SLAB_CASES = {
+    "stride2_pad2": ((3, 3), (2, 2), (2, 2), 8, 8, 1, 1, 23, 17, 1536),
+    "1x7": ((1, 7), (1, 1), (0, 3), 8, 8, 1, 1, 13, 20, 1024),
+    "7x1": ((7, 1), (1, 1), (3, 0), 8, 8, 1, 1, 13, 20, 1536),
+    "taller_than_slab": ((7, 3), (1, 1), (3, 1), 8, 8, 1, 1, 13, 20, 1536),
+    "two_images": ((3, 3), (1, 1), (1, 1), 8, 8, 1, 2, 15, 11, 1024),
+    "one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 1, 2, 15, 1, 300),
+    "grouped": ((3, 3), (1, 1), (1, 1), 8, 12, 4, 1, 15, 11, 1536),
+    "depthwise": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 11, 1024),
+    "depthwise_stride2": ((3, 3), (2, 2), (1, 1), 8, 8, 8, 2, 19, 11, 1536),
+    "depthwise_one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 1, 350),
+}
+
+
+@pytest.mark.parametrize("case", list(SLAB_CASES))
+def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
+    kernel, stride, pad, in_c, out_c, group, n, h, w, band = SLAB_CASES[case]
+    p = ConvParams(*kernel, *stride, *pad, in_c, out_c, group, relu=True)
+    oh, _ = p.out_size(h, w)
+    assert kernels.slab_rows(p, n, h, w) == oh
+    x = rng.standard_normal((n, in_c, h, w)).astype(np.float32)
+    wt = (rng.standard_normal((out_c, in_c // group, *kernel)) * 0.3
+          ).astype(np.float32)
+    bias = rng.standard_normal(out_c).astype(np.float32)
+
+    def conv(layout):
+        y = conv_sliding(relayout(from_nchw(x), layout), wt, p, bias=bias)
+        return (relayout(y, Layout.NCHW).data if layout is Layout.NHWC4
+                else unpack_nc4hw4(y, out_c).data)
+
+    whole = conv(Layout.NHWC4)
+    monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+    rows = kernels.slab_rows(p, n, h, w)
+    assert rows < oh and oh % rows, (rows, oh)
+    got = conv(Layout.NHWC4)
+    assert got.tobytes() == conv(Layout.NC4HW4).tobytes()
+    if p.depthwise:  # its sums do not depend on the slab's rows
+        assert got.tobytes() == whole.tobytes()
+    want = conv2d_reference(x.astype(np.float64), wt.astype(np.float64),
+                            stride, pad, group, bias.astype(np.float64),
+                            relu=True)
+    assert rel_err(got, want) <= 1e-5
+
+
+@pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 7), (0, 3))])
+def test_zero_input_channels_in_slabs(kernel, pad, monkeypatch):
+    # no input lanes: every slab is empty, and the output is the bias
+    monkeypatch.setattr(kernels, "BAND_FLOATS", 64)
+    p = ConvParams(*kernel, 1, 1, *pad, 0, 3, relu=True)
+    x = relayout(from_nchw(np.zeros((2, 0, 9, 9), np.float32)), Layout.NHWC4)
+    y = conv_sliding(x, np.zeros((3, 0, *kernel), np.float32), p,
+                     bias=np.array([0.5, -1.0, 2.0], np.float32))
+    out = relayout(y, Layout.NCHW).data
+    assert np.all(out[:, 0] == 0.5) and np.all(out[:, 1] == 0.0)
+    assert np.all(out[:, 2] == 2.0)
+
+
+def test_border_fills_one_row_range_into_a_buffer(rng):
+    # rows a..b of the bordered map, written to the start of a flat buffer,
+    # are those rows of the whole bordered map
+    x = rng.standard_normal((2, 5, 4, 8)).astype(np.float32)
+    whole = kernels.border(x, 2, 1, 9, 7, fill=-3.0)
+    buf = np.full(2 * 9 * 7 * 8 + 5, np.nan, np.float32)
+    for a, b in [(0, 9), (0, 2), (1, 4), (3, 6), (6, 9), (8, 9)]:
+        got = kernels.border(x, 2, 1, 9, 7, fill=-3.0, rows=(a, b), out=buf)
+        assert got.base is buf or got.base is buf.base
+        assert np.array_equal(got, whole[:, a:b])

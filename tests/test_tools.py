@@ -7,6 +7,7 @@ fastest scheme; weights gives the GEMM rate, each fitted weight beside the
 engine's, and how often each set of weights picks a scheme near the fastest.
 """
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -80,3 +81,44 @@ def test_calibrate_weights_reports_every_fit():
     assert len(totals) == 1 and totals.pop() > 0
     assert lines[7].startswith("fitted time / measured time: median miss x")
     assert len(lines) == 8
+
+
+def load_ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_summary_of_canned_pairs():
+    # tools/ab.py's summary arithmetic, on run records made up here (the
+    # benchmark itself is not run)
+    ab = load_ab()
+    directions = ab.metric_directions()
+    assert directions["latency_p90_ms"] == "lower"
+    assert directions["accuracy_bits"] == "higher"
+    parent_p90, change_p90 = [1.0, 2.0, 3.0, 4.0, 5.0], [0.9, 2.5, 2.0, 4.0, 1.0]
+    parent_bits, change_bits = [20.0, 21.0, 22.0, 23.0, 24.0], [21.0] * 5
+    runs = []
+    for i in range(5):
+        for side, p90, bits in (("parent", parent_p90[i], parent_bits[i]),
+                                ("change", change_p90[i], change_bits[i])):
+            runs.append({"pair": i + 1, "workload": "w", "side": side,
+                         "seed": 10 + i, "metrics": {
+                             "latency_p90_ms": p90, "accuracy_bits": bits}})
+    runs.append({"pair": 6, "workload": "w", "side": "parent", "seed": 15,
+                 "metrics": {"latency_p90_ms": 100.0}})  # no partner
+    summary = ab.summarize(runs, directions)
+    p90 = summary["w"]["latency_p90_ms"]
+    assert (p90["parent_median"], p90["change_median"]) == (3.0, 2.0)
+    assert (p90["parent_q1"], p90["parent_q3"]) == (2.0, 4.0)
+    assert (p90["parent_min"], p90["parent_max"]) == (1.0, 5.0)
+    assert (p90["change_min"], p90["change_max"]) == (0.9, 4.0)
+    assert (p90["pairs"], p90["change_better"], p90["change_worse"]) == (
+        5, 3, 1)
+    bits = summary["w"]["accuracy_bits"]
+    assert (bits["change_better"], bits["change_worse"]) == (1, 3)
+    assert bits["per_seed"]["12"] == {"parent": 22.0, "change": 21.0}
+    assert set(summary["w"]) == {"latency_p90_ms", "accuracy_bits"}
+    assert ab.quartiles([1.0, 2.0]) == (1.25, 1.75)
+    assert ab.quartiles([7.0]) == (7.0, 7.0)
