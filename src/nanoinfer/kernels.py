@@ -18,9 +18,9 @@ lies.  A grouped conv is a dense one whose operand is block diagonal, one
 block per group.  Depthwise convolution at stride 1 is one multiply-add per
 window tap over a flat-pitch run of the slab, its sums cropped into the
 output once per slab; at other strides one per tap over whole output rows
-of the windows' view.  Both conv schemes read one operand packed once
-(ConvWeights: the GEMM operand, the bias and ReLU maps, Winograd's
-transform) and end in one epilogue, bias_relu, per image.
+of the whole bordered map's windows.  Both conv schemes read one operand
+packed once (ConvWeights: the GEMM operand, the bias and ReLU maps,
+Winograd's transform) and end in one epilogue, bias_relu, per image.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -649,7 +649,8 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     # each band copies its windows into the window matrix, then one GEMM
     bands = -(-oh // _band_rows(oh, ow * k))
     return KernelWork(gemm=gemm, moved=copied + n * pix * k + epilogue,
-                      calls=10 + 7 * (slabs - 1) + n * (2 * bands + 1 + p.relu))
+                      calls=10 + 7 * (slabs - 1)
+                      + n * (2 * bands + 1 + p.relu))
 
 
 def _band_rows(oh: int, row_floats: int) -> int:
@@ -667,21 +668,25 @@ def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
     or one row, per slab), then spreads its output rows evenly over them in
     whole bands, so the buffers are no larger than that count needs.  At
     stride 1 a depthwise slab holds (kw-1)*lanes floats more, which its
-    last tap's run reads past the rows.  Any other conv at pad 0 reads its
-    input as it lies, in one slab.
+    last tap's run reads past the rows.  A depthwise conv at other strides
+    reads the whole bordered map, and any other conv at pad 0 its input as
+    it lies, in one slab.
     """
     oh, ow = p.out_size(h, w)
     flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
-    if not (flat or p.pad_h or p.pad_w):
+    if not flat and (p.depthwise or not (p.pad_h or p.pad_w)):
         return oh
     lanes = channel_blocks(p.in_c) * LANES
-    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
     row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
     room = BAND_FLOATS - ((p.kw - 1) * lanes if flat else 0)
+    # the output rows whose input rows fit one slab
+    fit = (room // max(1, row) - p.kh) // p.stride_h + 1
+    if fit >= oh:
+        return oh
+    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
     units = -(-oh // unit)
-    most = max(1, min(units, ((room // max(1, row) - p.kh) // p.stride_h + 1)
-                      // unit))
-    return min(oh, unit * -(-units // -(-units // most)))
+    most = max(1, fit // unit)
+    return unit * -(-units // -(-units // most))
 
 
 def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
@@ -752,88 +757,55 @@ def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                       out=out[img].reshape(oh * ow, opad))
             bias_relu(out[img], packed)
         return
-    band = _band_rows(oh, ow * k)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    if rows >= oh:  # one slab: the whole bordered map
-        views = windows(border(x, p.pad_h, p.pad_w, hp, wp), p.kh, p.kw,
-                        p.stride_h, p.stride_w, oh, ow)
-        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
-        for img in range(n):
-            _dense_bands(views, img, 0, win, wmat, out)
-            bias_relu(out[img], packed)
-        return
-    buf = _slab_buffer(p, rows, x)
+    buf = None if rows >= oh else _slab_buffer(p, rows, x)
+    band = _band_rows(oh, ow * k)
     win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
-    for r0 in range(0, oh, rows):
+    r0 = 0
+    while r0 < oh:  # a range iterator would add 48 B to every run's heap
         b = min(rows, oh - r0)
-        xs = border(x, p.pad_h, p.pad_w, hp, wp, rows=(
-            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh), out=buf)
-        views = windows(xs, p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        span = None if buf is None else (
+            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
+        views = windows(border(x, p.pad_h, p.pad_w, hp, wp, rows=span,
+                               out=buf),
+                        p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
         for img in range(n):
-            _dense_bands(views, img, r0, win, wmat, out)
+            for r in range(0, b, band):
+                bb = min(band, b - r)
+                np.copyto(win[:bb], views[img, r:r + bb])
+                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                          out=out[img, r0 + r:r0 + r + bb].reshape(
+                              bb * ow, opad))
+        r0 += b
     for img in range(n):
         bias_relu(out[img], packed)
 
 
-def _dense_bands(views: np.ndarray, img: int, r0: int, win: np.ndarray,
-                 wmat: np.ndarray, out: np.ndarray) -> None:
-    """Output rows r0.. of image img from their windows, views [n, b, ow,
-    kh, kw, lanes]: per band of win's rows, one copy of its windows into win
-    and one GEMM against wmat into those rows of out."""
-    b, ow = views.shape[1:3]
-    band, k, opad = len(win), len(wmat), out.shape[3]
-    for r in range(0, b, band):
-        bb = min(band, b - r)
-        np.copyto(win[:bb], views[img, r:r + bb])
-        np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                  out=out[img, r0 + r:r0 + r + bb].reshape(bb * ow, opad))
-
-
 def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                     out: np.ndarray) -> None:
-    """Depthwise conv of NHWC4 data x into out, slab by slab, one multiply
-    per window tap; at stride 1 on flat-pitch runs (_depthwise_flat), else
-    on the windows' view, where the first tap writes out."""
+    """Depthwise conv of NHWC4 data x into out, one multiply per window
+    tap: at stride 1 on flat-pitch runs of its slabs (_depthwise_flat),
+    else over whole output rows of ow*lanes floats of the whole bordered
+    map's windows, where the first tap writes out."""
     if (p.stride_h, p.stride_w) == (1, 1):
         _depthwise_flat(x, packed, p, out)
         return
     n, h, wd, _ = x.shape
     _, oh, ow, _ = out.shape
-    wrow = packed.mats[:, :, :ow]
-    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    prod = np.empty_like(out[0, :rows]) if p.kh * p.kw > 1 else None
-    if rows >= oh:
-        _depthwise_taps(windows(border(x, p.pad_h, p.pad_w, hp, wp), p.kh,
-                                p.kw, p.stride_h, p.stride_w, oh, ow),
-                        0, wrow, prod, out)
-    else:
-        buf = _slab_buffer(p, rows, x)
-        for r0 in range(0, oh, rows):
-            b = min(rows, oh - r0)
-            xs = border(x, p.pad_h, p.pad_w, hp, wp, rows=(
-                r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh), out=buf)
-            _depthwise_taps(windows(xs, p.kh, p.kw, p.stride_h, p.stride_w,
-                                    b, ow), r0, wrow, prod, out)
+    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
+    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
+    prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
     for img in range(n):
-        bias_relu(out[img], packed)
-
-
-def _depthwise_taps(views: np.ndarray, r0: int, wrow: np.ndarray,
-                    prod: np.ndarray | None, out: np.ndarray) -> None:
-    """Output rows r0.. of every image from their windows, views [n, b,
-    ow, kh, kw, lanes]: per tap one multiply by its weights wrow [kh, kw,
-    ow, lanes], into out or prod, then prod's sum into out."""
-    n, b, _, kh, kw = views.shape[:5]
-    for img in range(n):
-        acc = out[img, r0:r0 + b]  # [b, ow, lanes]
-        for tap in range(kh * kw):
-            u, v = divmod(tap, kw)
-            win = views[img, :, :, u, v]
+        acc = out[img]  # [oh, ow, lanes]
+        for tap in range(p.kh * p.kw):
+            u, v = divmod(tap, p.kw)
+            win, wrow = views[img, :, :, u, v], packed.mats[u, v, :ow]
             if tap == 0:
-                np.multiply(win, wrow[u, v], out=acc)
+                np.multiply(win, wrow, out=acc)
             else:
-                np.multiply(win, wrow[u, v], out=prod[:b])
-                acc += prod[:b]
+                np.multiply(win, wrow, out=prod)
+                acc += prod
+        bias_relu(acc, packed)
 
 
 def _depthwise_flat(x: np.ndarray, packed: ConvWeights, p: ConvParams,

@@ -276,7 +276,8 @@ def sliding_heap_bound(node, shapes):
     input rows (the whole bordered map if one slab holds it; nothing for a
     conv that reads its input as it lies), then one window matrix (dense
     or grouped), the two flat-pitch row buffers (depthwise at stride 1) or
-    one product buffer (depthwise), plus 96 KiB of slack."""
+    one product buffer of an output image (depthwise at other strides),
+    plus 96 KiB of slack."""
     p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
     cpad = channel_blocks(p.in_c) * LANES
@@ -293,7 +294,7 @@ def sliding_heap_bound(node, shapes):
     if flat:
         work = 2 * rows * wp * cpad
     elif p.depthwise:
-        work = rows * ow * cpad
+        work = oh * ow * cpad
     else:
         work = window_matrix_floats(p, h, w)
     return 4 * (slab + work) + 96 * 1024

@@ -1,18 +1,18 @@
 """Paired benchmark runs of a git revision against the working tree.
 
-  python3 tools/ab.py REV [--workloads W ...] [--pairs N] [--seconds S]
-                          [--first-seed K] [--out BENCH_N.json]
+  python3 tools/ab.py REV [--out BENCH_N.json] [--change "what changed"]
 
-`git archive`s REV into a temporary directory and runs
-`python3 perfbench/run.py --workload W --seed S --seconds S --trace 0` in
+`git archive`s REV into a temporary directory and runs the benchmark,
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`, in
 that tree ("parent") and in this one ("change"), each run a fresh
-interpreter.  Pair i runs seed K+i-1 on every workload in both trees; odd
-pairs run the parent first, even pairs the change.  The output file has
+interpreter.  The workloads and the run length T are BENCHMARK.json's.
+There are PAIRS pairs; pair i runs seed i on every workload in both trees,
+odd pairs the parent first, even pairs the change.  The output file has
 BENCH_19's shape: per workload and end-to-end metric the parent's and the
 change's medians, the parent's quartiles (linear interpolation), both
-sides' extremes and how many pairs the change won or lost by the
-metric's direction in BENCHMARK.json, accuracy_bits per seed, every run's
-record and the machine record of the first run.
+sides' extremes and how many pairs the change won or lost by the metric's
+direction in BENCHMARK.json, accuracy_bits per seed, every run's record
+and the machine record of the first run.
 """
 
 from __future__ import annotations
@@ -28,12 +28,16 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10  # fewer pairs cannot show a gain in nine of ten
+
+
+def benchmark(root: Path = ROOT) -> dict:
+    return json.loads((root / "BENCHMARK.json").read_text())
 
 
 def metric_directions(root: Path = ROOT) -> dict[str, str]:
     """End-to-end metric name -> "lower" or "higher", from BENCHMARK.json."""
-    spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in benchmark(root)["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -105,8 +109,8 @@ def archive(rev: str, dest: Path) -> str:
 
 def run_once(tree: Path, workload: str, seed: int,
              seconds: float) -> tuple[dict, dict]:
-    """One perfbench run in tree: (its result line, each metric as its
-    value, and its machine record)."""
+    """One benchmark run in tree: its result line, with each metric as its
+    value, and its machine record."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -125,34 +129,29 @@ def run_once(tree: Path, workload: str, seed: int,
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="the parent revision, e.g. HEAD~1")
-    ap.add_argument("--workloads", nargs="+",
-                    default=["mobilenet-32", "resnet-32", "resnet-64"])
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=35)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH.json")
     ap.add_argument("--change", default="",
                     help="one line saying what the change is")
     args = ap.parse_args(argv)
 
-    directions = metric_directions()
+    spec = benchmark()
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     runs: list[dict] = []
     machine: dict = {}
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
         parent = Path(tmp)
         short = archive(args.rev, parent)
         trees = {"parent": parent, "change": ROOT}
-        for pair in range(1, args.pairs + 1):
-            seed = args.first_seed + pair - 1
-            order = (["parent", "change"] if pair % 2
-                     else ["change", "parent"])
-            for workload in args.workloads:
+        for pair in range(1, PAIRS + 1):
+            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+            for workload in workloads:
                 for side in order:
-                    result, record = run_once(trees[side], workload, seed,
-                                              args.seconds)
+                    result, record = run_once(trees[side], workload, pair,
+                                              seconds)
                     machine = machine or record
                     runs.append({"pair": pair, "workload": workload,
-                                 "side": side, "seed": seed, **result})
+                                 "side": side, "seed": pair, **result})
                     print(f"pair {pair} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", flush=True)
     bench = {
@@ -160,13 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": short,
         "machine": machine,
         "method": (
-            f"tools/ab.py {args.rev}: perfbench/run.py --seconds "
-            f"{args.seconds:g} --trace 0, the parent from a git archive of "
-            f"{short} and the change from the working tree, each run a "
-            f"fresh interpreter, {args.pairs} pairs per workload (seeds "
-            f"{args.first_seed}-{args.first_seed + args.pairs - 1}), odd "
-            f"pairs parent first. Quartiles by linear interpolation."),
-        "trace0_summary": summarize(runs, directions),
+            f"tools/ab.py {args.rev}: perfbench/run.py --seconds {seconds:g} "
+            f"--trace 0, the parent from a git archive of {short} and the "
+            f"change from the working tree, each run a fresh interpreter, "
+            f"{PAIRS} pairs per workload (seeds 1-{PAIRS}), odd pairs parent "
+            f"first. Quartiles by linear interpolation."),
+        "trace0_summary": summarize(runs, metric_directions()),
         "trace0_runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
