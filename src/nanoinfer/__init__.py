@@ -4,7 +4,9 @@ Pre-inference planning picks a convolution algorithm (sliding window or
 runtime-generated Winograd) and a backend per operator from an explicit
 cost model, transforms weights once, and lays out every intermediate
 tensor in a pre-sized memory pool; the execution loop then just runs
-kernels.  MatMul runs Strassen wherever its weighted cutoff pays.
+kernels.  MatMul runs one direct GEMM: matmul_strassen is the paper's
+kernel, tested on its own, and it measured slower than direct wherever the
+engine's weighted cutoff would take a level.
 """
 
 from .backend import CpuBackend, Session, resolve_backend, run_session

@@ -2,7 +2,7 @@
 
 A backend owns a buffer namespace (acquire/release, optionally served from
 a pre-planned pool) and builds each operator's execution: a plain runner,
-run(inputs, outputs, scratch=None), on the tensors' NHWC4 data arrays
+run(inputs, outputs), on the tensors' NHWC4 data arrays
 (tensor.Layout.NHWC4, lane-padded NHWC).  A session binds an ExecutionPlan
 to concrete pools once: it turns each pool slice and staging buffer into
 its tensor's NHWC4 array, and binds every step to one call, its runner on
@@ -14,7 +14,9 @@ scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  MatMul multiplies the packed input rows by
-weights permuted once into that row order, and Softmax works on the pool
+weights permuted once into that row order, one matmul_direct GEMM (no
+Strassen level: where the engine's rule would take one, it measured
+slower than direct), and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The pools and the staging buffers
 start on a 64 B cache line (aligned_zeros), as every pool offset does.  The
 kernels' temporaries (a sliding-window conv's slab of bordered input rows
@@ -37,7 +39,7 @@ from .errors import (
     UnsupportedOpError,
 )
 from .graph import OpKind
-from .kernels import LANES, border, matmul_strassen, sliding_nhwc4
+from .kernels import LANES, border, matmul_direct, sliding_nhwc4
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
     TransferStep, pack_weights, packed_bytes, weight_key,
@@ -122,10 +124,9 @@ class Backend:
             handle[:] = np.nan  # poison to surface use-after-release
 
     def create_execution(self, step: OpStep, plan: ExecutionPlan):
-        """The step's runner, run(inputs, outputs, scratch=None): it runs
-        on the tensors' NHWC4 data arrays, which give it their geometry,
-        and a flat float32 scratch buffer, and can be run any number of
-        times."""
+        """The step's runner, run(inputs, outputs): it runs on the
+        tensors' NHWC4 data arrays, which give it their geometry, and can be
+        run any number of times."""
         node = step.node
         kind = node.kind
 
@@ -136,12 +137,12 @@ class Backend:
             return _build_matmul_execution(step, plan)
 
         if kind is OpKind.RELU:
-            def run(inputs, outputs, scratch=None):
+            def run(inputs, outputs):
                 np.maximum(inputs[0], 0.0, out=outputs[0])
             return run
 
         if kind is OpKind.ADD:
-            def run(inputs, outputs, scratch=None):
+            def run(inputs, outputs):
                 np.add(inputs[0], inputs[1], out=outputs[0])
             return run
 
@@ -152,7 +153,7 @@ class Backend:
             in_dims = plan.graph.tensor_shapes[node.inputs[0]].dims
             out_dims = plan.graph.tensor_shapes[node.outputs[0]].dims
 
-            def run(inputs, outputs, scratch=None):
+            def run(inputs, outputs):
                 x = relayout(Tensor(in_dims, Layout.NHWC4, inputs[0]),
                              Layout.NCHW)
                 relayout(from_nchw(x.data.reshape(out_dims)), Layout.NHWC4,
@@ -187,12 +188,12 @@ def _build_matmul_execution(step: OpStep, plan: ExecutionPlan):
     bias = None if node.bias is None else node.bias.astype(np.float32)
     features = weights.shape[1]
 
-    def run(inputs, outputs, scratch=None):
+    def run(inputs, outputs):
         x = inputs[0].reshape(len(inputs[0]), -1)
         out = outputs[0].reshape(len(outputs[0]), -1)
         # the product keeps out_features columns: padding it to whole
         # lanes changes the GEMM, and with it the last bits
-        y = matmul_strassen(x, weights, scratch=scratch)
+        y = matmul_direct(x, weights)
         if bias is None:
             out[:, :features] = y
         else:
@@ -211,7 +212,7 @@ def _build_softmax_execution(step: OpStep, plan: ExecutionPlan):
     c = plan.graph.tensor_shapes[node.inputs[0]].dims[1]
     lanes = channel_blocks(c) * LANES
 
-    def run(inputs, outputs, scratch=None):
+    def run(inputs, outputs):
         x = inputs[0].reshape(-1, lanes)
         y = outputs[0].reshape(-1, lanes)
         xs, ys = x[:, :c], y[:, :c]
@@ -232,7 +233,7 @@ def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
     kernel = (winograd_nhwc4 if step.scheme.kind is SchemeKind.WINOGRAD
               else sliding_nhwc4)
 
-    def run(inputs, outputs, scratch=None):
+    def run(inputs, outputs):
         kernel(inputs[0], packed, p, outputs[0])
 
     return run
@@ -247,7 +248,7 @@ def _build_pool_execution(step: OpStep):
     combine, fill = ((np.maximum, -np.inf) if mode == "max"
                      else (np.add, 0.0))
 
-    def run(inputs, outputs, scratch=None):
+    def run(inputs, outputs):
         x, out = inputs[0], outputs[0]
         _, h, w, _ = x.shape
         _, oh, ow, _ = out.shape
@@ -337,8 +338,7 @@ class Session:
 
         # every (tensor, backend) residency as its NHWC4 array, bound once:
         # a staging buffer (outside the pools) for each graph input, which
-        # a run packs its input into, then the planned pool slices.  A
-        # Strassen scratch slice stays a flat buffer.
+        # a run packs its input into, then the planned pool slices
         cpu = backends[0]
         arrays: dict[tuple[str, str], np.ndarray] = {}
         self._staging: dict[str, np.ndarray] = {}
@@ -351,8 +351,7 @@ class Session:
             backend = self.backends[name]
             for tid, offset in mem.offsets.items():
                 buf = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
-                arrays.setdefault(
-                    (tid, name), nhwc4(buf, tid) if tid in shapes else buf)
+                arrays.setdefault((tid, name), nhwc4(buf, tid))
                 self._acquired.append((backend, buf))
 
         # one call per step, bound once, as (name, call, dispatch surcharge
@@ -372,8 +371,7 @@ class Session:
                 step.node.id,
                 partial(backend.create_execution(step, plan),
                         [arrays[(t, step.backend)] for t in step.node.inputs],
-                        [arrays[(t, step.backend)] for t in step.node.outputs],
-                        arrays.get((step.scratch_id, step.backend))),
+                        [arrays[(t, step.backend)] for t in step.node.outputs]),
                 backend.dispatch_surcharge_ms))
         self._outputs = [(tid, Tensor(shapes[tid].dims, Layout.NHWC4,
                                       arrays[(tid, cpu.name)]))

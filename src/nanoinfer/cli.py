@@ -194,10 +194,10 @@ def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
 
 def with_scheme(plan, node, scheme):
     """The plan with one conv's step switched to another scheme."""
-    steps = [OpStep(s.node, scheme, s.backend, s.scratch_id)
+    steps = [replace(s, scheme=scheme)
              if isinstance(s, OpStep) and s.node is node else s
              for s in plan.steps]
-    return replace(plan, steps=steps, schemes={**plan.schemes, node.id: scheme})
+    return replace(plan, steps=steps)
 
 
 def time_schemes(plan, node, x, rounds):
@@ -238,7 +238,7 @@ def cmd_compare(args) -> int:
         out_dims = g.tensor_shapes[node.outputs[0]].dims
         outs = {}
         for scheme in conv_schemes(node.params()):
-            step = OpStep(node, scheme, cpu.name, None)
+            step = OpStep(node, scheme, cpu.name)
             out = zeros(out_dims, Layout.NHWC4).data
             cpu.create_execution(step, plan)([x], [out])
             outs[scheme.label()] = out

@@ -125,7 +125,14 @@ interleaved runs, 18 measurements over six shapes: 1024^3 93-150, 2048^3
 44-50. 95 is the median. With two BLAS threads 1024^3 reached 262. A level
 saves 34 multiplies per addition at 1024^3 and 68 at 2048^3, so no shape
 up to 2048^3 takes a level; one level ran 1.14-1.44x slower than direct at
-1024^3 and 1.04-1.31x at 2048^3. Recalibrate on other hardware with that
+1024^3 and 1.04-1.31x at 2048^3. The rule takes one level from about 2,850^3
+on, and there it loses too: three runs of the script (that VM, 5 runs per
+shape) timed one level against direct at 3072^3 as 494/459, 497/466
+and 624/617 ms (1.01-1.08x slower), at 4096^3 as 1112/1086, 1249/1193 and
+1935/1553 ms (1.02-1.25x), and at 2048x4096x4096 (a level saves 108 per
+addition) as 581/558, 605/565 and 878/784 ms (1.04-1.12x). So the engine's
+MatMul steps call matmul_direct, and this weight only sets the depth of
+matmul_strassen called directly. Recalibrate on other hardware with that
 script.
 """
 
@@ -316,8 +323,9 @@ def matmul_strassen(a: np.ndarray, b: np.ndarray,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Strassen product; recurses as deep as the rule weighted by ADD_COST.
 
-    That is the depth strassen_scratch_elems plans for; at depth 0 the
-    product is exactly matmul_direct.
+    That is the depth strassen_scratch_elems sizes `scratch` for; without
+    it the level stacks come from the heap.  At depth 0 the product is
+    exactly matmul_direct.
 
     The 7-product recursion tree is evaluated level-synchronously: each
     level expands a stack of operand pairs (odd extents zero-padded to

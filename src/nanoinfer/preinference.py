@@ -4,11 +4,11 @@ Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, each conv's weights packed once for its planned
 scheme and each MatMul's permuted into packed row order (pack_weights), and
-byte offsets into one pre-sized pool per backend.  The pool holds what the
-kernels read and write in place: activations (each conv kernel writes its
-output there), transfer copies and the Strassen scratch of MatMul steps.
-Kernels' temporaries (conv and pool working buffers, MatMul's product)
-still come from the heap.
+byte offsets into one pre-sized pool per backend.  The pool holds graph
+tensors only, what the kernels read and write in place: activations (each
+conv kernel writes its output there) and transfer copies.  Kernels'
+temporaries (conv and pool working buffers, MatMul's product) still come
+from the heap.
 
 Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
 window or a Winograd tile: the work its kernel does from its packed weights
@@ -32,10 +32,10 @@ import numpy as np
 from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
-    ConvParams, KernelWork, MatDims, pack_conv, pack_matmul_rows,
-    pack_sliding, sliding_work, strassen_scratch_elems, zero_map,
+    ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
+    sliding_work, zero_map,
 )
-from .tensor import LANES, Layout, Shape, channel_blocks, data_shape
+from .tensor import Layout, Shape, data_shape
 from .winograd import (
     DEFAULT_SPACING, MAX_ALPHA, TILE_CANDIDATES, WeightCache,
     generate_transforms, weight_transform, winograd_supported, winograd_work,
@@ -78,10 +78,13 @@ class CostModel:
     t_schedule_ms: float = 0.0
 
     def __post_init__(self):
-        if not self.flops > 0:
-            raise GraphValidationError(f"flops must be positive, got {self.flops}")
-        if self.t_schedule_ms < 0:
-            raise GraphValidationError("t_schedule_ms must be >= 0")
+        if not (self.flops > 0 and math.isfinite(self.flops)):
+            raise GraphValidationError(
+                f"flops must be positive and finite, got {self.flops}")
+        if not (self.t_schedule_ms >= 0 and math.isfinite(self.t_schedule_ms)):
+            raise GraphValidationError(
+                f"t_schedule_ms must be >= 0 and finite, got "
+                f"{self.t_schedule_ms}")
 
 
 CPU_COST = CostModel(flops=CPU_FLOPS, t_schedule_ms=0.0)
@@ -110,14 +113,16 @@ def load_cost_models(path) -> dict[str, CostModel]:
     models = {}
     for name, entry in raw.items():
         try:
-            models[name] = CostModel(
-                flops=float(entry["flops"]),
-                t_schedule_ms=float(entry.get("t_schedule_ms", 0.0)))
-        except (KeyError, TypeError, ValueError, GraphValidationError):
+            values = (entry["flops"], entry.get("t_schedule_ms", 0.0))
+            # JSON numbers only: float() would also take "3e9" and true
+            if not all(type(v) in (int, float) for v in values):
+                raise TypeError
+            models[name] = CostModel(*map(float, values))
+        except (KeyError, TypeError, OverflowError, GraphValidationError):
             raise GraphValidationError(
                 f"cost model {path}: entry {name!r} must be "
                 f"{{\"flops\": number > 0, \"t_schedule_ms\": number >= 0}}"
-                f", got {entry!r}") from None
+                f" (finite), got {entry!r}") from None
     return models
 
 
@@ -377,29 +382,6 @@ def packed_bytes(shape: Shape) -> int:
     return 4 * math.prod(data_shape(shape.dims, Layout.NHWC4))
 
 
-def strassen_dims(node: OpNode, shapes: dict[str, Shape]) -> MatDims | None:
-    """The product a step hands to matmul_strassen, or None if it has none.
-
-    Only a MatMul has one: its packed input rows, [n, blocks*h*w*4], by its
-    weights in packed row order, [blocks*h*w*4, out_features].
-    """
-    if node.kind is not OpKind.MATMUL:
-        return None
-    n, c, h, w = shapes[node.inputs[0]].dims
-    return MatDims(n, channel_blocks(c) * h * w * LANES,
-                   int(node.attrs["out_features"]))
-
-
-def _scratch_elems_for(node: OpNode, shapes: dict[str, Shape]) -> int:
-    """Pool elements an op's kernel works in beyond its inputs and outputs.
-
-    Only Strassen's level stacks live in the pool; every other kernel takes
-    its temporaries from the heap.
-    """
-    dims = strassen_dims(node, shapes)
-    return 0 if dims is None else strassen_scratch_elems(dims)
-
-
 @dataclass
 class TransferStep:
     tensor: str
@@ -412,7 +394,6 @@ class OpStep:
     node: OpNode
     scheme: SchemeChoice | None
     backend: str
-    scratch_id: str | None
 
 
 @dataclass
@@ -421,17 +402,26 @@ class ExecutionPlan:
 
     graph: Graph
     steps: list[TransferStep | OpStep]
-    schemes: dict[str, SchemeChoice]
-    assignment: dict[str, str]
     op_costs: dict[str, float]
     total_cost_ms: float
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
-    # backend name -> pool plan over tensor ids and "<node>#scratch"
-    memory: dict[str, MemoryPlan]
+    memory: dict[str, MemoryPlan]  # backend name -> pool plan over tensor ids
     weight_cache: WeightCache  # weight_key(node, scheme) -> packed weights
     spacing: float
     zeros: np.ndarray | None = None  # relu_zeros, shared by every ReLU conv
+
+    @property
+    def schemes(self) -> dict[str, SchemeChoice]:
+        """Conv id -> the scheme its step runs."""
+        return {s.node.id: s.scheme for s in self.steps
+                if isinstance(s, OpStep) and s.scheme is not None}
+
+    @property
+    def assignment(self) -> dict[str, str]:
+        """Node id -> the backend its step runs on."""
+        return {s.node.id: s.backend for s in self.steps
+                if isinstance(s, OpStep)}
 
     @property
     def pool_sizes(self) -> dict[str, int]:
@@ -479,8 +469,7 @@ def build_steps(g: Graph, assignment: dict[str, str],
             if (tid, backend) not in placed:
                 steps.append(TransferStep(tid, homes[tid], backend))
                 placed.add((tid, backend))
-        steps.append(OpStep(node, schemes.get(node.id), backend,
-                            scratch_id=f"{node.id}#scratch"))
+        steps.append(OpStep(node, schemes.get(node.id), backend))
         for tid in node.outputs:
             homes[tid] = backend
             placed.add((tid, backend))
@@ -499,9 +488,7 @@ def plan_memory(g: Graph, *,
     """Pool layout per backend namespace for the step sequence.
 
     Graph inputs live in caller-provided staging buffers and are not pooled;
-    everything produced by a step is, and so is a MatMul step's Strassen
-    scratch, which lives only for its own step.  Copies of a tensor on
-    another backend are pooled in that backend's namespace from the
+    everything produced by a step is.  Copies of a tensor on another backend are pooled in that backend's namespace from the
     transfer step to their last reader.  Without steps, every op runs on CPU.
     """
     if steps is None:
@@ -533,12 +520,6 @@ def plan_memory(g: Graph, *,
         size = packed_bytes(g.tensor_shapes[tid])
         last = last_read.get((tid, backend), start)
         items_by_backend.setdefault(backend, []).append((tid, size, start, last))
-    for idx, step in enumerate(steps):
-        if isinstance(step, OpStep):
-            scratch = _scratch_elems_for(step.node, g.tensor_shapes)
-            if scratch:
-                items_by_backend.setdefault(step.backend, []).append(
-                    (step.scratch_id, scratch * 4, idx, idx))
     return {backend: plan_intervals(items, alignment)
             for backend, items in items_by_backend.items()}
 
@@ -599,8 +580,6 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     return ExecutionPlan(
         graph=g,
         steps=steps,
-        schemes=schemes,
-        assignment=backend_plan.assignment,
         op_costs=backend_plan.op_costs,
         total_cost_ms=backend_plan.total_cost_ms,
         muls=muls,

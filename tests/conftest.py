@@ -27,8 +27,9 @@ def winograd_planned(monkeypatch):
 
 def batched_matmul_graph():
     """64 images of 4x4x4 through one MatMul: a 64x64 by 64 product, which
-    the count rule (ADD_COST 1) splits twice.  A batch-1 MatMul never
-    splits, even at weight 1, and no conv runs Strassen."""
+    the count rule (ADD_COST 1) splits twice, where a batch-1 MatMul's
+    product takes no level even at weight 1.  A session multiplies it
+    directly all the same."""
     from nanoinfer.graph import GraphBuilder
 
     b = GraphBuilder((64, 4, 4, 4), seed=0)

@@ -131,7 +131,7 @@ class TestBuffers:
     def test_bound_arrays_start_on_a_cache_line(self, backends):
         # the pools and the staging buffers are 64 B aligned and every pool
         # offset is a multiple of 64, so every array a session binds (pool
-        # views, staging, outputs, scratch) starts on a cache line
+        # views, staging, outputs) starts on a cache line
         g = fuse(build_preset("squeezenet-mini"))
         bs = [resolve_backend(name) for name in backends]
         plan = pre_infer(g, [b.spec() for b in bs], force_backend=backends[-1])
@@ -141,7 +141,6 @@ class TestBuffers:
         for _, call, _ in session._bound:
             for arg in call.args:
                 arrays += arg if isinstance(arg, list) else [arg]
-        arrays = [a for a in arrays if a is not None]
         assert len(arrays) > 2 * len(g.nodes)
         assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
         session.run(make_input(g))
@@ -277,7 +276,10 @@ def sliding_heap_bound(node, shapes):
     conv that reads its input as it lies), then one window matrix (dense
     or grouped), the two flat-pitch row buffers (depthwise at stride 1) or
     one product buffer of an output image (depthwise at other strides),
-    plus 96 KiB of slack."""
+    plus 96 KiB of slack.  Depthwise at stride 1 has, in place of that
+    slack, NumPy's 32 KiB iterator buffer (each tap's multiply broadcasts
+    its weights over the slab's rows) and 8 KiB, so its bound sits within
+    16 KiB of its peak."""
     p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
     cpad = channel_blocks(p.in_c) * LANES
@@ -292,8 +294,8 @@ def sliding_heap_bound(node, shapes):
         slab = n * wp * cpad * (
             hp if rows == oh else (rows - 1) * p.stride_h + p.kh)
     if flat:
-        work = 2 * rows * wp * cpad
-    elif p.depthwise:
+        return 4 * (slab + 2 * rows * wp * cpad) + 32 * 1024 + 8 * 1024
+    if p.depthwise:
         work = oh * ow * cpad
     else:
         work = window_matrix_floats(p, h, w)
@@ -444,7 +446,7 @@ class TestExecutions:
 
         def run(scheme):
             execution = cpu.create_execution(
-                OpStep(node, scheme, "cpu", None), plan)
+                OpStep(node, scheme, "cpu"), plan)
             out = zeros(out_dims, Layout.NHWC4).data
             execution([xin], [out])
             return out
@@ -454,6 +456,23 @@ class TestExecutions:
         for tile in (2, 4):
             got = run(SchemeChoice(SchemeKind.WINOGRAD, tile))
             assert np.max(np.abs(got - want)) <= 1e-3 * scale, tile
+
+    def test_matmul_multiplies_directly(self, monkeypatch):
+        # a session's MatMul is one matmul_direct by its packed weights,
+        # even where the count rule (ADD_COST 1) splits the product twice
+        monkeypatch.setattr(kernels, "ADD_COST", 1)
+        g = batched_matmul_graph()
+        node = g.nodes[0]
+        assert kernels.strassen_recursion_depth(kernels.MatDims(64, 64, 64),
+                                                kernels.ADD_COST) == 2
+        plan = pre_infer(g, [CpuBackend().spec()])
+        x = make_input(g)
+        got = run_session(plan, x)[g.outputs[0]].data
+        rows = relayout(x, Layout.NHWC4).data.reshape(64, -1)
+        weights = plan.weight_cache.get(preinference.weight_key(node, None))
+        want = kernels.matmul_direct(rows, weights) + node.bias.astype(
+            np.float32)
+        assert np.array_equal(got.reshape(64, 64), want)
 
 
 # (input shape, kernel, stride, pad)
@@ -777,8 +796,8 @@ class TestSession:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_views_bound_once(self, preset, hybrid, monkeypatch):
         # a run only executes the bound steps: every execution gets the
-        # very same input, output and scratch arrays on every run, each
-        # tensor as its NHWC4 data array
+        # very same input and output arrays on every run, each tensor as
+        # its NHWC4 data array
         g = fuse(build_preset(preset))
         backends = [CpuBackend()]
         if hybrid:
@@ -798,10 +817,10 @@ class TestSession:
             run = create(backend, step, plan)
             node = nodes[step.node.id] = step.node
 
-            def spied(inputs, outputs, scratch=None):
+            def spied(inputs, outputs):
                 seen.setdefault(node.id, []).append(
-                    (list(inputs), list(outputs), scratch))
-                run(inputs, outputs, scratch)
+                    (list(inputs), list(outputs)))
+                run(inputs, outputs)
 
             return spied
 
@@ -816,9 +835,9 @@ class TestSession:
         assert seen
         for nid, runs in seen.items():
             assert len(runs) == 2, nid
-            (ins, outs, scratch), (ins2, outs2, scratch2) = runs
+            (ins, outs), (ins2, outs2) = runs
             assert len(ins) == len(ins2) and len(outs) == len(outs2)
-            for a, b in zip(ins + outs + [scratch], ins2 + outs2 + [scratch2]):
+            for a, b in zip(ins + outs, ins2 + outs2):
                 assert a is b, nid
             node = nodes[nid]
             for tid, array in zip(node.inputs + node.outputs, ins + outs):
@@ -900,62 +919,3 @@ class TestPooledVersusFresh:
                 want = relayout(fresh[tid], Layout.NCHW)
                 assert np.array_equal(pooled[tid].data, want.data), preset
 
-
-def is_strassen_step(step):
-    return step.node.kind is OpKind.MATMUL
-
-
-# every preset, and one graph whose MatMul splits under the count rule
-STRASSEN_GRAPHS = sorted(PRESETS) + ["batched-matmul"]
-
-
-def strassen_calls(name, weight, monkeypatch):
-    """The plan, and (need, given) scratch elements of every Strassen call
-    in one run over it."""
-    monkeypatch.setattr(kernels, "ADD_COST", weight)
-    calls = []
-
-    def spy(a, b, scratch=None):
-        need = kernels.strassen_scratch_elems(
-            kernels.MatDims(a.shape[0], a.shape[1], b.shape[1]))
-        calls.append((need, None if scratch is None else scratch.size))
-        return kernels.matmul_strassen(a, b, scratch)
-
-    monkeypatch.setattr(backend_module, "matmul_strassen", spy)
-    g = (batched_matmul_graph() if name == "batched-matmul"
-         else fuse(build_preset(name)))
-    plan = pre_infer(g, [CpuBackend().spec()])
-    run_session(plan, make_input(g))
-    steps = [s for s in plan.steps
-             if isinstance(s, OpStep) and is_strassen_step(s)]
-    assert len(calls) == len(steps)
-    return plan, calls
-
-
-class TestStrassenScratch:
-    @pytest.mark.parametrize("weight", [1, kernels.ADD_COST])
-    @pytest.mark.parametrize("preset", STRASSEN_GRAPHS)
-    def test_planned_scratch_covers_kernel_depth(self, preset, weight,
-                                                 monkeypatch):
-        # the backend hands each Strassen call its planned pool slice as
-        # is, so the slice must be exactly what the depth needs, rounded up
-        # to the 64-byte alignment, and no scratch when there is no level
-        plan, calls = strassen_calls(preset, weight, monkeypatch)
-        for need, given in calls:
-            want = -(-need * 4 // 64) * 64 // 4 if need else None
-            assert given == want, (need, given)
-        # nothing but a Strassen step owns pool scratch
-        strassen_ids = {s.node.id for s in plan.steps
-                        if isinstance(s, OpStep) and is_strassen_step(s)}
-        owners = {tid.removesuffix("#scratch")
-                  for mem in plan.memory.values() for tid in mem.offsets
-                  if tid.endswith("#scratch")}
-        assert owners <= strassen_ids, owners - strassen_ids
-
-    def test_count_rule_recurses_on_batched_matmul(self, monkeypatch):
-        # keeps the test above meaningful: under weight 1 the batched
-        # MatMul takes two levels, so its pooled scratch is exercised
-        _, calls = strassen_calls("batched-matmul", 1, monkeypatch)
-        d = kernels.MatDims(64, 64, 64)
-        assert kernels.strassen_recursion_depth(d, 1) == 2
-        assert [need for need, _ in calls] == [kernels.strassen_scratch_elems(d)]

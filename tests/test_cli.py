@@ -133,6 +133,12 @@ class TestRun:
         ('{"cpu": 5}', "'cpu'"),
         ('{"sim": {"flops": "fast"}}', "'sim'"),
         ('{"sim": {"flops": 1e9, "t_schedule_ms": -1}}', "'sim'"),
+        # only finite JSON numbers: no strings, booleans, Infinity or NaN
+        ('{"cpu": {"flops": "3e9"}}', "'cpu'"),
+        ('{"sim": {"flops": true}}', "'sim'"),
+        ('{"sim": {"flops": Infinity}}', "'sim'"),
+        ('{"sim": {"flops": 1e9, "t_schedule_ms": NaN}}', "'sim'"),
+        ('{"sim": {"flops": 1e9, "t_schedule_ms": Infinity}}', "'sim'"),
     ])
     def test_malformed_cost_model_reported(self, model_path, tmp_path,
                                            capsys, command, content, entry):

@@ -73,7 +73,7 @@ def test_every_scheme_matches_reference(case):
     assert plan.schemes[node.id] in schemes
     for scheme in schemes:
         execution = cpu.create_execution(
-            OpStep(node, scheme, cpu.name, None), plan)
+            OpStep(node, scheme, cpu.name), plan)
         out = np.full(data_shape(out_shape.dims, Layout.NHWC4), np.nan,
                       np.float32)
         execution([packed], [out])

@@ -324,6 +324,19 @@ class TestPlanMemory:
             b1 = b0 + plan.sizes[branch]
             assert a1 <= b0 or b1 <= a0
 
+    @pytest.mark.parametrize("weight", [1, kernels.ADD_COST])
+    @pytest.mark.parametrize("name", sorted(PRESETS) + ["batched-matmul"])
+    def test_pool_holds_graph_tensors_only(self, name, weight, monkeypatch):
+        # a plan's pools hold graph tensors and nothing else, even where
+        # the count rule (weight 1) splits the batched MatMul's product
+        monkeypatch.setattr(kernels, "ADD_COST", weight)
+        g = (batched_matmul_graph() if name == "batched-matmul"
+             else fuse(build_preset(name)))
+        plan = pre_infer(g, [CPU])
+        for mem in plan.memory.values():
+            assert set(mem.offsets) <= set(g.tensor_shapes)
+            assert set(mem.sizes) == set(mem.offsets)
+
     def test_chain_pool_bounded_by_two_tensors(self):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
         for _ in range(6):
@@ -366,7 +379,7 @@ class TestPreInfer:
         assert plan.muls[node.id] == mul_count(node, g.tensor_shapes)
         assert plan.candidates[node.id]["winograd6"] == plan.op_costs[node.id]
 
-    def test_single_op_pool_is_output_plus_scratch(self, monkeypatch):
+    def test_single_op_pool_is_its_output(self, monkeypatch):
         b = GraphBuilder((1, 4, 8, 8), seed=0)
         b.relu()
         g = b.build()
@@ -374,31 +387,21 @@ class TestPreInfer:
         out_bytes = packed_bytes(g.tensor_shapes[g.outputs[0]])
         assert plan.memory["cpu"].pool_size == out_bytes  # relu has no scratch
 
-        # conv kernels take no scratch from the pool, not even a 1x1 conv
-        # whose 64x64x256 product the count rule would split
+        # no kernel takes scratch from the pool: not a 3x3 conv, not a 1x1
+        # conv whose 64x64x256 product the count rule would split, and not
+        # a MatMul whose batched 64x64x64 product it splits twice
         monkeypatch.setattr(kernels, "ADD_COST", 1)
+        graphs = []
         for kernel, pad, c, size in ((3, 1, 4, 8), (1, 0, 64, 16)):
             b = GraphBuilder((1, c, size, size), seed=0)
             b.conv(kernel=kernel, pad=pad, out_c=c)
-            g = b.build()
+            graphs.append(b.build())
+        graphs.append(batched_matmul_graph())
+        for g in graphs:
             plan = pre_infer(g, [CPU])
             assert set(plan.memory["cpu"].offsets) == {g.outputs[0]}
             assert plan.memory["cpu"].pool_size == packed_bytes(
                 g.tensor_shapes[g.outputs[0]])
-
-        # a MatMul's Strassen levels do: under the count rule its batched
-        # 64x64x64 product recurses
-        g = batched_matmul_graph()
-        plan = pre_infer(g, [CPU])
-        node = g.nodes[0]
-        need = kernels.strassen_scratch_elems(kernels.MatDims(64, 64, 64))
-        assert need > 0
-        mem = plan.memory["cpu"]
-        scratch_id = f"{node.id}#scratch"
-        assert set(mem.offsets) == {g.outputs[0], scratch_id}
-        assert mem.sizes[scratch_id] == -(-need * 4 // 64) * 64
-        assert mem.pool_size == packed_bytes(
-            g.tensor_shapes[g.outputs[0]]) + mem.sizes[scratch_id]
 
     def test_winograd_weights_pretransformed(self, winograd_planned):
         b = GraphBuilder((1, 16, 16, 16), seed=0)

@@ -10,7 +10,10 @@ the median per scheme.  Three reports:
   add-cost  kernels.ADD_COST, one counted Strassen addition in BLAS
             multiplies: a one-level matmul_strassen less its seven
             half-size products, per counted addition, over matmul_direct's
-            time per multiply.
+            time per multiply.  Each line also gives the engine depth,
+            the levels matmul_strassen takes for the shape at ADD_COST.
+            The default shapes include 3072^3, 4096^3 and 2048x4096x4096,
+            where it takes one; they need about 1 GB and about a minute.
   weights   kernels.SMALL_PRODUCT_COST, MOVE_COST, SHUFFLE_COST and
             CALL_COST: a least-squares fit of every scheme's time on a set
             of convs (the presets' and synthetic ones) to the five kinds of
@@ -52,7 +55,8 @@ from nanoinfer.tensor import from_nchw  # noqa: E402
 
 ENGINE_ADD_COST = kernels.ADD_COST
 ADD_COST_SHAPES = [(1024, 1024, 1024), (2048, 2048, 2048), (24, 24, 1089),
-                   (128, 64, 256), (256, 128, 64), (64, 32, 1024)]
+                   (128, 64, 256), (256, 128, 64), (64, 32, 1024),
+                   (3072, 3072, 3072), (4096, 4096, 4096), (2048, 4096, 4096)]
 # synthetic convs for the weight fit: (in_c, out_c, size, kernel, stride,
 # group), 3x3 ones padded to keep their size
 SYNTHETIC = ([(c, max(c, 16), s, 3, 1, 1) for c in (3, 8, 16, 32, 64)
@@ -121,11 +125,13 @@ def report_add_cost(shapes):
     for n, k, m in shapes:
         direct, one, leaves, cost = measure_add_cost(n, k, m, rng)
         saved, added = level_counts(n, k, m)
+        depth = strassen_recursion_depth(MatDims(n, k, m), ENGINE_ADD_COST)
         costs.append(cost)
         print(f"{n}x{k}x{m}: direct {direct * 1e3:.2f} ms, one level "
               f"{one * 1e3:.2f} ms ({one / direct:.2f}x), its products "
               f"{leaves * 1e3:.2f} ms; addition cost {cost:.0f} multiplies; "
-              f"a level saves {saved / added:.1f} per addition")
+              f"a level saves {saved / added:.1f} per addition; engine "
+              f"depth {depth}")
     print(f"median addition cost {statistics.median(costs):.0f} "
           f"(ADD_COST is {ENGINE_ADD_COST})")
 
