@@ -15,12 +15,13 @@ window matrix of at most BAND_FLOATS floats, against every output lane at
 once; it writes the band's output rows itself, and a slab holds whole
 bands.  A 1x1 conv at stride 1 and pad 0 is one GEMM on the input as it
 lies.  A grouped conv is a dense one whose operand is block diagonal, one
-block per group.  Depthwise convolution at stride 1 is one multiply-add per
-window tap over a flat-pitch run of the slab, its sums cropped into the
-output once per slab; at other strides one per tap over whole output rows
-of the whole bordered map's windows.  Both conv schemes read one operand
-packed once (ConvWeights: the GEMM operand, the bias and ReLU maps,
-Winograd's transform) and end in one epilogue, bias_relu, per image.
+block per group.  Depthwise convolution at stride 1 is one einsum per slab
+and image, over a strided view of the slab that holds every tap's windows,
+straight into the output rows; at other strides one multiply-add per tap
+over whole output rows of the whole bordered map's windows.  Both conv
+schemes read one operand packed once (ConvWeights: the GEMM operand, the
+bias and ReLU maps, Winograd's transform) and end in one epilogue,
+bias_relu, per image.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -183,7 +184,11 @@ stay.  Recounted when sliding window went slab by slab (per extra slab a
 border's calls and the rows it copies again; depthwise at stride 1 its
 multiplies and sums over whole bordered rows and one crop): rank (one
 thread, 3 rounds) still finds 27 of 27 preset convs within the margin, so
-the constants stay.  Recalibrate on other hardware with that script.
+the constants stay.  Recounted when depthwise at stride 1 became one einsum
+per slab and image (it reads each tap's run of the output rows and writes
+them once: no per-tap products or sums, no crop): rank (one thread, 15
+rounds) still finds 27 of 27 preset convs within the margin, so the
+constants stay.  Recalibrate on other hardware with that script.
 """
 
 BAND_FLOATS = 32768
@@ -209,7 +214,8 @@ res0a, res0b and res1b still ran 5-9% slower than per tap (0.14 against
 sums it replaces.  Slabs of the same size, against the whole bordered map
 in one (same session, 20 alternating rounds of 10 runs): the 64x64
 resnet-mini run 2.93 against 3.23 ms (res1a 0.33 against 0.42 ms), while
-mobilenet-mini's dw2, in two slabs, took 257 against 222 us in one; every
+mobilenet-mini's dw2, in two slabs, took 105 against 91 us in one (one
+einsum per slab; medians of 1,500 steps, 30 alternating rounds); every
 32x32 dense conv and dw0 and dw1 fit one slab.  Re-measure on other
 hardware.
 """
@@ -443,17 +449,16 @@ def _pack_weight_columns(w: np.ndarray, p: ConvParams) -> np.ndarray:
     return packed
 
 
-def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, wp: int) -> np.ndarray:
-    """[c, 1, kh, kw] -> [kh, kw, wp, lanes]: each tap's weights repeated
-    along one bordered input row of wp pixels, so the depthwise multiply
-    runs over whole rows of wp*lanes contiguous floats, not lanes (the first
-    ow pixels at strides other than 1)."""
+def _pack_depthwise_rows(w: np.ndarray, p: ConvParams, ow: int) -> np.ndarray:
+    """[c, 1, kh, kw] -> [kh, kw, ow, lanes]: each tap's weights repeated
+    along one output row of ow pixels, so each tap multiplies runs of
+    ow*lanes contiguous floats, not lanes."""
     c = p.in_c
     taps = np.zeros((p.kh, p.kw, channel_blocks(c) * LANES), dtype=np.float32)
     taps[:, :, :c] = w.astype(np.float32).reshape(c, p.kh, p.kw).transpose(
         1, 2, 0)
     return np.ascontiguousarray(np.broadcast_to(
-        taps[:, :, None], (p.kh, p.kw, wp, taps.shape[2])))
+        taps[:, :, None], (p.kh, p.kw, ow, taps.shape[2])))
 
 
 def _padded_bias(bias: np.ndarray | None, out_c: int) -> np.ndarray | None:
@@ -476,9 +481,9 @@ def zero_map(floats: int) -> np.ndarray:
 class ConvWeights:
     """The operand a conv kernel reads, packed once, for either scheme.
 
-    ``mats`` is the GEMM operand: sliding window's [kh, kw, wp, in lanes]
-    for a depthwise conv (each tap's weights repeated over one bordered
-    input row of wp pixels), else [kh*kw, in lanes, out lanes], block
+    ``mats`` is the GEMM operand: sliding window's [kh, kw, ow, in lanes]
+    for a depthwise conv (each tap's weights repeated over one output row
+    of ow pixels), else [kh*kw, in lanes, out lanes], block
     diagonal over a grouped conv's groups and multiplied as one [kh*kw*in
     lanes, out lanes] matrix; Winograd's [alpha^2, out lanes, in lanes] in
     the domain of ``transform`` (None for sliding window).  ``bias`` is the
@@ -526,9 +531,10 @@ def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  zeros: np.ndarray | None = None) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
     wd."""
-    mats = (_pack_depthwise_rows(w, p, wd + 2 * p.pad_w) if p.depthwise
+    oh, ow = p.out_size(h, wd)
+    mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
-    return pack_conv(mats, p, bias, *p.out_size(h, wd), zeros=zeros,
+    return pack_conv(mats, p, bias, oh, ow, zeros=zeros,
                      slab_rows=slab_rows(p, n, h, wd))
 
 
@@ -631,19 +637,19 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
         copied = n * wp * cpad * (
             hp if slabs == 1 else (oh - slabs) * p.stride_h + slabs * p.kh)
     epilogue = (1 + p.relu) * out
+    if flat:
+        # per slab and image one einsum, reading each tap's run of the
+        # slab's output rows and writing those rows once
+        return KernelWork(moved=copied + (taps + 1) * n * pix * cpad
+                          + epilogue,
+                          calls=10 + 7 * (slabs - 1)
+                          + n * (slabs + 1 + p.relu))
     if p.depthwise:
-        if flat:
-            # per tap a multiply over whole bordered rows of wp pixels into
-            # a row buffer, then (after the first) its sum; one crop of the
-            # sums into the output
-            moved = (2 * taps - 1) * n * oh * wp * cpad + n * pix * cpad
-        else:
-            # per tap a multiply into the output or the product buffer,
-            # then (after the first) its sum
-            moved = (2 * taps - 1) * n * pix * cpad
-        return KernelWork(moved=copied + moved + epilogue,
-                          calls=10 + flat + 7 * (slabs - 1) + n * (
-                              (2 * taps - 1 + flat) * slabs + 1 + p.relu))
+        # per tap a multiply into the output or the product buffer, then
+        # (after the first) its sum
+        return KernelWork(moved=copied + (2 * taps - 1) * n * pix * cpad
+                          + epilogue,
+                          calls=10 + n * (2 * taps + p.relu))
     # one GEMM over every output pixel with K = taps x input lanes, into the
     # output itself; a grouped conv's runs over every lane of its
     # block-diagonal operand.  Bias and ReLU passes over the output.
@@ -674,11 +680,9 @@ def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
     read, copied into one buffer the kernel reuses.  A conv takes the
     fewest slabs that fit BAND_FLOATS (at least one band of a dense conv,
     or one row, per slab), then spreads its output rows evenly over them in
-    whole bands, so the buffers are no larger than that count needs.  At
-    stride 1 a depthwise slab holds (kw-1)*lanes floats more, which its
-    last tap's run reads past the rows.  A depthwise conv at other strides
-    reads the whole bordered map, and any other conv at pad 0 its input as
-    it lies, in one slab.
+    whole bands, so the buffers are no larger than that count needs.  A
+    depthwise conv at other strides reads the whole bordered map, and any
+    other conv at pad 0 its input as it lies, in one slab.
     """
     oh, ow = p.out_size(h, w)
     flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
@@ -686,9 +690,8 @@ def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
         return oh
     lanes = channel_blocks(p.in_c) * LANES
     row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
-    room = BAND_FLOATS - ((p.kw - 1) * lanes if flat else 0)
     # the output rows whose input rows fit one slab
-    fit = (room // max(1, row) - p.kh) // p.stride_h + 1
+    fit = (BAND_FLOATS // max(1, row) - p.kh) // p.stride_h + 1
     if fit >= oh:
         return oh
     unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
@@ -738,13 +741,12 @@ def windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
                       (row * hp, row * sh, col * sw, row, col, 4))
 
 
-def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray,
-                 slack: int = 0) -> np.ndarray:
+def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray) -> np.ndarray:
     """An empty buffer for one slab of `rows` output rows of x's images,
-    bordered, and `slack` floats more."""
+    bordered."""
     n, _, wd, c = x.shape
     return np.empty(n * ((rows - 1) * p.stride_h + p.kh)
-                    * (wd + 2 * p.pad_w) * c + slack, dtype=np.float32)
+                    * (wd + 2 * p.pad_w) * c, dtype=np.float32)
 
 
 def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
@@ -791,10 +793,10 @@ def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
 
 def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                     out: np.ndarray) -> None:
-    """Depthwise conv of NHWC4 data x into out, one multiply per window
-    tap: at stride 1 on flat-pitch runs of its slabs (_depthwise_flat),
-    else over whole output rows of ow*lanes floats of the whole bordered
-    map's windows, where the first tap writes out."""
+    """Depthwise conv of NHWC4 data x into out: at stride 1 one einsum per
+    slab and image (_depthwise_flat), else one multiply per window tap over
+    whole output rows of ow*lanes floats of the whole bordered map's
+    windows, where the first tap writes out."""
     if (p.stride_h, p.stride_w) == (1, 1):
         _depthwise_flat(x, packed, p, out)
         return
@@ -807,7 +809,7 @@ def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
         acc = out[img]  # [oh, ow, lanes]
         for tap in range(p.kh * p.kw):
             u, v = divmod(tap, p.kw)
-            win, wrow = views[img, :, :, u, v], packed.mats[u, v, :ow]
+            win, wrow = views[img, :, :, u, v], packed.mats[u, v]
             if tap == 0:
                 np.multiply(win, wrow, out=acc)
             else:
@@ -818,43 +820,35 @@ def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
 
 def _depthwise_flat(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                     out: np.ndarray) -> None:
-    """A depthwise conv at stride 1 on flat-pitch runs of its slabs.
+    """A depthwise conv at stride 1, one einsum per slab and image.
 
-    Output pixel (r, j) of a slab sits at r*pitch + j*lanes of a row buffer
-    [rows, pitch] of whole bordered rows, pitch = wp*lanes, and tap (u, v)
-    adds the slab's run starting u*pitch + v*lanes further on, times the
-    tap's weights repeated over one bordered row: one contiguous run per
-    tap.  Columns past ow are junk, and each slab's sums are cropped into
-    out once.
+    Output pixel (r, j) of a slab reads the slab's bordered rows from
+    r*pitch + j*lanes on, pitch = wp*lanes, so tap (u, v) reads the run of
+    b*pitch floats starting u*pitch + v*lanes further on, of which each
+    row's first ow*lanes are its windows: one strided view [kh, kw, b,
+    ow*lanes] of the slab, summed against the taps' weights [kh, kw,
+    ow*lanes] straight into the slab's output rows.  The last tap's run
+    ends on the slab's last float.  The sums are float32 in (u, v) order;
+    a NumPy whose baseline instruction set has FMA (aarch64, say) fuses
+    the multiply and add, and its last bits may differ.
     """
     n, h, wd, lanes = x.shape
     _, oh, ow, _ = out.shape
-    kh, taps = p.kh, p.kh * p.kw
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
     pitch, owl = wp * lanes, ow * lanes
-    wrow = packed.mats.reshape(taps, pitch)
-    runs = [u * pitch + v * lanes for u in range(kh) for v in range(p.kw)]
-    buf = _slab_buffer(p, rows, x, (p.kw - 1) * lanes)
-    # the last image's last run reads past its rows, into columns past ow
-    # only: zeros there, or rows of an earlier slab
-    buf[n * (rows + kh - 1) * pitch:] = 0.0
-    acc = np.empty((rows, pitch), dtype=np.float32)
-    prod = np.empty_like(acc) if taps > 1 else acc  # no products of 1 tap
-    for r0 in range(0, oh, rows):
+    wts = packed.mats.reshape(p.kh, p.kw, owl)
+    buf = _slab_buffer(p, rows, x)
+    r0 = 0
+    while r0 < oh:  # a range iterator would add 48 B to every run's heap
         b = min(rows, oh - r0)
-        span = (b + kh - 1) * pitch
-        border(x, p.pad_h, p.pad_w, hp, wp, rows=(r0, r0 + b + kh - 1),
+        border(x, p.pad_h, p.pad_w, hp, wp, rows=(r0, r0 + b + p.kh - 1),
                out=buf)
-        sums, prods = acc[:b], prod[:b]
         for img in range(n):
-            for tap, at in enumerate(runs):
-                at += img * span
-                run = buf[at:at + b * pitch].reshape(b, pitch)
-                if tap == 0:
-                    np.multiply(run, wrow[0], out=sums)
-                else:
-                    np.multiply(run, wrow[tap], out=prods)
-                    np.add(sums, prods, out=sums)
-            np.copyto(out[img, r0:r0 + b].reshape(b, owl), sums[:, :owl])
+            runs = np.ndarray((p.kh, p.kw, b, owl), np.float32, buf,
+                              4 * img * (b + p.kh - 1) * pitch,
+                              (4 * pitch, 4 * lanes, 4 * pitch, 4))
+            np.einsum("uvrp,uvp->rp", runs, wts,
+                      out=out[img, r0:r0 + b].reshape(b, owl))
+        r0 += b
     for img in range(n):
         bias_relu(out[img], packed)

@@ -405,7 +405,7 @@ SLAB_CASES = {
     "grouped": ((3, 3), (1, 1), (1, 1), 8, 12, 4, 1, 15, 11, 1536),
     "depthwise": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 11, 1024),
     "depthwise_stride2": ((3, 3), (2, 2), (1, 1), 8, 8, 8, 2, 19, 11, 1536),
-    "depthwise_one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 1, 350),
+    "depthwise_one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 1, 300),
 }
 
 
@@ -440,6 +440,54 @@ def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
                             stride, pad, group, bias.astype(np.float64),
                             relu=True)
     assert rel_err(got, want) <= 1e-5
+
+
+def depthwise_taps_float32(x, w, pad, bias):
+    """A stride-1 depthwise conv, bias and ReLU, summed tap by tap in
+    float32 in (u, v) order over the zero-padded NCHW input."""
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
+    oh, ow = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
+    acc = np.zeros((n, c, oh, ow), np.float32)
+    for u in range(kh):
+        for v in range(kw):
+            acc += w[None, :, 0, u, v, None, None] * xp[:, :, u:u + oh,
+                                                           v:v + ow]
+    return np.maximum(acc + bias[None, :, None, None], np.float32(0))
+
+
+# (kernel, pad, channels, images, input h, w, BAND_FLOATS or None for the
+# default, under which each is one slab; else several, the last partial)
+DEPTHWISE_CASES = {
+    "1x1": ((1, 1), (0, 0), 4, 1, 10, 7, 100),
+    "3x3_pad0": ((3, 3), (0, 0), 7, 2, 10, 10, None),
+    "3x3": ((3, 3), (1, 1), 16, 2, 15, 11, 2048),
+    "5x5": ((5, 5), (2, 2), 24, 1, 13, 13, 4096),
+    "5x5_pad1": ((5, 5), (1, 1), 12, 2, 12, 9, None),
+    "1x7": ((1, 7), (0, 2), 8, 2, 13, 20, 1024),
+    "7x1": ((7, 1), (2, 0), 64, 1, 16, 10, 8192),
+}
+
+
+@pytest.mark.parametrize("case", list(DEPTHWISE_CASES))
+def test_depthwise_stride1_is_per_tap_float32_sum(case, rng, monkeypatch):
+    kernel, pad, c, n, h, w, band = DEPTHWISE_CASES[case]
+    p = ConvParams(*kernel, 1, 1, *pad, c, c, c, relu=True)
+    oh, _ = p.out_size(h, w)
+    if band is not None:
+        monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+        rows = kernels.slab_rows(p, n, h, w)
+        assert rows < oh and oh % rows, (rows, oh)
+    else:
+        assert kernels.slab_rows(p, n, h, w) == oh
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = rng.standard_normal((c, 1, *kernel)).astype(np.float32)
+    bias = rng.standard_normal(c).astype(np.float32)
+    y = conv_sliding(relayout(from_nchw(x), Layout.NHWC4), wt, p, bias=bias)
+    got = relayout(y, Layout.NCHW).data
+    assert rel_err(got, depthwise_taps_float32(x, wt, pad, bias)) <= 1e-6
+    assert np.all(y.data[..., c:] == 0)  # pad lanes stay zero
 
 
 @pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 7), (0, 3))])

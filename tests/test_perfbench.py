@@ -3,7 +3,7 @@
 perfbench/ drives the public API (Session, conv_sliding, conv_winograd,
 weight_transform, ...) with its own keywords. A change to any of them that
 the benchmark does not follow would break it without failing another test.
-Each run takes about 5 s: a 1 s timed phase plus set-up probes.
+Each run takes about 4-5 s: a 1 s timed phase plus set-up probes.
 """
 
 import json
@@ -17,8 +17,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# the traced phase runs every conv again through conv_sliding or
+# conv_winograd and checks it against the reference, so each workload runs
+# traced: a conv whose own entry point fails ends that run in exit 1
 @pytest.mark.parametrize("workload,trace", [("resnet-32", "0"),
-                                            ("mobilenet-32", "1")])
+                                            ("mobilenet-32", "1"),
+                                            ("resnet-32", "1"),
+                                            ("resnet-64", "1")])
 def test_benchmark_runs_correct(workload, trace, tmp_path):
     # run a copy, so the trace it writes lands in tmp_path, not the tree
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",

@@ -1,8 +1,9 @@
 """Smoke tests: tools/calibrate.py's add-cost, rank and weights reports.
 
 They time kernels, so they assert each report's shape, not any timing:
-add-cost gives one line per product shape, with the depth the engine's
-weighted rule takes for it, and the median addition cost beside ADD_COST;
+add-cost gives one line per product shape, each time's median beside its
+quartiles, with the depth the engine's weighted rule takes for it, and the
+median addition cost beside ADD_COST;
 rank gives one line per conv naming the planned and the fastest scheme;
 weights gives the GEMM rate, each fitted weight beside the
 engine's, and how often each set of weights picks a scheme near the fastest.
@@ -32,9 +33,10 @@ def test_calibrate_add_cost_reports_each_shape():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2
     num = r"-?[0-9.]+"
+    t = rf"{num} ms \[{num}-{num}\]"  # median, then its quartiles
     assert re.fullmatch(
-        rf"128x64x256: direct {num} ms, one level {num} ms \({num}x\), its "
-        rf"products {num} ms; addition cost {num} multiplies; a level saves "
+        rf"128x64x256: direct {t}, one level {t} \({num}x\), its "
+        rf"products {t}; addition cost {num} multiplies; a level saves "
         rf"{num} per addition; engine depth 0", lines[0]), lines[0]
     assert re.fullmatch(rf"median addition cost {num} \(ADD_COST is "
                         rf"{kernels.ADD_COST}\)", lines[1]), lines[1]

@@ -10,8 +10,10 @@ the median per scheme.  Three reports:
   add-cost  kernels.ADD_COST, one counted Strassen addition in BLAS
             multiplies: a one-level matmul_strassen less its seven
             half-size products, per counted addition, over matmul_direct's
-            time per multiply.  Each line also gives the engine depth,
-            the levels matmul_strassen takes for the shape at ADD_COST.
+            time per multiply.  Each time is the median of its runs with
+            their quartiles in brackets, and the cost is taken from the
+            medians.  Each line also gives the engine depth, the levels
+            matmul_strassen takes for the shape at ADD_COST.
             The default shapes include 3072^3, 4096^3 and 2048x4096x4096,
             where it takes one; they need about 1 GB and about a minute.
   weights   kernels.SMALL_PRODUCT_COST, MOVE_COST, SHUFFLE_COST and
@@ -86,7 +88,9 @@ def level_counts(n, k, m):
 
 
 def measure_add_cost(n, k, m, rng):
-    """Returns (direct s, one level s, its products s, addition cost)."""
+    """Returns the times in s of direct, one level and its products, each
+    (first quartile, median, third quartile), and the addition cost from
+    the medians."""
     saved, added = level_counts(n, k, m)
     # any weight just under this shape's saved/added ratio takes its first
     # level and, since the ratio about halves per level, no second one
@@ -114,9 +118,15 @@ def measure_add_cost(n, k, m, rng):
                 times[i].append(timed(fn))
     finally:
         kernels.ADD_COST = ENGINE_ADD_COST
-    direct, one, leaves = (statistics.median(t) for t in times)
-    cost = ((one - leaves) / added) / (direct / (n * k * m))
+    direct, one, leaves = (statistics.quantiles(t, n=4, method="inclusive")
+                           for t in times)
+    cost = ((one[1] - leaves[1]) / added) / (direct[1] / (n * k * m))
     return direct, one, leaves, cost
+
+
+def ms(q):
+    """A time's median in ms, its quartiles beside it."""
+    return f"{q[1] * 1e3:.2f} ms [{q[0] * 1e3:.2f}-{q[2] * 1e3:.2f}]"
 
 
 def report_add_cost(shapes):
@@ -127,9 +137,9 @@ def report_add_cost(shapes):
         saved, added = level_counts(n, k, m)
         depth = strassen_recursion_depth(MatDims(n, k, m), ENGINE_ADD_COST)
         costs.append(cost)
-        print(f"{n}x{k}x{m}: direct {direct * 1e3:.2f} ms, one level "
-              f"{one * 1e3:.2f} ms ({one / direct:.2f}x), its products "
-              f"{leaves * 1e3:.2f} ms; addition cost {cost:.0f} multiplies; "
+        print(f"{n}x{k}x{m}: direct {ms(direct)}, one level {ms(one)} "
+              f"({one[1] / direct[1]:.2f}x), its products {ms(leaves)}; "
+              f"addition cost {cost:.0f} multiplies; "
               f"a level saves {saved / added:.1f} per addition; engine "
               f"depth {depth}")
     print(f"median addition cost {statistics.median(costs):.0f} "
