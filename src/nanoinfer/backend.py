@@ -19,12 +19,12 @@ Strassen level: where the engine's rule would take one, it measured
 slower than direct), and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The pools and the staging buffers
 start on a 64 B cache line (aligned_zeros), as every pool offset does.  The
-kernels' temporaries (a sliding-window conv's slab of bordered input rows
-and a dense conv's window matrix, the bordered inputs of pools and of
-Winograd, Winograd's patches and tiles, MatMul's product) are still heap
-allocations on every run, and so is the NCHW round
-trip of a Reshape that changes the shape (graph.fuse drops the identity
-ones).
+kernels' temporaries (the slab of bordered input rows of a sliding-window
+conv, dense or depthwise at any stride, and a dense conv's window matrix,
+the bordered inputs of pools and of Winograd, Winograd's patches and
+tiles, MatMul's product) are still heap allocations on every run, and so
+is the NCHW round trip of a Reshape that changes the shape (graph.fuse
+drops the identity ones).
 """
 
 from __future__ import annotations

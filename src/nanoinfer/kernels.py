@@ -6,22 +6,21 @@ is one contiguous run of w*lanes floats.  Every windowed kernel pads its
 input through one function, border (a pool with its own fill), which also
 fills one range of the bordered map's rows into a buffer the caller
 supplies, and the conv kernels read their windows through one strided view
-of it, windows.  A sliding-window conv walks its output in slabs of rows
-(slab_rows): each slab's bordered input rows go into one buffer of at most
-BAND_FLOATS floats, reused slab after slab, or the whole bordered map when
-it fits.  A dense convolution is one GEMM per band of output rows, of the
-band's windows [pixels, kh*kw*in lanes], copied out of the slab into a
-window matrix of at most BAND_FLOATS floats, against every output lane at
-once; it writes the band's output rows itself, and a slab holds whole
-bands.  A 1x1 conv at stride 1 and pad 0 is one GEMM on the input as it
-lies.  A grouped conv is a dense one whose operand is block diagonal, one
-block per group.  Depthwise convolution at stride 1 is one einsum per slab
-and image, over a strided view of the slab that holds every tap's windows,
-straight into the output rows; at other strides one multiply-add per tap
-over whole output rows of the whole bordered map's windows.  Both conv
-schemes read one operand packed once (ConvWeights: the GEMM operand, the
-bias and ReLU maps, Winograd's transform) and end in one epilogue,
-bias_relu, per image.
+of it, windows.  Every sliding-window conv, dense, grouped or depthwise at
+any stride, is one walk of its output in slabs of rows (slab_rows,
+sliding_nhwc4): each slab's bordered input rows go into one buffer of at
+most BAND_FLOATS floats, reused slab after slab, or are the whole bordered
+map when it fits (the input itself at pad 0).  Per slab and image a
+depthwise conv is one einsum of the slab's windows against the taps'
+weights, straight into the output rows.  A dense conv is one GEMM per band
+of output rows, of the band's windows [pixels, kh*kw*in lanes], copied out
+of the slab into a window matrix of at most BAND_FLOATS floats, against
+every output lane at once; it writes the band's output rows itself, and a
+slab holds whole bands.  A 1x1 conv at stride 1 and pad 0 is one GEMM on
+the input as it lies.  A grouped conv is a dense one whose operand is block
+diagonal, one block per group.  Both conv schemes read one operand packed
+once (ConvWeights: the GEMM operand or depthwise taps, the bias and ReLU
+maps, Winograd's transform) and end in one epilogue, bias_relu, per image.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -188,7 +187,11 @@ the constants stay.  Recounted when depthwise at stride 1 became one einsum
 per slab and image (it reads each tap's run of the output rows and writes
 them once: no per-tap products or sums, no crop): rank (one thread, 15
 rounds) still finds 27 of 27 preset convs within the margin, so the
-constants stay.  Recalibrate on other hardware with that script.
+constants stay.  Recounted when depthwise convs at every stride went into
+the one slab walk (one einsum per slab and image; at pad 0 no copy, as the
+conv reads its input as it lies): rank (one thread, 15 rounds) still finds
+27 of 27 preset convs within the margin, so the constants stay.
+Recalibrate on other hardware with that script.
 """
 
 BAND_FLOATS = 32768
@@ -196,12 +199,13 @@ BAND_FLOATS = 32768
 and in the window matrix of one band of a dense conv (128 KiB each).
 
 A band is the most output rows whose window matrix fits, at least one; a
-conv takes the fewest slabs whose rows fit (a whole number of bands each,
-at least one), spread evenly.  Both depend on the conv's geometry only, so
-a step gives the same bits however it is called, and a depthwise conv's
-bits do not depend on its slabs at all.  The band size was measured as
-medians of each dense step of the resnet-mini topology in one running
-session, the band sizes alternating in one process (2-vCPU x86-64 VM, 48
+padded conv, dense or depthwise at any stride, takes the fewest slabs whose
+rows fit (a whole number of bands each, at least one), spread evenly.
+Both depend on the conv's geometry only, so a step gives the same bits
+however it is called, and a depthwise conv's bits do not depend on its
+slabs at all.  The band size was measured as medians of each dense step
+of the resnet-mini topology in one running session, the band sizes
+alternating in one process (2-vCPU x86-64 VM, 48
 KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one thread, 16-40 rounds of
 10 runs).  The dense steps summed, at 16,384, 32,768, 65,536 floats and a
 whole map per band: 2.40, 1.93, 2.08 and 2.10 ms at 64x64 input, 0.61,
@@ -482,11 +486,12 @@ class ConvWeights:
     """The operand a conv kernel reads, packed once, for either scheme.
 
     ``mats`` is the GEMM operand: sliding window's [kh, kw, ow, in lanes]
-    for a depthwise conv (each tap's weights repeated over one output row
-    of ow pixels), else [kh*kw, in lanes, out lanes], block
-    diagonal over a grouped conv's groups and multiplied as one [kh*kw*in
-    lanes, out lanes] matrix; Winograd's [alpha^2, out lanes, in lanes] in
-    the domain of ``transform`` (None for sliding window).  ``bias`` is the
+    for a depthwise conv at any stride (each tap's weights repeated over
+    one output row of ow pixels, the einsum's second operand), else [kh*kw,
+    in lanes, out lanes], block diagonal over a grouped conv's groups and
+    multiplied as one [kh*kw*in lanes, out lanes] matrix; Winograd's
+    [alpha^2, out lanes, in lanes] in the domain of ``transform`` (None for
+    sliding window).  ``bias`` is the
     bias padded to whole 4-lane blocks at every pixel of one output image,
     [oh, ow, out lanes], and ``zero`` a read-only zero map of that shape if
     the conv applies ReLU: a prefix view of a zero buffer that every ReLU
@@ -610,10 +615,72 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                   out: np.ndarray) -> None:
     """conv_sliding on NHWC4 arrays, as a session runs it: x [n, h, w, in
     lanes] into out [n, oh, ow, out lanes], contiguous float32, every
-    element of which is written."""
-    if out.size:
-        conv = _conv_depthwise if p.depthwise else _conv_dense
-        conv(x, packed, p, out)
+    element of which is written.
+
+    Every conv walks its output rows in slabs (slab_rows).  A slab's
+    bordered input rows go into one buffer reused slab after slab, or are
+    the whole bordered map in one slab (x itself at pad 0), and one strided
+    view of them (windows) holds each output pixel's window.  Per image, a
+    depthwise conv sums the taps' windows against the taps' weights
+    ([kh, kw, ow, lanes]) in one einsum straight into the slab's output
+    rows: float32 sums in (u, v) order, so its bits do not depend on the
+    slabs (a NumPy whose baseline instruction set has FMA, aarch64 say,
+    fuses the multiply and add, and its last bits may differ).  A dense or
+    grouped conv copies each band of output rows' windows into a window
+    matrix [pixels, kh*kw*in lanes] and multiplies it by every output lane
+    straight into those rows; a slab holds whole bands, and a 1x1 conv at
+    stride 1 and pad 0 multiplies each image as it lies.
+    """
+    if not out.size:
+        return
+    n, h, wd, cpad = x.shape
+    _, oh, ow, opad = out.shape
+    k = p.kh * p.kw * cpad
+    if p.depthwise:
+        # (ow, lanes) as one axis at stride_w 1, where a row's windows are
+        # adjacent, so the reshape below is a view (a copy would show in
+        # the step's heap): an inner loop over only lanes floats ran 5x
+        # slower there
+        tail, sums = ((ow * cpad,), "uvrp,uvp->rp") if p.stride_w == 1 else (
+            (ow, cpad), "uvrjl,uvjl->rjl")
+        taps = packed.mats.reshape(p.kh, p.kw, *tail)
+    else:
+        wmat = packed.mats.reshape(k, opad)
+        if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
+                1, 1, 1, 1, 0, 0):  # the input as it lies is the window matrix
+            for img in range(n):
+                np.matmul(x[img].reshape(h * wd, cpad), wmat,
+                          out=out[img].reshape(oh * ow, opad))
+                bias_relu(out[img], packed)
+            return
+        band = _band_rows(oh, ow * k)
+        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
+    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
+    buf = None if rows >= oh else _slab_buffer(p, rows, x)
+    r0 = 0
+    while r0 < oh:  # a range iterator would add 48 B to every run's heap
+        b = min(rows, oh - r0)
+        span = None if buf is None else (
+            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
+        views = windows(border(x, p.pad_h, p.pad_w, hp, wp, rows=span,
+                               out=buf),
+                        p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        for img in range(n):
+            if p.depthwise:
+                runs = views[img].transpose(2, 3, 0, 1, 4).reshape(
+                    p.kh, p.kw, b, *tail)
+                np.einsum(sums, runs, taps,
+                          out=out[img, r0:r0 + b].reshape(b, *tail))
+                continue
+            for r in range(0, b, band):
+                bb = min(band, b - r)
+                np.copyto(win[:bb], views[img, r:r + bb])
+                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                          out=out[img, r0 + r:r0 + r + bb].reshape(
+                              bb * ow, opad))
+        r0 += b
+    for img in range(n):
+        bias_relu(out[img], packed)
 
 
 def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
@@ -628,28 +695,21 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     rows, hp, wp = slab_rows(p, n, h, w), h + 2 * p.pad_h, w + 2 * p.pad_w
     slabs = -(-oh // rows)
     # the bordered input rows, every element written once: one slab is the
-    # whole map (none for a conv at pad 0 that reads x as it lies), and
+    # whole map (none at pad 0, where the conv reads x as it lies), and
     # more slabs each copy the rows their output rows read, the rows two
     # slabs share twice, into one buffer, with a border's calls each
-    flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
     copied = 0
-    if flat or p.pad_h or p.pad_w:
+    if p.pad_h or p.pad_w:
         copied = n * wp * cpad * (
             hp if slabs == 1 else (oh - slabs) * p.stride_h + slabs * p.kh)
     epilogue = (1 + p.relu) * out
-    if flat:
-        # per slab and image one einsum, reading each tap's run of the
+    if p.depthwise:
+        # per slab and image one einsum, reading each tap's windows of the
         # slab's output rows and writing those rows once
         return KernelWork(moved=copied + (taps + 1) * n * pix * cpad
                           + epilogue,
                           calls=10 + 7 * (slabs - 1)
                           + n * (slabs + 1 + p.relu))
-    if p.depthwise:
-        # per tap a multiply into the output or the product buffer, then
-        # (after the first) its sum
-        return KernelWork(moved=copied + (2 * taps - 1) * n * pix * cpad
-                          + epilogue,
-                          calls=10 + n * (2 * taps + p.relu))
     # one GEMM over every output pixel with K = taps x input lanes, into the
     # output itself; a grouped conv's runs over every lane of its
     # block-diagonal operand.  Bias and ReLU passes over the output.
@@ -677,16 +737,15 @@ def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
     """Output rows per slab of a sliding-window conv on n images of h x w.
 
     A slab is the bordered input rows that some output rows of every image
-    read, copied into one buffer the kernel reuses.  A conv takes the
-    fewest slabs that fit BAND_FLOATS (at least one band of a dense conv,
-    or one row, per slab), then spreads its output rows evenly over them in
-    whole bands, so the buffers are no larger than that count needs.  A
-    depthwise conv at other strides reads the whole bordered map, and any
-    other conv at pad 0 its input as it lies, in one slab.
+    read, copied into one buffer the kernel reuses.  One rule for every
+    conv: at pad 0 it reads its input as it lies, in one slab; a padded
+    conv takes the fewest slabs that fit BAND_FLOATS (at least one band of
+    a dense conv, or one row of a depthwise one, per slab), then spreads
+    its output rows evenly over them in whole bands, so the buffers are no
+    larger than that count needs.
     """
     oh, ow = p.out_size(h, w)
-    flat = p.depthwise and (p.stride_h, p.stride_w) == (1, 1)
-    if not flat and (p.depthwise or not (p.pad_h or p.pad_w)):
+    if not (p.pad_h or p.pad_w):
         return oh
     lanes = channel_blocks(p.in_c) * LANES
     row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
@@ -747,108 +806,3 @@ def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray) -> np.ndarray:
     n, _, wd, c = x.shape
     return np.empty(n * ((rows - 1) * p.stride_h + p.kh)
                     * (wd + 2 * p.pad_w) * c, dtype=np.float32)
-
-
-def _conv_dense(x: np.ndarray, packed: ConvWeights, p: ConvParams,
-                out: np.ndarray) -> None:
-    """Dense or grouped conv of NHWC4 data x into out, slab by slab (its
-    bordered input rows in one reused buffer, or the whole map in one):
-    per band of output rows, one copy of its windows into a window matrix
-    [pixels, kh*kw*in lanes] and one GEMM of it against every output lane
-    into those rows."""
-    n, h, wd, cpad = x.shape
-    _, oh, ow, opad = out.shape
-    k = p.kh * p.kw * cpad
-    wmat = packed.mats.reshape(k, opad)
-    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
-            1, 1, 1, 1, 0, 0):  # the input as it lies is the window matrix
-        for img in range(n):
-            np.matmul(x[img].reshape(h * wd, cpad), wmat,
-                      out=out[img].reshape(oh * ow, opad))
-            bias_relu(out[img], packed)
-        return
-    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    buf = None if rows >= oh else _slab_buffer(p, rows, x)
-    band = _band_rows(oh, ow * k)
-    win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
-    r0 = 0
-    while r0 < oh:  # a range iterator would add 48 B to every run's heap
-        b = min(rows, oh - r0)
-        span = None if buf is None else (
-            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
-        views = windows(border(x, p.pad_h, p.pad_w, hp, wp, rows=span,
-                               out=buf),
-                        p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
-        for img in range(n):
-            for r in range(0, b, band):
-                bb = min(band, b - r)
-                np.copyto(win[:bb], views[img, r:r + bb])
-                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                          out=out[img, r0 + r:r0 + r + bb].reshape(
-                              bb * ow, opad))
-        r0 += b
-    for img in range(n):
-        bias_relu(out[img], packed)
-
-
-def _conv_depthwise(x: np.ndarray, packed: ConvWeights, p: ConvParams,
-                    out: np.ndarray) -> None:
-    """Depthwise conv of NHWC4 data x into out: at stride 1 one einsum per
-    slab and image (_depthwise_flat), else one multiply per window tap over
-    whole output rows of ow*lanes floats of the whole bordered map's
-    windows, where the first tap writes out."""
-    if (p.stride_h, p.stride_w) == (1, 1):
-        _depthwise_flat(x, packed, p, out)
-        return
-    n, h, wd, _ = x.shape
-    _, oh, ow, _ = out.shape
-    xp = border(x, p.pad_h, p.pad_w, h + 2 * p.pad_h, wd + 2 * p.pad_w)
-    views = windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh, ow)
-    prod = np.empty_like(out[0]) if p.kh * p.kw > 1 else None
-    for img in range(n):
-        acc = out[img]  # [oh, ow, lanes]
-        for tap in range(p.kh * p.kw):
-            u, v = divmod(tap, p.kw)
-            win, wrow = views[img, :, :, u, v], packed.mats[u, v]
-            if tap == 0:
-                np.multiply(win, wrow, out=acc)
-            else:
-                np.multiply(win, wrow, out=prod)
-                acc += prod
-        bias_relu(acc, packed)
-
-
-def _depthwise_flat(x: np.ndarray, packed: ConvWeights, p: ConvParams,
-                    out: np.ndarray) -> None:
-    """A depthwise conv at stride 1, one einsum per slab and image.
-
-    Output pixel (r, j) of a slab reads the slab's bordered rows from
-    r*pitch + j*lanes on, pitch = wp*lanes, so tap (u, v) reads the run of
-    b*pitch floats starting u*pitch + v*lanes further on, of which each
-    row's first ow*lanes are its windows: one strided view [kh, kw, b,
-    ow*lanes] of the slab, summed against the taps' weights [kh, kw,
-    ow*lanes] straight into the slab's output rows.  The last tap's run
-    ends on the slab's last float.  The sums are float32 in (u, v) order;
-    a NumPy whose baseline instruction set has FMA (aarch64, say) fuses
-    the multiply and add, and its last bits may differ.
-    """
-    n, h, wd, lanes = x.shape
-    _, oh, ow, _ = out.shape
-    rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    pitch, owl = wp * lanes, ow * lanes
-    wts = packed.mats.reshape(p.kh, p.kw, owl)
-    buf = _slab_buffer(p, rows, x)
-    r0 = 0
-    while r0 < oh:  # a range iterator would add 48 B to every run's heap
-        b = min(rows, oh - r0)
-        border(x, p.pad_h, p.pad_w, hp, wp, rows=(r0, r0 + b + p.kh - 1),
-               out=buf)
-        for img in range(n):
-            runs = np.ndarray((p.kh, p.kw, b, owl), np.float32, buf,
-                              4 * img * (b + p.kh - 1) * pitch,
-                              (4 * pitch, 4 * lanes, 4 * pitch, 4))
-            np.einsum("uvrp,uvp->rp", runs, wts,
-                      out=out[img, r0:r0 + b].reshape(b, owl))
-        r0 += b
-    for img in range(n):
-        bias_relu(out[img], packed)

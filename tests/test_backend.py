@@ -80,13 +80,14 @@ class TestBuffers:
         assert cpu.alloc_count == allocs_after_first
         session.close()
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS) + ["grouped"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS) + [
+        "grouped", "depthwise_stride2"])
     def test_sliding_steps_heap_peak_bounded(self, preset, monkeypatch):
         # each sliding-window conv writes its output in place and reads
-        # packed weights: its heap peak is its padded input plus its
-        # working buffers, within a fixed slack
+        # packed weights: its heap peak is its slab of padded input plus
+        # its working buffers, within a fixed slack
         g = fuse(build_preset(preset) if preset in PRESETS
-                 else grouped_conv_graph())
+                 else SLIDING_GRAPHS[preset]())
         plan, peaks = step_heap_peaks(g, monkeypatch)
         convs = [n for n in g.nodes if n.kind is OpKind.CONV2D
                  and plan.schemes[n.id].kind is SchemeKind.SLIDING_WINDOW]
@@ -270,31 +271,38 @@ def grouped_conv_graph():
     return b.build(outputs=[wide, strided])
 
 
+def strided_depthwise_graph():
+    """A depthwise conv at stride 2 no preset has, whose bordered 66x66 map
+    of 32 channels (139,392 floats) is larger than BAND_FLOATS."""
+    b = GraphBuilder((1, 32, 64, 64), seed=0)
+    b.conv(kernel=3, stride=2, pad=1, out_c=32, group=32, activation="relu")
+    return b.build()
+
+
+SLIDING_GRAPHS = {"grouped": grouped_conv_graph,
+                  "depthwise_stride2": strided_depthwise_graph}
+
+
 def sliding_heap_bound(node, shapes):
     """Heap bytes a sliding-window conv step may take: its slab of bordered
     input rows (the whole bordered map if one slab holds it; nothing for a
-    conv that reads its input as it lies), then one window matrix (dense
-    or grouped) or one product buffer of an output image (depthwise at
-    strides other than 1), plus 96 KiB of slack.  Depthwise at stride 1
-    takes its slab and 8 KiB: its einsum writes the output rows itself,
-    with no row buffer and no iterator buffer."""
+    conv at pad 0, which reads its input as it lies), then, for a dense or
+    grouped conv, one window matrix and 96 KiB of slack.  A depthwise conv,
+    at any stride, takes its slab and 8 KiB: its einsum writes the output
+    rows itself, with no row buffer and no iterator buffer."""
     p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
     cpad = channel_blocks(p.in_c) * LANES
-    oh, ow = p.out_size(h, w)
+    oh, _ = p.out_size(h, w)
     hp, wp = h + 2 * p.pad_h, w + 2 * p.pad_w
     rows = kernels.slab_rows(p, n, h, w)
-    if p.depthwise and (p.stride_h, p.stride_w) == (1, 1):
-        return 4 * n * (rows + p.kh - 1) * wp * cpad + 8 * 1024
     slab = 0
     if p.pad_h or p.pad_w:
         slab = n * wp * cpad * (
             hp if rows == oh else (rows - 1) * p.stride_h + p.kh)
     if p.depthwise:
-        work = oh * ow * cpad
-    else:
-        work = window_matrix_floats(p, h, w)
-    return 4 * (slab + work) + 96 * 1024
+        return 4 * slab + 8 * 1024
+    return 4 * (slab + window_matrix_floats(p, h, w)) + 96 * 1024
 
 
 def window_matrix_floats(p, h, w):

@@ -393,8 +393,7 @@ def test_conv_out_contract(case, rng):
 
 # (kernel, stride, pad, in_c, out_c, group, images, input h, w, BAND_FLOATS):
 # under that BAND_FLOATS each conv splits into several slabs, the last
-# one partial, but depthwise at stride 2, which reads the whole bordered
-# map; at the default every one is a single slab
+# one partial; at the default every one is a single slab
 SLAB_CASES = {
     "stride2_pad2": ((3, 3), (2, 2), (2, 2), 8, 8, 1, 1, 23, 17, 1536),
     "1x7": ((1, 7), (1, 1), (0, 3), 8, 8, 1, 1, 13, 20, 1024),
@@ -428,10 +427,7 @@ def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
     whole = conv(Layout.NHWC4)
     monkeypatch.setattr(kernels, "BAND_FLOATS", band)
     rows = kernels.slab_rows(p, n, h, w)
-    if p.depthwise and stride != (1, 1):
-        assert rows == oh
-    else:
-        assert rows < oh and oh % rows, (rows, oh)
+    assert rows < oh and oh % rows, (rows, oh)
     got = conv(Layout.NHWC4)
     assert got.tobytes() == conv(Layout.NC4HW4).tobytes()
     if p.depthwise:  # its sums do not depend on the slab's rows
@@ -442,38 +438,46 @@ def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
     assert rel_err(got, want) <= 1e-5
 
 
-def depthwise_taps_float32(x, w, pad, bias):
-    """A stride-1 depthwise conv, bias and ReLU, summed tap by tap in
-    float32 in (u, v) order over the zero-padded NCHW input."""
+def depthwise_taps_float32(x, w, stride, pad, bias):
+    """A depthwise conv, bias and ReLU, summed tap by tap in float32 in
+    (u, v) order over the zero-padded NCHW input."""
     n, c, h, wd = x.shape
     kh, kw = w.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad[0], pad[0]), (pad[1], pad[1])))
-    oh, ow = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
+    (sh, sw), (ph, pw) = stride, pad
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
     acc = np.zeros((n, c, oh, ow), np.float32)
     for u in range(kh):
         for v in range(kw):
-            acc += w[None, :, 0, u, v, None, None] * xp[:, :, u:u + oh,
-                                                           v:v + ow]
+            acc += w[None, :, 0, u, v, None, None] * xp[
+                :, :, u:u + (oh - 1) * sh + 1:sh, v:v + (ow - 1) * sw + 1:sw]
     return np.maximum(acc + bias[None, :, None, None], np.float32(0))
 
 
-# (kernel, pad, channels, images, input h, w, BAND_FLOATS or None for the
-# default, under which each is one slab; else several, the last partial)
+# (kernel, stride, pad, channels, images, input h, w, BAND_FLOATS or None
+# for the default, under which each is one slab; else several, the last
+# partial).  A conv at pad 0 reads its input as it lies, in one slab.
 DEPTHWISE_CASES = {
-    "1x1": ((1, 1), (0, 0), 4, 1, 10, 7, 100),
-    "3x3_pad0": ((3, 3), (0, 0), 7, 2, 10, 10, None),
-    "3x3": ((3, 3), (1, 1), 16, 2, 15, 11, 2048),
-    "5x5": ((5, 5), (2, 2), 24, 1, 13, 13, 4096),
-    "5x5_pad1": ((5, 5), (1, 1), 12, 2, 12, 9, None),
-    "1x7": ((1, 7), (0, 2), 8, 2, 13, 20, 1024),
-    "7x1": ((7, 1), (2, 0), 64, 1, 16, 10, 8192),
+    "1x1": ((1, 1), (1, 1), (1, 1), 4, 1, 11, 7, 100),
+    "3x3_pad0": ((3, 3), (1, 1), (0, 0), 7, 2, 10, 10, None),
+    "3x3": ((3, 3), (1, 1), (1, 1), 16, 2, 15, 11, 2048),
+    "5x5": ((5, 5), (1, 1), (2, 2), 24, 1, 13, 13, 4096),
+    "5x5_pad1": ((5, 5), (1, 1), (1, 1), 12, 2, 12, 9, None),
+    "1x7": ((1, 7), (1, 1), (0, 2), 8, 2, 13, 20, 1024),
+    "7x1": ((7, 1), (1, 1), (2, 0), 64, 1, 16, 10, 8192),
+    "3x3_stride2": ((3, 3), (2, 2), (1, 1), 32, 2, 21, 15, 8192),
+    "3x3_stride2_pad0": ((3, 3), (2, 2), (0, 0), 12, 2, 16, 13, None),
+    "5x5_stride2": ((5, 5), (2, 2), (2, 2), 8, 1, 17, 17, None),
+    "3x3_stride2x1": ((3, 3), (2, 1), (1, 1), 16, 1, 22, 9, 1536),
+    "1x7_stride1x2": ((1, 7), (1, 2), (0, 3), 8, 2, 11, 22, 1024),
+    "7x1_stride2x1": ((7, 1), (2, 1), (3, 0), 4, 1, 18, 6, None),
 }
 
 
 @pytest.mark.parametrize("case", list(DEPTHWISE_CASES))
-def test_depthwise_stride1_is_per_tap_float32_sum(case, rng, monkeypatch):
-    kernel, pad, c, n, h, w, band = DEPTHWISE_CASES[case]
-    p = ConvParams(*kernel, 1, 1, *pad, c, c, c, relu=True)
+def test_depthwise_is_per_tap_float32_sum(case, rng, monkeypatch):
+    kernel, stride, pad, c, n, h, w, band = DEPTHWISE_CASES[case]
+    p = ConvParams(*kernel, *stride, *pad, c, c, c, relu=True)
     oh, _ = p.out_size(h, w)
     if band is not None:
         monkeypatch.setattr(kernels, "BAND_FLOATS", band)
@@ -486,7 +490,8 @@ def test_depthwise_stride1_is_per_tap_float32_sum(case, rng, monkeypatch):
     bias = rng.standard_normal(c).astype(np.float32)
     y = conv_sliding(relayout(from_nchw(x), Layout.NHWC4), wt, p, bias=bias)
     got = relayout(y, Layout.NCHW).data
-    assert rel_err(got, depthwise_taps_float32(x, wt, pad, bias)) <= 1e-6
+    want = depthwise_taps_float32(x, wt, stride, pad, bias)
+    assert rel_err(got, want) <= 1e-6
     assert np.all(y.data[..., c:] == 0)  # pad lanes stay zero
 
 
