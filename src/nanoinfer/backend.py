@@ -13,18 +13,21 @@ unpacks its outputs, and no step between re-lays a tensor.  A conv step calls it
 scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
-into the step's pool array.  MatMul multiplies the packed input rows by
+into the step's pool array.  A conv step with a max pool folded in
+(preinference.build_steps) writes the pool's output array, and its kernel
+gets its scratch, a flat float32 slice of the pool bound like the arrays.
+Pools run kernels.pool_nhwc4.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, one matmul_direct GEMM (no
 Strassen level: where the engine's rule would take one, it measured
 slower than direct), and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The pools and the staging buffers
 start on a 64 B cache line (aligned_zeros), as every pool offset does.  The
-kernels' temporaries (the slab of bordered input rows of a sliding-window
-conv, dense or depthwise at any stride, and a dense conv's window matrix,
-the bordered inputs of pools and of Winograd, Winograd's patches and
-tiles, MatMul's product) are still heap allocations on every run, and so
-is the NCHW round trip of a Reshape that changes the shape (graph.fuse
-drops the identity ones).
+kernels' other temporaries (the slab of bordered input rows of a
+sliding-window conv, dense or depthwise at any stride, and a dense conv's
+window matrix, the bordered inputs of padded or overlapping pools and of
+Winograd, Winograd's patches and tiles, MatMul's product) are still heap
+allocations on every run, and so is the NCHW round trip of a Reshape that
+changes the shape (graph.fuse drops the identity ones).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .errors import (
     UnsupportedOpError,
 )
 from .graph import OpKind
-from .kernels import LANES, border, matmul_direct, sliding_nhwc4
+from .kernels import LANES, matmul_direct, pool_nhwc4, sliding_nhwc4
 from .preinference import (
     CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
     TransferStep, pack_weights, packed_bytes, weight_key,
@@ -162,7 +165,13 @@ class Backend:
             return run
 
         if kind is OpKind.POOL2D:
-            return _build_pool_execution(step)
+            p = node.params()
+            mode = node.attrs.get("mode", "max")
+
+            def run(inputs, outputs):
+                pool_nhwc4(inputs[0], p, mode, outputs[0])
+
+            return run
 
         raise UnsupportedOpError(f"no CPU execution for kind {kind}")
 
@@ -173,10 +182,10 @@ def _packed_weights(step: OpStep, plan: ExecutionPlan):
     (compare and calibration run every one) is packed on first use."""
     node = step.node
     return plan.weight_cache.get(
-        weight_key(node, step.scheme),
+        weight_key(node, step.scheme, step.pool),
         compute=lambda: pack_weights(node, step.scheme,
                                      plan.graph.tensor_shapes, plan.spacing,
-                                     plan.zeros))
+                                     plan.zeros, step.pool))
 
 
 def _build_matmul_execution(step: OpStep, plan: ExecutionPlan):
@@ -227,61 +236,17 @@ def _build_softmax_execution(step: OpStep, plan: ExecutionPlan):
 
 def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
     """The planned scheme's NHWC4 kernel on the step's arrays, with the
-    conv's one packed operand (kernels.ConvWeights)."""
+    conv's one packed operand (kernels.ConvWeights).  Sliding window's
+    runner takes the scratch of a step with a folded pool, which a session
+    binds from its pool."""
     p = step.node.params()
     packed = _packed_weights(step, plan)
-    kernel = (winograd_nhwc4 if step.scheme.kind is SchemeKind.WINOGRAD
-              else sliding_nhwc4)
-
-    def run(inputs, outputs):
-        kernel(inputs[0], packed, p, outputs[0])
-
-    return run
-
-
-def _build_pool_execution(step: OpStep):
-    node = step.node
-    p = node.params()
-    kh, kw, sh, sw, ph, pw = (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h,
-                              p.pad_w)
-    mode = node.attrs.get("mode", "max")
-    combine, fill = ((np.maximum, -np.inf) if mode == "max"
-                     else (np.add, 0.0))
-
-    def run(inputs, outputs):
-        x, out = inputs[0], outputs[0]
-        _, h, w, _ = x.shape
-        _, oh, ow, _ = out.shape
-        xp = border(x, ph, pw, h + 2 * ph, w + 2 * pw, fill)
-        # reduce one window axis at a time, each tap one call over the whole
-        # tensor: kh taps over whole pixel rows first, then kw taps on the
-        # fewer rows left.  The first two taps of an axis combine straight
-        # into its buffer.  An axis with one output window is one reduce
-        # over its taps; it is not the innermost axis, so the reduce
-        # combines them in the loop's order.
-        if oh == 1:
-            rows = combine.reduce(xp[:, 0:kh], axis=1, keepdims=True)
-        elif kh == 1:
-            rows = xp[:, 0:sh * oh:sh]
-        else:
-            rows = combine(xp[:, 0:sh * oh:sh], xp[:, 1:1 + sh * oh:sh])
-            for u in range(2, kh):
-                combine(rows, xp[:, u:u + sh * oh:sh], out=rows)
-        if ow == 1:
-            combine.reduce(rows[:, :, 0:kw], axis=2, keepdims=True, out=out)
-        elif kw == 1:
-            out[:] = rows[:, :, 0:sw * ow:sw]
-        else:
-            combine(rows[:, :, 0:sw * ow:sw], rows[:, :, 1:1 + sw * ow:sw],
-                    out=out)
-            for v in range(2, kw):
-                combine(out, rows[:, :, v:v + sw * ow:sw], out=out)
-        if mode == "avg":
-            out /= float(kh * kw)  # padding zeros count toward the average
-        elif ph or pw:
-            # spatial padding is -inf so it never wins; scrub any window
-            # that saw padding only, and keep channel pad lanes at zero
-            out[np.isneginf(out)] = 0.0
+    if step.scheme.kind is SchemeKind.WINOGRAD:
+        def run(inputs, outputs):
+            winograd_nhwc4(inputs[0], packed, p, outputs[0])
+    else:
+        def run(inputs, outputs, scratch=None):
+            sliding_nhwc4(inputs[0], packed, p, outputs[0], scratch)
 
     return run
 
@@ -351,13 +316,16 @@ class Session:
             backend = self.backends[name]
             for tid, offset in mem.offsets.items():
                 buf = backend.acquire_buffer(mem.sizes[tid], offset, owner=tid)
-                arrays.setdefault((tid, name), nhwc4(buf, tid))
+                # a fused step's scratch stays flat
+                arrays.setdefault((tid, name),
+                                  nhwc4(buf, tid) if tid in shapes else buf)
                 self._acquired.append((backend, buf))
 
         # one call per step, bound once, as (name, call, dispatch surcharge
-        # in ms): an op step's runner on its arrays, or a transfer's copy
-        # between the arrays of its source and destination, which
-        # build_steps puts on different backends
+        # in ms): an op step's runner on its arrays (and its scratch, with
+        # a folded pool), or a transfer's copy between the arrays of its
+        # source and destination, which build_steps puts on different
+        # backends
         self._bound: list[tuple[str, partial, float]] = []
         for step in plan.steps:
             if isinstance(step, TransferStep):
@@ -367,11 +335,14 @@ class Session:
                             arrays[(step.tensor, step.src)]), 0.0))
                 continue
             backend = self.backends[step.backend]
+            scratch = ({} if step.pool is None else
+                       {"scratch": arrays[(step.scratch_id, step.backend)]})
             self._bound.append((
                 step.node.id,
                 partial(backend.create_execution(step, plan),
                         [arrays[(t, step.backend)] for t in step.node.inputs],
-                        [arrays[(t, step.backend)] for t in step.node.outputs]),
+                        [arrays[(t, step.backend)] for t in step.outputs],
+                        **scratch),
                 backend.dispatch_surcharge_ms))
         self._outputs = [(tid, Tensor(shapes[tid].dims, Layout.NHWC4,
                                       arrays[(tid, cpu.name)]))

@@ -178,17 +178,23 @@ def cmd_run(args) -> int:
 
 def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
     """Functional CPU replay of a plan, each step into a fresh buffer;
-    returns tensor id -> NHWC4 value, as a session's pool holds it."""
+    returns tensor id -> NHWC4 value, as a session's pool holds it.  A step
+    with a folded pool replays as its conv, then its pool, so the values
+    hold every conv's own output too, and a session's fused step is checked
+    against them."""
     cpu = CpuBackend()
     values = {g.inputs[0]: relayout(tensor, Layout.NHWC4)}
     for step in plan.steps:
         if not isinstance(step, OpStep):
             continue
-        node = step.node
-        out = zeros(g.tensor_shapes[node.outputs[0]].dims, Layout.NHWC4)
-        cpu.create_execution(step, plan)(
-            [values[t].data for t in node.inputs], [out.data])
-        values[node.outputs[0]] = out
+        parts = [step] if step.pool is None else [
+            replace(step, pool=None), OpStep(step.pool, None, step.backend)]
+        for part in parts:
+            node = part.node
+            out = zeros(g.tensor_shapes[node.outputs[0]].dims, Layout.NHWC4)
+            cpu.create_execution(part, plan)(
+                [values[t].data for t in node.inputs], [out.data])
+            values[node.outputs[0]] = out
     return values
 
 

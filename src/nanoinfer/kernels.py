@@ -1,4 +1,5 @@
-"""Compute kernels: sliding-window convolution and direct/Strassen matmul.
+"""Compute kernels: sliding-window convolution, pooling and direct/Strassen
+matmul.
 
 Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
 a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
@@ -21,6 +22,10 @@ the input as it lies.  A grouped conv is a dense one whose operand is block
 diagonal, one block per group.  Both conv schemes read one operand packed
 once (ConvWeights: the GEMM operand or depthwise taps, the bias and ReLU
 maps, Winograd's transform) and end in one epilogue, bias_relu, per image.
+A sliding-window conv may carry a max pool whose windows tile its output
+(fused_pool_rows): it then writes the pooled map, a few pooled rows at a
+time through a scratch the caller supplies, and its epilogue runs on the
+pooled map.  Pools run pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -29,7 +34,7 @@ library's own threading inside each GEMM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -499,7 +504,10 @@ class ConvWeights:
     in one contiguous pass, 2-3x as fast as against a broadcast row or
     scalar, and without the 32 KiB iterator buffer a broadcast operand
     allocates.  ``slab_rows`` is sliding window's output rows per slab
-    (slab_rows), fixed with the conv's geometry.
+    (slab_rows), fixed with the conv's geometry.  ``pool`` is the window of
+    a max pool folded into a sliding-window conv (kernel equal to stride, no
+    padding), which the kernel runs ``pool_rows`` pooled rows at a time
+    (fused_pool_rows); the bias and zero maps are then of the pooled size.
     """
 
     mats: np.ndarray
@@ -507,6 +515,8 @@ class ConvWeights:
     zero: np.ndarray | None
     transform: WinogradTransform | None = None
     slab_rows: int = 0
+    pool: ConvParams | None = None
+    pool_rows: int = 0
 
 
 def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
@@ -516,13 +526,13 @@ def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
               slab_rows: int = 0) -> ConvWeights:
     """The operand of a conv with GEMM operand mats and this bias, at
     output size oh x ow.  A ReLU conv's zero map is a prefix of ``zeros``,
-    a zero_map of at least one output image, else of its own."""
+    a zero_map, where that holds one output image, else of its own."""
     opad = channel_blocks(p.out_c) * LANES
     lanes = _padded_bias(bias, p.out_c)
     zero = None
     if p.relu:
         floats = oh * ow * opad
-        zero = (zero_map(floats) if zeros is None
+        zero = (zero_map(floats) if zeros is None or zeros.size < floats
                 else zeros[:floats]).reshape(oh, ow, opad)
     return ConvWeights(
         mats,
@@ -533,14 +543,38 @@ def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
 
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  n: int, h: int, wd: int,
-                 zeros: np.ndarray | None = None) -> ConvWeights:
+                 zeros: np.ndarray | None = None,
+                 pool: ConvParams | None = None) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
-    wd."""
+    wd, with the max pool of window ``pool`` folded in when given."""
     oh, ow = p.out_size(h, wd)
     mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
-    return pack_conv(mats, p, bias, oh, ow, zeros=zeros,
-                     slab_rows=slab_rows(p, n, h, wd))
+    rows = slab_rows(p, n, h, wd, pool)
+    if pool is None:
+        return pack_conv(mats, p, bias, oh, ow, zeros=zeros, slab_rows=rows)
+    return replace(pack_conv(mats, p, bias, *pool.out_size(oh, ow),
+                             zeros=zeros, slab_rows=rows),
+                   pool=pool, pool_rows=fused_pool_rows(pool, oh, ow))
+
+
+def fused_pool_rows(pool: ConvParams, oh: int, ow: int) -> int:
+    """Pooled rows per chunk, R, of a conv of output oh x ow with the max
+    pool of window ``pool`` folded in: the most whose stride_h * R conv
+    rows of one image fit in no more floats than one pooled image, at
+    least one.  Those rows go through a scratch of that size."""
+    poh, pw = pool.out_size(oh, ow)
+    return max(1, min(poh, poh * pw // (pool.stride_h * ow)))
+
+
+def pool_scratch_floats(p: ConvParams, pool: ConvParams, h: int,
+                        w: int) -> int:
+    """Floats of the scratch a conv p on h x w input with the max pool of
+    window ``pool`` folded in computes its conv rows into: one chunk of
+    fused_pool_rows pooled rows."""
+    oh, ow = p.out_size(h, w)
+    return (pool.stride_h * fused_pool_rows(pool, oh, ow) * ow
+            * channel_blocks(p.out_c) * LANES)
 
 
 def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
@@ -612,75 +646,196 @@ def conv_sliding(x: Tensor, w: np.ndarray, p: ConvParams, threads: int = 1,
 
 
 def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
-                  out: np.ndarray) -> None:
+                  out: np.ndarray, scratch: np.ndarray | None = None) -> None:
     """conv_sliding on NHWC4 arrays, as a session runs it: x [n, h, w, in
     lanes] into out [n, oh, ow, out lanes], contiguous float32, every
     element of which is written.
 
     Every conv walks its output rows in slabs (slab_rows).  A slab's
     bordered input rows go into one buffer reused slab after slab, or are
-    the whole bordered map in one slab (x itself at pad 0), and one strided
-    view of them (windows) holds each output pixel's window.  Per image, a
-    depthwise conv sums the taps' windows against the taps' weights
-    ([kh, kw, ow, lanes]) in one einsum straight into the slab's output
-    rows: float32 sums in (u, v) order, so its bits do not depend on the
-    slabs (a NumPy whose baseline instruction set has FMA, aarch64 say,
-    fuses the multiply and add, and its last bits may differ).  A dense or
-    grouped conv copies each band of output rows' windows into a window
-    matrix [pixels, kh*kw*in lanes] and multiplies it by every output lane
-    straight into those rows; a slab holds whole bands, and a 1x1 conv at
-    stride 1 and pad 0 multiplies each image as it lies.
+    the whole bordered map in one slab (x itself at pad 0).  Per image, a
+    depthwise conv sums the taps' runs of the slab (one strided view of it)
+    against the taps' weights ([kh, kw, ow, lanes]) in one einsum straight
+    into the slab's output rows: float32 sums in (u, v) order, so its bits
+    do not depend on the slabs (a NumPy whose baseline instruction set has
+    FMA, aarch64 say, fuses the multiply and add, and its last bits may
+    differ).  A dense or grouped conv copies each band of output rows'
+    windows (windows) into a window matrix [pixels, kh*kw*in lanes] and
+    multiplies it by every output lane straight into those rows; a slab
+    holds whole bands, and a 1x1 conv at stride 1 and pad 0 multiplies each
+    image as it lies.
+
+    With a max pool folded in (packed.pool), out is the pooled map, and
+    each image's pooled rows go pool_rows at a time (fewer where a dense
+    conv's window matrix would pass BAND_FLOATS) through ``scratch`` (from
+    the heap when not given): the conv pixels they read, with neither bias
+    nor ReLU, then the pool's taps straight into out's rows.  A depthwise
+    conv's einsum writes its rows there as they lie, and pool_nhwc4 pools
+    them.  A dense conv's GEMM writes them one pool tap after another, each
+    tap's pixels one contiguous block, so the taps combine (as pool_nhwc4's
+    do) without NumPy's iterator buffers, up to 32 KiB of heap per strided
+    operand: a 1x1 conv multiplies each tap's pixels as they lie, one GEMM
+    per pooled row and tap of pooled-width rows, at least two (a one-row
+    GEMM takes BLAS's GEMV, whose bits differ); any other copies them into
+    its window matrix in that order first.  Conv rows and columns the pool
+    does not read are not computed.  Bias and ReLU then run on the pooled
+    map: float32 rounding is monotonic and max is exact, so max(a + b, c +
+    b) is max(a, c) + b and the bits are those of the conv, then the pool.
     """
     if not out.size:
         return
     n, h, wd, cpad = x.shape
-    _, oh, ow, opad = out.shape
+    oh, ow = p.out_size(h, wd)
+    opad = out.shape[3]
     k = p.kh * p.kw * cpad
+    pool = packed.pool
     if p.depthwise:
         # (ow, lanes) as one axis at stride_w 1, where a row's windows are
-        # adjacent, so the reshape below is a view (a copy would show in
-        # the step's heap): an inner loop over only lanes floats ran 5x
+        # adjacent (_tap_runs): an inner loop over only lanes floats ran 5x
         # slower there
         tail, sums = ((ow * cpad,), "uvrp,uvp->rp") if p.stride_w == 1 else (
             (ow, cpad), "uvrjl,uvjl->rjl")
         taps = packed.mats.reshape(p.kh, p.kw, *tail)
     else:
         wmat = packed.mats.reshape(k, opad)
-        if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
-                1, 1, 1, 1, 0, 0):  # the input as it lies is the window matrix
+        if pool is None and (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h,
+                             p.pad_w) == (1, 1, 1, 1, 0, 0):
+            # the input as it lies is the window matrix
             for img in range(n):
                 np.matmul(x[img].reshape(h * wd, cpad), wmat,
                           out=out[img].reshape(oh * ow, opad))
                 bias_relu(out[img], packed)
             return
-        band = _band_rows(oh, ow * k)
-        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
+    if pool is None:
+        last = oh  # the conv rows to compute
+        if not p.depthwise:
+            band = _band_rows(oh, ow * k)
+            win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
+    else:
+        sp, sq, pw = pool.stride_h, pool.stride_w, out.shape[2]
+        last, step = sp * out.shape[1], packed.pool_rows
+        if scratch is None:
+            scratch = np.empty(pool_scratch_floats(p, pool, h, wd),
+                               dtype=np.float32)
+        direct = p.kh == p.kw == 1 and pw > 1
+        if not (p.depthwise or direct):
+            step = min(step, max(1, BAND_FLOATS // (sp * sq * pw * k)))
+            win = np.empty((sp * sq * step * pw, k), dtype=np.float32)
+        # a dense conv's full chunk of conv outputs, one block per pool tap
+        full = scratch[:sp * sq * step * pw * opad].reshape(
+            sp, sq, step, pw, opad)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    buf = None if rows >= oh else _slab_buffer(p, rows, x)
+    buf = None if rows >= last else _slab_buffer(p, rows, x)
     r0 = 0
-    while r0 < oh:  # a range iterator would add 48 B to every run's heap
-        b = min(rows, oh - r0)
+    while r0 < last:  # a range iterator would add 48 B to every run's heap
+        b = min(rows, last - r0)
         span = None if buf is None else (
             r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
-        views = windows(border(x, p.pad_h, p.pad_w, hp, wp, rows=span,
-                               out=buf),
-                        p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        # no name for the bordered rows: a view kept alive adds 200 B to
+        # the step's heap, and the views hold its buffer
+        views = (_tap_runs if p.depthwise else windows)(
+            border(x, p.pad_h, p.pad_w, hp, wp, rows=span, out=buf),
+            p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
         for img in range(n):
-            if p.depthwise:
-                runs = views[img].transpose(2, 3, 0, 1, 4).reshape(
-                    p.kh, p.kw, b, *tail)
-                np.einsum(sums, runs, taps,
-                          out=out[img, r0:r0 + b].reshape(b, *tail))
+            if pool is None:
+                if p.depthwise:
+                    np.einsum(sums, views[img], taps,
+                              out=out[img, r0:r0 + b].reshape(b, *tail))
+                    continue
+                for r in range(0, b, band):
+                    bb = min(band, b - r)
+                    np.copyto(win[:bb], views[img, r:r + bb])
+                    np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                              out=out[img, r0 + r:r0 + r + bb].reshape(
+                                  bb * ow, opad))
                 continue
-            for r in range(0, b, band):
-                bb = min(band, b - r)
-                np.copyto(win[:bb], views[img, r:r + bb])
-                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                          out=out[img, r0 + r:r0 + r + bb].reshape(
-                              bb * ow, opad))
+            if not p.depthwise:
+                # each pool tap's windows, [sp, sq, pooled rows, pw, kh,
+                # kw, lanes]
+                tv = views[img, :, :sq * pw].reshape(
+                    b // sp, sp, pw, sq, p.kh, p.kw, cpad).transpose(
+                        1, 3, 0, 2, 4, 5, 6)
+                if direct:
+                    tv = tv[..., 0, 0, :]
+            q = 0
+            while q < b // sp:
+                m = min(step, b // sp - q)
+                dst = out[img, r0 // sp + q:r0 // sp + q + m]
+                if p.depthwise:
+                    conv = scratch[:sp * m * ow * opad].reshape(
+                        sp * m, ow, opad)
+                    np.einsum(sums, views[img, :, :, sp * q:sp * (q + m)],
+                              taps, out=conv.reshape(sp * m, *tail))
+                    pool_nhwc4(conv[None], pool, "max", dst[None])
+                    q += m
+                    continue
+                conv = full if m == step else scratch[
+                    :sp * sq * m * pw * opad].reshape(sp, sq, m, pw, opad)
+                if direct:
+                    np.matmul(tv[:, :, q:q + m], wmat, out=conv)
+                else:
+                    np.copyto(win[:sp * sq * m * pw].reshape(
+                        sp, sq, m, pw, p.kh, p.kw, cpad), tv[:, :, q:q + m])
+                    np.matmul(win[:sp * sq * m * pw], wmat,
+                              out=conv.reshape(-1, opad))
+                _max_into(dst, conv.reshape(sp * sq, m, pw, opad))
+                q += m
         r0 += b
     for img in range(n):
         bias_relu(out[img], packed)
+
+
+def pool_nhwc4(x: np.ndarray, p: ConvParams, mode: str,
+               out: np.ndarray) -> None:
+    """A max or average pool (mode) of window p over NHWC4 x [n, h, w,
+    lanes] into out [n, oh, ow, lanes], every element of which is written.
+
+    A max pool whose windows tile the map (kernel equal to stride, no
+    padding) combines its taps, each one strided view of x, straight into
+    out; max is exact, so the order does not matter.  Any other pool pads x
+    with its own fill (border) and reduces one window axis at a time, each
+    tap one call over the whole tensor: kh taps over whole pixel rows
+    first, into a buffer, then kw taps on the fewer rows left.  An average
+    counts padding zeros, and a max pool's windows that saw padding only
+    come out zero.
+    """
+    kh, kw, sh, sw, ph, pw = (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h,
+                              p.pad_w)
+    _, h, w, _ = x.shape
+    _, oh, ow, _ = out.shape
+    if mode == "max" and (kh, kw) == (sh, sw) and not (ph or pw):
+        _max_into(out, [x[:, u:u + sh * oh:sh, v:v + sw * ow:sw]
+                        for u in range(kh) for v in range(kw)])
+        return
+    combine, fill = ((np.maximum, -np.inf) if mode == "max"
+                     else (np.add, 0.0))
+    xp = border(x, ph, pw, h + 2 * ph, w + 2 * pw, fill)
+    # the first two taps of an axis combine straight into its buffer.  An
+    # axis with one output window is one reduce over its taps; it is not
+    # the innermost axis, so the reduce combines them in the loop's order.
+    if oh == 1:
+        rows = combine.reduce(xp[:, 0:kh], axis=1, keepdims=True)
+    elif kh == 1:
+        rows = xp[:, 0:sh * oh:sh]
+    else:
+        rows = combine(xp[:, 0:sh * oh:sh], xp[:, 1:1 + sh * oh:sh])
+        for u in range(2, kh):
+            combine(rows, xp[:, u:u + sh * oh:sh], out=rows)
+    if ow == 1:
+        combine.reduce(rows[:, :, 0:kw], axis=2, keepdims=True, out=out)
+    elif kw == 1:
+        out[:] = rows[:, :, 0:sw * ow:sw]
+    else:
+        combine(rows[:, :, 0:sw * ow:sw], rows[:, :, 1:1 + sw * ow:sw],
+                out=out)
+        for v in range(2, kw):
+            combine(out, rows[:, :, v:v + sw * ow:sw], out=out)
+    if mode == "avg":
+        out /= float(kh * kw)  # padding zeros count toward the average
+    elif ph or pw:
+        # spatial padding is -inf so it never wins; scrub any window that
+        # saw padding only, and keep channel pad lanes at zero
+        out[np.isneginf(out)] = 0.0
 
 
 def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
@@ -733,27 +888,34 @@ def _band_rows(oh: int, row_floats: int) -> int:
     return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
 
 
-def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
-    """Output rows per slab of a sliding-window conv on n images of h x w.
+def slab_rows(p: ConvParams, n: int, h: int, w: int,
+              pool: ConvParams | None = None) -> int:
+    """Output rows per slab of a sliding-window conv on n images of h x w,
+    with the max pool of window ``pool`` folded in when given.
 
     A slab is the bordered input rows that some output rows of every image
     read, copied into one buffer the kernel reuses.  One rule for every
     conv: at pad 0 it reads its input as it lies, in one slab; a padded
-    conv takes the fewest slabs that fit BAND_FLOATS (at least one band of
-    a dense conv, or one row of a depthwise one, per slab), then spreads
-    its output rows evenly over them in whole bands, so the buffers are no
-    larger than that count needs.
+    conv takes the fewest slabs that fit BAND_FLOATS (at least one unit
+    per slab: a band of a dense conv, a row of a depthwise one, or a
+    fused pool's chunk of conv rows, fused_pool_rows), then spreads its
+    output rows evenly over them in whole units, so the buffers are no
+    larger than that count needs.  With a pool, the output rows are those
+    the pool reads.
     """
     oh, ow = p.out_size(h, w)
+    lanes = channel_blocks(p.in_c) * LANES
+    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
+    if pool is not None:
+        unit = pool.stride_h * fused_pool_rows(pool, oh, ow)
+        oh = pool.stride_h * pool.out_size(oh, ow)[0]
     if not (p.pad_h or p.pad_w):
         return oh
-    lanes = channel_blocks(p.in_c) * LANES
     row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
     # the output rows whose input rows fit one slab
     fit = (BAND_FLOATS // max(1, row) - p.kh) // p.stride_h + 1
     if fit >= oh:
         return oh
-    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
     units = -(-oh // unit)
     most = max(1, fit // unit)
     return unit * -(-units // -(-units // most))
@@ -780,11 +942,17 @@ def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
         xp = np.empty((n, b - a, wp, c), dtype=np.float32)
     else:
         xp = out[:n * (b - a) * wp * c].reshape(n, b - a, wp, c)
-    xp[:, :lo] = fill
-    xp[:, hi:] = fill
-    xp[:, lo:hi, :left] = fill
-    xp[:, lo:hi, left + w:] = fill
-    xp[:, lo:hi, left:left + w] = inner
+    # a fill whose slice is empty still costs a call: skip it
+    if lo:
+        xp[:, :lo] = fill
+    if hi < b - a:
+        xp[:, hi:] = fill
+    if hi > lo:
+        if left:
+            xp[:, lo:hi, :left] = fill
+        if left + w < wp:
+            xp[:, lo:hi, left + w:] = fill
+        xp[:, lo:hi, left:left + w] = inner
     return xp
 
 
@@ -798,6 +966,32 @@ def windows(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
     row, col = 4 * c * wp, 4 * c
     return np.ndarray((n, oh, ow, kh, kw, c), np.float32, xp, 0,
                       (row * hp, row * sh, col * sw, row, col, 4))
+
+
+def _max_into(out: np.ndarray, taps) -> None:
+    """The elementwise max of taps (arrays of out's shape) into out, the
+    first two straight into it."""
+    if len(taps) == 1:
+        np.copyto(out, taps[0])
+        return
+    np.maximum(taps[0], taps[1], out=out)
+    for tap in taps[2:]:
+        np.maximum(out, tap, out=out)
+
+
+def _tap_runs(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
+              ow: int) -> np.ndarray:
+    """windows' data as a depthwise conv's einsum reads it, one strided view
+    [n, kh, kw, oh, ow*lanes]: [i, u, v, r] is the run of output row r's
+    tap (u, v), xp[i, r*sh+u, v:]; a row's windows are adjacent at stride
+    sw 1, so its pixels and lanes are one axis.  At another stride it is
+    [n, kh, kw, oh, ow, lanes]."""
+    n, hp, wp, c = xp.shape
+    row, col = 4 * c * wp, 4 * c
+    shape, strides = ((ow * c,), (4,)) if sw == 1 else (
+        (ow, c), (col * sw, 4))
+    return np.ndarray((n, kh, kw, oh, *shape), np.float32, xp, 0,
+                      (row * hp, row, col, row * sh, *strides))
 
 
 def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ Everything here runs once per session.  The resulting ExecutionPlan is
 immutable: per-op algorithm choice, backend assignment, explicit transfer
 steps at backend boundaries, each conv's weights packed once for its planned
 scheme and each MatMul's permuted into packed row order (pack_weights), and
-byte offsets into one pre-sized pool per backend.  The pool holds graph
-tensors only, what the kernels read and write in place: activations (each
-conv kernel writes its output there) and transfer copies.  Kernels'
-temporaries (conv and pool working buffers, MatMul's product) still come
-from the heap.
+byte offsets into one pre-sized pool per backend.  The pool holds what the
+kernels read and write in place: activations (each conv kernel writes its
+output there), transfer copies, and the scratch of each conv step with a
+max pool folded in (build_steps, folded_pools), live at that step only.
+Kernels' other temporaries (conv and pool working buffers, MatMul's
+product) still come from the heap.
 
 Each conv runs the scheme of least scheme_cost among conv_schemes, sliding
 window or a Winograd tile: the work its kernel does from its packed weights
@@ -33,7 +34,7 @@ from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes
 from .kernels import (
     ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
-    sliding_work, zero_map,
+    pool_scratch_floats, sliding_work, zero_map,
 )
 from .tensor import Layout, Shape, data_shape
 from .winograd import (
@@ -205,21 +206,27 @@ def scheme_costs(node: OpNode,
     return {s: scheme_cost(p, s, dims) for s in conv_schemes(p)}
 
 
-def weight_key(node: OpNode, scheme: SchemeChoice | None) -> tuple[str, str]:
-    """The weight cache's key of a node's weights packed for `scheme`; a
-    MatMul, which has no scheme, is keyed by its kind."""
-    return (node.id, scheme.label() if scheme else node.kind.value)
+def weight_key(node: OpNode, scheme: SchemeChoice | None,
+               pool: OpNode | None = None) -> tuple[str, ...]:
+    """The weight cache's key of a node's weights packed for `scheme`, with
+    the max pool `pool` folded in (its bias and ReLU maps are of the pooled
+    size, so it has a key of its own); a MatMul, which has no scheme, is
+    keyed by its kind."""
+    key = (node.id, scheme.label() if scheme else node.kind.value)
+    return key if pool is None else (*key, pool.id)
 
 
 def pack_weights(node: OpNode, scheme: SchemeChoice | None,
                  shapes: dict[str, Shape], spacing: float,
-                 zeros: np.ndarray | None = None):
+                 zeros: np.ndarray | None = None,
+                 pool: OpNode | None = None):
     """A node's weights as the kernel running `scheme` reads them: a
     MatMul's in packed row order (kernels.pack_matmul_rows), a conv's as
     one kernels.ConvWeights operand with its bias and ReLU maps, holding
-    sliding window's packed weights (kernels.pack_sliding) or Winograd's
-    transformed weights and transform at the tile.  A ReLU conv's zero map
-    is a view of ``zeros`` (relu_zeros) when given."""
+    sliding window's packed weights (kernels.pack_sliding, with the max
+    pool `pool` folded in when given) or Winograd's transformed weights
+    and transform at the tile.  A ReLU conv's zero map is a view of
+    ``zeros`` (relu_zeros) when given."""
     if node.kind is OpKind.MATMUL:
         _, c, h, wd = shapes[node.inputs[0]].dims
         return pack_matmul_rows(node.weights, c, h, wd)
@@ -230,16 +237,20 @@ def pack_weights(node: OpNode, scheme: SchemeChoice | None,
         return pack_conv(weight_transform(node.weights, t), p, node.bias,
                          oh, ow, t, zeros)
     n, _, h, wd = shapes[node.inputs[0]].dims
-    return pack_sliding(node.weights, p, node.bias, n, h, wd, zeros)
+    return pack_sliding(node.weights, p, node.bias, n, h, wd, zeros,
+                        None if pool is None else pool.params())
 
 
-def relu_zeros(g: Graph) -> np.ndarray:
-    """The zero map every ReLU conv of g reads a prefix of: read-only, the
-    size of g's largest conv output image."""
+def relu_zeros(g: Graph, steps: list[TransferStep | OpStep]) -> np.ndarray:
+    """The zero map every ReLU conv step of g reads a prefix of: read-only,
+    the size of the largest output image a conv step writes (a folded
+    pool's, for a step that has one)."""
     return zero_map(max(
-        (math.prod(data_shape(g.tensor_shapes[node.outputs[0]].dims,
+        (math.prod(data_shape(g.tensor_shapes[s.outputs[0]].dims,
                               Layout.NHWC4)[1:])
-         for node in g.nodes if node.kind is OpKind.CONV2D), default=0))
+         for s in steps
+         if isinstance(s, OpStep) and s.node.kind is OpKind.CONV2D),
+        default=0))
 
 
 def select_scheme_for(node: OpNode, shapes: dict[str, Shape]) -> SchemeChoice:
@@ -391,9 +402,23 @@ class TransferStep:
 
 @dataclass
 class OpStep:
+    """One op's step; a conv's may carry a max pool folded into it
+    (build_steps), and then writes the pool's output, not its own."""
+
     node: OpNode
     scheme: SchemeChoice | None
     backend: str
+    pool: OpNode | None = None
+
+    @property
+    def outputs(self) -> list[str]:
+        """The tensors the step writes."""
+        return (self.pool or self.node).outputs
+
+    @property
+    def scratch_id(self) -> str | None:
+        """The pool interval of a fused step's scratch, live at the step."""
+        return None if self.pool is None else f"{self.node.id}#scratch"
 
 
 @dataclass
@@ -419,9 +444,9 @@ class ExecutionPlan:
 
     @property
     def assignment(self) -> dict[str, str]:
-        """Node id -> the backend its step runs on."""
-        return {s.node.id: s.backend for s in self.steps
-                if isinstance(s, OpStep)}
+        """Node id -> the backend its step runs on, a folded pool's too."""
+        return {nid: s.backend for s in self.steps if isinstance(s, OpStep)
+                for nid in (s.node.id, *([s.pool.id] if s.pool else []))}
 
     @property
     def pool_sizes(self) -> dict[str, int]:
@@ -444,6 +469,10 @@ class ExecutionPlan:
                     "cost_ms": self.op_costs[node.id],
                     "candidates": self.candidates.get(node.id),
                 })
+                if step.pool is not None:
+                    ops[-1]["pool"] = step.pool.id
+                    ops[-1]["scratch_bytes"] = self.memory[
+                        step.backend].sizes[step.scratch_id]
         return {
             "ops": ops,
             "transfers": [{"tensor": t.tensor, "from": t.src, "to": t.dst}
@@ -453,24 +482,60 @@ class ExecutionPlan:
         }
 
 
+def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
+    """Conv id -> the max pool folded into its step: a pool whose kernel
+    equals its stride, with no padding, that is the only reader of a
+    conv's output, which is not a graph output.  The conv runs sliding
+    window, with no Winograd candidate (conv_schemes), and both are on
+    one backend, which, as the assignment put the pool there, runs
+    Pool2D."""
+    readers: dict[str, list[OpNode]] = {}
+    for node in g.nodes:
+        for tid in node.inputs:
+            readers.setdefault(tid, []).append(node)
+    folds = {}
+    for node in g.nodes:
+        out = node.outputs[0]
+        if (node.kind is not OpKind.CONV2D or out in g.outputs
+                or len(readers.get(out, [])) != 1):
+            continue
+        pool = readers[out][0]
+        if pool.kind is not OpKind.POOL2D or pool.attrs.get(
+                "mode", "max") != "max":
+            continue
+        q = pool.params()
+        if ((q.kh, q.kw, q.pad_h, q.pad_w) == (q.stride_h, q.stride_w, 0, 0)
+                and len(conv_schemes(node.params())) == 1
+                and assignment[node.id] == assignment[pool.id]):
+            folds[node.id] = pool
+    return folds
+
+
 def build_steps(g: Graph, assignment: dict[str, str],
                 schemes: dict[str, SchemeChoice],
                 cpu_name: str) -> list[TransferStep | OpStep]:
     """Op sequence with explicit transfers at backend boundaries.
 
     Graph inputs start on CPU; outputs are delivered on CPU at the end.
+    Each max pool of folded_pools runs in its conv's step, which writes the
+    pool's output; the conv's own output is never stored.
     """
+    folds = folded_pools(g, assignment)
+    folded = {pool.id for pool in folds.values()}
     homes = {tid: cpu_name for tid in g.inputs}
     placed: set[tuple[str, str]] = {(tid, cpu_name) for tid in g.inputs}
     steps: list[TransferStep | OpStep] = []
     for node in g.nodes:
+        if node.id in folded:
+            continue
         backend = assignment[node.id]
         for tid in node.inputs:
             if (tid, backend) not in placed:
                 steps.append(TransferStep(tid, homes[tid], backend))
                 placed.add((tid, backend))
-        steps.append(OpStep(node, schemes.get(node.id), backend))
-        for tid in node.outputs:
+        step = OpStep(node, schemes.get(node.id), backend, folds.get(node.id))
+        steps.append(step)
+        for tid in step.outputs:
             homes[tid] = backend
             placed.add((tid, backend))
     for tid in g.outputs:
@@ -489,7 +554,9 @@ def plan_memory(g: Graph, *,
 
     Graph inputs live in caller-provided staging buffers and are not pooled;
     everything produced by a step is.  Copies of a tensor on another backend are pooled in that backend's namespace from the
-    transfer step to their last reader.  Without steps, every op runs on CPU.
+    transfer step to their last reader.  A step with a folded pool also
+    pools its scratch (OpStep.scratch_id), live at that step only.  Without
+    steps, every op runs on CPU.
     """
     if steps is None:
         if schemes is None:
@@ -500,6 +567,7 @@ def plan_memory(g: Graph, *,
     # last step index reading each (tensor, backend) residency
     last_read: dict[tuple[str, str], int] = {}
     first_write: dict[tuple[str, str], int] = {}
+    scratch: dict[tuple[str, str], int] = {}  # bytes of each fused scratch
     for idx, step in enumerate(steps):
         if isinstance(step, TransferStep):
             last_read[(step.tensor, step.src)] = idx
@@ -507,8 +575,14 @@ def plan_memory(g: Graph, *,
         else:
             for tid in step.node.inputs:
                 last_read[(tid, step.backend)] = idx
-            for tid in step.node.outputs:
+            for tid in step.outputs:
                 first_write[(tid, step.backend)] = idx
+            if step.pool is not None:
+                _, _, h, w = g.tensor_shapes[step.node.inputs[0]].dims
+                key = (step.scratch_id, step.backend)
+                first_write[key] = last_read[key] = idx
+                scratch[key] = 4 * pool_scratch_floats(
+                    step.node.params(), step.pool.params(), h, w)
     end = len(steps)
     for tid in g.outputs:
         last_read[(tid, cpu_name)] = end  # outputs survive the whole run
@@ -517,7 +591,8 @@ def plan_memory(g: Graph, *,
     for (tid, backend), start in first_write.items():
         if tid in g.inputs and backend == cpu_name:
             continue
-        size = packed_bytes(g.tensor_shapes[tid])
+        size = (scratch[(tid, backend)] if (tid, backend) in scratch
+                else packed_bytes(g.tensor_shapes[tid]))
         last = last_read.get((tid, backend), start)
         items_by_backend.setdefault(backend, []).append((tid, size, start, last))
     return {backend: plan_intervals(items, alignment)
@@ -570,13 +645,13 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
                                 for label, ms in est.items()))
 
     cache = WeightCache()
-    zeros = relu_zeros(g)
-    for node in g.nodes:
-        scheme = schemes.get(node.id)
-        if scheme is not None or node.kind is OpKind.MATMUL:
-            cache.put(weight_key(node, scheme),
-                      pack_weights(node, scheme, g.tensor_shapes, spacing,
-                                   zeros))
+    zeros = relu_zeros(g, steps)
+    for step in steps:
+        if isinstance(step, OpStep) and (step.scheme is not None
+                                         or step.node.kind is OpKind.MATMUL):
+            cache.put(weight_key(step.node, step.scheme, step.pool),
+                      pack_weights(step.node, step.scheme, g.tensor_shapes,
+                                   spacing, zeros, step.pool))
     return ExecutionPlan(
         graph=g,
         steps=steps,

@@ -31,8 +31,9 @@ class SimBackend(Backend):
         self.dispatch_surcharge_ms = cost.t_schedule_ms
 
     def create_execution(self, step: OpStep, plan: ExecutionPlan):
-        if not self.supports(step.node.kind):
-            raise UnsupportedOpError(
-                f"sim backend does not support {step.node.kind.value}"
-            )
+        for node in (step.node, step.pool):
+            if node is not None and not self.supports(node.kind):
+                raise UnsupportedOpError(
+                    f"sim backend does not support {node.kind.value}"
+                )
         return super().create_execution(step, plan)

@@ -124,9 +124,10 @@ class TestBuffers:
 
     def test_steady_state_mobilenet_run_heap_bounded(self):
         # the same for mobilenet-mini (the benchmark's mobilenet-32), whose
-        # peak is the 2x2 max pool pool_24
+        # peak is its first conv, conv_2 (148,864 B measured): pool_24 runs
+        # in pw2's step, whose scratch is in the pool
         assert 0 < run_heap_peak(fuse(build_preset("mobilenet-mini"))) <= (
-            205_000)
+            156_000)
 
     @pytest.mark.parametrize("backends", [["cpu"], ["cpu", "sim"]])
     def test_bound_arrays_start_on_a_cache_line(self, backends):
@@ -150,10 +151,12 @@ class TestBuffers:
     def test_relu_convs_share_one_read_only_zero_map(self):
         g = fuse(build_preset("mobilenet-mini"))
         plan = pre_infer(g, [CpuBackend().spec()])
+        # each conv's operand under its step's key: pw2's has pool_24
+        # folded in
         zeros = [plan.weight_cache.get(preinference.weight_key(
-                     n, plan.schemes[n.id])).zero
-                 for n in g.nodes
-                 if n.kind is OpKind.CONV2D and n.params().relu]
+                     s.node, s.scheme, s.pool)).zero
+                 for s in plan.steps if isinstance(s, OpStep)
+                 and s.node.kind is OpKind.CONV2D and s.node.params().relu]
         assert len(zeros) >= 2
         largest = max(z.size for z in zeros)
         assert plan.zeros.size >= largest and not plan.zeros.any()
@@ -313,6 +316,20 @@ def window_matrix_floats(p, h, w):
 
 
 class TestExecutions:
+    def test_sim_without_pool_support_refuses_a_folded_pool(self):
+        # a sim that runs the conv but not Pool2D refuses the fused step;
+        # the planner never gives it one (the pool falls back to cpu)
+        b = GraphBuilder((1, 4, 8, 8), seed=0)
+        b.conv(kernel=1, out_c=8)
+        b.pool(kernel=2)
+        g = b.build()
+        plan = pre_infer(g, [CpuBackend().spec()])
+        (step,) = plan.steps
+        assert step.pool is not None
+        sim = SimBackend(supported=frozenset({OpKind.CONV2D}))
+        with pytest.raises(UnsupportedOpError, match="Pool2D"):
+            sim.create_execution(step, plan)
+
     def test_winograd_instance_holds_cached_weights(self, winograd_planned):
         b = GraphBuilder((1, 16, 16, 16), seed=0)
         b.conv(kernel=3, pad=1, out_c=16)
@@ -813,17 +830,17 @@ class TestSession:
             assert plan.transfers()
             assert all(t.src != t.dst for t in plan.transfers())
         seen = {}
-        nodes = {}
+        steps = {}
         create = backend_module.Backend.create_execution
 
         def spy(backend, step, plan):
             run = create(backend, step, plan)
-            node = nodes[step.node.id] = step.node
+            steps[step.node.id] = step
 
-            def spied(inputs, outputs):
-                seen.setdefault(node.id, []).append(
+            def spied(inputs, outputs, **scratch):
+                seen.setdefault(step.node.id, []).append(
                     (list(inputs), list(outputs)))
-                run(inputs, outputs)
+                run(inputs, outputs, **scratch)
 
             return spied
 
@@ -842,10 +859,11 @@ class TestSession:
             assert len(ins) == len(ins2) and len(outs) == len(outs2)
             for a, b in zip(ins + outs, ins2 + outs2):
                 assert a is b, nid
-            node = nodes[nid]
-            for tid, array in zip(node.inputs + node.outputs, ins + outs):
+            step = steps[nid]
+            for tid, array in zip(step.node.inputs + step.outputs,
+                                  ins + outs):
                 want = data_shape(g.tensor_shapes[tid].dims, Layout.NHWC4)
-                assert array.shape == want, (node.id, tid)
+                assert array.shape == want, (nid, tid)
 
     @pytest.mark.parametrize("hybrid", [False, True])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -906,6 +924,53 @@ class TestModularity:
     def test_unknown_backend_rejected(self):
         with pytest.raises(GraphValidationError):
             resolve_backend("tpu")
+
+
+def fold_graph(kind):
+    """Two images on an odd-sized map, one conv of `kind` and the max pool
+    that folds into its step."""
+    b = GraphBuilder((2, 6, 21, 19), seed=0)
+    conv = {"dense": dict(kernel=3, stride=2, pad=1, out_c=8),
+            "pointwise": dict(kernel=1, out_c=12),
+            "depthwise": dict(kernel=3, pad=1, out_c=6, group=6),
+            "grouped": dict(kernel=3, stride=2, pad=1, out_c=8, group=2)}
+    b.conv(**conv[kind], activation="relu")
+    b.pool(kernel=3 if kind == "grouped" else 2)
+    return b.build()
+
+
+class TestFoldedPool:
+    @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512])
+    @pytest.mark.parametrize("kind", ["dense", "pointwise", "depthwise",
+                                      "grouped"])
+    def test_session_bitwise_equals_conv_then_pool(self, kind, band,
+                                                   monkeypatch):
+        # the fused step, on a pool poisoned with NaN (its scratch
+        # included), writes the bits of the conv step, then the pool step,
+        # each into a fresh buffer (replay_cpu), slabs or not
+        from nanoinfer.cli import replay_cpu
+
+        monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+        g = fold_graph(kind)
+        cpu = CpuBackend()
+        plan = pre_infer(g, [cpu.spec()])
+        (step,) = [s for s in plan.steps if s.pool is not None]
+        session = Session(plan, [cpu])
+        mem = plan.memory["cpu"]
+        cpu.acquire_buffer(mem.pool_size, 0, owner="poison")[:] = np.nan
+        x = make_input(g, seed=5)
+        try:
+            got = session.run(x)[g.outputs[0]].data
+        finally:
+            session.close()
+        want = relayout(replay_cpu(g, plan, x)[g.outputs[0]], Layout.NCHW)
+        assert got.tobytes() == want.data.tobytes()
+        p = step.node.params()
+        _, _, h, w = g.tensor_shapes[step.node.inputs[0]].dims
+        if band < kernels.BAND_FLOATS and (p.pad_h or p.pad_w):
+            oh = step.pool.params().stride_h * g.tensor_shapes[
+                g.outputs[0]].dims[2]
+            assert kernels.slab_rows(p, 2, h, w, step.pool.params()) < oh
 
 
 class TestPooledVersusFresh:

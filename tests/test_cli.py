@@ -499,6 +499,24 @@ class TestDumpPlan:
                 assert op["candidates"] is None
         assert plan["pool_size"] > 0
 
+    def test_folded_pool_on_its_conv_entry(self, tmp_path, capsys):
+        # mobilenet-mini's 2x2 max pool runs in pw2's step: pw2's entry
+        # names it and its scratch bytes, and the pool has no entry; next
+        # comes the global average pool
+        path = str(tmp_path / "mobilenet.ninf")
+        assert main(["gen", "mobilenet-mini", path]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "dump-plan", "--model", path)
+        assert code == 0
+        ops = json.loads(out)["ops"]
+        ids = [op["id"] for op in ops]
+        pw2 = ops[ids.index("pw2")]
+        assert (pw2["pool"], pw2["scratch_bytes"]) == ("pool_24", 65536)
+        assert "pool_24" not in ids
+        after = ops[ids.index("pw2") + 1]
+        assert (after["id"], after["kind"]) == ("pool_26", "Pool2D")
+        assert sum("pool" in op for op in ops) == 1
+
     def test_schema_stable_across_runs(self, model_path, capsys):
         _, first = run_cli(capsys, "dump-plan", "--model", model_path)
         _, second = run_cli(capsys, "dump-plan", "--model", model_path)

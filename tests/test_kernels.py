@@ -518,3 +518,92 @@ def test_border_fills_one_row_range_into_a_buffer(rng):
         got = kernels.border(x, 2, 1, 9, 7, fill=-3.0, rows=(a, b), out=buf)
         assert got.base is buf or got.base is buf.base
         assert np.array_equal(got, whole[:, a:b])
+
+
+def test_border_skips_only_empty_fills(rng):
+    # at pad 0 on a side, and for row ranges inside the map or inside the
+    # border, the fills whose slices are empty are skipped: every element
+    # of the rows is still written
+    x = rng.standard_normal((2, 5, 4, 8)).astype(np.float32)
+    for top, left, hp, wp in [(0, 0, 5, 4), (2, 0, 9, 4), (0, 1, 5, 7)]:
+        whole = kernels.border(x, top, left, hp, wp, fill=-3.0)
+        buf = np.full(2 * hp * wp * 8, np.nan, np.float32)
+        for a, b in [(0, hp), (1, 3), (0, 1), (hp - 1, hp)]:
+            got = kernels.border(x, top, left, hp, wp, fill=-3.0,
+                                 rows=(a, b), out=buf)
+            assert np.array_equal(got, whole[:, a:b]), (top, left, a, b)
+
+
+# conv (kernel, stride, pad, in_c, out_c, group), pool window (kernel =
+# stride), n, h, w; a BAND_FLOATS under which a padded conv takes several
+# slabs and a dense conv's chunks several bands
+FUSED_CASES = {
+    "pointwise_odd_height": ((1, 1), (1, 1), (0, 0), 8, 12, 1, (2, 2), 2,
+                             13, 12, 256),
+    "pointwise_odd_width": ((1, 1), (1, 1), (0, 0), 6, 8, 1, (2, 2), 1,
+                            12, 13, 256),
+    "pointwise_one_pooled_column": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2),
+                                    2, 9, 3, 64),
+    "strided_3x3": ((3, 3), (2, 2), (0, 0), 8, 16, 1, (2, 2), 1, 33, 33,
+                    1024),
+    "padded_strided": ((3, 3), (2, 2), (1, 1), 8, 8, 1, (2, 2), 2, 19, 17,
+                       512),
+    "padded_1x1": ((1, 1), (2, 2), (1, 1), 8, 8, 1, (2, 2), 2, 17, 13, 256),
+    "pool_3x3": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (3, 3), 1, 14, 13, 256),
+    "pool_2x3": ((3, 1), (2, 1), (1, 0), 4, 8, 1, (2, 3), 2, 15, 14, 256),
+    "grouped": ((3, 3), (2, 2), (1, 1), 8, 12, 4, (2, 2), 2, 21, 15, 768),
+    "depthwise": ((3, 3), (1, 1), (1, 1), 8, 8, 8, (2, 2), 2, 15, 11, 512),
+    "depthwise_stride2": ((3, 3), (2, 2), (1, 1), 8, 8, 8, (2, 2), 2, 23,
+                          11, 768),
+}
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+@pytest.mark.parametrize("narrow", [False, True])
+def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
+                                                  monkeypatch):
+    # the conv with a max pool folded in writes the bits of the conv (bias,
+    # ReLU), then the pool, whatever its slabs, bands and chunks, and
+    # writes every element of the pooled map from a scratch of garbage
+    kernel, stride, pad, in_c, out_c, group, window, n, h, w, band = (
+        FUSED_CASES[case])
+    if narrow:
+        monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+    p = ConvParams(*kernel, *stride, *pad, in_c, out_c, group, relu=True)
+    q = ConvParams(*window, *window)
+    oh, ow = p.out_size(h, w)
+    poh, pw = q.out_size(oh, ow)
+    if narrow and (p.pad_h or p.pad_w):
+        assert kernels.slab_rows(p, n, h, w, q) < q.stride_h * poh
+    x = relayout(from_nchw(rng.standard_normal((n, in_c, h, w)).astype(
+        np.float32)), Layout.NHWC4).data
+    wt = (rng.standard_normal((out_c, in_c // group, *kernel)) * 0.3
+          ).astype(np.float32)
+    bias = rng.standard_normal(out_c).astype(np.float32)
+    lanes = channel_blocks(out_c) * LANES
+    conv = np.empty((n, oh, ow, lanes), np.float32)
+    kernels.sliding_nhwc4(x, kernels.pack_sliding(wt, p, bias, n, h, w), p,
+                          conv)
+    want = np.empty((n, poh, pw, lanes), np.float32)
+    kernels.pool_nhwc4(conv, q, "max", want)
+    packed = kernels.pack_sliding(wt, p, bias, n, h, w, pool=q)
+    assert packed.bias.shape == (poh, pw, lanes)
+    scratch = np.full(kernels.pool_scratch_floats(p, q, h, w), np.nan,
+                      np.float32)
+    got = np.full_like(want, np.nan)
+    kernels.sliding_nhwc4(x, packed, p, got, scratch)
+    assert got.tobytes() == want.tobytes()
+    got[:] = np.nan  # and with a scratch from the heap
+    kernels.sliding_nhwc4(x, packed, p, got)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fused_pool_scratch_is_a_pooled_image():
+    # mobilenet-mini's pw2 and pool_24: 4 pooled rows of a 16 x 16 map per
+    # chunk, 64 KiB, one pooled image of 64 lanes
+    p = ConvParams.square(1, in_c=32, out_c=64, relu=True)
+    q = ConvParams.square(2, 2)
+    assert kernels.fused_pool_rows(q, 32, 32) == 4
+    assert 4 * kernels.pool_scratch_floats(p, q, 32, 32) == 65536
+    # at least one pooled row, even where that is more than an image
+    assert kernels.fused_pool_rows(q, 2, 64) == 1

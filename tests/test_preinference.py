@@ -5,8 +5,8 @@ from conftest import batched_matmul_graph
 from nanoinfer.errors import GraphValidationError
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
-    BackendSpec, CostModel, GPU_FLOPS, SchemeKind, T_SCHEDULE_OPENCL_MS,
-    T_SCHEDULE_VULKAN_MS, conv_schemes, gpu_cost_model,
+    BackendSpec, CostModel, GPU_FLOPS, OpStep, SchemeKind,
+    T_SCHEDULE_OPENCL_MS, T_SCHEDULE_VULKAN_MS, conv_schemes, gpu_cost_model,
     SchemeChoice, mul_count, op_cost, op_work, packed_bytes,
     plan_for_candidate, plan_intervals, plan_memory, pre_infer, scheme_cost,
     scheme_costs, select_backend, select_scheme_for, select_schemes,
@@ -328,13 +328,17 @@ class TestPlanMemory:
     @pytest.mark.parametrize("name", sorted(PRESETS) + ["batched-matmul"])
     def test_pool_holds_graph_tensors_only(self, name, weight, monkeypatch):
         # a plan's pools hold graph tensors and nothing else, even where
-        # the count rule (weight 1) splits the batched MatMul's product
+        # the count rule (weight 1) splits the batched MatMul's product,
+        # but for the scratch of each step with a folded max pool
         monkeypatch.setattr(kernels, "ADD_COST", weight)
         g = (batched_matmul_graph() if name == "batched-matmul"
              else fuse(build_preset(name)))
         plan = pre_infer(g, [CPU])
+        scratch = {s.scratch_id for s in plan.steps
+                   if isinstance(s, OpStep) and s.pool is not None}
+        assert bool(scratch) == (name in ("mobilenet-mini", "inception-mini"))
         for mem in plan.memory.values():
-            assert set(mem.offsets) <= set(g.tensor_shapes)
+            assert set(mem.offsets) <= set(g.tensor_shapes) | scratch
             assert set(mem.sizes) == set(mem.offsets)
 
     def test_chain_pool_bounded_by_two_tensors(self):
@@ -450,3 +454,101 @@ class TestPreInfer:
 
 def build_preset_graph():
     return build_preset("resnet-mini")
+
+
+def folds(plan):
+    """Conv id -> the id of the max pool folded into its step."""
+    return {s.node.id: s.pool.id for s in plan.steps
+            if isinstance(s, OpStep) and s.pool is not None}
+
+
+def conv_pool_graph(conv=None, pool=None, relu_reader=False,
+                    conv_output=False):
+    """A 1x1 conv on 8 x 8 (or `conv`'s keywords), then a max pool with
+    kernel and stride 2 (or `pool`'s keywords): the pair folds as it is."""
+    b = GraphBuilder((1, 4, 8, 8), seed=0)
+    y = b.conv(**(conv or {"kernel": 1, "out_c": 8}), name="c")
+    out = b.pool(y, **(pool or {"kernel": 2}), name="p")
+    outputs = [out]
+    if relu_reader:
+        outputs.append(b.relu(y))
+    if conv_output:
+        outputs.append(y)
+    return b.build(outputs=outputs)
+
+
+SIM_POOL = BackendSpec("sim", CostModel(flops=1e12),
+                       supported=frozenset({OpKind.POOL2D}))
+
+
+class TestFoldPools:
+    @pytest.mark.parametrize("name,want", [
+        ("mobilenet-mini", {"pw2": "pool_24"}),
+        ("inception-mini", {"conv_18": "pool_22"}),
+        ("resnet-mini", {}), ("squeezenet-mini", {})])
+    def test_presets(self, name, want):
+        g = fuse(build_preset(name))
+        plan = pre_infer(g, [CPU])
+        assert folds(plan) == want
+        # the graph keeps both nodes, and the assignment lists both
+        assert set(plan.assignment) == {n.id for n in g.nodes}
+        kinds = [s.node.kind for s in plan.steps if isinstance(s, OpStep)]
+        assert kinds.count(OpKind.POOL2D) == sum(
+            n.kind is OpKind.POOL2D for n in g.nodes) - len(want)
+
+    def test_pair_folds(self):
+        g = conv_pool_graph()
+        plan = pre_infer(g, [CPU])
+        assert folds(plan) == {"c": "p"}
+        (step,) = plan.steps
+        assert step.outputs == g.outputs
+        assert set(plan.memory["cpu"].offsets) == {*g.outputs, "c#scratch"}
+
+    @pytest.mark.parametrize("case", [
+        {"relu_reader": True},  # the conv's output has two readers
+        {"conv_output": True},  # the conv's output is a graph output
+        {"pool": {"kernel": 3, "stride": 3, "pad": 1}},  # padded pool
+        {"pool": {"kernel": 2, "mode": "avg"}},  # average pool
+        {"pool": {"kernel": 3, "stride": 2}},  # stride unlike kernel
+        # Winograd may run it: a 3x3 conv at stride 1
+        {"conv": {"kernel": 3, "pad": 1, "out_c": 8}},
+    ])
+    def test_pair_does_not_fold(self, case):
+        plan = pre_infer(conv_pool_graph(**case), [CPU])
+        assert folds(plan) == {}
+        assert not any(tid.endswith("#scratch")
+                       for tid in plan.memory["cpu"].offsets)
+
+    def test_pool_on_another_backend_does_not_fold(self):
+        g = conv_pool_graph()
+        plan = pre_infer(g, [CPU, SIM_POOL], force_backend="sim")
+        assert plan.assignment == {"c": "cpu", "p": "sim"}
+        assert folds(plan) == {}
+        # the same pair folds where sim runs both
+        sim = BackendSpec("sim", CostModel(flops=1e12))
+        plan = pre_infer(g, [CPU, sim], force_backend="sim")
+        assert folds(plan) == {"c": "p"}
+        assert [t.tensor for t in plan.transfers()] == [g.inputs[0],
+                                                         g.outputs[0]]
+
+    @pytest.mark.parametrize("backend", ["cpu", "sim"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_co_live_residencies_overlap(self, name, backend):
+        # every pool slice live at one step, scratch included, has bytes of
+        # its own
+        g = fuse(build_preset(name))
+        sim = BackendSpec("sim", CostModel(flops=1e12))
+        plan = pre_infer(g, [CPU, sim], force_backend=backend)
+        checked = 0
+        for mem in plan.memory.values():
+            tids = [t for t in mem.offsets if mem.sizes[t]]
+            for i, a in enumerate(tids):
+                fa, la = mem.lifetimes[a]
+                for b in tids[i + 1:]:
+                    fb, lb = mem.lifetimes[b]
+                    if max(fa, fb) <= min(la, lb):
+                        checked += "#scratch" in a + b
+                        a0, b0 = mem.offsets[a], mem.offsets[b]
+                        assert (a0 + mem.sizes[a] <= b0
+                                or b0 + mem.sizes[b] <= a0), (a, b)
+        assert bool(checked) == bool(folds(plan))
