@@ -14,20 +14,22 @@ scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  A conv step with a max pool folded in
-(preinference.build_steps) writes the pool's output array, and its kernel
-gets its scratch, a flat float32 slice of the pool bound like the arrays.
+(preinference.build_steps, a dense or grouped conv at pad 0) writes the
+pool's output array, and its kernel gets its scratch, a flat float32 slice
+of the pool bound like the arrays.
 Pools run kernels.pool_nhwc4.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, one matmul_direct GEMM (no
 Strassen level: where the engine's rule would take one, it measured
 slower than direct), and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The pools and the staging buffers
-start on a 64 B cache line (aligned_zeros), as every pool offset does.  The
-kernels' other temporaries (the slab of bordered input rows of a
-sliding-window conv, dense or depthwise at any stride, and a dense conv's
-window matrix, the bordered inputs of padded or overlapping pools and of
-Winograd, Winograd's patches and tiles, MatMul's product) are still heap
-allocations on every run, and so is the NCHW round trip of a Reshape that
-changes the shape (graph.fuse drops the identity ones).
+start on a cache line of preinference.ALIGNMENT bytes (aligned_zeros), as
+every pool offset does.  The kernels' other temporaries (the slab of
+bordered input rows of a sliding-window conv, dense or depthwise at any
+stride, and a dense conv's window matrix, the bordered inputs of padded or
+overlapping pools and of Winograd, Winograd's patches and tiles, MatMul's
+product) are still heap allocations on every run, and so is the NCHW round
+trip of a Reshape that changes the shape (graph.fuse drops the identity
+ones).
 """
 
 from __future__ import annotations
@@ -44,16 +46,13 @@ from .errors import (
 from .graph import OpKind
 from .kernels import LANES, matmul_direct, pool_nhwc4, sliding_nhwc4
 from .preinference import (
-    CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep, SchemeKind,
-    TransferStep, pack_weights, packed_bytes, weight_key,
+    ALIGNMENT, CPU_COST, BackendSpec, CostModel, ExecutionPlan, OpStep,
+    SchemeKind, TransferStep, pack_weights, packed_bytes, weight_key,
 )
 from .tensor import (
     Layout, Tensor, channel_blocks, data_shape, from_nchw, relayout,
 )
 from .winograd import winograd_nhwc4
-
-
-ALIGNMENT = 64  # bytes: a cache line, as plan_memory aligns pool offsets
 
 
 def aligned_zeros(nbytes: int) -> np.ndarray:

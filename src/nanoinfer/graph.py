@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -277,6 +278,15 @@ def _drop_identity_reshapes(g: Graph) -> list[OpNode]:
     return nodes
 
 
+def sole_readers(nodes: list[OpNode],
+                 outputs: list[str]) -> dict[str, OpNode]:
+    """Tensor id -> its only reader, for each tensor that is read exactly
+    once and is not a graph output: a tensor a rewrite may fold away."""
+    reads = Counter(tid for node in nodes for tid in node.inputs)
+    return {tid: node for node in nodes for tid in node.inputs
+            if reads[tid] == 1 and tid not in outputs}
+
+
 def fuse(g: Graph) -> Graph:
     """Drop identity Reshapes, then merge each Conv2D whose sole consumer is
     a ReLU into the convolution.
@@ -291,21 +301,16 @@ def fuse(g: Graph) -> Graph:
     if not g.tensor_shapes:
         g = infer_shapes(g)
     kept = _drop_identity_reshapes(g)
-    readers: dict[str, list[OpNode]] = {}
-    for node in kept:
-        for tid in node.inputs:
-            readers.setdefault(tid, []).append(node)
+    readers = sole_readers(kept, g.outputs)
     removed: set[str] = set()
     nodes: list[OpNode] = []
     for node in kept:
         if node.id in removed:
             continue
-        consumers = readers.get(node.outputs[0], [])
+        relu = readers.get(node.outputs[0])
         if (node.kind is OpKind.CONV2D
                 and node.attrs.get("activation", "none") == "none"
-                and node.outputs[0] not in g.outputs
-                and len(consumers) == 1 and consumers[0].kind is OpKind.RELU):
-            relu = consumers[0]
+                and relu is not None and relu.kind is OpKind.RELU):
             removed.add(relu.id)
             node = replace(node, outputs=list(relu.outputs),
                            attrs={**node.attrs, "activation": "relu"})
@@ -549,15 +554,11 @@ class GraphBuilder:
 
     def reshape(self, shape: tuple[int, int, int, int],
                 src: str | None = None, name: str | None = None) -> str:
-        src = src or self.last
         out = self._tid("t")
-        self.nodes.append(OpNode(id=name or self._tid("reshape"),
-                                 kind=OpKind.RESHAPE, inputs=[src],
-                                 outputs=[out],
-                                 attrs={"shape": list(shape)}))
-        self._shapes[out] = shape
-        self.last = out
-        return out
+        return self._append(OpNode(
+            id=name or self._tid("reshape"), kind=OpKind.RESHAPE,
+            inputs=[src or self.last], outputs=[out],
+            attrs={"shape": list(shape)}))
 
     def matmul(self, out_features: int, src: str | None = None,
                bias: bool = True, name: str | None = None) -> str:

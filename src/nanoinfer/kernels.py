@@ -22,9 +22,10 @@ the input as it lies.  A grouped conv is a dense one whose operand is block
 diagonal, one block per group.  Both conv schemes read one operand packed
 once (ConvWeights: the GEMM operand or depthwise taps, the bias and ReLU
 maps, Winograd's transform) and end in one epilogue, bias_relu, per image.
-A sliding-window conv may carry a max pool whose windows tile its output
-(fused_pool_rows): it then writes the pooled map, a few pooled rows at a
-time through a scratch the caller supplies, and its epilogue runs on the
+A dense or grouped conv at pad 0 may carry a max pool whose windows tile
+its output: it then writes the pooled map in one loop of its own
+(_sliding_max_pool), a few pooled rows at a time (fused_pool_rows) through
+a scratch the caller supplies, with no slabs, and its epilogue runs on the
 pooled map.  Pools run pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
@@ -118,27 +119,18 @@ def matmul_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 ADD_COST = 95
 """Cost of one counted Strassen addition, in units of one BLAS multiply.
 
-The count rule weighs an addition like a multiply (weight 1). Under a BLAS
+The count rule weighs an addition like a multiply (weight 1).  Under a BLAS
 GEMM it is far dearer: an addition is a memory-bound NumPy pass over a
-quadrant, a multiply one FMA inside a cache-blocked kernel. Measured on
-this module's own level by `tools/calibrate.py add-cost`: time of a one-level
-matmul_strassen less its seven batched half-size products, per counted
-addition, over the time of matmul_direct per multiply; OpenBLAS 0.3.31
-(Haswell kernels), 2-core x86-64 VM, one BLAS thread, median of 5-200
-interleaved runs, 18 measurements over six shapes: 1024^3 93-150, 2048^3
-121-162, 24x24x1089 88-102, 128x64x256 and 256x128x64 75-94, 64x32x1024
-44-50. 95 is the median. With two BLAS threads 1024^3 reached 262. A level
-saves 34 multiplies per addition at 1024^3 and 68 at 2048^3, so no shape
-up to 2048^3 takes a level; one level ran 1.14-1.44x slower than direct at
-1024^3 and 1.04-1.31x at 2048^3. The rule takes one level from about 2,850^3
-on, and there it loses too: three runs of the script (that VM, 5 runs per
-shape) timed one level against direct at 3072^3 as 494/459, 497/466
-and 624/617 ms (1.01-1.08x slower), at 4096^3 as 1112/1086, 1249/1193 and
-1935/1553 ms (1.02-1.25x), and at 2048x4096x4096 (a level saves 108 per
-addition) as 581/558, 605/565 and 878/784 ms (1.04-1.12x). So the engine's
-MatMul steps call matmul_direct, and this weight only sets the depth of
-matmul_strassen called directly. Recalibrate on other hardware with that
-script.
+quadrant, a multiply one FMA inside a cache-blocked kernel.  95 is the
+median of 18 measurements over six shapes (44-162) by `tools/calibrate.py
+add-cost`: a one-level matmul_strassen less its seven batched half-size
+products, per counted addition, over matmul_direct's time per multiply, on
+a 2-core x86-64 VM, OpenBLAS 0.3.31 (Haswell kernels), one BLAS thread.
+Under it no shape up to about 2,850^3 takes a level, and at the shapes
+beyond, where it takes one, one level ran 1.01-1.25x slower than direct.
+So the engine's MatMul steps call matmul_direct, and this weight only sets
+the depth of matmul_strassen called directly.  Recalibrate on other
+hardware with that script.
 """
 
 SMALL_PRODUCT_COST = 4500
@@ -154,79 +146,35 @@ element-wise ops), the elements it re-lays out in runs of a few floats
 (Winograd's patches and tiles), and its NumPy calls.
 `tools/calibrate.py weights` times every scheme of a set of convs as a step
 of a running session and fits the five per-unit times by least squares on
-the relative error. On 58 convs (the presets' and 31 synthetic ones of 3-64
-channels on 8-64 px maps), three fits (2-vCPU x86-64 VM, OpenBLAS 0.3.31,
-one thread, 21 runs per scheme) gave a GEMM multiply 6-22 ps, and relative
-to it a small product 3,200-8,000, a streamed element 9-52, a re-laid one
-104-501 and a call 71,000-176,000. The fits trade the GEMM's weight against
-the others', but every fit picked the same scheme for every conv. The
-constants are the middle fit, rounded: at its 15 ps per multiply a small
-product takes 68 ns, a streamed element 0.29 ns, a re-laid one 2.6 ns and a
-call 1.2 us. Four kinds are too few: with re-laid elements counted as
-streamed ones, fits to the same timings planned winograd6 for a 64-channel
-conv on a 64x64 map, which sliding window runs faster, and missed
-inception-mini's branch_a. Refitted after Winograd's transforms became
-GEMMs with K=alpha, adding 3x3 convs of 64->128 and 128->128 channels at 16
-and 32 px (62 convs, three fits): a GEMM multiply took 24-30 ps, and
-relative to it a small product 0, a streamed element 12-15, a re-laid one
-168-194 and a call 52,000-64,000. Each refit plans winograd4 for
-squeezenet-mini's expand3x3_1, which sliding window runs 1.56x faster, so
-the constants stay. Under them rank finds 27 of 27 preset convs within the
-margin; tile 4, fastest on 64->64 at 32 px, 64->128 at 16 and 32 px and
-128->128 at 16 px (2.36 against 3.10 ms at 64->128, 32 px), is not planned.
-Recounted when activations moved to NHWC4 (sliding window lost its
-re-layouts, its padded copy at pad 0 and its accumulator and store where the
-GEMM rows have the output's pitch; Winograd its crop where the tiles cover
-the output): rank (one thread, 15 rounds) still finds 27 of 27 preset convs
-within the margin, every one planned and fastest on sliding window, so the
-constants stay.  Recounted when a dense conv became one GEMM per band of
-output rows (a padded copy, one window copy and one GEMM with K = taps x
-input lanes per band, two calls per band, no per-tap sums and no store):
-rank (one thread, 7 rounds) still finds 27 of 27 preset convs within the
-margin, every one planned and fastest on sliding window, so the constants
-stay.  Recounted when sliding window went slab by slab (per extra slab a
-border's calls and the rows it copies again; depthwise at stride 1 its
-multiplies and sums over whole bordered rows and one crop): rank (one
-thread, 3 rounds) still finds 27 of 27 preset convs within the margin, so
-the constants stay.  Recounted when depthwise at stride 1 became one einsum
-per slab and image (it reads each tap's run of the output rows and writes
-them once: no per-tap products or sums, no crop): rank (one thread, 15
-rounds) still finds 27 of 27 preset convs within the margin, so the
-constants stay.  Recounted when depthwise convs at every stride went into
-the one slab walk (one einsum per slab and image; at pad 0 no copy, as the
-conv reads its input as it lies): rank (one thread, 15 rounds) still finds
-27 of 27 preset convs within the margin, so the constants stay.
-Recalibrate on other hardware with that script.
+the relative error.  The constants are the middle of three fits on 58 convs
+(the presets' and 31 synthetic ones of 3-64 channels on 8-64 px maps; 2-vCPU
+x86-64 VM, OpenBLAS 0.3.31, one thread, 21 runs per scheme), rounded: at its
+15 ps per multiply a small product takes 68 ns, a streamed element 0.29 ns,
+a re-laid one 2.6 ns and a call 1.2 us.  Four kinds are too few: with
+re-laid elements counted as streamed ones, a fit to the same timings
+planned winograd6 for a conv that sliding window runs faster.  Under these
+constants `tools/calibrate.py rank` (one thread, 15 rounds) finds 27 of 27
+preset convs within the margin.  Recount with `rank` after a kernel change,
+and recalibrate on other hardware with `weights`.
 """
 
 BAND_FLOATS = 32768
 """Most floats in one slab of a sliding-window conv's bordered input rows,
-and in the window matrix of one band of a dense conv (128 KiB each).
+and in the window matrix of one band of a dense conv or of one chunk of a
+conv with a max pool folded in (128 KiB each).
 
 A band is the most output rows whose window matrix fits, at least one; a
 padded conv, dense or depthwise at any stride, takes the fewest slabs whose
 rows fit (a whole number of bands each, at least one), spread evenly.
 Both depend on the conv's geometry only, so a step gives the same bits
 however it is called, and a depthwise conv's bits do not depend on its
-slabs at all.  The band size was measured as medians of each dense step
-of the resnet-mini topology in one running session, the band sizes
-alternating in one process (2-vCPU x86-64 VM, 48
-KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one thread, 16-40 rounds of
-10 runs).  The dense steps summed, at 16,384, 32,768, 65,536 floats and a
-whole map per band: 2.40, 1.93, 2.08 and 2.10 ms at 64x64 input, 0.61,
-0.57, 0.57 and 0.56 ms at 32x32; one GEMM per window tap, with
-output-sized accumulators, took 2.39 and 0.61 ms.  At 8,192 the 32x32 sum
-was 0.83 ms.  A smaller band pays more calls, a larger one leaves the
-cache, and a whole map per band would hold 2.25 MiB at 64x64.  At 32x32
-res0a, res0b and res1b still ran 5-9% slower than per tap (0.14 against
-0.13 ms at res0a): copying the windows costs about as much as the per-tap
-sums it replaces.  Slabs of the same size, against the whole bordered map
-in one (same session, 20 alternating rounds of 10 runs): the 64x64
-resnet-mini run 2.93 against 3.23 ms (res1a 0.33 against 0.42 ms), while
-mobilenet-mini's dw2, in two slabs, took 105 against 91 us in one (one
-einsum per slab; medians of 1,500 steps, 30 alternating rounds); every
-32x32 dense conv and dw0 and dw1 fit one slab.  Re-measure on other
-hardware.
+slabs at all.  The size is measured as per-step medians (run_timed) of the
+dense steps of the resnet-mini topology in one running session, the sizes
+alternating in rounds (2-vCPU x86-64 VM, 48 KiB L1d and 2 MiB L2 per core,
+OpenBLAS 0.3.31, one thread): at 16,384, 32,768, 65,536 floats and a whole
+map per band they summed 2.40, 1.93, 2.08 and 2.10 ms at 64x64 input and
+0.61, 0.57, 0.57 and 0.56 ms at 32x32.  Re-measure on other hardware the
+same way, with this constant set for each size.
 """
 
 
@@ -505,9 +453,10 @@ class ConvWeights:
     scalar, and without the 32 KiB iterator buffer a broadcast operand
     allocates.  ``slab_rows`` is sliding window's output rows per slab
     (slab_rows), fixed with the conv's geometry.  ``pool`` is the window of
-    a max pool folded into a sliding-window conv (kernel equal to stride, no
-    padding), which the kernel runs ``pool_rows`` pooled rows at a time
-    (fused_pool_rows); the bias and zero maps are then of the pooled size.
+    a max pool (kernel equal to stride, no padding) folded into a dense or
+    grouped sliding-window conv at pad 0, which the kernel runs
+    ``pool_rows`` pooled rows at a time (fused_pool_rows); the bias and
+    zero maps are then of the pooled size.
     """
 
     mats: np.ndarray
@@ -546,35 +495,54 @@ def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  zeros: np.ndarray | None = None,
                  pool: ConvParams | None = None) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
-    wd, with the max pool of window ``pool`` folded in when given."""
+    wd, with the max pool of window ``pool`` folded in when given, which
+    only a dense or grouped conv at pad 0 takes (_sliding_max_pool)."""
     oh, ow = p.out_size(h, wd)
     mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
-    rows = slab_rows(p, n, h, wd, pool)
+    rows = slab_rows(p, n, h, wd)
     if pool is None:
         return pack_conv(mats, p, bias, oh, ow, zeros=zeros, slab_rows=rows)
+    if p.depthwise or p.pad_h or p.pad_w:
+        raise ShapeMismatchError(
+            "a max pool folds only into a dense or grouped conv at pad 0")
     return replace(pack_conv(mats, p, bias, *pool.out_size(oh, ow),
                              zeros=zeros, slab_rows=rows),
-                   pool=pool, pool_rows=fused_pool_rows(pool, oh, ow))
+                   pool=pool, pool_rows=fused_pool_rows(p, pool, oh, ow))
 
 
-def fused_pool_rows(pool: ConvParams, oh: int, ow: int) -> int:
-    """Pooled rows per chunk, R, of a conv of output oh x ow with the max
+def fused_pool_rows(p: ConvParams, pool: ConvParams, oh: int, ow: int) -> int:
+    """Pooled rows per chunk, R, of a conv p of output oh x ow with the max
     pool of window ``pool`` folded in: the most whose stride_h * R conv
-    rows of one image fit in no more floats than one pooled image, at
-    least one.  Those rows go through a scratch of that size."""
+    rows of one image fit in no more floats than one pooled image, and,
+    unless the conv multiplies its input as it lies (_stacked_taps), whose
+    window matrix fits BAND_FLOATS; at least one."""
     poh, pw = pool.out_size(oh, ow)
-    return max(1, min(poh, poh * pw // (pool.stride_h * ow)))
+    rows = min(poh, poh * pw // (pool.stride_h * ow))
+    if not _stacked_taps(p, pw):
+        k = p.kh * p.kw * channel_blocks(p.in_c) * LANES
+        rows = min(rows, BAND_FLOATS // (pool.stride_h * pool.stride_w * pw
+                                         * k))
+    return max(1, rows)
+
+
+def _stacked_taps(p: ConvParams, pw: int) -> bool:
+    """Whether a conv p with a max pool of pw pooled columns folded in
+    multiplies each pool tap's pixels as they lie: a 1x1 conv, with at
+    least two pooled columns (a one-row GEMM takes BLAS's GEMV, whose bits
+    differ from the whole-map GEMM's)."""
+    return p.kh == p.kw == 1 and pw > 1
 
 
 def pool_scratch_floats(p: ConvParams, pool: ConvParams, h: int,
                         w: int) -> int:
     """Floats of the scratch a conv p on h x w input with the max pool of
-    window ``pool`` folded in computes its conv rows into: one chunk of
-    fused_pool_rows pooled rows."""
+    window ``pool`` folded in computes its conv pixels into: one chunk of
+    fused_pool_rows pooled rows, each pool tap's block of them."""
     oh, ow = p.out_size(h, w)
-    return (pool.stride_h * fused_pool_rows(pool, oh, ow) * ow
-            * channel_blocks(p.out_c) * LANES)
+    _, pw = pool.out_size(oh, ow)
+    return (pool.stride_h * pool.stride_w * fused_pool_rows(p, pool, oh, ow)
+            * pw * channel_blocks(p.out_c) * LANES)
 
 
 def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
@@ -663,32 +631,18 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     windows (windows) into a window matrix [pixels, kh*kw*in lanes] and
     multiplies it by every output lane straight into those rows; a slab
     holds whole bands, and a 1x1 conv at stride 1 and pad 0 multiplies each
-    image as it lies.
-
-    With a max pool folded in (packed.pool), out is the pooled map, and
-    each image's pooled rows go pool_rows at a time (fewer where a dense
-    conv's window matrix would pass BAND_FLOATS) through ``scratch`` (from
-    the heap when not given): the conv pixels they read, with neither bias
-    nor ReLU, then the pool's taps straight into out's rows.  A depthwise
-    conv's einsum writes its rows there as they lie, and pool_nhwc4 pools
-    them.  A dense conv's GEMM writes them one pool tap after another, each
-    tap's pixels one contiguous block, so the taps combine (as pool_nhwc4's
-    do) without NumPy's iterator buffers, up to 32 KiB of heap per strided
-    operand: a 1x1 conv multiplies each tap's pixels as they lie, one GEMM
-    per pooled row and tap of pooled-width rows, at least two (a one-row
-    GEMM takes BLAS's GEMV, whose bits differ); any other copies them into
-    its window matrix in that order first.  Conv rows and columns the pool
-    does not read are not computed.  Bias and ReLU then run on the pooled
-    map: float32 rounding is monotonic and max is exact, so max(a + b, c +
-    b) is max(a, c) + b and the bits are those of the conv, then the pool.
+    image as it lies.  A conv with a max pool folded in (packed.pool) runs
+    _sliding_max_pool, through ``scratch``.
     """
     if not out.size:
+        return
+    if packed.pool is not None:
+        _sliding_max_pool(x, packed, p, out, scratch)
         return
     n, h, wd, cpad = x.shape
     oh, ow = p.out_size(h, wd)
     opad = out.shape[3]
     k = p.kh * p.kw * cpad
-    pool = packed.pool
     if p.depthwise:
         # (ow, lanes) as one axis at stride_w 1, where a row's windows are
         # adjacent (_tap_runs): an inner loop over only lanes floats ran 5x
@@ -698,37 +652,21 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
         taps = packed.mats.reshape(p.kh, p.kw, *tail)
     else:
         wmat = packed.mats.reshape(k, opad)
-        if pool is None and (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h,
-                             p.pad_w) == (1, 1, 1, 1, 0, 0):
+        if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
+                1, 1, 1, 1, 0, 0):
             # the input as it lies is the window matrix
             for img in range(n):
                 np.matmul(x[img].reshape(h * wd, cpad), wmat,
                           out=out[img].reshape(oh * ow, opad))
                 bias_relu(out[img], packed)
             return
-    if pool is None:
-        last = oh  # the conv rows to compute
-        if not p.depthwise:
-            band = _band_rows(oh, ow * k)
-            win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
-    else:
-        sp, sq, pw = pool.stride_h, pool.stride_w, out.shape[2]
-        last, step = sp * out.shape[1], packed.pool_rows
-        if scratch is None:
-            scratch = np.empty(pool_scratch_floats(p, pool, h, wd),
-                               dtype=np.float32)
-        direct = p.kh == p.kw == 1 and pw > 1
-        if not (p.depthwise or direct):
-            step = min(step, max(1, BAND_FLOATS // (sp * sq * pw * k)))
-            win = np.empty((sp * sq * step * pw, k), dtype=np.float32)
-        # a dense conv's full chunk of conv outputs, one block per pool tap
-        full = scratch[:sp * sq * step * pw * opad].reshape(
-            sp, sq, step, pw, opad)
+        band = _band_rows(oh, ow * k)
+        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    buf = None if rows >= last else _slab_buffer(p, rows, x)
+    buf = None if rows >= oh else _slab_buffer(p, rows, x)
     r0 = 0
-    while r0 < last:  # a range iterator would add 48 B to every run's heap
-        b = min(rows, last - r0)
+    while r0 < oh:  # a range iterator would add 48 B to every run's heap
+        b = min(rows, oh - r0)
         span = None if buf is None else (
             r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
         # no name for the bordered rows: a view kept alive adds 200 B to
@@ -737,51 +675,66 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
             border(x, p.pad_h, p.pad_w, hp, wp, rows=span, out=buf),
             p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
         for img in range(n):
-            if pool is None:
-                if p.depthwise:
-                    np.einsum(sums, views[img], taps,
-                              out=out[img, r0:r0 + b].reshape(b, *tail))
-                    continue
-                for r in range(0, b, band):
-                    bb = min(band, b - r)
-                    np.copyto(win[:bb], views[img, r:r + bb])
-                    np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                              out=out[img, r0 + r:r0 + r + bb].reshape(
-                                  bb * ow, opad))
+            if p.depthwise:
+                np.einsum(sums, views[img], taps,
+                          out=out[img, r0:r0 + b].reshape(b, *tail))
                 continue
-            if not p.depthwise:
-                # each pool tap's windows, [sp, sq, pooled rows, pw, kh,
-                # kw, lanes]
-                tv = views[img, :, :sq * pw].reshape(
-                    b // sp, sp, pw, sq, p.kh, p.kw, cpad).transpose(
-                        1, 3, 0, 2, 4, 5, 6)
-                if direct:
-                    tv = tv[..., 0, 0, :]
-            q = 0
-            while q < b // sp:
-                m = min(step, b // sp - q)
-                dst = out[img, r0 // sp + q:r0 // sp + q + m]
-                if p.depthwise:
-                    conv = scratch[:sp * m * ow * opad].reshape(
-                        sp * m, ow, opad)
-                    np.einsum(sums, views[img, :, :, sp * q:sp * (q + m)],
-                              taps, out=conv.reshape(sp * m, *tail))
-                    pool_nhwc4(conv[None], pool, "max", dst[None])
-                    q += m
-                    continue
-                conv = full if m == step else scratch[
-                    :sp * sq * m * pw * opad].reshape(sp, sq, m, pw, opad)
-                if direct:
-                    np.matmul(tv[:, :, q:q + m], wmat, out=conv)
-                else:
-                    np.copyto(win[:sp * sq * m * pw].reshape(
-                        sp, sq, m, pw, p.kh, p.kw, cpad), tv[:, :, q:q + m])
-                    np.matmul(win[:sp * sq * m * pw], wmat,
-                              out=conv.reshape(-1, opad))
-                _max_into(dst, conv.reshape(sp * sq, m, pw, opad))
-                q += m
+            for r in range(0, b, band):
+                bb = min(band, b - r)
+                np.copyto(win[:bb], views[img, r:r + bb])
+                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                          out=out[img, r0 + r:r0 + r + bb].reshape(
+                              bb * ow, opad))
         r0 += b
     for img in range(n):
+        bias_relu(out[img], packed)
+
+
+def _sliding_max_pool(x: np.ndarray, packed: ConvWeights, p: ConvParams,
+                      out: np.ndarray, scratch: np.ndarray) -> None:
+    """sliding_nhwc4 of a dense or grouped conv at pad 0 with the max pool
+    packed.pool folded in: out is the pooled map.
+
+    Each image's pooled rows go pool_rows at a time (fused_pool_rows)
+    through ``scratch``: the conv pixels they read, with neither bias nor
+    ReLU, one pool tap after another, each tap's pixels one contiguous
+    block, so the taps combine (as pool_nhwc4's do) without NumPy's
+    iterator buffers, up to 32 KiB of heap per strided operand.  A 1x1 conv
+    (_stacked_taps) multiplies each tap's pixels as they lie, one GEMM per
+    pooled row and tap of pooled-width rows; any other copies them into its
+    window matrix in that order first.  Conv rows and columns the pool does
+    not read are not computed.  Bias and ReLU then run on the pooled map:
+    float32 rounding is monotonic and max is exact, so max(a + b, c + b) is
+    max(a, c) + b and the bits are those of the conv, then the pool.
+    """
+    n, _, _, cpad = x.shape
+    _, poh, pw, opad = out.shape
+    pool, step = packed.pool, packed.pool_rows
+    sp, sq = pool.stride_h, pool.stride_w
+    k = p.kh * p.kw * cpad
+    wmat = packed.mats.reshape(k, opad)
+    direct = _stacked_taps(p, pw)
+    # each pool tap's windows, [n, sp, sq, pooled rows, pw, kh, kw, lanes]
+    tv = windows(x, p.kh, p.kw, p.stride_h, p.stride_w, sp * poh,
+                 sq * pw).reshape(n, poh, sp, pw, sq, p.kh, p.kw,
+                                  cpad).transpose(0, 2, 4, 1, 3, 5, 6, 7)
+    if direct:
+        tv = tv[..., 0, 0, :]
+    else:
+        win = np.empty((sp * sq * step * pw, k), dtype=np.float32)
+    for img in range(n):
+        for q in range(0, poh, step):
+            m = min(step, poh - q)
+            conv = scratch[:sp * sq * m * pw * opad].reshape(sp, sq, m, pw,
+                                                              opad)
+            if direct:
+                np.matmul(tv[img, :, :, q:q + m], wmat, out=conv)
+            else:
+                np.copyto(win[:sp * sq * m * pw].reshape(
+                    sp, sq, m, pw, p.kh, p.kw, cpad), tv[img, :, :, q:q + m])
+                np.matmul(win[:sp * sq * m * pw], wmat,
+                          out=conv.reshape(-1, opad))
+            _max_into(out[img, q:q + m], conv.reshape(sp * sq, m, pw, opad))
         bias_relu(out[img], packed)
 
 
@@ -888,29 +841,22 @@ def _band_rows(oh: int, row_floats: int) -> int:
     return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
 
 
-def slab_rows(p: ConvParams, n: int, h: int, w: int,
-              pool: ConvParams | None = None) -> int:
-    """Output rows per slab of a sliding-window conv on n images of h x w,
-    with the max pool of window ``pool`` folded in when given.
+def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
+    """Output rows per slab of a sliding-window conv on n images of h x w.
 
     A slab is the bordered input rows that some output rows of every image
     read, copied into one buffer the kernel reuses.  One rule for every
     conv: at pad 0 it reads its input as it lies, in one slab; a padded
     conv takes the fewest slabs that fit BAND_FLOATS (at least one unit
-    per slab: a band of a dense conv, a row of a depthwise one, or a
-    fused pool's chunk of conv rows, fused_pool_rows), then spreads its
-    output rows evenly over them in whole units, so the buffers are no
-    larger than that count needs.  With a pool, the output rows are those
-    the pool reads.
+    per slab: a band of a dense conv, a row of a depthwise one), then
+    spreads its output rows evenly over them in whole units, so the
+    buffers are no larger than that count needs.
     """
     oh, ow = p.out_size(h, w)
-    lanes = channel_blocks(p.in_c) * LANES
-    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
-    if pool is not None:
-        unit = pool.stride_h * fused_pool_rows(pool, oh, ow)
-        oh = pool.stride_h * pool.out_size(oh, ow)[0]
     if not (p.pad_h or p.pad_w):
         return oh
+    lanes = channel_blocks(p.in_c) * LANES
+    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
     row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
     # the output rows whose input rows fit one slab
     fit = (BAND_FLOATS // max(1, row) - p.kh) // p.stride_h + 1

@@ -7,7 +7,9 @@ scheme and each MatMul's permuted into packed row order (pack_weights), and
 byte offsets into one pre-sized pool per backend.  The pool holds what the
 kernels read and write in place: activations (each conv kernel writes its
 output there), transfer copies, and the scratch of each conv step with a
-max pool folded in (build_steps, folded_pools), live at that step only.
+max pool folded in (build_steps, folded_pools: a dense or grouped conv at
+pad 0 whose output only the pool reads), live at that step only.  Pool
+offsets and sizes are whole multiples of ALIGNMENT.
 Kernels' other temporaries (conv and pool working buffers, MatMul's
 product) still come from the heap.
 
@@ -31,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GraphValidationError, UnsupportedSizeError
-from .graph import Graph, OpKind, OpNode, infer_shapes
+from .graph import Graph, OpKind, OpNode, infer_shapes, sole_readers
 from .kernels import (
     ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
     pool_scratch_floats, sliding_work, zero_map,
@@ -48,6 +50,7 @@ CPU_FLOPS = 2e9  # default capability when no frequency table is available
 UNKNOWN_GPU_FLOPS = 4e9  # unlisted GPUs are assumed faster than CPU
 T_SCHEDULE_OPENCL_MS = 0.05  # average cost of one kernel-enqueue API call
 T_SCHEDULE_VULKAN_MS = 0.01  # command-buffer submission is cheaper
+ALIGNMENT = 64  # bytes: a cache line, the pool's offset and size unit
 
 # measured capabilities (multiplies per second) of common mobile GPUs
 GPU_FLOPS = {
@@ -348,7 +351,7 @@ class MemoryPlan:
 
 
 def plan_intervals(items: list[tuple[str, int, int, int]],
-                   alignment: int = 64) -> MemoryPlan:
+                   alignment: int = ALIGNMENT) -> MemoryPlan:
     """First-fit offsets for (tensor, bytes, first_write, last_read) items.
 
     Walks the op timeline: at each step, buffers whose last reader has
@@ -427,7 +430,7 @@ class ExecutionPlan:
 
     graph: Graph
     steps: list[TransferStep | OpStep]
-    op_costs: dict[str, float]
+    op_costs: dict[str, float]  # step's node id -> ms, a folded pool's too
     total_cost_ms: float
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
@@ -484,28 +487,23 @@ class ExecutionPlan:
 
 def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
     """Conv id -> the max pool folded into its step: a pool whose kernel
-    equals its stride, with no padding, that is the only reader of a
-    conv's output, which is not a graph output.  The conv runs sliding
-    window, with no Winograd candidate (conv_schemes), and both are on
-    one backend, which, as the assignment put the pool there, runs
-    Pool2D."""
-    readers: dict[str, list[OpNode]] = {}
-    for node in g.nodes:
-        for tid in node.inputs:
-            readers.setdefault(tid, []).append(node)
+    equals its stride, with no padding, that is the sole reader of a
+    conv's output (graph.sole_readers).  The conv is dense or grouped, at
+    pad 0, and runs sliding window, with no Winograd candidate
+    (conv_schemes); both are on one backend, which, as the assignment put
+    the pool there, runs Pool2D."""
+    readers = sole_readers(g.nodes, g.outputs)
     folds = {}
     for node in g.nodes:
-        out = node.outputs[0]
-        if (node.kind is not OpKind.CONV2D or out in g.outputs
-                or len(readers.get(out, [])) != 1):
+        pool = readers.get(node.outputs[0])
+        if (node.kind is not OpKind.CONV2D or pool is None
+                or pool.kind is not OpKind.POOL2D
+                or pool.attrs.get("mode", "max") != "max"):
             continue
-        pool = readers[out][0]
-        if pool.kind is not OpKind.POOL2D or pool.attrs.get(
-                "mode", "max") != "max":
-            continue
-        q = pool.params()
+        p, q = node.params(), pool.params()
         if ((q.kh, q.kw, q.pad_h, q.pad_w) == (q.stride_h, q.stride_w, 0, 0)
-                and len(conv_schemes(node.params())) == 1
+                and not (p.depthwise or p.pad_h or p.pad_w)
+                and len(conv_schemes(p)) == 1
                 and assignment[node.id] == assignment[pool.id]):
             folds[node.id] = pool
     return folds
@@ -547,7 +545,6 @@ def build_steps(g: Graph, assignment: dict[str, str],
 
 def plan_memory(g: Graph, *,
                 schemes: dict[str, SchemeChoice] | None = None,
-                alignment: int = 64,
                 steps: list[TransferStep | OpStep] | None = None,
                 cpu_name: str = "cpu") -> dict[str, MemoryPlan]:
     """Pool layout per backend namespace for the step sequence.
@@ -595,7 +592,7 @@ def plan_memory(g: Graph, *,
                 else packed_bytes(g.tensor_shapes[tid]))
         last = last_read.get((tid, backend), start)
         items_by_backend.setdefault(backend, []).append((tid, size, start, last))
-    return {backend: plan_intervals(items, alignment)
+    return {backend: plan_intervals(items)
             for backend, items in items_by_backend.items()}
 
 
@@ -627,6 +624,11 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         backend_plan = plan_for_candidate(g, by_name[force_backend],
                                           backends[0], schemes)
     steps = build_steps(g, backend_plan.assignment, schemes, backends[0].name)
+    # a step with a folded pool is billed the pool's estimate too
+    op_costs = dict(backend_plan.op_costs)
+    for step in steps:
+        if isinstance(step, OpStep) and step.pool is not None:
+            op_costs[step.node.id] += op_costs.pop(step.pool.id)
     memory = plan_memory(g, steps=steps, cpu_name=backends[0].name)
     muls = {node.id: mul_count(node, g.tensor_shapes) for node in g.nodes}
 
@@ -655,7 +657,7 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     return ExecutionPlan(
         graph=g,
         steps=steps,
-        op_costs=backend_plan.op_costs,
+        op_costs=op_costs,
         total_cost_ms=backend_plan.total_cost_ms,
         muls=muls,
         candidates=candidates,

@@ -173,18 +173,8 @@ def pack_nc4hw4(t: Tensor) -> Tensor:
     return relayout(t, Layout.NC4HW4)
 
 
-def unpack_nc4hw4(t: Tensor, original_c: int | None = None) -> Tensor:
+def unpack_nc4hw4(t: Tensor) -> Tensor:
     """Inverse of pack_nc4hw4; drops the pad lanes."""
     if t.layout is not Layout.NC4HW4:
         raise LayoutError("unpack_nc4hw4 expects an NC4HW4 tensor")
-    n, c, h, w = t.shape
-    if original_c is None:
-        original_c = c
-    blocks = t.data.shape[1]
-    if original_c > blocks * LANES:
-        raise LayoutError(
-            f"original_c={original_c} exceeds packed capacity {blocks * LANES}"
-        )
-    full = t.data.transpose(0, 1, 4, 2, 3).reshape(n, blocks * LANES, h, w)
-    data = np.ascontiguousarray(full[:, :original_c])
-    return Tensor(shape=(n, original_c, h, w), layout=Layout.NCHW, data=data)
+    return relayout(t, Layout.NCHW)

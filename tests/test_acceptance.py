@@ -92,10 +92,9 @@ def test_criterion_2_kernel_equivalence(monkeypatch):
             w = (rng.standard_normal((5, 6, k, k)) * 0.3).astype(np.float32)
             p = ConvParams.square(k, pad=k // 2, in_c=6, out_c=5)
             packed = pack_nc4hw4(from_nchw(x))
-            base = unpack_nc4hw4(conv_sliding(packed, w, p), 5).data
+            base = unpack_nc4hw4(conv_sliding(packed, w, p)).data
             t = generate_transforms(n_tile, k, 0.5)
-            got = unpack_nc4hw4(
-                conv_winograd(packed, w, p, t), 5).data
+            got = unpack_nc4hw4(conv_winograd(packed, w, p, t)).data
             worst_wino = max(worst_wino, rel_err(got, base))
 
     # the engine's weighted rule takes no level at these sizes, so weigh

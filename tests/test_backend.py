@@ -928,49 +928,56 @@ class TestModularity:
 
 def fold_graph(kind):
     """Two images on an odd-sized map, one conv of `kind` and the max pool
-    that folds into its step."""
+    that reads it: it folds into the conv's step, except after the
+    depthwise and the padded conv."""
     b = GraphBuilder((2, 6, 21, 19), seed=0)
-    conv = {"dense": dict(kernel=3, stride=2, pad=1, out_c=8),
+    conv = {"dense": dict(kernel=3, stride=2, out_c=8),
             "pointwise": dict(kernel=1, out_c=12),
             "depthwise": dict(kernel=3, pad=1, out_c=6, group=6),
-            "grouped": dict(kernel=3, stride=2, pad=1, out_c=8, group=2)}
+            "padded": dict(kernel=3, stride=2, pad=1, out_c=8),
+            "grouped": dict(kernel=3, stride=2, out_c=8, group=2)}
     b.conv(**conv[kind], activation="relu")
     b.pool(kernel=3 if kind == "grouped" else 2)
     return b.build()
 
 
+def replayed(g, plan, seed):
+    """g's output from replay_cpu, which runs each node of plan into a
+    fresh buffer, on run_poisoned's input."""
+    from nanoinfer.cli import replay_cpu
+
+    out = replay_cpu(g, plan, make_input(g, seed=seed))[g.outputs[0]]
+    return relayout(out, Layout.NCHW).data
+
+
 class TestFoldedPool:
     @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512])
-    @pytest.mark.parametrize("kind", ["dense", "pointwise", "depthwise",
-                                      "grouped"])
+    @pytest.mark.parametrize("kind", ["dense", "pointwise", "grouped"])
     def test_session_bitwise_equals_conv_then_pool(self, kind, band,
                                                    monkeypatch):
         # the fused step, on a pool poisoned with NaN (its scratch
         # included), writes the bits of the conv step, then the pool step,
-        # each into a fresh buffer (replay_cpu), slabs or not
-        from nanoinfer.cli import replay_cpu
-
+        # each into a fresh buffer (replay_cpu), in one chunk or several
         monkeypatch.setattr(kernels, "BAND_FLOATS", band)
         g = fold_graph(kind)
-        cpu = CpuBackend()
-        plan = pre_infer(g, [cpu.spec()])
-        (step,) = [s for s in plan.steps if s.pool is not None]
-        session = Session(plan, [cpu])
-        mem = plan.memory["cpu"]
-        cpu.acquire_buffer(mem.pool_size, 0, owner="poison")[:] = np.nan
-        x = make_input(g, seed=5)
-        try:
-            got = session.run(x)[g.outputs[0]].data
-        finally:
-            session.close()
-        want = relayout(replay_cpu(g, plan, x)[g.outputs[0]], Layout.NCHW)
-        assert got.tobytes() == want.data.tobytes()
-        p = step.node.params()
-        _, _, h, w = g.tensor_shapes[step.node.inputs[0]].dims
-        if band < kernels.BAND_FLOATS and (p.pad_h or p.pad_w):
-            oh = step.pool.params().stride_h * g.tensor_shapes[
-                g.outputs[0]].dims[2]
-            assert kernels.slab_rows(p, 2, h, w, step.pool.params()) < oh
+        plan = pre_infer(g, [CpuBackend().spec()])
+        assert sum(s.pool is not None for s in plan.steps) == 1
+        _, got, _ = run_poisoned(g, seed=5)
+        assert got.tobytes() == replayed(g, plan, 5).tobytes()
+
+    @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512])
+    @pytest.mark.parametrize("kind", ["depthwise", "padded"])
+    def test_unfolded_pool_runs_its_own_step(self, kind, band, monkeypatch):
+        # a depthwise or padded conv keeps its max pool as a step of its
+        # own, in one slab or several, with the bits of replay_cpu
+        monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+        g = fold_graph(kind)
+        plan = pre_infer(g, [CpuBackend().spec()])
+        assert [s.node.kind for s in plan.steps] == [OpKind.CONV2D,
+                                                     OpKind.POOL2D]
+        assert all(s.pool is None for s in plan.steps)
+        _, got, _ = run_poisoned(g, seed=5)
+        assert got.tobytes() == replayed(g, plan, 5).tobytes()
 
 
 class TestPooledVersusFresh:

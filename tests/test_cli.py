@@ -11,6 +11,7 @@ from nanoinfer.backend import Session
 from nanoinfer.cli import COMPARE_ROUNDS, main
 from nanoinfer.graph import OpKind, fuse, load_model
 from nanoinfer.preinference import conv_schemes
+from nanoinfer.presets import PRESETS
 
 
 def run_cli(capsys, *argv):
@@ -516,6 +517,21 @@ class TestDumpPlan:
         after = ops[ids.index("pw2") + 1]
         assert (after["id"], after["kind"]) == ("pool_26", "Pool2D")
         assert sum("pool" in op for op in ops) == 1
+
+    @pytest.mark.parametrize("backend", ["cpu", "sim", "auto"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_op_costs_sum_to_total(self, preset, backend, tmp_path, capsys):
+        # a step with a folded pool is billed the pool's estimate too, so
+        # no estimate is left on no entry
+        path = str(tmp_path / "model.ninf")
+        assert main(["gen", preset, path]) == 0
+        capsys.readouterr()
+        code, out = run_cli(capsys, "dump-plan", "--model", path,
+                            "--backend", backend)
+        assert code == 0
+        plan = json.loads(out)
+        assert sum(op["cost_ms"] for op in plan["ops"]) == pytest.approx(
+            plan["total_cost_ms"], rel=1e-12)
 
     def test_schema_stable_across_runs(self, model_path, capsys):
         _, first = run_cli(capsys, "dump-plan", "--model", model_path)

@@ -9,7 +9,7 @@ from nanoinfer.errors import (
 )
 from nanoinfer.graph import (
     MAGIC, Graph, GraphBuilder, OpKind, OpNode, fuse, infer_shapes,
-    load_model, save_model,
+    load_model, save_model, sole_readers,
 )
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.tensor import Shape
@@ -290,10 +290,19 @@ class TestShapeInference:
     @pytest.mark.parametrize("target", [(1, 16), (1, 4, 4), (16,)])
     def test_reshape_target_must_be_4d(self, target):
         b = GraphBuilder((1, 4, 2, 2), seed=0)
-        b.reshape(target, name="flat")
         with pytest.raises(ShapeInferenceError,
                            match="node 'flat': .* not 4-d"):
-            b.build()
+            b.reshape(target, name="flat")
+        assert not b.nodes
+
+    def test_reshape_changing_element_count_fails_at_builder(self):
+        b = GraphBuilder((1, 4, 2, 2), seed=0)
+        with pytest.raises(ShapeInferenceError,
+                           match="node 'flat': .* changes element count"):
+            b.reshape((1, 15, 1, 1), name="flat")
+        assert not b.nodes
+        b.reshape((1, 16, 1, 1), name="flat")
+        assert b.shape_of(b.last) == (1, 16, 1, 1)
 
     def test_loaded_reshape_target_must_be_4d(self):
         data = edit_attrs(layered_model(), "flat", shape=[1, 64])
@@ -329,6 +338,17 @@ class TestFuse:
         g = b.build()
         fused = fuse(g)
         assert len(fused.nodes) == len(g.nodes)
+
+    def test_sole_readers(self):
+        # a tensor one node reads twice, or that is a graph output, has no
+        # sole reader
+        b = GraphBuilder((1, 3, 8, 8), seed=1)
+        conv = b.conv(kernel=1, out_c=3, name="c")
+        twice = b.add(conv, conv, name="a")
+        g = b.build(outputs=[b.relu(twice, name="r"), twice])
+        readers = sole_readers(g.nodes, g.outputs)
+        assert {tid: n.id for tid, n in readers.items()} == {
+            g.inputs[0]: "c"}
 
     def test_already_activated_not_refused(self):
         b = GraphBuilder((1, 3, 8, 8), seed=1)

@@ -151,7 +151,7 @@ class TestMatmulStrassen:
 
 def run_sliding(x, w, p, bias=None):
     y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, bias=bias)
-    return unpack_nc4hw4(y, p.out_c).data
+    return unpack_nc4hw4(y).data
 
 
 class TestConvSliding:
@@ -211,7 +211,7 @@ class TestConvSliding:
         want = conv2d_reference(x, w, (2, 2), (1, 1), group=7, bias=bias,
                                 relu=True)
         y = conv_sliding(pack_nc4hw4(from_nchw(x)), w, p, bias=bias)
-        assert rel_err(unpack_nc4hw4(y, 7).data, want) <= 1e-5
+        assert rel_err(unpack_nc4hw4(y).data, want) <= 1e-5
         assert np.all(y.data[:, -1, :, :, 3] == 0)  # pad lane stays zero
 
     def test_grouped_general(self, rng):
@@ -245,7 +245,7 @@ class TestConvSliding:
         w = np.zeros((2, 0, 3, 3), np.float32)
         bias = np.array([0.5, -1.0], np.float32)
         p = ConvParams.square(3, pad=1, in_c=0, out_c=2, relu=True)
-        out = unpack_nc4hw4(conv_sliding(x, w, p, bias=bias), 2).data
+        out = unpack_nc4hw4(conv_sliding(x, w, p, bias=bias)).data
         assert np.all(out[:, 0] == 0.5)
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
 
@@ -320,7 +320,7 @@ def dense_results(g, x):
     nc4 = conv_sliding(pack_nc4hw4(from_nchw(x)), node.weights, p,
                        bias=node.bias)
     return step, (relayout(nhwc, Layout.NCHW).data,
-                  unpack_nc4hw4(nc4, p.out_c).data)
+                  unpack_nc4hw4(nc4).data)
 
 
 @pytest.mark.parametrize("case", list(BAND_CASES))
@@ -422,7 +422,7 @@ def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
     def conv(layout):
         y = conv_sliding(relayout(from_nchw(x), layout), wt, p, bias=bias)
         return (relayout(y, Layout.NCHW).data if layout is Layout.NHWC4
-                else unpack_nc4hw4(y, out_c).data)
+                else unpack_nc4hw4(y).data)
 
     whole = conv(Layout.NHWC4)
     monkeypatch.setattr(kernels, "BAND_FLOATS", band)
@@ -535,8 +535,8 @@ def test_border_skips_only_empty_fills(rng):
 
 
 # conv (kernel, stride, pad, in_c, out_c, group), pool window (kernel =
-# stride), n, h, w; a BAND_FLOATS under which a padded conv takes several
-# slabs and a dense conv's chunks several bands
+# stride), n, h, w; a BAND_FLOATS under which a conv other than a
+# pointwise one with several pooled columns takes a chunk of one pooled row
 FUSED_CASES = {
     "pointwise_odd_height": ((1, 1), (1, 1), (0, 0), 8, 12, 1, (2, 2), 2,
                              13, 12, 256),
@@ -546,15 +546,14 @@ FUSED_CASES = {
                                     2, 9, 3, 64),
     "strided_3x3": ((3, 3), (2, 2), (0, 0), 8, 16, 1, (2, 2), 1, 33, 33,
                     1024),
-    "padded_strided": ((3, 3), (2, 2), (1, 1), 8, 8, 1, (2, 2), 2, 19, 17,
-                       512),
-    "padded_1x1": ((1, 1), (2, 2), (1, 1), 8, 8, 1, (2, 2), 2, 17, 13, 256),
     "pool_3x3": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (3, 3), 1, 14, 13, 256),
-    "pool_2x3": ((3, 1), (2, 1), (1, 0), 4, 8, 1, (2, 3), 2, 15, 14, 256),
-    "grouped": ((3, 3), (2, 2), (1, 1), 8, 12, 4, (2, 2), 2, 21, 15, 768),
-    "depthwise": ((3, 3), (1, 1), (1, 1), 8, 8, 8, (2, 2), 2, 15, 11, 512),
-    "depthwise_stride2": ((3, 3), (2, 2), (1, 1), 8, 8, 8, (2, 2), 2, 23,
-                          11, 768),
+    "pool_2x3": ((3, 1), (2, 1), (0, 0), 4, 8, 1, (2, 3), 2, 15, 14, 256),
+    "grouped": ((3, 3), (2, 2), (0, 0), 8, 12, 4, (2, 2), 2, 21, 15, 768),
+    # 11 pooled rows in chunks of 2: the last chunk is partial
+    "pointwise_partial_chunk": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2), 1,
+                                22, 8, 256),
+    "strided_partial_chunk": ((3, 3), (2, 2), (0, 0), 8, 8, 1, (2, 2), 1,
+                              45, 9, 1024),
 }
 
 
@@ -563,8 +562,8 @@ FUSED_CASES = {
 def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
                                                   monkeypatch):
     # the conv with a max pool folded in writes the bits of the conv (bias,
-    # ReLU), then the pool, whatever its slabs, bands and chunks, and
-    # writes every element of the pooled map from a scratch of garbage
+    # ReLU), then the pool, whatever its chunks, and writes every element
+    # of the pooled map from a scratch of garbage
     kernel, stride, pad, in_c, out_c, group, window, n, h, w, band = (
         FUSED_CASES[case])
     if narrow:
@@ -573,8 +572,6 @@ def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
     q = ConvParams(*window, *window)
     oh, ow = p.out_size(h, w)
     poh, pw = q.out_size(oh, ow)
-    if narrow and (p.pad_h or p.pad_w):
-        assert kernels.slab_rows(p, n, h, w, q) < q.stride_h * poh
     x = relayout(from_nchw(rng.standard_normal((n, in_c, h, w)).astype(
         np.float32)), Layout.NHWC4).data
     wt = (rng.standard_normal((out_c, in_c // group, *kernel)) * 0.3
@@ -588,14 +585,25 @@ def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
     kernels.pool_nhwc4(conv, q, "max", want)
     packed = kernels.pack_sliding(wt, p, bias, n, h, w, pool=q)
     assert packed.bias.shape == (poh, pw, lanes)
+    if narrow and not (p.kh == p.kw == 1 and pw > 1):
+        assert packed.pool_rows == 1 < poh
+    if "partial" in case and not narrow:
+        assert packed.pool_rows == 2 and poh == 11
     scratch = np.full(kernels.pool_scratch_floats(p, q, h, w), np.nan,
                       np.float32)
     got = np.full_like(want, np.nan)
     kernels.sliding_nhwc4(x, packed, p, got, scratch)
     assert got.tobytes() == want.tobytes()
-    got[:] = np.nan  # and with a scratch from the heap
-    kernels.sliding_nhwc4(x, packed, p, got)
-    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("conv", [dict(group=8, pad=1), dict(group=8),
+                                  dict(pad=1)])
+def test_pool_folds_only_into_dense_convs_at_pad_0(conv):
+    # a depthwise or padded conv has no fold body: its pool runs apart
+    p = ConvParams.square(3, in_c=8, out_c=8, **conv)
+    with pytest.raises(ShapeMismatchError, match="pad 0"):
+        kernels.pack_sliding(np.zeros((8, 8 // p.group, 3, 3), np.float32),
+                             p, None, 1, 8, 8, pool=ConvParams.square(2, 2))
 
 
 def test_fused_pool_scratch_is_a_pooled_image():
@@ -603,7 +611,7 @@ def test_fused_pool_scratch_is_a_pooled_image():
     # chunk, 64 KiB, one pooled image of 64 lanes
     p = ConvParams.square(1, in_c=32, out_c=64, relu=True)
     q = ConvParams.square(2, 2)
-    assert kernels.fused_pool_rows(q, 32, 32) == 4
+    assert kernels.fused_pool_rows(p, q, 32, 32) == 4
     assert 4 * kernels.pool_scratch_floats(p, q, 32, 32) == 65536
     # at least one pooled row, even where that is more than an image
-    assert kernels.fused_pool_rows(q, 2, 64) == 1
+    assert kernels.fused_pool_rows(p, q, 2, 64) == 1

@@ -310,7 +310,7 @@ class TestPlanMemory:
         right = b.softmax(trunk, name="right")
         b.add(left, right, name="join")
         g = b.build()
-        plans = plan_memory(g, alignment=64)
+        plans = plan_memory(g)
         plan = plans["cpu"]
         trunk_tid = g.nodes[0].outputs[0]
         left_tid = g.nodes[1].outputs[0]
@@ -346,14 +346,14 @@ class TestPlanMemory:
         for _ in range(6):
             b.relu()
         g = b.build()
-        plans = plan_memory(g, alignment=64)
+        plans = plan_memory(g)
         size = packed_bytes(g.tensor_shapes[g.outputs[0]])
         assert plans["cpu"].pool_size <= 2 * size
 
     def test_pool_never_exceeds_total(self, rng):
         for _ in range(20):
             g = build_random_graph(rng)
-            plans = plan_memory(g, alignment=64)
+            plans = plan_memory(g)
             for plan in plans.values():
                 assert plan.pool_size <= sum(plan.sizes.values())
 
@@ -512,6 +512,10 @@ class TestFoldPools:
         {"pool": {"kernel": 3, "stride": 2}},  # stride unlike kernel
         # Winograd may run it: a 3x3 conv at stride 1
         {"conv": {"kernel": 3, "pad": 1, "out_c": 8}},
+        # a depthwise conv
+        {"conv": {"kernel": 3, "stride": 2, "out_c": 4, "group": 4}},
+        # a padded dense conv
+        {"conv": {"kernel": 1, "pad": 1, "out_c": 8}},
     ])
     def test_pair_does_not_fold(self, case):
         plan = pre_infer(conv_pool_graph(**case), [CPU])

@@ -41,14 +41,8 @@ def test_pack_spatial_index_map():
 def test_unpack_recovers_five_channels():
     x = np.arange(5 * 4, dtype=np.float32).reshape(1, 5, 2, 2)
     t = pack_nc4hw4(from_nchw(x))
-    back = unpack_nc4hw4(t, 5)
+    back = unpack_nc4hw4(t)
     assert np.array_equal(back.data, x)
-
-
-def test_unpack_capacity_error():
-    t = pack_nc4hw4(zeros((1, 6, 2, 2)))  # 2 blocks
-    with pytest.raises(LayoutError):
-        unpack_nc4hw4(t, 9)
 
 
 def test_roundtrip_property(rng):
@@ -62,7 +56,7 @@ def test_roundtrip_property(rng):
         packed = pack_nc4hw4(t)
         assert packed.element_count == n * channel_blocks(c) * h * w * LANES
         packed.validate()
-        back = unpack_nc4hw4(packed, c)
+        back = unpack_nc4hw4(packed)
         assert np.array_equal(back.data, x)
 
 

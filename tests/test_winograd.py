@@ -210,7 +210,7 @@ class TestWeightTransform:
 def run_winograd(x, w, p, n_tile, bias=None, f=0.5):
     t = generate_transforms(n_tile, p.kh, f)
     y = conv_winograd(pack_nc4hw4(from_nchw(x)), w, p, t, bias=bias)
-    return unpack_nc4hw4(y, p.out_c).data
+    return unpack_nc4hw4(y).data
 
 
 class TestConvWinograd:
@@ -241,7 +241,7 @@ class TestConvWinograd:
                 w = (rng.standard_normal((3, 5, k, k)) * 0.3).astype(np.float32)
                 p = ConvParams.square(k, pad=k // 2, in_c=5, out_c=3)
                 xt = pack_nc4hw4(from_nchw(x))
-                want = unpack_nc4hw4(conv_sliding(xt, w, p), 3).data
+                want = unpack_nc4hw4(conv_sliding(xt, w, p)).data
                 got = run_winograd(x, w, p, n_tile)
                 assert rel_err(got, want) <= 1e-3, (k, n_tile)
 
@@ -263,7 +263,7 @@ class TestConvWinograd:
         bias = np.array([0.5, -1.0], np.float32)
         p = ConvParams.square(3, pad=1, in_c=0, out_c=2, relu=True)
         y = conv_winograd(x, w, p, generate_transforms(4, 3), bias=bias)
-        out = unpack_nc4hw4(y, 2).data
+        out = unpack_nc4hw4(y).data
         assert out.shape == (2, 2, 7, 5)
         assert np.all(out[:, 0] == 0.5)
         assert np.all(out[:, 1] == 0.0)  # relu clamps the negative bias
