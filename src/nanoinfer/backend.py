@@ -14,9 +14,9 @@ scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  A conv step with a max pool folded in
-(preinference.build_steps, a dense or grouped conv at pad 0) writes the
-pool's output array, and its kernel gets its scratch, a flat float32 slice
-of the pool bound like the arrays.
+(preinference.build_steps, a pointwise conv) writes the pool's output
+array, and its kernel gets its scratch, a flat float32 slice of the pool
+of one pooled image, bound like the arrays.
 Pools run kernels.pool_nhwc4.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, one matmul_direct GEMM (no
 Strassen level: where the engine's rule would take one, it measured

@@ -77,14 +77,18 @@ def _load_graph(path: str) -> Graph:
         return load_model(fh.read())
 
 
-def _default_input(g: Graph, seed: int) -> Tensor:
-    tid = g.inputs[0]
-    shape = tuple(g.tensor_shapes[tid].dims)
+def _default_input(g: Graph, seed: int) -> dict[str, Tensor]:
+    """Every graph input, drawn in input order from one generator."""
     rng = np.random.default_rng(seed)
-    return from_nchw(rng.uniform(-1.0, 1.0, size=shape).astype(np.float32))
+    return {tid: from_nchw(rng.uniform(
+        -1.0, 1.0, size=g.tensor_shapes[tid].dims).astype(np.float32))
+        for tid in g.inputs}
 
 
-def _read_input(path: str, g: Graph) -> Tensor:
+def _read_input(path: str, g: Graph) -> dict[str, Tensor]:
+    if len(g.inputs) != 1:
+        raise EngineError(f"--input holds one tensor, the model has "
+                          f"{len(g.inputs)} inputs")
     shape = tuple(g.tensor_shapes[g.inputs[0]].dims)
     count = int(np.prod(shape))
     raw = np.fromfile(path, dtype="<f4")
@@ -92,7 +96,7 @@ def _read_input(path: str, g: Graph) -> Tensor:
         raise EngineError(
             f"input file holds {raw.size} floats, model expects {count}"
         )
-    return from_nchw(raw.reshape(shape))
+    return {g.inputs[0]: from_nchw(raw.reshape(shape))}
 
 
 def plan_on(g: Graph, backend: str, cost_path: str | None, spacing: float):
@@ -135,10 +139,10 @@ def cmd_run(args) -> int:
     g = fuse(_load_graph(args.model))
     plan, backends = plan_on(g, args.backend, args.cost_model, args.f)
     session = Session(plan, backends)
-    tensor = (_read_input(args.input, g) if args.input
+    inputs = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
     for _ in range(args.warmup):
-        session.run(tensor)
+        session.run(inputs)
     # each sim step's dispatch charge is added to the run's wall time
     charges = sum(session.backends[s.backend].dispatch_surcharge_ms
                   for s in plan.steps if isinstance(s, OpStep))
@@ -146,7 +150,7 @@ def cmd_run(args) -> int:
     outputs = None
     for _ in range(args.runs):
         start = time.perf_counter()
-        outputs, _ = session.run_timed(tensor)
+        outputs, _ = session.run_timed(inputs)
         latencies.append((time.perf_counter() - start) * 1e3 + charges)
     breakdown: dict[str, int] = {}
     for scheme in plan.schemes.values():
@@ -176,14 +180,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def replay_cpu(g: Graph, plan, tensor: Tensor) -> dict:
-    """Functional CPU replay of a plan, each step into a fresh buffer;
-    returns tensor id -> NHWC4 value, as a session's pool holds it.  A step
-    with a folded pool replays as its conv, then its pool, so the values
-    hold every conv's own output too, and a session's fused step is checked
-    against them."""
+def replay_cpu(g: Graph, plan, inputs: dict[str, Tensor] | Tensor) -> dict:
+    """Functional CPU replay of a plan on its inputs (one Tensor for a
+    graph of one input), each step into a fresh buffer; returns tensor id
+    -> NHWC4 value, as a session's pool holds it.  A step with a folded
+    pool replays as its conv, then its pool, so the values hold every
+    conv's own output too, and a session's fused step is checked against
+    them."""
     cpu = CpuBackend()
-    values = {g.inputs[0]: relayout(tensor, Layout.NHWC4)}
+    if isinstance(inputs, Tensor):
+        inputs = {g.inputs[0]: inputs}
+    values = {tid: relayout(inputs[tid], Layout.NHWC4) for tid in g.inputs}
     for step in plan.steps:
         if not isinstance(step, OpStep):
             continue
@@ -208,7 +215,8 @@ def with_scheme(plan, node, scheme):
 
 def time_schemes(plan, node, x, rounds):
     """Median ms of the conv's step under each of its schemes, each timed
-    in a running session of the whole graph, as the benchmark times it."""
+    in a running session of the whole graph on inputs x, as the benchmark
+    times it."""
     sessions = {}
     for scheme in conv_schemes(node.params()):
         session = Session(with_scheme(plan, node, scheme), [CpuBackend()])
@@ -230,9 +238,9 @@ def cmd_compare(args) -> int:
     _check_seed(args.seed)
     g = fuse(_load_graph(args.model))
     plan, (cpu,) = plan_on(g, "cpu", None, args.f)
-    tensor = (_read_input(args.input, g) if args.input
+    inputs = (_read_input(args.input, g) if args.input
               else _default_input(g, args.seed))
-    values = replay_cpu(g, plan, tensor)
+    values = replay_cpu(g, plan, inputs)
 
     rows = []
     worst = 0.0
@@ -249,7 +257,7 @@ def cmd_compare(args) -> int:
             cpu.create_execution(step, plan)([x], [out])
             outs[scheme.label()] = out
         timings = {scheme.label(): ms for scheme, ms in
-                   time_schemes(plan, node, tensor, COMPARE_ROUNDS).items()}
+                   time_schemes(plan, node, inputs, COMPARE_ROUNDS).items()}
         base = outs["sliding"].astype(np.float64)
         scale = float(np.max(np.abs(base))) + 1e-12
         deviation = max(

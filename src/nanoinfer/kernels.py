@@ -17,15 +17,15 @@ weights, straight into the output rows.  A dense conv is one GEMM per band
 of output rows, of the band's windows [pixels, kh*kw*in lanes], copied out
 of the slab into a window matrix of at most BAND_FLOATS floats, against
 every output lane at once; it writes the band's output rows itself, and a
-slab holds whole bands.  A 1x1 conv at stride 1 and pad 0 is one GEMM on
-the input as it lies.  A grouped conv is a dense one whose operand is block
-diagonal, one block per group.  Both conv schemes read one operand packed
-once (ConvWeights: the GEMM operand or depthwise taps, the bias and ReLU
-maps, Winograd's transform) and end in one epilogue, bias_relu, per image.
-A dense or grouped conv at pad 0 may carry a max pool whose windows tile
-its output: it then writes the pooled map in one loop of its own
-(_sliding_max_pool), a few pooled rows at a time (fused_pool_rows) through
-a scratch the caller supplies, with no slabs, and its epilogue runs on the
+slab holds whole bands.  A pointwise conv (ConvParams.pointwise: 1x1, stride
+1, pad 0, not depthwise) is one GEMM on the input as it lies.  A grouped conv is a dense
+one whose operand is block diagonal, one block per group.  Both conv
+schemes read one operand packed once (ConvWeights: the GEMM operand or
+depthwise taps, the bias and ReLU maps, Winograd's transform) and end in
+one epilogue, bias_relu, per image.  A pointwise conv may carry a max pool
+whose windows tile its output: it then writes the pooled map, one GEMM per
+pool tap straight from its input (_pointwise_max_pool), through a scratch
+of one pooled image the caller supplies, and its epilogue runs on the
 pooled map.  Pools run pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
@@ -98,6 +98,13 @@ class ConvParams:
         """One input and one output channel per group, more than one group."""
         return 1 < self.group == self.in_c == self.out_c
 
+    @property
+    def pointwise(self) -> bool:
+        """A 1x1 conv at stride 1 and pad 0, not depthwise: its input as it
+        lies is its window matrix."""
+        return ((self.kh, self.kw, self.stride_h, self.stride_w, self.pad_h,
+                 self.pad_w) == (1, 1, 1, 1, 0, 0) and not self.depthwise)
+
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         """Output extents; a window beyond the padded input is an error."""
         if h + 2 * self.pad_h < self.kh or w + 2 * self.pad_w < self.kw:
@@ -160,8 +167,7 @@ and recalibrate on other hardware with `weights`.
 
 BAND_FLOATS = 32768
 """Most floats in one slab of a sliding-window conv's bordered input rows,
-and in the window matrix of one band of a dense conv or of one chunk of a
-conv with a max pool folded in (128 KiB each).
+and in the window matrix of one band of a dense conv (128 KiB each).
 
 A band is the most output rows whose window matrix fits, at least one; a
 padded conv, dense or depthwise at any stride, takes the fewest slabs whose
@@ -453,10 +459,9 @@ class ConvWeights:
     scalar, and without the 32 KiB iterator buffer a broadcast operand
     allocates.  ``slab_rows`` is sliding window's output rows per slab
     (slab_rows), fixed with the conv's geometry.  ``pool`` is the window of
-    a max pool (kernel equal to stride, no padding) folded into a dense or
-    grouped sliding-window conv at pad 0, which the kernel runs
-    ``pool_rows`` pooled rows at a time (fused_pool_rows); the bias and
-    zero maps are then of the pooled size.
+    a max pool (kernel equal to stride, no padding) folded into a pointwise
+    conv (_pointwise_max_pool); the bias and zero maps are then of the
+    pooled size.
     """
 
     mats: np.ndarray
@@ -465,7 +470,6 @@ class ConvWeights:
     transform: WinogradTransform | None = None
     slab_rows: int = 0
     pool: ConvParams | None = None
-    pool_rows: int = 0
 
 
 def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
@@ -496,53 +500,21 @@ def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  pool: ConvParams | None = None) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
     wd, with the max pool of window ``pool`` folded in when given, which
-    only a dense or grouped conv at pad 0 takes (_sliding_max_pool)."""
+    only a pointwise conv with at least two pooled columns takes
+    (_pointwise_max_pool): a one-row GEMM takes BLAS's GEMV, whose bits
+    differ from the whole-map GEMM's."""
     oh, ow = p.out_size(h, wd)
     mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
     rows = slab_rows(p, n, h, wd)
     if pool is None:
         return pack_conv(mats, p, bias, oh, ow, zeros=zeros, slab_rows=rows)
-    if p.depthwise or p.pad_h or p.pad_w:
-        raise ShapeMismatchError(
-            "a max pool folds only into a dense or grouped conv at pad 0")
-    return replace(pack_conv(mats, p, bias, *pool.out_size(oh, ow),
-                             zeros=zeros, slab_rows=rows),
-                   pool=pool, pool_rows=fused_pool_rows(p, pool, oh, ow))
-
-
-def fused_pool_rows(p: ConvParams, pool: ConvParams, oh: int, ow: int) -> int:
-    """Pooled rows per chunk, R, of a conv p of output oh x ow with the max
-    pool of window ``pool`` folded in: the most whose stride_h * R conv
-    rows of one image fit in no more floats than one pooled image, and,
-    unless the conv multiplies its input as it lies (_stacked_taps), whose
-    window matrix fits BAND_FLOATS; at least one."""
     poh, pw = pool.out_size(oh, ow)
-    rows = min(poh, poh * pw // (pool.stride_h * ow))
-    if not _stacked_taps(p, pw):
-        k = p.kh * p.kw * channel_blocks(p.in_c) * LANES
-        rows = min(rows, BAND_FLOATS // (pool.stride_h * pool.stride_w * pw
-                                         * k))
-    return max(1, rows)
-
-
-def _stacked_taps(p: ConvParams, pw: int) -> bool:
-    """Whether a conv p with a max pool of pw pooled columns folded in
-    multiplies each pool tap's pixels as they lie: a 1x1 conv, with at
-    least two pooled columns (a one-row GEMM takes BLAS's GEMV, whose bits
-    differ from the whole-map GEMM's)."""
-    return p.kh == p.kw == 1 and pw > 1
-
-
-def pool_scratch_floats(p: ConvParams, pool: ConvParams, h: int,
-                        w: int) -> int:
-    """Floats of the scratch a conv p on h x w input with the max pool of
-    window ``pool`` folded in computes its conv pixels into: one chunk of
-    fused_pool_rows pooled rows, each pool tap's block of them."""
-    oh, ow = p.out_size(h, w)
-    _, pw = pool.out_size(oh, ow)
-    return (pool.stride_h * pool.stride_w * fused_pool_rows(p, pool, oh, ow)
-            * pw * channel_blocks(p.out_c) * LANES)
+    if not p.pointwise or pw < 2:
+        raise ShapeMismatchError("a max pool folds only into a pointwise "
+                                 "conv with at least two pooled columns")
+    return replace(pack_conv(mats, p, bias, poh, pw, zeros=zeros,
+                             slab_rows=rows), pool=pool)
 
 
 def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
@@ -630,14 +602,14 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     differ).  A dense or grouped conv copies each band of output rows'
     windows (windows) into a window matrix [pixels, kh*kw*in lanes] and
     multiplies it by every output lane straight into those rows; a slab
-    holds whole bands, and a 1x1 conv at stride 1 and pad 0 multiplies each
-    image as it lies.  A conv with a max pool folded in (packed.pool) runs
-    _sliding_max_pool, through ``scratch``.
+    holds whole bands, and a pointwise conv multiplies each image as it
+    lies.  A conv with a max pool folded in (packed.pool) runs
+    _pointwise_max_pool, through ``scratch``.
     """
     if not out.size:
         return
     if packed.pool is not None:
-        _sliding_max_pool(x, packed, p, out, scratch)
+        _pointwise_max_pool(x, packed, out, scratch)
         return
     n, h, wd, cpad = x.shape
     oh, ow = p.out_size(h, wd)
@@ -652,8 +624,7 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
         taps = packed.mats.reshape(p.kh, p.kw, *tail)
     else:
         wmat = packed.mats.reshape(k, opad)
-        if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
-                1, 1, 1, 1, 0, 0):
+        if p.pointwise:
             # the input as it lies is the window matrix
             for img in range(n):
                 np.matmul(x[img].reshape(h * wd, cpad), wmat,
@@ -690,52 +661,36 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
         bias_relu(out[img], packed)
 
 
-def _sliding_max_pool(x: np.ndarray, packed: ConvWeights, p: ConvParams,
-                      out: np.ndarray, scratch: np.ndarray) -> None:
-    """sliding_nhwc4 of a dense or grouped conv at pad 0 with the max pool
-    packed.pool folded in: out is the pooled map.
+def _pointwise_max_pool(x: np.ndarray, packed: ConvWeights, out: np.ndarray,
+                        scratch: np.ndarray) -> None:
+    """sliding_nhwc4 of a pointwise conv with the max pool packed.pool
+    folded in: out is the pooled map.
 
-    Each image's pooled rows go pool_rows at a time (fused_pool_rows)
-    through ``scratch``: the conv pixels they read, with neither bias nor
-    ReLU, one pool tap after another, each tap's pixels one contiguous
-    block, so the taps combine (as pool_nhwc4's do) without NumPy's
-    iterator buffers, up to 32 KiB of heap per strided operand.  A 1x1 conv
-    (_stacked_taps) multiplies each tap's pixels as they lie, one GEMM per
-    pooled row and tap of pooled-width rows; any other copies them into its
-    window matrix in that order first.  Conv rows and columns the pool does
-    not read are not computed.  Bias and ReLU then run on the pooled map:
+    Per image, each pool tap's input pixels, one strided view of x, are
+    multiplied as they lie, one GEMM of pooled-width rows per pooled row:
+    tap (0, 0) straight into out, each other tap into ``scratch``, which
+    holds one pooled image, then maxed into out (neither operand strided,
+    so NumPy allocates no iterator buffer).  Conv pixels the pool does not
+    read are not computed.  Bias and ReLU then run on the pooled map:
     float32 rounding is monotonic and max is exact, so max(a + b, c + b) is
     max(a, c) + b and the bits are those of the conv, then the pool.
     """
     n, _, _, cpad = x.shape
     _, poh, pw, opad = out.shape
-    pool, step = packed.pool, packed.pool_rows
-    sp, sq = pool.stride_h, pool.stride_w
-    k = p.kh * p.kw * cpad
-    wmat = packed.mats.reshape(k, opad)
-    direct = _stacked_taps(p, pw)
-    # each pool tap's windows, [n, sp, sq, pooled rows, pw, kh, kw, lanes]
-    tv = windows(x, p.kh, p.kw, p.stride_h, p.stride_w, sp * poh,
-                 sq * pw).reshape(n, poh, sp, pw, sq, p.kh, p.kw,
-                                  cpad).transpose(0, 2, 4, 1, 3, 5, 6, 7)
-    if direct:
-        tv = tv[..., 0, 0, :]
-    else:
-        win = np.empty((sp * sq * step * pw, k), dtype=np.float32)
+    sp, sq = packed.pool.stride_h, packed.pool.stride_w
+    wmat = packed.mats.reshape(cpad, opad)
+    # [i, r, u, c, v] is the input pixel of tap (u, v) of pooled pixel (r, c)
+    taps = x[:, :sp * poh, :sq * pw].reshape(n, poh, sp, pw, sq, cpad)
+    conv = scratch[:poh * pw * opad].reshape(poh, pw, opad)
     for img in range(n):
-        for q in range(0, poh, step):
-            m = min(step, poh - q)
-            conv = scratch[:sp * sq * m * pw * opad].reshape(sp, sq, m, pw,
-                                                              opad)
-            if direct:
-                np.matmul(tv[img, :, :, q:q + m], wmat, out=conv)
-            else:
-                np.copyto(win[:sp * sq * m * pw].reshape(
-                    sp, sq, m, pw, p.kh, p.kw, cpad), tv[img, :, :, q:q + m])
-                np.matmul(win[:sp * sq * m * pw], wmat,
-                          out=conv.reshape(-1, opad))
-            _max_into(out[img, q:q + m], conv.reshape(sp * sq, m, pw, opad))
-        bias_relu(out[img], packed)
+        pooled = out[img]
+        np.matmul(taps[img, :, 0, :, 0], wmat, out=pooled)
+        for u in range(sp):
+            for v in range(sq):
+                if u or v:
+                    np.matmul(taps[img, :, u, :, v], wmat, out=conv)
+                    np.maximum(pooled, conv, out=pooled)
+        bias_relu(pooled, packed)
 
 
 def pool_nhwc4(x: np.ndarray, p: ConvParams, mode: str,
@@ -823,8 +778,7 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     # block-diagonal operand.  Bias and ReLU passes over the output.
     k = taps * cpad
     gemm = n * pix * k * opad
-    if (p.kh, p.kw, p.stride_h, p.stride_w, p.pad_h, p.pad_w) == (
-            1, 1, 1, 1, 0, 0):
+    if p.pointwise:
         # the input as it lies: one GEMM per image
         return KernelWork(gemm=gemm, moved=epilogue,
                           calls=10 + n * (2 + p.relu))
@@ -874,16 +828,17 @@ def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
     is fill and which holds NHWC data x at rows top.. and columns left..,
     as [n, b-a, wp, lanes].  They are written to the start of ``out``, a
     flat float32 buffer, when given, else to a new array, or are x itself
-    when the map is x.  Only the border is filled."""
+    when the map is x and there is no ``out``.  Only the border is
+    filled."""
     n, h, w, c = x.shape
-    if rows is None:  # the whole map: x is its rows top..top+h
-        if out is None and (top, left, hp, wp) == (0, 0, h, w):
-            return x
-        a, b, lo, hi, inner = 0, hp, top, top + h, x
-    else:  # the map's rows a..b that hold x are xp's rows lo..hi
-        a, b = rows
-        lo, hi = min(max(top - a, 0), b - a), min(max(top + h - a, 0), b - a)
-        inner = x[:, a + lo - top:a + hi - top]
+    if rows is None and out is None and (top, left, hp, wp) == (0, 0, h, w):
+        return x
+    a, b = (0, hp) if rows is None else rows
+    # the map's rows a..b that hold x are xp's rows lo..hi: x's rows as the
+    # span's, clipped to it (no min/max calls: this runs in every conv step)
+    lo, hi = top - a, top + h - a
+    lo = 0 if lo < 0 else b - a if lo > b - a else lo
+    hi = 0 if hi < 0 else b - a if hi > b - a else hi
     if out is None:
         xp = np.empty((n, b - a, wp, c), dtype=np.float32)
     else:
@@ -898,7 +853,10 @@ def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
             xp[:, lo:hi, :left] = fill
         if left + w < wp:
             xp[:, lo:hi, left + w:] = fill
-        xp[:, lo:hi, left:left + w] = inner
+        # x itself when all its rows are in the span: a view of it cost
+        # 0.5 us more a call
+        xp[:, lo:hi, left:left + w] = (
+            x if hi - lo == h else x[:, a + lo - top:a + hi - top])
     return xp
 
 

@@ -7,9 +7,9 @@ scheme and each MatMul's permuted into packed row order (pack_weights), and
 byte offsets into one pre-sized pool per backend.  The pool holds what the
 kernels read and write in place: activations (each conv kernel writes its
 output there), transfer copies, and the scratch of each conv step with a
-max pool folded in (build_steps, folded_pools: a dense or grouped conv at
-pad 0 whose output only the pool reads), live at that step only.  Pool
-offsets and sizes are whole multiples of ALIGNMENT.
+max pool folded in (build_steps, folded_pools: a pointwise conv whose
+output only the pool reads), one pooled image live at that step only.
+Pool offsets and sizes are whole multiples of ALIGNMENT.
 Kernels' other temporaries (conv and pool working buffers, MatMul's
 product) still come from the heap.
 
@@ -36,7 +36,7 @@ from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes, sole_readers
 from .kernels import (
     ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
-    pool_scratch_floats, sliding_work, zero_map,
+    sliding_work, zero_map,
 )
 from .tensor import Layout, Shape, data_shape
 from .winograd import (
@@ -487,11 +487,11 @@ class ExecutionPlan:
 
 def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
     """Conv id -> the max pool folded into its step: a pool whose kernel
-    equals its stride, with no padding, that is the sole reader of a
-    conv's output (graph.sole_readers).  The conv is dense or grouped, at
-    pad 0, and runs sliding window, with no Winograd candidate
-    (conv_schemes); both are on one backend, which, as the assignment put
-    the pool there, runs Pool2D."""
+    equals its stride, with no padding, and whose output is at least two
+    pixels wide (kernels.pack_sliding), that is the sole reader of a
+    pointwise conv's output (graph.sole_readers; such a conv runs sliding
+    window, its one scheme).  Both are on one backend, which, as the
+    assignment put the pool there, runs Pool2D."""
     readers = sole_readers(g.nodes, g.outputs)
     folds = {}
     for node in g.nodes:
@@ -500,10 +500,10 @@ def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
                 or pool.kind is not OpKind.POOL2D
                 or pool.attrs.get("mode", "max") != "max"):
             continue
-        p, q = node.params(), pool.params()
+        q = pool.params()
         if ((q.kh, q.kw, q.pad_h, q.pad_w) == (q.stride_h, q.stride_w, 0, 0)
-                and not (p.depthwise or p.pad_h or p.pad_w)
-                and len(conv_schemes(p)) == 1
+                and node.params().pointwise
+                and g.tensor_shapes[pool.outputs[0]].dims[3] >= 2
                 and assignment[node.id] == assignment[pool.id]):
             folds[node.id] = pool
     return folds
@@ -552,8 +552,8 @@ def plan_memory(g: Graph, *,
     Graph inputs live in caller-provided staging buffers and are not pooled;
     everything produced by a step is.  Copies of a tensor on another backend are pooled in that backend's namespace from the
     transfer step to their last reader.  A step with a folded pool also
-    pools its scratch (OpStep.scratch_id), live at that step only.  Without
-    steps, every op runs on CPU.
+    pools its scratch (OpStep.scratch_id), one image of the pool's output,
+    live at that step only.  Without steps, every op runs on CPU.
     """
     if steps is None:
         if schemes is None:
@@ -575,11 +575,11 @@ def plan_memory(g: Graph, *,
             for tid in step.outputs:
                 first_write[(tid, step.backend)] = idx
             if step.pool is not None:
-                _, _, h, w = g.tensor_shapes[step.node.inputs[0]].dims
                 key = (step.scratch_id, step.backend)
                 first_write[key] = last_read[key] = idx
-                scratch[key] = 4 * pool_scratch_floats(
-                    step.node.params(), step.pool.params(), h, w)
+                _, *image = data_shape(
+                    g.tensor_shapes[step.pool.outputs[0]].dims, Layout.NHWC4)
+                scratch[key] = 4 * math.prod(image)
     end = len(steps)
     for tid in g.outputs:
         last_read[(tid, cpu_name)] = end  # outputs survive the whole run

@@ -928,8 +928,8 @@ class TestModularity:
 
 def fold_graph(kind):
     """Two images on an odd-sized map, one conv of `kind` and the max pool
-    that reads it: it folds into the conv's step, except after the
-    depthwise and the padded conv."""
+    that reads it: it folds into the conv's step after the pointwise conv
+    only."""
     b = GraphBuilder((2, 6, 21, 19), seed=0)
     conv = {"dense": dict(kernel=3, stride=2, out_c=8),
             "pointwise": dict(kernel=1, out_c=12),
@@ -952,12 +952,12 @@ def replayed(g, plan, seed):
 
 class TestFoldedPool:
     @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512])
-    @pytest.mark.parametrize("kind", ["dense", "pointwise", "grouped"])
+    @pytest.mark.parametrize("kind", ["pointwise"])
     def test_session_bitwise_equals_conv_then_pool(self, kind, band,
                                                    monkeypatch):
         # the fused step, on a pool poisoned with NaN (its scratch
         # included), writes the bits of the conv step, then the pool step,
-        # each into a fresh buffer (replay_cpu), in one chunk or several
+        # each into a fresh buffer (replay_cpu), whatever BAND_FLOATS
         monkeypatch.setattr(kernels, "BAND_FLOATS", band)
         g = fold_graph(kind)
         plan = pre_infer(g, [CpuBackend().spec()])
@@ -966,9 +966,10 @@ class TestFoldedPool:
         assert got.tobytes() == replayed(g, plan, 5).tobytes()
 
     @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512])
-    @pytest.mark.parametrize("kind", ["depthwise", "padded"])
+    @pytest.mark.parametrize("kind", ["dense", "depthwise", "padded",
+                                      "grouped"])
     def test_unfolded_pool_runs_its_own_step(self, kind, band, monkeypatch):
-        # a depthwise or padded conv keeps its max pool as a step of its
+        # any conv but a pointwise one keeps its max pool as a step of its
         # own, in one slab or several, with the bits of replay_cpu
         monkeypatch.setattr(kernels, "BAND_FLOATS", band)
         g = fold_graph(kind)

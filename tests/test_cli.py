@@ -432,6 +432,47 @@ class TestCompare:
         assert option[0] not in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def two_input_path(tmp_path_factory):
+    """A model of two graph inputs, a and b: their sum, then a 1x1 conv."""
+    from nanoinfer.graph import Graph, OpNode, Shape, infer_shapes, save_model
+
+    rng = np.random.default_rng(0)
+    conv = OpNode("conv", OpKind.CONV2D, ["s"], ["y"],
+                  attrs={"kernel": [1, 1], "in_c": 3, "out_c": 4,
+                         "bias": True},
+                  weights=rng.standard_normal((4, 3, 1, 1)).astype(np.float32),
+                  bias=rng.standard_normal(4).astype(np.float32))
+    g = infer_shapes(Graph(
+        [OpNode("add", OpKind.ADD, ["a", "b"], ["s"]), conv], ["a", "b"],
+        ["y"], {"a": Shape((1, 3, 6, 5)), "b": Shape((1, 3, 6, 5))}))
+    path = tmp_path_factory.mktemp("models") / "two.ninf"
+    path.write_bytes(save_model(g))
+    return str(path)
+
+
+class TestTwoInputs:
+    def test_run_and_compare_seed_every_input(self, two_input_path, capsys):
+        code, out = run_cli(capsys, "run", "--model", two_input_path,
+                            "--runs", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["output_sha256"]
+        code, out = run_cli(capsys, "compare", "--model", two_input_path,
+                            "--format", "json")
+        assert code == 0
+        assert [row["layer"] for row in json.loads(out)["layers"]] == ["conv"]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_input_file_names_the_input_count(self, two_input_path,
+                                              tmp_path, capsys, command):
+        raw = tmp_path / "x.f32"
+        np.zeros(90, "<f4").tofile(raw)
+        code = main([command, "--model", two_input_path, "--input", str(raw)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "2 inputs" in captured.err
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("env,want", [
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"},

@@ -534,26 +534,18 @@ def test_border_skips_only_empty_fills(rng):
             assert np.array_equal(got, whole[:, a:b]), (top, left, a, b)
 
 
-# conv (kernel, stride, pad, in_c, out_c, group), pool window (kernel =
-# stride), n, h, w; a BAND_FLOATS under which a conv other than a
-# pointwise one with several pooled columns takes a chunk of one pooled row
+# a pointwise conv (in_c, out_c, group), pool window (kernel = stride), n,
+# h, w
 FUSED_CASES = {
-    "pointwise_odd_height": ((1, 1), (1, 1), (0, 0), 8, 12, 1, (2, 2), 2,
-                             13, 12, 256),
-    "pointwise_odd_width": ((1, 1), (1, 1), (0, 0), 6, 8, 1, (2, 2), 1,
-                            12, 13, 256),
-    "pointwise_one_pooled_column": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2),
-                                    2, 9, 3, 64),
-    "strided_3x3": ((3, 3), (2, 2), (0, 0), 8, 16, 1, (2, 2), 1, 33, 33,
-                    1024),
-    "pool_3x3": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (3, 3), 1, 14, 13, 256),
-    "pool_2x3": ((3, 1), (2, 1), (0, 0), 4, 8, 1, (2, 3), 2, 15, 14, 256),
-    "grouped": ((3, 3), (2, 2), (0, 0), 8, 12, 4, (2, 2), 2, 21, 15, 768),
-    # 11 pooled rows in chunks of 2: the last chunk is partial
-    "pointwise_partial_chunk": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2), 1,
-                                22, 8, 256),
-    "strided_partial_chunk": ((3, 3), (2, 2), (0, 0), 8, 8, 1, (2, 2), 1,
-                              45, 9, 1024),
+    "pointwise_odd_height": (8, 12, 1, (2, 2), 2, 13, 12),
+    "pointwise_odd_width": (6, 8, 1, (2, 2), 1, 12, 13),
+    "pool_3x3": (8, 8, 1, (3, 3), 1, 14, 13),
+    # 11 pooled rows
+    "pointwise_partial_chunk": (8, 8, 1, (2, 2), 1, 22, 8),
+    "pool_2x3": (4, 8, 1, (2, 3), 2, 15, 14),
+    "grouped": (8, 12, 4, (2, 2), 2, 9, 14),
+    # mobilenet-mini's pw2 and pool_24: a 64 KiB scratch
+    "mobilenet_pw2": (32, 64, 1, (2, 2), 1, 32, 32),
 }
 
 
@@ -562,56 +554,57 @@ FUSED_CASES = {
 def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
                                                   monkeypatch):
     # the conv with a max pool folded in writes the bits of the conv (bias,
-    # ReLU), then the pool, whatever its chunks, and writes every element
-    # of the pooled map from a scratch of garbage
-    kernel, stride, pad, in_c, out_c, group, window, n, h, w, band = (
-        FUSED_CASES[case])
+    # ReLU), then the pool, and every element of the pooled map, from a
+    # scratch of one pooled image of garbage; a narrow BAND_FLOATS, which
+    # the fold does not read, changes nothing
+    in_c, out_c, group, window, n, h, w = FUSED_CASES[case]
     if narrow:
-        monkeypatch.setattr(kernels, "BAND_FLOATS", band)
-    p = ConvParams(*kernel, *stride, *pad, in_c, out_c, group, relu=True)
+        monkeypatch.setattr(kernels, "BAND_FLOATS", 64)
+    p = ConvParams(1, 1, 1, 1, 0, 0, in_c, out_c, group, relu=True)
     q = ConvParams(*window, *window)
-    oh, ow = p.out_size(h, w)
-    poh, pw = q.out_size(oh, ow)
+    poh, pw = q.out_size(h, w)
     x = relayout(from_nchw(rng.standard_normal((n, in_c, h, w)).astype(
         np.float32)), Layout.NHWC4).data
-    wt = (rng.standard_normal((out_c, in_c // group, *kernel)) * 0.3
+    wt = (rng.standard_normal((out_c, in_c // group, 1, 1)) * 0.3
           ).astype(np.float32)
     bias = rng.standard_normal(out_c).astype(np.float32)
     lanes = channel_blocks(out_c) * LANES
-    conv = np.empty((n, oh, ow, lanes), np.float32)
+    conv = np.empty((n, h, w, lanes), np.float32)
     kernels.sliding_nhwc4(x, kernels.pack_sliding(wt, p, bias, n, h, w), p,
                           conv)
     want = np.empty((n, poh, pw, lanes), np.float32)
     kernels.pool_nhwc4(conv, q, "max", want)
     packed = kernels.pack_sliding(wt, p, bias, n, h, w, pool=q)
     assert packed.bias.shape == (poh, pw, lanes)
-    if narrow and not (p.kh == p.kw == 1 and pw > 1):
-        assert packed.pool_rows == 1 < poh
-    if "partial" in case and not narrow:
-        assert packed.pool_rows == 2 and poh == 11
-    scratch = np.full(kernels.pool_scratch_floats(p, q, h, w), np.nan,
-                      np.float32)
+    scratch = np.full(poh * pw * lanes, np.nan, np.float32)
     got = np.full_like(want, np.nan)
     kernels.sliding_nhwc4(x, packed, p, got, scratch)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("conv", [dict(group=8, pad=1), dict(group=8),
-                                  dict(pad=1)])
-def test_pool_folds_only_into_dense_convs_at_pad_0(conv):
-    # a depthwise or padded conv has no fold body: its pool runs apart
-    p = ConvParams.square(3, in_c=8, out_c=8, **conv)
-    with pytest.raises(ShapeMismatchError, match="pad 0"):
-        kernels.pack_sliding(np.zeros((8, 8 // p.group, 3, 3), np.float32),
-                             p, None, 1, 8, 8, pool=ConvParams.square(2, 2))
-
-
-def test_fused_pool_scratch_is_a_pooled_image():
-    # mobilenet-mini's pw2 and pool_24: 4 pooled rows of a 16 x 16 map per
-    # chunk, 64 KiB, one pooled image of 64 lanes
-    p = ConvParams.square(1, in_c=32, out_c=64, relu=True)
-    q = ConvParams.square(2, 2)
-    assert kernels.fused_pool_rows(p, q, 32, 32) == 4
-    assert 4 * kernels.pool_scratch_floats(p, q, 32, 32) == 65536
-    # at least one pooled row, even where that is more than an image
-    assert kernels.fused_pool_rows(p, q, 2, 64) == 1
+@pytest.mark.parametrize("p,w", [
+    pytest.param(ConvParams.square(3, 2, in_c=8, out_c=8), 9,
+                 id="dense_3x3_stride2"),
+    pytest.param(ConvParams(3, 1, 2, 1, in_c=8, out_c=8), 9, id="dense_3x1"),
+    pytest.param(ConvParams.square(3, 2, in_c=8, out_c=8, group=4), 9,
+                 id="grouped_3x3"),
+    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8), 9,
+                 id="padded_3x3"),
+    pytest.param(ConvParams.square(3, in_c=8, out_c=8, group=8), 9,
+                 id="depthwise_3x3"),
+    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8, group=8), 9,
+                 id="depthwise_padded"),
+    pytest.param(ConvParams.square(1, in_c=8, out_c=8, group=8), 9,
+                 id="depthwise_1x1"),
+    pytest.param(ConvParams.square(1, 2, in_c=8, out_c=8), 9,
+                 id="pointwise_stride2"),
+    # 1x1 at stride 1, but one pooled column: its GEMMs would take GEMV
+    pytest.param(ConvParams.square(1, in_c=8, out_c=8), 3,
+                 id="one_pooled_column"),
+])
+def test_pool_folds_only_into_pointwise_convs(p, w):
+    # any other conv has no fold body: its pool runs apart
+    with pytest.raises(ShapeMismatchError, match="pointwise"):
+        kernels.pack_sliding(
+            np.zeros((8, 8 // p.group, p.kh, p.kw), np.float32), p, None, 1,
+            9, w, pool=ConvParams.square(2, 2))
