@@ -534,18 +534,28 @@ def test_border_skips_only_empty_fills(rng):
             assert np.array_equal(got, whole[:, a:b]), (top, left, a, b)
 
 
-# a pointwise conv (in_c, out_c, group), pool window (kernel = stride), n,
-# h, w
+# conv (kernel, stride, pad, in_c, out_c, group), pool window (kernel =
+# stride), n, h, w; a pointwise conv with at least two pooled columns folds
+# its pool, and any other conv is refused one
 FUSED_CASES = {
-    "pointwise_odd_height": (8, 12, 1, (2, 2), 2, 13, 12),
-    "pointwise_odd_width": (6, 8, 1, (2, 2), 1, 12, 13),
-    "pool_3x3": (8, 8, 1, (3, 3), 1, 14, 13),
+    "pointwise_odd_height": ((1, 1), (1, 1), (0, 0), 8, 12, 1, (2, 2), 2,
+                             13, 12),
+    "pointwise_odd_width": ((1, 1), (1, 1), (0, 0), 6, 8, 1, (2, 2), 1,
+                            12, 13),
+    # one pooled column: its GEMMs would take GEMV, whose bits differ
+    "pointwise_one_pooled_column": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2),
+                                    2, 9, 3),
+    "strided_3x3": ((3, 3), (2, 2), (0, 0), 8, 16, 1, (2, 2), 1, 33, 33),
+    "pool_3x3": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (3, 3), 1, 14, 13),
     # 11 pooled rows
-    "pointwise_partial_chunk": (8, 8, 1, (2, 2), 1, 22, 8),
-    "pool_2x3": (4, 8, 1, (2, 3), 2, 15, 14),
-    "grouped": (8, 12, 4, (2, 2), 2, 9, 14),
+    "pointwise_partial_chunk": ((1, 1), (1, 1), (0, 0), 8, 8, 1, (2, 2), 1,
+                                22, 8),
+    "strided_partial_chunk": ((3, 3), (2, 2), (0, 0), 8, 8, 1, (2, 2), 1,
+                              45, 9),
+    "pool_2x3": ((1, 1), (1, 1), (0, 0), 4, 8, 1, (2, 3), 2, 15, 14),
+    "grouped": ((1, 1), (1, 1), (0, 0), 8, 12, 4, (2, 2), 2, 9, 14),
     # mobilenet-mini's pw2 and pool_24: a 64 KiB scratch
-    "mobilenet_pw2": (32, 64, 1, (2, 2), 1, 32, 32),
+    "mobilenet_pw2": ((1, 1), (1, 1), (0, 0), 32, 64, 1, (2, 2), 1, 32, 32),
 }
 
 
@@ -553,27 +563,35 @@ FUSED_CASES = {
 @pytest.mark.parametrize("narrow", [False, True])
 def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
                                                   monkeypatch):
-    # the conv with a max pool folded in writes the bits of the conv (bias,
-    # ReLU), then the pool, and every element of the pooled map, from a
-    # scratch of one pooled image of garbage; a narrow BAND_FLOATS, which
-    # the fold does not read, changes nothing
-    in_c, out_c, group, window, n, h, w = FUSED_CASES[case]
+    # conv then pool, run apart, write every element of the pooled map; the
+    # conv with that max pool folded in writes the same bits (bias, ReLU,
+    # then the pool) from a scratch of one pooled image of garbage, or, for
+    # a conv the fold does not take, pack_sliding refuses the pool; a
+    # narrow BAND_FLOATS, which the fold does not read, changes nothing
+    kernel, stride, pad, in_c, out_c, group, window, n, h, w = (
+        FUSED_CASES[case])
     if narrow:
         monkeypatch.setattr(kernels, "BAND_FLOATS", 64)
-    p = ConvParams(1, 1, 1, 1, 0, 0, in_c, out_c, group, relu=True)
+    p = ConvParams(*kernel, *stride, *pad, in_c, out_c, group, relu=True)
     q = ConvParams(*window, *window)
-    poh, pw = q.out_size(h, w)
+    oh, ow = p.out_size(h, w)
+    poh, pw = q.out_size(oh, ow)
     x = relayout(from_nchw(rng.standard_normal((n, in_c, h, w)).astype(
         np.float32)), Layout.NHWC4).data
-    wt = (rng.standard_normal((out_c, in_c // group, 1, 1)) * 0.3
+    wt = (rng.standard_normal((out_c, in_c // group, *kernel)) * 0.3
           ).astype(np.float32)
     bias = rng.standard_normal(out_c).astype(np.float32)
     lanes = channel_blocks(out_c) * LANES
-    conv = np.empty((n, h, w, lanes), np.float32)
+    conv = np.full((n, oh, ow, lanes), np.nan, np.float32)
     kernels.sliding_nhwc4(x, kernels.pack_sliding(wt, p, bias, n, h, w), p,
                           conv)
-    want = np.empty((n, poh, pw, lanes), np.float32)
+    want = np.full((n, poh, pw, lanes), np.nan, np.float32)
     kernels.pool_nhwc4(conv, q, "max", want)
+    assert not np.isnan(want).any()
+    if not (p.pointwise and pw >= 2):
+        with pytest.raises(ShapeMismatchError, match="pointwise"):
+            kernels.pack_sliding(wt, p, bias, n, h, w, pool=q)
+        return
     packed = kernels.pack_sliding(wt, p, bias, n, h, w, pool=q)
     assert packed.bias.shape == (poh, pw, lanes)
     scratch = np.full(poh * pw * lanes, np.nan, np.float32)
@@ -582,29 +600,24 @@ def test_fused_pool_bitwise_equals_conv_then_pool(case, narrow, rng,
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("p,w", [
-    pytest.param(ConvParams.square(3, 2, in_c=8, out_c=8), 9,
-                 id="dense_3x3_stride2"),
-    pytest.param(ConvParams(3, 1, 2, 1, in_c=8, out_c=8), 9, id="dense_3x1"),
-    pytest.param(ConvParams.square(3, 2, in_c=8, out_c=8, group=4), 9,
+@pytest.mark.parametrize("p", [
+    pytest.param(ConvParams(3, 1, 2, 1, in_c=8, out_c=8), id="dense_3x1"),
+    pytest.param(ConvParams.square(3, 2, in_c=8, out_c=8, group=4),
                  id="grouped_3x3"),
-    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8), 9,
+    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8),
                  id="padded_3x3"),
-    pytest.param(ConvParams.square(3, in_c=8, out_c=8, group=8), 9,
+    pytest.param(ConvParams.square(3, in_c=8, out_c=8, group=8),
                  id="depthwise_3x3"),
-    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8, group=8), 9,
+    pytest.param(ConvParams.square(3, 1, 1, in_c=8, out_c=8, group=8),
                  id="depthwise_padded"),
-    pytest.param(ConvParams.square(1, in_c=8, out_c=8, group=8), 9,
+    pytest.param(ConvParams.square(1, in_c=8, out_c=8, group=8),
                  id="depthwise_1x1"),
-    pytest.param(ConvParams.square(1, 2, in_c=8, out_c=8), 9,
+    pytest.param(ConvParams.square(1, 2, in_c=8, out_c=8),
                  id="pointwise_stride2"),
-    # 1x1 at stride 1, but one pooled column: its GEMMs would take GEMV
-    pytest.param(ConvParams.square(1, in_c=8, out_c=8), 3,
-                 id="one_pooled_column"),
 ])
-def test_pool_folds_only_into_pointwise_convs(p, w):
+def test_pool_folds_only_into_pointwise_convs(p):
     # any other conv has no fold body: its pool runs apart
     with pytest.raises(ShapeMismatchError, match="pointwise"):
         kernels.pack_sliding(
             np.zeros((8, 8 // p.group, p.kh, p.kw), np.float32), p, None, 1,
-            9, w, pool=ConvParams.square(2, 2))
+            9, 9, pool=ConvParams.square(2, 2))
