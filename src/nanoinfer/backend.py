@@ -13,10 +13,13 @@ unpacks its outputs, and no step between re-lays a tensor.  A conv step calls it
 scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
-into the step's pool array.  A conv step with a max pool folded in
-(preinference.build_steps, a pointwise conv) writes the pool's output
-array, and its kernel gets its scratch, a flat float32 slice of the pool
-of one pooled image, bound like the arrays.
+into the step's pool array.  A conv step with nodes folded in
+(preinference.build_steps) writes the last one's output array, and its
+kernel gets its scratch, a flat float32 slice of the pool bound like the
+arrays: one pooled image for a folded max pool (a pointwise conv), a
+chunk of bands of output rows for a folded residual Add (a dense conv).  A
+folded Add's output array is its skip's (MemoryPlan.aliases): the kernel
+adds into it in place.
 Pools run kernels.pool_nhwc4.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, one matmul_direct GEMM (no
 Strassen level: where the engine's rule would take one, it measured
@@ -181,10 +184,10 @@ def _packed_weights(step: OpStep, plan: ExecutionPlan):
     (compare and calibration run every one) is packed on first use."""
     node = step.node
     return plan.weight_cache.get(
-        weight_key(node, step.scheme, step.pool),
+        weight_key(node, step.scheme, step.folded),
         compute=lambda: pack_weights(node, step.scheme,
                                      plan.graph.tensor_shapes, plan.spacing,
-                                     plan.zeros, step.pool))
+                                     plan.zeros, step.folded))
 
 
 def _build_matmul_execution(step: OpStep, plan: ExecutionPlan):
@@ -236,7 +239,7 @@ def _build_softmax_execution(step: OpStep, plan: ExecutionPlan):
 def _build_conv_execution(step: OpStep, plan: ExecutionPlan):
     """The planned scheme's NHWC4 kernel on the step's arrays, with the
     conv's one packed operand (kernels.ConvWeights).  Sliding window's
-    runner takes the scratch of a step with a folded pool, which a session
+    runner takes the scratch of a step with folded nodes, which a session
     binds from its pool."""
     p = step.node.params()
     packed = _packed_weights(step, plan)
@@ -319,10 +322,14 @@ class Session:
                 arrays.setdefault((tid, name),
                                   nhwc4(buf, tid) if tid in shapes else buf)
                 self._acquired.append((backend, buf))
+            # a folded Add's output is written over its skip
+            for tid, root in mem.aliases.items():
+                arrays[(tid, name)] = arrays[(root, name)].reshape(
+                    data_shape(shapes[tid].dims, Layout.NHWC4))
 
         # one call per step, bound once, as (name, call, dispatch surcharge
         # in ms): an op step's runner on its arrays (and its scratch, with
-        # a folded pool), or a transfer's copy between the arrays of its
+        # folded nodes), or a transfer's copy between the arrays of its
         # source and destination, which build_steps puts on different
         # backends
         self._bound: list[tuple[str, partial, float]] = []
@@ -334,14 +341,16 @@ class Session:
                             arrays[(step.tensor, step.src)]), 0.0))
                 continue
             backend = self.backends[step.backend]
-            scratch = ({} if step.pool is None else
-                       {"scratch": arrays[(step.scratch_id, step.backend)]})
+            # the scratch goes by position: a keyword's dict would be made
+            # again on every call, on the run's heap
+            scratch = ([arrays[(step.scratch_id, step.backend)]]
+                       if step.folded else [])
             self._bound.append((
                 step.node.id,
                 partial(backend.create_execution(step, plan),
                         [arrays[(t, step.backend)] for t in step.node.inputs],
                         [arrays[(t, step.backend)] for t in step.outputs],
-                        **scratch),
+                        *scratch),
                 backend.dispatch_surcharge_ms))
         self._outputs = [(tid, Tensor(shapes[tid].dims, Layout.NHWC4,
                                       arrays[(tid, cpu.name)]))

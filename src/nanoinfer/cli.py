@@ -17,7 +17,9 @@ import numpy as np
 from .backend import CpuBackend, Session, resolve_backend
 from .errors import EngineError, GraphValidationError
 from .graph import Graph, OpKind, fuse, load_model, save_model
-from .preinference import OpStep, conv_schemes, load_cost_models, pre_infer
+from .preinference import (
+    OpStep, conv_schemes, load_cost_models, plan_memory, pre_infer,
+)
 from .presets import PRESETS, build_preset
 from .tensor import Layout, Tensor, from_nchw, relayout, zeros
 from .winograd import DEFAULT_SPACING, generate_transforms
@@ -183,10 +185,10 @@ def cmd_run(args) -> int:
 def replay_cpu(g: Graph, plan, inputs: dict[str, Tensor] | Tensor) -> dict:
     """Functional CPU replay of a plan on its inputs (one Tensor for a
     graph of one input), each step into a fresh buffer; returns tensor id
-    -> NHWC4 value, as a session's pool holds it.  A step with a folded
-    pool replays as its conv, then its pool, so the values hold every
-    conv's own output too, and a session's fused step is checked against
-    them."""
+    -> NHWC4 value, as a session's pool holds it.  A fused step replays
+    as its conv, then each folded node (a max pool, or an Add and its
+    ReLU), so the values hold every conv's own output too, and a session's
+    fused step is checked against them."""
     cpu = CpuBackend()
     if isinstance(inputs, Tensor):
         inputs = {g.inputs[0]: inputs}
@@ -194,9 +196,7 @@ def replay_cpu(g: Graph, plan, inputs: dict[str, Tensor] | Tensor) -> dict:
     for step in plan.steps:
         if not isinstance(step, OpStep):
             continue
-        parts = [step] if step.pool is None else [
-            replace(step, pool=None), OpStep(step.pool, None, step.backend)]
-        for part in parts:
+        for part in _unfolded(step):
             node = part.node
             out = zeros(g.tensor_shapes[node.outputs[0]].dims, Layout.NHWC4)
             cpu.create_execution(part, plan)(
@@ -205,12 +205,27 @@ def replay_cpu(g: Graph, plan, inputs: dict[str, Tensor] | Tensor) -> dict:
     return values
 
 
+def _unfolded(step: OpStep) -> list[OpStep]:
+    """A fused step as its conv's step, then one step per folded node."""
+    return [replace(step, folded=()),
+            *(OpStep(node, None, step.backend) for node in step.folded)]
+
+
 def with_scheme(plan, node, scheme):
-    """The plan with one conv's step switched to another scheme."""
-    steps = [replace(s, scheme=scheme)
-             if isinstance(s, OpStep) and s.node is node else s
-             for s in plan.steps]
-    return replace(plan, steps=steps)
+    """The plan with one conv's step switched to another scheme and run
+    alone: a fused step is unfolded (its folded nodes run as steps of their
+    own after it) and the memory planned again."""
+    steps = []
+    for s in plan.steps:
+        if isinstance(s, OpStep) and s.node is node:
+            steps += [replace(part, scheme=scheme) if part.node is node
+                      else part for part in _unfolded(s)]
+        else:
+            steps.append(s)
+    if len(steps) == len(plan.steps):
+        return replace(plan, steps=steps)
+    return replace(plan, steps=steps,
+                   memory=plan_memory(plan.graph, steps=steps))
 
 
 def time_schemes(plan, node, x, rounds):

@@ -26,7 +26,11 @@ one epilogue, bias_relu, per image.  A pointwise conv may carry a max pool
 whose windows tile its output: it then writes the pooled map, one GEMM per
 pool tap straight from its input (_pointwise_max_pool), through a scratch
 of one pooled image the caller supplies, and its epilogue runs on the
-pooled map.  Pools run pool_nhwc4.
+pooled map.  A dense conv may carry a residual Add, and the ReLU after it:
+its output array then holds the Add's other operand, and its output rows
+go, a chunk of bands at a time, into a scratch the caller supplies, get
+their bias and are added into those rows in place (sliding_nhwc4).  Pools run
+pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -461,7 +465,11 @@ class ConvWeights:
     (slab_rows), fixed with the conv's geometry.  ``pool`` is the window of
     a max pool (kernel equal to stride, no padding) folded into a pointwise
     conv (_pointwise_max_pool); the bias and zero maps are then of the
-    pooled size.
+    pooled size.  ``residual`` marks a dense conv with a residual Add
+    folded in: its output array holds the Add's other operand on entry,
+    and the conv's output is added into it (sliding_nhwc4);
+    ``residual_zero`` is then the zero map of the ReLU after that Add, if
+    it is folded too.
     """
 
     mats: np.ndarray
@@ -470,6 +478,8 @@ class ConvWeights:
     transform: WinogradTransform | None = None
     slab_rows: int = 0
     pool: ConvParams | None = None
+    residual: bool = False
+    residual_zero: np.ndarray | None = None
 
 
 def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
@@ -482,31 +492,48 @@ def pack_conv(mats: np.ndarray, p: ConvParams, bias: np.ndarray | None,
     a zero_map, where that holds one output image, else of its own."""
     opad = channel_blocks(p.out_c) * LANES
     lanes = _padded_bias(bias, p.out_c)
-    zero = None
-    if p.relu:
-        floats = oh * ow * opad
-        zero = (zero_map(floats) if zeros is None or zeros.size < floats
-                else zeros[:floats]).reshape(oh, ow, opad)
     return ConvWeights(
         mats,
         None if lanes is None else np.ascontiguousarray(
             np.broadcast_to(lanes, (oh, ow, opad))),
-        zero, transform, slab_rows)
+        _zero_image((oh, ow, opad), zeros) if p.relu else None,
+        transform, slab_rows)
+
+
+def _zero_image(shape: tuple[int, int, int],
+                zeros: np.ndarray | None) -> np.ndarray:
+    """A read-only zero map of one output image: a prefix of ``zeros``, a
+    zero_map, where that holds it, else one of its own."""
+    floats = shape[0] * shape[1] * shape[2]
+    return (zero_map(floats) if zeros is None or zeros.size < floats
+            else zeros[:floats]).reshape(shape)
 
 
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  n: int, h: int, wd: int,
                  zeros: np.ndarray | None = None,
-                 pool: ConvParams | None = None) -> ConvWeights:
+                 pool: ConvParams | None = None, residual: bool = False,
+                 residual_relu: bool = False) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
     wd, with the max pool of window ``pool`` folded in when given, which
     only a pointwise conv with at least two pooled columns takes
     (_pointwise_max_pool): a one-row GEMM takes BLAS's GEMV, whose bits
-    differ from the whole-map GEMM's."""
+    differ from the whole-map GEMM's.  With ``residual``, a residual Add
+    is folded in, and with ``residual_relu`` the ReLU after it, which only
+    a conv with a window matrix takes (not pointwise, not depthwise)."""
     oh, ow = p.out_size(h, wd)
     mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
     rows = slab_rows(p, n, h, wd)
+    if residual:
+        if p.pointwise or p.depthwise:
+            raise ShapeMismatchError("a residual Add folds only into a conv "
+                                     "with a window matrix")
+        after = (_zero_image((oh, ow, channel_blocks(p.out_c) * LANES), zeros)
+                 if residual_relu else None)
+        return replace(pack_conv(mats, p, bias, oh, ow, zeros=zeros,
+                                 slab_rows=rows),
+                       residual=True, residual_zero=after)
     if pool is None:
         return pack_conv(mats, p, bias, oh, ow, zeros=zeros, slab_rows=rows)
     poh, pw = pool.out_size(oh, ow)
@@ -604,7 +631,15 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     multiplies it by every output lane straight into those rows; a slab
     holds whole bands, and a pointwise conv multiplies each image as it
     lies.  A conv with a max pool folded in (packed.pool) runs
-    _pointwise_max_pool, through ``scratch``.
+    _pointwise_max_pool, through ``scratch``.  A dense conv with a residual
+    Add folded in (packed.residual) finds the Add's other operand, the
+    skip, in ``out`` and adds into it in place: the GEMMs of a chunk of
+    bands go into ``scratch``, which holds the chunk's output rows
+    (residual_scratch_floats), then come + bias (and the conv's ReLU) on
+    the chunk, then the chunk is added into the skip's rows; the ReLU after
+    the Add (packed.residual_zero) runs on each finished image.  Those are
+    the unfused steps' ops in their order, so the bits are the conv's, then
+    the Add's and the ReLU's.
     """
     if not out.size:
         return
@@ -632,6 +667,7 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 bias_relu(out[img], packed)
             return
         band = _band_rows(oh, ow * k)
+        chunk = _chunk_rows(band, ow * opad)
         win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
     buf = None if rows >= oh else _slab_buffer(p, rows, x)
@@ -650,6 +686,22 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 np.einsum(sums, views[img], taps,
                           out=out[img, r0:r0 + b].reshape(b, *tail))
                 continue
+            if packed.residual:
+                # chunks of whole bands through the scratch, each chunk
+                # then gets its epilogue at once
+                for c in range(0, b, chunk):
+                    e, r = min(c + chunk, b), c
+                    while r < e:  # a range iterator here: 48 B more heap
+                        bb = min(band, e - r)
+                        np.copyto(win[:bb], views[img, r:r + bb])
+                        np.matmul(win[:bb].reshape(bb * ow, k), wmat,
+                                  out=scratch[(r - c) * ow * opad:
+                                              (r - c + bb) * ow * opad
+                                              ].reshape(bb * ow, opad))
+                        r += bb
+                    _add_rows(scratch[:(e - c) * ow * opad].reshape(
+                        e - c, ow, opad), out[img], r0 + c, packed)
+                continue
             for r in range(0, b, band):
                 bb = min(band, b - r)
                 np.copyto(win[:bb], views[img, r:r + bb])
@@ -658,7 +710,25 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                               bb * ow, opad))
         r0 += b
     for img in range(n):
-        bias_relu(out[img], packed)
+        if not packed.residual:
+            bias_relu(out[img], packed)
+        elif packed.residual_zero is not None:
+            np.maximum(out[img], packed.residual_zero, out=out[img])
+
+
+def _add_rows(conv: np.ndarray, image: np.ndarray, r: int,
+              packed: ConvWeights) -> None:
+    """The epilogue of one chunk of bands of a dense conv with a residual
+    Add folded in: its output rows from row r, conv (in the scratch), get
+    the bias and the conv's ReLU, then are added into the same rows of
+    ``image``, which hold the skip."""
+    b = len(conv)
+    if packed.bias is not None:
+        np.add(conv, packed.bias[r:r + b], out=conv)
+    if packed.zero is not None:
+        np.maximum(conv, packed.zero[r:r + b], out=conv)
+    rows = image[r:r + b]
+    np.add(conv, rows, out=rows)
 
 
 def _pointwise_max_pool(x: np.ndarray, packed: ConvWeights, out: np.ndarray,
@@ -787,6 +857,39 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
     return KernelWork(gemm=gemm, moved=copied + n * pix * k + epilogue,
                       calls=10 + 7 * (slabs - 1)
                       + n * (2 * bands + 1 + p.relu))
+
+
+EPILOGUE_FLOATS = 8192
+"""Most floats of output rows a dense conv with a residual Add folded in
+gathers in its scratch, in whole bands (at least one), before one bias and
+one skip add over them (sliding_nhwc4).
+
+Each chunk costs two NumPy calls, and the scratch is pool bytes.  Measured
+as the fused step over its conv, Add and ReLU steps, in one session each,
+alternating 60 rounds of 50 run_timed calls (2-vCPU x86-64 VM, OpenBLAS
+0.3.31, one thread), on resnet-mini's res0b at 32 and 64 px: 4,096 floats
+(one band) 1.067 and 1.081x, 8,192 1.041 and 1.041x, 16,384 1.019 and
+1.019x, a whole slab 1.000 and 1.002x.  At 8,192 the scratch of res0b at
+64 px is two bands, 24 KiB, against the 512 KiB of maps the fold frees.
+"""
+
+
+def residual_scratch_floats(p: ConvParams, n: int, h: int, w: int) -> int:
+    """Floats of the scratch of a dense conv on n images of h x w with a
+    residual Add folded in: one chunk of bands of its output rows, within
+    one slab (sliding_nhwc4)."""
+    oh, ow = p.out_size(h, w)
+    k = p.kh * p.kw * channel_blocks(p.in_c) * LANES
+    row = ow * channel_blocks(p.out_c) * LANES
+    chunk = _chunk_rows(_band_rows(oh, ow * k), row)
+    return min(chunk, slab_rows(p, n, h, w)) * row
+
+
+def _chunk_rows(band: int, row_floats: int) -> int:
+    """Output rows per epilogue chunk of a residual fold: the most whole
+    bands of band rows whose output, row_floats floats a row, fits
+    EPILOGUE_FLOATS; at least one."""
+    return band * max(1, EPILOGUE_FLOATS // (band * row_floats))
 
 
 def _band_rows(oh: int, row_floats: int) -> int:

@@ -6,9 +6,11 @@ steps at backend boundaries, each conv's weights packed once for its planned
 scheme and each MatMul's permuted into packed row order (pack_weights), and
 byte offsets into one pre-sized pool per backend.  The pool holds what the
 kernels read and write in place: activations (each conv kernel writes its
-output there), transfer copies, and the scratch of each conv step with a
-max pool folded in (build_steps, folded_pools: a pointwise conv whose
-output only the pool reads), one pooled image live at that step only.
+output there), transfer copies, and the scratch of each conv step with
+nodes folded in (build_steps), live at that step only: a max pool
+(folded_pools: a pointwise conv whose output only the pool reads), or a
+residual Add and the ReLU after it (folded_adds: a dense conv whose output
+only the Add reads), whose output is written over the Add's other operand.
 Pool offsets and sizes are whole multiples of ALIGNMENT.
 Kernels' other temporaries (conv and pool working buffers, MatMul's
 product) still come from the heap.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,7 +38,7 @@ from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes, sole_readers
 from .kernels import (
     ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
-    sliding_work, zero_map,
+    residual_scratch_floats, sliding_work, zero_map,
 )
 from .tensor import Layout, Shape, data_shape
 from .winograd import (
@@ -210,26 +212,26 @@ def scheme_costs(node: OpNode,
 
 
 def weight_key(node: OpNode, scheme: SchemeChoice | None,
-               pool: OpNode | None = None) -> tuple[str, ...]:
+               folded: tuple[OpNode, ...] = ()) -> tuple[str, ...]:
     """The weight cache's key of a node's weights packed for `scheme`, with
-    the max pool `pool` folded in (its bias and ReLU maps are of the pooled
-    size, so it has a key of its own); a MatMul, which has no scheme, is
-    keyed by its kind."""
+    the nodes `folded` into its step (OpStep.folded: their epilogue differs,
+    so it has a key of its own); a MatMul, which has no scheme, is keyed by
+    its kind."""
     key = (node.id, scheme.label() if scheme else node.kind.value)
-    return key if pool is None else (*key, pool.id)
+    return (*key, *(n.id for n in folded))
 
 
 def pack_weights(node: OpNode, scheme: SchemeChoice | None,
                  shapes: dict[str, Shape], spacing: float,
                  zeros: np.ndarray | None = None,
-                 pool: OpNode | None = None):
+                 folded: tuple[OpNode, ...] = ()):
     """A node's weights as the kernel running `scheme` reads them: a
     MatMul's in packed row order (kernels.pack_matmul_rows), a conv's as
     one kernels.ConvWeights operand with its bias and ReLU maps, holding
-    sliding window's packed weights (kernels.pack_sliding, with the max
-    pool `pool` folded in when given) or Winograd's transformed weights
-    and transform at the tile.  A ReLU conv's zero map is a view of
-    ``zeros`` (relu_zeros) when given."""
+    sliding window's packed weights (kernels.pack_sliding, with the nodes
+    `folded` into its step: a max pool, or an Add and maybe its ReLU) or
+    Winograd's transformed weights and transform at the tile.  A ReLU's
+    zero map is a view of ``zeros`` (relu_zeros) when given."""
     if node.kind is OpKind.MATMUL:
         _, c, h, wd = shapes[node.inputs[0]].dims
         return pack_matmul_rows(node.weights, c, h, wd)
@@ -240,8 +242,11 @@ def pack_weights(node: OpNode, scheme: SchemeChoice | None,
         return pack_conv(weight_transform(node.weights, t), p, node.bias,
                          oh, ow, t, zeros)
     n, _, h, wd = shapes[node.inputs[0]].dims
-    return pack_sliding(node.weights, p, node.bias, n, h, wd, zeros,
-                        None if pool is None else pool.params())
+    kinds = [f.kind for f in folded]
+    pool = folded[0].params() if kinds == [OpKind.POOL2D] else None
+    return pack_sliding(node.weights, p, node.bias, n, h, wd, zeros, pool,
+                        residual=OpKind.ADD in kinds,
+                        residual_relu=OpKind.RELU in kinds)
 
 
 def relu_zeros(g: Graph, steps: list[TransferStep | OpStep]) -> np.ndarray:
@@ -344,10 +349,18 @@ def _align(n: int, alignment: int) -> int:
 
 @dataclass
 class MemoryPlan:
+    """One backend's pool: each stored interval's offset, aligned size and
+    (first write, last read) steps, and each tensor a fused step writes
+    over the interval of another (OpStep.skip), by the tensor whose
+    interval it is.  lower_bound is the live-bytes bound: the largest sum
+    of aligned sizes live at one step."""
+
     pool_size: int
     offsets: dict[str, int]
     sizes: dict[str, int]
     lifetimes: dict[str, tuple[int, int]]
+    aliases: dict[str, str] = field(default_factory=dict)
+    lower_bound: int = 0
 
 
 def plan_intervals(items: list[tuple[str, int, int, int]],
@@ -357,7 +370,8 @@ def plan_intervals(items: list[tuple[str, int, int, int]],
     Walks the op timeline: at each step, buffers whose last reader has
     executed are freed, then new buffers go to the lowest free gap that
     fits.  Sizes are rounded up to the alignment so every offset stays
-    aligned; pool_size is the peak watermark.
+    aligned; pool_size is the peak watermark, at least lower_bound: the
+    live bytes at the busiest step.
     """
     sizes = {tid: _align(max(size, 0), alignment) or 0
              for tid, size, _, _ in items}
@@ -386,8 +400,11 @@ def plan_intervals(items: list[tuple[str, int, int, int]],
             live.append((cursor, size, tid, last))
             live.sort()
             pool = max(pool, cursor + size)
+    # live bytes change only where an interval starts
+    bound = max((sum(sizes[tid] for tid, (a, b) in lifetimes.items()
+                     if a <= step <= b) for step in steps), default=0)
     return MemoryPlan(pool_size=pool, offsets=offsets, sizes=sizes,
-                      lifetimes=lifetimes)
+                      lifetimes=lifetimes, lower_bound=bound)
 
 
 def packed_bytes(shape: Shape) -> int:
@@ -405,23 +422,52 @@ class TransferStep:
 
 @dataclass
 class OpStep:
-    """One op's step; a conv's may carry a max pool folded into it
-    (build_steps), and then writes the pool's output, not its own."""
+    """One op's step.  A conv's step may carry nodes folded into it
+    (build_steps): a max pool (folded_pools), or a residual Add and maybe
+    the ReLU after it (folded_adds).  It then writes the last folded node's
+    output, not its own, and takes a scratch interval of the pool; a folded
+    Add's output is written over its skip."""
 
     node: OpNode
     scheme: SchemeChoice | None
     backend: str
-    pool: OpNode | None = None
+    folded: tuple[OpNode, ...] = ()
+
+    @property
+    def pool(self) -> OpNode | None:
+        """The max pool folded into the step, if that is its fold."""
+        return self.folded[0] if (
+            self.folded and self.folded[0].kind is OpKind.POOL2D) else None
+
+    @property
+    def skip(self) -> str | None:
+        """A folded Add's other operand, which the step adds its conv's
+        output to in place: its output is written over the skip's
+        interval."""
+        if not self.folded or self.folded[0].kind is not OpKind.ADD:
+            return None
+        a, b = self.folded[0].inputs
+        return b if a == self.node.outputs[0] else a
+
+    @property
+    def inputs(self) -> list[str]:
+        """The tensors the step reads: its node's, and a folded Add's skip."""
+        skip = self.skip
+        return [*self.node.inputs, *([skip] if skip else [])]
 
     @property
     def outputs(self) -> list[str]:
         """The tensors the step writes."""
-        return (self.pool or self.node).outputs
+        return (self.folded[-1] if self.folded else self.node).outputs
 
     @property
     def scratch_id(self) -> str | None:
         """The pool interval of a fused step's scratch, live at the step."""
-        return None if self.pool is None else f"{self.node.id}#scratch"
+        return f"{self.node.id}#scratch" if self.folded else None
+
+
+# the key a dump-plan entry names each kind of folded node under
+FOLD_KEYS = {OpKind.POOL2D: "pool", OpKind.ADD: "add", OpKind.RELU: "relu"}
 
 
 @dataclass
@@ -430,7 +476,7 @@ class ExecutionPlan:
 
     graph: Graph
     steps: list[TransferStep | OpStep]
-    op_costs: dict[str, float]  # step's node id -> ms, a folded pool's too
+    op_costs: dict[str, float]  # step's node id -> ms, its folded nodes' too
     total_cost_ms: float
     muls: dict[str, int]
     candidates: dict[str, dict[str, float]]  # conv id -> scheme label -> ms
@@ -447,9 +493,9 @@ class ExecutionPlan:
 
     @property
     def assignment(self) -> dict[str, str]:
-        """Node id -> the backend its step runs on, a folded pool's too."""
-        return {nid: s.backend for s in self.steps if isinstance(s, OpStep)
-                for nid in (s.node.id, *([s.pool.id] if s.pool else []))}
+        """Node id -> the backend its step runs on, folded nodes' too."""
+        return {node.id: s.backend for s in self.steps
+                if isinstance(s, OpStep) for node in (s.node, *s.folded)}
 
     @property
     def pool_sizes(self) -> dict[str, int]:
@@ -472,8 +518,9 @@ class ExecutionPlan:
                     "cost_ms": self.op_costs[node.id],
                     "candidates": self.candidates.get(node.id),
                 })
-                if step.pool is not None:
-                    ops[-1]["pool"] = step.pool.id
+                for folded in step.folded:
+                    ops[-1][FOLD_KEYS[folded.kind]] = folded.id
+                if step.folded:
                     ops[-1]["scratch_bytes"] = self.memory[
                         step.backend].sizes[step.scratch_id]
         return {
@@ -481,6 +528,8 @@ class ExecutionPlan:
             "transfers": [{"tensor": t.tensor, "from": t.src, "to": t.dst}
                           for t in self.transfers()],
             "pool_size": sum(self.pool_sizes.values()),
+            "pool_lower_bound": sum(m.lower_bound
+                                    for m in self.memory.values()),
             "total_cost_ms": self.total_cost_ms,
         }
 
@@ -509,17 +558,68 @@ def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
     return folds
 
 
+def folded_adds(g: Graph, assignment: dict[str, str],
+                schemes: dict[str, SchemeChoice]
+                ) -> dict[str, tuple[OpNode, ...]]:
+    """Conv id -> the residual Add folded into its step, and the ReLU that
+    is the Add's sole reader on the same backend, if there is one.
+
+    The Add is the sole reader of the conv's output (graph.sole_readers),
+    on the conv's backend, and the conv runs sliding window's window-matrix
+    path (dense or grouped: not pointwise, not depthwise, not Winograd).
+    The step writes its output over the Add's other operand, the skip, so
+    the skip must die there: it is no graph input or output, no input of
+    the conv (later windows would read rows an earlier chunk wrote), produced
+    before the conv (the conv is the Add's later producer), and read by no
+    node scheduled after the conv but the Add.  An Add whose output is a
+    graph output folds only with its ReLU.
+    """
+    readers = sole_readers(g.nodes, g.outputs)
+    order = {node.id: i for i, node in enumerate(g.nodes)}
+    made = {tid: i for i, node in enumerate(g.nodes) for tid in node.outputs}
+    folds = {}
+    for node in g.nodes:
+        add = readers.get(node.outputs[0])
+        if (node.kind is not OpKind.CONV2D or add is None
+                or add.kind is not OpKind.ADD
+                or assignment[add.id] != assignment[node.id]):
+            continue
+        p = node.params()
+        # the Add reads the conv's output once, so its other operand differs
+        (skip,) = set(add.inputs) - set(node.outputs)
+        later = [i for i, reader in enumerate(g.nodes)
+                 if i > order[node.id] and skip in reader.inputs]
+        if (p.pointwise or p.depthwise
+                or schemes[node.id].kind is not SchemeKind.SLIDING_WINDOW
+                or skip in g.inputs or skip in g.outputs
+                or skip in node.inputs or made[skip] > order[node.id]
+                or later != [order[add.id]]):
+            continue
+        relu = readers.get(add.outputs[0])
+        if (relu is not None and relu.kind is OpKind.RELU
+                and assignment[relu.id] == assignment[node.id]):
+            folds[node.id] = (add, relu)
+        elif add.outputs[0] not in g.outputs:
+            folds[node.id] = (add,)
+    return folds
+
+
 def build_steps(g: Graph, assignment: dict[str, str],
                 schemes: dict[str, SchemeChoice],
                 cpu_name: str) -> list[TransferStep | OpStep]:
     """Op sequence with explicit transfers at backend boundaries.
 
     Graph inputs start on CPU; outputs are delivered on CPU at the end.
-    Each max pool of folded_pools runs in its conv's step, which writes the
-    pool's output; the conv's own output is never stored.
+    Each max pool of folded_pools, and each Add (with its ReLU) of
+    folded_adds, runs in its conv's step, which writes the last folded
+    node's output; the conv's own output is never stored, nor is a folded
+    Add's when its ReLU is folded too.  A folded Add's skip is moved to
+    the step's backend before the step, like its inputs.
     """
-    folds = folded_pools(g, assignment)
-    folded = {pool.id for pool in folds.values()}
+    folds = {conv: (pool,)
+             for conv, pool in folded_pools(g, assignment).items()}
+    folds.update(folded_adds(g, assignment, schemes))
+    folded = {node.id for nodes in folds.values() for node in nodes}
     homes = {tid: cpu_name for tid in g.inputs}
     placed: set[tuple[str, str]] = {(tid, cpu_name) for tid in g.inputs}
     steps: list[TransferStep | OpStep] = []
@@ -527,11 +627,12 @@ def build_steps(g: Graph, assignment: dict[str, str],
         if node.id in folded:
             continue
         backend = assignment[node.id]
-        for tid in node.inputs:
+        step = OpStep(node, schemes.get(node.id), backend,
+                      folds.get(node.id, ()))
+        for tid in step.inputs:
             if (tid, backend) not in placed:
                 steps.append(TransferStep(tid, homes[tid], backend))
                 placed.add((tid, backend))
-        step = OpStep(node, schemes.get(node.id), backend, folds.get(node.id))
         steps.append(step)
         for tid in step.outputs:
             homes[tid] = backend
@@ -549,11 +650,16 @@ def plan_memory(g: Graph, *,
                 cpu_name: str = "cpu") -> dict[str, MemoryPlan]:
     """Pool layout per backend namespace for the step sequence.
 
-    Graph inputs live in caller-provided staging buffers and are not pooled;
-    everything produced by a step is.  Copies of a tensor on another backend are pooled in that backend's namespace from the
-    transfer step to their last reader.  A step with a folded pool also
-    pools its scratch (OpStep.scratch_id), one image of the pool's output,
-    live at that step only.  Without steps, every op runs on CPU.
+    Graph inputs live in caller-provided staging buffers and are not
+    pooled; everything produced by a step is.  Copies of a tensor on
+    another backend are pooled in that backend's namespace from the
+    transfer step to their last reader.  A fused step pools its scratch
+    (OpStep.scratch_id), live at that step only: one image of a folded
+    pool's output, or one chunk of bands of a folded Add's conv output
+    rows (kernels.residual_scratch_floats).  A folded Add's output takes no
+    interval of its own: it is an alias of its skip's (MemoryPlan.aliases),
+    which then runs from the skip's first write to the output's last read.
+    Without steps, every op runs on CPU.
     """
     if steps is None:
         if schemes is None:
@@ -561,28 +667,42 @@ def plan_memory(g: Graph, *,
         steps = build_steps(g, {node.id: cpu_name for node in g.nodes},
                             schemes, cpu_name)
 
-    # last step index reading each (tensor, backend) residency
+    # last step index reading each stored (tensor, backend) residency
     last_read: dict[tuple[str, str], int] = {}
     first_write: dict[tuple[str, str], int] = {}
     scratch: dict[tuple[str, str], int] = {}  # bytes of each fused scratch
+    alias: dict[tuple[str, str], tuple[str, str]] = {}  # -> stored residency
+
+    def stored(tid: str, backend: str) -> tuple[str, str]:
+        return alias.get((tid, backend), (tid, backend))
+
     for idx, step in enumerate(steps):
         if isinstance(step, TransferStep):
-            last_read[(step.tensor, step.src)] = idx
+            last_read[stored(step.tensor, step.src)] = idx
             first_write[(step.tensor, step.dst)] = idx
+            continue
+        for tid in step.inputs:
+            last_read[stored(tid, step.backend)] = idx
+        if step.skip is not None:
+            alias[(step.outputs[0], step.backend)] = stored(step.skip,
+                                                            step.backend)
         else:
-            for tid in step.node.inputs:
-                last_read[(tid, step.backend)] = idx
             for tid in step.outputs:
                 first_write[(tid, step.backend)] = idx
+        if step.folded:
+            key = (step.scratch_id, step.backend)
+            first_write[key] = last_read[key] = idx
             if step.pool is not None:
-                key = (step.scratch_id, step.backend)
-                first_write[key] = last_read[key] = idx
                 _, *image = data_shape(
                     g.tensor_shapes[step.pool.outputs[0]].dims, Layout.NHWC4)
                 scratch[key] = 4 * math.prod(image)
+            else:
+                n, _, h, wd = g.tensor_shapes[step.node.inputs[0]].dims
+                scratch[key] = 4 * residual_scratch_floats(
+                    step.node.params(), n, h, wd)
     end = len(steps)
     for tid in g.outputs:
-        last_read[(tid, cpu_name)] = end  # outputs survive the whole run
+        last_read[stored(tid, cpu_name)] = end  # outputs survive the whole run
 
     items_by_backend: dict[str, list[tuple[str, int, int, int]]] = {}
     for (tid, backend), start in first_write.items():
@@ -592,8 +712,11 @@ def plan_memory(g: Graph, *,
                 else packed_bytes(g.tensor_shapes[tid]))
         last = last_read.get((tid, backend), start)
         items_by_backend.setdefault(backend, []).append((tid, size, start, last))
-    return {backend: plan_intervals(items)
-            for backend, items in items_by_backend.items()}
+    plans = {backend: plan_intervals(items)
+             for backend, items in items_by_backend.items()}
+    for (tid, backend), (root, _) in alias.items():
+        plans[backend].aliases[tid] = root
+    return plans
 
 
 def pre_infer(g: Graph, backends: list[BackendSpec],
@@ -624,11 +747,12 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
         backend_plan = plan_for_candidate(g, by_name[force_backend],
                                           backends[0], schemes)
     steps = build_steps(g, backend_plan.assignment, schemes, backends[0].name)
-    # a step with a folded pool is billed the pool's estimate too
+    # a fused step is billed its folded nodes' estimates too
     op_costs = dict(backend_plan.op_costs)
     for step in steps:
-        if isinstance(step, OpStep) and step.pool is not None:
-            op_costs[step.node.id] += op_costs.pop(step.pool.id)
+        if isinstance(step, OpStep):
+            for node in step.folded:
+                op_costs[step.node.id] += op_costs.pop(node.id)
     memory = plan_memory(g, steps=steps, cpu_name=backends[0].name)
     muls = {node.id: mul_count(node, g.tensor_shapes) for node in g.nodes}
 
@@ -651,9 +775,9 @@ def pre_infer(g: Graph, backends: list[BackendSpec],
     for step in steps:
         if isinstance(step, OpStep) and (step.scheme is not None
                                          or step.node.kind is OpKind.MATMUL):
-            cache.put(weight_key(step.node, step.scheme, step.pool),
+            cache.put(weight_key(step.node, step.scheme, step.folded),
                       pack_weights(step.node, step.scheme, g.tensor_shapes,
-                                   spacing, zeros, step.pool))
+                                   spacing, zeros, step.folded))
     return ExecutionPlan(
         graph=g,
         steps=steps,

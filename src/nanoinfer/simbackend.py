@@ -31,8 +31,8 @@ class SimBackend(Backend):
         self.dispatch_surcharge_ms = cost.t_schedule_ms
 
     def create_execution(self, step: OpStep, plan: ExecutionPlan):
-        for node in (step.node, step.pool):
-            if node is not None and not self.supports(node.kind):
+        for node in (step.node, *step.folded):
+            if not self.supports(node.kind):
                 raise UnsupportedOpError(
                     f"sim backend does not support {node.kind.value}"
                 )

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,13 @@ def test_criterion_6_planner_correctness():
            f"overlap, pool <= sum(sizes); {elapsed:.1f}s (<2min)")
 
 
+# heap bound of one mobilenet-mini run, as test_backend's steady-state
+# bound: its peak is the first conv's slab and window matrix, 148,864 B
+RUN_HEAP_BOUND = 156_000
+# bytes a run may leave on the heap after warm-up (each run's are freed)
+RETAINED_BOUND = 1024
+
+
 def test_criterion_7_decoupling():
     g = fuse(build_preset("mobilenet-mini"))
     cpu = CpuBackend()
@@ -295,16 +303,33 @@ def test_criterion_7_decoupling():
     session = Session(plan, [cpu])
     rng = np.random.default_rng(77)
     x = from_nchw(rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32))
-    session.run(x)
+    # NumPy's einsum keeps about 120 B a call until its caches are full,
+    # over the first several runs
+    for _ in range(10):
+        session.run(x)
     baseline = cpu.alloc_count
     deltas = []
-    for _ in range(4):
-        session.run(x)
-        deltas.append(cpu.alloc_count - baseline)
-    session.close()
-    report(7, all(d == 0 for d in deltas),
+    # the counter counts pool and staging set-up only; tracemalloc sees
+    # every allocation a run makes, the kernels' temporaries too
+    peaks = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            tracemalloc.reset_peak()
+            session.run(x)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            deltas.append(cpu.alloc_count - baseline)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        session.close()
+    report(7, all(d == 0 for d in deltas) and max(peaks) <= RUN_HEAP_BOUND
+           and retained <= RETAINED_BOUND,
            f"allocator count deltas across 4 repeat inferences: {deltas} "
-           "(all zero)")
+           f"(all zero); heap peak per run {max(peaks)} B (<= "
+           f"{RUN_HEAP_BOUND}), {retained} B retained after 4 runs (<= "
+           f"{RETAINED_BOUND})")
 
 
 def test_criterion_8_hybrid_scheduling():

@@ -143,7 +143,9 @@ class TestBuffers:
         for _, call, _ in session._bound:
             for arg in call.args:
                 arrays += arg if isinstance(arg, list) else [arg]
-        assert len(arrays) > 2 * len(g.nodes)
+        steps = [s for s in plan.steps if isinstance(s, OpStep)]
+        assert len(arrays) > 2 * len(steps)
+        assert sum(bool(s.folded) for s in steps) == 2
         assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
         session.run(make_input(g))
         session.close()
@@ -154,7 +156,7 @@ class TestBuffers:
         # each conv's operand under its step's key: pw2's has pool_24
         # folded in
         zeros = [plan.weight_cache.get(preinference.weight_key(
-                     s.node, s.scheme, s.pool)).zero
+                     s.node, s.scheme, s.folded)).zero
                  for s in plan.steps if isinstance(s, OpStep)
                  and s.node.kind is OpKind.CONV2D and s.node.params().relu]
         assert len(zeros) >= 2
@@ -837,10 +839,10 @@ class TestSession:
             run = create(backend, step, plan)
             steps[step.node.id] = step
 
-            def spied(inputs, outputs, **scratch):
+            def spied(inputs, outputs, *scratch):
                 seen.setdefault(step.node.id, []).append(
                     (list(inputs), list(outputs)))
-                run(inputs, outputs, **scratch)
+                run(inputs, outputs, *scratch)
 
             return spied
 

@@ -527,16 +527,25 @@ class TestDumpPlan:
         code, out = run_cli(capsys, "dump-plan", "--model", model_path)
         assert code == 0
         plan = json.loads(out)
-        assert set(plan) == {"ops", "transfers", "pool_size", "total_cost_ms"}
+        assert set(plan) == {"ops", "transfers", "pool_size",
+                             "pool_lower_bound", "total_cost_ms"}
         for op in plan["ops"]:
+            # resnet-mini's res0b and res1proj each run an Add and a ReLU
+            fused = ({"add", "relu", "scratch_bytes"}
+                     if op["id"] in ("res0b", "res1proj") else set())
             assert set(op) == {"id", "kind", "scheme", "backend", "mul",
-                               "cost_ms", "candidates"}
+                               "cost_ms", "candidates", *fused}
             assert op["mul"] >= 0 and op["cost_ms"] >= 0
             if op["kind"] == "Conv2D":
                 # the planned scheme is the cheapest candidate, billed as such
                 est = op["candidates"]
                 assert op["scheme"] == min(est, key=est.get)
-                assert op["cost_ms"] == pytest.approx(est[op["scheme"]])
+                # a fused step is billed its Add's and ReLU's estimates too
+                # (test_op_costs_sum_to_total)
+                if fused:
+                    assert op["cost_ms"] > est[op["scheme"]]
+                else:
+                    assert op["cost_ms"] == pytest.approx(est[op["scheme"]])
             else:
                 assert op["candidates"] is None
         assert plan["pool_size"] > 0
