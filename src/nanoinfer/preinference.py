@@ -569,16 +569,15 @@ def folded_adds(g: Graph, assignment: dict[str, str],
     path (dense or grouped: not pointwise, not depthwise, not Winograd).
     The step writes its output over the Add's other operand, the skip, so
     the skip must die there: it is no graph input or output, no input of
-    the conv (later windows would read rows an earlier chunk wrote), produced
-    before the conv (the conv is the Add's later producer), and read by no
-    node scheduled after the conv but the Add.  An Add whose output is a
-    graph output folds only with its ReLU.
+    the conv (later windows would read rows an earlier chunk wrote),
+    produced before the conv (the conv is the Add's later producer), and
+    read by no node scheduled after the conv but the Add.  An Add whose
+    output is a graph output folds only with its ReLU.
     """
     readers = sole_readers(g.nodes, g.outputs)
-    order = {node.id: i for i, node in enumerate(g.nodes)}
     made = {tid: i for i, node in enumerate(g.nodes) for tid in node.outputs}
     folds = {}
-    for node in g.nodes:
+    for i, node in enumerate(g.nodes):
         add = readers.get(node.outputs[0])
         if (node.kind is not OpKind.CONV2D or add is None
                 or add.kind is not OpKind.ADD
@@ -587,13 +586,11 @@ def folded_adds(g: Graph, assignment: dict[str, str],
         p = node.params()
         # the Add reads the conv's output once, so its other operand differs
         (skip,) = set(add.inputs) - set(node.outputs)
-        later = [i for i, reader in enumerate(g.nodes)
-                 if i > order[node.id] and skip in reader.inputs]
         if (p.pointwise or p.depthwise
                 or schemes[node.id].kind is not SchemeKind.SLIDING_WINDOW
                 or skip in g.inputs or skip in g.outputs
-                or skip in node.inputs or made[skip] > order[node.id]
-                or later != [order[add.id]]):
+                or skip in node.inputs or made[skip] > i
+                or [r for r in g.nodes[i + 1:] if skip in r.inputs] != [add]):
             continue
         relu = readers.get(add.outputs[0])
         if (relu is not None and relu.kind is OpKind.RELU

@@ -114,3 +114,25 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     scale = np.max(np.abs(want)) + 1e-12
     return float(np.max(np.abs(got - want)) / scale) if got.size else 0.0
+
+
+def assert_replayed(g, plan, backends, x):
+    """A session of plan on backends, every pool (fused scratch included)
+    filled with NaN first, gives replay_cpu's bits on inputs x."""
+    from nanoinfer.backend import Session
+    from nanoinfer.cli import replay_cpu
+    from nanoinfer.tensor import Layout, relayout
+
+    session = Session(plan, backends)
+    for b in backends:
+        if b.name in plan.memory:
+            b.acquire_buffer(plan.memory[b.name].pool_size, 0,
+                             owner="poison")[:] = np.nan
+    try:
+        got = {tid: t.data.copy() for tid, t in session.run(x).items()}
+    finally:
+        session.close()
+    want = replay_cpu(g, plan, x)
+    for tid in g.outputs:
+        assert got[tid].tobytes() == relayout(
+            want[tid], Layout.NCHW).data.tobytes(), tid

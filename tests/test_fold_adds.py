@@ -6,8 +6,9 @@ import pytest
 
 import nanoinfer.kernels as kernels
 import nanoinfer.preinference as preinference
-from nanoinfer.backend import CpuBackend, Session
-from nanoinfer.cli import replay_cpu, with_scheme
+from conftest import assert_replayed
+from nanoinfer.backend import CpuBackend
+from nanoinfer.cli import with_scheme
 from nanoinfer.errors import UnsupportedOpError
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
@@ -16,7 +17,7 @@ from nanoinfer.preinference import (
 )
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
-from nanoinfer.tensor import Layout, from_nchw, relayout
+from nanoinfer.tensor import from_nchw
 
 CPU = BackendSpec("cpu", CostModel(flops=2e9))
 
@@ -76,29 +77,12 @@ def fused(plan):
             if isinstance(s, OpStep) and s.skip is not None}
 
 
-def poisoned_outputs(plan, backends, x):
-    """One session run with every pool, scratch included, NaN first."""
-    session = Session(plan, backends)
-    for b in backends:
-        size = plan.memory.get(b.name)
-        if size is not None:
-            b.acquire_buffer(size.pool_size, 0, owner="poison")[:] = np.nan
-    try:
-        return {tid: t.data.copy() for tid, t in session.run(x).items()}
-    finally:
-        session.close()
-
-
-def assert_replayed(g, plan, backends, seed=0):
-    """A session's outputs, from a NaN pool, are replay_cpu's bits."""
+def replayed(g, plan, backends, seed=0):
+    """conftest.assert_replayed on a seeded uniform input."""
     rng = np.random.default_rng(seed)
     x = from_nchw(rng.uniform(-1, 1, size=g.tensor_shapes[g.inputs[0]].dims)
                   .astype(np.float32))
-    got = poisoned_outputs(plan, backends, x)
-    want = replay_cpu(g, plan, x)
-    for tid in g.outputs:
-        assert got[tid].tobytes() == relayout(
-            want[tid], Layout.NCHW).data.tobytes(), tid
+    assert_replayed(g, plan, backends, x)
 
 
 def plan_with(g, *, sim=None, force=None):
@@ -126,7 +110,7 @@ class TestFoldRule:
         kinds = [s.node.kind for s in plan.steps if isinstance(s, OpStep)]
         assert OpKind.ADD not in kinds and OpKind.RELU not in kinds
         assert set(plan.assignment) == {n.id for n in g.nodes}
-        assert_replayed(g, plan, backends, seed=4)
+        replayed(g, plan, backends, seed=4)
 
     @pytest.mark.parametrize("case,want", [
         ({}, ("add", "relu")),
@@ -162,7 +146,7 @@ class TestFoldRule:
         band = 4 * kernels.residual_scratch_floats(step.node.params(), n, h,
                                                    w)
         assert mem.sizes["c#scratch"] == -(-band // ALIGNMENT) * ALIGNMENT
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     @pytest.mark.parametrize("band", [kernels.BAND_FLOATS, 512, 200])
     @pytest.mark.parametrize("conv", [{}, {"stride": 2},
@@ -178,7 +162,7 @@ class TestFoldRule:
         g = residual_graph(conv=conv, images=2)
         plan, backends = plan_with(g)
         assert fused(plan) == {"c": ("add", "relu")}
-        assert_replayed(g, plan, backends, seed=9)
+        replayed(g, plan, backends, seed=9)
 
     def test_skip_made_after_the_conv_folds_into_the_skip(self):
         # the Add's later producer is s: its step folds c's output as skip
@@ -187,7 +171,7 @@ class TestFoldRule:
         assert fused(plan) == {"s": ("add", "relu")}
         assert plan.memory["cpu"].aliases == {
             g.outputs[0]: node(g, "c").outputs[0]}
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     def test_skip_reaches_the_conv_by_a_transfer(self):
         # sim has no Pool2D: the skip is made on cpu and moved to sim,
@@ -204,7 +188,7 @@ class TestFoldRule:
                  if not isinstance(s, OpStep)]
         assert skip in moved
         assert plan.memory["sim"].aliases == {g.outputs[0]: skip}
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     @pytest.mark.parametrize("case", [
         {"skip": "own"},  # conv(x) + x: it would overwrite rows it reads
@@ -221,7 +205,7 @@ class TestFoldRule:
         assert fused(plan) == {}
         assert not plan.memory["cpu"].aliases
         assert [s.node.kind for s in plan.steps].count(OpKind.ADD) == 1
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     def test_winograd_planned_conv_does_not_fold(self):
         g = residual_graph()
@@ -241,7 +225,7 @@ class TestFoldRule:
         assert (plan.assignment["c"], plan.assignment["add"]) == ("sim",
                                                                   "cpu")
         assert fused(plan) == {}
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     def test_relu_on_another_backend_stays_a_step(self):
         # sim lacks ReLU: the Add folds alone, and the ReLU runs on cpu
@@ -252,7 +236,7 @@ class TestFoldRule:
         assert fused(plan) == {"c": ("add",)}
         assert [s.node.id for s in plan.steps
                 if isinstance(s, OpStep)][-1] == "relu"
-        assert_replayed(g, plan, backends)
+        replayed(g, plan, backends)
 
     @pytest.mark.parametrize("kind", [OpKind.ADD, OpKind.RELU])
     def test_sim_refuses_a_folded_node_it_lacks(self, kind):
@@ -292,4 +276,4 @@ class TestUnfolded:
                 assert not any(isinstance(s, OpStep) and s.folded
                                and s.node is step.node for s in alone.steps)
                 assert step.outputs[0] not in alone.memory["cpu"].aliases
-                assert_replayed(g, alone, [CpuBackend()])
+                replayed(g, alone, [CpuBackend()])

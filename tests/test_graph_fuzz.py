@@ -22,14 +22,15 @@ import numpy as np
 import pytest
 
 import nanoinfer.kernels as kernels
-from nanoinfer.backend import CpuBackend, Session, resolve_backend
+from conftest import assert_replayed
+from nanoinfer.backend import CpuBackend, resolve_backend
 from nanoinfer.cli import plan_on, replay_cpu, with_scheme
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     BackendSpec, OpStep, TransferStep, conv_schemes, pre_infer,
 )
 from nanoinfer.simbackend import SimBackend
-from nanoinfer.tensor import Layout, from_nchw, relayout
+from nanoinfer.tensor import from_nchw
 from nanoinfer.winograd import DEFAULT_SPACING
 
 GRAPHS = 150
@@ -120,26 +121,6 @@ def random_input(g, rng):
                            .astype(np.float32)) for tid in g.inputs}
 
 
-def poisoned_run(plan, backends, x):
-    session = Session(plan, backends)
-    for b in backends:
-        if b.name in plan.memory:
-            b.acquire_buffer(plan.memory[b.name].pool_size, 0,
-                             owner="poison")[:] = np.nan
-    try:
-        return {tid: t.data.copy() for tid, t in session.run(x).items()}
-    finally:
-        session.close()
-
-
-def assert_bits(g, plan, backends, x):
-    got = poisoned_run(plan, backends, x)
-    want = replay_cpu(g, plan, x)
-    for tid in g.outputs:
-        assert got[tid].tobytes() == relayout(
-            want[tid], Layout.NCHW).data.tobytes(), tid
-
-
 def assert_lifetimes(g, plan, cpu="cpu"):
     """Co-live intervals are disjoint; each read finds its tensor, written
     before and not written over since; pools reach their bound."""
@@ -220,7 +201,7 @@ def test_random_residual_graphs(monkeypatch):
         x = random_input(g, rng)
         for plan, backends in plans(g, rng):
             assert_lifetimes(g, plan)
-            assert_bits(g, plan, backends, x)
+            assert_replayed(g, plan, backends, x)
             folds += sum(isinstance(s, OpStep) and s.skip is not None
                          for s in plan.steps)
             aliases += sum(len(m.aliases) for m in plan.memory.values())
@@ -233,7 +214,7 @@ def test_random_residual_graphs(monkeypatch):
             for scheme in conv_schemes(node.params()):
                 alone = with_scheme(plan, node, scheme)
                 assert_lifetimes(g, alone)
-                assert_bits(g, alone, [CpuBackend()], x)
+                assert_replayed(g, alone, [CpuBackend()], x)
                 got = replay_cpu(g, alone, x)[node.outputs[0]].data
                 base = got if base is None else base
                 assert deviation(got, base) <= TOLERANCE, (trial, node.id)
