@@ -14,12 +14,10 @@ scheme's NHWC4 kernel, kernels.sliding_nhwc4 or winograd.winograd_nhwc4,
 with the one operand (kernels.ConvWeights) pre-inference packed for that
 scheme and fetched once, when the session is built; either writes straight
 into the step's pool array.  A conv step with nodes folded in
-(preinference.build_steps) writes the last one's output array, and its
-kernel gets its scratch, a flat float32 slice of the pool bound like the
-arrays: one pooled image for a folded max pool (a pointwise conv), a
-chunk of bands of output rows for a folded residual Add (a dense conv).  A
-folded Add's output array is its skip's (MemoryPlan.aliases): the kernel
-adds into it in place.
+(preinference.folds) writes the last one's output array, and its kernel
+gets its scratch, a flat float32 slice of the pool bound like the arrays
+(kernels.fold_scratch_floats).  A folded Add's output array is its skip's
+(MemoryPlan.aliases): the kernel adds into it in place.
 Pools run kernels.pool_nhwc4.  MatMul multiplies the packed input rows by
 weights permuted once into that row order, one matmul_direct GEMM (no
 Strassen level: where the engine's rule would take one, it measured

@@ -17,19 +17,18 @@ weights, straight into the output rows.  A dense conv is one GEMM per band
 of output rows, of the band's windows [pixels, kh*kw*in lanes], copied out
 of the slab into a window matrix of at most BAND_FLOATS floats, against
 every output lane at once; it writes the band's output rows itself, and a
-slab holds whole bands.  A pointwise conv (ConvParams.pointwise: 1x1, stride
-1, pad 0, not depthwise) is one GEMM on the input as it lies.  A grouped conv is a dense
-one whose operand is block diagonal, one block per group.  Both conv
-schemes read one operand packed once (ConvWeights: the GEMM operand or
-depthwise taps, the bias and ReLU maps, Winograd's transform) and end in
-one epilogue, bias_relu, per image.  A pointwise conv may carry a max pool
-whose windows tile its output: it then writes the pooled map, one GEMM per
-pool tap straight from its input (_pointwise_max_pool), through a scratch
-of one pooled image the caller supplies, and its epilogue runs on the
-pooled map.  A dense conv may carry a residual Add, and the ReLU after it:
-its output array then holds the Add's other operand, and its output rows
-go, a chunk of bands at a time, into a scratch the caller supplies, get
-their bias and are added into those rows in place (sliding_nhwc4).  Pools run
+slab holds whole bands.  A pointwise conv (ConvParams.pointwise: 1x1,
+stride 1, pad 0, not depthwise) is one GEMM on the input as it lies.  A
+grouped conv is a dense one whose operand is block diagonal, one block per
+group.  Both conv schemes read one operand packed once (ConvWeights: the
+GEMM operand or depthwise taps, the bias and ReLU maps, Winograd's
+transform) and end in one epilogue, bias_relu, per image.  A conv may
+carry the node that solely reads its output where fold_refusal allows,
+and writes that node's output through a scratch the caller supplies
+(fold_scratch_floats): a pointwise conv a max pool, one GEMM per pool tap
+(_pointwise_max_pool); a conv with a window matrix a residual Add and the
+ReLU after it, whose other operand its output array holds and into whose
+rows its band loop adds each chunk of bands (sliding_nhwc4).  Pools run
 pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
@@ -462,14 +461,11 @@ class ConvWeights:
     in one contiguous pass, 2-3x as fast as against a broadcast row or
     scalar, and without the 32 KiB iterator buffer a broadcast operand
     allocates.  ``slab_rows`` is sliding window's output rows per slab
-    (slab_rows), fixed with the conv's geometry.  ``pool`` is the window of
-    a max pool (kernel equal to stride, no padding) folded into a pointwise
-    conv (_pointwise_max_pool); the bias and zero maps are then of the
-    pooled size.  ``residual`` marks a dense conv with a residual Add
-    folded in: its output array holds the Add's other operand on entry,
-    and the conv's output is added into it (sliding_nhwc4);
-    ``residual_zero`` is then the zero map of the ReLU after that Add, if
-    it is folded too.
+    (slab_rows), fixed with the conv's geometry.  The rest is the fold
+    (fold_refusal): ``pool`` a max pool's window, the bias and zero maps
+    then of the pooled size; ``residual`` a residual Add, added into the
+    output array, which holds its other operand on entry (sliding_nhwc4),
+    and ``residual_zero`` the zero map of the ReLU after it, if folded.
     """
 
     mats: np.ndarray
@@ -509,39 +505,47 @@ def _zero_image(shape: tuple[int, int, int],
             else zeros[:floats]).reshape(shape)
 
 
+def fold_refusal(p: ConvParams, h: int, w: int,
+                 pool: ConvParams | None = None) -> str | None:
+    """Why sliding window cannot fold into conv p on h x w input a max pool
+    of window ``pool``, or else a residual Add; None if it can.  A pool
+    needs a pointwise conv, windows that tile its output and two pooled
+    columns (_pointwise_max_pool; one row would take BLAS's GEMV, whose
+    bits differ), an Add a window matrix: not pointwise, not depthwise."""
+    if pool is None:
+        return (None if not (p.pointwise or p.depthwise) else
+                "a residual Add folds only into a conv with a window matrix")
+    if (p.pointwise and (pool.kh, pool.kw, pool.pad_h, pool.pad_w)
+            == (pool.stride_h, pool.stride_w, 0, 0)
+            and pool.out_size(*p.out_size(h, w))[1] >= 2):
+        return None
+    return ("a max pool folds only into a pointwise conv, with windows that "
+            "tile its output and at least two pooled columns")
+
+
 def pack_sliding(w: np.ndarray, p: ConvParams, bias: np.ndarray | None,
                  n: int, h: int, wd: int,
                  zeros: np.ndarray | None = None,
                  pool: ConvParams | None = None, residual: bool = False,
                  residual_relu: bool = False) -> ConvWeights:
     """Sliding window's operand for weights w and bias on n images of h x
-    wd, with the max pool of window ``pool`` folded in when given, which
-    only a pointwise conv with at least two pooled columns takes
-    (_pointwise_max_pool): a one-row GEMM takes BLAS's GEMV, whose bits
-    differ from the whole-map GEMM's.  With ``residual``, a residual Add
-    is folded in, and with ``residual_relu`` the ReLU after it, which only
-    a conv with a window matrix takes (not pointwise, not depthwise)."""
+    wd, with the max pool of window ``pool`` folded in when given, or with
+    ``residual`` a residual Add, and with ``residual_relu`` the ReLU after
+    it; a fold the kernel cannot run (fold_refusal) raises
+    ShapeMismatchError."""
+    if (pool is not None or residual) and (
+            why := fold_refusal(p, h, wd, pool)):
+        raise ShapeMismatchError(why)
     oh, ow = p.out_size(h, wd)
     mats = (_pack_depthwise_rows(w, p, ow) if p.depthwise
             else _pack_weight_columns(w, p))
-    rows = slab_rows(p, n, h, wd)
-    if residual:
-        if p.pointwise or p.depthwise:
-            raise ShapeMismatchError("a residual Add folds only into a conv "
-                                     "with a window matrix")
-        after = (_zero_image((oh, ow, channel_blocks(p.out_c) * LANES), zeros)
-                 if residual_relu else None)
-        return replace(pack_conv(mats, p, bias, oh, ow, zeros=zeros,
-                                 slab_rows=rows),
-                       residual=True, residual_zero=after)
-    if pool is None:
-        return pack_conv(mats, p, bias, oh, ow, zeros=zeros, slab_rows=rows)
-    poh, pw = pool.out_size(oh, ow)
-    if not p.pointwise or pw < 2:
-        raise ShapeMismatchError("a max pool folds only into a pointwise "
-                                 "conv with at least two pooled columns")
-    return replace(pack_conv(mats, p, bias, poh, pw, zeros=zeros,
-                             slab_rows=rows), pool=pool)
+    after = (_zero_image((oh, ow, channel_blocks(p.out_c) * LANES), zeros)
+             if residual_relu else None)
+    # a folded pool's epilogue runs on the pooled map
+    eh, ew = (oh, ow) if pool is None else pool.out_size(oh, ow)
+    return replace(pack_conv(mats, p, bias, eh, ew, zeros=zeros,
+                             slab_rows=slab_rows(p, n, h, wd)),
+                   pool=pool, residual=residual, residual_zero=after)
 
 
 def bias_relu(out: np.ndarray, packed: ConvWeights) -> None:
@@ -628,18 +632,17 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     FMA, aarch64 say, fuses the multiply and add, and its last bits may
     differ).  A dense or grouped conv copies each band of output rows'
     windows (windows) into a window matrix [pixels, kh*kw*in lanes] and
-    multiplies it by every output lane straight into those rows; a slab
-    holds whole bands, and a pointwise conv multiplies each image as it
-    lies.  A conv with a max pool folded in (packed.pool) runs
-    _pointwise_max_pool, through ``scratch``.  A dense conv with a residual
-    Add folded in (packed.residual) finds the Add's other operand, the
-    skip, in ``out`` and adds into it in place: the GEMMs of a chunk of
-    bands go into ``scratch``, which holds the chunk's output rows
-    (residual_scratch_floats), then come + bias (and the conv's ReLU) on
-    the chunk, then the chunk is added into the skip's rows; the ReLU after
-    the Add (packed.residual_zero) runs on each finished image.  Those are
-    the unfused steps' ops in their order, so the bits are the conv's, then
-    the Add's and the ReLU's.
+    multiplies it by every output lane, writing each image's rows of a slab
+    (whole bands) in chunks of whole bands: a plain conv's chunk is the
+    slab's rows, its GEMMs straight into out.  A conv with a residual Add
+    folded in (packed.residual) finds the Add's other operand, the skip, in
+    ``out``: each chunk (_chunk_rows) goes into ``scratch``, then gets bias
+    (and the conv's ReLU) and is added into the skip's rows (_add_rows);
+    the ReLU after the Add (packed.residual_zero) runs on each finished
+    image.  Those are the unfused steps' ops in their order, so the bits
+    are the conv's, then the Add's and the ReLU's.  A pointwise conv
+    multiplies each image as it lies, and with a max pool folded in
+    (packed.pool) runs _pointwise_max_pool, through ``scratch``.
     """
     if not out.size:
         return
@@ -666,8 +669,9 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                           out=out[img].reshape(oh * ow, opad))
                 bias_relu(out[img], packed)
             return
-        band = _band_rows(oh, ow * k)
-        chunk = _chunk_rows(band, ow * opad)
+        band, row = _band_rows(oh, ow * k), ow * opad
+        chunk = (_chunk_rows(band, row) if packed.residual
+                 else packed.slab_rows)
         win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
     buf = None if rows >= oh else _slab_buffer(p, rows, x)
@@ -686,28 +690,23 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
                 np.einsum(sums, views[img], taps,
                           out=out[img, r0:r0 + b].reshape(b, *tail))
                 continue
-            if packed.residual:
-                # chunks of whole bands through the scratch, each chunk
-                # then gets its epilogue at once
-                for c in range(0, b, chunk):
-                    e, r = min(c + chunk, b), c
-                    while r < e:  # a range iterator here: 48 B more heap
-                        bb = min(band, e - r)
-                        np.copyto(win[:bb], views[img, r:r + bb])
-                        np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                                  out=scratch[(r - c) * ow * opad:
-                                              (r - c + bb) * ow * opad
-                                              ].reshape(bb * ow, opad))
-                        r += bb
-                    _add_rows(scratch[:(e - c) * ow * opad].reshape(
-                        e - c, ow, opad), out[img], r0 + c, packed)
-                continue
-            for r in range(0, b, band):
-                bb = min(band, b - r)
-                np.copyto(win[:bb], views[img, r:r + bb])
-                np.matmul(win[:bb].reshape(bb * ow, k), wmat,
-                          out=out[img, r0 + r:r0 + r + bb].reshape(
-                              bb * ow, opad))
+            # chunks of whole bands: a residual fold's through the scratch
+            c = 0
+            while c < b:  # a range iterator here: 48 B more heap
+                e, r = min(c + chunk, b), c
+                while r < e:
+                    bb = min(band, e - r)
+                    np.copyto(win[:bb], views[img, r:r + bb])
+                    np.matmul(win[:bb].reshape(bb * ow, k), wmat, out=(
+                        scratch[(r - c) * row:(r - c + bb) * row]
+                        if packed.residual
+                        else out[img, r0 + r:r0 + r + bb]).reshape(
+                            bb * ow, opad))
+                    r += bb
+                if packed.residual:
+                    _add_rows(scratch[:(e - c) * row].reshape(e - c, ow, opad),
+                              out[img], r0 + c, packed)
+                c = e
         r0 += b
     for img in range(n):
         if not packed.residual:
@@ -874,15 +873,20 @@ alternating 60 rounds of 50 run_timed calls (2-vCPU x86-64 VM, OpenBLAS
 """
 
 
-def residual_scratch_floats(p: ConvParams, n: int, h: int, w: int) -> int:
-    """Floats of the scratch of a dense conv on n images of h x w with a
-    residual Add folded in: one chunk of bands of its output rows, within
-    one slab (sliding_nhwc4)."""
+def fold_scratch_floats(p: ConvParams, n: int, h: int, w: int,
+                        pool: ConvParams | None = None) -> int:
+    """Floats of the scratch of conv p on n images of h x w with a node
+    folded in (sliding_nhwc4): for the max pool of window ``pool``, one
+    pooled image; else, for a residual Add, one chunk of bands of its
+    output rows, within one slab."""
     oh, ow = p.out_size(h, w)
+    opad = channel_blocks(p.out_c) * LANES
+    if pool is not None:
+        poh, pw = pool.out_size(oh, ow)
+        return poh * pw * opad
     k = p.kh * p.kw * channel_blocks(p.in_c) * LANES
-    row = ow * channel_blocks(p.out_c) * LANES
-    chunk = _chunk_rows(_band_rows(oh, ow * k), row)
-    return min(chunk, slab_rows(p, n, h, w)) * row
+    return min(_chunk_rows(_band_rows(oh, ow * k), ow * opad),
+               slab_rows(p, n, h, w)) * ow * opad
 
 
 def _chunk_rows(band: int, row_floats: int) -> int:

@@ -7,11 +7,11 @@ scheme and each MatMul's permuted into packed row order (pack_weights), and
 byte offsets into one pre-sized pool per backend.  The pool holds what the
 kernels read and write in place: activations (each conv kernel writes its
 output there), transfer copies, and the scratch of each conv step with
-nodes folded in (build_steps), live at that step only: a max pool
-(folded_pools: a pointwise conv whose output only the pool reads), or a
-residual Add and the ReLU after it (folded_adds: a dense conv whose output
-only the Add reads), whose output is written over the Add's other operand.
-Pool offsets and sizes are whole multiples of ALIGNMENT.
+nodes folded in (build_steps), live at that step only.  One rule, folds,
+says which: a conv's step runs the node that solely reads its output, on
+its backend, where the kernel takes it (kernels.fold_refusal): a max pool,
+or a residual Add and the ReLU after it, whose output is written over the
+Add's other operand.  Pool offsets and sizes are whole multiples of ALIGNMENT.
 Kernels' other temporaries (conv and pool working buffers, MatMul's
 product) still come from the heap.
 
@@ -37,8 +37,8 @@ import numpy as np
 from .errors import GraphValidationError, UnsupportedSizeError
 from .graph import Graph, OpKind, OpNode, infer_shapes, sole_readers
 from .kernels import (
-    ConvParams, KernelWork, pack_conv, pack_matmul_rows, pack_sliding,
-    residual_scratch_floats, sliding_work, zero_map,
+    ConvParams, KernelWork, fold_refusal, fold_scratch_floats, pack_conv,
+    pack_matmul_rows, pack_sliding, sliding_work, zero_map,
 )
 from .tensor import Layout, Shape, data_shape
 from .winograd import (
@@ -423,10 +423,10 @@ class TransferStep:
 @dataclass
 class OpStep:
     """One op's step.  A conv's step may carry nodes folded into it
-    (build_steps): a max pool (folded_pools), or a residual Add and maybe
-    the ReLU after it (folded_adds).  It then writes the last folded node's
-    output, not its own, and takes a scratch interval of the pool; a folded
-    Add's output is written over its skip."""
+    (build_steps, by folds): a max pool, or a residual Add and maybe the
+    ReLU after it.  It then writes the last folded node's output, not its
+    own, and takes a scratch interval of the pool; a folded Add's output is
+    written over its skip."""
 
     node: OpNode
     scheme: SchemeChoice | None
@@ -534,71 +534,53 @@ class ExecutionPlan:
         }
 
 
-def folded_pools(g: Graph, assignment: dict[str, str]) -> dict[str, OpNode]:
-    """Conv id -> the max pool folded into its step: a pool whose kernel
-    equals its stride, with no padding, and whose output is at least two
-    pixels wide (kernels.pack_sliding), that is the sole reader of a
-    pointwise conv's output (graph.sole_readers; such a conv runs sliding
-    window, its one scheme).  Both are on one backend, which, as the
-    assignment put the pool there, runs Pool2D."""
-    readers = sole_readers(g.nodes, g.outputs)
-    folds = {}
-    for node in g.nodes:
-        pool = readers.get(node.outputs[0])
-        if (node.kind is not OpKind.CONV2D or pool is None
-                or pool.kind is not OpKind.POOL2D
-                or pool.attrs.get("mode", "max") != "max"):
-            continue
-        q = pool.params()
-        if ((q.kh, q.kw, q.pad_h, q.pad_w) == (q.stride_h, q.stride_w, 0, 0)
-                and node.params().pointwise
-                and g.tensor_shapes[pool.outputs[0]].dims[3] >= 2
-                and assignment[node.id] == assignment[pool.id]):
-            folds[node.id] = pool
-    return folds
+def folds(g: Graph, assignment: dict[str, str],
+          schemes: dict[str, SchemeChoice]) -> dict[str, tuple[OpNode, ...]]:
+    """Conv id -> the nodes folded into its step: a conv may run the node
+    that solely reads its output, on its backend.
 
-
-def folded_adds(g: Graph, assignment: dict[str, str],
-                schemes: dict[str, SchemeChoice]
-                ) -> dict[str, tuple[OpNode, ...]]:
-    """Conv id -> the residual Add folded into its step, and the ReLU that
-    is the Add's sole reader on the same backend, if there is one.
-
-    The Add is the sole reader of the conv's output (graph.sole_readers),
-    on the conv's backend, and the conv runs sliding window's window-matrix
-    path (dense or grouped: not pointwise, not depthwise, not Winograd).
-    The step writes its output over the Add's other operand, the skip, so
-    the skip must die there: it is no graph input or output, no input of
-    the conv (later windows would read rows an earlier chunk wrote),
-    produced before the conv (the conv is the Add's later producer), and
-    read by no node scheduled after the conv but the Add.  An Add whose
-    output is a graph output folds only with its ReLU.
+    The conv's output has exactly one reader (graph.sole_readers: so it is
+    no graph output), which runs on the conv's backend, and the conv runs
+    sliding window, which takes the fold (kernels.fold_refusal); the last
+    folded node's output may be a graph output.  The reader is either
+    - a max pool, or
+    - a residual Add, and the ReLU that is the Add's sole reader if it is
+      on the same backend.  The step writes its output over the Add's
+      other operand, the skip, so the skip must die there: it is no graph
+      input or output, no input of the conv (later windows would read rows
+      an earlier chunk wrote), produced before the conv (the conv is the
+      Add's later producer), and read by no node scheduled after the conv
+      but the Add.
     """
     readers = sole_readers(g.nodes, g.outputs)
     made = {tid: i for i, node in enumerate(g.nodes) for tid in node.outputs}
-    folds = {}
+    found = {}
     for i, node in enumerate(g.nodes):
-        add = readers.get(node.outputs[0])
-        if (node.kind is not OpKind.CONV2D or add is None
-                or add.kind is not OpKind.ADD
-                or assignment[add.id] != assignment[node.id]):
+        reader = readers.get(node.outputs[0])
+        if (node.kind is not OpKind.CONV2D or reader is None
+                or assignment[reader.id] != assignment[node.id]
+                or schemes[node.id].kind is not SchemeKind.SLIDING_WINDOW):
             continue
-        p = node.params()
+        p, (_, _, h, w) = node.params(), g.tensor_shapes[node.inputs[0]].dims
+        if reader.kind is OpKind.POOL2D:
+            if (reader.attrs.get("mode", "max") == "max"
+                    and not fold_refusal(p, h, w, reader.params())):
+                found[node.id] = (reader,)
+            continue
+        if reader.kind is not OpKind.ADD or fold_refusal(p, h, w):
+            continue
         # the Add reads the conv's output once, so its other operand differs
-        (skip,) = set(add.inputs) - set(node.outputs)
-        if (p.pointwise or p.depthwise
-                or schemes[node.id].kind is not SchemeKind.SLIDING_WINDOW
-                or skip in g.inputs or skip in g.outputs
-                or skip in node.inputs or made[skip] > i
-                or [r for r in g.nodes[i + 1:] if skip in r.inputs] != [add]):
+        (skip,) = set(reader.inputs) - set(node.outputs)
+        if (skip in g.inputs or skip in g.outputs or skip in node.inputs
+                or made[skip] > i
+                or [r for r in g.nodes[i + 1:] if skip in r.inputs]
+                != [reader]):
             continue
-        relu = readers.get(add.outputs[0])
-        if (relu is not None and relu.kind is OpKind.RELU
-                and assignment[relu.id] == assignment[node.id]):
-            folds[node.id] = (add, relu)
-        elif add.outputs[0] not in g.outputs:
-            folds[node.id] = (add,)
-    return folds
+        relu = readers.get(reader.outputs[0])
+        found[node.id] = (reader, relu) if (
+            relu is not None and relu.kind is OpKind.RELU
+            and assignment[relu.id] == assignment[node.id]) else (reader,)
+    return found
 
 
 def build_steps(g: Graph, assignment: dict[str, str],
@@ -607,16 +589,13 @@ def build_steps(g: Graph, assignment: dict[str, str],
     """Op sequence with explicit transfers at backend boundaries.
 
     Graph inputs start on CPU; outputs are delivered on CPU at the end.
-    Each max pool of folded_pools, and each Add (with its ReLU) of
-    folded_adds, runs in its conv's step, which writes the last folded
-    node's output; the conv's own output is never stored, nor is a folded
-    Add's when its ReLU is folded too.  A folded Add's skip is moved to
-    the step's backend before the step, like its inputs.
+    The nodes of folds run in their conv's step, which writes the last
+    folded node's output; the conv's own output is never stored, nor is a
+    folded Add's when its ReLU is folded too.  A folded Add's skip is moved
+    to the step's backend before the step, like its inputs.
     """
-    folds = {conv: (pool,)
-             for conv, pool in folded_pools(g, assignment).items()}
-    folds.update(folded_adds(g, assignment, schemes))
-    folded = {node.id for nodes in folds.values() for node in nodes}
+    fused = folds(g, assignment, schemes)
+    folded = {node.id for nodes in fused.values() for node in nodes}
     homes = {tid: cpu_name for tid in g.inputs}
     placed: set[tuple[str, str]] = {(tid, cpu_name) for tid in g.inputs}
     steps: list[TransferStep | OpStep] = []
@@ -625,7 +604,7 @@ def build_steps(g: Graph, assignment: dict[str, str],
             continue
         backend = assignment[node.id]
         step = OpStep(node, schemes.get(node.id), backend,
-                      folds.get(node.id, ()))
+                      fused.get(node.id, ()))
         for tid in step.inputs:
             if (tid, backend) not in placed:
                 steps.append(TransferStep(tid, homes[tid], backend))
@@ -651,11 +630,11 @@ def plan_memory(g: Graph, *,
     pooled; everything produced by a step is.  Copies of a tensor on
     another backend are pooled in that backend's namespace from the
     transfer step to their last reader.  A fused step pools its scratch
-    (OpStep.scratch_id), live at that step only: one image of a folded
-    pool's output, or one chunk of bands of a folded Add's conv output
-    rows (kernels.residual_scratch_floats).  A folded Add's output takes no
-    interval of its own: it is an alias of its skip's (MemoryPlan.aliases),
-    which then runs from the skip's first write to the output's last read.
+    (OpStep.scratch_id) of kernels.fold_scratch_floats, live at that step
+    only: one image of a folded pool's output, or one chunk of bands of a
+    folded Add's conv output rows.  A folded Add's output takes no interval
+    of its own: it is an alias of its skip's (MemoryPlan.aliases), which
+    then runs from the skip's first write to the output's last read.
     Without steps, every op runs on CPU.
     """
     if steps is None:
@@ -689,14 +668,10 @@ def plan_memory(g: Graph, *,
         if step.folded:
             key = (step.scratch_id, step.backend)
             first_write[key] = last_read[key] = idx
-            if step.pool is not None:
-                _, *image = data_shape(
-                    g.tensor_shapes[step.pool.outputs[0]].dims, Layout.NHWC4)
-                scratch[key] = 4 * math.prod(image)
-            else:
-                n, _, h, wd = g.tensor_shapes[step.node.inputs[0]].dims
-                scratch[key] = 4 * residual_scratch_floats(
-                    step.node.params(), n, h, wd)
+            n, _, h, wd = g.tensor_shapes[step.node.inputs[0]].dims
+            scratch[key] = 4 * fold_scratch_floats(
+                step.node.params(), n, h, wd,
+                None if step.pool is None else step.pool.params())
     end = len(steps)
     for tid in g.outputs:
         last_read[stored(tid, cpu_name)] = end  # outputs survive the whole run

@@ -118,7 +118,8 @@ def rel_err(got, want):
 
 def assert_replayed(g, plan, backends, x):
     """A session of plan on backends, every pool (fused scratch included)
-    filled with NaN first, gives replay_cpu's bits on inputs x."""
+    filled with NaN first, gives replay_cpu's bits on inputs x; returns
+    the session's outputs, NCHW arrays by tensor id."""
     from nanoinfer.backend import Session
     from nanoinfer.cli import replay_cpu
     from nanoinfer.tensor import Layout, relayout
@@ -136,3 +137,4 @@ def assert_replayed(g, plan, backends, x):
     for tid in g.outputs:
         assert got[tid].tobytes() == relayout(
             want[tid], Layout.NCHW).data.tobytes(), tid
+    return got

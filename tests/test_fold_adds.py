@@ -13,7 +13,8 @@ from nanoinfer.errors import UnsupportedOpError
 from nanoinfer.graph import GraphBuilder, OpKind, fuse
 from nanoinfer.preinference import (
     ALIGNMENT, BackendSpec, CostModel, OpStep, SchemeChoice, SchemeKind,
-    build_steps, conv_schemes, folded_adds, pre_infer, select_schemes,
+    TransferStep, build_steps, conv_schemes, folds, pre_infer,
+    select_schemes,
 )
 from nanoinfer.presets import PRESETS, build_preset
 from nanoinfer.simbackend import SimBackend
@@ -38,7 +39,8 @@ def residual_graph(conv=None, skip="conv", after="relu", extra=(),
     ("pool"), the graph input itself ("input") or c's own input, m
     ("own").
     `extra` adds a graph output: a ReLU of the skip after c
-    ("skip_reader"), or a ReLU of c's output ("conv_reader").
+    ("skip_reader"), a ReLU of c's output ("conv_reader"), or the skip
+    itself ("skip_output").
     """
     conv = {"kernel": 3, "pad": 1, "out_c": 8, **(conv or {})}
     window = {k: conv[k] for k in ("kernel", "stride", "pad") if k in conv}
@@ -64,6 +66,8 @@ def residual_graph(conv=None, skip="conv", after="relu", extra=(),
         outputs.append(b.relu(s, name="skip_relu"))
     if "conv_reader" in extra:
         outputs.append(b.relu(y, name="conv_relu"))
+    if "skip_output" in extra:
+        outputs.append(s)
     return b.build(outputs=outputs)
 
 
@@ -121,6 +125,8 @@ class TestFoldRule:
         ({"conv": {"kernel": 1, "stride": 2, "pad": 0}}, ("add", "relu")),
         ({"conv": {"group": 2}}, ("add", "relu")),  # grouped
         ({"images": 2}, ("add", "relu")),
+        # the Add's output is a graph output: it folds alone
+        ({"after": "none"}, ("add",)),
     ])
     def test_folds(self, case, want):
         g = residual_graph(**case)
@@ -143,8 +149,7 @@ class TestFoldRule:
         assert mem.lifetimes[skip][1] == last
         # the scratch is one band of output rows, in the pool, aligned
         n, _, h, w = g.tensor_shapes[step.node.inputs[0]].dims
-        band = 4 * kernels.residual_scratch_floats(step.node.params(), n, h,
-                                                   w)
+        band = 4 * kernels.fold_scratch_floats(step.node.params(), n, h, w)
         assert mem.sizes["c#scratch"] == -(-band // ALIGNMENT) * ALIGNMENT
         replayed(g, plan, backends)
 
@@ -190,14 +195,30 @@ class TestFoldRule:
         assert plan.memory["sim"].aliases == {g.outputs[0]: skip}
         replayed(g, plan, backends)
 
+    def test_sim_output_is_moved_from_the_skip(self):
+        # on sim, the folded Add's output is the graph output: its transfer
+        # to cpu, the plan's last step, reads the skip's sim interval
+        g = residual_graph(after="none")
+        plan, backends = plan_with(g, force="sim")
+        assert fused(plan) == {"c": ("add",)}
+        skip, out = node(g, "s").outputs[0], g.outputs[0]
+        last = plan.steps[-1]
+        assert isinstance(last, TransferStep)
+        assert (last.tensor, last.src, last.dst) == (out, "sim", "cpu")
+        sim = plan.memory["sim"]
+        assert sim.aliases == {out: skip}
+        assert sim.lifetimes[skip][1] == len(plan.steps) - 1
+        assert out in plan.memory["cpu"].offsets
+        replayed(g, plan, backends)
+
     @pytest.mark.parametrize("case", [
         {"skip": "own"},  # conv(x) + x: it would overwrite rows it reads
         {"extra": ("skip_reader",)},  # the skip is read after the conv
         {"skip": "input"},  # the skip is a graph input
         {"extra": ("conv_reader",)},  # the conv's output has two readers
-        {"after": "none"},  # the Add's output is a graph output
         {"conv": {"kernel": 1, "pad": 0}},  # pointwise
         {"conv": {"group": 8}},  # depthwise
+        {"extra": ("skip_output",)},  # the skip is a graph output
     ])
     def test_does_not_fold(self, case):
         g = residual_graph(**case)
@@ -211,9 +232,9 @@ class TestFoldRule:
         g = residual_graph()
         assign = {n.id: "cpu" for n in g.nodes}
         schemes = select_schemes(g)
-        assert folded_adds(g, assign, schemes) != {}
+        assert folds(g, assign, schemes) != {}
         schemes["c"] = SchemeChoice(SchemeKind.WINOGRAD, 4)
-        assert folded_adds(g, assign, schemes) == {}
+        assert folds(g, assign, schemes) == {}
         assert not any(s.folded for s in build_steps(g, assign, schemes,
                                                      "cpu"))
 

@@ -1,4 +1,4 @@
-"""Whole-graph fuzz test of the planner's lifetimes.
+"""Whole-graph fuzz tests of the planner's lifetimes and of the engine.
 
 Random residual DAGs (GraphBuilder, fixed seeds): 1-2 images, 1-8
 channels, 3-13 px, with padded, strided, 1x1 stride-2, grouped and
@@ -14,9 +14,19 @@ sim that lacks one op kind (so transfers cut through blocks), then checked:
   over its skip's interval, MemoryPlan.aliases, which is no interval of
   its own), every tensor read was written before and not written over
   since, and each pool is at least its live-bytes bound.
+
+Random chains (fixed seeds) of max and average pools (kernel 1-4, stride
+1-2, padding up to half the kernel), convs and ReLUs, then maybe a Reshape
+that changes the shape, a MatMul head, a Softmax and extra graph outputs,
+are planned on cpu, sim and auto.  Each session keeps replay_cpu's bits
+from NaN pools, the plan invariants above hold, and every output is within
+REFERENCE_TOLERANCE of perfbench/reference.py, a float64 evaluator that
+calls no engine code (imported from there: a test dependency).
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +44,17 @@ from nanoinfer.tensor import from_nchw
 from nanoinfer.winograd import DEFAULT_SPACING
 
 GRAPHS = 150
+CHAINS = 400
 BUDGET_S = 10.0
+CHAINS_BUDGET_S = 3.0  # with the residual graphs' ~4 s, the file's 10 s
 TOLERANCE = 1e-3  # compare's bound on a scheme's relative deviation
+REFERENCE_TOLERANCE = 1e-5  # float32 outputs against float64 ones
+
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).resolve().parents[1] / "perfbench"
+    / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def conv_geometry(rng, c, h, w):
@@ -242,3 +261,97 @@ def test_generator_makes_every_geometry(seed):
                          else "padded" if p.pad_h or p.pad_w else "dense")
     assert seen == {"depthwise", "grouped", "pointwise", "1x1s2", "strided",
                     "padded", "dense"}
+
+
+def pool_geometry(rng, h, w):
+    """Random keywords of a max or average pool that fits h x w: kernel 1-4,
+    stride 1-2 and padding up to half the kernel per axis, or a max pool
+    whose 2 x 2 windows tile the map, the kind that folds into a pointwise
+    conv."""
+    if rng.random() < 0.25 and min(h, w) >= 4:
+        return dict(kernel=2, mode="max")
+    kernel = [int(k) for k in rng.integers(1, 5, size=2)]
+    pad = [int(rng.integers(0, k // 2 + 1)) for k in kernel]
+    if h + 2 * pad[0] < kernel[0] or w + 2 * pad[1] < kernel[1]:
+        kernel, pad = [1, 1], [0, 0]
+    return dict(kernel=kernel, stride=[int(v) for v in rng.integers(1, 3,
+                                                                    size=2)],
+                pad=pad, mode=str(rng.choice(["max", "avg"])))
+
+
+def pool_chain_graph(rng):
+    """A chain of pools, convs and ReLUs, then maybe a Reshape that changes
+    the shape, a MatMul head and a Softmax; any tensor but the input may be
+    an extra graph output.  Returns the graph as built and fused."""
+    n, c = int(rng.integers(1, 3)), int(rng.integers(1, 9))
+    h, w = (int(v) for v in rng.integers(3, 14, size=2))
+    b = GraphBuilder((n, c, h, w), seed=int(rng.integers(0, 2 ** 31)))
+    extra = []
+    for _ in range(int(rng.integers(1, 6))):
+        _, c, h, w = b.shape_of(b.last)
+        kind = rng.choice(["pool", "conv", "relu"], p=[0.45, 0.4, 0.15])
+        if kind == "pool":
+            b.pool(**pool_geometry(rng, h, w))
+        elif kind == "conv":
+            geo, out_c = conv_geometry(rng, c, h, w)
+            if rng.random() < 0.2:
+                geo = dict(kernel=1)  # pointwise, then maybe a tiling pool
+            b.conv(**geo, out_c=out_c)
+            if (geo == dict(kernel=1) and min(h, w) >= 4
+                    and rng.random() < 0.5):
+                b.pool(kernel=2, mode="max")
+        else:
+            b.relu()
+        if rng.random() < 0.15:
+            extra.append(b.last)
+    _, c, h, w = b.shape_of(b.last)
+    if rng.random() < 0.3:
+        # the same elements as another (channels, height, width)
+        size = c * h * w
+        divisors = [a for a in range(1, size + 1) if size % a == 0]
+        dims = [(size // (a * z), a, z) for a in divisors for z in divisors
+                if size % (a * z) == 0]
+        dims.remove((c, h, w))
+        if dims:
+            b.reshape((n, *dims[int(rng.integers(0, len(dims)))]))
+    if rng.random() < 0.5:
+        b.matmul(int(rng.integers(1, 11)))
+    if rng.random() < 0.4:
+        b.softmax()
+    built = b.build(outputs=[b.last, *(t for t in extra if t != b.last)])
+    return built, fuse(built)
+
+
+def test_random_pool_chains():
+    start = time.perf_counter()
+    rng = np.random.default_rng(2207)
+    seen = {"padded": 0, "overlapping": 0, "folded": 0, "matmul": 0,
+            "reshape": 0, "softmax": 0, "outputs": 0}
+    for trial in range(CHAINS):
+        built, g = pool_chain_graph(rng)
+        nchw = {tid: rng.uniform(-1, 1, size=g.tensor_shapes[tid].dims)
+                .astype(np.float32) for tid in g.inputs}
+        want = reference.evaluate(built, nchw)
+        x = {tid: from_nchw(a) for tid, a in nchw.items()}
+        for backend in ("cpu", "sim", "auto"):
+            plan, backends = plan_on(g, backend, None, DEFAULT_SPACING)
+            assert_lifetimes(g, plan)
+            got = assert_replayed(g, plan, backends, x)
+            for tid in g.outputs:
+                err = reference.rel_error(got[tid], want[tid])
+                assert err <= REFERENCE_TOLERANCE, (trial, backend, tid, err)
+                seen["outputs"] += 1
+            seen["folded"] += sum(isinstance(s, OpStep) and s.pool is not None
+                                  for s in plan.steps)
+        for node in g.nodes:
+            if node.kind is OpKind.POOL2D:
+                q = node.params()
+                seen["padded"] += bool(q.pad_h or q.pad_w)
+                seen["overlapping"] += (q.kh, q.kw) != (q.stride_h,
+                                                        q.stride_w)
+            elif node.kind.name.lower() in seen:
+                seen[node.kind.name.lower()] += 1
+    elapsed = time.perf_counter() - start
+    # every path of pool_nhwc4, the pool fold and the head are exercised
+    assert min(seen.values()) >= 10, seen
+    assert elapsed < CHAINS_BUDGET_S, f"{elapsed:.1f} s"
