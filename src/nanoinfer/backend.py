@@ -24,13 +24,14 @@ Strassen level: where the engine's rule would take one, it measured
 slower than direct), and Softmax works on the pool
 arrays as [pixels, lanes] matrices.  The pools and the staging buffers
 start on a cache line of preinference.ALIGNMENT bytes (aligned_zeros), as
-every pool offset does.  The kernels' other temporaries (the slab of
-bordered input rows of a sliding-window conv, dense or depthwise at any
-stride, and a dense conv's window matrix, the bordered inputs of padded or
-overlapping pools and of Winograd, Winograd's patches and tiles, MatMul's
-product) are still heap allocations on every run, and so is the NCHW round
-trip of a Reshape that changes the shape (graph.fuse drops the identity
-ones).
+every pool offset does.  The kernels' other temporaries (a depthwise
+conv's slab of bordered input rows, a dense conv's MEC strip buffer or its
+bordered map, the bordered inputs of padded or overlapping pools and of
+Winograd, Winograd's patches and tiles, MatMul's product) are still heap
+allocations on every run, and so is the NCHW round trip of a Reshape that
+changes the shape (graph.fuse drops the identity ones).  Session.run makes
+only the bound calls, between the input pack and the output unpack;
+Session.run_timed times each.
 """
 
 from __future__ import annotations
@@ -356,19 +357,38 @@ class Session:
         self._closed = False
 
     def run(self, inputs: dict[str, Tensor] | Tensor) -> dict[str, Tensor]:
-        outputs, _ = self.run_timed(inputs)
-        return outputs
-
-    def run_timed(self, inputs: dict[str, Tensor] | Tensor):
-        """Execute the plan; returns (outputs, per-step millisecond times).
+        """Execute the plan: each step's bound call, in order, untimed;
+        returns the outputs, NCHW.
 
         Each input, NCHW or packed, must match its graph shape, in data as
         in metadata, with zero pad lanes (LayoutError otherwise); any dtype
-        is cast.  It is packed straight into the NHWC4 staging view, and the
-        outputs come back NCHW.
-        Sim-style backends account their per-op dispatch latency into the
-        reported times; numerical results are unaffected.
+        is cast.  It is packed straight into the NHWC4 staging view.
         """
+        return self._boundary(inputs, self._steps)
+
+    def run_timed(self, inputs: dict[str, Tensor] | Tensor):
+        """run, and each step's time: returns (outputs, per-step millisecond
+        times).  Sim-style backends account their per-op dispatch latency
+        into the reported times; numerical results are unaffected."""
+        times: list[tuple[str, float]] = []
+
+        def steps():
+            for name, call, surcharge in self._bound:
+                start = time.perf_counter()
+                call()
+                times.append((name, (time.perf_counter() - start) * 1e3
+                              + surcharge))
+
+        return self._boundary(inputs, steps), times
+
+    def _steps(self) -> None:
+        for _, call, _ in self._bound:
+            call()
+
+    def _boundary(self, inputs: dict[str, Tensor] | Tensor,
+                  steps) -> dict[str, Tensor]:
+        """Pack the inputs into their staging arrays (as run says), call
+        steps(), and return the outputs unpacked to NCHW."""
         if self._closed:
             raise GraphValidationError("session is closed")
         g = self.plan.graph
@@ -389,17 +409,9 @@ class Session:
             # stale, and non-zero pad lanes leak into every conv's sums
             t.validate_layout()
             relayout(t, Layout.NHWC4, out=self._staging[tid])
-
-        times: list[tuple[str, float]] = []
-        for name, call, surcharge in self._bound:
-            start = time.perf_counter()
-            call()
-            times.append((name, (time.perf_counter() - start) * 1e3
-                          + surcharge))
-
-        outputs = {tid: relayout(view, Layout.NCHW)
-                   for tid, view in self._outputs}
-        return outputs, times
+        steps()
+        return {tid: relayout(view, Layout.NCHW)
+                for tid, view in self._outputs}
 
     def close(self) -> None:
         if self._closed:

@@ -3,33 +3,28 @@ matmul.
 
 Convolutions read and write lane-padded NHWC data (tensor.Layout.NHWC4):
 a map is a [pixels, lanes] matrix a GEMM reads as it lies, and a pixel row
-is one contiguous run of w*lanes floats.  Every windowed kernel pads its
-input through one function, border (a pool with its own fill), which also
-fills one range of the bordered map's rows into a buffer the caller
-supplies, and the conv kernels read their windows through one strided view
-of it, windows.  Every sliding-window conv, dense, grouped or depthwise at
-any stride, is one walk of its output in slabs of rows (slab_rows,
-sliding_nhwc4): each slab's bordered input rows go into one buffer of at
-most BAND_FLOATS floats, reused slab after slab, or are the whole bordered
-map when it fits (the input itself at pad 0).  Per slab and image a
-depthwise conv is one einsum of the slab's windows against the taps'
-weights, straight into the output rows.  A dense conv is one GEMM per band
-of output rows, of the band's windows [pixels, kh*kw*in lanes], copied out
-of the slab into a window matrix of at most BAND_FLOATS floats, against
-every output lane at once; it writes the band's output rows itself, and a
-slab holds whole bands.  A pointwise conv (ConvParams.pointwise: 1x1,
-stride 1, pad 0, not depthwise) is one GEMM on the input as it lies.  A
-grouped conv is a dense one whose operand is block diagonal, one block per
-group.  Both conv schemes read one operand packed once (ConvWeights: the
-GEMM operand or depthwise taps, the bias and ReLU maps, Winograd's
-transform) and end in one epilogue, bias_relu, per image.  A conv may
-carry the node that solely reads its output where fold_refusal allows,
-and writes that node's output through a scratch the caller supplies
-(fold_scratch_floats): a pointwise conv a max pool, one GEMM per pool tap
-(_pointwise_max_pool); a conv with a window matrix a residual Add and the
-ReLU after it, whose other operand its output array holds and into whose
-rows its band loop adds each chunk of bands (sliding_nhwc4).  Pools run
-pool_nhwc4.
+is one contiguous run of w*lanes floats.  Windowed kernels pad their input
+through one function, border (a pool with its own fill), which also fills
+one range of the bordered map's rows into a buffer the caller supplies,
+and view its windows in place (windows).  A sliding-window conv walks its
+output rows in slabs (slab_rows, sliding_nhwc4), each slab's input in one
+buffer of at most BAND_FLOATS floats: its bordered rows, or a dense conv's
+MEC strips (Cho & Brand, arXiv 1706.06873; _strips), each output column's
+kw input columns, copied once from the unpadded input.  A depthwise conv
+is one einsum per slab and image against the taps' weights.  A dense or
+grouped conv builds no window matrix: one batched GEMM per slab and image
+reads each output pixel's kh*kw*in lanes floats where they lie, against
+every output lane at once; a pointwise conv (ConvParams.pointwise: 1x1,
+stride 1, pad 0) reads its input as it lies.  A grouped conv's operand is
+block diagonal, one block per group.  Both conv schemes read one operand
+packed once (ConvWeights: the GEMM operand or depthwise taps, the bias and
+ReLU maps, Winograd's transform) and end in one epilogue, bias_relu, per
+image.  A conv may carry the node that solely reads its output where
+fold_refusal allows, writing that node's output through a scratch the
+caller supplies (fold_scratch_floats): a pointwise conv a max pool, one
+GEMM per pool tap (_pointwise_max_pool); another dense conv a residual Add
+and the ReLU after it, whose other operand its output array holds and into
+whose rows it adds each chunk of output rows.  Pools run pool_nhwc4.
 conv_sliding and conv_winograd also take and return the paper's NC4HW4,
 re-laid around the same kernel (run_nhwc4).
 Kernels run on the calling thread; the only parallelism is the BLAS
@@ -169,21 +164,17 @@ and recalibrate on other hardware with `weights`.
 """
 
 BAND_FLOATS = 32768
-"""Most floats in one slab of a sliding-window conv's bordered input rows,
-and in the window matrix of one band of a dense conv (128 KiB each).
+"""Most floats in the buffer a sliding-window conv fills slab by slab
+(slab_rows; 128 KiB): its bordered rows or a dense conv's MEC strips.
 
-A band is the most output rows whose window matrix fits, at least one; a
-padded conv, dense or depthwise at any stride, takes the fewest slabs whose
-rows fit (a whole number of bands each, at least one), spread evenly.
-Both depend on the conv's geometry only, so a step gives the same bits
-however it is called, and a depthwise conv's bits do not depend on its
-slabs at all.  The size is measured as per-step medians (run_timed) of the
-dense steps of the resnet-mini topology in one running session, the sizes
-alternating in rounds (2-vCPU x86-64 VM, 48 KiB L1d and 2 MiB L2 per core,
-OpenBLAS 0.3.31, one thread): at 16,384, 32,768, 65,536 floats and a whole
-map per band they summed 2.40, 1.93, 2.08 and 2.10 ms at 64x64 input and
-0.61, 0.57, 0.57 and 0.56 ms at 32x32.  Re-measure on other hardware the
-same way, with this constant set for each size.
+The bound is the heap a run takes, not a speed optimum.  Measured as
+per-step medians (run_timed) of the resnet-mini topology's dense steps,
+one session per size, the sizes alternating in 30 rounds of 20 runs
+(2-vCPU x86-64 VM, 48 KiB L1d and 2 MiB L2 per core, OpenBLAS 0.3.31, one
+thread): at 16,384, 32,768, 65,536 floats and a whole map per slab they
+summed 1.62, 1.21, 1.06 and 1.01 ms at 64x64 input and 0.37, 0.32, 0.31
+and 0.30 ms at 32x32; twice the bound runs them 12% faster at 64x64 for
+twice the heap.  Re-measure on other hardware the same way.
 """
 
 
@@ -451,21 +442,22 @@ class ConvWeights:
     for a depthwise conv at any stride (each tap's weights repeated over
     one output row of ow pixels, the einsum's second operand), else [kh*kw,
     in lanes, out lanes], block diagonal over a grouped conv's groups and
-    multiplied as one [kh*kw*in lanes, out lanes] matrix; Winograd's
-    [alpha^2, out lanes, in lanes] in the domain of ``transform`` (None for
-    sliding window).  ``bias`` is the
-    bias padded to whole 4-lane blocks at every pixel of one output image,
-    [oh, ow, out lanes], and ``zero`` a read-only zero map of that shape if
-    the conv applies ReLU: a prefix view of a zero buffer that every ReLU
-    conv of a plan shares.  NumPy adds or compares two arrays of one shape
-    in one contiguous pass, 2-3x as fast as against a broadcast row or
-    scalar, and without the 32 KiB iterator buffer a broadcast operand
-    allocates.  ``slab_rows`` is sliding window's output rows per slab
-    (slab_rows), fixed with the conv's geometry.  The rest is the fold
-    (fold_refusal): ``pool`` a max pool's window, the bias and zero maps
-    then of the pooled size; ``residual`` a residual Add, added into the
-    output array, which holds its other operand on entry (sliding_nhwc4),
-    and ``residual_zero`` the zero map of the ReLU after it, if folded.
+    multiplied as one [kh*kw*in lanes, out lanes] matrix by each window, as
+    it lies, in (u, v, lane) order; Winograd's [alpha^2, out lanes, in
+    lanes] in the domain of ``transform`` (None for sliding window).
+    ``bias`` is the bias padded to whole 4-lane blocks at every pixel of
+    one output image, [oh, ow, out lanes], and ``zero`` a read-only zero
+    map of that shape if the conv applies ReLU: a prefix view of a zero
+    buffer that every ReLU conv of a plan shares.  NumPy adds or compares
+    two arrays of one shape in one contiguous pass, 2-3x as fast as against
+    a broadcast row or scalar, and without the 32 KiB iterator buffer a
+    broadcast operand allocates.  ``slab_rows`` is sliding window's output
+    rows per slab (slab_rows), fixed with the conv's geometry.  The rest is
+    the fold (fold_refusal): ``pool`` a max pool's window, the bias and
+    zero maps then of the pooled size; ``residual`` a residual Add, added
+    into the output array, which holds its other operand on entry
+    (sliding_nhwc4), and ``residual_zero`` the zero map of the ReLU after
+    it, if folded.
     """
 
     mats: np.ndarray
@@ -511,10 +503,10 @@ def fold_refusal(p: ConvParams, h: int, w: int,
     of window ``pool``, or else a residual Add; None if it can.  A pool
     needs a pointwise conv, windows that tile its output and two pooled
     columns (_pointwise_max_pool; one row would take BLAS's GEMV, whose
-    bits differ), an Add a window matrix: not pointwise, not depthwise."""
+    bits differ), an Add a dense or grouped conv, not pointwise."""
     if pool is None:
         return (None if not (p.pointwise or p.depthwise) else
-                "a residual Add folds only into a conv with a window matrix")
+                "a residual Add folds only into a non-pointwise dense conv")
     if (p.pointwise and (pool.kh, pool.kw, pool.pad_h, pool.pad_w)
             == (pool.stride_h, pool.stride_w, 0, 0)
             and pool.out_size(*p.out_size(h, w))[1] >= 2):
@@ -622,27 +614,22 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     lanes] into out [n, oh, ow, out lanes], contiguous float32, every
     element of which is written.
 
-    Every conv walks its output rows in slabs (slab_rows).  A slab's
-    bordered input rows go into one buffer reused slab after slab, or are
-    the whole bordered map in one slab (x itself at pad 0).  Per image, a
-    depthwise conv sums the taps' runs of the slab (one strided view of it)
-    against the taps' weights ([kh, kw, ow, lanes]) in one einsum straight
-    into the slab's output rows: float32 sums in (u, v) order, so its bits
-    do not depend on the slabs (a NumPy whose baseline instruction set has
-    FMA, aarch64 say, fuses the multiply and add, and its last bits may
-    differ).  A dense or grouped conv copies each band of output rows'
-    windows (windows) into a window matrix [pixels, kh*kw*in lanes] and
-    multiplies it by every output lane, writing each image's rows of a slab
-    (whole bands) in chunks of whole bands: a plain conv's chunk is the
-    slab's rows, its GEMMs straight into out.  A conv with a residual Add
-    folded in (packed.residual) finds the Add's other operand, the skip, in
-    ``out``: each chunk (_chunk_rows) goes into ``scratch``, then gets bias
-    (and the conv's ReLU) and is added into the skip's rows (_add_rows);
-    the ReLU after the Add (packed.residual_zero) runs on each finished
-    image.  Those are the unfused steps' ops in their order, so the bits
-    are the conv's, then the Add's and the ReLU's.  A pointwise conv
-    multiplies each image as it lies, and with a max pool folded in
-    (packed.pool) runs _pointwise_max_pool, through ``scratch``.
+    Per slab and image a depthwise conv is one einsum of its bordered rows'
+    tap runs (a strided view) against the taps' weights ([kh, kw, ow,
+    lanes]) in (u, v) order, so its bits do not depend on the slabs (a
+    NumPy whose baseline has FMA, aarch64 say, fuses multiply and add, and
+    its last bits may differ).  Any other conv is one batched GEMM of its
+    windows as they lie, in (u, v, lane) order, one GEMM per output row, or
+    per column (_bordered) over every row: its rows are the conv's ow (or
+    oh) whatever the slab or chunk, and so are its bits (BLAS's may depend
+    on the row count; one of one row is GEMV).  With a max pool folded in
+    (packed.pool) a pointwise conv runs _pointwise_max_pool, through
+    ``scratch``.  With a residual Add folded in (packed.residual) ``out``
+    holds the Add's other operand, the skip: each chunk of output rows
+    (EPILOGUE_FLOATS) goes into ``scratch``, gets bias (and the conv's
+    ReLU) and is added into the skip's rows (_add_rows), and the ReLU after
+    the Add (packed.residual_zero) runs on each finished image: the unfused
+    steps' ops in their order, so their bits.
     """
     if not out.size:
         return
@@ -663,49 +650,51 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
     else:
         wmat = packed.mats.reshape(k, opad)
         if p.pointwise:
-            # the input as it lies is the window matrix
             for img in range(n):
                 np.matmul(x[img].reshape(h * wd, cpad), wmat,
                           out=out[img].reshape(oh * ow, opad))
                 bias_relu(out[img], packed)
             return
-        band, row = _band_rows(oh, ow * k), ow * opad
-        chunk = (_chunk_rows(band, row) if packed.residual
-                 else packed.slab_rows)
-        win = np.empty((band, ow, p.kh, p.kw, cpad), dtype=np.float32)
     rows, hp, wp = packed.slab_rows, h + 2 * p.pad_h, wd + 2 * p.pad_w
-    buf = None if rows >= oh else _slab_buffer(p, rows, x)
+    depth = (rows - 1) * p.stride_h + p.kh  # a slab's input rows
+    bordered = _bordered(p, n, h, wd)
+    # one GEMM per output column where a one-row kernel's windows overlap
+    by_column = p.stride_w < p.kw and bordered
+    chunk = oh if by_column or not packed.residual else max(
+        1, EPILOGUE_FLOATS // (ow * opad))
+    # the bordered rows (in one slab: none), or strips, zero off the map
+    buf = (None if rows >= oh else np.empty(n * depth * wp * cpad, np.float32)
+           ) if bordered else (np.zeros if p.pad_h or p.pad_w else np.empty)(
+               (n, ow, depth, p.kw, cpad), np.float32)
     r0 = 0
     while r0 < oh:  # a range iterator would add 48 B to every run's heap
         b = min(rows, oh - r0)
-        span = None if buf is None else (
-            r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
-        # no name for the bordered rows: a view kept alive adds 200 B to
-        # the step's heap, and the views hold its buffer
-        views = (_tap_runs if p.depthwise else windows)(
-            border(x, p.pad_h, p.pad_w, hp, wp, rows=span, out=buf),
-            p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        if bordered:
+            span = None if buf is None else (
+                r0 * p.stride_h, (r0 + b - 1) * p.stride_h + p.kh)
+            # no name for the bordered rows: a view kept alive adds 200 B
+            # to the step's heap, and the views hold its buffer
+            views = (_tap_runs if p.depthwise else windows)(
+                border(x, p.pad_h, p.pad_w, hp, wp, rows=span, out=buf),
+                p.kh, p.kw, p.stride_h, p.stride_w, b, ow)
+        else:
+            views = _strips(x, p, r0, b, buf)
         for img in range(n):
             if p.depthwise:
                 np.einsum(sums, views[img], taps,
                           out=out[img, r0:r0 + b].reshape(b, *tail))
                 continue
-            # chunks of whole bands: a residual fold's through the scratch
             c = 0
             while c < b:  # a range iterator here: 48 B more heap
-                e, r = min(c + chunk, b), c
-                while r < e:
-                    bb = min(band, e - r)
-                    np.copyto(win[:bb], views[img, r:r + bb])
-                    np.matmul(win[:bb].reshape(bb * ow, k), wmat, out=(
-                        scratch[(r - c) * row:(r - c + bb) * row]
-                        if packed.residual
-                        else out[img, r0 + r:r0 + r + bb]).reshape(
-                            bb * ow, opad))
-                    r += bb
+                e = min(c + chunk, b)
+                dst = (scratch[:(e - c) * ow * opad].reshape(e - c, ow, opad)
+                       if packed.residual else out[img, r0 + c:r0 + e])
+                a, o = views[img, c:e].reshape(e - c, ow, k), dst
+                if by_column:
+                    a, o = a.swapaxes(0, 1), o.swapaxes(0, 1)
+                np.matmul(a, wmat, out=o)
                 if packed.residual:
-                    _add_rows(scratch[:(e - c) * row].reshape(e - c, ow, opad),
-                              out[img], r0 + c, packed)
+                    _add_rows(dst, out[img], r0 + c, packed)
                 c = e
         r0 += b
     for img in range(n):
@@ -715,12 +704,47 @@ def sliding_nhwc4(x: np.ndarray, packed: ConvWeights, p: ConvParams,
             np.maximum(out[img], packed.residual_zero, out=out[img])
 
 
+def _strips(x: np.ndarray, p: ConvParams, r0: int, b: int,
+            strips: np.ndarray) -> np.ndarray:
+    """Output rows r0..r0+b's windows, [n, b, ow, kh*kw*lanes], a view of
+    their MEC strips, written into ``strips`` [n, ow, R, kw, lanes]: strip
+    j's row r, column v is x[r0*sh - pad_h + r, j*sw + v - pad_w], and
+    window (i, j) is strip j's rows from i*sh.  Columns that read the map
+    only are one strided copy, each other column one copy.  Zeros off the
+    map are the buffer's, refilled only above and below it after slab 0."""
+    n, h, wd, c = x.shape
+    _, ow, _, kw, _ = strips.shape
+    sh, sw, pw = p.stride_h, p.stride_w, p.pad_w
+    top, depth = r0 * sh - p.pad_h, (b - 1) * sh + p.kh
+    lo, hi = min(max(-top, 0), depth), min(max(h - top, 0), depth)  # in map
+    if r0 and lo:
+        strips[:, :, :lo] = 0.0
+    if r0 and hi < depth:
+        strips[:, :, hi:depth] = 0.0
+    if hi > lo:  # columns j0..j1 read the map only
+        j0 = min(ow, -(-pw // sw))
+        j1 = min(ow, max(j0, (wd + pw - kw) // sw + 1))
+        if j1 > j0:
+            strips[:, j0:j1, lo:hi] = np.ndarray(
+                (n, j1 - j0, hi - lo, kw, c), np.float32, x,
+                4 * c * ((top + lo) * wd + j0 * sw - pw),
+                (4 * c * h * wd, 4 * c * sw, 4 * c * wd, 4 * c, 4))
+        for j in (*range(j0), *range(j1, ow)):
+            a, e = max(0, pw - j * sw), min(kw, wd + pw - j * sw)
+            if e > a:
+                strips[:, j, lo:hi, a:e] = x[:, top + lo:top + hi,
+                                             j * sw + a - pw:j * sw + e - pw]
+    s0, s1, s2, _, _ = strips.strides
+    return np.ndarray((n, b, ow, p.kh * kw * c), np.float32, strips, 0,
+                      (s0, sh * s2, s1, 4))
+
+
 def _add_rows(conv: np.ndarray, image: np.ndarray, r: int,
               packed: ConvWeights) -> None:
-    """The epilogue of one chunk of bands of a dense conv with a residual
-    Add folded in: its output rows from row r, conv (in the scratch), get
-    the bias and the conv's ReLU, then are added into the same rows of
-    ``image``, which hold the skip."""
+    """The epilogue of one chunk of output rows of a dense conv with a
+    residual Add folded in: its output rows from row r, conv (in the
+    scratch), get the bias and the conv's ReLU, then are added into the
+    same rows of ``image``, which hold the skip."""
     b = len(conv)
     if packed.bias is not None:
         np.add(conv, packed.bias[r:r + b], out=conv)
@@ -826,50 +850,42 @@ def sliding_work(p: ConvParams, n: int, h: int, w: int) -> KernelWork:
         return KernelWork(calls=3)
     rows, hp, wp = slab_rows(p, n, h, w), h + 2 * p.pad_h, w + 2 * p.pad_w
     slabs = -(-oh // rows)
-    # the bordered input rows, every element written once: one slab is the
-    # whole map (none at pad 0, where the conv reads x as it lies), and
-    # more slabs each copy the rows their output rows read, the rows two
-    # slabs share twice, into one buffer, with a border's calls each
-    copied = 0
-    if p.pad_h or p.pad_w:
-        copied = n * wp * cpad * (
-            hp if slabs == 1 else (oh - slabs) * p.stride_h + slabs * p.kh)
+    read = (oh - slabs) * p.stride_h + slabs * p.kh  # input rows, shared twice
+    padded = p.pad_h or p.pad_w
     epilogue = (1 + p.relu) * out
-    if p.depthwise:
-        # per slab and image one einsum, reading each tap's windows of the
-        # slab's output rows and writing those rows once
-        return KernelWork(moved=copied + (taps + 1) * n * pix * cpad
-                          + epilogue,
-                          calls=10 + 7 * (slabs - 1)
-                          + n * (slabs + 1 + p.relu))
-    # one GEMM over every output pixel with K = taps x input lanes, into the
-    # output itself; a grouped conv's runs over every lane of its
-    # block-diagonal operand.  Bias and ReLU passes over the output.
-    k = taps * cpad
-    gemm = n * pix * k * opad
-    if p.pointwise:
-        # the input as it lies: one GEMM per image
-        return KernelWork(gemm=gemm, moved=epilogue,
-                          calls=10 + n * (2 + p.relu))
-    # each band copies its windows into the window matrix, then one GEMM
-    bands = -(-oh // _band_rows(oh, ow * k))
-    return KernelWork(gemm=gemm, moved=copied + n * pix * k + epilogue,
-                      calls=10 + 7 * (slabs - 1)
-                      + n * (2 * bands + 1 + p.relu))
+    # GEMMs with K = taps x input lanes into the output itself (a grouped
+    # conv's over its whole block-diagonal operand), then bias and ReLU
+    gemm = 0 if p.depthwise else n * pix * taps * cpad * opad
+    calls = 10 + n * (slabs + 1 + p.relu)
+    if _bordered(p, n, h, w):
+        # the bordered rows (none at pad 0) with a border's calls a slab;
+        # per slab and image an einsum over every tap's windows, or a GEMM
+        copied = n * wp * cpad * (hp if slabs == 1 else read) if padded else 0
+        return KernelWork(gemm=gemm, moved=copied + epilogue + (
+            (taps + 1) * n * pix * cpad if p.depthwise else 0),
+                          calls=calls + 7 * (slabs - 1))
+    # the strips (zeroed if padded): per slab a copy of the columns in the
+    # map and one per edge column, per slab and image a GEMM
+    edges = min(ow, 2 * -(-p.pad_w // p.stride_w))
+    depth = (rows - 1) * p.stride_h + p.kh if padded else 0
+    return KernelWork(gemm=gemm, moved=n * ow * p.kw * cpad * (read + depth)
+                      + epilogue, calls=calls + slabs * (3 + edges))
 
 
-EPILOGUE_FLOATS = 8192
+EPILOGUE_FLOATS = 6144
 """Most floats of output rows a dense conv with a residual Add folded in
-gathers in its scratch, in whole bands (at least one), before one bias and
-one skip add over them (sliding_nhwc4).
+gathers in its scratch before one bias and one skip add over them
+(sliding_nhwc4): a chunk is the most whole rows that fit, at least one,
+within one slab; every row where its GEMMs run per output column, as one
+of one row would run GEMV, whose bits differ (fold_scratch_floats).
 
-Each chunk costs two NumPy calls, and the scratch is pool bytes.  Measured
-as the fused step over its conv, Add and ReLU steps, in one session each,
-alternating 60 rounds of 50 run_timed calls (2-vCPU x86-64 VM, OpenBLAS
-0.3.31, one thread), on resnet-mini's res0b at 32 and 64 px: 4,096 floats
-(one band) 1.067 and 1.081x, 8,192 1.041 and 1.041x, 16,384 1.019 and
-1.019x, a whole slab 1.000 and 1.002x.  At 8,192 the scratch of res0b at
-64 px is two bands, 24 KiB, against the 512 KiB of maps the fold frees.
+Each chunk costs four NumPy calls, and the scratch is pool bytes: 6,144 is
+the most under which no preset's or workload's scratch outgrows the rule
+before (window-matrix bands): 6 rows of resnet-mini's res0b at 64 px, a
+step at which the pool has no hole.  There the fused res0b and res1proj
+ran 1.09 and 1.36x their conv, Add and ReLU steps apart, at 32 px 1.12 and
+1.22x, and at 8,192 floats 1.00, 1.17, 1.05 and 1.02x (30 alternated rounds
+of 20 run_timed calls, 2-vCPU x86-64 VM, OpenBLAS 0.3.31, one thread).
 """
 
 
@@ -877,55 +893,47 @@ def fold_scratch_floats(p: ConvParams, n: int, h: int, w: int,
                         pool: ConvParams | None = None) -> int:
     """Floats of the scratch of conv p on n images of h x w with a node
     folded in (sliding_nhwc4): for the max pool of window ``pool``, one
-    pooled image; else, for a residual Add, one chunk of bands of its
-    output rows, within one slab."""
+    pooled image; else, for a residual Add, one chunk of output rows."""
     oh, ow = p.out_size(h, w)
     opad = channel_blocks(p.out_c) * LANES
     if pool is not None:
         poh, pw = pool.out_size(oh, ow)
         return poh * pw * opad
-    k = p.kh * p.kw * channel_blocks(p.in_c) * LANES
-    return min(_chunk_rows(_band_rows(oh, ow * k), ow * opad),
+    if p.stride_w < p.kw and _bordered(p, n, h, w):
+        return oh * ow * opad  # GEMMs per output column, over every row
+    return min(max(1, EPILOGUE_FLOATS // (ow * opad)),
                slab_rows(p, n, h, w)) * ow * opad
 
 
-def _chunk_rows(band: int, row_floats: int) -> int:
-    """Output rows per epilogue chunk of a residual fold: the most whole
-    bands of band rows whose output, row_floats floats a row, fits
-    EPILOGUE_FLOATS; at least one."""
-    return band * max(1, EPILOGUE_FLOATS // (band * row_floats))
-
-
-def _band_rows(oh: int, row_floats: int) -> int:
-    """Output rows per band: the most whose windows, row_floats floats per
-    output row, fit BAND_FLOATS; at least one, at most oh."""
-    return min(oh, max(1, BAND_FLOATS // max(1, row_floats)))
+def _bordered(p: ConvParams, n: int, h: int, w: int) -> bool:
+    """Whether conv p on n images of h x w reads its bordered rows, not MEC
+    strips: if depthwise, or a kernel of one row whose windows lie apart
+    (stride_w >= kw), or else in one slab (one GEMM per output column)."""
+    return p.depthwise or p.kh == 1 and (
+        p.stride_w >= p.kw or not (p.pad_h or p.pad_w) or n * (h + 2 * p.pad_h)
+        * (w + 2 * p.pad_w) * channel_blocks(p.in_c) * LANES <= BAND_FLOATS)
 
 
 def slab_rows(p: ConvParams, n: int, h: int, w: int) -> int:
     """Output rows per slab of a sliding-window conv on n images of h x w.
 
-    A slab is the bordered input rows that some output rows of every image
-    read, copied into one buffer the kernel reuses.  One rule for every
-    conv: at pad 0 it reads its input as it lies, in one slab; a padded
-    conv takes the fewest slabs that fit BAND_FLOATS (at least one unit
-    per slab: a band of a dense conv, a row of a depthwise one), then
-    spreads its output rows evenly over them in whole units, so the
-    buffers are no larger than that count needs.
+    A slab is the input some output rows of every image read, in one buffer
+    the kernel reuses: bordered rows (_bordered; at pad 0 the input as it
+    lies, in one slab) or strips.  A conv takes the fewest slabs whose
+    buffer fits BAND_FLOATS (at least one output row each), rows spread
+    evenly.
     """
     oh, ow = p.out_size(h, w)
-    if not (p.pad_h or p.pad_w):
-        return oh
     lanes = channel_blocks(p.in_c) * LANES
-    unit = 1 if p.depthwise else _band_rows(oh, ow * p.kh * p.kw * lanes)
-    row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
+    if _bordered(p, n, h, w):
+        if not (p.pad_h or p.pad_w):
+            return oh
+        row = n * (w + 2 * p.pad_w) * lanes  # one bordered row of every image
+    else:
+        row = n * ow * p.kw * lanes  # one row of every strip of every image
     # the output rows whose input rows fit one slab
     fit = (BAND_FLOATS // max(1, row) - p.kh) // p.stride_h + 1
-    if fit >= oh:
-        return oh
-    units = -(-oh // unit)
-    most = max(1, fit // unit)
-    return unit * -(-units // -(-units // most))
+    return oh if fit >= oh else -(-oh // -(-oh // max(1, fit)))
 
 
 def border(x: np.ndarray, top: int, left: int, hp: int, wp: int,
@@ -1003,11 +1011,3 @@ def _tap_runs(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int,
         (ow, c), (col * sw, 4))
     return np.ndarray((n, kh, kw, oh, *shape), np.float32, xp, 0,
                       (row * hp, row, col, row * sh, *strides))
-
-
-def _slab_buffer(p: ConvParams, rows: int, x: np.ndarray) -> np.ndarray:
-    """An empty buffer for one slab of `rows` output rows of x's images,
-    bordered."""
-    n, _, wd, c = x.shape
-    return np.empty(n * ((rows - 1) * p.stride_h + p.kh)
-                    * (wd + 2 * p.pad_w) * c, dtype=np.float32)

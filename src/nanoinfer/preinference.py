@@ -631,8 +631,8 @@ def plan_memory(g: Graph, *,
     another backend are pooled in that backend's namespace from the
     transfer step to their last reader.  A fused step pools its scratch
     (OpStep.scratch_id) of kernels.fold_scratch_floats, live at that step
-    only: one image of a folded pool's output, or one chunk of bands of a
-    folded Add's conv output rows.  A folded Add's output takes no interval
+    only: one image of a folded pool's output, or one chunk of a folded
+    Add's conv output rows.  A folded Add's output takes no interval
     of its own: it is an alias of its skip's (MemoryPlan.aliases), which
     then runs from the skip's first write to the output's last read.
     Without steps, every op runs on CPU.

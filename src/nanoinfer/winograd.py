@@ -209,9 +209,10 @@ def winograd_work(p: ConvParams, n_tile: int, n: int, h: int,
                + out * (1 + crop + p.relu)),
         # the patch gather and the scatter of output tiles
         shuffled=tiles * (cpad * a2 + opad * n_tile * n_tile),
-        # counted when the patch gather's view was NumPy's generic window
-        # view, about 15 calls' time; kept until the gather is re-measured
-        calls=50)
+        # the padded input's (about six), the gather's three, the six
+        # GEMMs' with their views, the scatter's four, the crop's and each
+        # image's epilogue
+        calls=26 + 2 * crop + n * (2 + p.relu))
 
 
 def winograd_supported(p: ConvParams) -> bool:

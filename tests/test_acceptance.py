@@ -290,8 +290,8 @@ def test_criterion_6_planner_correctness():
 
 
 # heap bound of one mobilenet-mini run, as test_backend's steady-state
-# bound: its peak is the first conv's slab and window matrix, 148,864 B
-RUN_HEAP_BOUND = 156_000
+# bound: its peak is a depthwise conv's bordered map, 80,973 B
+RUN_HEAP_BOUND = 90_000
 # bytes a run may leave on the heap after warm-up (each run's are freed)
 RETAINED_BOUND = 1024
 

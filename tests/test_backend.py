@@ -97,11 +97,10 @@ class TestBuffers:
                 if peaks[n.id] > sliding_heap_bound(n, g.tensor_shapes)}
         assert not over
 
-    def test_dense_step_heap_is_one_slab_and_one_window_matrix(
-            self, monkeypatch):
+    def test_dense_step_heap_is_one_strip_buffer(self, monkeypatch):
         # resnet-64's res0a: a 3x3, pad-1, 16->16 conv on a 64x64 map takes
-        # one slab of its zero-bordered input rows and one band's window
-        # matrix, not maps the size of its input or output
+        # one buffer of its slab's MEC strips, of at most BAND_FLOATS
+        # floats, not maps the size of its input or output
         b = GraphBuilder((1, 16, 64, 64), seed=0)
         b.conv(kernel=3, pad=1, out_c=16, activation="relu")
         g = b.build()
@@ -109,25 +108,23 @@ class TestBuffers:
         plan, peaks = step_heap_peaks(g, monkeypatch)
         assert plan.schemes[node.id].kind is SchemeKind.SLIDING_WINDOW
         p = node.params()
-        rows = kernels.slab_rows(p, 1, 64, 64)
-        assert rows < 64
-        slab = 4 * (rows + 2) * 66 * 16
-        window = 4 * window_matrix_floats(p, 64, 64)
-        assert slab <= 4 * kernels.BAND_FLOATS
-        assert window <= 4 * kernels.BAND_FLOATS
-        assert peaks[node.id] <= slab + window + 40 * 1024
+        assert kernels.slab_rows(p, 1, 64, 64) < 64
+        strips = 4 * strip_floats(p, 1, 64, 64)
+        assert strips <= 4 * kernels.BAND_FLOATS
+        assert peaks[node.id] <= strips + 8 * 1024
 
     def test_steady_state_run_heap_bounded(self):
         # a whole run of the resnet-mini topology at 64x64 (the benchmark's
-        # resnet-64) after a warm-up run, outputs included
-        assert 0 < run_heap_peak(fuse(resnet_mini(size=64))) <= 260_000
+        # resnet-64) after a warm-up run, outputs included: one strip
+        # buffer of a 3x3 conv (124,304 B measured)
+        assert 0 < run_heap_peak(fuse(resnet_mini(size=64))) <= 140_000
 
     def test_steady_state_mobilenet_run_heap_bounded(self):
         # the same for mobilenet-mini (the benchmark's mobilenet-32), whose
-        # peak is its first conv, conv_2 (148,864 B measured): pool_24 runs
-        # in pw2's step, whose scratch is in the pool
+        # peak is a depthwise conv's bordered map, dw2 (80,973 B measured):
+        # pool_24 runs in pw2's step, whose scratch is in the pool
         assert 0 < run_heap_peak(fuse(build_preset("mobilenet-mini"))) <= (
-            156_000)
+            90_000)
 
     @pytest.mark.parametrize("backends", [["cpu"], ["cpu", "sim"]])
     def test_bound_arrays_start_on_a_cache_line(self, backends):
@@ -289,11 +286,10 @@ SLIDING_GRAPHS = {"grouped": grouped_conv_graph,
 
 
 def sliding_heap_bound(node, shapes):
-    """Heap bytes a sliding-window conv step may take: its slab of bordered
-    input rows (the whole bordered map if one slab holds it; nothing for a
-    conv at pad 0, which reads its input as it lies), then, for a dense or
-    grouped conv, one window matrix and 96 KiB of slack.  A depthwise conv,
-    at any stride, takes its slab and 8 KiB: its einsum writes the output
+    """Heap bytes a sliding-window conv step may take: its one buffer (the
+    slab of bordered input rows of a depthwise conv or a kernel of one row,
+    the whole bordered map if one slab holds it, nothing at pad 0; another
+    dense conv's strips), and 8 KiB: each GEMM and einsum writes the output
     rows itself, with no row buffer and no iterator buffer."""
     p = node.params()
     n, _, h, w = shapes[node.inputs[0]].dims
@@ -301,20 +297,23 @@ def sliding_heap_bound(node, shapes):
     oh, _ = p.out_size(h, w)
     hp, wp = h + 2 * p.pad_h, w + 2 * p.pad_w
     rows = kernels.slab_rows(p, n, h, w)
+    if not kernels._bordered(p, n, h, w):
+        return 4 * strip_floats(p, n, h, w) + 8 * 1024
     slab = 0
     if p.pad_h or p.pad_w:
         slab = n * wp * cpad * (
             hp if rows == oh else (rows - 1) * p.stride_h + p.kh)
-    if p.depthwise:
-        return 4 * slab + 8 * 1024
-    return 4 * (slab + window_matrix_floats(p, h, w)) + 96 * 1024
+    return 4 * slab + 8 * 1024
 
 
-def window_matrix_floats(p, h, w):
-    """Floats in the window matrix of one band of a dense conv."""
-    oh, ow = p.out_size(h, w)
-    row = ow * p.kh * p.kw * channel_blocks(p.in_c) * LANES
-    return kernels._band_rows(oh, row) * row
+def strip_floats(p, n, h, w):
+    """Floats in the strip buffer of a dense conv: one slab's strips, a
+    strip per output column of every image, each the slab's input rows of
+    kw columns."""
+    _, ow = p.out_size(h, w)
+    rows = kernels.slab_rows(p, n, h, w)
+    return (n * ow * ((rows - 1) * p.stride_h + p.kh) * p.kw
+            * channel_blocks(p.in_c) * LANES)
 
 
 class TestExecutions:

@@ -169,6 +169,19 @@ class TestFoldRule:
         assert fused(plan) == {"c": ("add", "relu")}
         replayed(g, plan, backends, seed=9)
 
+    @pytest.mark.parametrize("conv", [{}, {"kernel": (1, 7), "pad": (0, 3)},
+                                      {"kernel": 1, "stride": 2, "pad": 0}])
+    def test_one_row_chunks_keep_the_bits(self, conv, monkeypatch):
+        # a chunk of one output row: strips and bordered rows run one GEMM
+        # per output row whatever the chunk, and a 1xk conv, whose GEMMs
+        # run per output column, gathers every row (a GEMV of one row, K =
+        # 56 here, would differ in its last bits)
+        monkeypatch.setattr(kernels, "EPILOGUE_FLOATS", 1)
+        g = residual_graph(conv=conv, images=2)
+        plan, backends = plan_with(g)
+        assert fused(plan) == {"c": ("add", "relu")}
+        replayed(g, plan, backends, seed=3)
+
     def test_skip_made_after_the_conv_folds_into_the_skip(self):
         # the Add's later producer is s: its step folds c's output as skip
         g = residual_graph(skip="conv_after")

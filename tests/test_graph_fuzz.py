@@ -1,10 +1,11 @@
 """Whole-graph fuzz tests of the planner's lifetimes and of the engine.
 
 Random residual DAGs (GraphBuilder, fixed seeds): 1-2 images, 1-8
-channels, 3-13 px, with padded, strided, 1x1 stride-2, grouped and
-depthwise convs, skips that are the block's input, its last conv's input
-or a projection made before or after that conv, and extra readers of skips
-and of conv outputs.  Each graph is planned on cpu, sim and auto, and on a
+channels, 3-13 px, with padded, strided, 1x1 stride-2, grouped,
+depthwise and rectangular convs (1-5 a side, strides 1-3, pads 0-3),
+skips that are the block's input, its last conv's input or a projection
+made before or after that conv, and extra readers of skips and of conv
+outputs.  Each graph is planned on cpu, sim and auto, and on a
 sim that lacks one op kind (so transfers cut through blocks), then checked:
 
 - a session's outputs, from NaN-poisoned pools, are replay_cpu's bits;
@@ -61,12 +62,20 @@ def conv_geometry(rng, c, h, w):
     """Random keywords of a conv on c channels of h x w that fits it."""
     kind = rng.choice(["dense", "padded", "strided", "1x1s2", "grouped",
                        "depthwise", "pointwise", "rect"])
-    geo = {"dense": dict(kernel=3), "padded": dict(kernel=3, pad=1),
-           "strided": dict(kernel=3, stride=2, pad=1),
-           "1x1s2": dict(kernel=1, stride=2), "grouped": dict(kernel=3,
-                                                               pad=1),
-           "depthwise": dict(kernel=3, pad=1), "pointwise": dict(kernel=1),
-           "rect": dict(kernel=(1, 3), pad=(0, 1))}[kind]
+    if kind == "rect":
+        # a rectangular kernel (1-5 a side) at strides 1-3 and pads 0-3
+        kernel = tuple(int(k) for k in rng.choice(np.arange(1, 6), 2,
+                                                  replace=False))
+        geo = dict(kernel=kernel,
+                   stride=tuple(int(s) for s in rng.integers(1, 4, size=2)),
+                   pad=tuple(int(q) for q in rng.integers(0, 4, size=2)))
+    else:
+        geo = {"dense": dict(kernel=3), "padded": dict(kernel=3, pad=1),
+               "strided": dict(kernel=3, stride=2, pad=1),
+               "1x1s2": dict(kernel=1, stride=2),
+               "grouped": dict(kernel=3, pad=1),
+               "depthwise": dict(kernel=3, pad=1),
+               "pointwise": dict(kernel=1)}[kind]
     kh, kw = np.broadcast_to(geo["kernel"], 2)
     ph, pw = np.broadcast_to(geo.get("pad", 0), 2)
     if h + 2 * ph < kh or w + 2 * pw < kw:
@@ -94,9 +103,10 @@ def residual_graph(rng):
             y = b.relu(y)
         _, _, yh, yw = b.shape_of(y)
         last, out_c = conv_geometry(rng, mid_c, yh, yw)
+        # keep the block's map size: stride 1, odd kernels, half their pad
         last.pop("stride", None)
-        if last.get("kernel") == 3 and not last.get("pad"):
-            last["pad"] = 1  # keep the block's map size
+        kh, kw = (int(k) | 1 for k in np.broadcast_to(last["kernel"], 2))
+        last.update(kernel=(kh, kw), pad=((kh - 1) // 2, (kw - 1) // 2))
         if last.get("group") == mid_c:  # depthwise: channels stay
             out_c = mid_c
         activation = "relu" if rng.random() < 0.2 else "none"
@@ -255,12 +265,13 @@ def test_generator_makes_every_geometry(seed):
             if node.kind is OpKind.CONV2D:
                 p = node.params()
                 seen.add("depthwise" if p.depthwise else "grouped"
-                         if p.group > 1 else "pointwise" if p.pointwise
+                         if p.group > 1 else "rect" if p.kh != p.kw
+                         else "pointwise" if p.pointwise
                          else "1x1s2" if p.kh == 1 and p.stride_h == 2
                          else "strided" if p.stride_h > 1
                          else "padded" if p.pad_h or p.pad_w else "dense")
-    assert seen == {"depthwise", "grouped", "pointwise", "1x1s2", "strided",
-                    "padded", "dense"}
+    assert seen == {"depthwise", "grouped", "rect", "pointwise", "1x1s2",
+                    "strided", "padded", "dense"}
 
 
 def pool_geometry(rng, h, w):

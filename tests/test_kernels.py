@@ -292,8 +292,9 @@ class TestWindows:
 
 
 # (kernel, stride, pad, in_c, out_c, group, input h, w): on two images,
-# each conv's output rows split into several bands of kernels.BAND_FLOATS
-# floats, the last one partial
+# under the default BAND_FLOATS, the 3x3 convs' strips split into several
+# slabs, the last one partial; 7x1's strips are one slab, and the convs
+# with a kernel of one row read their bordered rows in one slab
 BAND_CASES = {
     "dense": ((3, 3), (1, 1), (1, 1), 16, 8, 1, 13, 40),
     "grouped": ((3, 3), (1, 1), (1, 1), 16, 12, 4, 13, 40),
@@ -332,10 +333,9 @@ def test_dense_bands_match_direct_conv(case, rng):
     g = b.build()
     node = g.nodes[0]
     p = node.params()
-    oh, ow = p.out_size(h, w)
-    band = kernels._band_rows(oh, ow * p.kh * p.kw * channel_blocks(in_c)
-                              * LANES)
-    assert 1 < band < oh and oh % band
+    oh, _ = p.out_size(h, w)
+    rows = kernels.slab_rows(p, 2, h, w)
+    assert (rows < oh and oh % rows) if p.kh == 3 else rows == oh
     x = rng.standard_normal((2, in_c, h, w)).astype(np.float32)
     step, got = dense_results(g, x)
     # one kernel on one geometry: the same bits by every route
@@ -343,6 +343,53 @@ def test_dense_bands_match_direct_conv(case, rng):
     pre = conv2d_reference(x.astype(np.float64), node.weights.astype(np.float64),
                            stride, pad, group, node.bias.astype(np.float64))
     assert rel_err(step, np.maximum(pre, 0.0)) <= 1e-3
+
+
+def random_dense_geometry(rng):
+    """A random dense or grouped conv and its input (n, h, w): kernels 1x1
+    to 5x5, rectangular ones included, strides 1-3, pads 0-3, 1-2 images,
+    at least two output rows and columns (a GEMM of one row is BLAS's GEMV,
+    whose last bits differ from a GEMM's) and windows of at most 384 floats
+    (beyond, OpenBLAS splits K, and a GEMM row's bits depend on the row
+    count: the kernel's GEMMs have a row of output pixels, im2col's all)."""
+    while True:
+        kh, kw, sh, sw = (int(v) for v in rng.integers(1, [6, 6, 4, 4]))
+        ph, pw = (int(v) for v in rng.integers(0, 4, size=2))
+        group = int(rng.choice([1, 1, 2, 3]))
+        in_c = group * int(rng.integers(1, 7))
+        out_c = group * int(rng.integers(1, 7))
+        n, h, w = (int(v) for v in rng.integers(1, [3, 15, 15]))
+        if ((h + 2 * ph - kh) // sh >= 1 and (w + 2 * pw - kw) // sw >= 1
+                and kh * kw * channel_blocks(in_c) * LANES <= 384
+                and (group == 1 or in_c != group or out_c != group)):
+            return ConvParams(kh, kw, sh, sw, ph, pw, in_c, out_c, group,
+                              relu=bool(rng.integers(0, 2))), n, h, w
+
+
+@pytest.mark.parametrize("band", [100, 2000, kernels.BAND_FLOATS])
+def test_dense_lowering_is_one_im2col_gemm(band, rng, monkeypatch):
+    # every dense or grouped conv, by strips or by its bordered rows, in
+    # one slab or many, has the bits of one np.matmul over its explicit
+    # window matrix (im2col), then bias and ReLU
+    monkeypatch.setattr(kernels, "BAND_FLOATS", band)
+    for _ in range(130):
+        p, n, h, w = random_dense_geometry(rng)
+        x = relayout(from_nchw(rng.standard_normal(
+            (n, p.in_c, h, w)).astype(np.float32)), Layout.NHWC4)
+        wt = rng.standard_normal((p.out_c, p.in_c // p.group, p.kh, p.kw)
+                                 ).astype(np.float32)
+        bias = rng.standard_normal(p.out_c).astype(np.float32)
+        got = conv_sliding(x, wt, p, bias=bias).data
+        packed = kernels.pack_sliding(wt, p, bias, n, h, w)
+        oh, ow = p.out_size(h, w)
+        xp = np.pad(x.data, ((0, 0), (p.pad_h,) * 2, (p.pad_w,) * 2, (0, 0)))
+        im2col = kernels.windows(xp, p.kh, p.kw, p.stride_h, p.stride_w, oh,
+                                 ow).reshape(n * oh * ow, -1)
+        want = np.matmul(im2col, packed.mats.reshape(im2col.shape[1], -1)
+                         ).reshape(got.shape) + packed.bias
+        if p.relu:
+            want = np.maximum(want, np.float32(0))
+        assert got.tobytes() == want.tobytes(), (p, n, h, w)
 
 
 # (in_c, out_c, group, stride, Winograd tile or None for sliding window);
@@ -392,16 +439,17 @@ def test_conv_out_contract(case, rng):
 
 
 # (kernel, stride, pad, in_c, out_c, group, images, input h, w, BAND_FLOATS):
-# under that BAND_FLOATS each conv splits into several slabs, the last
-# one partial; at the default every one is a single slab
+# under that BAND_FLOATS each conv splits into several slabs (a dense
+# conv's strips, 1x7's too), the last one partial; at the default every
+# one is a single slab
 SLAB_CASES = {
     "stride2_pad2": ((3, 3), (2, 2), (2, 2), 8, 8, 1, 1, 23, 17, 1536),
-    "1x7": ((1, 7), (1, 1), (0, 3), 8, 8, 1, 1, 13, 20, 1024),
+    "1x7": ((1, 7), (1, 1), (0, 3), 8, 8, 1, 1, 13, 20, 2240),
     "7x1": ((7, 1), (1, 1), (3, 0), 8, 8, 1, 1, 13, 20, 1536),
-    "taller_than_slab": ((7, 3), (1, 1), (3, 1), 8, 8, 1, 1, 13, 20, 1536),
-    "two_images": ((3, 3), (1, 1), (1, 1), 8, 8, 1, 2, 15, 11, 1024),
+    "taller_than_slab": ((7, 3), (1, 1), (3, 1), 8, 8, 1, 1, 13, 20, 4320),
+    "two_images": ((3, 3), (1, 1), (1, 1), 8, 8, 1, 2, 15, 11, 3168),
     "one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 1, 2, 15, 1, 300),
-    "grouped": ((3, 3), (1, 1), (1, 1), 8, 12, 4, 1, 15, 11, 1536),
+    "grouped": ((3, 3), (1, 1), (1, 1), 8, 12, 4, 1, 15, 11, 1584),
     "depthwise": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 11, 1024),
     "depthwise_stride2": ((3, 3), (2, 2), (1, 1), 8, 8, 8, 2, 19, 11, 1536),
     "depthwise_one_column": ((3, 3), (1, 1), (1, 1), 8, 8, 8, 2, 15, 1, 300),
@@ -430,8 +478,9 @@ def test_slabs_match_one_slab_and_reference(case, rng, monkeypatch):
     assert rows < oh and oh % rows, (rows, oh)
     got = conv(Layout.NHWC4)
     assert got.tobytes() == conv(Layout.NC4HW4).tobytes()
-    if p.depthwise:  # its sums do not depend on the slab's rows
-        assert got.tobytes() == whole.tobytes()
+    # neither a depthwise conv's sums nor a dense conv's GEMM rows depend
+    # on the slab's rows
+    assert got.tobytes() == whole.tobytes()
     want = conv2d_reference(x.astype(np.float64), wt.astype(np.float64),
                             stride, pad, group, bias.astype(np.float64),
                             relu=True)

@@ -351,8 +351,8 @@ class TestPlanMemory:
 
     @pytest.mark.parametrize("name,gap", [
         ("inception-mini", 0), ("mobilenet-mini", 0), ("resnet-mini", 0),
-        # first-fit leaves a 32 KiB hole here: ROADMAP item 11's second half
-        ("squeezenet-mini", 32_768)])
+        # first-fit leaves an 8 KiB hole here: ROADMAP item 11's second half
+        ("squeezenet-mini", 8_192)])
     def test_cpu_pool_at_its_live_bytes_bound(self, name, gap):
         plan = pre_infer(fuse(build_preset(name)), [CPU])
         mem = plan.memory["cpu"]

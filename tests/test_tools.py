@@ -18,7 +18,7 @@ from pathlib import Path
 
 from nanoinfer import kernels
 from nanoinfer.graph import OpKind, fuse
-from nanoinfer.presets import build_preset
+from nanoinfer.presets import PRESETS, build_preset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,3 +125,12 @@ def test_ab_summary_of_canned_pairs():
     assert set(summary["w"]) == {"latency_p90_ms", "accuracy_bits"}
     assert ab.quartiles([1.0, 2.0]) == (1.25, 1.75)
     assert ab.quartiles([7.0]) == (7.0, 7.0)
+
+
+def test_ab_output_digests_of_every_preset_and_backend():
+    # each tree's digests come from `nanoinfer run --format json` in its
+    # own interpreter: one per preset and backend, each a sha256
+    digests = load_ab().output_digests(ROOT)
+    assert set(digests) == {f"{preset}/{backend}" for preset in PRESETS
+                            for backend in ("cpu", "sim", "auto")}
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for d in digests.values())

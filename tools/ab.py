@@ -12,7 +12,10 @@ BENCH_19's shape: per workload and end-to-end metric the parent's and the
 change's medians, the parent's quartiles (linear interpolation), both
 sides' extremes and how many pairs the change won or lost by the metric's
 direction in BENCHMARK.json, accuracy_bits per seed, every run's record
-and the machine record of the first run.
+and the machine record of the first run.  It also records each tree's
+output digests: `nanoinfer run --format json`'s output_sha256 for every
+preset, generated at seed 0, with --backend cpu, sim and auto, one BLAS
+thread, and whether the two trees' are equal.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -107,6 +111,45 @@ def archive(rev: str, dest: Path) -> str:
     return short
 
 
+# run in a tree's own interpreter: each preset's output_sha256 by backend
+DIGESTS = """
+import contextlib, io, json, pathlib, tempfile
+from nanoinfer.cli import main
+from nanoinfer.presets import PRESETS
+
+def cli(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(list(args)):
+            raise SystemExit(f"nanoinfer {' '.join(args)} failed")
+    return out.getvalue()
+
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for preset in sorted(PRESETS):
+        model = str(pathlib.Path(tmp) / "model.ninf")
+        cli("gen", preset, model)
+        for backend in ("cpu", "sim", "auto"):
+            digests[f"{preset}/{backend}"] = json.loads(cli(
+                "run", "--model", model, "--backend", backend, "--runs",
+                "1", "--warmup", "0", "--format", "json"))["output_sha256"]
+print(json.dumps(digests))
+"""
+
+
+def output_digests(tree: Path) -> dict[str, str]:
+    """"preset/backend" -> output_sha256 of `nanoinfer run` in tree."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", DIGESTS], cwd=tree,
+                          env=env, capture_output=True, text=True,
+                          timeout=600)
+    if proc.returncode:
+        raise RuntimeError(f"{tree}: output digests failed:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def run_once(tree: Path, workload: str, seed: int,
              seconds: float) -> tuple[dict, dict]:
     """One benchmark run in tree: its result line, with each metric as its
@@ -154,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "side": side, "seed": pair, **result})
                     print(f"pair {pair} {workload} {side}: "
                           f"{json.dumps(result['metrics'])}", flush=True)
+        digests = {side: output_digests(tree) for side, tree in trees.items()}
     bench = {
         "change": args.change,
         "parent_commit": short,
@@ -164,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
             f"change from the working tree, each run a fresh interpreter, "
             f"{PAIRS} pairs per workload (seeds 1-{PAIRS}), odd pairs parent "
             f"first. Quartiles by linear interpolation."),
+        "output_sha256": {**digests,
+                          "equal": digests["parent"] == digests["change"]},
         "trace0_summary": summarize(runs, metric_directions()),
         "trace0_runs": runs,
     }
